@@ -28,8 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonIntegerFrequencyError
-from .freqsample import FrequencyDistribution, ProductDistribution, SeededRng
-from .kernelmap import TrigPolynomial, fhat_l2_sq, l2_norm_sq, rkhs_norm, weights_of
+from .freqsample import ENUMERATE_CAP, FrequencyDistribution, PMax, ProductDistribution, SeededRng
+from .kernelmap import (
+    TrigPolynomial,
+    coeff_sup_bound,
+    fhat_l2_sq,
+    l2_norm_sq,
+    rkhs_norm,
+    weights_of,
+)
 from .regress import Dataset, rff_fit, rff_model_spectrum
 
 
@@ -147,6 +154,13 @@ def required_sample_counts(
 ) -> LowerBoundReport:
     """Both rearrangements of the lower bound, flagged as vacuous when the
     requested expected error already exceeds the target's squared L2 norm."""
+    return _required_sample_counts(f_hat, dist, eps_hat, dist.p_max())
+
+
+def _required_sample_counts(
+    f_hat: TrigPolynomial, dist: FrequencyDistribution, eps_hat: float, pm: PMax | None
+) -> LowerBoundReport:
+    """``required_sample_counts`` with the distribution's p_max supplied."""
     if not dist.fs.is_integer:
         raise NonIntegerFrequencyError(
             "the average-error lower bound assumes an integer frequency lattice"
@@ -156,7 +170,6 @@ def required_sample_counts(
     fh2 = fhat_l2_sq(f_hat)
     f2 = (2.0 * math.pi) ** f_hat.d * fh2
     A = alignment(f_hat, dist)
-    pm = dist.p_max()
     vacuous = f2 <= eps_hat
     notes = []
     if vacuous:
@@ -263,7 +276,14 @@ def feasibility_report(
     fs = dist.fs
     notes: list[str] = []
     anti = _anti_concentrated(dist)
-    pm = dist.p_max()
+    # one enumeration of the half serves both p_max and the norm C
+    p_vec = None
+    if C is None and f_hat is not None and fs.materialized and fs.is_integer:
+        p_vec = dist.pmf_vector()
+    if p_vec is not None and fs.size <= ENUMERATE_CAP:
+        pm = PMax(float(np.max(p_vec)), True)
+    else:
+        pm = dist.p_max()
     if dist.uniform_variant is not None:
         n_min_dim = min(f.size for f in fs.per_dimension_freqs)
         notes.append(
@@ -279,13 +299,12 @@ def feasibility_report(
     if f_hat is not None:
         eh = eps if eps_hat is None else eps_hat
         try:
-            lower = required_sample_counts(f_hat, dist, eh)
+            lower = _required_sample_counts(f_hat, dist, eh, pm)
         except NonIntegerFrequencyError:
             notes.append("non-integer lattice: the necessity bound does not apply")
     C_used = C
-    if C_used is None and f_hat is not None and fs.materialized and fs.is_integer:
+    if p_vec is not None:
         try:
-            p_vec = dist.pmf_vector()
             C_used = rkhs_norm(f_hat, weights_of(p_vec))
             notes.append("C computed from the target's hyperplane norm under this sampler")
         except (ValueError, NonIntegerFrequencyError) as exc:
@@ -357,7 +376,7 @@ def empirical_error_mean(
     Returns (mean, stderr, per-trial errors).
     """
     fs = dist.fs
-    b_bound = _coeff_sup_bound(f_star)
+    b_bound = coeff_sup_bound(f_star)
 
     def one_trial(t: int) -> float:
         gen = master.stream_for(t).generator()
@@ -377,15 +396,6 @@ def empirical_error_mean(
     mean = float(np.mean(errs))
     stderr = float(np.std(errs, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr, errs
-
-
-def _coeff_sup_bound(f: TrigPolynomial) -> float:
-    """|c_0| + 2 sum |c_w|: a rigorous sup-norm bound for the polynomial."""
-    zero = tuple(0.0 for _ in range(f.d))
-    total = 0.0
-    for key, c in f.coeffs.items():
-        total += abs(c) if key == zero else 2.0 * abs(c)
-    return total
 
 
 def save_report(report, path: str):

@@ -233,11 +233,6 @@ class FrequencySet:
         except KeyError:
             raise ValueError(f"frequency {tuple(omega)} is not in the canonical half") from None
 
-    def fold_position(self, omega, tol: float = 1e-9) -> tuple[int, int]:
-        """Fold ``omega`` and return ``(row in half, sign)``."""
-        folded, sign = canonical_fold(np.asarray(omega, dtype=float))
-        return self.position(folded, tol), sign
-
 
 def build_frequency_set(
     enc: EncodingStrategy,

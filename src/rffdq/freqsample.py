@@ -26,6 +26,9 @@ from .freqcore import FrequencySet, canonical_fold
 
 PROB_TOL = 1e-12
 
+# p_max is exact (an enumeration of the half) up to this many frequencies
+ENUMERATE_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class SeededRng:
@@ -81,10 +84,9 @@ class FrequencyDistribution:
 
     def pmf_vector(self) -> np.ndarray:
         """Probabilities over the materialized canonical half, in lattice order."""
-        self.fs.require_materialized()
-        return np.array([self.pmf(row) for row in self.fs.half])
+        raise NotImplementedError
 
-    def p_max(self, enumerate_cap: int = 200_000) -> PMax | None:
+    def p_max(self, enumerate_cap: int = ENUMERATE_CAP) -> PMax | None:
         """Maximum probability; exact when the half can be enumerated."""
         if self.fs.materialized and self.fs.size <= enumerate_cap:
             return PMax(float(np.max(self.pmf_vector())), True)
@@ -104,6 +106,35 @@ class FrequencyDistribution:
             if 0 <= cand < freqs.size and abs(freqs[cand] - value) <= 1e-9:
                 return cand
         raise ValueError(f"frequency component {value} not in lattice dimension {j+1}")
+
+    def _lattice_indices(self, rows: np.ndarray) -> np.ndarray:
+        """Per-dimension positions of every row's components, the batched
+        form of ``_component_index`` (same candidate order, same tolerance):
+        one ``searchsorted`` per dimension over all rows."""
+        out = np.empty(rows.shape, dtype=np.intp)
+        for j, freqs in enumerate(self.fs.per_dimension_freqs):
+            vals = rows[:, j]
+            pos = np.searchsorted(freqs, vals)
+            below = np.clip(pos - 1, 0, freqs.size - 1)
+            at = np.minimum(pos, freqs.size - 1)
+            idx = np.where(np.abs(freqs[below] - vals) <= 1e-9, below, at)
+            off = np.abs(freqs[idx] - vals) > 1e-9
+            if off.any():
+                value = vals[np.argmax(off)]
+                raise ValueError(f"frequency component {value} not in lattice dimension {j+1}")
+            out[:, j] = idx
+        return out
+
+    def _folded_vector(self, tilde) -> np.ndarray:
+        """Fold a batched ptilde (a function of per-dimension index rows)
+        over the canonical half: ptilde(w) + ptilde(-w), and ptilde(0) at
+        the zero frequency."""
+        self.fs.require_materialized()
+        half = self.fs.half
+        idx = self._lattice_indices(np.concatenate([half, -half]))
+        t = tilde(idx)
+        pos, neg = t[: half.shape[0]], t[half.shape[0]:]
+        return np.where(np.all(half == 0.0, axis=1), pos, pos + neg)
 
 
 class ExplicitDistribution(FrequencyDistribution):
@@ -144,7 +175,13 @@ class ExplicitDistribution(FrequencyDistribution):
         idx = gen.choice(self.support.shape[0], size=M, p=self.probs)
         return self.support[idx]
 
-    def p_max(self, enumerate_cap: int = 200_000) -> PMax:
+    def pmf_vector(self) -> np.ndarray:
+        self.fs.require_materialized()
+        p = np.zeros(self.fs.size)
+        p[[self.fs.index[key] for key in self._table]] = self.probs
+        return p
+
+    def p_max(self, enumerate_cap: int = ENUMERATE_CAP) -> PMax:
         return PMax(float(np.max(self.probs)), True)
 
 
@@ -203,10 +240,18 @@ class ProductDistribution(FrequencyDistribution):
             out *= float(np.max(pj))
         return out
 
-    def p_max(self, enumerate_cap: int = 200_000) -> PMax:
-        if self.fs.materialized and self.fs.size <= enumerate_cap:
-            return PMax(float(np.max(self.pmf_vector())), True)
-        return PMax(2.0 * self.tilde_max(), False)
+    def pmf_vector(self) -> np.ndarray:
+        def tilde(idx):
+            out = np.ones(idx.shape[0])
+            for j, pj in enumerate(self.per_dim):
+                out *= pj[idx[:, j]]
+            return out
+
+        return self._folded_vector(tilde)
+
+    def p_max(self, enumerate_cap: int = ENUMERATE_CAP) -> PMax:
+        pm = super().p_max(enumerate_cap)
+        return PMax(2.0 * self.tilde_max(), False) if pm is None else pm
 
 
 class MpsDistribution(FrequencyDistribution):
@@ -265,6 +310,15 @@ class MpsDistribution(FrequencyDistribution):
         if np.all(w == 0.0):
             return self.tilde_pmf(w)
         return self.tilde_pmf(w) + self.tilde_pmf(-w)
+
+    def pmf_vector(self) -> np.ndarray:
+        def tilde(idx):
+            left = np.ones((idx.shape[0], 1))
+            for j, core in enumerate(self.cores):
+                left = np.einsum("ma,amb->mb", left, core[:, idx[:, j], :])
+            return left[:, 0] / self.total_mass
+
+        return self._folded_vector(tilde)
 
     def marginal(self, j: int, prefix) -> np.ndarray:
         """Conditional pmf of dimension ``j`` (0-based) given the values of

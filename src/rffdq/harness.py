@@ -5,6 +5,13 @@ model in each cell (optionally with the kernel-ridge oracle alongside), and
 append one CSV row per cell.  Every cell owns an rng stream derived from
 (master seed, cell index), so outputs are identical for any worker count and
 across resumed runs.
+
+What depends only on the sweep is computed once per sweep
+(``SweepInvariants``): the frequency set, the distribution, its p_max, the
+KRR oracle's weights, and the realized target when it consumes no rng
+(explicit and circuit targets).  Per cell remain a random target's draw, the
+dataset, the feature draw and fit, the risks, the model spectrum and the
+alignment.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ import numpy as np
 from .bounds import alignment as alignment_of
 from .errors import ConfigError
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
-from .freqsample import SeededRng, distribution_from_json
-from .kernelmap import TrigPolynomial, l2_norm_sq, weights_of
+from .freqsample import FrequencyDistribution, SeededRng, distribution_from_json
+from .kernelmap import TrigPolynomial, WeightVector, coeff_sup_bound, l2_norm_sq, weights_of
 from .regress import (
     Dataset,
     empirical_risk,
@@ -56,8 +63,24 @@ COLUMNS = [
     "error",
 ]
 
+_INT_COLUMNS = ("d", "omega_half", "M", "n", "seed", "runtime_ms")
+# a failed cell records NaN in every result column it did not reach
+_RESULT_COLUMNS = (
+    "emp_risk",
+    "true_risk",
+    "krr_true_risk",
+    "risk_gap",
+    "l2_err_sq",
+    "alignment",
+    "p_max",
+)
+_FLOAT_COLUMNS = ("lambda", *_RESULT_COLUMNS)
+
 KRR_SIZE_CAP = 200
 KRR_N_CAP = 500
+
+# target kinds that consume no rng, so every cell of a sweep shares one
+SEED_FREE_TARGETS = ("explicit", "circuit")
 
 
 @dataclass
@@ -111,13 +134,6 @@ class ProblemSpec:
         )
 
 
-def _coeff_sup_bound(f: TrigPolynomial) -> float:
-    zero = tuple(0.0 for _ in range(f.d))
-    return float(
-        sum(abs(c) if k == zero else 2.0 * abs(c) for k, c in f.coeffs.items())
-    )
-
-
 def _draw_support_size(target: dict, gen: np.random.Generator, limit: int) -> int:
     spec = target.get("support_size", 1)
     if isinstance(spec, dict):
@@ -136,9 +152,10 @@ def _draw_support_size(target: dict, gen: np.random.Generator, limit: int) -> in
 
 
 def realize_target(
-    spec: ProblemSpec, fs: FrequencySet, gen: np.random.Generator
+    spec: ProblemSpec, fs: FrequencySet, gen: np.random.Generator | None
 ) -> TrigPolynomial:
-    """Materialize the target polynomial (consumes rng only for 'random')."""
+    """Materialize the target polynomial (consumes rng only for 'random';
+    the kinds in ``SEED_FREE_TARGETS`` accept ``gen=None``)."""
     kind = spec.target.get("kind")
     if kind == "explicit":
         return TrigPolynomial.from_json(spec.target["function"], fs)
@@ -177,6 +194,13 @@ def generate_problem(spec: ProblemSpec, fs: FrequencySet | None = None):
         fs = build_frequency_set(spec.encoding)
     gen = SeededRng(spec.seed).generator()
     target = realize_target(spec, fs, gen)
+    return _draw_dataset(spec, fs, target, gen), target
+
+
+def _draw_dataset(
+    spec: ProblemSpec, fs: FrequencySet, target: TrigPolynomial, gen: np.random.Generator
+) -> Dataset:
+    """Inputs, then noise, from ``gen`` (after any target draw)."""
     X = gen.uniform(0.0, 2.0 * np.pi, size=(spec.n, fs.d))
     clean = target.evaluate(X)
     sigma = spec.noise_sigma if spec.noise_kind == "uniform" else 0.0
@@ -185,14 +209,13 @@ def generate_problem(spec: ProblemSpec, fs: FrequencySet | None = None):
         noise = gen.uniform(-width, width, size=spec.n)
     else:
         noise = np.zeros(spec.n)
-    b_bound = _coeff_sup_bound(target) + sigma * math.sqrt(3.0)
-    data = Dataset(
+    b_bound = coeff_sup_bound(target) + sigma * math.sqrt(3.0)
+    return Dataset(
         X,
         clean + noise,
         b_bound,
         meta={"seed": spec.seed, "sigma": sigma, "kind": spec.target.get("kind")},
     )
-    return data, target
 
 
 # ---------------------------------------------------------------------------
@@ -219,35 +242,28 @@ def write_rows(path: str, rows: list[dict], append: bool = False):
             writer.writerow([_fmt_cell(row.get(col)) for col in COLUMNS])
 
 
+def _typed_row(raw: dict, lenient: bool) -> dict:
+    """A CSV row's strings as typed values.  Unparsable numbers raise, or
+    with ``lenient`` read as 0 (integer columns) and NaN (float columns)."""
+    row = dict(raw)
+    for cols, cast, fallback in ((_INT_COLUMNS, int, 0), (_FLOAT_COLUMNS, float, float("nan"))):
+        for col in cols:
+            try:
+                row[col] = cast(raw[col])
+            except (TypeError, ValueError):
+                if not lenient:
+                    raise
+                row[col] = fallback
+    return row
+
+
 def read_rows(path: str) -> list[dict]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for raw in reader:
-            if raw.get("experiment_id") in (None, ""):
-                continue
-            row: dict = dict(raw)
-            for col in ("d", "omega_half", "M", "n", "seed", "runtime_ms"):
-                try:
-                    row[col] = int(raw[col])
-                except (TypeError, ValueError):
-                    row[col] = 0
-            for col in (
-                "lambda",
-                "emp_risk",
-                "true_risk",
-                "krr_true_risk",
-                "risk_gap",
-                "l2_err_sq",
-                "alignment",
-                "p_max",
-            ):
-                try:
-                    row[col] = float(raw[col])
-                except (TypeError, ValueError):
-                    row[col] = float("nan")
-            rows.append(row)
-        return rows
+        return [
+            _typed_row(raw, lenient=True)
+            for raw in csv.DictReader(fh)
+            if raw.get("experiment_id") not in (None, "")
+        ]
 
 
 @dataclass
@@ -302,8 +318,52 @@ def _timing_enabled() -> bool:
     return os.environ.get("RFFDQ_TIMING", "") == "1"
 
 
-def run_cell(config: SweepConfig, fs: FrequencySet, dist, cell) -> dict:
+@dataclass(frozen=True)
+class SweepInvariants:
+    """Values every cell of a sweep shares, computed once per sweep.
+
+    ``p_max`` is NaN when the distribution cannot give it.  ``krr_weights``
+    is set when the KRR oracle can run on this lattice at all.  ``target``
+    is set for the kinds in ``SEED_FREE_TARGETS``; if building it failed,
+    ``target_error`` holds the exception and every cell records it.
+    """
+
+    fs: FrequencySet
+    dist: FrequencyDistribution
+    p_max: float
+    krr_weights: WeightVector | None
+    target: TrigPolynomial | None
+    target_error: Exception | None
+
+    @classmethod
+    def build(
+        cls, config: SweepConfig, fs: FrequencySet, dist: FrequencyDistribution
+    ) -> "SweepInvariants":
+        pm = dist.p_max()
+        krr_weights = None
+        if config.krr_oracle and fs.size <= KRR_SIZE_CAP:
+            krr_weights = weights_of(dist.pmf_vector())
+        target = target_error = None
+        if config.problem.target.get("kind") in SEED_FREE_TARGETS:
+            try:
+                target = realize_target(config.problem, fs, None)
+            except Exception as exc:  # recorded by every cell, as if built there
+                target_error = exc
+        p_max = float("nan") if pm is None else pm.value
+        return cls(fs, dist, p_max, krr_weights, target, target_error)
+
+    def target_for(self, spec: ProblemSpec, gen: np.random.Generator) -> TrigPolynomial:
+        """The sweep's target, or a fresh draw from ``gen`` for a random one."""
+        if self.target_error is not None:
+            raise self.target_error.with_traceback(None)
+        if self.target is not None:
+            return self.target
+        return realize_target(spec, self.fs, gen)
+
+
+def run_cell(config: SweepConfig, inv: SweepInvariants, cell) -> dict:
     idx, M, n, lam, seed = cell
+    fs, dist = inv.fs, inv.dist
     row: dict = {
         "experiment_id": _cell_id(config, M, n, lam, seed),
         "d": fs.d,
@@ -326,7 +386,9 @@ def run_cell(config: SweepConfig, fs: FrequencySet, dist, cell) -> dict:
             config.problem.noise_kind,
             config.problem.noise_sigma,
         )
-        data, target = generate_problem(spec, fs)
+        gen = SeededRng(spec.seed).generator()
+        target = inv.target_for(spec, gen)
+        data = _draw_dataset(spec, fs, target, gen)
         lam_val = 1.0 / math.sqrt(n) if lam == "auto" else float(lam)
         row["lambda"] = lam_val
         rng = SeededRng(config.master_seed).stream_for(idx)
@@ -340,11 +402,9 @@ def run_cell(config: SweepConfig, fs: FrequencySet, dist, cell) -> dict:
         spectrum = rff_model_spectrum(model, fs)
         row["l2_err_sq"] = l2_norm_sq(target - spectrum)
         row["alignment"] = alignment_of(target, dist)
-        pm = dist.p_max()
-        row["p_max"] = float("nan") if pm is None else pm.value
-        if config.krr_oracle and fs.size <= KRR_SIZE_CAP and n <= KRR_N_CAP and lam_val > 0:
-            w = weights_of(dist.pmf_vector())
-            krr = kernel_ridge_fit(data, config.problem.encoding, fs, w, lam_val)
+        row["p_max"] = inv.p_max
+        if inv.krr_weights is not None and n <= KRR_N_CAP and lam_val > 0:
+            krr = kernel_ridge_fit(data, config.problem.encoding, fs, inv.krr_weights, lam_val)
             krr_risk = true_risk_estimate(krr, target, noise_var).value
             row["krr_true_risk"] = krr_risk
             row["risk_gap"] = row["true_risk"] - krr_risk
@@ -352,39 +412,13 @@ def run_cell(config: SweepConfig, fs: FrequencySet, dist, cell) -> dict:
             row["krr_true_risk"] = float("nan")
             row["risk_gap"] = float("nan")
     except Exception as exc:  # per-cell failures must not kill the sweep
-        for col in (
-            "emp_risk",
-            "true_risk",
-            "krr_true_risk",
-            "risk_gap",
-            "l2_err_sq",
-            "alignment",
-            "p_max",
-        ):
+        for col in _RESULT_COLUMNS:
             row.setdefault(col, float("nan"))
         # keep rows one physical CSV line each so prefix scans stay trivial
         msg = f"{type(exc).__name__}: {exc}".replace("\n", " | ").replace("\r", " ")
         row["error"] = msg
     if _timing_enabled():
         row["runtime_ms"] = int(round((time.perf_counter() - started) * 1000))
-    return row
-
-
-def _parse_row(raw: list) -> dict:
-    row = dict(zip(COLUMNS, raw))
-    for col in ("d", "omega_half", "M", "n", "seed", "runtime_ms"):
-        row[col] = int(row[col])
-    for col in (
-        "lambda",
-        "emp_risk",
-        "true_risk",
-        "krr_true_risk",
-        "risk_gap",
-        "l2_err_sq",
-        "alignment",
-        "p_max",
-    ):
-        row[col] = float(row[col])
     return row
 
 
@@ -407,7 +441,7 @@ def _scan_prefix(out_path: str, expected_ids: list):
         if not parsed or len(parsed) != len(COLUMNS) or parsed[0] != expected_ids[len(rows)]:
             break
         try:
-            rows.append(_parse_row(parsed))
+            rows.append(_typed_row(dict(zip(COLUMNS, parsed)), lenient=False))
         except (TypeError, ValueError):
             break
         offset += len(line.encode()) + 1
@@ -441,6 +475,7 @@ def run_sweep(config: SweepConfig, out_path: str, max_workers: int | None = None
     pending = cells[len(kept):]
     if not pending:
         return rows
+    inv = SweepInvariants.build(config, fs, dist)
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
 
@@ -451,11 +486,11 @@ def run_sweep(config: SweepConfig, out_path: str, max_workers: int | None = None
 
         if max_workers > 1:
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                for row in pool.map(lambda c: run_cell(config, fs, dist, c), pending):
+                for row in pool.map(lambda c: run_cell(config, inv, c), pending):
                     emit(row)
         else:
             for cell in pending:
-                emit(run_cell(config, fs, dist, cell))
+                emit(run_cell(config, inv, cell))
     return rows
 
 

@@ -48,7 +48,11 @@ class WeightVector:
             raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        n2 = float(np.linalg.norm(w))
+        # scaled by the power of two at the largest weight, so that squaring
+        # neither underflows tiny weights nor overflows huge ones; the
+        # scaling is exact, so in-range weights get the plain norm bit for bit
+        exp = np.frexp(np.max(w))[1] if w.size else 0
+        n2 = float(np.ldexp(np.linalg.norm(np.ldexp(w, -exp)), exp))
         if n2 <= 0:
             raise ValueError("weight vector must have positive 2-norm")
         self.weights = w
@@ -411,6 +415,15 @@ def fhat_l2_sq(f: TrigPolynomial) -> float:
     for key, c in f.coeffs.items():
         mag = abs(c) ** 2
         total += mag if key == zero else 2.0 * mag
+    return total
+
+
+def coeff_sup_bound(f: TrigPolynomial) -> float:
+    """|c_0| + 2 sum |c_w|: a rigorous sup-norm bound for the polynomial."""
+    zero = tuple(0.0 for _ in range(f.d))
+    total = 0.0
+    for key, c in f.coeffs.items():
+        total += abs(c) if key == zero else 2.0 * abs(c)
     return total
 
 

@@ -124,12 +124,12 @@ class Circuit:
         return max((g.dim for g in self.gates if g.kind == "encode"), default=0)
 
 
-def _pauli_apply(state: np.ndarray, word: str, qubits: int) -> np.ndarray:
-    """P |psi> for a Pauli word; qubit 0 is the leftmost character and the
-    most significant index bit."""
-    idx = np.arange(state.size)
+def _pauli_gather(word: str, qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """A Pauli word in gather form: P |psi> = phases * psi[src].  Qubit 0 is
+    the leftmost character and the most significant index bit."""
+    idx = np.arange(2**qubits)
     xmask = 0
-    phases = np.ones(state.size, dtype=complex)
+    phases = np.ones(idx.size, dtype=complex)
     for k, ch in enumerate(word):
         bitpos = qubits - 1 - k
         if ch == "I":
@@ -142,72 +142,99 @@ def _pauli_apply(state: np.ndarray, word: str, qubits: int) -> np.ndarray:
             phases = phases * (1j * (1.0 - 2.0 * bits))
         elif ch == "Z":
             phases = phases * (1.0 - 2.0 * bits)
-    out = np.empty_like(state)
-    out[idx ^ xmask] = phases * state
-    return out
+    src = idx ^ xmask
+    return src, phases[src]
 
 
-def _pauli_rotation(state: np.ndarray, word: str, angle: float, qubits: int) -> np.ndarray:
-    """exp(-i angle P) |psi> = cos(angle) |psi> - i sin(angle) P |psi>."""
-    if all(ch == "I" for ch in word):
+def _rotate(state: np.ndarray, pauli, angle: float) -> np.ndarray:
+    """exp(-i angle P) |psi> = cos(angle) |psi> - i sin(angle) P |psi>; a
+    ``None`` word is the identity."""
+    if pauli is None:
         return np.exp(-1j * angle) * state
-    return math.cos(angle) * state - 1j * math.sin(angle) * _pauli_apply(state, word, qubits)
+    src, phases = pauli
+    return math.cos(angle) * state - 1j * math.sin(angle) * (phases * state[src])
 
 
-def _apply_fixed(state: np.ndarray, U: np.ndarray, qs: tuple, qubits: int) -> np.ndarray:
-    psi = state.reshape([2] * qubits)
-    axes = list(qs)
-    k = len(axes)
-    Ut = np.asarray(U, dtype=complex).reshape([2] * (2 * k))
-    psi = np.tensordot(Ut, psi, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(psi, list(range(k)), axes).reshape(-1)
+class CompiledCircuit:
+    """A circuit lowered once to index and phase arrays, then run for any
+    (theta, x): a gather plus phase vector per Pauli word, a source
+    permutation per CNOT, a sign vector per CZ, a reshaped tensor per fixed
+    unitary."""
+
+    def __init__(self, c: Circuit):
+        self.circuit = c
+        q = c.qubits
+        idx = np.arange(2**q)
+        self.steps = []
+        for g in c.gates:
+            if g.kind in ("encode", "rot"):
+                word = None if all(ch == "I" for ch in g.pauli) else _pauli_gather(g.pauli, q)
+                self.steps.append((g.kind, g, word))
+            elif g.kind == "cnot":
+                cbit = (idx >> (q - 1 - g.control)) & 1
+                self.steps.append(("cnot", g, idx ^ (cbit << (q - 1 - g.target))))
+            elif g.kind == "cz":
+                both = ((idx >> (q - 1 - g.control)) & 1) & ((idx >> (q - 1 - g.target)) & 1)
+                self.steps.append(("cz", g, 1.0 - 2.0 * both))
+            elif g.kind == "fixed":
+                k = len(g.qubits)
+                Ut = np.asarray(g.matrix, dtype=complex).reshape([2] * (2 * k))
+                self.steps.append(("fixed", g, Ut))
+
+    def run(self, theta, x) -> np.ndarray:
+        """Final statevector for parameters theta and input x."""
+        c = self.circuit
+        theta = np.asarray(theta, dtype=float).ravel()
+        x = np.asarray(x, dtype=float).ravel()
+        if theta.size < c.theta_count:
+            raise ValueError(f"need {c.theta_count} parameters, got {theta.size}")
+        if x.size < c.data_dim:
+            raise ValueError(f"need {c.data_dim} input components, got {x.size}")
+        state = np.zeros(2**c.qubits, dtype=complex)
+        state[0] = 1.0
+        for kind, g, op in self.steps:
+            if kind == "encode":
+                state = _rotate(state, op, g.scale * x[g.dim - 1])
+            elif kind == "rot":
+                state = _rotate(state, op, theta[g.theta_index] / 2.0)
+            elif kind == "cnot":
+                state = state[op]
+            elif kind == "cz":
+                state = state * op
+            else:
+                axes = list(g.qubits)
+                k = len(axes)
+                psi = state.reshape([2] * c.qubits)
+                psi = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), axes))
+                state = np.moveaxis(psi, list(range(k)), axes).reshape(-1)
+        return state
 
 
-def _apply_cnot(state: np.ndarray, control: int, target: int, qubits: int) -> np.ndarray:
-    idx = np.arange(state.size)
-    cbit = (idx >> (qubits - 1 - control)) & 1
-    src = idx ^ (cbit << (qubits - 1 - target))
-    return state[src]
+class CompiledObservable:
+    """An observable's Pauli terms in gather form, validated once."""
 
+    def __init__(self, obs: Observable, qubits: int):
+        self.terms = []
+        for coef, word in obs.terms:
+            _check_pauli(word, qubits, allow_identity=True)
+            self.terms.append((coef, _pauli_gather(word, qubits)))
 
-def _apply_cz(state: np.ndarray, control: int, target: int, qubits: int) -> np.ndarray:
-    idx = np.arange(state.size)
-    both = ((idx >> (qubits - 1 - control)) & 1) & ((idx >> (qubits - 1 - target)) & 1)
-    return state * (1.0 - 2.0 * both)
+    def expectation(self, state: np.ndarray) -> float:
+        val = 0.0 + 0.0j
+        for coef, (src, phases) in self.terms:
+            val += coef * np.vdot(state, phases * state[src])
+        if abs(val.imag) > 1e-10:
+            raise FloatingPointError(f"expectation has imaginary residue {val.imag}")
+        return float(val.real)
 
 
 def run_circuit(c: Circuit, theta, x) -> np.ndarray:
     """Final statevector for parameters theta and input x."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    if theta.size < c.theta_count:
-        raise ValueError(f"need {c.theta_count} parameters, got {theta.size}")
-    if x.size < c.data_dim:
-        raise ValueError(f"need {c.data_dim} input components, got {x.size}")
-    state = np.zeros(2**c.qubits, dtype=complex)
-    state[0] = 1.0
-    for g in c.gates:
-        if g.kind == "encode":
-            state = _pauli_rotation(state, g.pauli, g.scale * x[g.dim - 1], c.qubits)
-        elif g.kind == "rot":
-            state = _pauli_rotation(state, g.pauli, theta[g.theta_index] / 2.0, c.qubits)
-        elif g.kind == "cnot":
-            state = _apply_cnot(state, g.control, g.target, c.qubits)
-        elif g.kind == "cz":
-            state = _apply_cz(state, g.control, g.target, c.qubits)
-        elif g.kind == "fixed":
-            state = _apply_fixed(state, g.matrix, tuple(g.qubits), c.qubits)
-    return state
+    return CompiledCircuit(c).run(theta, x)
 
 
 def expectation(state: np.ndarray, obs: Observable, qubits: int) -> float:
-    val = 0.0 + 0.0j
-    for coef, word in obs.terms:
-        _check_pauli(word, qubits, allow_identity=True)
-        val += coef * np.vdot(state, _pauli_apply(state, word, qubits))
-    if abs(val.imag) > 1e-10:
-        raise FloatingPointError(f"expectation has imaginary residue {val.imag}")
-    return float(val.real)
+    return CompiledObservable(obs, qubits).expectation(state)
 
 
 def evaluate_model(c: Circuit, obs: Observable, theta, x) -> float:
@@ -261,7 +288,8 @@ def extract_trig_polynomial(
     axes = [2.0 * np.pi * np.arange(N) / N for N in sizes]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    vals = np.array([evaluate_model(c, obs, theta, p) for p in pts]).reshape(sizes)
+    program, observable = CompiledCircuit(c), CompiledObservable(obs, c.qubits)
+    vals = np.array([observable.expectation(program.run(theta, p)) for p in pts]).reshape(sizes)
     coeff = np.fft.fftn(vals) / vals.size
 
     def _on_lattice(k: tuple) -> bool:

@@ -112,8 +112,17 @@ def dft_coefficients(values_grid):
 _PAULI_CHARS = "IXYZ"
 
 
-def random_circuit(rng, q_max=4, d_max=2, L_max=3):
-    """Random integer-lattice circuit with entangling and variational gates."""
+def random_unitary(rng, dim):
+    """Haar-ish random unitary from the QR decomposition of a complex
+    Gaussian matrix."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_circuit(rng, q_max=4, d_max=2, L_max=3, fixed=False):
+    """Random integer-lattice circuit with entangling and variational gates;
+    with ``fixed``, random 1- and 2-qubit fixed unitaries are mixed in."""
     q = int(rng.integers(1, q_max + 1))
     d = int(rng.integers(1, d_max + 1))
     gates = []
@@ -137,6 +146,10 @@ def random_circuit(rng, q_max=4, d_max=2, L_max=3):
                 c, t = rng.choice(q, size=2, replace=False)
                 kind = "cnot" if rng.random() < 0.5 else "cz"
                 gates.append(GateSpec(kind, control=int(c), target=int(t)))
+            if fixed:
+                k = int(rng.integers(1, min(q, 2) + 1))
+                qs = tuple(int(v) for v in rng.choice(q, size=k, replace=False))
+                gates.append(GateSpec("fixed", qubits=qs, matrix=random_unitary(rng, 2**k)))
     rng.shuffle(gates)
     # keep at least one encode gate per declared dimension after the shuffle
     dims_present = {g.dim for g in gates if g.kind == "encode"}
@@ -147,6 +160,75 @@ def random_circuit(rng, q_max=4, d_max=2, L_max=3):
     terms = [(float(rng.uniform(-1.5, 1.5)), rand_pauli(False)) for _ in range(n_terms)]
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n_theta)
     return Circuit(q, gates), Observable(terms), theta
+
+
+_PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _kron_all(factors):
+    out = np.eye(1, dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def _embedded(q, ops):
+    """Dense operator acting as ``ops[k]`` on qubit k (identity elsewhere);
+    qubit 0 is the leftmost Kronecker factor."""
+    return _kron_all([ops.get(k, _PAULI_MATRICES["I"]) for k in range(q)])
+
+
+def _unit(i, k):
+    e = np.zeros((2, 2), dtype=complex)
+    e[i, k] = 1.0
+    return e
+
+
+def dense_gate(gate, q, theta, x):
+    """2^q x 2^q matrix of one circuit element, built from Kronecker
+    products of single-qubit matrices."""
+    if gate.kind in ("encode", "rot"):
+        angle = gate.scale * x[gate.dim - 1] if gate.kind == "encode" else theta[gate.theta_index] / 2.0
+        P = _kron_all([_PAULI_MATRICES[ch] for ch in gate.pauli])
+        return np.cos(angle) * np.eye(2**q) - 1j * np.sin(angle) * P
+    if gate.kind == "cnot":
+        return _embedded(q, {gate.control: _unit(0, 0)}) + _embedded(
+            q, {gate.control: _unit(1, 1), gate.target: _PAULI_MATRICES["X"]}
+        )
+    if gate.kind == "cz":
+        return _embedded(q, {gate.control: _unit(0, 0)}) + _embedded(
+            q, {gate.control: _unit(1, 1), gate.target: _PAULI_MATRICES["Z"]}
+        )
+    U = np.asarray(gate.matrix, dtype=complex)
+    qs = tuple(gate.qubits)
+    if len(qs) == 1:
+        return _embedded(q, {qs[0]: U})
+    # U = sum U[(i j), (k l)] |i><k| (x) |j><l| on qubits (qs[0], qs[1])
+    out = np.zeros((2**q, 2**q), dtype=complex)
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        coef = U[2 * i + j, 2 * k + l]
+        if coef != 0:
+            out += coef * _embedded(q, {qs[0]: _unit(i, k), qs[1]: _unit(j, l)})
+    return out
+
+
+def dense_statevector(circuit, theta, x):
+    """U(x, theta)|0> from the product of dense gate matrices."""
+    q = circuit.qubits
+    U = np.eye(2**q, dtype=complex)
+    for gate in circuit.gates:
+        U = dense_gate(gate, q, theta, x) @ U
+    return U[:, 0]
+
+
+def dense_observable(obs):
+    """sum coef * P as a dense matrix."""
+    return sum(coef * _kron_all([_PAULI_MATRICES[ch] for ch in word]) for coef, word in obs.terms)
 
 
 def evaluate_on_grid(circuit, obs, theta, sizes):

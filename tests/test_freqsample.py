@@ -6,7 +6,7 @@ import pytest
 from conftest import pauli_half_encoding
 from oracles import chi_square_pvalue
 from rffdq.errors import ConfigError, DegenerateDistributionError
-from rffdq.freqcore import build_frequency_set
+from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
 from rffdq.freqsample import (
     ExplicitDistribution,
     MpsDistribution,
@@ -84,6 +84,51 @@ class TestPmf:
     def test_total_mass_one(self, kind, fs_2d, rng):
         dist = _random_dist(kind, fs_2d, rng)
         assert dist.pmf_vector().sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def _lattices():
+    """Integer lattices with and without a one-frequency dimension, plus a
+    non-integer one (eigenvalues +-0.3 and +-0.5)."""
+    odd = EncodingStrategy(
+        ((HamiltonianSpectrum((-0.3, 0.3)), HamiltonianSpectrum((-0.5, 0.5))),)
+    )
+    return [
+        build_frequency_set(pauli_half_encoding([1, 1])),
+        build_frequency_set(pauli_half_encoding([2, 0, 1])),
+        build_frequency_set(pauli_half_encoding([0])),
+        build_frequency_set(odd),
+    ]
+
+
+class TestPmfVector:
+    @pytest.mark.parametrize("kind", ["explicit", "product", "mps"])
+    @pytest.mark.parametrize("lattice", range(4))
+    def test_matches_pointwise_pmf(self, kind, lattice, rng):
+        fs = _lattices()[lattice]
+        for _ in range(5):
+            dist = _random_dist(kind, fs, rng)
+            got = dist.pmf_vector()
+            want = np.array([dist.pmf(row) for row in fs.half])
+            assert got.shape == (fs.size,)
+            # the zero frequency (row 0) is covered: it has no mirror term
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+            assert dist.p_max().value == np.max(got)
+
+    def test_single_frequency_dimension(self):
+        fs = build_frequency_set(pauli_half_encoding([1, 0]))
+        dist = ProductDistribution(fs, [np.array([0.2, 0.5, 0.3]), np.array([1.0])])
+        assert np.array_equal(dist.pmf_vector(), [0.5, 0.2 + 0.3])
+
+    def test_off_lattice_component_raises(self, fs_2d):
+        dist = _random_dist("mps", fs_2d, np.random.default_rng(0))
+        # within the 1e-9 tolerance a component snaps to its lattice point,
+        # from either side, as the per-point pmf does
+        near = np.array([[1.0 + 5e-10, -1e-10], [-1.0 - 5e-10, 5e-10]])
+        assert dist._lattice_indices(near).tolist() == [[2, 1], [0, 1]]
+        with pytest.raises(ValueError, match="not in lattice dimension 1"):
+            dist._lattice_indices(np.array([[0.5, 0.0]]))
+        with pytest.raises(ValueError, match="not in lattice dimension 2"):
+            dist._lattice_indices(np.array([[1.0, 0.0], [0.0, -1.5]]))
 
 
 def _random_dist(kind, fs, rng):

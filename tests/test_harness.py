@@ -20,6 +20,34 @@ COS_TARGET = {
 }
 
 
+def circuit_target(scale=0.5):
+    """Two-qubit circuit target on one data dimension; a scale of 0.3 puts it
+    on a non-integer lattice."""
+    return {
+        "kind": "circuit",
+        "circuit": {
+            "qubits": 2,
+            "gates": [
+                {"kind": "encode", "pauli": "XI", "scale": scale, "dim": 1},
+                {"kind": "rot", "pauli": "ZY", "theta": 0},
+                {"kind": "cz", "c": 0, "t": 1},
+                {"kind": "encode", "pauli": "IY", "scale": 1.0, "dim": 1},
+                {"kind": "cnot", "c": 1, "t": 0},
+            ],
+            "observable": {"terms": [{"coef": 1.0, "pauli": "ZI"}, {"coef": 0.3, "pauli": "XX"}]},
+        },
+        "theta": [0.4],
+    }
+
+
+def circuit_sweep_doc(scale=0.5, **overrides):
+    return sweep_doc(
+        problem={"target": circuit_target(scale), "n": 40, "seed": 0},
+        axes={"M": [4, 16], "n": [40], "lambda": [1e-6], "seeds": [0, 1]},
+        **overrides,
+    )
+
+
 def problem_doc(**overrides):
     doc = {
         "encoding": ENC_DOC,
@@ -152,10 +180,10 @@ class TestRunSweep:
         seen = []
         real_run_cell = hmod.run_cell
 
-        def spy(config, fs, dist, cell):
+        def spy(*args, **kwargs):
             if out.exists():
                 seen.append(len(out.read_bytes()))
-            return real_run_cell(config, fs, dist, cell)
+            return real_run_cell(*args, **kwargs)
 
         monkeypatch.setattr(hmod, "run_cell", spy)
         run_sweep(SweepConfig.from_json(sweep_doc()), str(out))
@@ -163,10 +191,43 @@ class TestRunSweep:
         assert seen == sorted(seen) and seen[0] < seen[-1]
 
     def test_worker_count_does_not_change_output(self, tmp_path):
-        out1, out4 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_sweep(SweepConfig.from_json(sweep_doc()), str(out1), max_workers=1)
-        run_sweep(SweepConfig.from_json(sweep_doc()), str(out4), max_workers=4)
-        assert out1.read_bytes() == out4.read_bytes()
+        # the circuit sweep's workers share its once-extracted target
+        for make_doc in (sweep_doc, circuit_sweep_doc):
+            out1, out4 = tmp_path / "a.csv", tmp_path / "b.csv"
+            run_sweep(SweepConfig.from_json(make_doc()), str(out1), max_workers=1)
+            run_sweep(SweepConfig.from_json(make_doc()), str(out4), max_workers=4)
+            assert out1.read_bytes() == out4.read_bytes()
+
+    def test_circuit_target_extracted_once_per_sweep(self, tmp_path, monkeypatch):
+        import rffdq.pqcsim as pmod
+
+        calls = []
+        real_extract = pmod.extract_trig_polynomial
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_extract(*args, **kwargs)
+
+        monkeypatch.setattr(pmod, "extract_trig_polynomial", counting)
+        rows = run_sweep(SweepConfig.from_json(circuit_sweep_doc()), str(tmp_path / "r.csv"))
+        assert len(rows) == 4
+        assert all(row["error"] == "" for row in rows)
+        assert len(calls) == 1
+
+    def test_circuit_target_failure_recorded_in_every_row(self, tmp_path):
+        doc = circuit_sweep_doc(scale=0.3)
+        rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["error"] == (
+                "NonIntegerFrequencyError: spectrum extraction by DFT requires integer frequencies"
+            )
+            nan_cols = ("lambda", "emp_risk", "true_risk", "krr_true_risk", "risk_gap",
+                        "l2_err_sq", "alignment", "p_max")
+            assert all(math.isnan(row[col]) for col in nan_cols)
+        # the file agrees with the returned rows
+        loaded = read_rows(str(tmp_path / "r.csv"))
+        assert [r["error"] for r in loaded] == [r["error"] for r in rows]
 
     def test_cell_errors_recorded_not_fatal(self, tmp_path):
         doc = sweep_doc(axes={"M": [8], "n": [40], "lambda": [-1.0, 0.001], "seeds": [0]})

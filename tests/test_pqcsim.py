@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import dft_coefficients, evaluate_on_grid, random_circuit
+from oracles import (
+    dense_observable,
+    dense_statevector,
+    dft_coefficients,
+    evaluate_on_grid,
+    random_circuit,
+)
 from rffdq.errors import ConfigError, NonIntegerFrequencyError
 from rffdq.freqcore import build_frequency_set
 from rffdq.pqcsim import (
@@ -56,6 +62,40 @@ class TestEvaluateModel:
             x = rng.uniform(0, 2 * np.pi, c.data_dim)
             state = run_circuit(c, theta, x)
             assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_matches_dense_unitary_oracle(self, trial):
+        rng = np.random.default_rng(7100 + trial)
+        kinds = set()
+        for _ in range(6):
+            c, obs, theta = random_circuit(rng, fixed=True)
+            x = rng.uniform(0, 2 * np.pi, c.data_dim)
+            want = dense_statevector(c, theta, x)
+            assert np.max(np.abs(run_circuit(c, theta, x) - want)) <= 1e-12
+            exact = float(np.real(np.vdot(want, dense_observable(obs) @ want)))
+            assert abs(evaluate_model(c, obs, theta, x) - exact) <= 1e-12
+            kinds |= {g.kind for g in c.gates}
+            kinds |= {ch for g in c.gates if g.kind in ("encode", "rot") for ch in g.pauli}
+        assert {"encode", "rot", "fixed", "Y", "Z"} <= kinds
+
+    def test_dense_oracle_covers_cz_and_two_qubit_fixed(self):
+        rng = np.random.default_rng(11)
+        swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+        c = Circuit(
+            3,
+            [
+                GateSpec("encode", pauli="YXZ", scale=1.0, dim=1),
+                GateSpec("cz", control=2, target=0),
+                GateSpec("fixed", qubits=(2, 0), matrix=swap),
+                GateSpec("rot", pauli="ZIY", theta_index=0),
+                GateSpec("cnot", control=2, target=1),
+                GateSpec("rot", pauli="III", theta_index=1),
+            ],
+        )
+        for _ in range(5):
+            theta, x = rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, 2 * np.pi, 1)
+            want = dense_statevector(c, theta, x)
+            assert np.max(np.abs(run_circuit(c, theta, x) - want)) <= 1e-12
 
     def test_pauli_expectations(self):
         # |0> expectations: Z=+1, X=0, Y=0
