@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,13 +365,12 @@ def empirical_error_mean(
     lam: float,
     trials: int,
     master: SeededRng,
-    max_workers: int = 1,
 ):
     """Seed-pinned Monte-Carlo estimate of E ||f* - g||_2^2 over RFF runs.
 
     Each trial owns its own rng stream: the dataset (uniform inputs,
     noiseless labels) and the feature draw both come from stream
-    ``master.stream_for(t)``, so results are independent of scheduling.
+    ``master.stream_for(t)``, so a trial does not depend on the others.
     Returns (mean, stderr, per-trial errors).
     """
     fs = dist.fs
@@ -387,12 +385,7 @@ def empirical_error_mean(
         g_spec = rff_model_spectrum(model, fs)
         return l2_norm_sq(f_star - g_spec)
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            errs = list(pool.map(one_trial, range(trials)))
-    else:
-        errs = [one_trial(t) for t in range(trials)]
-    errs = np.asarray(errs)
+    errs = np.asarray([one_trial(t) for t in range(trials)])
     mean = float(np.mean(errs))
     stderr = float(np.std(errs, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr, errs

@@ -145,6 +145,12 @@ def component_frequency_set(
     return diffs
 
 
+def is_integer_valued(values) -> bool:
+    """Whether every entry lies within ``_INT_TOL`` of an integer."""
+    values = np.asarray(values, dtype=float)
+    return bool(np.all(np.abs(values - np.round(values)) <= _INT_TOL))
+
+
 def canonical_fold(omega, tol: float = DEDUP_TOL):
     """Fold a frequency vector onto the canonical half-space.
 
@@ -206,7 +212,7 @@ class FrequencySet:
             )
 
     def max_abs_freq(self) -> np.ndarray:
-        """Per-dimension maximum |frequency| (used to size quadrature grids)."""
+        """Per-dimension maximum |frequency|."""
         return np.array([np.max(np.abs(f)) if f.size else 0.0 for f in self.per_dimension_freqs])
 
     def snap_component(self, j: int, value: float, tol: float = 1e-9) -> float:
@@ -249,9 +255,7 @@ def build_frequency_set(
     full_size = 1
     for f in per_dim:
         full_size *= int(f.size)
-    is_integer = all(
-        bool(np.all(np.abs(f - np.round(f)) <= _INT_TOL)) for f in per_dim
-    )
+    is_integer = all(is_integer_valued(f) for f in per_dim)
     if not materialize:
         return FrequencySet(per_dim, full_size, None, is_integer)
     if full_size > cap:

@@ -399,8 +399,10 @@ def run_cell(config: SweepConfig, inv: SweepInvariants, cell) -> dict:
         row["true_risk"] = true_risk_estimate(
             model, target, noise_var, rng=mc_rng.generator()
         ).value
-        spectrum = rff_model_spectrum(model, fs)
-        row["l2_err_sq"] = l2_norm_sq(target - spectrum)
+        # Parseval gives the L2 norm only on an integer lattice
+        row["l2_err_sq"] = (
+            l2_norm_sq(target - rff_model_spectrum(model, fs)) if fs.is_integer else float("nan")
+        )
         row["alignment"] = alignment_of(target, dist)
         row["p_max"] = inv.p_max
         if inv.krr_weights is not None and n <= KRR_N_CAP and lam_val > 0:
@@ -428,7 +430,8 @@ def _scan_prefix(out_path: str, expected_ids: list):
     row cut short by a kill) is simply not part of the prefix."""
     if not os.path.exists(out_path):
         return [], None
-    data = open(out_path, "rb").read().decode("utf-8", errors="replace")
+    with open(out_path, "rb") as fh:
+        data = fh.read().decode("utf-8", errors="replace")
     lines = data.split("\n")
     if not lines or lines[0] != ",".join(COLUMNS):
         return [], None

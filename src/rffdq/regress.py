@@ -17,12 +17,17 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError
-from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
+from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set, is_integer_valued
 from .kernelmap import (
+    RealFourierForm,
     TrigPolynomial,
     WeightVector,
+    distribution_of,
     feature_matrix,
+    fhat_l2_sq,
+    from_real_form,
     kernel_matrix,
+    reweighted_hyperplane,
 )
 
 RESIDUAL_RTOL = 1e-8
@@ -385,16 +390,22 @@ class RiskEstimate(NamedTuple):
     method: str
 
 
-def _model_max_freq(model: _Model, d: int) -> np.ndarray:
-    """Per-dimension frequency reach of a fitted model (sizes the grid so
-    the squared difference is integrated exactly)."""
+def model_spectrum(model: _Model) -> TrigPolynomial:
+    """Exact Fourier coefficients of a fitted model, on the model's own
+    frequencies (its lattice for explicit and KRR models)."""
     if isinstance(model, RffModel):
-        if model.feature_set.M == 0:
-            return np.zeros(d)
-        return np.max(np.abs(model.feature_set.frequencies), axis=0)
-    if isinstance(model, (ExplicitLinearModel, KrrModel)):
-        return model.fs.max_abs_freq()
-    return np.zeros(d)
+        return rff_model_spectrum(model)
+    fs = model.fs
+    if isinstance(model, KrrModel):
+        # K(x, x_j) = sum_w p(w) cos<w, x - x_j>: the pair at +-w carries
+        # p(w)/2 sum_j alpha_j e^{-i<w, x_j>}, the constant p(0) sum_j alpha_j
+        p = distribution_of(model.weights)
+        c = 0.5 * p * (model.alpha @ np.exp(-1j * (model.X_train @ fs.half.T)))
+        c[0] = p[0] * float(np.sum(model.alpha))
+        keys = [tuple(row) for row in fs.half]
+        return TrigPolynomial(fs, {k: v for k, v in zip(keys, c) if v != 0}, fs.d)
+    u = reweighted_hyperplane(model.v, fs, model.weights) / math.sqrt(fs.size)
+    return from_real_form(RealFourierForm(fs, float(u[0]), u[1::2], u[2::2]))
 
 
 def true_risk_estimate(
@@ -407,28 +418,16 @@ def true_risk_estimate(
     """True quadratic risk under uniform inputs:
     ||model - target||^2_{L2(P_X)} + sigma^2.
 
-    Tensor-grid quadrature (exact for in-band trigonometric models) for
-    d <= 3, Monte Carlo with reported standard error above.
+    Exact by Parseval, sum |fhat - ghat|^2 over the mirror lattice, when
+    every frequency of the target and of the model is an integer vector (the
+    trigonometric monomials are then orthonormal under uniform inputs).
+    Otherwise Monte Carlo over ``mc_points`` uniform inputs, with its
+    standard error.
     """
+    g = model_spectrum(model)
+    if is_integer_valued(list(target.coeffs) + list(g.coeffs)):
+        return RiskEstimate(float(fhat_l2_sq(target - g)) + noise_var, 0.0, "exact")
     d = target.d
-    if d <= 3:
-        fs = target.freq_set
-        if fs is not None:
-            max_per_dim = fs.max_abs_freq()
-        else:
-            support = np.array(target.support(), dtype=float)
-            max_per_dim = (
-                np.max(np.abs(support), axis=0) if support.size else np.zeros(d)
-            )
-        max_per_dim = np.maximum(max_per_dim, _model_max_freq(model, d))
-        grids = [
-            np.arange(int(4 * math.ceil(m)) + 1) * 2 * np.pi / (int(4 * math.ceil(m)) + 1)
-            for m in np.maximum(max_per_dim, 1.0)
-        ]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        diff = model.predict(pts) - target.evaluate(pts)
-        return RiskEstimate(float(np.mean(diff**2)) + noise_var, 0.0, "quadrature")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.Generator(
         np.random.Philox(np.random.SeedSequence(0 if rng is None else int(rng)))
     )
@@ -443,19 +442,18 @@ def rff_model_spectrum(model: RffModel, fs: FrequencySet | None = None) -> TrigP
 
     Each feature beta_i sqrt(2) cos(<w_i,x> + g_i)/sqrt(M) contributes
     beta_i e^{i g_i} / (sqrt(2) sqrt(M)) at +w_i and its conjugate at -w_i.
+    Coefficients are keyed in order of each frequency's first draw.
     """
     fset = model.feature_set
+    freqs, first, inverse = np.unique(
+        fset.frequencies, axis=0, return_index=True, return_inverse=True
+    )
+    inverse = inverse.ravel()
     scale = 1.0 / (math.sqrt(2.0) * math.sqrt(fset.M))
-    acc: dict[tuple, complex] = {}
-    d = fset.frequencies.shape[1]
-    zero = tuple(0.0 for _ in range(d))
-    for i in range(fset.M):
-        key = tuple(float(v) for v in fset.frequencies[i])
-        amp = model.coef[i] * scale
-        phase = complex(math.cos(fset.phases[i]), math.sin(fset.phases[i]))
-        if key == zero:
-            acc[key] = acc.get(key, 0.0) + 2.0 * amp * phase.real
-        else:
-            acc[key] = acc.get(key, 0.0) + amp * phase
-    acc = {k: v for k, v in acc.items() if v != 0}
-    return TrigPolynomial.from_half_coeffs(fs, acc) if acc else TrigPolynomial(fs, {}, d)
+    amp = model.coef * scale * np.exp(1j * fset.phases)
+    # the zero frequency is its own mirror: both halves land on one real term
+    amp = np.where(~np.any(freqs, axis=1)[inverse], 2.0 * amp.real, amp)
+    coeffs = np.zeros(freqs.shape[0], dtype=complex)
+    np.add.at(coeffs, inverse, amp)
+    acc = {tuple(freqs[i]): coeffs[i] for i in np.argsort(first) if coeffs[i] != 0}
+    return TrigPolynomial.from_half_coeffs(fs, acc) if acc else TrigPolynomial(fs, {}, freqs.shape[1])

@@ -97,6 +97,22 @@ def quadrature_l2_norm_sq(f_fn, d, grid_per_dim):
     return float(np.mean(vals**2) * (2.0 * np.pi) ** d)
 
 
+def rff_spectrum_by_feature(frequencies, phases, coef):
+    """Fourier coefficients of sum_i coef_i sqrt(2) cos(<w_i, x> + g_i)/sqrt(M),
+    one feature at a time: {frequency tuple: coefficient at +w_i}, where a
+    feature contributes coef_i e^{i g_i}/(sqrt(2) sqrt(M)) at +w_i and its
+    conjugate at -w_i (both land on the zero frequency when w_i = 0)."""
+    M = len(phases)
+    out = {}
+    for w, g, b in zip(frequencies, phases, coef):
+        key = tuple(float(v) + 0.0 for v in w)
+        amp = b / (np.sqrt(2.0) * np.sqrt(M)) * complex(np.cos(g), np.sin(g))
+        if not any(key):
+            amp = 2.0 * amp.real
+        out[key] = out.get(key, 0.0) + amp
+    return out
+
+
 def dft_coefficients(values_grid):
     """Plain DFT oracle: maps a grid of function values to a dict
     {signed integer index tuple: coefficient}."""

@@ -180,17 +180,6 @@ class TestEmpiricalErrorMean:
             rhs = expected_error_floor(f_star, dist, M)
             assert mean >= rhs - 3 * stderr
 
-    def test_parallel_matches_serial(self, fs_1d_5):
-        f_star = TrigPolynomial.from_half_coeffs(fs_1d_5, {(1.0,): 0.5, (3.0,): 0.5})
-        dist = uniform_distribution(fs_1d_5)
-        serial = empirical_error_mean(
-            f_star, dist, 2, n=100, lam=1e-8, trials=12, master=SeededRng(5)
-        )
-        parallel = empirical_error_mean(
-            f_star, dist, 2, n=100, lam=1e-8, trials=12, master=SeededRng(5), max_workers=4
-        )
-        assert np.array_equal(serial[2], parallel[2])
-
 
 class TestFeasibility:
     def test_concentrated_with_small_C(self, fs_1d_5, cos_target):

@@ -110,7 +110,7 @@ class TestCommands:
         ) == 0
         assert run(["risk", "--model", model, "--problem", workdir / "prob.json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["method"] == "quadrature"
+        assert doc["method"] == "exact"
         assert doc["true_risk"] <= 1e-3
 
     def test_holdout_risk(self, workdir, capsys):

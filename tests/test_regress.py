@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import pauli_half_encoding
-from oracles import dft_coefficients
-from rffdq.freqcore import build_frequency_set
+from oracles import dft_coefficients, quadrature_l2_norm_sq, rff_spectrum_by_feature
+from rffdq.freqcore import EncodingStrategy, build_frequency_set
 from rffdq.freqsample import ExplicitDistribution, SeededRng, explicit_from_weights, uniform_distribution
 from rffdq.kernelmap import TrigPolynomial, WeightVector, l2_norm_sq
 from rffdq.regress import (
@@ -234,13 +234,48 @@ class TestRisks:
         zero = RffModel(RffFeatureSet(np.zeros((1, 1)), np.zeros(1)), np.zeros(1), 0.0)
         assert true_risk_estimate(zero, f_star, 0.0).value == pytest.approx(0.5, abs=1e-12)
 
-    def test_monte_carlo_path(self, rng):
+    def test_exact_path_at_d4(self, rng):
         fs = build_frequency_set(pauli_half_encoding([1, 1, 1, 1]))
         f_star = TrigPolynomial.from_half_coeffs(fs, {(1.0, 0.0, 0.0, 0.0): 0.5})
         zero = RffModel(RffFeatureSet(np.zeros((1, 4)), np.zeros(1)), np.zeros(1), 0.0)
         est = true_risk_estimate(zero, f_star, 0.0, mc_points=200_000, rng=rng)
+        assert est.method == "exact" and est.stderr == 0.0
+        assert est.value == pytest.approx(0.5, abs=1e-12)
+
+    def test_monte_carlo_path_off_integer_lattice(self, rng):
+        # lattice {0, +-0.6}: cos(0.6 x) is not orthogonal to 1 over [0, 2pi)
+        fs = build_frequency_set(EncodingStrategy.from_json({"dimensions": [[[-0.3, 0.3]]]}))
+        assert not fs.is_integer
+        f_star = TrigPolynomial.from_half_coeffs(fs, {(0.6,): 0.5})
+        zero = RffModel(RffFeatureSet(np.zeros((1, 1)), np.zeros(1)), np.zeros(1), 0.0)
+        est = true_risk_estimate(zero, f_star, 0.0, mc_points=200_000, rng=rng)
         assert est.method == "monte-carlo" and est.stderr > 0
-        assert abs(est.value - 0.5) <= 5 * est.stderr
+        exact = 0.5 + math.sin(2.4 * math.pi) / (4.8 * math.pi)
+        assert abs(est.value - exact) <= 5 * est.stderr
+
+    @pytest.mark.parametrize("L_per_dim", [[4], [2, 1], [1, 1, 1]])
+    def test_exact_krr_and_explicit_match_quadrature(self, L_per_dim):
+        enc = pauli_half_encoding(L_per_dim)
+        fs = build_frequency_set(enc)
+        d = fs.d
+        gen = SeededRng(31).generator()
+        w = WeightVector(gen.uniform(0.2, 1.0, fs.size))
+        f_star = TrigPolynomial.from_half_coeffs(
+            fs, {tuple(fs.half[1]): complex(0.4, -0.2), tuple(fs.half[-1]): 0.3}
+        )
+        X = gen.uniform(0, 2 * np.pi, (30, d))
+        data = Dataset(X, f_star.evaluate(X) + gen.uniform(-0.1, 0.1, 30), 2.0)
+        grid = 2 * max(L_per_dim) + 1
+        for model in (
+            kernel_ridge_fit(data, enc, fs, w, 0.05),
+            explicit_ridge_fit(data, enc, fs, w, 0.05),
+        ):
+            est = true_risk_estimate(model, f_star, 0.01)
+            assert est.method == "exact" and est.stderr == 0.0
+            quad = quadrature_l2_norm_sq(
+                lambda P: model.predict(P) - f_star.evaluate(P), d, grid
+            ) / (2 * np.pi) ** d
+            assert est.value - 0.01 == pytest.approx(quad, rel=1e-10)
 
 
 class TestPerfectErm:
@@ -311,6 +346,22 @@ class TestModelSerialization:
 
 
 class TestRffSpectrum:
+    @pytest.mark.parametrize("L_per_dim", [[3], [2, 2], [1] * 6])
+    def test_matches_per_feature_oracle(self, L_per_dim):
+        fs = build_frequency_set(pauli_half_encoding(L_per_dim))
+        gen = SeededRng(len(L_per_dim)).generator()
+        # few distinct frequencies, the zero frequency among them, many repeats
+        rows = gen.choice(min(fs.size, 6), size=200)
+        fset = RffFeatureSet(fs.half[rows], gen.uniform(0, 2 * np.pi, 200))
+        model = RffModel(fset, gen.normal(size=200), 0.1)
+        want = rff_spectrum_by_feature(fset.frequencies, fset.phases, model.coef)
+        assert (0.0,) * fs.d in want
+        for lattice in (None, fs):
+            got = rff_model_spectrum(model, lattice)
+            assert set(got.coeffs) == set(want)
+            for key, c in want.items():
+                assert abs(got.coeffs[key] - c) <= 1e-14 * abs(c)
+
     def test_matches_dft_oracle(self, setup_1d5):
         enc, fs, w = setup_1d5
         dist = explicit_from_weights(fs, w)
