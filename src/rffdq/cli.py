@@ -199,7 +199,7 @@ def cmd_pqc_spectrum(args) -> int:
     if args.theta:
         doc = _load_json(args.theta)
         theta = doc["theta"] if isinstance(doc, dict) else doc
-    poly = extract_trig_polynomial(circuit, obs, np.asarray(theta, dtype=float), args.grid)
+    poly = extract_trig_polynomial(circuit, obs, np.asarray(theta, dtype=float))
     _emit_json(poly.to_json(), args.out)
     return 0
 
@@ -359,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pqc-spectrum", help="extract a circuit model's spectrum")
     p.add_argument("--circuit", required=True)
     p.add_argument("--theta", default=None)
-    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pqc_spectrum)
 

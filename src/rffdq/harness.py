@@ -8,10 +8,10 @@ across resumed runs.
 
 What depends only on the sweep is computed once per sweep
 (``SweepInvariants``): the frequency set, the distribution, its p_max, the
-KRR oracle's weights, and the realized target when it consumes no rng
-(explicit and circuit targets).  Per cell remain a random target's draw, the
-dataset, the feature draw and fit, the risks, the model spectrum and the
-alignment.
+KRR oracle's weights, and the realized target and its alignment when the
+target consumes no rng (explicit and circuit targets).  Per cell remain a
+random target's draw and alignment, the dataset, the feature draw and fit,
+the risks and the model spectrum.
 """
 
 from __future__ import annotations
@@ -324,8 +324,9 @@ class SweepInvariants:
 
     ``p_max`` is NaN when the distribution cannot give it.  ``krr_weights``
     is set when the KRR oracle can run on this lattice at all.  ``target``
-    is set for the kinds in ``SEED_FREE_TARGETS``; if building it failed,
-    ``target_error`` holds the exception and every cell records it.
+    and its ``alignment`` are set for the kinds in ``SEED_FREE_TARGETS``; if
+    building the target failed, ``target_error`` holds the exception and
+    every cell records it.
     """
 
     fs: FrequencySet
@@ -333,6 +334,7 @@ class SweepInvariants:
     p_max: float
     krr_weights: WeightVector | None
     target: TrigPolynomial | None
+    alignment: float | None
     target_error: Exception | None
 
     @classmethod
@@ -343,14 +345,15 @@ class SweepInvariants:
         krr_weights = None
         if config.krr_oracle and fs.size <= KRR_SIZE_CAP:
             krr_weights = weights_of(dist.pmf_vector())
-        target = target_error = None
+        target = alignment = target_error = None
         if config.problem.target.get("kind") in SEED_FREE_TARGETS:
             try:
                 target = realize_target(config.problem, fs, None)
+                alignment = alignment_of(target, dist)
             except Exception as exc:  # recorded by every cell, as if built there
                 target_error = exc
         p_max = float("nan") if pm is None else pm.value
-        return cls(fs, dist, p_max, krr_weights, target, target_error)
+        return cls(fs, dist, p_max, krr_weights, target, alignment, target_error)
 
     def target_for(self, spec: ProblemSpec, gen: np.random.Generator) -> TrigPolynomial:
         """The sweep's target, or a fresh draw from ``gen`` for a random one."""
@@ -359,6 +362,12 @@ class SweepInvariants:
         if self.target is not None:
             return self.target
         return realize_target(spec, self.fs, gen)
+
+    def alignment_for(self, target: TrigPolynomial) -> float:
+        """The sweep's alignment, or that of a random target's draw."""
+        if self.alignment is not None:
+            return self.alignment
+        return alignment_of(target, self.dist)
 
 
 def run_cell(config: SweepConfig, inv: SweepInvariants, cell) -> dict:
@@ -403,7 +412,7 @@ def run_cell(config: SweepConfig, inv: SweepInvariants, cell) -> dict:
         row["l2_err_sq"] = (
             l2_norm_sq(target - rff_model_spectrum(model, fs)) if fs.is_integer else float("nan")
         )
-        row["alignment"] = alignment_of(target, dist)
+        row["alignment"] = inv.alignment_for(target)
         row["p_max"] = inv.p_max
         if inv.krr_weights is not None and n <= KRR_N_CAP and lam_val > 0:
             krr = kernel_ridge_fit(data, config.problem.encoding, fs, inv.krr_weights, lam_val)

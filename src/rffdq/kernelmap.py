@@ -386,26 +386,22 @@ def rkhs_norm(f: TrigPolynomial, w: WeightVector) -> float:
         )
     _check_lengths(fs, w)
     form = to_real_form(f)
-    total = 0.0
-    if abs(form.c0) > SUPPORT_TOL:
-        if w.weights[0] == 0.0:
-            raise ValueError(
-                "function has weight-zero support at the zero frequency; "
-                "it lies outside the kernel's function set"
-            )
-        total += (form.c0 * w.norm2 / w.weights[0]) ** 2
-    for i in range(1, fs.size):
-        aa, bb = form.a[i - 1], form.b[i - 1]
-        if abs(aa) <= SUPPORT_TOL and abs(bb) <= SUPPORT_TOL:
-            continue
-        wi = w.weights[i]
-        if wi == 0.0:
-            raise ValueError(
-                f"function has weight-zero support at frequency {tuple(fs.half[i])}; "
-                "it lies outside the kernel's function set"
-            )
-        total += (aa * w.norm2 / wi) ** 2 + (bb * w.norm2 / wi) ** 2
-    return math.sqrt(total)
+    # index i is row i of the canonical half; the zero frequency has no sine
+    cos_coef = np.concatenate([[form.c0], form.a])
+    sin_coef = np.concatenate([[0.0], form.b])
+    support = (np.abs(cos_coef) > SUPPORT_TOL) | (np.abs(sin_coef) > SUPPORT_TOL)
+    unreachable = support & (w.weights == 0.0)
+    if unreachable.any():
+        i = int(np.argmax(unreachable))
+        where = "the zero frequency" if i == 0 else f"frequency {tuple(fs.half[i])}"
+        raise ValueError(
+            f"function has weight-zero support at {where}; "
+            "it lies outside the kernel's function set"
+        )
+    wi = w.weights[support]
+    cos_part = cos_coef[support] * w.norm2 / wi
+    sin_part = sin_coef[support] * w.norm2 / wi
+    return math.sqrt(float(np.sum(cos_part**2 + sin_part**2)))
 
 
 def fhat_l2_sq(f: TrigPolynomial) -> float:

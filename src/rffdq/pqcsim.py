@@ -3,13 +3,16 @@
 Ground truth for the rest of the package: circuits built from Pauli-word
 rotations, fixed 1-2 qubit unitaries, and CNOT/CZ produce models
 f(x) = <0| U(x, theta)^dag O U(x, theta) |0>, whose Fourier support lies on
-the lattice generated by the encoding spectra.  Spectra are extracted by a
-dense multidimensional DFT, which is exact for integer frequency lattices on
-a large enough grid and independent of the circuit structure.
+the lattice generated by the encoding spectra.  On integer lattices the
+spectrum is extracted exactly by propagating the state once as one vector
+per state frequency (every encoding gate splits a vector into the halves
+that keep and that shift its frequency), then summing the Gram matrix of
+those vectors under the observable over frequency differences.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -146,30 +149,48 @@ def _pauli_gather(word: str, qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return src, phases[src]
 
 
+def _apply_pauli(word, state: np.ndarray, factor: complex = 1.0) -> np.ndarray:
+    """factor * P applied to the last axis of ``state``, as a new array."""
+    src, phases = word
+    out = np.take(state, src, axis=-1)
+    out *= phases * factor
+    return out
+
+
 def _rotate(state: np.ndarray, pauli, angle: float) -> np.ndarray:
-    """exp(-i angle P) |psi> = cos(angle) |psi> - i sin(angle) P |psi>; a
-    ``None`` word is the identity."""
+    """exp(-i angle P) on the last axis, in place: cos(angle) psi - i
+    sin(angle) P psi; a ``None`` word is the identity."""
     if pauli is None:
-        return np.exp(-1j * angle) * state
-    src, phases = pauli
-    return math.cos(angle) * state - 1j * math.sin(angle) * (phases * state[src])
+        state *= np.exp(-1j * angle)
+        return state
+    turned = _apply_pauli(pauli, state, -1j * math.sin(angle))
+    state *= math.cos(angle)
+    state += turned
+    return state
 
 
 class CompiledCircuit:
-    """A circuit lowered once to index and phase arrays, then run for any
-    (theta, x): a gather plus phase vector per Pauli word, a source
-    permutation per CNOT, a sign vector per CZ, a reshaped tensor per fixed
-    unitary."""
+    """A circuit lowered once to index and phase arrays: a gather plus phase
+    vector per distinct Pauli word, a source permutation per CNOT, a sign
+    vector per CZ, a reshaped tensor per fixed unitary.
+
+    ``run`` simulates one input x; ``frequency_components`` propagates the
+    state for all x at once, one vector per state frequency.  Both apply
+    gates through ``_apply``, which acts on the last axis of any array.
+    """
 
     def __init__(self, c: Circuit):
         self.circuit = c
         q = c.qubits
         idx = np.arange(2**q)
+        words: dict = {}
         self.steps = []
         for g in c.gates:
             if g.kind in ("encode", "rot"):
-                word = None if all(ch == "I" for ch in g.pauli) else _pauli_gather(g.pauli, q)
-                self.steps.append((g.kind, g, word))
+                if g.pauli not in words:
+                    identity = all(ch == "I" for ch in g.pauli)
+                    words[g.pauli] = None if identity else _pauli_gather(g.pauli, q)
+                self.steps.append((g.kind, g, words[g.pauli]))
             elif g.kind == "cnot":
                 cbit = (idx >> (q - 1 - g.control)) & 1
                 self.steps.append(("cnot", g, idx ^ (cbit << (q - 1 - g.target))))
@@ -181,33 +202,95 @@ class CompiledCircuit:
                 Ut = np.asarray(g.matrix, dtype=complex).reshape([2] * (2 * k))
                 self.steps.append(("fixed", g, Ut))
 
+    def _theta(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float).ravel()
+        if theta.size < self.circuit.theta_count:
+            raise ValueError(f"need {self.circuit.theta_count} parameters, got {theta.size}")
+        return theta
+
+    def _apply(self, step, state: np.ndarray, theta: np.ndarray, x) -> np.ndarray:
+        """One gate on the last axis of ``state``, in place where the gate
+        allows; returns the result."""
+        kind, g, op = step
+        if kind == "encode":
+            return _rotate(state, op, g.scale * x[g.dim - 1])
+        if kind == "rot":
+            return _rotate(state, op, theta[g.theta_index] / 2.0)
+        if kind == "cnot":
+            return np.take(state, op, axis=-1)
+        if kind == "cz":
+            state *= op
+            return state
+        lead = state.ndim - 1
+        k = len(g.qubits)
+        axes = [lead + a for a in g.qubits]
+        psi = state.reshape(state.shape[:lead] + (2,) * self.circuit.qubits)
+        psi = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), axes))
+        return np.moveaxis(psi, list(range(k)), axes).reshape(state.shape)
+
     def run(self, theta, x) -> np.ndarray:
         """Final statevector for parameters theta and input x."""
         c = self.circuit
-        theta = np.asarray(theta, dtype=float).ravel()
+        theta = self._theta(theta)
         x = np.asarray(x, dtype=float).ravel()
-        if theta.size < c.theta_count:
-            raise ValueError(f"need {c.theta_count} parameters, got {theta.size}")
         if x.size < c.data_dim:
             raise ValueError(f"need {c.data_dim} input components, got {x.size}")
         state = np.zeros(2**c.qubits, dtype=complex)
         state[0] = 1.0
-        for kind, g, op in self.steps:
-            if kind == "encode":
-                state = _rotate(state, op, g.scale * x[g.dim - 1])
-            elif kind == "rot":
-                state = _rotate(state, op, theta[g.theta_index] / 2.0)
-            elif kind == "cnot":
-                state = state[op]
-            elif kind == "cz":
-                state = state * op
-            else:
-                axes = list(g.qubits)
-                k = len(axes)
-                psi = state.reshape([2] * c.qubits)
-                psi = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), axes))
-                state = np.moveaxis(psi, list(range(k)), axes).reshape(-1)
+        for step in self.steps:
+            state = self._apply(step, state, theta, x)
         return state
+
+    def frequency_components(self, theta) -> np.ndarray:
+        """The final state as psi(x) = e^{i phi(x)} sum_k e^{i k.x} psi_k over
+        integer vectors k >= 0, with a global phase phi that no expectation
+        sees: an array of shape (K_1, ..., K_d, 2^q) holding psi_k.
+
+        Each encoding gate is exp(-i s x_j P) = e^{-i|s|x_j} (Pi_stay + e^{i m
+        x_j} Pi_move) with m = 2|s| and Pi_stay = (I + sign(s) P)/2, so it
+        keeps one half of psi_k at k and moves the other to k + m along axis
+        j.  Requires every 2|s| to be an integer.  The buffer is allocated
+        once at its final shape and updated in place, one slice of the
+        occupied box at a time, so no temporary is larger than a slice.
+        """
+        c = self.circuit
+        theta = self._theta(theta)
+        d = max(c.data_dim, 1)
+        shifts = [round(2.0 * abs(g.scale)) if g.kind == "encode" else 0 for _, g, _ in self.steps]
+        sizes = [1] * d
+        for (kind, g, _), m in zip(self.steps, shifts):
+            if kind == "encode":
+                sizes[g.dim - 1] += m
+        buf = np.zeros((*sizes, 2**c.qubits), dtype=complex)
+        buf[(0,) * (d + 1)] = 1.0
+        hi = [0] * d  # highest occupied index per axis
+        for step, m in zip(self.steps, shifts):
+            kind, g, op = step
+            box = tuple(slice(0, h + 1) for h in hi)
+            if kind == "encode":
+                if m == 0:
+                    continue
+                j = g.dim - 1
+                sign = 1.0 if g.scale > 0 else -1.0
+                # descending, so each target row is done before it receives
+                for t in range(hi[j], -1, -1):
+                    here = box[:j] + (t,) + box[j + 1 :]
+                    part = buf[here]
+                    moved = _apply_pauli(op, part, -sign)
+                    moved += part
+                    moved *= 0.5
+                    buf[box[:j] + (t + m,) + box[j + 1 :]] += moved
+                    part -= moved
+                hi[j] += m
+            else:
+                axis = int(np.argmax(hi))
+                for t in range(hi[axis] + 1):
+                    here = box[:axis] + (t,) + box[axis + 1 :]
+                    part = buf[here]
+                    out = self._apply(step, part, theta, None)
+                    if out is not part:
+                        buf[here] = out
+        return buf
 
 
 class CompiledObservable:
@@ -226,6 +309,20 @@ class CompiledObservable:
         if abs(val.imag) > 1e-10:
             raise FloatingPointError(f"expectation has imaginary residue {val.imag}")
         return float(val.real)
+
+    def gram(self, rows: np.ndarray, block: int) -> np.ndarray:
+        """G[a, b] = <rows_a|O|rows_b> for the rows of a 2-d array, with O
+        applied to ``block`` rows at a time."""
+        K = rows.shape[0]
+        out = np.empty((K, K), dtype=complex)
+        for r in range(0, K, block):
+            chunk = rows[r : r + block]
+            applied = np.zeros_like(chunk)
+            for coef, word in self.terms:
+                applied += _apply_pauli(word, chunk, coef)
+            # rows @ conj(O chunk)^T is the conjugate of the wanted columns
+            out[:, r : r + block] = np.conj(rows @ np.conj(applied).T)
+        return out
 
 
 def run_circuit(c: Circuit, theta, x) -> np.ndarray:
@@ -259,73 +356,60 @@ def extract_trig_polynomial(
     c: Circuit,
     obs: Observable,
     theta,
-    grid_per_dim: int | None = None,
     out_of_set_tol: float = 1e-9,
 ) -> TrigPolynomial:
-    """Exact Fourier coefficients of the circuit's model via a dense DFT.
+    """Exact Fourier coefficients of the circuit's model.
 
-    Requires an integer frequency lattice.  The grid must exceed twice the
-    maximal per-dimension frequency; the default adds two bins of headroom so
-    that off-lattice leakage (which must vanish) is actually observable.
+    The state is propagated once as one vector psi_k per state frequency
+    (``CompiledCircuit.frequency_components``), so f(x) = sum_{k, k'}
+    e^{i (k - k').x} <psi_k'|O|psi_k> and c_w sums the Gram matrix of the
+    psi_k over index differences k - k' = w.  Requires an integer frequency
+    lattice.  Mass off the encoding lattice above ``out_of_set_tol``, or a
+    pair c_w, conj(c_-w) more than 1e-10 apart, raises FloatingPointError.
     """
     enc = encoding_of(c)
     fs = build_frequency_set(enc)
     if not fs.is_integer:
         raise NonIntegerFrequencyError(
-            "spectrum extraction by DFT requires integer frequencies"
+            "spectrum extraction requires integer frequencies"
         )
-    d = fs.d
-    max_freq = [int(round(m)) for m in fs.max_abs_freq()]
-    if grid_per_dim is None:
-        sizes = [2 * f + 3 for f in max_freq]
-    else:
-        sizes = [int(grid_per_dim)] * d
-        for f, N in zip(max_freq, sizes):
-            if N < 2 * f + 1:
-                raise ValueError(
-                    f"grid {N} aliases frequencies up to {f}; need at least {2*f+1}"
-                )
-    axes = [2.0 * np.pi * np.arange(N) / N for N in sizes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    program, observable = CompiledCircuit(c), CompiledObservable(obs, c.qubits)
-    vals = np.array([observable.expectation(program.run(theta, p)) for p in pts]).reshape(sizes)
-    coeff = np.fft.fftn(vals) / vals.size
+    psi = CompiledCircuit(c).frequency_components(theta)
+    sizes = psi.shape[:-1]
+    rows = psi.reshape(-1, psi.shape[-1])
+    gram = CompiledObservable(obs, c.qubits).gram(rows, rows.shape[0] // max(sizes))
+    # c_w on the box |w_j| <= K_j - 1, stored at w + K - 1; gram[k', k] adds to w = k - k'
+    reach = np.asarray(sizes) - 1
+    box = tuple(2 * reach + 1)
+    index = np.indices(sizes).reshape(len(sizes), -1)
+    pos = np.ravel_multi_index(tuple(k[None, :] - k[:, None] + r for k, r in zip(index, reach)), box)
+    coeff = np.bincount(pos.ravel(), weights=gram.real.ravel(), minlength=math.prod(box))
+    coeff = coeff + 1j * np.bincount(pos.ravel(), weights=gram.imag.ravel(), minlength=coeff.size)
+    coeff = coeff.reshape(box)
 
-    def _on_lattice(k: tuple) -> bool:
-        for j in range(d):
-            try:
-                fs.snap_component(j, k[j])
-            except ValueError:
-                return False
-        return True
-
-    worst_leak = 0.0
-    for index in np.ndindex(*sizes):
-        k = tuple(
-            float(((index[j] + sizes[j] // 2) % sizes[j]) - sizes[j] // 2)
-            for j in range(d)
-        )
-        if not _on_lattice(k):
-            worst_leak = max(worst_leak, abs(complex(coeff[index])))
+    members = [
+        np.isin(np.arange(-r, r + 1), np.rint(f)) for r, f in zip(reach, fs.per_dimension_freqs)
+    ]
+    on_lattice = functools.reduce(np.logical_and.outer, members)
+    leak = np.abs(coeff[~on_lattice])
+    worst_leak = float(leak.max()) if leak.size else 0.0
     if worst_leak > out_of_set_tol:
         raise FloatingPointError(
             f"spectral mass {worst_leak:.3e} outside the encoding lattice"
         )
 
-    half: dict[tuple, complex] = {}
-    for row in fs.half:
-        pos_bin = tuple(int(round(v)) % N for v, N in zip(row, sizes))
-        neg_bin = tuple(int(round(-v)) % N for v, N in zip(row, sizes))
-        cpos = complex(coeff[pos_bin])
-        cneg = complex(coeff[neg_bin])
-        if abs(np.conj(cneg) - cpos) > 1e-10:
-            raise FloatingPointError(
-                f"conjugate symmetry violated at {tuple(row)}: {cpos} vs conj({cneg})"
-            )
-        cval = 0.5 * (cpos + np.conj(cneg))
-        if abs(cval) > 1e-14:
-            half[tuple(float(v) for v in row)] = cval
+    half_index = np.rint(fs.half).astype(np.intp)
+    cpos = coeff[tuple((reach + half_index).T)]
+    cneg = coeff[tuple((reach - half_index).T)]
+    broken = np.abs(np.conj(cneg) - cpos) > 1e-10
+    if broken.any():
+        i = int(np.argmax(broken))
+        raise FloatingPointError(
+            f"conjugate symmetry violated at {tuple(fs.half[i])}: "
+            f"{complex(cpos[i])} vs conj({complex(cneg[i])})"
+        )
+    cval = 0.5 * (cpos + np.conj(cneg))
+    keep = np.abs(cval) > 1e-14
+    half = {tuple(float(v) for v in row): complex(cv) for row, cv in zip(fs.half[keep], cval[keep])}
     return TrigPolynomial.from_half_coeffs(fs, half)
 
 

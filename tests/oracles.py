@@ -113,6 +113,38 @@ def rff_spectrum_by_feature(frequencies, phases, coef):
     return out
 
 
+def rkhs_norm_by_index(f, w):
+    """RKHS norm of a lattice polynomial, one canonical frequency at a time:
+    sqrt(sum_i (a_i ||w|| / w_i)^2 + (b_i ||w|| / w_i)^2) over the support,
+    raising ValueError at the first supported index with zero weight."""
+    import math
+
+    from rffdq.kernelmap import SUPPORT_TOL, to_real_form
+
+    fs = f.freq_set
+    form = to_real_form(f)
+    total = 0.0
+    if abs(form.c0) > SUPPORT_TOL:
+        if w.weights[0] == 0.0:
+            raise ValueError(
+                "function has weight-zero support at the zero frequency; "
+                "it lies outside the kernel's function set"
+            )
+        total += (form.c0 * w.norm2 / w.weights[0]) ** 2
+    for i in range(1, fs.size):
+        aa, bb = form.a[i - 1], form.b[i - 1]
+        if abs(aa) <= SUPPORT_TOL and abs(bb) <= SUPPORT_TOL:
+            continue
+        wi = w.weights[i]
+        if wi == 0.0:
+            raise ValueError(
+                f"function has weight-zero support at frequency {tuple(fs.half[i])}; "
+                "it lies outside the kernel's function set"
+            )
+        total += (aa * w.norm2 / wi) ** 2 + (bb * w.norm2 / wi) ** 2
+    return math.sqrt(total)
+
+
 def dft_coefficients(values_grid):
     """Plain DFT oracle: maps a grid of function values to a dict
     {signed integer index tuple: coefficient}."""

@@ -214,13 +214,34 @@ class TestRunSweep:
         assert all(row["error"] == "" for row in rows)
         assert len(calls) == 1
 
+    def test_alignment_once_per_sweep_for_seed_free_targets(self, tmp_path, monkeypatch):
+        import rffdq.harness as hmod
+
+        calls = []
+        real_alignment = hmod.alignment_of
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_alignment(*args, **kwargs)
+
+        monkeypatch.setattr(hmod, "alignment_of", counting)
+        rows = run_sweep(SweepConfig.from_json(circuit_sweep_doc()), str(tmp_path / "c.csv"))
+        assert len(rows) == 4 and len(calls) == 1
+        assert len({row["alignment"] for row in rows}) == 1
+        # a random target is drawn per cell, so its alignment is too
+        calls.clear()
+        random_target = problem_doc(target={"kind": "random", "support_size": 2}, n=40)
+        doc = sweep_doc(problem=random_target)
+        rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
+        assert len(rows) == 15 and len(calls) == 15
+
     def test_circuit_target_failure_recorded_in_every_row(self, tmp_path):
         doc = circuit_sweep_doc(scale=0.3)
         rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
         assert len(rows) == 4
         for row in rows:
             assert row["error"] == (
-                "NonIntegerFrequencyError: spectrum extraction by DFT requires integer frequencies"
+                "NonIntegerFrequencyError: spectrum extraction requires integer frequencies"
             )
             nan_cols = ("lambda", "emp_risk", "true_risk", "krr_true_risk", "risk_gap",
                         "l2_err_sq", "alignment", "p_max")

@@ -10,6 +10,7 @@ from oracles import (
     quadrature_apply_operator,
     quadrature_l2_norm_sq,
     quadrature_top_singular_value,
+    rkhs_norm_by_index,
 )
 from rffdq.errors import NonIntegerFrequencyError
 from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
@@ -278,6 +279,36 @@ class TestRkhsNorm:
         fv = f.evaluate(xs)
         v = (F.T @ fv / N) / (np.sum(F * F, axis=0) / N)
         assert rkhs_norm(f, w) == pytest.approx(float(np.linalg.norm(v)), abs=1e-10)
+
+
+    @pytest.mark.parametrize("L_per_dim", [[4], [2, 3], [1] * 6])
+    def test_matches_per_index_loop(self, L_per_dim, rng):
+        fs = build_frequency_set(pauli_half_encoding(L_per_dim))
+        for n_terms in (1, min(8, fs.size), fs.size):
+            f = random_poly(fs, rng, n_terms=n_terms)
+            w = WeightVector(rng.uniform(0.2, 1.5, fs.size))
+            want = rkhs_norm_by_index(f, w)
+            assert abs(rkhs_norm(f, w) - want) <= 1e-14 * want
+
+    def test_first_unreachable_frequency_reported(self, fs_2d):
+        # support at the zero frequency and rows 2 and 4, weight zero at all
+        # three: the zero frequency is reported first, then row 2
+        half = [tuple(float(v) for v in row) for row in fs_2d.half]
+        f = TrigPolynomial.from_half_coeffs(fs_2d, {half[0]: 1.0, half[2]: 0.5, half[4]: 0.5j})
+        for weights, where in (
+            ([0.0, 1.0, 0.0, 1.0, 0.0], "the zero frequency"),
+            ([1.0, 1.0, 0.0, 1.0, 0.0], f"frequency {tuple(fs_2d.half[2])}"),
+            ([1.0, 1.0, 1.0, 1.0, 0.0], f"frequency {tuple(fs_2d.half[4])}"),
+        ):
+            w = WeightVector(np.array(weights))
+            message = (
+                f"function has weight-zero support at {where}; "
+                "it lies outside the kernel's function set"
+            )
+            for norm in (rkhs_norm, rkhs_norm_by_index):
+                with pytest.raises(ValueError) as err:
+                    norm(f, w)
+                assert str(err.value) == message
 
 
 class TestL2Norm:

@@ -7,11 +7,14 @@ from oracles import (
     dft_coefficients,
     evaluate_on_grid,
     random_circuit,
+    random_unitary,
 )
 from rffdq.errors import ConfigError, NonIntegerFrequencyError
 from rffdq.freqcore import build_frequency_set
 from rffdq.pqcsim import (
     Circuit,
+    CompiledCircuit,
+    CompiledObservable,
     GateSpec,
     Observable,
     circuit_from_json,
@@ -154,11 +157,6 @@ class TestExtractSpectrum:
         for key in poly.coeffs:
             assert key[0] in (0.0, 1.0, 2.0)
 
-    def test_grid_too_small(self):
-        c = Circuit(1, [GateSpec("encode", pauli="X", scale=1.0, dim=1)])
-        with pytest.raises(ValueError):
-            extract_trig_polynomial(c, Z_OBS, [], grid_per_dim=3)
-
     def test_non_integer_rejected(self):
         c = Circuit(1, [GateSpec("encode", pauli="X", scale=0.3, dim=1)])
         with pytest.raises(NonIntegerFrequencyError):
@@ -201,6 +199,86 @@ class TestExtractSpectrum:
         poly = extract_trig_polynomial(c, obs, theta)
         for key in poly.coeffs:
             fs.position(np.asarray(key))  # raises if outside
+
+
+def assert_matches_dft(c, obs, theta, tol=1e-12):
+    """Every coefficient against the plain DFT of grid values, on a grid two
+    bins wider than the lattice on each side."""
+    poly = extract_trig_polynomial(c, obs, theta)
+    fs = poly.freq_set
+    sizes = [int(2 * round(m) + 5) for m in fs.max_abs_freq()]
+    lattice = [set(f.tolist()) for f in fs.per_dimension_freqs]
+    for k, want in dft_coefficients(evaluate_on_grid(c, obs, theta, sizes)).items():
+        if all(float(k[j]) in lattice[j] for j in range(len(k))):
+            assert abs(poly.coeff(np.asarray(k, dtype=float)) - want) <= tol
+        else:
+            assert abs(want) <= tol
+    return poly
+
+
+class TestExtractAgainstDft:
+    @pytest.mark.parametrize("trial", range(6))
+    def test_random_circuits_with_fixed_gates(self, trial):
+        rng = np.random.default_rng(6100 + trial)
+        c, obs, theta = random_circuit(rng, fixed=True)
+        assert {"fixed"} <= {g.kind for g in c.gates}
+        assert_matches_dft(c, obs, theta)
+
+    def test_mixed_gates_scales_and_dimensions(self):
+        # d = 3 with no gate on x_2; scales 1/2, 1, 3/2, the first two also
+        # negative; CZ, CNOT, a two-qubit fixed gate and an identity rotation
+        rng = np.random.default_rng(61)
+        c = Circuit(
+            3,
+            [
+                GateSpec("encode", pauli="XIY", scale=0.5, dim=1),
+                GateSpec("rot", pauli="III", theta_index=0),
+                GateSpec("cz", control=0, target=2),
+                GateSpec("encode", pauli="ZXI", scale=-1.0, dim=1),
+                GateSpec("rot", pauli="YZX", theta_index=1),
+                GateSpec("encode", pauli="IYZ", scale=1.5, dim=3),
+                GateSpec("fixed", qubits=(2, 0), matrix=random_unitary(rng, 4)),
+                GateSpec("cnot", control=1, target=0),
+                GateSpec("encode", pauli="XXI", scale=1.0, dim=3),
+                GateSpec("rot", pauli="IIY", theta_index=2),
+                GateSpec("encode", pauli="YII", scale=-0.5, dim=3),
+            ],
+        )
+        obs = Observable([(0.7, "ZII"), (-0.4, "XYZ"), (0.3, "III")])
+        poly = assert_matches_dft(c, obs, rng.uniform(0, 2 * np.pi, 3))
+        assert poly.d == 3
+        assert [f.tolist() for f in poly.freq_set.per_dimension_freqs][1] == [0.0]
+        assert any(k[2] != 0.0 for k in poly.coeffs)
+
+    def test_no_pointwise_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("extraction simulated a single input")
+
+        monkeypatch.setattr(CompiledCircuit, "run", refuse)
+        poly = extract_trig_polynomial(cosine_circuit(), Z_OBS, [])
+        assert abs(poly.coeff((1.0,)) - 0.5) <= 1e-12
+
+    def test_leak_and_asymmetry_checks(self, monkeypatch):
+        # state frequencies 0..2 but lattice {0, +-2}: Gram entry (0, 1)
+        # lands on the off-lattice frequency 1, entry (0, 2) on +2 alone
+        c = Circuit(1, [GateSpec("encode", pauli="X", scale=1.0, dim=1)])
+        real_gram = CompiledObservable.gram
+
+        def perturb(at, size):
+            def gram(self, rows, block):
+                out = real_gram(self, rows, block)
+                out[at] += size
+                return out
+
+            monkeypatch.setattr(CompiledObservable, "gram", gram)
+
+        perturb((0, 1), 1e-8)
+        with pytest.raises(FloatingPointError, match="outside the encoding lattice"):
+            extract_trig_polynomial(c, Z_OBS, [])
+        extract_trig_polynomial(c, Z_OBS, [], out_of_set_tol=1e-7)
+        perturb((0, 2), 1e-9)
+        with pytest.raises(FloatingPointError, match="conjugate symmetry violated"):
+            extract_trig_polynomial(c, Z_OBS, [])
 
 
 class TestValidation:
@@ -273,9 +351,8 @@ class TestCircuitJson:
 
 class TestEvenGridExtraction:
     def test_even_grid_roundtrip(self):
-        # max per-dimension frequency 2; an even 6-point grid satisfies the
-        # anti-aliasing requirement and the ambiguous half-band bin carries
-        # no mass
+        # a scale-1 gate shifts state frequencies by 2, so the lattice
+        # {0, +-2} leaves the odd differences unreached
         c = Circuit(
             1,
             [
@@ -283,7 +360,7 @@ class TestEvenGridExtraction:
                 GateSpec("rot", pauli="Y", theta_index=0),
             ],
         )
-        poly = extract_trig_polynomial(c, Z_OBS, [0.8], grid_per_dim=6)
+        poly = extract_trig_polynomial(c, Z_OBS, [0.8])
         xs = np.linspace(0, 2 * np.pi, 17, endpoint=False).reshape(-1, 1)
         direct = np.array([evaluate_model(c, Z_OBS, [0.8], row) for row in xs])
         assert np.max(np.abs(direct - poly.evaluate(xs))) <= 1e-10
