@@ -142,10 +142,7 @@ def alignment(f_hat: TrigPolynomial, dist: FrequencyDistribution) -> float:
         )
         if not same:
             raise ValueError("function and distribution live on different lattices")
-    total = 0.0
-    for key, c in f_hat.coeffs.items():
-        total += abs(c) ** 2 * dist.pmf(np.asarray(key))
-    return total
+    return float(np.abs(f_hat.c) ** 2 @ dist.pmf(f_hat.freqs))
 
 
 def required_sample_counts(

@@ -89,16 +89,15 @@ def cmd_freqset(args) -> int:
     if args.dump:
         if not fs.materialized:
             raise CapacityError("cannot dump a lazy frequency set")
-        half_keys = set(fs.index.keys())
+        # the product enumerates the lattice in code order
+        in_half = np.zeros(fs.full_size, dtype=int)
+        in_half[fs.codes] = 1
         with open(args.dump, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["index"] + [f"omega_{j+1}" for j in range(fs.d)] + ["in_half"])
-            for i, tup in enumerate(
-                itertools.product(*[f.tolist() for f in fs.per_dimension_freqs])
-            ):
-                writer.writerow(
-                    [i] + [repr(float(v)) for v in tup] + [1 if tup in half_keys else 0]
-                )
+            points = itertools.product(*[f.tolist() for f in fs.per_dimension_freqs])
+            for i, (point, flag) in enumerate(zip(points, in_half.tolist())):
+                writer.writerow([i] + [repr(v) for v in point] + [flag])
     return 0
 
 

@@ -4,8 +4,10 @@ Each input dimension j carries a list of Hamiltonian spectra (the gates that
 encode x_j).  The reachable frequencies along that dimension are all pairwise
 differences of all eigenvalue sums, and the full lattice is the Cartesian
 product over dimensions.  The lattice is mirror symmetric, so we fix a
-canonical half (first nonzero component positive) whose indexing is stable
-across runs and serialized artifacts.
+canonical half (first nonzero component positive).  A lattice point is
+addressed by its per-dimension positions and their mixed-radix code; every
+lookup (snapping a frequency to the lattice, finding its row in the half)
+is one vectorized pass over an array of rows, with one 1e-9 matching rule.
 """
 
 from __future__ import annotations
@@ -151,41 +153,57 @@ def is_integer_valued(values) -> bool:
     return bool(np.all(np.abs(values - np.round(values)) <= _INT_TOL))
 
 
-def canonical_fold(omega, tol: float = DEDUP_TOL):
-    """Fold a frequency vector onto the canonical half-space.
+def fold_rows(rows, tol: float = DEDUP_TOL):
+    """Fold each row of ``rows`` onto the canonical half-space.
 
-    Returns ``(omega_canonical, sign)`` with ``sign * omega_canonical ==
-    omega`` up to components below ``tol``, which are snapped to +0.0 (they
-    are indistinguishable from zero under the dedup policy).  Canonical means
-    the first component larger than ``tol`` in magnitude is positive; the
-    zero vector maps to itself with sign +1.  Idempotent, and even:
-    ``canonical_fold(-w) == canonical_fold(w)``.
+    Returns ``(folded, flipped)``: components within ``tol`` of zero become
+    +0.0 (they are indistinguishable from zero under the dedup policy), and
+    a row whose first remaining nonzero component is negative is negated and
+    flagged.  Idempotent, and even: ``-rows`` folds to the same rows.
     """
-    w = np.asarray(omega, dtype=float).copy()
-    w[np.abs(w) <= tol] = 0.0
-    for v in w:
-        if v != 0.0:
-            if v > 0:
-                return w, 1
-            return -w, -1
-    return w, 1
+    rows = np.asarray(rows, dtype=float)
+    rows = np.where(np.abs(rows) <= tol, 0.0, rows)
+    nonzero = rows != 0.0
+    first = rows[np.arange(rows.shape[0]), np.argmax(nonzero, axis=1)]
+    flipped = nonzero.any(axis=1) & (first < 0)
+    return np.where(flipped[:, None], -rows, rows), flipped
+
+
+def canonical_fold(omega, tol: float = DEDUP_TOL):
+    """``fold_rows`` of one frequency vector: ``(omega_canonical, sign)``
+    with ``sign * omega_canonical == omega`` up to components below ``tol``;
+    the zero vector maps to itself with sign +1."""
+    folded, flipped = fold_rows(np.asarray(omega, dtype=float)[None, :], tol)
+    return folded[0], -1 if flipped[0] else 1
+
+
+def find_codes(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Position of each of ``codes`` in the ascending ``table``, -1 where
+    it is absent."""
+    at = np.minimum(np.searchsorted(table, codes), table.size - 1)
+    return np.where(table[at] == codes, at, -1)
 
 
 @dataclass
 class FrequencySet:
     """Materialized (or lazy) frequency lattice of an encoding strategy.
 
-    ``half`` holds the canonical representatives, sorted lexicographically,
-    with the zero vector at index 0.  ``index`` maps the exact stored tuple
-    of a canonical vector to its row in ``half``.  In lazy mode only the
-    per-dimension sets are stored and ``half`` is ``None``.
+    A lattice point is addressed by its per-dimension positions (``locate``)
+    and by their mixed-radix ``code``, its index in the row-major
+    enumeration of the full lattice.  ``half`` holds the canonical
+    representatives in lexicographic order, which is code order, with the
+    zero vector at row 0; ``codes`` holds their codes (ascending), so a
+    point's row in ``half`` is one ``searchsorted``.  Rows and codes depend
+    only on the encoding, so they are stable across runs and serialized
+    artifacts.  In lazy mode only the per-dimension sets are stored and
+    ``half`` and ``codes`` are ``None``.
     """
 
     per_dimension_freqs: list[np.ndarray]
     full_size: int
     half: np.ndarray | None
     is_integer: bool
-    index: dict = field(repr=False, default_factory=dict)
+    codes: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def d(self) -> int:
@@ -200,10 +218,6 @@ class FrequencySet:
         """|Omega| of the canonical half."""
         return (self.full_size - 1) // 2 + 1
 
-    @property
-    def n_plus(self) -> int:
-        return self.size - 1
-
     def require_materialized(self):
         if self.half is None:
             raise CapacityError(
@@ -215,29 +229,59 @@ class FrequencySet:
         """Per-dimension maximum |frequency|."""
         return np.array([np.max(np.abs(f)) if f.size else 0.0 for f in self.per_dimension_freqs])
 
-    def snap_component(self, j: int, value: float, tol: float = 1e-9) -> float:
-        """Match ``value`` against dimension ``j``'s set within ``tol``."""
-        freqs = self.per_dimension_freqs[j]
-        pos = np.searchsorted(freqs, value)
-        for cand in (pos - 1, pos):
-            if 0 <= cand < freqs.size and abs(freqs[cand] - value) <= tol:
-                return float(freqs[cand])
-        raise ValueError(f"frequency component {value} not in lattice dimension {j+1}")
+    def locate(self, rows, tol: float = 1e-9) -> np.ndarray:
+        """Per-dimension positions of the components of each row of
+        ``rows`` (shape ``(n, d)``), matched within ``tol``; raises
+        ValueError for the first component that is in no lattice dimension."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.d:
+            raise ValueError(f"frequency vector must have length {self.d}")
+        out = np.empty(rows.shape, dtype=np.intp)
+        for j, (freqs, vals) in enumerate(zip(self.per_dimension_freqs, rows.T)):
+            pos = np.searchsorted(freqs, vals)
+            below = np.clip(pos - 1, 0, freqs.size - 1)
+            at = np.minimum(pos, freqs.size - 1)
+            idx = np.where(np.abs(freqs[below] - vals) <= tol, below, at)
+            off = np.abs(freqs[idx] - vals) > tol
+            if off.any():
+                value = vals[np.argmax(off)]
+                raise ValueError(f"frequency component {value} not in lattice dimension {j+1}")
+            out[:, j] = idx
+        return out
+
+    def at(self, idx) -> np.ndarray:
+        """Lattice points at per-dimension positions ``idx``."""
+        cols = zip(self.per_dimension_freqs, np.asarray(idx).T)
+        return np.stack([f[k] for f, k in cols], axis=-1)
+
+    def code(self, idx) -> np.ndarray:
+        """Mixed-radix codes of per-dimension positions; Python integers
+        (object dtype) when the full lattice does not fit in int64."""
+        idx = np.asarray(idx)
+        dtype = np.int64 if self.full_size < 2**63 else object
+        out = np.zeros(idx.shape[0], dtype=dtype)
+        for f, k in zip(self.per_dimension_freqs, idx.T):
+            out = out * f.size + k.astype(dtype)
+        return out
+
+    def half_rows(self, idx) -> np.ndarray:
+        """Row in ``half`` of each located lattice point, -1 where the point
+        is not canonical."""
+        self.require_materialized()
+        return find_codes(self.codes, self.code(idx))
 
     def snap(self, omega, tol: float = 1e-9) -> tuple:
-        w = np.asarray(omega, dtype=float)
-        if w.shape != (self.d,):
-            raise ValueError(f"frequency vector must have length {self.d}")
-        return tuple(self.snap_component(j, w[j], tol) for j in range(self.d))
+        """The lattice point within ``tol`` of one frequency vector."""
+        idx = self.locate(np.asarray(omega, dtype=float)[None], tol)
+        return tuple(self.at(idx)[0].tolist())
 
     def position(self, omega, tol: float = 1e-9) -> int:
         """Row of a canonical frequency vector in ``half``."""
         self.require_materialized()
-        key = self.snap(omega, tol)
-        try:
-            return self.index[key]
-        except KeyError:
-            raise ValueError(f"frequency {tuple(omega)} is not in the canonical half") from None
+        row = int(self.half_rows(self.locate(np.atleast_2d(omega), tol))[0])
+        if row < 0:
+            raise ValueError(f"frequency {tuple(omega)} is not in the canonical half")
+        return row
 
 
 def build_frequency_set(
@@ -263,21 +307,15 @@ def build_frequency_set(
             f"full lattice has {full_size} points (cap {cap}); "
             "use lazy mode and sampling workflows"
         )
-    d = len(per_dim)
-    grids = np.meshgrid(*per_dim, indexing="ij")
-    lattice = np.stack([g.ravel() for g in grids], axis=-1) if d > 0 else np.zeros((1, 0))
-    mask = np.abs(lattice) > DEDUP_TOL
-    has_nz = mask.any(axis=1)
-    first_nz = np.argmax(mask, axis=1)
-    first_val = lattice[np.arange(lattice.shape[0]), first_nz]
-    canonical = ~has_nz | (first_val > 0)
-    half = lattice[canonical]
-    order = np.lexsort(tuple(half[:, j] for j in reversed(range(d))))
-    half = np.ascontiguousarray(half[order])
-    index = {tuple(row): i for i, row in enumerate(half)}
-    fs = FrequencySet(per_dim, full_size, half, is_integer, index)
-    if fs.size != half.shape[0]:
+    # row-major enumeration of sorted per-dimension sets: row r of the
+    # lattice has code r, and code order is lexicographic order
+    lattice = np.stack([g.ravel() for g in np.meshgrid(*per_dim, indexing="ij")], axis=-1)
+    canonical = ~fold_rows(lattice)[1]
+    fs = FrequencySet(
+        per_dim, full_size, lattice[canonical], is_integer, np.flatnonzero(canonical)
+    )
+    if fs.size != fs.half.shape[0]:
         raise AssertionError("mirror-pair accounting is inconsistent")
-    if not np.all(np.abs(half[0]) <= DEDUP_TOL):
+    if not np.all(np.abs(fs.half[0]) <= DEDUP_TOL):
         raise AssertionError("zero frequency is not at index 0")
     return fs

@@ -10,7 +10,9 @@ Three representations are supported:
   environments.
 
 Folding rule: p(omega) = ptilde(omega) for omega = 0, and
-p(omega) = ptilde(omega) + ptilde(-omega) otherwise.
+p(omega) = ptilde(omega) + ptilde(-omega) otherwise.  Each distribution
+defines ptilde once, batched over rows of per-dimension lattice positions
+(``_tilde``); ``pmf`` and ``pmf_vector`` both fold it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateDistributionError
-from .freqcore import FrequencySet, canonical_fold
+from .freqcore import FrequencySet, find_codes, fold_rows
 
 PROB_TOL = 1e-12
 
@@ -76,15 +78,30 @@ class FrequencyDistribution:
     def __init__(self, fs: FrequencySet):
         self.fs = fs
 
-    def pmf(self, omega) -> float:
+    def _tilde(self, idx: np.ndarray) -> np.ndarray:
+        """ptilde at each row of per-dimension lattice positions."""
         raise NotImplementedError
+
+    def pmf(self, omega):
+        """Probability of a canonical frequency (shape ``(d,)``, a float), or
+        of each row of an ``(n, d)`` array (an array).  Components snap onto
+        the lattice within 1e-9 before the canonical check."""
+        omega = np.asarray(omega, dtype=float)
+        rows = np.atleast_2d(omega)
+        snapped = self.fs.at(self.fs.locate(rows))
+        flipped = fold_rows(snapped)[1]
+        if flipped.any():
+            raise ValueError(f"frequency {tuple(rows[np.argmax(flipped)])} is not canonical")
+        p = self._folded(snapped)
+        return float(p[0]) if omega.ndim == 1 else p
 
     def sample(self, rng, M: int) -> np.ndarray:
         raise NotImplementedError
 
     def pmf_vector(self) -> np.ndarray:
         """Probabilities over the materialized canonical half, in lattice order."""
-        raise NotImplementedError
+        self.fs.require_materialized()
+        return self._folded(self.fs.half)
 
     def p_max(self, enumerate_cap: int = ENUMERATE_CAP) -> PMax | None:
         """Maximum probability; exact when the half can be enumerated."""
@@ -92,49 +109,12 @@ class FrequencyDistribution:
             return PMax(float(np.max(self.pmf_vector())), True)
         return None
 
-    def _key(self, omega) -> tuple:
-        w = np.asarray(omega, dtype=float)
-        folded, sign = canonical_fold(w)
-        if sign < 0:
-            raise ValueError(f"frequency {tuple(w)} is not canonical")
-        return self.fs.snap(folded)
-
-    def _component_index(self, j: int, value: float) -> int:
-        freqs = self.fs.per_dimension_freqs[j]
-        pos = int(np.searchsorted(freqs, value))
-        for cand in (pos - 1, pos):
-            if 0 <= cand < freqs.size and abs(freqs[cand] - value) <= 1e-9:
-                return cand
-        raise ValueError(f"frequency component {value} not in lattice dimension {j+1}")
-
-    def _lattice_indices(self, rows: np.ndarray) -> np.ndarray:
-        """Per-dimension positions of every row's components, the batched
-        form of ``_component_index`` (same candidate order, same tolerance):
-        one ``searchsorted`` per dimension over all rows."""
-        out = np.empty(rows.shape, dtype=np.intp)
-        for j, freqs in enumerate(self.fs.per_dimension_freqs):
-            vals = rows[:, j]
-            pos = np.searchsorted(freqs, vals)
-            below = np.clip(pos - 1, 0, freqs.size - 1)
-            at = np.minimum(pos, freqs.size - 1)
-            idx = np.where(np.abs(freqs[below] - vals) <= 1e-9, below, at)
-            off = np.abs(freqs[idx] - vals) > 1e-9
-            if off.any():
-                value = vals[np.argmax(off)]
-                raise ValueError(f"frequency component {value} not in lattice dimension {j+1}")
-            out[:, j] = idx
-        return out
-
-    def _folded_vector(self, tilde) -> np.ndarray:
-        """Fold a batched ptilde (a function of per-dimension index rows)
-        over the canonical half: ptilde(w) + ptilde(-w), and ptilde(0) at
-        the zero frequency."""
-        self.fs.require_materialized()
-        half = self.fs.half
-        idx = self._lattice_indices(np.concatenate([half, -half]))
-        t = tilde(idx)
-        pos, neg = t[: half.shape[0]], t[half.shape[0]:]
-        return np.where(np.all(half == 0.0, axis=1), pos, pos + neg)
+    def _folded(self, rows: np.ndarray) -> np.ndarray:
+        """p at canonical lattice rows: ptilde(w) + ptilde(-w), and ptilde(0)
+        at the zero frequency."""
+        t = self._tilde(self.fs.locate(np.concatenate([rows, -rows])))
+        pos, neg = t[: rows.shape[0]], t[rows.shape[0]:]
+        return np.where(np.all(rows == 0.0, axis=1), pos, pos + neg)
 
 
 class ExplicitDistribution(FrequencyDistribution):
@@ -153,20 +133,25 @@ class ExplicitDistribution(FrequencyDistribution):
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL * max(1, probs.size):
             raise ConfigError(f"probabilities sum to {total}, expected 1")
-        keys = []
-        for row in support:
-            folded, sign = canonical_fold(row)
-            if sign < 0:
-                raise ConfigError(f"support point {tuple(row)} is not canonical")
-            keys.append(self.fs.snap(folded))
-        if len(set(keys)) != len(keys):
+        idx = fs.locate(support)
+        self.support = fs.at(idx)
+        flipped = fold_rows(self.support)[1]
+        if flipped.any():
+            row = tuple(support[np.argmax(flipped)])
+            raise ConfigError(f"support point {row} is not canonical")
+        codes = fs.code(idx)
+        order = np.argsort(codes, kind="stable")
+        self._codes = codes[order]
+        if np.any(self._codes[1:] == self._codes[:-1]):
             raise ConfigError("duplicate support points")
-        self.support = np.array(keys, dtype=float)
+        self._sorted_probs = probs[order]
         self.probs = probs
-        self._table = {k: float(p) for k, p in zip(keys, probs)}
 
-    def pmf(self, omega) -> float:
-        return self._table.get(self._key(omega), 0.0)
+    def _tilde(self, idx: np.ndarray) -> np.ndarray:
+        # the stored probability at a support point, 0 elsewhere (mirror
+        # points included: the support is canonical)
+        at = find_codes(self._codes, self.fs.code(idx))
+        return np.where(at >= 0, self._sorted_probs[at], 0.0)
 
     def sample(self, rng, M: int) -> np.ndarray:
         if M < 1:
@@ -174,12 +159,6 @@ class ExplicitDistribution(FrequencyDistribution):
         gen = as_generator(rng)
         idx = gen.choice(self.support.shape[0], size=M, p=self.probs)
         return self.support[idx]
-
-    def pmf_vector(self) -> np.ndarray:
-        self.fs.require_materialized()
-        p = np.zeros(self.fs.size)
-        p[[self.fs.index[key] for key in self._table]] = self.probs
-        return p
 
     def p_max(self, enumerate_cap: int = ENUMERATE_CAP) -> PMax:
         return PMax(float(np.max(self.probs)), True)
@@ -209,19 +188,11 @@ class ProductDistribution(FrequencyDistribution):
                 raise ConfigError(f"dimension {j+1} probabilities do not sum to 1")
             self.per_dim.append(pj)
 
-    def tilde_pmf(self, omega) -> float:
-        w = np.asarray(omega, dtype=float)
-        out = 1.0
-        for j in range(self.fs.d):
-            out *= self.per_dim[j][self._component_index(j, w[j])]
+    def _tilde(self, idx: np.ndarray) -> np.ndarray:
+        out = np.ones(idx.shape[0])
+        for j, pj in enumerate(self.per_dim):
+            out *= pj[idx[:, j]]
         return out
-
-    def pmf(self, omega) -> float:
-        key = self._key(omega)
-        w = np.asarray(key, dtype=float)
-        if np.all(w == 0.0):
-            return self.tilde_pmf(w)
-        return self.tilde_pmf(w) + self.tilde_pmf(-w)
 
     def sample(self, rng, M: int) -> np.ndarray:
         if M < 1:
@@ -231,23 +202,13 @@ class ProductDistribution(FrequencyDistribution):
         for j in range(self.fs.d):
             idx = gen.choice(self.per_dim[j].size, size=M, p=self.per_dim[j])
             cols.append(self.fs.per_dimension_freqs[j][idx])
-        raw = np.stack(cols, axis=1)
-        return _fold_rows(raw)
+        return fold_rows(np.stack(cols, axis=1))[0]
 
     def tilde_max(self) -> float:
         out = 1.0
         for pj in self.per_dim:
             out *= float(np.max(pj))
         return out
-
-    def pmf_vector(self) -> np.ndarray:
-        def tilde(idx):
-            out = np.ones(idx.shape[0])
-            for j, pj in enumerate(self.per_dim):
-                out *= pj[idx[:, j]]
-            return out
-
-        return self._folded_vector(tilde)
 
     def p_max(self, enumerate_cap: int = ENUMERATE_CAP) -> PMax:
         pm = super().p_max(enumerate_cap)
@@ -294,31 +255,11 @@ class MpsDistribution(FrequencyDistribution):
                 f"tensor train has total mass {self.total_mass}"
             )
 
-    def _indices(self, values: np.ndarray) -> list[int]:
-        return [self._component_index(j, v) for j, v in enumerate(values)]
-
-    def tilde_pmf(self, omega) -> float:
-        idx = self._indices(np.asarray(omega, dtype=float))
-        vec = np.ones(1)
-        for j, k in enumerate(idx):
-            vec = vec @ self.cores[j][:, k, :]
-        return float(vec[0]) / self.total_mass
-
-    def pmf(self, omega) -> float:
-        key = self._key(omega)
-        w = np.asarray(key, dtype=float)
-        if np.all(w == 0.0):
-            return self.tilde_pmf(w)
-        return self.tilde_pmf(w) + self.tilde_pmf(-w)
-
-    def pmf_vector(self) -> np.ndarray:
-        def tilde(idx):
-            left = np.ones((idx.shape[0], 1))
-            for j, core in enumerate(self.cores):
-                left = np.einsum("ma,amb->mb", left, core[:, idx[:, j], :])
-            return left[:, 0] / self.total_mass
-
-        return self._folded_vector(tilde)
+    def _tilde(self, idx: np.ndarray) -> np.ndarray:
+        left = np.ones((idx.shape[0], 1))
+        for j, core in enumerate(self.cores):
+            left = np.einsum("ma,amb->mb", left, core[:, idx[:, j], :])
+        return left[:, 0] / self.total_mass
 
     def marginal(self, j: int, prefix) -> np.ndarray:
         """Conditional pmf of dimension ``j`` (0-based) given the values of
@@ -326,9 +267,11 @@ class MpsDistribution(FrequencyDistribution):
         prefix = np.asarray(prefix, dtype=float)
         if prefix.shape != (j,):
             raise ValueError(f"prefix must assign dimensions 1..{j}")
+        # zero frequencies pad the row past the prefix
+        row = np.concatenate([prefix, np.zeros(self.fs.d - j)])
         left = np.ones(1)
-        for i, v in enumerate(prefix):
-            left = left @ self.cores[i][:, self._component_index(i, v), :]
+        for i, k in enumerate(self.fs.locate(row[None, :])[0][:j]):
+            left = left @ self.cores[i][:, k, :]
         weights = np.einsum("a,akb,b->k", left, self.cores[j], self.right[j + 1])
         total = float(weights.sum())
         if total <= 0:
@@ -358,20 +301,7 @@ class MpsDistribution(FrequencyDistribution):
             ks = (cum > u[:, None]).argmax(axis=1)
             cols.append(self.fs.per_dimension_freqs[j][ks])
             left = np.einsum("ma,amb->mb", left, self.cores[j][:, ks, :])
-        raw = np.stack(cols, axis=1)
-        return _fold_rows(raw)
-
-
-def _fold_rows(raw: np.ndarray) -> np.ndarray:
-    """Fold each row onto the canonical half (vectorized first-nonzero rule)."""
-    mask = np.abs(raw) > 1e-12
-    has_nz = mask.any(axis=1)
-    first = np.argmax(mask, axis=1)
-    vals = raw[np.arange(raw.shape[0]), first]
-    flip = has_nz & (vals < 0)
-    out = raw.copy()
-    out[flip] *= -1.0
-    return out
+        return fold_rows(np.stack(cols, axis=1))[0]
 
 
 def pmf(dist: FrequencyDistribution, omega) -> float:

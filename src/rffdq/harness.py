@@ -31,15 +31,8 @@ from .bounds import alignment as alignment_of
 from .errors import ConfigError
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
 from .freqsample import FrequencyDistribution, SeededRng, distribution_from_json
-from .kernelmap import TrigPolynomial, WeightVector, coeff_sup_bound, l2_norm_sq, weights_of
-from .regress import (
-    Dataset,
-    empirical_risk,
-    kernel_ridge_fit,
-    rff_fit,
-    rff_model_spectrum,
-    true_risk_estimate,
-)
+from .kernelmap import TrigPolynomial, WeightVector, coeff_sup_bound, weights_of
+from .regress import Dataset, empirical_risk, kernel_ridge_fit, rff_fit, true_risk_estimate
 
 SCHEMA_VERSION = 1
 
@@ -161,26 +154,22 @@ def realize_target(
         return TrigPolynomial.from_json(spec.target["function"], fs)
     if kind == "random":
         k = _draw_support_size(spec.target, gen, fs.size)
-        rows = gen.choice(fs.size, size=k, replace=False)
-        mapping: dict[tuple, complex] = {}
-        zero = tuple(0.0 for _ in range(fs.d))
-        for r in sorted(int(v) for v in rows):
-            key = tuple(float(v) for v in fs.half[r])
-            if key == zero:
-                mapping[key] = complex(gen.uniform(-1.0, 1.0))
-            else:
-                a, b = gen.uniform(-1.0, 1.0, size=2)
-                mapping[key] = complex(a / 2.0, -b / 2.0)
-        return TrigPolynomial.from_half_coeffs(fs, mapping)
+        rows = np.sort(gen.choice(fs.size, size=k, replace=False))
+        # in row order, one uniform draw for the zero frequency (row 0) and
+        # two (a, b: a cos + b sin) for every other row
+        has_zero = int(rows[0] == 0)
+        draws = gen.uniform(-1.0, 1.0, size=2 * k - has_zero)
+        c = np.empty(k, dtype=complex)
+        c.real = np.concatenate([draws[:has_zero], draws[has_zero::2] / 2.0])
+        c.imag = np.concatenate([np.zeros(has_zero), -draws[has_zero + 1 :: 2] / 2.0])
+        return TrigPolynomial.on_rows(fs, rows, c)
     if kind == "circuit":
         from .pqcsim import circuit_from_json, extract_trig_polynomial
 
         circuit, obs = circuit_from_json(spec.target["circuit"])
         theta = np.asarray(spec.target.get("theta", []), dtype=float)
         poly = extract_trig_polynomial(circuit, obs, theta)
-        for key in poly.coeffs:
-            fs.snap(np.asarray(key))  # raises if off-lattice
-        return TrigPolynomial.from_half_coeffs(fs, dict(poly.coeffs))
+        return TrigPolynomial.from_half_arrays(fs, poly.freqs, poly.c)
     raise ConfigError(f"unknown target kind '{kind}'")
 
 
@@ -405,12 +394,12 @@ def run_cell(config: SweepConfig, inv: SweepInvariants, cell) -> dict:
         row["emp_risk"] = empirical_risk(model, data)
         noise_var = spec.noise_sigma**2
         mc_rng = SeededRng(config.master_seed, stream=10_000_019).stream_for(idx)
-        row["true_risk"] = true_risk_estimate(
-            model, target, noise_var, rng=mc_rng.generator()
-        ).value
-        # Parseval gives the L2 norm only on an integer lattice
+        # one model spectrum serves both columns; Parseval gives the L2
+        # norm only where the risk is exact (integer frequencies)
+        err = true_risk_estimate(model, target, 0.0, rng=mc_rng.generator())
+        row["true_risk"] = err.value + noise_var
         row["l2_err_sq"] = (
-            l2_norm_sq(target - rff_model_spectrum(model, fs)) if fs.is_integer else float("nan")
+            (2.0 * math.pi) ** fs.d * err.value if err.method == "exact" else float("nan")
         )
         row["alignment"] = inv.alignment_for(target)
         row["p_max"] = inv.p_max

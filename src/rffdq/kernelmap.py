@@ -16,12 +16,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import NonIntegerFrequencyError
-from .freqcore import FrequencySet, canonical_fold
+from .freqcore import FrequencySet, canonical_fold, fold_rows
 
 REALNESS_TOL = 1e-10
 SUPPORT_TOL = 1e-12
@@ -85,26 +86,86 @@ def _check_lengths(fs: FrequencySet, w: WeightVector):
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class TrigPolynomial:
     """Real-valued trigonometric polynomial, stored as complex coefficients
-    on the canonical half; the mirror coefficient is the conjugate.
+    on the canonical half: row s of ``freqs`` (shape ``(S, d)``) carries
+    ``c[s]``, and the mirror coefficient is the conjugate.  Terms keep their
+    insertion order, no frequency appears twice, and every operation runs
+    once over these arrays.
 
-    ``freq_set`` may be ``None`` for standalone polynomials loaded from file
-    without an encoding; lattice-dependent operations then refuse to run.
+    A polynomial attached to a lattice (``freq_set``, materialized) also
+    keeps ``rows``, each term's row in ``freq_set.half``.  ``freq_set`` is
+    ``None`` for standalone polynomials loaded from file without an
+    encoding; lattice-dependent operations then refuse to run.
     """
 
     freq_set: FrequencySet | None
-    coeffs: dict[tuple, complex]
-    d: int
+    freqs: np.ndarray
+    c: np.ndarray
+    rows: np.ndarray | None = None
+
+    @property
+    def d(self) -> int:
+        return self.freqs.shape[1]
+
+    @property
+    def coeffs(self) -> Mapping[tuple, complex]:
+        """Read-only ``{canonical omega tuple: c_omega}`` view, in term order."""
+        return MappingProxyType(dict(zip(map(tuple, self.freqs.tolist()), self.c.tolist())))
+
+    @classmethod
+    def on_rows(cls, fs: FrequencySet, rows, c) -> "TrigPolynomial":
+        """Coefficient ``c[s]`` at row ``rows[s]`` of ``fs.half`` (distinct
+        rows); zero coefficients are dropped."""
+        rows = np.asarray(rows, dtype=np.intp)
+        c = np.asarray(c, dtype=complex)
+        keep = c != 0
+        return cls(fs, fs.half[rows[keep]], c[keep], rows[keep])
+
+    @classmethod
+    def from_half_arrays(cls, fs: FrequencySet | None, freqs, c) -> "TrigPolynomial":
+        """Build from canonical frequency rows ``freqs`` and their
+        coefficients ``c``.
+
+        On a lattice every row snaps onto it (within 1e-9) and must then be
+        canonical; a standalone row's components within 1e-12 of zero become
+        zero and the row must be canonical.  The zero-frequency coefficient
+        must be real (within 1e-10), no frequency may repeat, and zero
+        coefficients are dropped.
+        """
+        freqs = np.asarray(freqs, dtype=float)
+        c = np.array(c, dtype=complex)
+        if fs is not None:
+            fs.require_materialized()
+            rows = fs.half_rows(fs.locate(freqs))
+            bad = rows < 0
+        else:
+            folded, bad = fold_rows(freqs)
+        if bad.any():
+            raise ValueError(f"coefficient key {tuple(freqs[np.argmax(bad)])} is not canonical")
+        points = fs.half[rows] if fs is not None else folded
+        zero = ~points.any(axis=1)
+        if np.any(np.abs(c.imag[zero]) > REALNESS_TOL):
+            raise ValueError(
+                f"zero-frequency coefficient must be real, got imag {c.imag[zero][0]}"
+            )
+        c.imag[zero] = 0.0
+        _, first = np.unique(points, axis=0, return_index=True)
+        if first.size < c.size:
+            repeat = np.ones(c.size, dtype=bool)
+            repeat[first] = False
+            key = tuple(points[np.argmax(repeat)].tolist())
+            raise ValueError(f"duplicate coefficient for frequency {key}")
+        if fs is not None:
+            return cls.on_rows(fs, rows, c)
+        keep = c != 0
+        return cls(None, points[keep], c[keep])
 
     @classmethod
     def from_half_coeffs(cls, fs: FrequencySet | None, mapping: dict) -> "TrigPolynomial":
-        """Build from ``{canonical omega tuple: c_omega}``.
-
-        The zero-frequency coefficient must be real (within 1e-10); keys must
-        be canonical, and on the lattice when ``fs`` is given.
-        """
+        """Build from ``{canonical omega tuple: c_omega}``, by
+        ``from_half_arrays``."""
         if fs is not None:
             fs.require_materialized()
             d = fs.d
@@ -112,37 +173,21 @@ class TrigPolynomial:
             if not mapping:
                 raise ValueError("standalone polynomial needs at least a dimension hint")
             d = len(next(iter(mapping)))
-        coeffs: dict[tuple, complex] = {}
-        for omega, c in mapping.items():
-            w = np.asarray(omega, dtype=float)
-            if w.shape != (d,):
-                raise ValueError(f"frequency {omega} has wrong dimension (expected {d})")
-            folded, sign = canonical_fold(w)
-            if sign < 0:
-                raise ValueError(f"coefficient key {omega} is not canonical")
-            if fs is not None:
-                key = fs.snap(folded)
-            else:
-                key = tuple(float(v) for v in folded)
-            c = complex(c)
-            if all(v == 0.0 for v in key):
-                if abs(c.imag) > REALNESS_TOL:
-                    raise ValueError(
-                        f"zero-frequency coefficient must be real, got imag {c.imag}"
-                    )
-                c = complex(c.real, 0.0)
-            if key in coeffs:
-                raise ValueError(f"duplicate coefficient for frequency {key}")
-            if c != 0:
-                coeffs[key] = c
-        return cls(fs, coeffs, d)
+        bad = next((omega for omega in mapping if np.shape(omega) != (d,)), None)
+        if bad is not None:
+            raise ValueError(f"frequency {bad} has wrong dimension (expected {d})")
+        freqs = np.array(list(mapping), dtype=float).reshape(len(mapping), d)
+        return cls.from_half_arrays(fs, freqs, list(mapping.values()))
 
     @classmethod
     def from_full_coeffs(cls, fs: FrequencySet | None, mapping: dict) -> "TrigPolynomial":
         """Build from coefficients over the full mirror-symmetric lattice,
-        enforcing c_{-w} = conj(c_w) within 1e-10."""
+        enforcing c_{-w} = conj(c_w) within 1e-10.  Keys snap onto ``fs``
+        before they are paired."""
         pairs: dict[tuple, dict[int, complex]] = {}
         for omega, c in mapping.items():
+            if fs is not None:
+                omega = fs.snap(omega)
             folded, sign = canonical_fold(np.asarray(omega, dtype=float))
             key = tuple(float(v) for v in folded)
             pairs.setdefault(key, {})[sign] = complex(c)
@@ -162,37 +207,30 @@ class TrigPolynomial:
 
     @classmethod
     def zero(cls, fs: FrequencySet | None, d: int | None = None) -> "TrigPolynomial":
-        return cls(fs, {}, fs.d if fs is not None else int(d))
+        d = fs.d if fs is not None else int(d)
+        rows = None if fs is None else np.zeros(0, dtype=np.intp)
+        return cls(fs, np.zeros((0, d)), np.zeros(0, dtype=complex), rows)
 
     def coeff(self, omega) -> complex:
         """Coefficient at an arbitrary (possibly non-canonical) lattice point."""
-        folded, sign = canonical_fold(np.asarray(omega, dtype=float))
-        key = self.freq_set.snap(folded) if self.freq_set is not None else tuple(float(v) for v in folded)
-        c = self.coeffs.get(key, 0.0)
-        return complex(c) if sign > 0 else complex(np.conj(c))
+        w = np.asarray(omega, dtype=float)[None, :]
+        if self.freq_set is not None:
+            w = self.freq_set.at(self.freq_set.locate(w))
+        folded, flipped = fold_rows(w)
+        c = self.c[np.all(self.freqs == folded, axis=1)].sum()  # at most one term
+        return complex(np.conj(c) if flipped[0] else c)
 
-    def support(self) -> list[tuple]:
-        return sorted(self.coeffs.keys())
-
-    def _split(self):
-        zero = tuple(0.0 for _ in range(self.d))
-        c0 = complex(self.coeffs.get(zero, 0.0)).real
-        rest = [(k, v) for k, v in self.coeffs.items() if k != zero]
-        if rest:
-            omegas = np.array([k for k, _ in rest], dtype=float)
-            cs = np.array([v for _, v in rest], dtype=complex)
-        else:
-            omegas = np.zeros((0, self.d))
-            cs = np.zeros(0, dtype=complex)
-        return c0, omegas, cs
+    def _zero_mask(self) -> np.ndarray:
+        return ~self.freqs.any(axis=1)
 
     def evaluate(self, X) -> np.ndarray:
         """Pointwise values at rows of ``X`` (shape ``(n, d)`` or ``(d,)``)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        c0, omegas, cs = self._split()
-        vals = np.full(X.shape[0], c0)
-        if omegas.shape[0]:
-            ang = X @ omegas.T
+        zero = self._zero_mask()
+        vals = np.full(X.shape[0], float(self.c.real[zero].sum()))
+        if not zero.all():
+            cs = self.c[~zero]
+            ang = X @ self.freqs[~zero].T
             vals = vals + 2.0 * (np.cos(ang) @ cs.real - np.sin(ang) @ cs.imag)
         return vals
 
@@ -203,24 +241,36 @@ class TrigPolynomial:
         return self._combine(other, 1.0)
 
     def _combine(self, other: "TrigPolynomial", sign: float) -> "TrigPolynomial":
+        """Terms of ``self`` in order, then the new terms of ``other``;
+        terms that cancel are dropped.  The result is attached to a lattice
+        when both operands are."""
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + sign * v
-        out = {k: v for k, v in out.items() if v != 0}
-        fs = self.freq_set if self.freq_set is not None else other.freq_set
-        return TrigPolynomial(fs, out, self.d)
+        freqs = np.concatenate([self.freqs, other.freqs])
+        _, first, inverse = np.unique(freqs, axis=0, return_index=True, return_inverse=True)
+        # each distinct frequency's slot is the order of its first appearance
+        order = np.argsort(first)
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        pos = slot[inverse.ravel()]
+        c = np.zeros(order.size, dtype=complex)
+        c[pos[: self.c.size]] = self.c
+        c[pos[self.c.size :]] += sign * other.c
+        keep = c != 0
+        take = first[order][keep]
+        if self.freq_set is None or self.freq_set is not other.freq_set:
+            return TrigPolynomial(None, freqs[take], c[keep])
+        rows = np.concatenate([self.rows, other.rows])[take]
+        return TrigPolynomial(self.freq_set, freqs[take], c[keep], rows)
 
     def scaled(self, factor: float) -> "TrigPolynomial":
-        return TrigPolynomial(
-            self.freq_set, {k: factor * v for k, v in self.coeffs.items()}, self.d
-        )
+        return TrigPolynomial(self.freq_set, self.freqs, factor * self.c, self.rows)
 
     def to_json(self) -> dict:
+        order = np.lexsort(self.freqs.T[::-1])
         terms = [
-            {"omega": [float(v) for v in k], "re": float(c.real), "im": float(c.imag)}
-            for k, c in sorted(self.coeffs.items())
+            {"omega": omega, "re": float(c.real), "im": float(c.imag)}
+            for omega, c in zip(self.freqs[order].tolist(), self.c[order].tolist())
         ]
         return {"d": self.d, "terms": terms}
 
@@ -234,7 +284,7 @@ class TrigPolynomial:
                 raise ValueError("term dimension mismatch in function document")
             mapping[omega] = complex(float(term["re"]), float(term["im"]))
         if not mapping:
-            return cls(fs, {}, fs.d if fs is not None else d)
+            return cls.zero(fs, d)
         return cls.from_half_coeffs(fs, mapping)
 
 
@@ -266,32 +316,20 @@ def to_real_form(f: TrigPolynomial) -> RealFourierForm:
     if fs is None:
         raise ValueError("real form needs a materialized frequency set")
     fs.require_materialized()
-    m = fs.size
-    a = np.zeros(m - 1)
-    b = np.zeros(m - 1)
-    zero = tuple(0.0 for _ in range(f.d))
-    c0 = 0.0
-    for key, c in f.coeffs.items():
-        if key == zero:
-            c0 = c.real
-            continue
-        i = fs.position(np.asarray(key))
-        a[i - 1] = 2.0 * c.real
-        b[i - 1] = -2.0 * c.imag
-    return RealFourierForm(fs, c0, a, b)
+    a = np.zeros(fs.size - 1)
+    b = np.zeros(fs.size - 1)
+    zero = f.rows == 0
+    a[f.rows[~zero] - 1] = 2.0 * f.c.real[~zero]
+    b[f.rows[~zero] - 1] = -2.0 * f.c.imag[~zero]
+    return RealFourierForm(fs, float(f.c.real[zero].sum()), a, b)
 
 
 def from_real_form(form: RealFourierForm) -> TrigPolynomial:
     fs = form.freq_set
-    mapping: dict[tuple, complex] = {}
-    zero = tuple(0.0 for _ in range(fs.d))
-    if form.c0 != 0.0:
-        mapping[zero] = complex(form.c0)
-    for i in range(1, fs.size):
-        aa, bb = form.a[i - 1], form.b[i - 1]
-        if aa != 0.0 or bb != 0.0:
-            mapping[tuple(fs.half[i])] = complex(aa / 2.0, -bb / 2.0)
-    return TrigPolynomial.from_half_coeffs(fs, mapping)
+    c = np.empty(fs.size, dtype=complex)
+    c.real = np.concatenate([[form.c0], form.a / 2.0])
+    c.imag = np.concatenate([[0.0], -form.b / 2.0])
+    return TrigPolynomial.on_rows(fs, np.arange(fs.size), c)
 
 
 def feature_map_eval(x, fs: FrequencySet, w: WeightVector) -> np.ndarray:
@@ -406,21 +444,18 @@ def rkhs_norm(f: TrigPolynomial, w: WeightVector) -> float:
 
 def fhat_l2_sq(f: TrigPolynomial) -> float:
     """Squared 2-norm of the full coefficient vector over the mirror lattice."""
-    zero = tuple(0.0 for _ in range(f.d))
-    total = 0.0
-    for key, c in f.coeffs.items():
-        mag = abs(c) ** 2
-        total += mag if key == zero else 2.0 * mag
-    return total
+    return float(np.sum(_mirror_weight(f) * np.abs(f.c) ** 2))
 
 
 def coeff_sup_bound(f: TrigPolynomial) -> float:
     """|c_0| + 2 sum |c_w|: a rigorous sup-norm bound for the polynomial."""
-    zero = tuple(0.0 for _ in range(f.d))
-    total = 0.0
-    for key, c in f.coeffs.items():
-        total += abs(c) if key == zero else 2.0 * abs(c)
-    return total
+    return float(np.sum(_mirror_weight(f) * np.abs(f.c)))
+
+
+def _mirror_weight(f: TrigPolynomial) -> np.ndarray:
+    """Terms per stored coefficient over the full lattice: 1 at the zero
+    frequency, 2 (the coefficient and its mirror) elsewhere."""
+    return np.where(f._zero_mask(), 1.0, 2.0)
 
 
 def l2_norm_sq(f: TrigPolynomial) -> float:
@@ -448,14 +483,9 @@ def apply_integral_operator(f: TrigPolynomial, p) -> TrigPolynomial:
     p = np.asarray(p, dtype=float)
     if p.size != fs.size:
         raise ValueError("probability vector length does not match the canonical half")
-    zero = tuple(0.0 for _ in range(f.d))
-    out = {}
-    for key, c in f.coeffs.items():
-        if key == zero:
-            out[key] = c * p[0]
-        else:
-            out[key] = c * (p[fs.position(np.asarray(key))] / 2.0)
-    return TrigPolynomial(fs, {k: v for k, v in out.items() if v != 0}, f.d)
+    scale = p[f.rows] / 2.0
+    scale[f.rows == 0] = p[0]
+    return TrigPolynomial.on_rows(fs, f.rows, f.c * scale)
 
 
 def reweighted_hyperplane(v, fs: FrequencySet, w: WeightVector) -> np.ndarray:

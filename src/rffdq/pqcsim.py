@@ -408,9 +408,8 @@ def extract_trig_polynomial(
             f"{complex(cpos[i])} vs conj({complex(cneg[i])})"
         )
     cval = 0.5 * (cpos + np.conj(cneg))
-    keep = np.abs(cval) > 1e-14
-    half = {tuple(float(v) for v in row): complex(cv) for row, cv in zip(fs.half[keep], cval[keep])}
-    return TrigPolynomial.from_half_coeffs(fs, half)
+    keep = np.flatnonzero(np.abs(cval) > 1e-14)
+    return TrigPolynomial.on_rows(fs, keep, cval[keep])
 
 
 def circuit_from_json(doc: dict) -> tuple[Circuit, Observable]:

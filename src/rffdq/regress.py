@@ -402,8 +402,7 @@ def model_spectrum(model: _Model) -> TrigPolynomial:
         p = distribution_of(model.weights)
         c = 0.5 * p * (model.alpha @ np.exp(-1j * (model.X_train @ fs.half.T)))
         c[0] = p[0] * float(np.sum(model.alpha))
-        keys = [tuple(row) for row in fs.half]
-        return TrigPolynomial(fs, {k: v for k, v in zip(keys, c) if v != 0}, fs.d)
+        return TrigPolynomial.on_rows(fs, np.arange(fs.size), c)
     u = reweighted_hyperplane(model.v, fs, model.weights) / math.sqrt(fs.size)
     return from_real_form(RealFourierForm(fs, float(u[0]), u[1::2], u[2::2]))
 
@@ -425,7 +424,7 @@ def true_risk_estimate(
     standard error.
     """
     g = model_spectrum(model)
-    if is_integer_valued(list(target.coeffs) + list(g.coeffs)):
+    if is_integer_valued(np.concatenate([target.freqs, g.freqs])):
         return RiskEstimate(float(fhat_l2_sq(target - g)) + noise_var, 0.0, "exact")
     d = target.d
     gen = rng if isinstance(rng, np.random.Generator) else np.random.Generator(
@@ -455,5 +454,5 @@ def rff_model_spectrum(model: RffModel, fs: FrequencySet | None = None) -> TrigP
     amp = np.where(~np.any(freqs, axis=1)[inverse], 2.0 * amp.real, amp)
     coeffs = np.zeros(freqs.shape[0], dtype=complex)
     np.add.at(coeffs, inverse, amp)
-    acc = {tuple(freqs[i]): coeffs[i] for i in np.argsort(first) if coeffs[i] != 0}
-    return TrigPolynomial.from_half_coeffs(fs, acc) if acc else TrigPolynomial(fs, {}, freqs.shape[1])
+    order = np.argsort(first)
+    return TrigPolynomial.from_half_arrays(fs, freqs[order], coeffs[order])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
+from rffdq import freqcore, kernelmap
+from rffdq.freqcore import EncodingStrategy, FrequencySet, HamiltonianSpectrum, build_frequency_set
 
 
 def pauli_half_encoding(L_per_dim):
@@ -9,6 +10,18 @@ def pauli_half_encoding(L_per_dim):
     {-L_j..L_j} along dimension j."""
     half = HamiltonianSpectrum((-0.5, 0.5))
     return EncodingStrategy(tuple(tuple(half for _ in range(L)) for L in L_per_dim))
+
+
+def forbid_per_key_lookups(monkeypatch):
+    """Make the one-frequency lattice lookups raise, so that a run which
+    still matches frequencies one at a time fails."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-key lattice lookup")
+
+    monkeypatch.setattr(FrequencySet, "snap", forbidden)
+    for module in (freqcore, kernelmap):
+        monkeypatch.setattr(module, "canonical_fold", forbidden)
 
 
 @pytest.fixture

@@ -339,3 +339,69 @@ def chi_square_pvalue(counts, probs):
         return 1.0
     stat, p = scipy.stats.chisquare(merged_c, merged_e)
     return float(p)
+
+
+class DictPolynomial:
+    """The dict-backed trigonometric polynomial the array version replaced:
+    ``coeffs`` maps canonical frequency tuples to complex coefficients in
+    insertion order, and every operation is a loop over its items."""
+
+    def __init__(self, coeffs, d):
+        self.coeffs = coeffs
+        self.d = d
+
+    @classmethod
+    def from_half_coeffs(cls, fs, mapping):
+        """Keys on the lattice (snapped per key when ``fs`` is given) or
+        standalone (components within 1e-12 of zero become +0.0); zero
+        coefficients are dropped."""
+        d = fs.d if fs is not None else len(next(iter(mapping)))
+        coeffs = {}
+        for omega, c in mapping.items():
+            if fs is not None:
+                key = fs.snap(omega)
+            else:
+                key = tuple(0.0 if abs(v) <= 1e-12 else float(v) for v in omega)
+            assert oracle_is_canonical(key) and key not in coeffs
+            c = complex(c)
+            if not any(key):
+                c = complex(c.real, 0.0)
+            if c != 0:
+                coeffs[key] = c
+        return cls(coeffs, d)
+
+    def evaluate(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        zero = tuple(0.0 for _ in range(self.d))
+        vals = np.full(X.shape[0], complex(self.coeffs.get(zero, 0.0)).real)
+        rest = [(k, v) for k, v in self.coeffs.items() if k != zero]
+        if rest:
+            omegas = np.array([k for k, _ in rest], dtype=float)
+            cs = np.array([v for _, v in rest], dtype=complex)
+            ang = X @ omegas.T
+            vals = vals + 2.0 * (np.cos(ang) @ cs.real - np.sin(ang) @ cs.imag)
+        return vals
+
+    def combine(self, other, sign):
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0.0) + sign * v
+        return DictPolynomial({k: v for k, v in out.items() if v != 0}, self.d)
+
+    def scaled(self, factor):
+        return DictPolynomial({k: factor * v for k, v in self.coeffs.items()}, self.d)
+
+    def fhat_l2_sq(self):
+        zero = tuple(0.0 for _ in range(self.d))
+        return sum(abs(c) ** 2 * (1.0 if k == zero else 2.0) for k, c in self.coeffs.items())
+
+    def coeff_sup_bound(self):
+        zero = tuple(0.0 for _ in range(self.d))
+        return sum(abs(c) * (1.0 if k == zero else 2.0) for k, c in self.coeffs.items())
+
+    def to_json(self):
+        terms = [
+            {"omega": [float(v) for v in k], "re": float(c.real), "im": float(c.imag)}
+            for k, c in sorted(self.coeffs.items())
+        ]
+        return {"d": self.d, "terms": terms}

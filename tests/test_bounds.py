@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pauli_half_encoding
+from conftest import forbid_per_key_lookups, pauli_half_encoding
 from oracles import mp_sufficient_counts
 from rffdq.bounds import (
     alignment,
@@ -17,6 +17,7 @@ from rffdq.errors import NonIntegerFrequencyError
 from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
 from rffdq.freqsample import (
     ExplicitDistribution,
+    MpsDistribution,
     ProductDistribution,
     SeededRng,
     uniform_distribution,
@@ -220,6 +221,36 @@ class TestFeasibility:
         assert doc["verdict"] == rep.verdict
         text = rep.render_text()
         assert "verdict" in text and "p_max" in text
+
+
+class TestFeasibilityWithoutPerKeyLookups:
+    def test_reports_unchanged(self, monkeypatch):
+        fs = build_frequency_set(pauli_half_encoding([2, 1, 1]))
+        rng = np.random.default_rng(8)
+        rows = np.sort(rng.choice(fs.size, size=6, replace=False))
+        c = rng.uniform(-0.5, 0.5, 6) + 1j * np.where(rows == 0, 0.0, rng.uniform(-0.5, 0.5, 6))
+        f = TrigPolynomial.on_rows(fs, rows, c)
+
+        def dists():
+            per_dim = [np.full(g.size, 1.0 / g.size) for g in fs.per_dimension_freqs]
+            cores = [rng.uniform(0.1, 1.0, (1, 5, 2)), rng.uniform(0.1, 1.0, (2, 3, 2)),
+                     rng.uniform(0.1, 1.0, (2, 3, 1))]
+            return [
+                uniform_distribution(fs),
+                ProductDistribution(fs, per_dim),
+                MpsDistribution(fs, cores),
+                ExplicitDistribution(fs, fs.half[rows[-2:]], [0.5, 0.5]),
+            ]
+
+        state = rng.bit_generator.state
+        want = [feasibility_report(d, f_hat=f).to_json() for d in dists()]
+        forbid_per_key_lookups(monkeypatch)
+        rng.bit_generator.state = state
+        got = [feasibility_report(d, f_hat=f).to_json() for d in dists()]
+        assert got == want
+        assert [r["verdict"] for r in got] == [
+            "LOWER-BOUND-BLOCKS", "LOWER-BOUND-BLOCKS", "SUFFICIENT-BOUND-POLY", "INCONCLUSIVE"
+        ]
 
 
 class TestFeasibilityLazyLattice:

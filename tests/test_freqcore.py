@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pauli_half_encoding
-from oracles import oracle_component_set, oracle_half, random_dyadic_encoding
+from oracles import (
+    oracle_component_set,
+    oracle_full_lattice,
+    oracle_half,
+    random_dyadic_encoding,
+)
 from rffdq.errors import CapacityError, ConfigError
 from rffdq.freqcore import (
     EncodingStrategy,
@@ -75,7 +80,8 @@ class TestBuildFrequencySet:
     def test_zero_vector_first_and_index_bijective(self):
         fs = build_frequency_set(pauli_half_encoding([2, 1]))
         assert np.all(fs.half[0] == 0.0)
-        assert sorted(fs.index.values()) == list(range(fs.size))
+        assert fs.codes.size == fs.size and np.all(np.diff(fs.codes) > 0)
+        assert fs.half_rows(fs.locate(fs.half)).tolist() == list(range(fs.size))
         for i, row in enumerate(fs.half):
             assert fs.position(row) == i
 
@@ -121,6 +127,61 @@ class TestBuildFrequencySet:
             fs_2d.snap((0.5, 0.0))
         with pytest.raises(ValueError):
             fs_2d.position((0.0, -1.0))  # non-canonical
+
+
+class TestLocate:
+    def test_codes_are_row_major_positions(self):
+        for seed in range(10):
+            enc = random_dyadic_encoding(np.random.default_rng(3000 + seed))
+            fs = build_frequency_set(enc)
+            full = oracle_full_lattice([f.tolist() for f in fs.per_dimension_freqs])
+            idx = fs.locate(np.array(full))
+            assert fs.code(idx).tolist() == list(range(fs.full_size))
+            assert np.array_equal(fs.at(idx), np.array(full))
+            # the half's codes ascend, and each point's row is its position
+            assert [full[k] for k in fs.codes.tolist()] == oracle_half(
+                [f.tolist() for f in fs.per_dimension_freqs]
+            )
+            assert fs.half_rows(fs.locate(fs.half)).tolist() == list(range(fs.size))
+
+    def test_tolerance_edges(self):
+        fs = build_frequency_set(pauli_half_encoding([2, 1]))
+        near = np.array([[2.0 + 0.9e-9, -1.0 - 0.9e-9], [-2.0 - 0.9e-9, 0.9e-9]])
+        assert fs.locate(near).tolist() == [[4, 0], [0, 1]]
+        assert fs.snap(near[0]) == (2.0, -1.0)
+        for bad, dim in (((2.0 + 1.1e-9, 0.0), 1), ((0.0, -1.0 - 1.1e-9), 2)):
+            with pytest.raises(ValueError, match=f"not in lattice dimension {dim}"):
+                fs.locate(np.array([bad]))
+        # a component halfway between two lattice points matches neither
+        with pytest.raises(ValueError, match="not in lattice dimension 1"):
+            fs.locate(np.array([[0.5, 0.0]]))
+        with pytest.raises(ValueError, match="must have length 2"):
+            fs.locate(np.zeros((1, 3)))
+
+    def test_non_canonical_and_off_lattice_rows(self):
+        fs = build_frequency_set(pauli_half_encoding([2, 1]))
+        rows = np.array([[0.0, 0.0], [0.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [0.0, 1.0]])
+        got = fs.half_rows(fs.locate(rows))
+        assert got.tolist() == [0, -1, -1, fs.position((1.0, -1.0)), fs.position((0.0, 1.0))]
+        with pytest.raises(ValueError, match="not in the canonical half"):
+            fs.position((-1.0, 1.0))
+        with pytest.raises(ValueError, match="not in lattice dimension 2"):
+            fs.position((1.0, 3.0))
+
+    def test_lazy_lattice(self):
+        fs = build_frequency_set(pauli_half_encoding([2, 1]), materialize=False)
+        eager = build_frequency_set(pauli_half_encoding([2, 1]))
+        idx = fs.locate(eager.half)
+        assert np.array_equal(fs.code(idx), eager.codes)
+        assert fs.snap((-2.0, 1.0 + 1e-10)) == (-2.0, 1.0)
+        with pytest.raises(CapacityError):
+            fs.half_rows(idx)
+        # past int64 the codes are Python integers and stay exact
+        huge = build_frequency_set(pauli_half_encoding([4] * 20), materialize=False)
+        assert huge.full_size > 2**63
+        rows = np.array([np.full(20, 4.0), np.full(20, -4.0), np.eye(20)[0] * 4.0])
+        want = [9**20 - 1, 0, 8 * 9**19 + sum(4 * 9**k for k in range(19))]
+        assert huge.code(huge.locate(rows)).tolist() == want
 
 
 class TestCanonicalFold:

@@ -74,11 +74,18 @@ class TestPmf:
             p = rng.uniform(0.05, 1.0, f.size)
             per_dim.append(p / p.sum())
         dist = ProductDistribution(fs_2d, per_dim)
+
+        def tilde(point):
+            out = 1.0
+            for pj, f, v in zip(per_dim, fs_2d.per_dimension_freqs, point):
+                out *= pj[f.tolist().index(v)]
+            return out
+
         for row in fs_2d.half:
-            tilde = dist.tilde_pmf(row)
+            want = tilde(row)
             if np.any(row != 0.0):
-                tilde += dist.tilde_pmf(-row)
-            assert dist.pmf(row) == pytest.approx(tilde, abs=1e-15)
+                want += tilde(-row)
+            assert dist.pmf(row) == pytest.approx(want, abs=1e-15)
 
     @pytest.mark.parametrize("kind", ["explicit", "product", "mps"])
     def test_total_mass_one(self, kind, fs_2d, rng):
@@ -119,16 +126,25 @@ class TestPmfVector:
         dist = ProductDistribution(fs, [np.array([0.2, 0.5, 0.3]), np.array([1.0])])
         assert np.array_equal(dist.pmf_vector(), [0.5, 0.2 + 0.3])
 
+    def test_batched_pmf_matches_pointwise(self, fs_2d, rng):
+        for kind in ("explicit", "product", "mps"):
+            dist = _random_dist(kind, fs_2d, rng)
+            got = dist.pmf(fs_2d.half)
+            assert got.tolist() == [dist.pmf(row) for row in fs_2d.half]
+            assert got.tolist() == dist.pmf_vector().tolist()
+
     def test_off_lattice_component_raises(self, fs_2d):
         dist = _random_dist("mps", fs_2d, np.random.default_rng(0))
         # within the 1e-9 tolerance a component snaps to its lattice point,
         # from either side, as the per-point pmf does
         near = np.array([[1.0 + 5e-10, -1e-10], [-1.0 - 5e-10, 5e-10]])
-        assert dist._lattice_indices(near).tolist() == [[2, 1], [0, 1]]
+        assert fs_2d.locate(near).tolist() == [[2, 1], [0, 1]]
         with pytest.raises(ValueError, match="not in lattice dimension 1"):
-            dist._lattice_indices(np.array([[0.5, 0.0]]))
+            fs_2d.locate(np.array([[0.5, 0.0]]))
         with pytest.raises(ValueError, match="not in lattice dimension 2"):
-            dist._lattice_indices(np.array([[1.0, 0.0], [0.0, -1.5]]))
+            fs_2d.locate(np.array([[1.0, 0.0], [0.0, -1.5]]))
+        with pytest.raises(ValueError, match="not in lattice dimension 1"):
+            dist.pmf(np.array([[1.0, 0.0], [0.5, 0.0]]))
 
 
 def _random_dist(kind, fs, rng):
@@ -250,7 +266,8 @@ class TestMps:
         for k1 in range(3):
             for k2 in range(3):
                 point = (freqs[k1], fs_2d.per_dimension_freqs[1][k2])
-                assert mps.tilde_pmf(point) == pytest.approx(joint[k1, k2] / total)
+                got = mps._tilde(fs_2d.locate([point]))[0]
+                assert got == pytest.approx(joint[k1, k2] / total)
 
     def test_uniform_cores_give_uniform_marginal(self, fs_2d):
         cores = [np.ones((1, 3, 2)), np.ones((2, 3, 1))]
@@ -317,6 +334,31 @@ class TestExplicit:
         dist = ExplicitDistribution(fs_1d_5, [(1.0,), (3.0,)], [0.25, 0.75])
         assert dist.pmf((2.0,)) == 0.0
         assert dist.p_max().value == 0.75
+
+    def test_support_snaps_before_the_canonical_check(self, fs_2d):
+        # (5e-10, -1) snaps to the non-canonical (0, -1); (-5e-10, 1) to (0, 1)
+        with pytest.raises(ConfigError, match="not canonical"):
+            ExplicitDistribution(fs_2d, [(5e-10, -1.0)], [1.0])
+        dist = ExplicitDistribution(fs_2d, [(-5e-10, 1.0), (1.0, 1.0)], [0.25, 0.75])
+        assert dist.support.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+        assert dist.pmf((0.0, 1.0)) == 0.25 and dist.pmf((-5e-10, 1.0)) == 0.25
+        want = [0.25 if tuple(r) == (0.0, 1.0) else 0.75 if tuple(r) == (1.0, 1.0) else 0.0
+                for r in fs_2d.half]
+        assert dist.pmf_vector().tolist() == want
+        with pytest.raises(ValueError, match="not canonical"):
+            dist.pmf((5e-10, -1.0))
+
+    def test_lazy_lattice_beyond_int64(self):
+        # 9^20 > 2^63 points: support lookups go by exact integer codes
+        fs = build_frequency_set(pauli_half_encoding([4] * 20), materialize=False)
+        top = np.full((1, 20), 4.0)
+        point = np.zeros(20)
+        point[3], point[19] = 1.0, -2.0
+        dist = ExplicitDistribution(fs, [top[0], point], [0.4, 0.6])
+        assert dist.pmf(point) == 0.6 and dist.pmf(top[0]) == 0.4
+        point[19] = 2.0
+        assert dist.pmf(point) == 0.0
+        assert dist.pmf(np.stack([top[0], point, np.zeros(20)])).tolist() == [0.4, 0.0, 0.0]
 
     def test_from_weights(self, fs_1d_5):
         w = WeightVector(np.array([0.0, 1.0, 0.0, 2.0, 0.0]))

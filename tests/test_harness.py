@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import forbid_per_key_lookups
 from rffdq.errors import ConfigError
 from rffdq.harness import (
     ProblemSpec,
@@ -234,6 +235,28 @@ class TestRunSweep:
         doc = sweep_doc(problem=random_target)
         rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
         assert len(rows) == 15 and len(calls) == 15
+
+    def test_no_per_key_lookups(self, tmp_path, monkeypatch):
+        # a circuit target attached to the sweep's lattice in one lookup,
+        # and random targets, product sampling and the KRR oracle per cell
+        random_target = problem_doc(target={"kind": "random", "support_size": 3}, n=40)
+        docs = [
+            circuit_sweep_doc(),
+            sweep_doc(
+                problem=random_target,
+                dist={"kind": "product", "per_dim": [[0.1, 0.2, 0.4, 0.2, 0.1]]},
+                axes={"M": [4, 16], "n": [40], "lambda": [1e-3], "seeds": [0, 1]},
+            ),
+        ]
+        want = []
+        for i, doc in enumerate(docs):
+            run_sweep(SweepConfig.from_json(doc), str(tmp_path / f"want{i}.csv"))
+            want.append((tmp_path / f"want{i}.csv").read_bytes())
+        forbid_per_key_lookups(monkeypatch)
+        for i, doc in enumerate(docs):
+            rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / f"got{i}.csv"))
+            assert len(rows) == 4 and all(row["error"] == "" for row in rows)
+            assert (tmp_path / f"got{i}.csv").read_bytes() == want[i]
 
     def test_circuit_target_failure_recorded_in_every_row(self, tmp_path):
         doc = circuit_sweep_doc(scale=0.3)

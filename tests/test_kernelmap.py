@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import pauli_half_encoding
 from oracles import (
+    DictPolynomial,
     quadrature_apply_operator,
     quadrature_l2_norm_sq,
     quadrature_top_singular_value,
@@ -18,6 +19,7 @@ from rffdq.kernelmap import (
     TrigPolynomial,
     WeightVector,
     apply_integral_operator,
+    coeff_sup_bound,
     distribution_of,
     feature_map_eval,
     feature_matrix,
@@ -421,3 +423,88 @@ class TestRkhsKernelSectionIdentity:
         }
         f = TrigPolynomial.from_half_coeffs(fs_1d_5, half)
         assert rkhs_norm(f, w) == pytest.approx(want, abs=1e-10)
+
+
+class TestSnapBeforeFold:
+    # (5e-10, -1) is the non-canonical lattice point (0, -1) once snapped;
+    # (-5e-10, 1) is the canonical (0, 1)
+
+    def test_near_zero_component_snaps_before_the_canonical_check(self, fs_2d):
+        with pytest.raises(ValueError, match="not canonical"):
+            TrigPolynomial.from_half_coeffs(fs_2d, {(5e-10, -1.0): complex(0.3, 0.4)})
+        f = TrigPolynomial.from_half_coeffs(fs_2d, {(-5e-10, 1.0): complex(0.3, 0.4)})
+        g = TrigPolynomial.from_half_coeffs(fs_2d, {(0.0, 1.0): complex(0.3, 0.4)})
+        assert list(f.coeffs) == [(0.0, 1.0)] and f.rows.tolist() == g.rows.tolist()
+        assert fhat_l2_sq(f - g) == 0.0
+        assert to_real_form(f).b.tolist() == to_real_form(g).b.tolist()
+        assert f.coeff((5e-10, -1.0)) == complex(0.3, -0.4)
+        full = TrigPolynomial.from_full_coeffs(
+            fs_2d, {(5e-10, -1.0): complex(0.3, -0.4), (-5e-10, 1.0): complex(0.3, 0.4)}
+        )
+        assert full.coeffs == g.coeffs
+
+
+_ALGEBRA_FS = build_frequency_set(pauli_half_encoding([2, 1]))
+_COEF = st.sampled_from([0.0, 0.5, -0.25, 1.0]) | st.floats(-2, 2, allow_nan=False)
+
+
+@st.composite
+def _term_maps(draw, min_size=0):
+    """{canonical key: coefficient} over rows of the lattice, zero
+    components written as +0.0 or -0.0, the zero frequency real."""
+    rows = draw(st.lists(st.integers(0, _ALGEBRA_FS.size - 1), unique=True, min_size=min_size))
+    mapping = {}
+    for r in rows:
+        key = tuple(
+            -0.0 if v == 0.0 and draw(st.booleans()) else float(v) for v in _ALGEBRA_FS.half[r]
+        )
+        mapping[key] = complex(draw(_COEF), 0.0 if r == 0 else draw(_COEF))
+    return mapping
+
+
+@st.composite
+def _map_pairs(draw):
+    f, g = draw(_term_maps(min_size=1)), draw(_term_maps(min_size=1))
+    # equal coefficients at shared frequencies cancel in f - g
+    for key in draw(st.lists(st.sampled_from(list(f)), unique=True)):
+        g[key] = f[key]
+    return f, g
+
+
+_X = np.random.default_rng(11).uniform(0, 2 * np.pi, (13, 2))
+
+
+def _check_against_reference(got, want):
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    # stored zero components are +0.0 whatever the key said
+    assert not np.any(np.signbit(got.freqs[got.freqs == 0.0]))
+    if got.freq_set is not None:
+        assert np.array_equal(got.freq_set.half[got.rows], got.freqs)
+    assert np.allclose(got.evaluate(_X), want.evaluate(_X), rtol=0, atol=1e-12)
+    assert fhat_l2_sq(got) == pytest.approx(want.fhat_l2_sq(), rel=1e-13, abs=0)
+    assert coeff_sup_bound(got) == pytest.approx(want.coeff_sup_bound(), rel=1e-13, abs=0)
+    assert got.to_json() == want.to_json()
+
+
+class TestArrayPolynomialMatchesDictReference:
+    """The array-backed polynomial against the dict operations it replaced
+    (``oracles.DictPolynomial``), attached and standalone."""
+
+    @given(pair=_map_pairs(), attach=st.sampled_from([(1, 1), (1, 0), (0, 1), (0, 0)]),
+           factor=st.sampled_from([0.0, -1.0, 0.3]))
+    @settings(max_examples=150, deadline=None)
+    def test_operations(self, pair, attach, factor):
+        polys = []
+        for mapping, attached in zip(pair, attach):
+            fs = _ALGEBRA_FS if attached else None
+            got = TrigPolynomial.from_half_coeffs(fs, mapping)
+            want = DictPolynomial.from_half_coeffs(fs, mapping)
+            assert (got.freq_set is None) != bool(attached)
+            _check_against_reference(got, want)
+            polys.append((got, want))
+        (f, rf), (g, rg) = polys
+        _check_against_reference(f + g, rf.combine(rg, 1.0))
+        _check_against_reference(f - g, rf.combine(rg, -1.0))
+        _check_against_reference(f.scaled(factor), rf.scaled(factor))
+        # the result keeps a lattice both operands are attached to
+        assert (f - g).freq_set is (_ALGEBRA_FS if all(attach) else None)
