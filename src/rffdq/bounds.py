@@ -32,11 +32,10 @@ from .kernelmap import (
     TrigPolynomial,
     coeff_sup_bound,
     fhat_l2_sq,
-    l2_norm_sq,
     rkhs_norm,
     weights_of,
 )
-from .regress import Dataset, rff_fit, rff_model_spectrum
+from .regress import Dataset, rff_fit, true_risk_estimate
 
 
 @dataclass
@@ -145,6 +144,13 @@ def alignment(f_hat: TrigPolynomial, dist: FrequencyDistribution) -> float:
     return float(np.abs(f_hat.c) ** 2 @ dist.pmf(f_hat.freqs))
 
 
+def _require_integer_lattice(dist: FrequencyDistribution):
+    if not dist.fs.is_integer:
+        raise NonIntegerFrequencyError(
+            "the average-error lower bound assumes an integer frequency lattice"
+        )
+
+
 def required_sample_counts(
     f_hat: TrigPolynomial, dist: FrequencyDistribution, eps_hat: float
 ) -> LowerBoundReport:
@@ -157,10 +163,7 @@ def _required_sample_counts(
     f_hat: TrigPolynomial, dist: FrequencyDistribution, eps_hat: float, pm: PMax | None
 ) -> LowerBoundReport:
     """``required_sample_counts`` with the distribution's p_max supplied."""
-    if not dist.fs.is_integer:
-        raise NonIntegerFrequencyError(
-            "the average-error lower bound assumes an integer frequency lattice"
-        )
+    _require_integer_lattice(dist)
     if eps_hat < 0:
         raise ValueError("eps_hat must be nonnegative")
     fh2 = fhat_l2_sq(f_hat)
@@ -350,6 +353,7 @@ def feasibility_report(
 
 def expected_error_floor(f_hat: TrigPolynomial, dist: FrequencyDistribution, M: int) -> float:
     """Right-hand side of the expected-error lower bound at sample count M."""
+    _require_integer_lattice(dist)
     scale = (2.0 * math.pi) ** f_hat.d
     return scale * fhat_l2_sq(f_hat) - scale * 2.0 * M * alignment(f_hat, dist)
 
@@ -368,9 +372,10 @@ def empirical_error_mean(
     Each trial owns its own rng stream: the dataset (uniform inputs,
     noiseless labels) and the feature draw both come from stream
     ``master.stream_for(t)``, so a trial does not depend on the others.
+    A trial's error is (2 pi)^d times its ``true_risk_estimate``: exact on
+    integer lattices, Monte Carlo on the trial's stream elsewhere.
     Returns (mean, stderr, per-trial errors).
     """
-    fs = dist.fs
     b_bound = coeff_sup_bound(f_star)
 
     def one_trial(t: int) -> float:
@@ -379,8 +384,8 @@ def empirical_error_mean(
         Y = f_star.evaluate(X)
         data = Dataset(X, Y, b_bound)
         model = rff_fit(data, dist, M, lam, gen)
-        g_spec = rff_model_spectrum(model, fs)
-        return l2_norm_sq(f_star - g_spec)
+        risk = true_risk_estimate(model, f_star, rng=gen).value
+        return (2.0 * math.pi) ** f_star.d * risk
 
     errs = np.asarray([one_trial(t) for t in range(trials)])
     mean = float(np.mean(errs))

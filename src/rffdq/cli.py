@@ -11,6 +11,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,22 +41,27 @@ def _load_json(path):
 
 
 def _load_points(path: str, d: int) -> np.ndarray:
+    """Finite points of a CSV file, one per line; line 1 may be a header."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            cells = line.split(",")
-            if any(c.strip().lstrip("-").replace(".", "", 1)[:1].isalpha() for c in cells):
-                continue  # header line
-            rows.append([float(c) for c in cells])
+            try:
+                row = [float(c) for c in line.split(",")]
+            except ValueError:
+                if lineno == 1:
+                    continue  # header line
+                raise ConfigError(f"{path}, line {lineno}: not a number in {line!r}") from None
+            if len(row) != d:
+                raise ConfigError(f"{path}, line {lineno}: {len(row)} columns, expected {d}")
+            if not all(math.isfinite(v) for v in row):
+                raise ConfigError(f"{path}, line {lineno}: non-finite value in {line!r}")
+            rows.append(row)
     if not rows:
         raise ConfigError(f"no points found in {path}")
-    pts = np.asarray(rows, dtype=float)
-    if pts.shape[1] != d:
-        raise ConfigError(f"points in {path} have {pts.shape[1]} columns, expected {d}")
-    return pts
+    return np.asarray(rows, dtype=float)
 
 
 def _load_weights(args) -> tuple[EncodingStrategy, WeightVector]:

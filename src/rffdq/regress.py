@@ -1,8 +1,9 @@
-"""Closed-form ridge solvers: explicit-feature, kernel, and random-feature.
+"""Closed-form ridge fits: explicit-feature, kernel, and random-feature.
 
-All three minimize the same 2-norm-regularized empirical quadratic risk and
-use the ``lambda * n`` convention inside the regularized system, so a given
-lambda means the same thing across solvers and feature counts (the 1/sqrt(M)
+All three solve one 2-norm-regularized least-squares problem in
+``linear_ridge_fit`` (kernel ridge with K_w is ridge on phi_w), with the
+``lambda * n`` convention inside the regularized system, so a given lambda
+means the same thing across models and feature counts (the 1/sqrt(M)
 normalization lives in the random feature matrix).
 """
 
@@ -22,11 +23,9 @@ from .kernelmap import (
     RealFourierForm,
     TrigPolynomial,
     WeightVector,
-    distribution_of,
     feature_matrix,
     fhat_l2_sq,
     from_real_form,
-    kernel_matrix,
     reweighted_hyperplane,
 )
 
@@ -239,36 +238,22 @@ class ExplicitLinearModel(_Model):
         }
 
 
-@dataclass
-class KrrModel(_Model):
-    """Dual-coefficient kernel ridge model for the re-weighted kernel."""
+@dataclass(kw_only=True)
+class KrrModel(ExplicitLinearModel):
+    """Kernel ridge model for K_w: dual coefficients alpha on the training
+    inputs, predicting through its hyperplane v = F(X_train)^T alpha over
+    phi_w, since K_w(x, x') = <phi_w(x), phi_w(x')>."""
 
-    encoding: EncodingStrategy
-    weights: WeightVector
     X_train: np.ndarray
     alpha: np.ndarray
-    lam: float
     variant: str = "krr"
-    _fs: FrequencySet | None = field(default=None, repr=False)
-
-    @property
-    def fs(self) -> FrequencySet:
-        if self._fs is None:
-            self._fs = build_frequency_set(self.encoding)
-        return self._fs
-
-    def predict(self, X) -> np.ndarray:
-        return kernel_matrix(X, self.X_train, self.fs, self.weights) @ self.alpha
 
     def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "lambda": float(self.lam),
-            "encoding": self.encoding.to_json(),
-            "weights": [float(x) for x in self.weights.weights],
-            "X": [[float(v) for v in row] for row in self.X_train],
-            "alpha": [float(x) for x in self.alpha],
-        }
+        doc = super().to_json()
+        del doc["v"]  # model_from_json rebuilds it from X and alpha
+        doc["X"] = [[float(v) for v in row] for row in self.X_train]
+        doc["alpha"] = [float(x) for x in self.alpha]
+        return doc
 
 
 @dataclass
@@ -296,21 +281,16 @@ class RffModel(_Model):
 def model_from_json(doc: dict) -> _Model:
     variant = doc.get("variant")
     lam = float(doc["lambda"])
-    if variant == "explicit":
-        return ExplicitLinearModel(
-            EncodingStrategy.from_json(doc["encoding"]),
-            WeightVector(np.asarray(doc["weights"], dtype=float)),
-            np.asarray(doc["v"], dtype=float),
-            lam,
-        )
-    if variant == "krr":
-        return KrrModel(
-            EncodingStrategy.from_json(doc["encoding"]),
-            WeightVector(np.asarray(doc["weights"], dtype=float)),
-            np.asarray(doc["X"], dtype=float),
-            np.asarray(doc["alpha"], dtype=float),
-            lam,
-        )
+    if variant in ("explicit", "krr"):
+        enc = EncodingStrategy.from_json(doc["encoding"])
+        w = WeightVector(np.asarray(doc["weights"], dtype=float))
+        if variant == "explicit":
+            return ExplicitLinearModel(enc, w, np.asarray(doc["v"], dtype=float), lam)
+        fs = build_frequency_set(enc)
+        X = np.asarray(doc["X"], dtype=float)
+        alpha = np.asarray(doc["alpha"], dtype=float)
+        v = feature_matrix(X, fs, w).T @ alpha
+        return KrrModel(enc, w, v, lam, _fs=fs, X_train=X, alpha=alpha)
     if variant == "rff":
         return RffModel(
             RffFeatureSet(
@@ -340,12 +320,20 @@ def explicit_ridge_fit(
 def kernel_ridge_fit(
     data: Dataset, enc: EncodingStrategy, fs: FrequencySet, w: WeightVector, lam: float
 ) -> KrrModel:
-    """Kernel ridge regression: alpha = (K + n lambda I)^{-1} Y."""
+    """Kernel ridge regression with K_w, solved as ridge on phi_w.
+
+    K_w(X, X) = F F^T for F = feature_matrix(X, fs, w), so the kernel ridge
+    predictor is the ridge hyperplane v over phi_w, and ``linear_ridge_fit``
+    takes the primal or the dual by shape.  The dual coefficients
+    alpha = (K + n lambda I)^{-1} Y follow exactly as (Y - F v)/(n lambda),
+    from the normal equations n lambda v = F^T (Y - F v).  The model keeps
+    F^T alpha as its hyperplane, the one its JSON document rebuilds.
+    """
     if lam <= 0:
         raise ValueError("kernel ridge regression needs lambda > 0")
-    K = kernel_matrix(data.X, data.X, fs, w)
-    alpha = _solve_spd(K + data.n * lam * np.eye(data.n), data.Y, allow_jitter=True)
-    return KrrModel(enc, w, data.X, alpha, lam, _fs=fs)
+    F = feature_matrix(data.X, fs, w)
+    alpha = (data.Y - F @ linear_ridge_fit(F, data.Y, lam)) / (data.n * lam)
+    return KrrModel(enc, w, F.T @ alpha, lam, _fs=fs, X_train=data.X, alpha=alpha)
 
 
 def rff_fit(data: Dataset, dist, M: int, lam, rng) -> RffModel:
@@ -392,17 +380,11 @@ class RiskEstimate(NamedTuple):
 
 def model_spectrum(model: _Model) -> TrigPolynomial:
     """Exact Fourier coefficients of a fitted model, on the model's own
-    frequencies (its lattice for explicit and KRR models)."""
+    frequencies: the lattice of a hyperplane over phi_w (explicit and KRR
+    models), the drawn frequencies of a random-feature model."""
     if isinstance(model, RffModel):
         return rff_model_spectrum(model)
     fs = model.fs
-    if isinstance(model, KrrModel):
-        # K(x, x_j) = sum_w p(w) cos<w, x - x_j>: the pair at +-w carries
-        # p(w)/2 sum_j alpha_j e^{-i<w, x_j>}, the constant p(0) sum_j alpha_j
-        p = distribution_of(model.weights)
-        c = 0.5 * p * (model.alpha @ np.exp(-1j * (model.X_train @ fs.half.T)))
-        c[0] = p[0] * float(np.sum(model.alpha))
-        return TrigPolynomial.on_rows(fs, np.arange(fs.size), c)
     u = reweighted_hyperplane(model.v, fs, model.weights) / math.sqrt(fs.size)
     return from_real_form(RealFourierForm(fs, float(u[0]), u[1::2], u[2::2]))
 

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum
+from rffdq.kernelmap import kernel_matrix
 from rffdq.pqcsim import Circuit, GateSpec, Observable
 
 
@@ -111,6 +112,13 @@ def rff_spectrum_by_feature(frequencies, phases, coef):
             amp = 2.0 * amp.real
         out[key] = out.get(key, 0.0) + amp
     return out
+
+
+def krr_alpha_by_gram(X, Y, fs, w, lam):
+    """Kernel ridge dual coefficients from the n x n Gram system
+    (K_w(X, X) + n lambda I) alpha = Y, solved densely by numpy."""
+    n = len(Y)
+    return np.linalg.solve(kernel_matrix(X, X, fs, w) + n * lam * np.eye(n), Y)
 
 
 def rkhs_norm_by_index(f, w):

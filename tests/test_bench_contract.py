@@ -1,0 +1,40 @@
+"""The benchmark's replay must keep matching the program.
+
+``perfbench/replay.py`` calls the program's public functions the way
+``run_cell`` and ``feasibility_report`` call them, and its import reads
+``true_risk_estimate``'s ``mc_points`` default.  A change to the program that
+breaks the replay fails here, not only in a benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import replay  # noqa: E402
+import run  # noqa: E402
+import studies  # noqa: E402
+from stats import Tracer, row_differences  # noqa: E402
+
+from rffdq import bounds, freqsample, harness  # noqa: E402
+
+
+@pytest.mark.parametrize("name", list(studies.WORKLOADS))
+def test_replay_matches_the_program(name, tmp_path):
+    doc = studies.study_config(studies.WORKLOADS[name], 1, 0)
+    doc["axes"] = {axis: values[:1] for axis, values in doc["axes"].items()}
+    config = harness.SweepConfig.from_json(doc)
+    want = harness.run_sweep(config, str(tmp_path / "program.csv"))
+    tr = Tracer()
+    got, _ = replay.replay_sweep(tr, config, str(tmp_path / "replay.csv"))
+    assert len(got) == len(want) == 1
+    assert row_differences(got[0], want[0]) == []
+    assert want[0]["error"] == ""
+
+    fs, target = run.study_target(config)
+    dist = freqsample.distribution_from_json(config.dist_doc, fs)
+    expected = replay.verdict_figures(bounds.feasibility_report(dist, f_hat=target))
+    figures = replay.replay_verdict(tr, dist, target)
+    assert expected and {key: figures.get(key) for key in expected} == expected

@@ -181,6 +181,24 @@ class TestEmpiricalErrorMean:
             rhs = expected_error_floor(f_star, dist, M)
             assert mean >= rhs - 3 * stderr
 
+    def test_error_off_integer_lattice_is_the_true_l2_error(self):
+        # lattice {0, +-0.6}: cos(0.6 x) is not orthogonal to 1 over [0, 2pi),
+        # so Parseval (pi here) is not its squared L2 norm
+        fs = build_frequency_set(EncodingStrategy.from_json({"dimensions": [[[-0.3, 0.3]]]}))
+        f_star = TrigPolynomial.from_half_coeffs(fs, {(0.6,): 0.5})
+        dist = uniform_distribution(fs)
+        # lambda = 1e6 shrinks the fitted model to ~0, so each trial's error
+        # is ||f*||^2 up to the Monte-Carlo error of its risk (~0.007)
+        mean, _, errs = empirical_error_mean(
+            f_star, dist, 1, n=50, lam=1e6, trials=3, master=SeededRng(4)
+        )
+        exact = 2 * math.pi * (0.5 + math.sin(2.4 * math.pi) / (4.8 * math.pi))
+        assert exact == pytest.approx(3.5379, abs=1e-4)
+        assert np.all(np.abs(errs - exact) <= 0.05)
+        assert len(set(errs.tolist())) == 3  # each trial draws its own points
+        with pytest.raises(NonIntegerFrequencyError):
+            expected_error_floor(f_star, dist, 1)
+
 
 class TestFeasibility:
     def test_concentrated_with_small_C(self, fs_1d_5, cos_target):

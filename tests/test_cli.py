@@ -82,6 +82,24 @@ class TestCommands:
         assert doc["values"][0] == pytest.approx(want)
         assert doc["values"][1] == pytest.approx(1.0)
 
+    def test_kernel_point_files(self, workdir, capsys):
+        args = ["kernel", "--encoding", workdir / "enc.json", "--weights", workdir / "w.json"]
+        (workdir / "xh.csv").write_text("x_1\n0.0\n\n1.0\n")
+        assert run(args + ["--x", workdir / "xh.csv", "--xprime", workdir / "xp.csv"]) == 0
+        with_header = json.loads(capsys.readouterr().out)
+        assert run(args + ["--x", workdir / "x.csv", "--xprime", workdir / "xp.csv"]) == 0
+        assert with_header == json.loads(capsys.readouterr().out)
+        # a non-finite row or a header past line 1 is an error, not a skipped line
+        for text, reason in [
+            ("x_1\n0.1\nnan\n0.3\ninf\n", "line 3: non-finite"),
+            ("0.1\n0.3\n-inf\n", "line 3: non-finite"),
+            ("0.1\nx_1\n0.3\n", "line 2: not a number"),
+            ("x_1\n0.1,0.2\n", "line 2: 2 columns, expected 1"),
+        ]:
+            (workdir / "bad.csv").write_text(text)
+            assert run(args + ["--x", workdir / "bad.csv", "--xprime", workdir / "bad.csv"]) == 2
+            assert reason in capsys.readouterr().err
+
     def test_rkhs_norm(self, workdir, capsys):
         assert run(
             ["rkhs-norm", "--function", workdir / "f.json", "--weights", workdir / "w.json",

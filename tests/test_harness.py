@@ -173,6 +173,22 @@ class TestRunSweep:
         run_sweep(SweepConfig.from_json(sweep_doc()), str(out))
         assert out.read_bytes() == blob
 
+    def test_krr_oracle_builds_no_gram_matrix(self, tmp_path, monkeypatch):
+        from rffdq import kernelmap, regress
+
+        # D = 5 features: the ridge is dual at n = 4 and primal at n = 40
+        doc = sweep_doc(axes={"M": [8], "n": [4, 40], "lambda": [1e-3], "seeds": [0, 1]})
+        want = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "want.csv"))
+        assert all(math.isfinite(row["krr_true_risk"]) for row in want)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("n x n Gram matrix")
+
+        for module in (kernelmap, regress):
+            monkeypatch.setattr(module, "kernel_matrix", forbidden, raising=False)
+        run_sweep(SweepConfig.from_json(doc), str(tmp_path / "got.csv"))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_incremental_emission(self, tmp_path, monkeypatch):
         # the file on disk must be a valid, growing prefix while cells run
         import rffdq.harness as hmod

@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import pauli_half_encoding
-from oracles import dft_coefficients, quadrature_l2_norm_sq, rff_spectrum_by_feature
+from oracles import (
+    dft_coefficients,
+    krr_alpha_by_gram,
+    quadrature_l2_norm_sq,
+    rff_spectrum_by_feature,
+)
 from rffdq.freqcore import EncodingStrategy, build_frequency_set
 from rffdq.freqsample import ExplicitDistribution, SeededRng, explicit_from_weights, uniform_distribution
-from rffdq.kernelmap import TrigPolynomial, WeightVector, l2_norm_sq
+from rffdq.kernelmap import TrigPolynomial, WeightVector, distribution_of, kernel_matrix, l2_norm_sq
 from rffdq.regress import (
     Dataset,
     RffFeatureSet,
@@ -20,6 +25,7 @@ from rffdq.regress import (
     linear_ridge_fit,
     load_model,
     model_from_json,
+    model_spectrum,
     rff_fit,
     rff_kernel_estimate,
     rff_model_spectrum,
@@ -142,6 +148,42 @@ class TestKernelRidge:
             em = explicit_ridge_fit(data, enc, fs, w, lam)
             P = rng.uniform(0, 2 * np.pi, (100, 1))
             assert np.max(np.abs(km.predict(P) - em.predict(P))) <= 1e-8
+
+    # D = 2|Omega| - 1 = 15: the ridge is primal at n = 40, dual at n = 10
+    @pytest.mark.parametrize("n", [40, 10])
+    @pytest.mark.parametrize("lam", [1e-2, 1.0])
+    def test_matches_gram_solve(self, n, lam):
+        enc = pauli_half_encoding([2, 1])
+        fs = build_frequency_set(enc)
+        gen = SeededRng(n).generator()
+        w = WeightVector(gen.uniform(0.2, 1.0, fs.size))
+        X = gen.uniform(0, 2 * np.pi, (n, 2))
+        Y = np.cos(X[:, 0] - 2 * X[:, 1]) + gen.uniform(-0.1, 0.1, n)
+        model = kernel_ridge_fit(Dataset(X, Y, 2.0), enc, fs, w, lam)
+        alpha = krr_alpha_by_gram(X, Y, fs, w, lam)
+        assert np.max(np.abs(model.alpha - alpha)) <= 1e-10 * np.max(np.abs(alpha))
+        P = gen.uniform(0, 2 * np.pi, (50, 2))
+        want = kernel_matrix(P, X, fs, w) @ alpha
+        assert np.max(np.abs(model.predict(P) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_json_roundtrip_keeps_predictions_and_spectrum(self, rng):
+        enc = pauli_half_encoding([2, 1])
+        fs = build_frequency_set(enc)
+        w = WeightVector(rng.uniform(0.2, 1.0, fs.size))
+        X = rng.uniform(0, 2 * np.pi, (12, 2))
+        model = kernel_ridge_fit(Dataset(X, np.sin(X[:, 1]), 1.0), enc, fs, w, 0.03)
+        again = model_from_json(json.loads(json.dumps(model.to_json())))
+        P = rng.uniform(0, 2 * np.pi, (30, 2))
+        assert np.max(np.abs(again.predict(P) - model.predict(P))) <= 1e-12
+        # the kernel expansion sum_j alpha_j K_w(x, x_j) has p(w)/2
+        # sum_j alpha_j e^{-i<w, x_j>} at +w and p(0) sum_j alpha_j at 0
+        p = distribution_of(w)
+        c = 0.5 * p * (again.alpha @ np.exp(-1j * (again.X_train @ fs.half.T)))
+        c[0] = p[0] * np.sum(again.alpha)
+        for m in (model, again):
+            spec = model_spectrum(m)
+            got = np.array([spec.coeff(tuple(row)) for row in fs.half])
+            assert np.max(np.abs(got - c)) <= 1e-12
 
 
 class TestRffFit:
