@@ -32,10 +32,11 @@ from .kernelmap import (
     TrigPolynomial,
     coeff_sup_bound,
     fhat_l2_sq,
+    l2_norm_sq,
     rkhs_norm,
     weights_of,
 )
-from .regress import Dataset, rff_fit, true_risk_estimate
+from .regress import Dataset, model_spectrum, rff_fit
 
 
 @dataclass
@@ -372,8 +373,8 @@ def empirical_error_mean(
     Each trial owns its own rng stream: the dataset (uniform inputs,
     noiseless labels) and the feature draw both come from stream
     ``master.stream_for(t)``, so a trial does not depend on the others.
-    A trial's error is (2 pi)^d times its ``true_risk_estimate``: exact on
-    integer lattices, Monte Carlo on the trial's stream elsewhere.
+    A trial's error is the exact ``l2_norm_sq`` of f* minus its model's
+    spectrum, on every lattice; only the mean over trials is an estimate.
     Returns (mean, stderr, per-trial errors).
     """
     b_bound = coeff_sup_bound(f_star)
@@ -384,8 +385,7 @@ def empirical_error_mean(
         Y = f_star.evaluate(X)
         data = Dataset(X, Y, b_bound)
         model = rff_fit(data, dist, M, lam, gen)
-        risk = true_risk_estimate(model, f_star, rng=gen).value
-        return (2.0 * math.pi) ** f_star.d * risk
+        return l2_norm_sq(f_star - model_spectrum(model))
 
     errs = np.asarray([one_trial(t) for t in range(trials)])
     mean = float(np.mean(errs))

@@ -12,6 +12,10 @@ KRR oracle's weights, and the realized target and its alignment when the
 target consumes no rng (explicit and circuit targets).  Per cell remain a
 random target's draw and alignment, the dataset, the feature draw and fit,
 the risks and the model spectrum.
+
+The true risks and ``l2_err_sq`` are exact on every lattice: they come from
+the model's spectrum (``regress.true_risk_estimate``), not from sample
+points, so no column is NaN because of the lattice.
 """
 
 from __future__ import annotations
@@ -393,14 +397,11 @@ def run_cell(config: SweepConfig, inv: SweepInvariants, cell) -> dict:
         model = rff_fit(data, dist, M, lam_val, rng)
         row["emp_risk"] = empirical_risk(model, data)
         noise_var = spec.noise_sigma**2
-        mc_rng = SeededRng(config.master_seed, stream=10_000_019).stream_for(idx)
-        # one model spectrum serves both columns; Parseval gives the L2
-        # norm only where the risk is exact (integer frequencies)
-        err = true_risk_estimate(model, target, 0.0, rng=mc_rng.generator())
+        # one exact mean square of target - model serves both columns, on
+        # every lattice
+        err = true_risk_estimate(model, target, 0.0)
         row["true_risk"] = err.value + noise_var
-        row["l2_err_sq"] = (
-            (2.0 * math.pi) ** fs.d * err.value if err.method == "exact" else float("nan")
-        )
+        row["l2_err_sq"] = (2.0 * math.pi) ** fs.d * err.value
         row["alignment"] = inv.alignment_for(target)
         row["p_max"] = inv.p_max
         if inv.krr_weights is not None and n <= KRR_N_CAP and lam_val > 0:

@@ -22,10 +22,12 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import NonIntegerFrequencyError
-from .freqcore import FrequencySet, canonical_fold, fold_rows
+from .freqcore import _INT_TOL, FrequencySet, canonical_fold, fold_rows, is_integer_valued
 
 REALNESS_TOL = 1e-10
 SUPPORT_TOL = 1e-12
+# rows of the uniform-measure Gram that ``mean_square`` forms at a time
+_GRAM_BLOCK = 512
 
 
 @dataclass
@@ -458,10 +460,50 @@ def _mirror_weight(f: TrigPolynomial) -> np.ndarray:
     return np.where(f._zero_mask(), 1.0, 2.0)
 
 
+def _uniform_char(t: np.ndarray) -> np.ndarray:
+    """kappa(t) = E[e^{i t x}] for x uniform on [0, 2pi), that is
+    (e^{2 pi i t} - 1)/(2 pi i t) = e^{i pi t} sinc(t): 1 at t = 0, and
+    exactly 0 within ``_INT_TOL`` of every other integer."""
+    k = np.exp(1j * np.pi * t) * np.sinc(t)
+    nearest = np.round(t)
+    k[(np.abs(t - nearest) <= _INT_TOL) & (nearest != 0)] = 0.0
+    return k
+
+
+def mean_square(f: TrigPolynomial) -> float:
+    """Exact E|f(x)|^2 for x uniform on [0, 2pi)^d.
+
+    When every frequency is an integer vector the monomials are orthonormal
+    and this is ``fhat_l2_sq(f)``.  Otherwise it is Re(c^H G c) over the
+    mirror-expanded terms (frequency omega_a, coefficient c_a), with
+    G[a, b] = E[e^{i (omega_b - omega_a) . x}] = prod_j kappa(omega_b,j - omega_a,j),
+    gathered from one kappa table per dimension over that dimension's
+    distinct values and formed ``_GRAM_BLOCK`` rows at a time.
+    """
+    if is_integer_valued(f.freqs):
+        return fhat_l2_sq(f)
+    nonzero = ~f._zero_mask()
+    freqs = np.concatenate([f.freqs, -f.freqs[nonzero]])
+    c = np.concatenate([f.c, np.conj(f.c[nonzero])])
+    tables, codes = [], []
+    for column in freqs.T:
+        values, code = np.unique(column, return_inverse=True)
+        tables.append(_uniform_char(values[None, :] - values[:, None]))
+        codes.append(code.ravel())
+    total = 0.0
+    for start in range(0, c.size, _GRAM_BLOCK):
+        rows = slice(start, start + _GRAM_BLOCK)
+        G = tables[0][codes[0][rows, None], codes[0]]
+        for table, code in zip(tables[1:], codes[1:]):
+            G *= table[code[rows, None], code]
+        total += float(np.real(np.conj(c[rows]) @ (G @ c)))
+    return total
+
+
 def l2_norm_sq(f: TrigPolynomial) -> float:
     """Squared L^2 norm over [0, 2pi)^d with Lebesgue measure:
-    (2 pi)^d * sum |fhat|^2."""
-    return (2.0 * math.pi) ** f.d * fhat_l2_sq(f)
+    (2 pi)^d * ``mean_square(f)``."""
+    return (2.0 * math.pi) ** f.d * mean_square(f)
 
 
 def apply_integral_operator(f: TrigPolynomial, p) -> TrigPolynomial:

@@ -5,6 +5,10 @@ All three solve one 2-norm-regularized least-squares problem in
 ``lambda * n`` convention inside the regularized system, so a given lambda
 means the same thing across models and feature counts (the 1/sqrt(M)
 normalization lives in the random feature matrix).
+
+A fitted model's true risk under uniform inputs is computed from its exact
+spectrum (``model_spectrum``), never from sample points, on integer and
+non-integer lattices alike.
 """
 
 from __future__ import annotations
@@ -18,14 +22,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError
-from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set, is_integer_valued
+from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
 from .kernelmap import (
     RealFourierForm,
     TrigPolynomial,
     WeightVector,
     feature_matrix,
-    fhat_l2_sq,
     from_real_form,
+    mean_square,
     reweighted_hyperplane,
 )
 
@@ -47,6 +51,8 @@ class Dataset:
         Y = np.asarray(self.Y, dtype=float).ravel()
         if X.shape[0] != Y.size or X.shape[0] < 1:
             raise ValueError("X and Y must have matching, nonzero row counts")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("inputs must be finite")
         if np.any(X < 0) or np.any(X >= 2 * np.pi):
             raise ValueError("inputs must lie in [0, 2pi)")
         if not np.all(np.isfinite(Y)):
@@ -74,14 +80,31 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path: str, b_bound: float | None = None) -> "Dataset":
+        """Read an ``x_1,...,x_d,y`` file.  A cell that is not a finite
+        number, or a row with the wrong column count, is a ``ConfigError``
+        naming its line."""
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
         if not lines:
             raise ConfigError(f"empty dataset file {path}")
-        header = lines[0].split(",")
+        header = lines[0][1].split(",")
         if header[-1] != "y" or any(not h.startswith("x_") for h in header[:-1]):
             raise ConfigError("dataset header must be x_1,...,x_d,y")
-        rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
+        rows = []
+        for lineno, line in lines[1:]:
+            try:
+                row = [float(c) for c in line.split(",")]
+            except ValueError:
+                raise ConfigError(f"{path}, line {lineno}: not a number in {line!r}") from None
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"{path}, line {lineno}: {len(row)} columns, expected {len(header)}"
+                )
+            if not all(math.isfinite(v) for v in row):
+                raise ConfigError(f"{path}, line {lineno}: non-finite value in {line!r}")
+            rows.append(row)
+        if not rows:
+            raise ConfigError(f"no data rows in {path}")
         arr = np.asarray(rows, dtype=float)
         X, Y = arr[:, :-1], arr[:, -1]
         if b_bound is None:
@@ -397,25 +420,18 @@ def true_risk_estimate(
     rng=None,
 ) -> RiskEstimate:
     """True quadratic risk under uniform inputs:
-    ||model - target||^2_{L2(P_X)} + sigma^2.
+    ||model - target||^2_{L2(P_X)} + sigma^2, exact on every lattice.
 
-    Exact by Parseval, sum |fhat - ghat|^2 over the mirror lattice, when
-    every frequency of the target and of the model is an integer vector (the
-    trigonometric monomials are then orthonormal under uniform inputs).
-    Otherwise Monte Carlo over ``mc_points`` uniform inputs, with its
-    standard error.
+    It is ``mean_square`` of the target minus the model's spectrum: Parseval
+    when every frequency is an integer vector, the uniform-measure Gram
+    otherwise.  The model is never evaluated at points, so the standard
+    error is 0 and the method is "exact".
+
+    ``mc_points`` and ``rng`` are unused.  They stay in the signature only
+    because ``perfbench/replay.py`` reads ``mc_points``' default at import
+    and passes ``rng=``; they go when that replay is retired.
     """
-    g = model_spectrum(model)
-    if is_integer_valued(np.concatenate([target.freqs, g.freqs])):
-        return RiskEstimate(float(fhat_l2_sq(target - g)) + noise_var, 0.0, "exact")
-    d = target.d
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(0 if rng is None else int(rng)))
-    )
-    pts = gen.uniform(0.0, 2.0 * np.pi, size=(mc_points, d))
-    sq = (model.predict(pts) - target.evaluate(pts)) ** 2
-    stderr = float(np.std(sq, ddof=1) / math.sqrt(mc_points))
-    return RiskEstimate(float(np.mean(sq)) + noise_var, stderr, "monte-carlo")
+    return RiskEstimate(mean_square(target - model_spectrum(model)) + noise_var, 0.0, "exact")
 
 
 def rff_model_spectrum(model: RffModel, fs: FrequencySet | None = None) -> TrigPolynomial:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rffdq import freqcore, kernelmap
+from rffdq import freqcore, kernelmap, regress
 from rffdq.freqcore import EncodingStrategy, FrequencySet, HamiltonianSpectrum, build_frequency_set
 
 
@@ -22,6 +22,19 @@ def forbid_per_key_lookups(monkeypatch):
     monkeypatch.setattr(FrequencySet, "snap", forbidden)
     for module in (freqcore, kernelmap):
         monkeypatch.setattr(module, "canonical_fold", forbidden)
+
+
+def forbid_model_evaluation(monkeypatch):
+    """Make pointwise evaluation of fitted models and of polynomials raise,
+    so that a risk which still samples input points fails."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pointwise evaluation")
+
+    for model in (regress.RffModel, regress.ExplicitLinearModel):
+        monkeypatch.setattr(model, "predict", forbidden)
+    monkeypatch.setattr(regress.RffFeatureSet, "raw_features", forbidden)
+    monkeypatch.setattr(kernelmap.TrigPolynomial, "evaluate", forbidden)
 
 
 @pytest.fixture

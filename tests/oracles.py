@@ -98,6 +98,21 @@ def quadrature_l2_norm_sq(f_fn, d, grid_per_dim):
     return float(np.mean(vals**2) * (2.0 * np.pi) ** d)
 
 
+def midpoint_mean_square(f_fn, d, grid_per_dim):
+    """Mean of f^2 over [0, 2pi)^d by the tensor midpoint rule, one slab of
+    the first axis at a time.  Its error is O(h^2) for a non-periodic
+    integrand, h = 2 pi / grid_per_dim."""
+    axis = 2.0 * np.pi * (np.arange(grid_per_dim) + 0.5) / grid_per_dim
+    rest = np.stack(
+        [g.ravel() for g in np.meshgrid(*([axis] * (d - 1)), indexing="ij")], axis=-1
+    )
+    total = 0.0
+    for x1 in axis:
+        nodes = np.column_stack([np.full(rest.shape[0], x1), rest])
+        total += float(np.sum(f_fn(nodes) ** 2))
+    return total / grid_per_dim**d
+
+
 def rff_spectrum_by_feature(frequencies, phases, coef):
     """Fourier coefficients of sum_i coef_i sqrt(2) cos(<w_i, x> + g_i)/sqrt(M),
     one feature at a time: {frequency tuple: coefficient at +w_i}, where a

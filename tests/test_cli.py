@@ -238,6 +238,17 @@ class TestExitCodes:
         run(["experiment", "run", "--config", workdir / "exp.json", "--out", res])
         assert run(["experiment", "plot", "--in", res, "--kind", "bogus", "--out", workdir / "p.svg"]) == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "abc"])
+    def test_malformed_data_file_is_2(self, workdir, cell, capsys):
+        data = workdir / "bad.csv"
+        data.write_text(f"x_1,y\n0.5,0.25\n{cell},0.5\n")
+        assert run(
+            ["fit", "--data", data, "--encoding", workdir / "enc.json",
+             "--dist", workdir / "dist.json", "--M", 8, "--out", workdir / "m.json"]
+        ) == 2
+        assert run(["oracle-krr", "--data", data, "--encoding", workdir / "enc.json"]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_numeric_error_is_3(self, workdir):
         assert run(
             ["bounds", "sufficient", "--opnorm", 0.9, "--C", 1, "--b", 1, "--eps", 0.1, "--delta", 0.05]

@@ -289,23 +289,32 @@ class TestRunSweep:
         loaded = read_rows(str(tmp_path / "r.csv"))
         assert [r["error"] for r in loaded] == [r["error"] for r in rows]
 
-    def test_l2_err_sq_is_nan_off_integer_lattice(self, tmp_path):
-        # lattice {0, +-0.6}: the coefficient sum is not an L2 norm there
+    def test_l2_err_sq_is_exact_off_integer_lattice(self, tmp_path):
+        # lattice {0, +-0.6}: the coefficient sum is not an L2 norm there, the
+        # uniform-measure Gram is
         target = {
             "kind": "explicit",
             "function": {"d": 1, "terms": [{"omega": [0.6], "re": 0.5, "im": 0.0}]},
         }
+        sigma = 0.1
         doc = sweep_doc(
-            problem=problem_doc(encoding={"dimensions": [[[-0.3, 0.3]]]}, target=target, n=40),
+            problem=problem_doc(
+                encoding={"dimensions": [[[-0.3, 0.3]]]},
+                target=target,
+                n=40,
+                noise={"kind": "uniform", "sigma": sigma},
+            ),
             axes={"M": [4], "n": [40], "lambda": [1e-3], "seeds": [0]},
         )
         out = tmp_path / "r.csv"
         rows = run_sweep(SweepConfig.from_json(doc), str(out))
         assert len(rows) == 1 and rows[0]["error"] == ""
-        assert math.isnan(rows[0]["l2_err_sq"])
-        for col in ("true_risk", "krr_true_risk", "alignment", "p_max"):
-            assert math.isfinite(rows[0][col])
-        assert math.isnan(read_rows(str(out))[0]["l2_err_sq"])
+        row = rows[0]
+        for col in ("true_risk", "krr_true_risk", "l2_err_sq", "alignment", "p_max"):
+            assert math.isfinite(row[col])
+        want = 2 * math.pi * (row["true_risk"] - sigma**2)
+        assert row["l2_err_sq"] == pytest.approx(want, rel=1e-14)
+        assert read_rows(str(out))[0]["l2_err_sq"] == row["l2_err_sq"]
 
     def test_cell_errors_recorded_not_fatal(self, tmp_path):
         doc = sweep_doc(axes={"M": [8], "n": [40], "lambda": [-1.0, 0.001], "seeds": [0]})

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from conftest import pauli_half_encoding
 from oracles import (
     DictPolynomial,
+    midpoint_mean_square,
     quadrature_apply_operator,
     quadrature_l2_norm_sq,
     quadrature_top_singular_value,
@@ -29,6 +31,7 @@ from rffdq.kernelmap import (
     kernel_eval,
     kernel_matrix,
     l2_norm_sq,
+    mean_square,
     reweighted_hyperplane,
     rkhs_norm,
     to_real_form,
@@ -330,6 +333,98 @@ class TestL2Norm:
         quad = quadrature_l2_norm_sq(f.evaluate, 2, 16)
         exact = l2_norm_sq(f)
         assert abs(quad - exact) <= 1e-8 * max(1.0, abs(exact))
+
+
+def non_integer_lattice(dimensions):
+    fs = build_frequency_set(EncodingStrategy.from_json({"dimensions": dimensions}))
+    assert not fs.is_integer
+    return fs
+
+
+def random_terms(fs, rng, k):
+    """k random terms on the half of ``fs``, the zero frequency included."""
+    rows = np.concatenate([[0], rng.choice(np.arange(1, fs.size), k - 1, replace=False)])
+    c = rng.normal(size=k) + 1j * rng.normal(size=k)
+    c[0] = c[0].real
+    return TrigPolynomial.on_rows(fs, rows, c)
+
+
+class TestMeanSquare:
+    """E|f|^2 under uniform inputs, against integrals that do not use the
+    Gram: adaptive quadrature for d <= 2, Richardson-extrapolated midpoint
+    rules for d = 3."""
+
+    def test_parseval_on_integer_lattices(self, fs_2d, rng):
+        for _ in range(5):
+            f = random_poly(fs_2d, rng)
+            assert mean_square(f) == fhat_l2_sq(f)
+
+    def test_one_dimension_off_integer_lattice(self):
+        # lattice {0, +-0.6}: f = 0.3 + cos(0.6 x)
+        fs = non_integer_lattice([[[-0.3, 0.3]]])
+        f = TrigPolynomial.from_half_coeffs(fs, {(0.0,): 0.3, (0.6,): 0.5})
+        want = 0.09 + 0.5 + math.sin(2.4 * math.pi) / (4.8 * math.pi) + 0.6 * (
+            math.sin(1.2 * math.pi) / (1.2 * math.pi)
+        )
+        assert mean_square(f) == pytest.approx(want, rel=1e-14)
+        quad, err = integrate.quad(lambda x: f.evaluate([[x]])[0] ** 2, 0, 2 * np.pi)
+        assert mean_square(f) == pytest.approx(quad / (2 * np.pi), abs=1e-10)
+
+    def test_mixed_integer_and_non_integer_dimensions(self, rng):
+        # dimension 1 {0, +-1, +-2}, dimension 2 {0, +-0.6}
+        fs = non_integer_lattice([[[-0.5, 0.5], [-0.5, 0.5]], [[-0.3, 0.3]]])
+        f = random_terms(fs, rng, 6)
+        quad, _ = integrate.dblquad(
+            lambda y, x: f.evaluate([[x, y]])[0] ** 2,
+            0, 2 * np.pi, 0, 2 * np.pi, epsabs=1e-11, epsrel=1e-11,
+        )
+        assert mean_square(f) == pytest.approx(quad / (2 * np.pi) ** 2, abs=1e-9)
+        assert abs(mean_square(f) - fhat_l2_sq(f)) > 1e-3
+
+    def test_standalone_polynomial(self):
+        # no lattice: the frequencies need not share a grid, and 0.3 and 1.3
+        # differ by an integer, so their cross term vanishes exactly
+        f = TrigPolynomial.from_half_coeffs(
+            None,
+            {(0.0, 0.0): 0.4, (0.3, 1.7): complex(0.5, -0.2),
+             (1.3, 1.7): 0.25, (1.25, -0.4): complex(-0.1, 0.3)},
+        )
+        assert f.freq_set is None
+        quad, _ = integrate.dblquad(
+            lambda y, x: f.evaluate([[x, y]])[0] ** 2,
+            0, 2 * np.pi, 0, 2 * np.pi, epsabs=1e-11, epsrel=1e-11,
+        )
+        assert mean_square(f) == pytest.approx(quad / (2 * np.pi) ** 2, abs=1e-9)
+
+    def test_three_dimensions(self, rng):
+        fs = non_integer_lattice(
+            [[[-0.3, 0.3], [-0.6, 0.6]], [[-0.5, 0.5]], [[-0.35, 0.35]]]
+        )
+        f = random_terms(fs, rng, 6)
+        coarse, fine = (midpoint_mean_square(f.evaluate, 3, N) for N in (64, 128))
+        # the extrapolated rule is O(h^4): 5.9e-7 off here, 9.6e-6 at N = 32
+        assert mean_square(f) == pytest.approx((4 * fine - coarse) / 3, rel=1e-7)
+        assert abs(mean_square(f) - fhat_l2_sq(f)) > 1e-3
+
+    def test_many_terms_span_several_row_blocks(self):
+        # 400 terms give 799 mirror-expanded rows, more than one block
+        gen = np.random.default_rng(5)
+        freqs = np.sort(gen.uniform(0.05, 6.0, 400))[:, None]
+        c = (gen.normal(size=400) + 1j * gen.normal(size=400)) / 20
+        f = TrigPolynomial.from_half_arrays(None, freqs, c)
+        quad, _ = integrate.quad(
+            lambda x: f.evaluate([[x]])[0] ** 2, 0, 2 * np.pi, limit=500, epsabs=1e-12
+        )
+        assert mean_square(f) == pytest.approx(quad / (2 * np.pi), rel=1e-9)
+
+    def test_zero_polynomial(self):
+        assert mean_square(TrigPolynomial.zero(None, 3)) == 0.0
+
+    def test_l2_norm_sq_scales_the_mean_square(self):
+        fs = non_integer_lattice([[[-0.3, 0.3]]])
+        f = TrigPolynomial.from_half_coeffs(fs, {(0.6,): 0.5})
+        assert l2_norm_sq(f) == 2 * np.pi * mean_square(f)
+        assert l2_norm_sq(f) == pytest.approx(3.5379, abs=1e-4)
 
 
 class TestApplyIntegralOperator:

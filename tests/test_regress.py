@@ -1,16 +1,18 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import pauli_half_encoding
+from conftest import forbid_model_evaluation, pauli_half_encoding
 from oracles import (
     dft_coefficients,
     krr_alpha_by_gram,
     quadrature_l2_norm_sq,
     rff_spectrum_by_feature,
 )
+from rffdq.errors import ConfigError
 from rffdq.freqcore import EncodingStrategy, build_frequency_set
 from rffdq.freqsample import ExplicitDistribution, SeededRng, explicit_from_weights, uniform_distribution
 from rffdq.kernelmap import TrigPolynomial, WeightVector, distribution_of, kernel_matrix, l2_norm_sq
@@ -47,6 +49,32 @@ class TestDataset:
             Dataset(np.array([[1.0]]), np.array([2.0]), 1.0)  # exceeds bound
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0]]), np.array([np.nan]), 1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="inputs must be finite"):
+                Dataset(np.array([[1.0], [bad]]), np.array([0.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("nan,0.5", "line 3: non-finite value in 'nan,0.5'"),
+            ("1.0,inf", "line 3: non-finite value in '1.0,inf'"),
+            ("abc,0.5", "line 3: not a number in 'abc,0.5'"),
+            ("1.0,0.5,0.2", "line 3: 3 columns, expected 2"),
+            ("1.0", "line 3: 1 columns, expected 2"),
+        ],
+    )
+    def test_malformed_csv_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x_1,y\n0.5,0.25\n{line}\n1.5,0.0\n")
+        with pytest.raises(ConfigError) as err:
+            Dataset.from_csv(path)
+        assert str(err.value) == f"{path}, {message}"
+
+    def test_csv_without_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x_1,y\n")
+        with pytest.raises(ConfigError, match="no data rows"):
+            Dataset.from_csv(path)
 
     def test_csv_roundtrip(self, tmp_path):
         data = cosine_dataset(20, 3)
@@ -284,16 +312,55 @@ class TestRisks:
         assert est.method == "exact" and est.stderr == 0.0
         assert est.value == pytest.approx(0.5, abs=1e-12)
 
-    def test_monte_carlo_path_off_integer_lattice(self, rng):
+    def test_exact_path_off_integer_lattice(self):
         # lattice {0, +-0.6}: cos(0.6 x) is not orthogonal to 1 over [0, 2pi)
         fs = build_frequency_set(EncodingStrategy.from_json({"dimensions": [[[-0.3, 0.3]]]}))
         assert not fs.is_integer
         f_star = TrigPolynomial.from_half_coeffs(fs, {(0.6,): 0.5})
         zero = RffModel(RffFeatureSet(np.zeros((1, 1)), np.zeros(1)), np.zeros(1), 0.0)
-        est = true_risk_estimate(zero, f_star, 0.0, mc_points=200_000, rng=rng)
-        assert est.method == "monte-carlo" and est.stderr > 0
+        est = true_risk_estimate(zero, f_star, 0.0)
+        assert est.method == "exact" and est.stderr == 0.0
         exact = 0.5 + math.sin(2.4 * math.pi) / (4.8 * math.pi)
-        assert abs(est.value - exact) <= 5 * est.stderr
+        assert est.value == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("dimensions", [[[[-0.3, 0.3]]], [[[-0.5, 0.5]], [[-0.35, 0.35]]]])
+    def test_models_are_never_evaluated(self, dimensions, monkeypatch):
+        enc = EncodingStrategy.from_json({"dimensions": dimensions})
+        fs = build_frequency_set(enc)
+        gen = SeededRng(8).generator()
+        X = gen.uniform(0, 2 * np.pi, (30, fs.d))
+        f_star = TrigPolynomial.on_rows(fs, [1, fs.size - 1], [complex(0.4, -0.2), 0.3])
+        data = Dataset(X, f_star.evaluate(X), 2.0)
+        w = WeightVector(np.ones(fs.size))
+        models = [
+            rff_fit(data, uniform_distribution(fs), 20, 1e-3, gen),
+            explicit_ridge_fit(data, enc, fs, w, 1e-3),
+            kernel_ridge_fit(data, enc, fs, w, 1e-3),
+        ]
+        want = [true_risk_estimate(m, f_star, 0.01) for m in models]
+        forbid_model_evaluation(monkeypatch)
+        assert [true_risk_estimate(m, f_star, 0.01) for m in models] == want
+        assert all(est.method == "exact" and est.stderr == 0.0 for est in want)
+
+    def test_non_integer_risk_memory_at_d4(self):
+        # 7 values per dimension, 1201 canonical frequencies; sampling risk
+        # points here would hold (points x M) angle and cosine matrices
+        dims = [[[-0.3, 0.3], [-0.6, 0.6]]] * 4
+        fs = build_frequency_set(EncodingStrategy.from_json({"dimensions": dims}))
+        assert fs.size == 1201 and not fs.is_integer
+        gen = SeededRng(12).generator()
+        X = gen.uniform(0, 2 * np.pi, (60, 4))
+        f_star = TrigPolynomial.on_rows(fs, [0, 7, 500, 1200], [0.2, 0.3, complex(0.1, 0.2), -0.25])
+        data = Dataset(X, f_star.evaluate(X), 2.0)
+        model = rff_fit(data, uniform_distribution(fs), 200, 1e-3, gen)
+        tracemalloc.start()
+        try:
+            est = true_risk_estimate(model, f_star, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.method == "exact" and math.isfinite(est.value)
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize("L_per_dim", [[4], [2, 1], [1, 1, 1]])
     def test_exact_krr_and_explicit_match_quadrature(self, L_per_dim):
