@@ -12,7 +12,9 @@ Three representations are supported:
 Folding rule: p(omega) = ptilde(omega) for omega = 0, and
 p(omega) = ptilde(omega) + ptilde(-omega) otherwise.  Each distribution
 defines ptilde once, batched over rows of per-dimension lattice positions
-(``_tilde``); ``pmf`` and ``pmf_vector`` both fold it.
+(``_tilde``); ``pmf`` and ``pmf_vector`` both fold it, except that an
+explicit distribution on a materialized lattice fills ``pmf_vector`` with
+its stored probabilities.
 """
 
 from __future__ import annotations
@@ -146,12 +148,21 @@ class ExplicitDistribution(FrequencyDistribution):
             raise ConfigError("duplicate support points")
         self._sorted_probs = probs[order]
         self.probs = probs
+        # the support's rows in a materialized half, which pmf_vector fills
+        self._rows = fs.half_rows(idx) if fs.materialized else None
 
     def _tilde(self, idx: np.ndarray) -> np.ndarray:
         # the stored probability at a support point, 0 elsewhere (mirror
         # points included: the support is canonical)
         at = find_codes(self._codes, self.fs.code(idx))
         return np.where(at >= 0, self._sorted_probs[at], 0.0)
+
+    def pmf_vector(self) -> np.ndarray:
+        # the mirror term is 0 on a canonical support, so p is probs, in place
+        self.fs.require_materialized()
+        p = np.zeros(self.fs.size)
+        p[self._rows] = self.probs
+        return p
 
     def sample(self, rng, M: int) -> np.ndarray:
         if M < 1:

@@ -191,12 +191,30 @@ def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     return w
 
 
+# the angle-sum design subtracts its sine terms in row blocks of about this
+# many entries, so no second n x M buffer is held
+_BLOCK_ENTRIES = 1 << 16
+
+
 @dataclass
 class RffFeatureSet:
-    """Sampled random features: canonical frequencies plus uniform phases."""
+    """Sampled random features: canonical frequencies plus uniform phases.
+
+    Frequencies are drawn from a finite lattice, so one frequency is usually
+    drawn many times.  The draws are grouped once, at construction:
+    ``distinct`` holds the U distinct frequencies (in ``np.unique`` order),
+    ``first`` the draw at which each first appears, and ``inverse`` each
+    draw's row in ``distinct``.  When 2U <= M, features are built from cos
+    and sin of <w_u, x> per distinct frequency by angle addition, which
+    never costs more trigonometry than one cosine per feature; otherwise
+    each feature takes its own cosine.
+    """
 
     frequencies: np.ndarray
     phases: np.ndarray
+    distinct: np.ndarray = field(init=False, repr=False, compare=False)
+    first: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.frequencies = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
@@ -205,19 +223,51 @@ class RffFeatureSet:
             raise ValueError("frequencies and phases disagree on M")
         if np.any(self.phases < 0) or np.any(self.phases >= 2 * np.pi):
             raise ValueError("phases must lie in [0, 2pi)")
+        self.distinct, self.first, inverse = np.unique(
+            self.frequencies, axis=0, return_index=True, return_inverse=True
+        )
+        self.inverse = inverse.ravel()
 
     @property
     def M(self) -> int:
         return self.phases.size
 
+    def per_frequency(self, values: np.ndarray) -> np.ndarray:
+        """Sum of a complex per-feature quantity over the features of each
+        distinct frequency, in draw order, shape (U,)."""
+        U = self.distinct.shape[0]
+        re = np.bincount(self.inverse, weights=values.real, minlength=U)
+        return re + 1j * np.bincount(self.inverse, weights=values.imag, minlength=U)
+
+    def _features(self, X, divisor: float) -> np.ndarray:
+        """sqrt(2) cos(<w_i, x> + g_i) / divisor, shape (n, M)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if 2 * self.distinct.shape[0] > self.M:
+            F = math.sqrt(2.0) * np.cos(X @ self.frequencies.T + self.phases)
+            F /= divisor
+            return F
+        # sqrt(2) cos(t_u + g_i) = a_i cos t_u - b_i sin t_u
+        theta = X @ self.distinct.T
+        cos = np.cos(theta)
+        sin = np.sin(theta, out=theta)
+        factor = math.sqrt(2.0) / divisor
+        out = cos[:, self.inverse]
+        out *= factor * np.cos(self.phases)
+        b = factor * np.sin(self.phases)
+        step = max(1, _BLOCK_ENTRIES // self.M)
+        for r in range(0, out.shape[0], step):
+            part = sin[r : r + step, self.inverse]
+            part *= b
+            out[r : r + step] -= part
+        return out
+
     def raw_features(self, X) -> np.ndarray:
         """Unnormalized features sqrt(2) cos(<w_i, x> + g_i), shape (n, M)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return math.sqrt(2.0) * np.cos(X @ self.frequencies.T + self.phases)
+        return self._features(X, 1.0)
 
     def design_matrix(self, X) -> np.ndarray:
         """Monte-Carlo-normalized design matrix psi(x, nu_i)/sqrt(M)."""
-        return self.raw_features(X) / math.sqrt(self.M)
+        return self._features(X, math.sqrt(self.M))
 
 
 class _Model:
@@ -281,15 +331,33 @@ class KrrModel(ExplicitLinearModel):
 
 @dataclass
 class RffModel(_Model):
-    """Linear model over a sampled random-feature set."""
+    """Linear model over a sampled random-feature set: one finite weight
+    per feature in ``coef`` (checked at construction).  Predictions and the
+    spectrum sum the weights per distinct frequency first."""
 
     feature_set: RffFeatureSet
     coef: np.ndarray
     lam: float
     variant: str = "rff"
 
+    def __post_init__(self):
+        coef = np.asarray(self.coef, dtype=float)
+        M = self.feature_set.M
+        if coef.shape != (M,):
+            raise ValueError(f"coef must hold one weight per feature ({M}), got shape {coef.shape}")
+        if not np.all(np.isfinite(coef)):
+            raise ValueError("coef must be finite")
+        self.coef = coef
+
     def predict(self, X) -> np.ndarray:
-        return self.feature_set.design_matrix(X) @ self.coef
+        """sum_i coef_i sqrt(2) cos(<w_i, x> + g_i)/sqrt(M), summed per
+        distinct frequency first: rho_u cos(<w_u, x> + phi_u) with
+        rho_u e^{i phi_u} = sqrt(2/M) sum_{i in u} coef_i e^{i g_i}."""
+        fset = self.feature_set
+        z = math.sqrt(2.0 / fset.M) * fset.per_frequency(self.coef * np.exp(1j * fset.phases))
+        theta = np.atleast_2d(np.asarray(X, dtype=float)) @ fset.distinct.T
+        theta += np.angle(z)
+        return np.cos(theta, out=theta) @ np.abs(z)
 
     def to_json(self) -> dict:
         return {
@@ -315,14 +383,14 @@ def model_from_json(doc: dict) -> _Model:
         v = feature_matrix(X, fs, w).T @ alpha
         return KrrModel(enc, w, v, lam, _fs=fs, X_train=X, alpha=alpha)
     if variant == "rff":
-        return RffModel(
-            RffFeatureSet(
-                np.asarray(doc["frequencies"], dtype=float),
-                np.asarray(doc["phases"], dtype=float),
-            ),
-            np.asarray(doc["coef"], dtype=float),
-            lam,
+        fset = RffFeatureSet(
+            np.asarray(doc["frequencies"], dtype=float),
+            np.asarray(doc["phases"], dtype=float),
         )
+        try:
+            return RffModel(fset, doc["coef"], lam)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"rff model: {exc}") from None
     raise ConfigError(f"unknown model variant '{variant}'")
 
 
@@ -439,18 +507,14 @@ def rff_model_spectrum(model: RffModel, fs: FrequencySet | None = None) -> TrigP
 
     Each feature beta_i sqrt(2) cos(<w_i,x> + g_i)/sqrt(M) contributes
     beta_i e^{i g_i} / (sqrt(2) sqrt(M)) at +w_i and its conjugate at -w_i.
-    Coefficients are keyed in order of each frequency's first draw.
+    Coefficients are summed per distinct frequency with the feature set's
+    grouping and keyed in order of each frequency's first draw.
     """
     fset = model.feature_set
-    freqs, first, inverse = np.unique(
-        fset.frequencies, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.ravel()
     scale = 1.0 / (math.sqrt(2.0) * math.sqrt(fset.M))
-    amp = model.coef * scale * np.exp(1j * fset.phases)
+    coeffs = fset.per_frequency(model.coef * scale * np.exp(1j * fset.phases))
     # the zero frequency is its own mirror: both halves land on one real term
-    amp = np.where(~np.any(freqs, axis=1)[inverse], 2.0 * amp.real, amp)
-    coeffs = np.zeros(freqs.shape[0], dtype=complex)
-    np.add.at(coeffs, inverse, amp)
-    order = np.argsort(first)
-    return TrigPolynomial.from_half_arrays(fs, freqs[order], coeffs[order])
+    zero = ~np.any(fset.distinct, axis=1)
+    coeffs[zero] = 2.0 * coeffs[zero].real
+    order = np.argsort(fset.first)
+    return TrigPolynomial.from_half_arrays(fs, fset.distinct[order], coeffs[order])

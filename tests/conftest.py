@@ -33,7 +33,7 @@ def forbid_model_evaluation(monkeypatch):
 
     for model in (regress.RffModel, regress.ExplicitLinearModel):
         monkeypatch.setattr(model, "predict", forbidden)
-    monkeypatch.setattr(regress.RffFeatureSet, "raw_features", forbidden)
+    monkeypatch.setattr(regress.RffFeatureSet, "_features", forbidden)
     monkeypatch.setattr(kernelmap.TrigPolynomial, "evaluate", forbidden)
 
 

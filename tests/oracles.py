@@ -129,6 +129,15 @@ def rff_spectrum_by_feature(frequencies, phases, coef):
     return out
 
 
+def direct_design(frequencies, phases, X):
+    """Random-feature design sqrt(2) cos(<w_i, x> + g_i)/sqrt(M), one cosine
+    per feature and no grouping of repeated frequencies."""
+    frequencies = np.atleast_2d(np.asarray(frequencies, dtype=float))
+    phases = np.asarray(phases, dtype=float)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.sqrt(2.0) * np.cos(X @ frequencies.T + phases) / np.sqrt(phases.size)
+
+
 def krr_alpha_by_gram(X, Y, fs, w, lam):
     """Kernel ridge dual coefficients from the n x n Gram system
     (K_w(X, X) + n lambda I) alpha = Y, solved densely by numpy."""

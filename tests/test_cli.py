@@ -142,6 +142,14 @@ class TestCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["method"] == "holdout-80-20" and doc["test_rows"] == 8
 
+    def test_model_with_a_short_coef_is_a_config_error(self, workdir, capsys):
+        model = workdir / "m.json"
+        doc = {"variant": "rff", "lambda": 0.1, "frequencies": [[0.0], [1.0]],
+               "phases": [0.5, 1.5], "coef": [1.0]}
+        model.write_text(json.dumps(doc))
+        assert run(["risk", "--model", model, "--data", workdir / "d.csv"]) == 2
+        assert "coef" in capsys.readouterr().err
+
     def test_oracle_krr(self, workdir, capsys):
         out = workdir / "krr.json"
         assert run(

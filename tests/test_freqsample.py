@@ -5,7 +5,7 @@ import pytest
 
 from conftest import pauli_half_encoding
 from oracles import chi_square_pvalue
-from rffdq.errors import ConfigError, DegenerateDistributionError
+from rffdq.errors import CapacityError, ConfigError, DegenerateDistributionError
 from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
 from rffdq.freqsample import (
     ExplicitDistribution,
@@ -120,6 +120,25 @@ class TestPmfVector:
             # the zero frequency (row 0) is covered: it has no mirror term
             assert np.all(np.abs(got - want) <= 1e-15 * want)
             assert dist.p_max().value == np.max(got)
+
+    @pytest.mark.parametrize("L_per_dim", [[6, 6], [10, 10], [2] * 6])
+    def test_explicit_fill_is_the_fold(self, L_per_dim, rng):
+        # the benchmark lattices (sweep_lowd, circuit_oracle, sweep_highdim):
+        # the stored probabilities, scattered, are bitwise the folded pmf
+        fs = build_frequency_set(pauli_half_encoding(L_per_dim))
+        for dist in (uniform_distribution(fs), _random_dist("explicit", fs, rng)):
+            assert dist.pmf_vector().tobytes() == dist._folded(fs.half).tobytes()
+
+    def test_explicit_on_a_lazy_lattice(self):
+        # 9^20 points: no half to fill, pmf still folds the stored values
+        fs = build_frequency_set(pauli_half_encoding([4] * 20), materialize=False)
+        assert fs.full_size == 9**20
+        support = np.array([np.zeros(20), np.eye(20)[3] * 4.0, np.full(20, 4.0)])
+        dist = ExplicitDistribution(fs, support, [0.5, 0.125, 0.375])
+        assert dist.pmf(support).tolist() == [0.5, 0.125, 0.375]
+        assert dist.pmf(np.eye(20)[0]) == 0.0
+        with pytest.raises(CapacityError):
+            dist.pmf_vector()
 
     def test_single_frequency_dimension(self):
         fs = build_frequency_set(pauli_half_encoding([1, 0]))

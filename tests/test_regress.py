@@ -8,6 +8,7 @@ import pytest
 from conftest import forbid_model_evaluation, pauli_half_encoding
 from oracles import (
     dft_coefficients,
+    direct_design,
     krr_alpha_by_gram,
     quadrature_l2_norm_sq,
     rff_spectrum_by_feature,
@@ -255,6 +256,79 @@ class TestRffFit:
         data = cosine_dataset(64, 3)
         model = rff_fit(data, dist, 4, "auto", SeededRng(0))
         assert model.lam == pytest.approx(1.0 / 8.0)
+
+
+def _draws(gen, fs, M, U):
+    """M features on U distinct frequencies of ``fs`` (the zero frequency
+    among them), every one drawn at least once, in random draw order."""
+    rows = np.concatenate([np.arange(U), gen.integers(0, U, size=M - U)])
+    return RffFeatureSet(fs.half[gen.permutation(rows)], gen.uniform(0, 2 * np.pi, M))
+
+
+class TestRffDesign:
+    @pytest.mark.parametrize("L_per_dim", [[4], [2, 2], [1, 2, 1], [1, 1, 1, 1]])
+    @pytest.mark.parametrize("M_per_U", [1, 1.5, 2, 2.5, 8])
+    def test_matches_the_direct_formula(self, L_per_dim, M_per_U):
+        fs = build_frequency_set(pauli_half_encoding(L_per_dim))
+        gen = SeededRng(len(L_per_dim)).generator()
+        U = min(fs.size, 10)
+        M = int(M_per_U * U)
+        fset = _draws(gen, fs, M, U)
+        assert fset.distinct.shape[0] == U and not np.any(fset.distinct[0])
+        X = gen.uniform(0, 2 * np.pi, (40, fs.d))
+        want = direct_design(fset.frequencies, fset.phases, X)
+        got = fset.design_matrix(X)
+        raw = fset.raw_features(X)
+        assert got.shape == raw.shape == (40, M)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.max(np.abs(raw - want * math.sqrt(M))) <= 1e-14
+        if 2 * U > M:  # one cosine per feature, as before grouping
+            assert np.array_equal(got, want)
+            assert np.array_equal(raw, math.sqrt(2.0) * np.cos(X @ fset.frequencies.T + fset.phases))
+        coef = gen.normal(size=M)
+        pred = RffModel(fset, coef, 0.1).predict(X)
+        assert np.max(np.abs(pred - want @ coef)) <= 1e-13 * np.max(np.abs(want @ coef))
+
+    @pytest.mark.parametrize("omega", [(0.0, 0.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("M", [1, 2, 7])
+    def test_one_frequency(self, omega, M):
+        gen = SeededRng(M).generator()
+        fset = RffFeatureSet(np.tile(omega, (M, 1)), gen.uniform(0, 2 * np.pi, M))
+        X = gen.uniform(0, 2 * np.pi, (25, 2))
+        want = direct_design(fset.frequencies, fset.phases, X)
+        assert np.max(np.abs(fset.design_matrix(X) - want)) <= 1e-14
+        coef = gen.normal(size=M)
+        pred = RffModel(fset, coef, 0.1).predict(X)
+        assert np.max(np.abs(pred - want @ coef)) <= 1e-13 * np.max(np.abs(want @ coef))
+
+    def test_memory_at_n500_M1600(self):
+        fs = build_frequency_set(pauli_half_encoding([6, 6]))
+        gen = SeededRng(3).generator()
+        n, M = 500, 1600
+        fset = RffFeatureSet(uniform_distribution(fs).sample(gen, M), gen.uniform(0, 2 * np.pi, M))
+        assert 2 * fset.distinct.shape[0] <= M
+        model = RffModel(fset, gen.normal(size=M), 0.1)
+        X = gen.uniform(0, 2 * np.pi, (n, 2))
+        peaks = []
+        for call in (fset.design_matrix, model.predict):
+            tracemalloc.start()
+            try:
+                call(X)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2 * n * M * 8 + 2**20
+        assert peaks[1] < n * M * 4
+
+    def test_coef_is_validated(self):
+        fset = RffFeatureSet(np.array([[0.0], [1.0]]), np.array([0.5, 1.5]))
+        for bad in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [1.0, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="coef"):
+                RffModel(fset, np.array(bad), 0.1)
+        doc = RffModel(fset, np.array([1.0, 2.0]), 0.1).to_json()
+        doc["coef"] = [1.0]
+        with pytest.raises(ConfigError, match="coef"):
+            model_from_json(doc)
 
 
 class TestRffKernelEstimate:
