@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonIntegerFrequencyError
-from .freqsample import ENUMERATE_CAP, FrequencyDistribution, PMax, ProductDistribution, SeededRng
+from .freqsample import FrequencyDistribution, PMax, ProductDistribution, SeededRng
 from .kernelmap import (
     TrigPolynomial,
     coeff_sup_bound,
@@ -276,11 +276,12 @@ def feasibility_report(
     fs = dist.fs
     notes: list[str] = []
     anti = _anti_concentrated(dist)
-    # one enumeration of the half serves both p_max and the norm C
+    # one enumeration of the half serves both p_max and the norm C, at any
+    # size of the half
     p_vec = None
     if C is None and f_hat is not None and fs.materialized and fs.is_integer:
         p_vec = dist.pmf_vector()
-    if p_vec is not None and fs.size <= ENUMERATE_CAP:
+    if p_vec is not None:
         pm = PMax(float(np.max(p_vec)), True)
     else:
         pm = dist.p_max()

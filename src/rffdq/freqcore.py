@@ -30,6 +30,9 @@ LATTICE_CAP = 10**7
 
 _INT_TOL = 1e-12
 
+# The one rule for matching a frequency component to a lattice value.
+MATCH_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class HamiltonianSpectrum:
@@ -197,6 +200,13 @@ class FrequencySet:
     only on the encoding, so they are stable across runs and serialized
     artifacts.  In lazy mode only the per-dimension sets are stored and
     ``half`` and ``codes`` are ``None``.
+
+    Mirror identity: every per-dimension set is sorted and symmetric about
+    zero (position k of an n-point set holds the negation of position
+    n - 1 - k, within the 1e-9 matching rule), so -omega has code
+    ``full_size - 1 - code(omega)``.  A table over the full lattice in code
+    order, reversed, is therefore the same table at the negated points.
+    ``build_frequency_set`` checks the symmetry.
     """
 
     per_dimension_freqs: list[np.ndarray]
@@ -229,7 +239,7 @@ class FrequencySet:
         """Per-dimension maximum |frequency|."""
         return np.array([np.max(np.abs(f)) if f.size else 0.0 for f in self.per_dimension_freqs])
 
-    def locate(self, rows, tol: float = 1e-9) -> np.ndarray:
+    def locate(self, rows, tol: float = MATCH_TOL) -> np.ndarray:
         """Per-dimension positions of the components of each row of
         ``rows`` (shape ``(n, d)``), matched within ``tol``; raises
         ValueError for the first component that is in no lattice dimension."""
@@ -242,12 +252,19 @@ class FrequencySet:
             below = np.clip(pos - 1, 0, freqs.size - 1)
             at = np.minimum(pos, freqs.size - 1)
             idx = np.where(np.abs(freqs[below] - vals) <= tol, below, at)
-            off = np.abs(freqs[idx] - vals) > tol
+            # NaN compares false both ways: only a match within tol is on
+            off = ~(np.abs(freqs[idx] - vals) <= tol)
             if off.any():
                 value = vals[np.argmax(off)]
                 raise ValueError(f"frequency component {value} not in lattice dimension {j+1}")
             out[:, j] = idx
         return out
+
+    def mirror(self, idx) -> np.ndarray:
+        """Per-dimension positions of -omega for the points at ``idx`` (the
+        mirror identity)."""
+        sizes = np.array([f.size for f in self.per_dimension_freqs])
+        return sizes - 1 - np.asarray(idx)
 
     def at(self, idx) -> np.ndarray:
         """Lattice points at per-dimension positions ``idx``."""
@@ -270,12 +287,12 @@ class FrequencySet:
         self.require_materialized()
         return find_codes(self.codes, self.code(idx))
 
-    def snap(self, omega, tol: float = 1e-9) -> tuple:
+    def snap(self, omega, tol: float = MATCH_TOL) -> tuple:
         """The lattice point within ``tol`` of one frequency vector."""
         idx = self.locate(np.asarray(omega, dtype=float)[None], tol)
         return tuple(self.at(idx)[0].tolist())
 
-    def position(self, omega, tol: float = 1e-9) -> int:
+    def position(self, omega, tol: float = MATCH_TOL) -> int:
         """Row of a canonical frequency vector in ``half``."""
         self.require_materialized()
         row = int(self.half_rows(self.locate(np.atleast_2d(omega), tol))[0])
@@ -296,6 +313,10 @@ def build_frequency_set(
     nonzero component is positive; this is deterministic across runs.
     """
     per_dim = [component_frequency_set(dim, cap=per_dim_cap) for dim in enc.per_dimension]
+    for f in per_dim:
+        # the mirror identity of FrequencySet's codes rests on this
+        if np.any(np.diff(f) <= 0) or not np.all(np.abs(f + f[::-1]) <= MATCH_TOL):
+            raise AssertionError("per-dimension frequency set is not sorted and symmetric")
     full_size = 1
     for f in per_dim:
         full_size *= int(f.size)

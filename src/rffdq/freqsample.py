@@ -10,11 +10,15 @@ Three representations are supported:
   environments.
 
 Folding rule: p(omega) = ptilde(omega) for omega = 0, and
-p(omega) = ptilde(omega) + ptilde(-omega) otherwise.  Each distribution
-defines ptilde once, batched over rows of per-dimension lattice positions
-(``_tilde``); ``pmf`` and ``pmf_vector`` both fold it, except that an
-explicit distribution on a materialized lattice fills ``pmf_vector`` with
-its stored probabilities.
+p(omega) = ptilde(omega) + ptilde(-omega) otherwise, where -omega sits at
+the mirrored lattice positions (``FrequencySet``'s mirror identity).  ``pmf``
+folds ptilde at the rows it is given (``_tilde``, batched over rows of
+per-dimension lattice positions).  ``pmf_vector`` folds a dense ptilde over
+the whole materialized lattice in code order (``_tilde_grid``: outer
+products for a product distribution, one core contracted at a time for a
+tensor train), so enumerating the half gathers nothing row by row; an
+explicit distribution fills it with its stored probabilities instead.  Both
+routes round alike, so ``pmf(fs.half)`` equals ``pmf_vector()`` bitwise.
 """
 
 from __future__ import annotations
@@ -84,6 +88,11 @@ class FrequencyDistribution:
         """ptilde at each row of per-dimension lattice positions."""
         raise NotImplementedError
 
+    def _tilde_grid(self) -> np.ndarray:
+        """ptilde over the whole lattice, flat in code order; each entry
+        equals ``_tilde`` at that point bitwise."""
+        raise NotImplementedError
+
     def pmf(self, omega):
         """Probability of a canonical frequency (shape ``(d,)``, a float), or
         of each row of an ``(n, d)`` array (an array).  Components snap onto
@@ -103,7 +112,13 @@ class FrequencyDistribution:
     def pmf_vector(self) -> np.ndarray:
         """Probabilities over the materialized canonical half, in lattice order."""
         self.fs.require_materialized()
-        return self._folded(self.fs.half)
+        g = self._tilde_grid()
+        codes = self.fs.codes
+        # g reversed is ptilde at the negated points (the mirror identity)
+        p = g[codes]
+        p += g[::-1][codes]
+        p[0] = g[codes[0]]  # the zero frequency is its own mirror
+        return p
 
     def p_max(self, enumerate_cap: int = ENUMERATE_CAP) -> PMax | None:
         """Maximum probability; exact when the half can be enumerated."""
@@ -113,10 +128,12 @@ class FrequencyDistribution:
 
     def _folded(self, rows: np.ndarray) -> np.ndarray:
         """p at canonical lattice rows: ptilde(w) + ptilde(-w), and ptilde(0)
-        at the zero frequency."""
-        t = self._tilde(self.fs.locate(np.concatenate([rows, -rows])))
-        pos, neg = t[: rows.shape[0]], t[rows.shape[0]:]
-        return np.where(np.all(rows == 0.0, axis=1), pos, pos + neg)
+        at the zero frequency (the one point that is its own mirror)."""
+        idx = self.fs.locate(rows)
+        mirror = self.fs.mirror(idx)
+        t = self._tilde(np.concatenate([idx, mirror]))
+        pos, neg = t[: idx.shape[0]], t[idx.shape[0]:]
+        return np.where(np.all(idx == mirror, axis=1), pos, pos + neg)
 
 
 class ExplicitDistribution(FrequencyDistribution):
@@ -130,8 +147,7 @@ class ExplicitDistribution(FrequencyDistribution):
         probs = np.asarray(probs, dtype=float)
         if support.shape[0] != probs.size:
             raise ConfigError("support and probs must have matching lengths")
-        if np.any(probs < 0):
-            raise ConfigError("probabilities must be nonnegative")
+        _check_probabilities(probs)
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL * max(1, probs.size):
             raise ConfigError(f"probabilities sum to {total}, expected 1")
@@ -193,8 +209,7 @@ class ProductDistribution(FrequencyDistribution):
                     f"dimension {j+1}: {pj.size} probabilities for "
                     f"{fs.per_dimension_freqs[j].size} frequencies"
                 )
-            if np.any(pj < 0):
-                raise ConfigError("probabilities must be nonnegative")
+            _check_probabilities(pj)
             if abs(float(pj.sum()) - 1.0) > PROB_TOL * max(1, pj.size):
                 raise ConfigError(f"dimension {j+1} probabilities do not sum to 1")
             self.per_dim.append(pj)
@@ -203,6 +218,13 @@ class ProductDistribution(FrequencyDistribution):
         out = np.ones(idx.shape[0])
         for j, pj in enumerate(self.per_dim):
             out *= pj[idx[:, j]]
+        return out
+
+    def _tilde_grid(self) -> np.ndarray:
+        # outer products in dimension order multiply as _tilde does
+        out = np.ones(1)
+        for pj in self.per_dim:
+            out = (out[:, None] * pj).ravel()
         return out
 
     def sample(self, rng, M: int) -> np.ndarray:
@@ -249,6 +271,8 @@ class MpsDistribution(FrequencyDistribution):
                     f"core {j+1} physical dimension {core.shape[1]} does not match "
                     f"lattice dimension {fs.per_dimension_freqs[j].size}"
                 )
+            if not np.all(np.isfinite(core)):
+                raise ConfigError(f"core {j+1} entries must be finite")
             if np.any(core < 0):
                 raise ConfigError("core entries must be nonnegative")
             bond = core.shape[2]
@@ -269,8 +293,18 @@ class MpsDistribution(FrequencyDistribution):
     def _tilde(self, idx: np.ndarray) -> np.ndarray:
         left = np.ones((idx.shape[0], 1))
         for j, core in enumerate(self.cores):
-            left = np.einsum("ma,amb->mb", left, core[:, idx[:, j], :])
+            left = _contract(left.T[:, :, None], core[:, idx[:, j], :])
         return left[:, 0] / self.total_mass
+
+    def _tilde_grid(self) -> np.ndarray:
+        # left holds one row per point of the leading dimensions, in code
+        # order: O(full_size * bond^2) work and no gathers
+        left = np.ones((1, 1))
+        for core in self.cores:
+            left = _contract(left.T[:, :, None, None], core).reshape(-1, core.shape[2])
+        out = left.reshape(-1)
+        out /= self.total_mass
+        return out
 
     def marginal(self, j: int, prefix) -> np.ndarray:
         """Conditional pmf of dimension ``j`` (0-based) given the values of
@@ -313,6 +347,23 @@ class MpsDistribution(FrequencyDistribution):
             cols.append(self.fs.per_dimension_freqs[j][ks])
             left = np.einsum("ma,amb->mb", left, self.cores[j][:, ks, :])
         return fold_rows(np.stack(cols, axis=1))[0]
+
+
+def _check_probabilities(probs: np.ndarray):
+    if not np.all(np.isfinite(probs)):
+        raise ConfigError("probabilities must be finite")
+    if np.any(probs < 0):
+        raise ConfigError("probabilities must be nonnegative")
+
+
+def _contract(left: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """sum_a left[a] * core[a] over the leading (bond) axis, with one product
+    and one sum per bond index in bond order, so that a contraction over
+    gathered rows and one over the whole lattice round alike."""
+    out = left[0] * core[0]
+    for a in range(1, core.shape[0]):
+        out += left[a] * core[a]
+    return out
 
 
 def pmf(dist: FrequencyDistribution, omega) -> float:

@@ -334,10 +334,15 @@ class SweepInvariants:
     def build(
         cls, config: SweepConfig, fs: FrequencySet, dist: FrequencyDistribution
     ) -> "SweepInvariants":
-        pm = dist.p_max()
         krr_weights = None
         if config.krr_oracle and fs.size <= KRR_SIZE_CAP:
-            krr_weights = weights_of(dist.pmf_vector())
+            # one enumeration serves the KRR weights and p_max
+            p_vec = dist.pmf_vector()
+            krr_weights = weights_of(p_vec)
+            p_max = float(np.max(p_vec))
+        else:
+            pm = dist.p_max()
+            p_max = float("nan") if pm is None else pm.value
         target = alignment = target_error = None
         if config.problem.target.get("kind") in SEED_FREE_TARGETS:
             try:
@@ -345,7 +350,6 @@ class SweepInvariants:
                 alignment = alignment_of(target, dist)
             except Exception as exc:  # recorded by every cell, as if built there
                 target_error = exc
-        p_max = float("nan") if pm is None else pm.value
         return cls(fs, dist, p_max, krr_weights, target, alignment, target_error)
 
     def target_for(self, spec: ProblemSpec, gen: np.random.Generator) -> TrigPolynomial:

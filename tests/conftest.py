@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rffdq import freqcore, kernelmap, regress
+from rffdq import freqcore, freqsample, kernelmap, regress
 from rffdq.freqcore import EncodingStrategy, FrequencySet, HamiltonianSpectrum, build_frequency_set
 
 
@@ -22,6 +22,18 @@ def forbid_per_key_lookups(monkeypatch):
     monkeypatch.setattr(FrequencySet, "snap", forbidden)
     for module in (freqcore, kernelmap):
         monkeypatch.setattr(module, "canonical_fold", forbidden)
+
+
+def forbid_per_row_ptilde(monkeypatch):
+    """Make ptilde at gathered rows, and the lattice lookup behind it, raise,
+    so that an enumeration which still evaluates the half row by row fails."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-row ptilde")
+
+    for cls in (freqsample.ProductDistribution, freqsample.MpsDistribution):
+        monkeypatch.setattr(cls, "_tilde", forbidden)
+    monkeypatch.setattr(FrequencySet, "locate", forbidden)
 
 
 def forbid_model_evaluation(monkeypatch):

@@ -42,6 +42,32 @@ def oracle_half(per_dim_sets):
     return sorted(rows)
 
 
+def dense_ptilde(cores):
+    """The tensor-train pmf over the full lattice as a dense tensor: the
+    cores contracted with one ``np.einsum`` each, scaled to total mass one.
+    A product distribution is the train of its per-dimension vectors as
+    (1, n, 1) cores."""
+    full = np.ones(1)
+    for core in cores:
+        full = np.einsum("...a,aib->...ib", full, core)
+    full = full[..., 0]
+    return full / full.sum()
+
+
+def fold_by_negation(per_dim_sets, half, tilde, tol=1e-9):
+    """p at each canonical row: tilde at the row plus tilde at its negation,
+    each component matched to its nearest lattice value; the zero row once."""
+    pos, neg = [], []
+    for f, col in zip(per_dim_sets, np.asarray(half).T):
+        for sign, out in ((1.0, pos), (-1.0, neg)):
+            gap = np.abs(f[None, :] - sign * col[:, None])
+            out.append(np.argmin(gap, axis=1))
+            assert np.all(np.min(gap, axis=1) <= tol)
+    p, m = tilde[tuple(pos)], tilde[tuple(neg)]
+    zero = np.all(np.asarray(half) == 0.0, axis=1)
+    return np.where(zero, p, p + m)
+
+
 def random_dyadic_encoding(rng, d_max=3, L_max=3, spec_max=3, allow_empty=True):
     """Random encoding strategy with eigenvalues on the k/2 grid, |k| <= 4,
     so every downstream sum/difference is exact in binary floating point."""

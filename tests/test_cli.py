@@ -257,6 +257,20 @@ class TestExitCodes:
         assert run(["oracle-krr", "--data", data, "--encoding", workdir / "enc.json"]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_finite_distribution_is_2(self, workdir, capsys):
+        enc = workdir / "enc1.json"
+        enc.write_text(json.dumps({"dimensions": [[[-0.5, 0.5]]]}))
+        docs = [
+            {"kind": "product", "per_dim": [[float("nan"), 0.5, 0.5]]},
+            {"kind": "explicit", "support": [[0.0], [1.0]], "probs": [float("nan"), 0.5]},
+            {"kind": "mps", "cores": [[[[1.0], [float("nan")], [1.0]]]]},
+        ]
+        for doc in docs:
+            dist = workdir / "nan_dist.json"
+            dist.write_text(json.dumps(doc))
+            assert run(["bounds", "feasibility", "--encoding", enc, "--dist", dist]) == 2
+            assert "must be finite" in capsys.readouterr().err
+
     def test_numeric_error_is_3(self, workdir):
         assert run(
             ["bounds", "sufficient", "--opnorm", 0.9, "--C", 1, "--b", 1, "--eps", 0.1, "--delta", 0.05]

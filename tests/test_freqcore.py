@@ -158,6 +158,12 @@ class TestLocate:
         with pytest.raises(ValueError, match="must have length 2"):
             fs.locate(np.zeros((1, 3)))
 
+    def test_nan_is_off_lattice(self, fs_1d_3):
+        with pytest.raises(ValueError, match="nan not in lattice dimension 1"):
+            fs_1d_3.locate(np.array([[np.nan]]))
+        with pytest.raises(ValueError, match="not in lattice dimension 1"):
+            fs_1d_3.snap([np.nan])
+
     def test_non_canonical_and_off_lattice_rows(self):
         fs = build_frequency_set(pauli_half_encoding([2, 1]))
         rows = np.array([[0.0, 0.0], [0.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [0.0, 1.0]])

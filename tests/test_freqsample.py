@@ -1,10 +1,11 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import pauli_half_encoding
-from oracles import chi_square_pvalue
+from conftest import forbid_per_row_ptilde, pauli_half_encoding
+from oracles import chi_square_pvalue, dense_ptilde, fold_by_negation
 from rffdq.errors import CapacityError, ConfigError, DegenerateDistributionError
 from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
 from rffdq.freqsample import (
@@ -107,6 +108,24 @@ def _lattices():
     ]
 
 
+def _merged_cluster_lattice():
+    """Eigenvalue sums 1 and 1 + 5e-13 merge, so the dedup keeps 1 on the
+    positive side and -1 - 5e-13 on the negative one: a per-dimension set
+    symmetric only within tolerance."""
+    near = (HamiltonianSpectrum((0.0, 1.0)), HamiltonianSpectrum((0.0, 1.0 + 5e-13)))
+    return build_frequency_set(
+        EncodingStrategy((near, (HamiltonianSpectrum((-0.5, 0.5)),)))
+    )
+
+
+def _oracle_cases():
+    """(lattice, MPS bond or None for random bonds) pairs."""
+    cases = [(fs, None) for fs in _lattices()]
+    cases.append((build_frequency_set(pauli_half_encoding([2] * 6)), 4))
+    cases.append((_merged_cluster_lattice(), None))
+    return cases
+
+
 class TestPmfVector:
     @pytest.mark.parametrize("kind", ["explicit", "product", "mps"])
     @pytest.mark.parametrize("lattice", range(4))
@@ -118,8 +137,48 @@ class TestPmfVector:
             want = np.array([dist.pmf(row) for row in fs.half])
             assert got.shape == (fs.size,)
             # the zero frequency (row 0) is covered: it has no mirror term
-            assert np.all(np.abs(got - want) <= 1e-15 * want)
+            assert got.tolist() == want.tolist()
             assert dist.p_max().value == np.max(got)
+
+    @pytest.mark.parametrize("kind", ["product", "mps"])
+    @pytest.mark.parametrize("case", range(6))
+    def test_matches_dense_oracle(self, kind, case, rng):
+        fs, bond = _oracle_cases()[case]
+        for _ in range(3):
+            dist = _random_dist(kind, fs, rng, bond)
+            if kind == "product":
+                cores = [pj.reshape(1, -1, 1) for pj in dist.per_dim]
+            else:
+                cores = dist.cores
+            want = fold_by_negation(fs.per_dimension_freqs, fs.half, dense_ptilde(cores))
+            got = dist.pmf_vector()
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    def test_enumeration_evaluates_no_row(self, monkeypatch, rng):
+        dists = [
+            _random_dist(kind, fs, rng, bond)
+            for fs, bond in _oracle_cases()
+            for kind in ("product", "mps")
+        ]
+        want = [(dist.pmf_vector(), dist.p_max()) for dist in dists]
+        forbid_per_row_ptilde(monkeypatch)
+        for dist, (p, pm) in zip(dists, want):
+            assert dist.pmf_vector().tolist() == p.tolist()
+            assert dist.p_max() == pm
+
+    def test_enumeration_memory_is_linear_in_the_lattice(self, rng):
+        # 9^6 points, bond 4: a row-by-row enumeration peaked near 30 times
+        # full_size * 8 B; the dense ptilde, its fold and one contraction's
+        # temporaries stay under four
+        fs = build_frequency_set(pauli_half_encoding([4] * 6))
+        dist = _random_dist("mps", fs, rng, bond=4)
+        tracemalloc.start()
+        try:
+            dist.pmf_vector()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * fs.full_size * 8 + 1_000_000
 
     @pytest.mark.parametrize("L_per_dim", [[6, 6], [10, 10], [2] * 6])
     def test_explicit_fill_is_the_fold(self, L_per_dim, rng):
@@ -152,6 +211,12 @@ class TestPmfVector:
             assert got.tolist() == [dist.pmf(row) for row in fs_2d.half]
             assert got.tolist() == dist.pmf_vector().tolist()
 
+    def test_nan_component_raises(self, fs_1d_3):
+        with pytest.raises(ValueError, match="not in lattice dimension 1"):
+            uniform_distribution(fs_1d_3).pmf([np.nan])
+        with pytest.raises(ValueError, match="not in lattice dimension 1"):
+            ExplicitDistribution(fs_1d_3, [[0.0], [np.nan]], [0.5, 0.5])
+
     def test_off_lattice_component_raises(self, fs_2d):
         dist = _random_dist("mps", fs_2d, np.random.default_rng(0))
         # within the 1e-9 tolerance a component snaps to its lattice point,
@@ -166,7 +231,7 @@ class TestPmfVector:
             dist.pmf(np.array([[1.0, 0.0], [0.5, 0.0]]))
 
 
-def _random_dist(kind, fs, rng):
+def _random_dist(kind, fs, rng, bond=None):
     if kind == "explicit":
         k = int(rng.integers(1, fs.size + 1))
         rows = fs.half[rng.choice(fs.size, size=k, replace=False)]
@@ -181,7 +246,10 @@ def _random_dist(kind, fs, rng):
     cores = []
     chi_prev = 1
     for j, f in enumerate(fs.per_dimension_freqs):
-        chi_next = 1 if j == fs.d - 1 else int(rng.integers(1, 4))
+        if j == fs.d - 1:
+            chi_next = 1
+        else:
+            chi_next = bond or int(rng.integers(1, 4))
         cores.append(rng.uniform(0.0, 1.0, (chi_prev, f.size, chi_next)))
         chi_prev = chi_next
     return MpsDistribution(fs, cores)
@@ -330,6 +398,17 @@ class TestMps:
         freqs = fs_2d.per_dimension_freqs[0]
         with pytest.raises(DegenerateDistributionError):
             mps_marginal(mps, 1, [freqs[1]])  # prefix k1=1 has zero mass
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, fs_2d, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            ExplicitDistribution(fs_2d, [(0.0, 0.0), (1.0, 0.0)], [bad, 0.5])
+        with pytest.raises(ConfigError, match="finite"):
+            ProductDistribution(fs_2d, [[bad, 0.5, 0.5], np.full(3, 1 / 3)])
+        core = np.ones((1, 3, 1))
+        core[0, 1, 0] = bad
+        with pytest.raises(ConfigError, match="core 2 entries must be finite"):
+            MpsDistribution(fs_2d, [np.ones((1, 3, 1)), core])
 
     def test_core_validation(self, fs_2d):
         with pytest.raises(ConfigError):

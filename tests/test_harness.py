@@ -274,6 +274,32 @@ class TestRunSweep:
             assert len(rows) == 4 and all(row["error"] == "" for row in rows)
             assert (tmp_path / f"got{i}.csv").read_bytes() == want[i]
 
+    def test_one_enumeration_serves_p_max_and_the_krr_weights(self, tmp_path, monkeypatch):
+        from rffdq.freqsample import ProductDistribution
+
+        doc = sweep_doc(
+            dist={"kind": "product", "per_dim": [[0.1, 0.2, 0.4, 0.2, 0.1]]},
+            axes={"M": [4, 16], "n": [40], "lambda": [1e-3], "seeds": [0, 1]},
+        )
+        calls = []
+        real_pmf_vector = ProductDistribution.pmf_vector
+
+        def counting(self):
+            calls.append(1)
+            return real_pmf_vector(self)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("second enumeration")
+
+        monkeypatch.setattr(ProductDistribution, "pmf_vector", counting)
+        monkeypatch.setattr(ProductDistribution, "p_max", forbidden)
+        rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
+        assert len(rows) == 4 and all(row["error"] == "" for row in rows)
+        assert all(math.isfinite(row["krr_true_risk"]) for row in rows)
+        assert len(calls) == 1
+        # p(0) = 0.4 and p(1) = 0.2 + 0.2
+        assert {row["p_max"] for row in rows} == {0.4}
+
     def test_circuit_target_failure_recorded_in_every_row(self, tmp_path):
         doc = circuit_sweep_doc(scale=0.3)
         rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
