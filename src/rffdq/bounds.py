@@ -278,13 +278,9 @@ def feasibility_report(
     anti = _anti_concentrated(dist)
     # one enumeration of the half serves both p_max and the norm C, at any
     # size of the half
-    p_vec = None
-    if C is None and f_hat is not None and fs.materialized and fs.is_integer:
-        p_vec = dist.pmf_vector()
-    if p_vec is not None:
-        pm = PMax(float(np.max(p_vec)), True)
-    else:
-        pm = dist.p_max()
+    needs_c = C is None and f_hat is not None and fs.materialized and fs.is_integer
+    p_vec = dist.pmf_vector() if needs_c else None
+    pm = dist.p_max() if p_vec is None else PMax(float(np.max(p_vec)), True)
     if dist.uniform_variant is not None:
         n_min_dim = min(f.size for f in fs.per_dimension_freqs)
         notes.append(

@@ -108,14 +108,13 @@ def load_encoding(path: str) -> EncodingStrategy:
 
 
 def _dedup_sorted(values: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Collapse entries of a sorted array that are within ``tol`` of the
-    previous kept entry."""
-    if values.size == 0:
-        return values
-    keep = np.empty(values.size, dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(values), tol, out=keep[1:])
-    return values[keep]
+    """Collapse each cluster of a sorted nonempty array (a maximal run of
+    neighbour gaps within ``tol``) to its member of smallest magnitude.
+    Clusters and the members kept are mirror invariant, so a symmetric set
+    holding 0 stays symmetric and keeps 0."""
+    starts = np.concatenate([[True], np.diff(values) > tol])
+    # within each cluster, in cluster order, the smallest magnitude first
+    return values[np.lexsort((np.abs(values), np.cumsum(starts)))[starts]]
 
 
 def component_frequency_set(
@@ -123,9 +122,10 @@ def component_frequency_set(
 ) -> np.ndarray:
     """All differences of all eigenvalue sums for one input dimension.
 
-    Returns a sorted, deduplicated array.  Always contains 0 and is symmetric
-    about 0 (a - b and b - a are exact negations in IEEE arithmetic).  An
-    empty gate list yields {0}.
+    Returns a sorted, deduplicated array.  Always contains 0 and is exactly
+    symmetric about 0 (a - b and b - a are exact negations in IEEE
+    arithmetic, and the dedup keeps mirrored members).  An empty gate list
+    yields {0}.
     """
     sums = np.zeros(1)
     for spec in spectra:
@@ -202,8 +202,8 @@ class FrequencySet:
     ``half`` and ``codes`` are ``None``.
 
     Mirror identity: every per-dimension set is sorted and symmetric about
-    zero (position k of an n-point set holds the negation of position
-    n - 1 - k, within the 1e-9 matching rule), so -omega has code
+    zero (position k of an n-point set holds the exact negation of position
+    n - 1 - k), so -omega has code
     ``full_size - 1 - code(omega)``.  A table over the full lattice in code
     order, reversed, is therefore the same table at the negated points.
     ``build_frequency_set`` checks the symmetry.
@@ -315,7 +315,7 @@ def build_frequency_set(
     per_dim = [component_frequency_set(dim, cap=per_dim_cap) for dim in enc.per_dimension]
     for f in per_dim:
         # the mirror identity of FrequencySet's codes rests on this
-        if np.any(np.diff(f) <= 0) or not np.all(np.abs(f + f[::-1]) <= MATCH_TOL):
+        if np.any(np.diff(f) <= 0) or not np.array_equal(f, -f[::-1]):
             raise AssertionError("per-dimension frequency set is not sorted and symmetric")
     full_size = 1
     for f in per_dim:

@@ -34,8 +34,8 @@ from .freqcore import FrequencySet, find_codes, fold_rows
 
 PROB_TOL = 1e-12
 
-# p_max is exact (an enumeration of the half) up to this many frequencies
-ENUMERATE_CAP = 200_000
+# p_max is exact where the dense ptilde grid of pmf_vector fits in this many bytes
+ENUMERATE_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,8 @@ class FrequencyDistribution:
     kind: str = ""
     # set for the two labeled uniform variants produced by uniform_distribution
     uniform_variant: str | None = None
+    # widest bond of the dense ptilde grid: a tensor train's, else 1
+    bond: int = 1
 
     def __init__(self, fs: FrequencySet):
         self.fs = fs
@@ -120,11 +122,15 @@ class FrequencyDistribution:
         p[0] = g[codes[0]]  # the zero frequency is its own mirror
         return p
 
-    def p_max(self, enumerate_cap: int = ENUMERATE_CAP) -> PMax | None:
-        """Maximum probability; exact when the half can be enumerated."""
-        if self.fs.materialized and self.fs.size <= enumerate_cap:
-            return PMax(float(np.max(self.pmf_vector())), True)
-        return None
+    @property
+    def enumerable(self) -> bool:
+        """Whether ``pmf_vector`` may run: a materialized lattice whose dense
+        ptilde grid, about full_size * bond * 8 B, fits in ENUMERATE_BYTES."""
+        return self.fs.materialized and 8 * self.fs.full_size * self.bond <= ENUMERATE_BYTES
+
+    def p_max(self) -> PMax | None:
+        """Maximum probability, exact on an enumerable lattice; else None."""
+        return PMax(float(np.max(self.pmf_vector())), True) if self.enumerable else None
 
     def _folded(self, rows: np.ndarray) -> np.ndarray:
         """p at canonical lattice rows: ptilde(w) + ptilde(-w), and ptilde(0)
@@ -187,7 +193,7 @@ class ExplicitDistribution(FrequencyDistribution):
         idx = gen.choice(self.support.shape[0], size=M, p=self.probs)
         return self.support[idx]
 
-    def p_max(self, enumerate_cap: int = ENUMERATE_CAP) -> PMax:
+    def p_max(self) -> PMax:
         return PMax(float(np.max(self.probs)), True)
 
 
@@ -243,8 +249,9 @@ class ProductDistribution(FrequencyDistribution):
             out *= float(np.max(pj))
         return out
 
-    def p_max(self, enumerate_cap: int = ENUMERATE_CAP) -> PMax:
-        pm = super().p_max(enumerate_cap)
+    def p_max(self) -> PMax:
+        """Exact on an enumerable lattice, else the upper bound 2 ptilde_max."""
+        pm = super().p_max()
         return PMax(2.0 * self.tilde_max(), False) if pm is None else pm
 
 
@@ -279,6 +286,7 @@ class MpsDistribution(FrequencyDistribution):
             self.cores.append(core)
         if bond != 1:
             raise ConfigError("last core must close the tensor train (right bond 1)")
+        self.bond = max(core.shape[2] for core in self.cores)
         # right environments: R[j] sums out dimensions j..d-1
         self.right = [None] * (fs.d + 1)
         self.right[fs.d] = np.ones(1)

@@ -34,7 +34,7 @@ import numpy as np
 from .bounds import alignment as alignment_of
 from .errors import ConfigError
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
-from .freqsample import FrequencyDistribution, SeededRng, distribution_from_json
+from .freqsample import FrequencyDistribution, PMax, SeededRng, distribution_from_json
 from .kernelmap import TrigPolynomial, WeightVector, coeff_sup_bound, weights_of
 from .regress import Dataset, empirical_risk, kernel_ridge_fit, rff_fit, true_risk_estimate
 
@@ -334,15 +334,12 @@ class SweepInvariants:
     def build(
         cls, config: SweepConfig, fs: FrequencySet, dist: FrequencyDistribution
     ) -> "SweepInvariants":
-        krr_weights = None
-        if config.krr_oracle and fs.size <= KRR_SIZE_CAP:
-            # one enumeration serves the KRR weights and p_max
-            p_vec = dist.pmf_vector()
-            krr_weights = weights_of(p_vec)
-            p_max = float(np.max(p_vec))
-        else:
-            pm = dist.p_max()
-            p_max = float("nan") if pm is None else pm.value
+        # one enumeration serves p_max and the KRR weights
+        p_vec = dist.pmf_vector() if dist.enumerable else None
+        pm = dist.p_max() if p_vec is None else PMax(float(np.max(p_vec)), True)
+        p_max = float("nan") if pm is None else pm.value
+        krr = config.krr_oracle and p_vec is not None and fs.size <= KRR_SIZE_CAP
+        krr_weights = weights_of(p_vec) if krr else None
         target = alignment = target_error = None
         if config.problem.target.get("kind") in SEED_FREE_TARGETS:
             try:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
@@ -125,34 +124,32 @@ def holdout_split(data: Dataset, seed: int, test_frac: float = 0.2):
 
 
 def _solve_spd(A: np.ndarray, B: np.ndarray, allow_jitter: bool) -> np.ndarray:
-    """Cholesky solve with trace-scaled jitter escalation.
+    """Solve A x = B for a positive semi-definite A, with numpy alone.
 
-    With jitter disallowed (the lambda = 0 path) the factor must also be
-    numerically nonsingular: LAPACK can produce a tiny positive pivot where
-    the exact pivot is zero, so the pivot ratio is checked explicitly.
+    With jitter allowed (lambda > 0), a singular LU factorization escalates
+    through trace-scaled jitter.  With jitter disallowed (lambda = 0) the
+    Cholesky factor must exist and, since LAPACK can produce a tiny positive
+    pivot where the exact pivot is zero, pass the pivot-ratio check.
     """
+    if not allow_jitter:
+        try:
+            pivots = np.abs(np.diag(np.linalg.cholesky(A)))
+        except np.linalg.LinAlgError:
+            pivots = None
+        if pivots is None or float(np.min(pivots)) <= 1e-7 * float(np.max(pivots)):
+            raise np.linalg.LinAlgError("normal equations are singular at lambda = 0")
+        return np.linalg.solve(A, B)
     try:
-        factor = scipy.linalg.cho_factor(A, lower=True)
-        if not allow_jitter:
-            pivots = np.abs(np.diag(factor[0]))
-            if float(np.min(pivots)) <= 1e-7 * float(np.max(pivots)):
-                raise np.linalg.LinAlgError(
-                    "normal equations are singular at lambda = 0"
-                )
-        return scipy.linalg.cho_solve(factor, B)
-    except scipy.linalg.LinAlgError:
-        if not allow_jitter:
-            raise np.linalg.LinAlgError(
-                "normal equations are singular at lambda = 0"
-            ) from None
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        pass
     base = float(np.trace(A)) / A.shape[0]
     if base <= 0:
         base = 1.0
     for factor in _JITTER_LADDER:
         try:
-            Aj = A + (factor * base) * np.eye(A.shape[0])
-            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(Aj, lower=True), B)
-        except scipy.linalg.LinAlgError:
+            return np.linalg.solve(A + (factor * base) * np.eye(A.shape[0]), B)
+        except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError(
         f"factorization failed after {len(_JITTER_LADDER)} jitter escalations"

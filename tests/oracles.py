@@ -26,6 +26,13 @@ def oracle_component_set(spectra_values):
     return sorted({a - b for a in sums for b in sums})
 
 
+def dedup_keep_first(values, tol=1e-12):
+    """The earlier per-dimension dedup rule: each cluster of neighbour gaps
+    within ``tol`` keeps its first (most negative) member."""
+    keep = np.concatenate([[True], np.diff(values) > tol])
+    return values[keep]
+
+
 def oracle_full_lattice(per_dim_sets):
     return [tuple(p) for p in itertools.product(*per_dim_sets)]
 

@@ -16,7 +16,6 @@ from rffdq.bounds import (
 from rffdq.errors import NonIntegerFrequencyError
 from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
 from rffdq.freqsample import (
-    ENUMERATE_CAP,
     ExplicitDistribution,
     MpsDistribution,
     ProductDistribution,
@@ -274,15 +273,15 @@ class TestFeasibilityWithoutPerKeyLookups:
 
 class TestFeasibilityLargeHalf:
     def test_pmax_taken_from_the_enumeration_above_the_cap(self):
-        # 27^4 points: the half is enumerated for C, so its maximum is the
-        # exact p_max though dist.p_max() gives up above the cap
+        # 27^4 points: the half is enumerated for C, and its maximum is the
+        # exact p_max that dist.p_max() gives too
         fs = build_frequency_set(pauli_half_encoding([13] * 4))
-        assert fs.size == 265_721 > ENUMERATE_CAP
+        assert fs.size == 265_721
         rng = np.random.default_rng(4)
         cores = [rng.uniform(0.1, 1.0, shape) for shape in
                  [(1, 27, 2), (2, 27, 2), (2, 27, 2), (2, 27, 1)]]
         dist = MpsDistribution(fs, cores)
-        assert dist.p_max() is None
+        assert dist.p_max() == (float(np.max(dist.pmf_vector())), True)
         f = TrigPolynomial.from_half_coeffs(fs, {(1.0, 0.0, 0.0, 0.0): 0.5})
         rep = feasibility_report(dist, f_hat=f)
         assert rep.p_max == float(np.max(dist.pmf_vector())) and rep.p_max_exact

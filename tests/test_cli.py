@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rffdq
 from rffdq.cli import main
 from rffdq.freqsample import SeededRng
 
@@ -317,3 +322,19 @@ class TestDeterminism:
         )
         for a, b in casepairs:
             assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # importing scipy.linalg costs a fresh process about 0.3 s and 27 MB;
+    # the runtime needs numpy alone
+    src = str(Path(rffdq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, rffdq.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import pauli_half_encoding
 from oracles import (
+    dedup_keep_first,
     oracle_component_set,
     oracle_full_lattice,
     oracle_half,
     random_dyadic_encoding,
 )
+from rffdq import freqcore
 from rffdq.errors import CapacityError, ConfigError
 from rffdq.freqcore import (
     EncodingStrategy,
@@ -18,6 +23,11 @@ from rffdq.freqcore import (
     canonical_fold,
     component_frequency_set,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import studies  # noqa: E402
+from rffdq.harness import SweepConfig  # noqa: E402
 
 
 class TestComponentFrequencySet:
@@ -49,6 +59,42 @@ class TestComponentFrequencySet:
         got = component_frequency_set(enc.per_dimension[0]).tolist()
         want = oracle_component_set([s.eigenvalues for s in enc.per_dimension[0]])
         assert got == want
+
+    def test_a_chain_collapses_to_its_smallest_magnitude(self):
+        chain = np.array([0.0, 0.9e-12, 1.8e-12, 2.7e-12])
+        mirrored = np.concatenate([-chain[:0:-1], chain])
+        assert freqcore._dedup_sorted(chain).tolist() == [0.0]
+        assert freqcore._dedup_sorted(mirrored).tolist() == [0.0]
+        assert freqcore._dedup_sorted(chain + 1.0).tolist() == [1.0]
+        assert freqcore._dedup_sorted(-(chain + 1.0)[::-1]).tolist() == [-1.0]
+
+    def test_decimal_spectra_give_exactly_symmetric_sets(self):
+        # sums of decimal eigenvalues round, so near-equal differences form
+        # chains; the set must still hold 0 and every value's exact negation
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            specs = [
+                HamiltonianSpectrum(tuple(np.round(rng.uniform(-1, 1, 3), 1)))
+                for _ in range(3)
+            ]
+            f = component_frequency_set(specs)
+            assert 0.0 in f and np.array_equal(f, -f[::-1])
+
+    def test_integer_and_benchmark_lattices_unchanged(self, monkeypatch):
+        # on these lattices every cluster is one value, so the member kept
+        # cannot differ from the earlier keep-first rule's
+        encodings = [pauli_half_encoding([3, 1, 4])]
+        encodings += [
+            SweepConfig.from_json(studies.study_config(w, 1, 0)).problem.encoding
+            for w in studies.WORKLOADS.values()
+        ]
+        rng = np.random.default_rng(5)
+        encodings += [random_dyadic_encoding(rng) for _ in range(20)]
+        want = [build_frequency_set(enc, materialize=False).per_dimension_freqs for enc in encodings]
+        monkeypatch.setattr(freqcore, "_dedup_sorted", dedup_keep_first)
+        for enc, new in zip(encodings, want):
+            old = build_frequency_set(enc, materialize=False).per_dimension_freqs
+            assert all(np.array_equal(a, b) for a, b in zip(old, new))
 
 
 class TestBuildFrequencySet:

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import forbid_per_row_ptilde, pauli_half_encoding
 from oracles import chi_square_pvalue, dense_ptilde, fold_by_negation
+from rffdq import freqsample
 from rffdq.errors import CapacityError, ConfigError, DegenerateDistributionError
 from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
 from rffdq.freqsample import (
@@ -109,9 +110,10 @@ def _lattices():
 
 
 def _merged_cluster_lattice():
-    """Eigenvalue sums 1 and 1 + 5e-13 merge, so the dedup keeps 1 on the
-    positive side and -1 - 5e-13 on the negative one: a per-dimension set
-    symmetric only within tolerance."""
+    """Eigenvalue sums 1 and 1 + 5e-13 merge, and so do the differences
+    near +-1: the dedup keeps +-1, the members of smallest magnitude, so the
+    per-dimension set is symmetric although its values went through
+    merged clusters."""
     near = (HamiltonianSpectrum((0.0, 1.0)), HamiltonianSpectrum((0.0, 1.0 + 5e-13)))
     return build_frequency_set(
         EncodingStrategy((near, (HamiltonianSpectrum((-0.5, 0.5)),)))
@@ -165,6 +167,18 @@ class TestPmfVector:
         for dist, (p, pm) in zip(dists, want):
             assert dist.pmf_vector().tolist() == p.tolist()
             assert dist.p_max() == pm
+
+    def test_p_max_gives_up_above_the_byte_cap(self, monkeypatch, rng):
+        # on 5^2 points the product grid takes 200 B, a bond-2 tensor
+        # train's 400 B
+        fs = build_frequency_set(pauli_half_encoding([2, 2]))
+        product = _random_dist("product", fs, rng)
+        mps = _random_dist("mps", fs, rng, bond=2)
+        monkeypatch.setattr(freqsample, "ENUMERATE_BYTES", 399)
+        assert product.p_max() == (float(np.max(product.pmf_vector())), True)
+        assert mps.p_max() is None
+        monkeypatch.setattr(freqsample, "ENUMERATE_BYTES", 199)
+        assert product.p_max() == (2.0 * product.tilde_max(), False)
 
     def test_enumeration_memory_is_linear_in_the_lattice(self, rng):
         # 9^6 points, bond 4: a row-by-row enumeration peaked near 30 times

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import forbid_per_key_lookups
 from rffdq.errors import ConfigError
+from rffdq.freqcore import build_frequency_set
+from rffdq.freqsample import MpsDistribution
 from rffdq.harness import (
     ProblemSpec,
     SweepConfig,
@@ -299,6 +301,29 @@ class TestRunSweep:
         assert len(calls) == 1
         # p(0) = 0.4 and p(1) = 0.2 + 0.2
         assert {row["p_max"] for row in rows} == {0.4}
+
+    def test_large_mps_lattice_writes_an_exact_p_max(self, tmp_path):
+        # 27^4 lattice, half of 265,721 points: enumerating its dense grid
+        # (27^4 x bond 2 x 8 B, 8.5 MB) gives the exact p_max
+        rng = np.random.default_rng(4)
+        shapes = [(1, 27, 2), (2, 27, 2), (2, 27, 2), (2, 27, 1)]
+        cores = [rng.uniform(0.1, 1.0, shape).tolist() for shape in shapes]
+        term = {"omega": [1.0, 0.0, 0.0, 0.0], "re": 0.5, "im": 0.0}
+        doc = sweep_doc(
+            problem=problem_doc(
+                encoding={"dimensions": [[[-0.5, 0.5]] * 13] * 4},
+                target={"kind": "explicit", "function": {"d": 4, "terms": [term]}},
+                n=20,
+            ),
+            dist={"kind": "mps", "cores": cores},
+            axes={"M": [8], "n": [20], "lambda": [1e-3], "seeds": [0]},
+        )
+        config = SweepConfig.from_json(doc)
+        rows = run_sweep(config, str(tmp_path / "r.csv"))
+        fs = build_frequency_set(config.problem.encoding)
+        want = float(np.max(MpsDistribution(fs, [np.asarray(c) for c in cores]).pmf_vector()))
+        assert len(rows) == 1 and rows[0]["error"] == ""
+        assert rows[0]["p_max"] == want and math.isfinite(want)
 
     def test_circuit_target_failure_recorded_in_every_row(self, tmp_path):
         doc = circuit_sweep_doc(scale=0.3)

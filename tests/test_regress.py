@@ -116,6 +116,38 @@ class TestLinearRidge:
         with pytest.raises(np.linalg.LinAlgError):
             linear_ridge_fit(F, np.array([1.0, 2.0]), 0.0)
 
+    def test_rank_deficient_design_escalates_jitter(self, monkeypatch):
+        # lambda n = 4e-300 vanishes next to F^T F = [[4, 4], [4, 4]], so the
+        # regularized system is exactly singular and only jitter can solve it
+        import rffdq.regress as regress
+
+        rungs = []
+
+        class Ladder(tuple):
+            def __iter__(self):
+                for rung in super().__iter__():
+                    rungs.append(rung)
+                    yield rung
+
+        monkeypatch.setattr(regress, "_JITTER_LADDER", Ladder(regress._JITTER_LADDER))
+        F = np.ones((4, 2))
+        Y = np.array([1.0, 2.0, 3.0, 4.0])
+        w = linear_ridge_fit(F, Y, 1e-300)
+        assert rungs == [1e-12]
+        assert w == pytest.approx([1.25, 1.25], rel=1e-10)
+
+    def test_near_equal_columns_rejected_at_lambda_zero(self, rng):
+        c = rng.normal(size=20)
+        F = np.stack([c, c + 1e-9 * rng.normal(size=20)], axis=1)
+        with pytest.raises(np.linalg.LinAlgError):
+            linear_ridge_fit(F, rng.normal(size=20), 0.0)
+
+    def test_full_rank_lambda_zero_matches_lstsq(self, rng):
+        F = rng.normal(size=(30, 5))
+        Y = rng.normal(size=30)
+        want = np.linalg.lstsq(F, Y, rcond=None)[0]
+        assert np.max(np.abs(linear_ridge_fit(F, Y, 0.0) - want)) <= 1e-10
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             linear_ridge_fit(np.array([[np.inf]]), np.array([1.0]), 0.1)
