@@ -20,7 +20,6 @@ whose rearrangements give the two required-sample numbers reported here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +36,9 @@ from .kernelmap import (
     weights_of,
 )
 from .regress import Dataset, model_spectrum, rff_fit
+
+# frequency samples beyond which feasibility_report calls the alignment bound blocking
+M_BUDGET = 1e6
 
 
 @dataclass
@@ -260,7 +262,6 @@ def feasibility_report(
     eps: float = 0.1,
     delta: float = 0.05,
     eps_hat: float | None = None,
-    M_budget: float = 1e6,
 ) -> FeasibilityReport:
     """Operational verdict on whether the bound machinery certifies,
     forbids, or says nothing about dequantizing with this sampler.
@@ -268,9 +269,10 @@ def feasibility_report(
     LOWER-BOUND-BLOCKS: the target is known, the error regime is
     non-vacuous, and either the sampler family is structurally
     anti-concentrated (uniform / nontrivial product) or the alignment bound
-    exceeds the sample budget.  SUFFICIENT-BOUND-POLY: a hyperplane-norm
-    bound is available (given or computed) together with a known, structurally
-    concentrated p_max, so the sufficient pair (n_min, M_min) is evaluated.
+    exceeds the sample budget ``M_BUDGET``.  SUFFICIENT-BOUND-POLY: a
+    hyperplane-norm bound is available (given or computed) together with a
+    known, structurally concentrated p_max, so the sufficient pair
+    (n_min, M_min) is evaluated.
     Everything else is INCONCLUSIVE.
     """
     fs = dist.fs
@@ -322,11 +324,11 @@ def feasibility_report(
                 "anti-concentrated sampler in a non-vacuous error regime: the "
                 "necessity bound forces super-polynomially many frequency samples as d grows"
             )
-        elif lower.M_required_alignment > M_budget:
+        elif lower.M_required_alignment > M_BUDGET:
             blocked = True
             notes.append(
                 f"alignment bound requires M >= {lower.M_required_alignment:.6g} "
-                f"(budget {M_budget:.6g})"
+                f"(budget {M_BUDGET:.6g})"
             )
     if blocked:
         verdict = "LOWER-BOUND-BLOCKS"
@@ -388,9 +390,3 @@ def empirical_error_mean(
     mean = float(np.mean(errs))
     stderr = float(np.std(errs, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr, errs
-
-
-def save_report(report, path: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-        fh.write("\n")

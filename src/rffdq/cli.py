@@ -75,6 +75,19 @@ def _load_weights(args) -> tuple[EncodingStrategy, WeightVector]:
     return enc, WeightVector.from_json(doc)
 
 
+def _parse_lambda(text: str):
+    """``--lambda``: ``auto`` or a finite number >= 0."""
+    if text == "auto":
+        return text
+    try:
+        lam = float(text)
+    except ValueError:
+        lam = math.nan  # rejected below, with the non-finite numbers
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ConfigError(f"--lambda must be 'auto' or a finite number >= 0, got {text!r}")
+    return lam
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -114,8 +127,7 @@ def cmd_kernel(args) -> int:
     Xp = _load_points(args.xprime, fs.d)
     if X.shape[0] != Xp.shape[0]:
         raise ConfigError("--x and --xprime must have the same number of rows")
-    values = [kernel_eval(X[i], Xp[i], fs, w) for i in range(X.shape[0])]
-    _emit_json({"values": values}, args.out)
+    _emit_json({"values": kernel_eval(X, Xp, fs, w).tolist()}, args.out)
     return 0
 
 
@@ -145,8 +157,7 @@ def cmd_fit(args) -> int:
     fs = build_frequency_set(enc, materialize=not args.lazy)
     dist = load_distribution(args.dist, fs)
     data = Dataset.from_csv(args.data)
-    lam = "auto" if args.lam == "auto" else float(args.lam)
-    model = rff_fit(data, dist, args.M, lam, SeededRng(args.seed))
+    model = rff_fit(data, dist, args.M, _parse_lambda(args.lam), SeededRng(args.seed))
     _emit_json(model.to_json(), args.out)
     return 0
 
@@ -162,7 +173,7 @@ def cmd_oracle_krr(args) -> int:
     else:
         w = WeightVector.uniform(fs.size)
     data = Dataset.from_csv(args.data)
-    lam = 1.0 / np.sqrt(data.n) if args.lam == "auto" else float(args.lam)
+    lam = 1.0 / np.sqrt(data.n) if args.lam == "auto" else _parse_lambda(args.lam)
     model = kernel_ridge_fit(data, enc, fs, w, lam)
     _emit_json(model.to_json(), args.out)
     return 0
@@ -241,7 +252,7 @@ def _lattice_from_points(support: np.ndarray, function_path: str | None):
     allpts = np.vstack(pts)
     if np.max(np.abs(allpts - np.round(allpts))) > 1e-9:
         raise ConfigError("cannot infer a lattice from non-integer frequencies; pass --encoding")
-    kmax = np.maximum(np.max(np.abs(allpts), axis=0).astype(int), 1)
+    kmax = np.maximum(np.rint(np.max(np.abs(allpts), axis=0)).astype(int), 1)
     enc = EncodingStrategy.from_json(
         {"dimensions": [[[-0.5, 0.5]] * int(k) for k in kmax]}
     )

@@ -23,7 +23,7 @@ from .errors import CapacityError, ConfigError
 # arithmetic happens at double precision; anything tighter is noise.
 DEDUP_TOL = 1e-12
 
-# Default caps: per-dimension difference sets and materialized lattices grow
+# Caps: per-dimension difference sets and materialized lattices grow
 # exponentially and must fail loudly instead of thrashing.
 PER_DIM_CAP = 4096
 LATTICE_CAP = 10**7
@@ -107,25 +107,23 @@ def load_encoding(path: str) -> EncodingStrategy:
         return EncodingStrategy.from_json(json.load(fh))
 
 
-def _dedup_sorted(values: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
+def _dedup_sorted(values: np.ndarray) -> np.ndarray:
     """Collapse each cluster of a sorted nonempty array (a maximal run of
-    neighbour gaps within ``tol``) to its member of smallest magnitude.
+    neighbour gaps within ``DEDUP_TOL``) to its member of smallest magnitude.
     Clusters and the members kept are mirror invariant, so a symmetric set
     holding 0 stays symmetric and keeps 0."""
-    starts = np.concatenate([[True], np.diff(values) > tol])
+    starts = np.concatenate([[True], np.diff(values) > DEDUP_TOL])
     # within each cluster, in cluster order, the smallest magnitude first
     return values[np.lexsort((np.abs(values), np.cumsum(starts)))[starts]]
 
 
-def component_frequency_set(
-    spectra, cap: int = PER_DIM_CAP, tol: float = DEDUP_TOL
-) -> np.ndarray:
+def component_frequency_set(spectra) -> np.ndarray:
     """All differences of all eigenvalue sums for one input dimension.
 
     Returns a sorted, deduplicated array.  Always contains 0 and is exactly
     symmetric about 0 (a - b and b - a are exact negations in IEEE
     arithmetic, and the dedup keeps mirrored members).  An empty gate list
-    yields {0}.
+    yields {0}.  More than ``PER_DIM_CAP`` entries raise CapacityError.
     """
     sums = np.zeros(1)
     for spec in spectra:
@@ -136,16 +134,16 @@ def component_frequency_set(
                 f"({sums.size} x {eigs.size}); spectra too large"
             )
         sums = np.sort((sums[:, None] + eigs[None, :]).ravel())
-        sums = _dedup_sorted(sums, tol)
+        sums = _dedup_sorted(sums)
     if sums.size * sums.size > 16_000_000:
         raise CapacityError(
             f"difference set would require {sums.size}^2 pairs; spectra too large"
         )
     diffs = np.sort((sums[:, None] - sums[None, :]).ravel())
-    diffs = _dedup_sorted(diffs, tol)
-    if diffs.size > cap:
+    diffs = _dedup_sorted(diffs)
+    if diffs.size > PER_DIM_CAP:
         raise CapacityError(
-            f"per-dimension frequency set has {diffs.size} entries (cap {cap})"
+            f"per-dimension frequency set has {diffs.size} entries (cap {PER_DIM_CAP})"
         )
     return diffs
 
@@ -156,27 +154,27 @@ def is_integer_valued(values) -> bool:
     return bool(np.all(np.abs(values - np.round(values)) <= _INT_TOL))
 
 
-def fold_rows(rows, tol: float = DEDUP_TOL):
+def fold_rows(rows):
     """Fold each row of ``rows`` onto the canonical half-space.
 
-    Returns ``(folded, flipped)``: components within ``tol`` of zero become
+    Returns ``(folded, flipped)``: components within ``DEDUP_TOL`` of zero become
     +0.0 (they are indistinguishable from zero under the dedup policy), and
     a row whose first remaining nonzero component is negative is negated and
     flagged.  Idempotent, and even: ``-rows`` folds to the same rows.
     """
     rows = np.asarray(rows, dtype=float)
-    rows = np.where(np.abs(rows) <= tol, 0.0, rows)
+    rows = np.where(np.abs(rows) <= DEDUP_TOL, 0.0, rows)
     nonzero = rows != 0.0
     first = rows[np.arange(rows.shape[0]), np.argmax(nonzero, axis=1)]
     flipped = nonzero.any(axis=1) & (first < 0)
     return np.where(flipped[:, None], -rows, rows), flipped
 
 
-def canonical_fold(omega, tol: float = DEDUP_TOL):
+def canonical_fold(omega):
     """``fold_rows`` of one frequency vector: ``(omega_canonical, sign)``
-    with ``sign * omega_canonical == omega`` up to components below ``tol``;
-    the zero vector maps to itself with sign +1."""
-    folded, flipped = fold_rows(np.asarray(omega, dtype=float)[None, :], tol)
+    with ``sign * omega_canonical == omega`` up to components below
+    ``DEDUP_TOL``; the zero vector maps to itself with sign +1."""
+    folded, flipped = fold_rows(np.asarray(omega, dtype=float)[None, :])
     return folded[0], -1 if flipped[0] else 1
 
 
@@ -239,9 +237,9 @@ class FrequencySet:
         """Per-dimension maximum |frequency|."""
         return np.array([np.max(np.abs(f)) if f.size else 0.0 for f in self.per_dimension_freqs])
 
-    def locate(self, rows, tol: float = MATCH_TOL) -> np.ndarray:
+    def locate(self, rows) -> np.ndarray:
         """Per-dimension positions of the components of each row of
-        ``rows`` (shape ``(n, d)``), matched within ``tol``; raises
+        ``rows`` (shape ``(n, d)``), matched within ``MATCH_TOL``; raises
         ValueError for the first component that is in no lattice dimension."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.d:
@@ -251,9 +249,9 @@ class FrequencySet:
             pos = np.searchsorted(freqs, vals)
             below = np.clip(pos - 1, 0, freqs.size - 1)
             at = np.minimum(pos, freqs.size - 1)
-            idx = np.where(np.abs(freqs[below] - vals) <= tol, below, at)
-            # NaN compares false both ways: only a match within tol is on
-            off = ~(np.abs(freqs[idx] - vals) <= tol)
+            idx = np.where(np.abs(freqs[below] - vals) <= MATCH_TOL, below, at)
+            # NaN compares false both ways: only a match within MATCH_TOL is on
+            off = ~(np.abs(freqs[idx] - vals) <= MATCH_TOL)
             if off.any():
                 value = vals[np.argmax(off)]
                 raise ValueError(f"frequency component {value} not in lattice dimension {j+1}")
@@ -287,32 +285,29 @@ class FrequencySet:
         self.require_materialized()
         return find_codes(self.codes, self.code(idx))
 
-    def snap(self, omega, tol: float = MATCH_TOL) -> tuple:
-        """The lattice point within ``tol`` of one frequency vector."""
-        idx = self.locate(np.asarray(omega, dtype=float)[None], tol)
+    def snap(self, omega) -> tuple:
+        """The lattice point within ``MATCH_TOL`` of one frequency vector."""
+        idx = self.locate(np.asarray(omega, dtype=float)[None])
         return tuple(self.at(idx)[0].tolist())
 
-    def position(self, omega, tol: float = MATCH_TOL) -> int:
+    def position(self, omega) -> int:
         """Row of a canonical frequency vector in ``half``."""
         self.require_materialized()
-        row = int(self.half_rows(self.locate(np.atleast_2d(omega), tol))[0])
+        row = int(self.half_rows(self.locate(np.atleast_2d(omega)))[0])
         if row < 0:
             raise ValueError(f"frequency {tuple(omega)} is not in the canonical half")
         return row
 
 
-def build_frequency_set(
-    enc: EncodingStrategy,
-    materialize: bool = True,
-    cap: int = LATTICE_CAP,
-    per_dim_cap: int = PER_DIM_CAP,
-) -> FrequencySet:
+def build_frequency_set(enc: EncodingStrategy, materialize: bool = True) -> FrequencySet:
     """Construct the frequency lattice of an encoding strategy.
 
     The canonical split puts a vector in the half iff it is zero or its first
-    nonzero component is positive; this is deterministic across runs.
+    nonzero component is positive; this is deterministic across runs.  A
+    materialized lattice of more than ``LATTICE_CAP`` points raises
+    CapacityError.
     """
-    per_dim = [component_frequency_set(dim, cap=per_dim_cap) for dim in enc.per_dimension]
+    per_dim = [component_frequency_set(dim) for dim in enc.per_dimension]
     for f in per_dim:
         # the mirror identity of FrequencySet's codes rests on this
         if np.any(np.diff(f) <= 0) or not np.array_equal(f, -f[::-1]):
@@ -323,9 +318,9 @@ def build_frequency_set(
     is_integer = all(is_integer_valued(f) for f in per_dim)
     if not materialize:
         return FrequencySet(per_dim, full_size, None, is_integer)
-    if full_size > cap:
+    if full_size > LATTICE_CAP:
         raise CapacityError(
-            f"full lattice has {full_size} points (cap {cap}); "
+            f"full lattice has {full_size} points (cap {LATTICE_CAP}); "
             "use lazy mode and sampling workflows"
         )
     # row-major enumeration of sorted per-dimension sets: row r of the

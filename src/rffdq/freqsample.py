@@ -40,25 +40,23 @@ ENUMERATE_BYTES = 1 << 28
 
 @dataclass(frozen=True)
 class SeededRng:
-    """Counter-based PRNG handle: (algorithm, seed, stream) pins the draws.
+    """Counter-based PRNG handle: (seed, stream) pins the draws of a Philox
+    generator.
 
-    Streams let parallel trials own independent, reproducible generators
-    derived from one master seed.
+    Streams give every trial or sweep cell its own independent, reproducible
+    generator derived from one master seed.
     """
 
     seed: int
     stream: int = 0
-    algorithm: str = "philox"
 
     def generator(self) -> np.random.Generator:
-        if self.algorithm != "philox":
-            raise ConfigError(f"unknown rng algorithm '{self.algorithm}'")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.Philox(ss))
 
     def stream_for(self, index: int) -> "SeededRng":
         """Derived stream for trial/cell ``index`` under the same master seed."""
-        return SeededRng(self.seed, self.stream * 1_000_003 + index + 1, self.algorithm)
+        return SeededRng(self.seed, self.stream * 1_000_003 + index + 1)
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -2,9 +2,9 @@
 
 Sweeps run a Cartesian grid over (M, n, lambda, seed), fit the random-feature
 model in each cell (optionally with the kernel-ridge oracle alongside), and
-append one CSV row per cell.  Every cell owns an rng stream derived from
-(master seed, cell index), so outputs are identical for any worker count and
-across resumed runs.
+append one CSV row per cell, in cell order, from one thread.  Every cell owns
+an rng stream derived from (master seed, cell index), so outputs are
+identical across resumed runs.
 
 What depends only on the sweep is computed once per sweep
 (``SweepInvariants``): the frequency set, the distribution, its p_max, the
@@ -26,7 +26,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,12 +202,7 @@ def _draw_dataset(
     else:
         noise = np.zeros(spec.n)
     b_bound = coeff_sup_bound(target) + sigma * math.sqrt(3.0)
-    return Dataset(
-        X,
-        clean + noise,
-        b_bound,
-        meta={"seed": spec.seed, "sigma": sigma, "kind": spec.target.get("kind")},
-    )
+    return Dataset(X, clean + noise, b_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -451,49 +445,49 @@ def _scan_prefix(out_path: str, expected_ids: list):
     return rows, offset
 
 
-def run_sweep(config: SweepConfig, out_path: str, max_workers: int | None = None) -> list[dict]:
+def run_sweep(config: SweepConfig, out_path: str) -> list[dict]:
     """Run the Cartesian grid, emitting rows incrementally in deterministic
     cell order (the results file is always a valid prefix of the final
     table, so an interrupted run resumes to a byte-identical file).
 
     Resumable: the valid prefix already on disk is kept as-is and its cells
-    skipped; a malformed tail from a kill is truncated away.
+    skipped; a malformed tail from a kill is truncated away.  Before that,
+    the first kept cell is recomputed, and a file whose first row differs
+    from it in any column but ``runtime_ms`` (a file written under another
+    config) raises ConfigError and is left untouched.
     """
     fs = build_frequency_set(config.problem.encoding)
     dist = distribution_from_json(config.dist_doc, fs)
-    if max_workers is None:
-        max_workers = int(os.environ.get("RFFDQ_THREADS", "1") or "1")
-    max_workers = max(1, max_workers)
     cells = list(_cells(config))
     expected_ids = [_cell_id(config, *c[1:]) for c in cells]
     kept, offset = _scan_prefix(out_path, expected_ids)
+    inv = SweepInvariants.build(config, fs, dist)
+    if kept:
+        fresh = run_cell(config, inv, cells[0])
+        differs = [
+            col
+            for col in COLUMNS
+            if col != "runtime_ms" and _fmt_cell(fresh.get(col)) != _fmt_cell(kept[0][col])
+        ]
+        if differs:
+            raise ConfigError(
+                f"{out_path} holds rows of another config (first row differs in "
+                f"{', '.join(differs)}); write to a new file"
+            )
     if offset is None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(COLUMNS)
-        kept = []
     else:
         with open(out_path, "r+b") as fh:
             fh.truncate(offset)
     rows = list(kept)
-    pending = cells[len(kept):]
-    if not pending:
-        return rows
-    inv = SweepInvariants.build(config, fs, dist)
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-
-        def emit(row):
+        for cell in cells[len(kept):]:
+            row = run_cell(config, inv, cell)
             rows.append(row)
             writer.writerow([_fmt_cell(row.get(col)) for col in COLUMNS])
             fh.flush()
-
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                for row in pool.map(lambda c: run_cell(config, inv, c), pending):
-                    emit(row)
-        else:
-            for cell in pending:
-                emit(run_cell(config, inv, cell))
     return rows
 
 

@@ -354,11 +354,14 @@ def feature_matrix(X, fs: FrequencySet, w: WeightVector) -> np.ndarray:
     return out / w.norm2
 
 
-def kernel_eval(x, xp, fs: FrequencySet, w: WeightVector) -> float:
-    """K_w(x, x') = sum_i w_i^2 cos(<omega_i, x - x'>) / ||w||_2^2."""
+def kernel_eval(x, xp, fs: FrequencySet, w: WeightVector):
+    """K_w(x, x') = sum_i w_i^2 cos(<omega_i, x - x'>) / ||w||_2^2 of one
+    pair of points (shape ``(d,)``, a float), or of each pair of rows of
+    two ``(n, d)`` arrays (an array)."""
     _check_lengths(fs, w)
     delta = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
-    return float(np.dot(w.weights**2, np.cos(fs.half @ delta)) / w.norm2**2)
+    k = np.cos(np.atleast_2d(delta) @ fs.half.T) @ w.weights**2 / w.norm2**2
+    return float(k[0]) if delta.ndim == 1 else k
 
 
 def kernel_matrix(X, Xp, fs: FrequencySet, w: WeightVector) -> np.ndarray:

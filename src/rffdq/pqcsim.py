@@ -24,6 +24,8 @@ from .freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
 from .kernelmap import TrigPolynomial
 
 MAX_QUBITS = 14
+# spectral mass allowed off the encoding lattice before extraction fails
+LEAK_TOL = 1e-9
 _PAULIS = frozenset("IXYZ")
 
 
@@ -82,12 +84,10 @@ class Observable:
 class Circuit:
     qubits: int
     gates: list
-    theta_count: int = 0
 
     def __post_init__(self):
         if not (1 <= self.qubits <= MAX_QUBITS):
             raise ConfigError(f"qubit count must be in 1..{MAX_QUBITS}")
-        max_theta = -1
         for g in self.gates:
             if g.kind in ("encode", "rot"):
                 _check_pauli(g.pauli, self.qubits, allow_identity=(g.kind == "rot"))
@@ -99,7 +99,6 @@ class Circuit:
                 else:
                     if g.theta_index < 0:
                         raise ConfigError("rotation gates need a parameter index")
-                    max_theta = max(max_theta, g.theta_index)
             elif g.kind in ("cnot", "cz"):
                 if not (0 <= g.control < self.qubits and 0 <= g.target < self.qubits):
                     raise ConfigError(f"{g.kind} gate references invalid qubits")
@@ -119,8 +118,11 @@ class Circuit:
                     raise ConfigError("fixed gate matrix is not unitary")
             else:
                 raise ConfigError(f"unknown gate kind '{g.kind}'")
-        if self.theta_count == 0:
-            self.theta_count = max_theta + 1
+
+    @property
+    def theta_count(self) -> int:
+        """Parameters the rotation gates read: one past the largest index."""
+        return max((g.theta_index for g in self.gates if g.kind == "rot"), default=-1) + 1
 
     @property
     def data_dim(self) -> int:
@@ -352,19 +354,14 @@ def encoding_of(c: Circuit) -> EncodingStrategy:
     return EncodingStrategy(tuple(tuple(dim) for dim in per_dim))
 
 
-def extract_trig_polynomial(
-    c: Circuit,
-    obs: Observable,
-    theta,
-    out_of_set_tol: float = 1e-9,
-) -> TrigPolynomial:
+def extract_trig_polynomial(c: Circuit, obs: Observable, theta) -> TrigPolynomial:
     """Exact Fourier coefficients of the circuit's model.
 
     The state is propagated once as one vector psi_k per state frequency
     (``CompiledCircuit.frequency_components``), so f(x) = sum_{k, k'}
     e^{i (k - k').x} <psi_k'|O|psi_k> and c_w sums the Gram matrix of the
     psi_k over index differences k - k' = w.  Requires an integer frequency
-    lattice.  Mass off the encoding lattice above ``out_of_set_tol``, or a
+    lattice.  Mass off the encoding lattice above ``LEAK_TOL``, or a
     pair c_w, conj(c_-w) more than 1e-10 apart, raises FloatingPointError.
     """
     enc = encoding_of(c)
@@ -392,7 +389,7 @@ def extract_trig_polynomial(
     on_lattice = functools.reduce(np.logical_and.outer, members)
     leak = np.abs(coeff[~on_lattice])
     worst_leak = float(leak.max()) if leak.size else 0.0
-    if worst_leak > out_of_set_tol:
+    if worst_leak > LEAK_TOL:
         raise FloatingPointError(
             f"spectral mass {worst_leak:.3e} outside the encoding lattice"
         )

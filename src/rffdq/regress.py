@@ -43,7 +43,6 @@ class Dataset:
     X: np.ndarray
     Y: np.ndarray
     b_bound: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -108,18 +107,18 @@ class Dataset:
         X, Y = arr[:, :-1], arr[:, -1]
         if b_bound is None:
             b_bound = float(np.max(np.abs(Y))) if Y.size else 0.0
-        return cls(X, Y, b_bound, meta={"source": path})
+        return cls(X, Y, b_bound)
 
 
-def holdout_split(data: Dataset, seed: int, test_frac: float = 0.2):
+def holdout_split(data: Dataset, seed: int):
     """Seeded 80/20 split for file-sourced data with no known target."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(data.n)
-    n_test = max(1, int(round(test_frac * data.n)))
+    n_test = max(1, int(round(0.2 * data.n)))
     test, train = perm[:n_test], perm[n_test:]
     if train.size == 0:
         raise ValueError("dataset too small to split")
-    mk = lambda idx: Dataset(data.X[idx], data.Y[idx], data.b_bound, dict(data.meta))
+    mk = lambda idx: Dataset(data.X[idx], data.Y[idx], data.b_bound)
     return mk(train), mk(test)
 
 
@@ -170,8 +169,8 @@ def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
         raise ValueError("feature matrix and targets disagree on n")
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(Y))):
         raise ValueError("non-finite inputs to ridge solve")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     FtY = F.T @ Y
     if lam == 0 or D <= n:
         A = F.T @ F + lam * n * np.eye(D)
@@ -181,10 +180,10 @@ def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
         w = F.T @ _solve_spd(G, Y, allow_jitter=True)
     resid = F.T @ (F @ w) + lam * n * w - FtY
     bound = RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(FtY), initial=0.0)))
-    if float(np.max(np.abs(resid), initial=0.0)) > bound:
-        raise np.linalg.LinAlgError(
-            f"ridge solution failed the residual check ({np.max(np.abs(resid)):.3e})"
-        )
+    worst = float(np.max(np.abs(resid), initial=0.0))
+    # NaN compares false both ways: only a residual within bound passes
+    if not worst <= bound:
+        raise np.linalg.LinAlgError(f"ridge solution failed the residual check ({worst:.3e})")
     return w
 
 

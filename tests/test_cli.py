@@ -276,6 +276,27 @@ class TestExitCodes:
             assert run(["bounds", "feasibility", "--encoding", enc, "--dist", dist]) == 2
             assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["abc", "nan", "inf", "-1"])
+    def test_bad_lambda_is_2(self, workdir, lam, capsys):
+        common = ["--data", workdir / "d.csv", "--encoding", workdir / "enc.json", "--lambda", lam]
+        assert run(["fit", *common, "--dist", workdir / "dist.json", "--M", 8]) == 2
+        assert run(["oracle-krr", *common]) == 2
+        assert capsys.readouterr().err.count("--lambda must be") == 2
+
+    def test_near_integer_support_infers_its_lattice(self, workdir, capsys):
+        # 2.9999999999 is the integer 3 under the 1e-9 rule, so its lattice
+        # must reach 3, as the lattice of 3.0 does
+        reports = []
+        for top in (3.0, 2.9999999999):
+            dist = workdir / "near.json"
+            dist.write_text(
+                json.dumps({"kind": "explicit", "support": [[0.0], [top]], "probs": [0.5, 0.5]})
+            )
+            args = ["bounds", "lower", "--function", workdir / "f.json", "--dist", dist]
+            assert run(args + ["--epshat", 0.1]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+
     def test_numeric_error_is_3(self, workdir):
         assert run(
             ["bounds", "sufficient", "--opnorm", 0.9, "--C", 1, "--b", 1, "--eps", 0.1, "--delta", 0.05]

@@ -47,10 +47,11 @@ class TestComponentFrequencySet:
         spec = HamiltonianSpectrum((-1.0, -1.0, 1.0))
         assert component_frequency_set([spec]).tolist() == [-2.0, 0.0, 2.0]
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
         spec = HamiltonianSpectrum(tuple(np.linspace(0, 1, 9)))
+        monkeypatch.setattr(freqcore, "PER_DIM_CAP", 64)
         with pytest.raises(CapacityError):
-            component_frequency_set([spec] * 4, cap=64)
+            component_frequency_set([spec] * 4)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_matches_brute_force(self, trial):
@@ -164,9 +165,10 @@ class TestBuildFrequencySet:
         with pytest.raises(CapacityError):
             fs.require_materialized()
 
-    def test_materialization_cap(self):
+    def test_materialization_cap(self, monkeypatch):
+        monkeypatch.setattr(freqcore, "LATTICE_CAP", 1000)
         with pytest.raises(CapacityError):
-            build_frequency_set(pauli_half_encoding([1] * 8), cap=1000)
+            build_frequency_set(pauli_half_encoding([1] * 8))
 
     def test_snap_rejects_off_lattice(self, fs_2d):
         with pytest.raises(ValueError):

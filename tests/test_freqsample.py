@@ -49,10 +49,6 @@ class TestSeededRng:
         streams = {master.stream_for(i).stream for i in range(100)}
         assert len(streams) == 100
 
-    def test_unknown_algorithm(self):
-        with pytest.raises(ConfigError):
-            SeededRng(1, algorithm="mt19937").generator()
-
 
 class TestPmf:
     def test_product_uniform_examples(self, fs_2d):

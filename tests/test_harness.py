@@ -175,6 +175,27 @@ class TestRunSweep:
         run_sweep(SweepConfig.from_json(sweep_doc()), str(out))
         assert out.read_bytes() == blob
 
+    def test_resume_refuses_rows_of_another_config(self, tmp_path):
+        out = tmp_path / "r.csv"
+        run_sweep(SweepConfig.from_json(sweep_doc()), str(out))
+        lines = out.read_text().splitlines(keepends=True)
+        # the same cell ids under another master seed and sampler
+        other = SweepConfig.from_json(
+            sweep_doc(master_seed=9, dist={"kind": "product", "per_dim": [[0.1, 0.2, 0.4, 0.2, 0.1]]})
+        )
+        for text in ("".join(lines), "".join(lines[:4])):
+            out.write_text(text)
+            with pytest.raises(ConfigError, match="another config.*dist_kind"):
+                run_sweep(other, str(out))
+            assert out.read_text() == text
+        # runtime_ms alone may differ: the file is resumed as it stands
+        first = lines[1].split(",")
+        first[-2] = "12345"
+        text = lines[0] + ",".join(first) + "".join(lines[2:])
+        out.write_text(text)
+        run_sweep(SweepConfig.from_json(sweep_doc()), str(out))
+        assert out.read_text() == text
+
     def test_krr_oracle_builds_no_gram_matrix(self, tmp_path, monkeypatch):
         from rffdq import kernelmap, regress
 
@@ -208,14 +229,6 @@ class TestRunSweep:
         run_sweep(SweepConfig.from_json(sweep_doc()), str(out))
         assert len(seen) == 15
         assert seen == sorted(seen) and seen[0] < seen[-1]
-
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        # the circuit sweep's workers share its once-extracted target
-        for make_doc in (sweep_doc, circuit_sweep_doc):
-            out1, out4 = tmp_path / "a.csv", tmp_path / "b.csv"
-            run_sweep(SweepConfig.from_json(make_doc()), str(out1), max_workers=1)
-            run_sweep(SweepConfig.from_json(make_doc()), str(out4), max_workers=4)
-            assert out1.read_bytes() == out4.read_bytes()
 
     def test_circuit_target_extracted_once_per_sweep(self, tmp_path, monkeypatch):
         import rffdq.pqcsim as pmod

@@ -165,6 +165,15 @@ class TestKernel:
         K = kernel_matrix(X, Xp, fs_2d, w)
         assert np.max(np.abs(K - F @ Fp.T)) <= 1e-10
 
+    def test_rows_match_the_per_pair_loop(self, fs_2d, rng):
+        w = WeightVector(rng.uniform(0.05, 2.0, fs_2d.size))
+        X = rng.uniform(0, 2 * np.pi, (30, 2))
+        Xp = rng.uniform(0, 2 * np.pi, (30, 2))
+        loop = np.array([kernel_eval(X[i], Xp[i], fs_2d, w) for i in range(30)])
+        got = kernel_eval(X, Xp, fs_2d, w)
+        assert got.shape == (30,)
+        assert np.max(np.abs(got - loop)) <= 1e-15
+
     def test_shift_invariance(self, fs_2d, rng):
         w = WeightVector(rng.uniform(0.05, 2.0, fs_2d.size))
         x, xp = rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, 2 * np.pi, 2)

@@ -9,6 +9,7 @@ from oracles import (
     random_circuit,
     random_unitary,
 )
+from rffdq import pqcsim
 from rffdq.errors import ConfigError, NonIntegerFrequencyError
 from rffdq.freqcore import build_frequency_set
 from rffdq.pqcsim import (
@@ -275,13 +276,23 @@ class TestExtractAgainstDft:
         perturb((0, 1), 1e-8)
         with pytest.raises(FloatingPointError, match="outside the encoding lattice"):
             extract_trig_polynomial(c, Z_OBS, [])
-        extract_trig_polynomial(c, Z_OBS, [], out_of_set_tol=1e-7)
+        monkeypatch.setattr(pqcsim, "LEAK_TOL", 1e-7)
+        extract_trig_polynomial(c, Z_OBS, [])
         perturb((0, 2), 1e-9)
         with pytest.raises(FloatingPointError, match="conjugate symmetry violated"):
             extract_trig_polynomial(c, Z_OBS, [])
 
 
 class TestValidation:
+    def test_theta_count_follows_the_rotation_gates(self):
+        rot = lambda i: GateSpec("rot", pauli="Y", theta_index=i)
+        assert Circuit(1, []).theta_count == 0
+        c = Circuit(1, [rot(2), rot(0)])
+        assert c.theta_count == 3
+        with pytest.raises(ValueError, match="need 3 parameters"):
+            evaluate_model(c, Z_OBS, [0.1, 0.2], [])
+        assert evaluate_model(c, Z_OBS, [0.1, 0.0, 0.2], []) == pytest.approx(np.cos(0.3))
+
     def test_qubit_cap(self):
         with pytest.raises(ConfigError):
             Circuit(15, [])

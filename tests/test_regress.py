@@ -151,8 +151,16 @@ class TestLinearRidge:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             linear_ridge_fit(np.array([[np.inf]]), np.array([1.0]), 0.1)
-        with pytest.raises(ValueError):
-            linear_ridge_fit(np.array([[1.0]]), np.array([1.0]), -0.5)
+        for lam in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
+                linear_ridge_fit(np.array([[1.0]]), np.array([1.0]), lam)
+
+    def test_nan_solution_fails_the_residual_check(self, monkeypatch):
+        import rffdq.regress as regress
+
+        monkeypatch.setattr(regress, "_solve_spd", lambda A, B, allow_jitter: np.full(B.shape, np.nan))
+        with pytest.raises(np.linalg.LinAlgError, match="residual check"):
+            linear_ridge_fit(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), 0.1)
 
     def test_dual_path_matches_primal(self, rng):
         n, D = 30, 80
