@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonIntegerFrequencyError
+from .freqcore import MATCH_TOL
 from .freqsample import FrequencyDistribution, PMax, ProductDistribution, SeededRng
 from .kernelmap import (
     TrigPolynomial,
@@ -140,7 +141,8 @@ def alignment(f_hat: TrigPolynomial, dist: FrequencyDistribution) -> float:
         mine = f_hat.freq_set.per_dimension_freqs
         theirs = dist.fs.per_dimension_freqs
         same = len(mine) == len(theirs) and all(
-            a.size == b.size and np.allclose(a, b, atol=1e-9) for a, b in zip(mine, theirs)
+            a.size == b.size and np.allclose(a, b, rtol=0, atol=MATCH_TOL)
+            for a, b in zip(mine, theirs)
         )
         if not same:
             raise ValueError("function and distribution live on different lattices")

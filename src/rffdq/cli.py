@@ -23,7 +23,17 @@ from .freqcore import EncodingStrategy, build_frequency_set, load_encoding
 from .freqsample import SeededRng, load_distribution
 from .kernelmap import WeightVector, kernel_eval, load_function, rkhs_norm, weights_of
 from .pqcsim import extract_trig_polynomial, load_circuit
-from .regress import Dataset, kernel_ridge_fit, load_model, rff_fit, true_risk_estimate, empirical_risk, holdout_split
+from .regress import (
+    Dataset,
+    _read_number_rows,
+    _resolve_lambda,
+    empirical_risk,
+    holdout_split,
+    kernel_ridge_fit,
+    load_model,
+    rff_fit,
+    true_risk_estimate,
+)
 
 
 def _emit_json(doc, out_path):
@@ -41,27 +51,12 @@ def _load_json(path):
 
 
 def _load_points(path: str, d: int) -> np.ndarray:
-    """Finite points of a CSV file, one per line; line 1 may be a header."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(c) for c in line.split(",")]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header line
-                raise ConfigError(f"{path}, line {lineno}: not a number in {line!r}") from None
-            if len(row) != d:
-                raise ConfigError(f"{path}, line {lineno}: {len(row)} columns, expected {d}")
-            if not all(math.isfinite(v) for v in row):
-                raise ConfigError(f"{path}, line {lineno}: non-finite value in {line!r}")
-            rows.append(row)
-    if not rows:
+    """Finite points of a CSV file, one per line; the first line may be a
+    header."""
+    points = _read_number_rows(path, d)[1]
+    if points.shape[0] == 0:
         raise ConfigError(f"no points found in {path}")
-    return np.asarray(rows, dtype=float)
+    return points
 
 
 def _load_weights(args) -> tuple[EncodingStrategy, WeightVector]:
@@ -173,7 +168,7 @@ def cmd_oracle_krr(args) -> int:
     else:
         w = WeightVector.uniform(fs.size)
     data = Dataset.from_csv(args.data)
-    lam = 1.0 / np.sqrt(data.n) if args.lam == "auto" else _parse_lambda(args.lam)
+    lam = _resolve_lambda(_parse_lambda(args.lam), data.n)
     model = kernel_ridge_fit(data, enc, fs, w, lam)
     _emit_json(model.to_json(), args.out)
     return 0

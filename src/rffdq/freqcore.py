@@ -170,14 +170,6 @@ def fold_rows(rows):
     return np.where(flipped[:, None], -rows, rows), flipped
 
 
-def canonical_fold(omega):
-    """``fold_rows`` of one frequency vector: ``(omega_canonical, sign)``
-    with ``sign * omega_canonical == omega`` up to components below
-    ``DEDUP_TOL``; the zero vector maps to itself with sign +1."""
-    folded, flipped = fold_rows(np.asarray(omega, dtype=float)[None, :])
-    return folded[0], -1 if flipped[0] else 1
-
-
 def find_codes(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Position of each of ``codes`` in the ascending ``table``, -1 where
     it is absent."""

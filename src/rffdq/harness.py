@@ -35,7 +35,14 @@ from .errors import ConfigError
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
 from .freqsample import FrequencyDistribution, PMax, SeededRng, distribution_from_json
 from .kernelmap import TrigPolynomial, WeightVector, coeff_sup_bound, weights_of
-from .regress import Dataset, empirical_risk, kernel_ridge_fit, rff_fit, true_risk_estimate
+from .regress import (
+    Dataset,
+    _resolve_lambda,
+    empirical_risk,
+    kernel_ridge_fit,
+    rff_fit,
+    true_risk_estimate,
+)
 
 SCHEMA_VERSION = 1
 
@@ -386,7 +393,7 @@ def run_cell(config: SweepConfig, inv: SweepInvariants, cell) -> dict:
         gen = SeededRng(spec.seed).generator()
         target = inv.target_for(spec, gen)
         data = _draw_dataset(spec, fs, target, gen)
-        lam_val = 1.0 / math.sqrt(n) if lam == "auto" else float(lam)
+        lam_val = _resolve_lambda(lam, n)
         row["lambda"] = lam_val
         rng = SeededRng(config.master_seed).stream_for(idx)
         model = rff_fit(data, dist, M, lam_val, rng)

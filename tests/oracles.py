@@ -178,36 +178,74 @@ def krr_alpha_by_gram(X, Y, fs, w, lam):
     return np.linalg.solve(kernel_matrix(X, X, fs, w) + n * lam * np.eye(n), Y)
 
 
+def _cos_sin_by_index(f, i):
+    """f's cosine and sine coefficients (a, b) at row i of its lattice's
+    half, read from ``f.coeffs``: f = c_0 + sum_i a_i cos + b_i sin."""
+    c = f.coeffs.get(tuple(f.freq_set.half[i].tolist()), 0j)
+    return (c.real, 0.0) if i == 0 else (2.0 * c.real, -2.0 * c.imag)
+
+
+def hyperplane_by_index(f, w):
+    """The hyperplane v with f = <v, phi_w(.)>, in the column layout of
+    ``feature_matrix``, one canonical frequency at a time from ``f.coeffs``
+    (every weight on f's support must be positive)."""
+    fs = f.freq_set
+    v = np.zeros(2 * fs.size - 1)
+    for i in range(fs.size):
+        aa, bb = _cos_sin_by_index(f, i)
+        if not (aa or bb):
+            continue  # no term here, whatever the weight
+        if i == 0:
+            v[0] = aa * w.norm2 / w.weights[0]
+        else:
+            v[2 * i - 1] = aa * w.norm2 / w.weights[i]
+            v[2 * i] = bb * w.norm2 / w.weights[i]
+    return v
+
+
 def rkhs_norm_by_index(f, w):
     """RKHS norm of a lattice polynomial, one canonical frequency at a time:
     sqrt(sum_i (a_i ||w|| / w_i)^2 + (b_i ||w|| / w_i)^2) over the support,
-    raising ValueError at the first supported index with zero weight."""
+    with a and b read from ``f.coeffs``, raising ValueError at the first
+    supported index with zero weight."""
     import math
 
-    from rffdq.kernelmap import SUPPORT_TOL, to_real_form
+    from rffdq.kernelmap import SUPPORT_TOL
 
     fs = f.freq_set
-    form = to_real_form(f)
     total = 0.0
-    if abs(form.c0) > SUPPORT_TOL:
-        if w.weights[0] == 0.0:
-            raise ValueError(
-                "function has weight-zero support at the zero frequency; "
-                "it lies outside the kernel's function set"
-            )
-        total += (form.c0 * w.norm2 / w.weights[0]) ** 2
-    for i in range(1, fs.size):
-        aa, bb = form.a[i - 1], form.b[i - 1]
+    for i in range(fs.size):
+        aa, bb = _cos_sin_by_index(f, i)
         if abs(aa) <= SUPPORT_TOL and abs(bb) <= SUPPORT_TOL:
             continue
         wi = w.weights[i]
         if wi == 0.0:
+            where = "the zero frequency" if i == 0 else f"frequency {tuple(fs.half[i])}"
             raise ValueError(
-                f"function has weight-zero support at frequency {tuple(fs.half[i])}; "
+                f"function has weight-zero support at {where}; "
                 "it lies outside the kernel's function set"
             )
         total += (aa * w.norm2 / wi) ** 2 + (bb * w.norm2 / wi) ** 2
     return math.sqrt(total)
+
+
+def rkhs_norm_dense(f, w):
+    """``kernelmap.rkhs_norm``'s row-order sum, formed over every row of the
+    half (zero where f has no term) and summed by one ``np.sum``: bit for
+    bit what summing f's own terms in row order must give."""
+    import math
+
+    from rffdq.kernelmap import SUPPORT_TOL
+
+    fs = f.freq_set
+    cos_coef, sin_coef = np.zeros(fs.size), np.zeros(fs.size)
+    for i in range(fs.size):
+        cos_coef[i], sin_coef[i] = _cos_sin_by_index(f, i)
+    support = (np.abs(cos_coef) > SUPPORT_TOL) | (np.abs(sin_coef) > SUPPORT_TOL)
+    wi = w.weights[support]
+    cos_part = cos_coef[support] * w.norm2 / wi
+    sin_part = sin_coef[support] * w.norm2 / wi
+    return math.sqrt(float(np.sum(cos_part**2 + sin_part**2)))
 
 
 def dft_coefficients(values_grid):

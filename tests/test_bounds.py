@@ -113,6 +113,21 @@ class TestAlignment:
         with pytest.raises(ValueError):
             alignment(cos_target, dist)
 
+    @pytest.mark.parametrize("gap,same", [(0.9e-9, True), (4e-6, False)])
+    def test_same_lattice_within_the_match_tolerance_only(self, gap, same):
+        # {0, +-1} against {0, +-(1 + gap)}: equal under MATCH_TOL = 1e-9,
+        # and a relative gap of 4e-6 is another lattice
+        def lattice(s):
+            return build_frequency_set(EncodingStrategy(((HamiltonianSpectrum((-s, s)),),)))
+
+        f = TrigPolynomial.from_half_coeffs(lattice(0.5), {(1.0,): 0.5})
+        dist = uniform_distribution(lattice(0.5 + gap / 2))
+        if same:
+            assert alignment(f, dist) == pytest.approx(0.25 / 2)
+        else:
+            with pytest.raises(ValueError, match="different lattices"):
+                alignment(f, dist)
+
 
 class TestRequiredCounts:
     def test_pmax_rearrangement(self, fs_1d_5, cos_target):

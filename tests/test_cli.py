@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -164,6 +165,14 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert doc["variant"] == "krr" and len(doc["alpha"]) == 40
 
+    def test_auto_lambda_is_one_over_root_n_in_both_fits(self, workdir):
+        common = ["--data", workdir / "d.csv", "--encoding", workdir / "enc.json"]
+        assert run(["fit", *common, "--dist", workdir / "dist.json", "--M", 8,
+                    "--out", workdir / "rff.json"]) == 0
+        assert run(["oracle-krr", *common, "--out", workdir / "krr.json"]) == 0
+        for name in ("rff.json", "krr.json"):
+            assert json.loads((workdir / name).read_text())["lambda"] == 1.0 / math.sqrt(40)
+
     def test_pqc_spectrum(self, workdir, capsys):
         assert run(
             ["pqc-spectrum", "--circuit", workdir / "c.json", "--theta", workdir / "t.json"]
@@ -296,6 +305,18 @@ class TestExitCodes:
             assert run(args + ["--epshat", 0.1]) == 0
             reports.append(json.loads(capsys.readouterr().out))
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_theta_is_2(self, workdir, bad, capsys):
+        circuit = json.loads((workdir / "c.json").read_text())
+        circuit["gates"].append({"kind": "rot", "pauli": "Y", "theta": 0})
+        (workdir / "c1.json").write_text(json.dumps(circuit))
+        (workdir / "bad_theta.json").write_text(f'{{"theta": [{bad}]}}')
+        out = workdir / "spectrum.json"
+        args = ["pqc-spectrum", "--circuit", workdir / "c1.json", "--theta", workdir / "bad_theta.json"]
+        assert run(args + ["--out", out]) == 2
+        assert "parameter theta[0] is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numeric_error_is_3(self, workdir):
         assert run(

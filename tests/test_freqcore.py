@@ -20,8 +20,8 @@ from rffdq.freqcore import (
     EncodingStrategy,
     HamiltonianSpectrum,
     build_frequency_set,
-    canonical_fold,
     component_frequency_set,
+    fold_rows,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -248,8 +248,8 @@ class TestCanonicalFold:
         ],
     )
     def test_examples(self, omega, expected, sign):
-        folded, s = canonical_fold(omega)
-        assert tuple(folded) == expected and s == sign
+        folded, flipped = fold_rows([omega])
+        assert tuple(folded[0]) == expected and (-1 if flipped[0] else 1) == sign
 
     @given(
         st.lists(
@@ -259,12 +259,13 @@ class TestCanonicalFold:
     @settings(max_examples=200, deadline=None)
     def test_fold_properties(self, omega):
         w = np.asarray(omega)
-        folded, sign = canonical_fold(w)
+        (folded,), (flipped,) = fold_rows(w[None, :])
+        sign = -1 if flipped else 1
         assert np.allclose(sign * folded, w, atol=1e-12)
-        again, sign2 = canonical_fold(folded)
-        assert np.array_equal(again, folded) and sign2 == 1
-        neg_folded, neg_sign = canonical_fold(-w)
-        assert np.array_equal(neg_folded, folded)
+        # one batched call folds the folded row and the negated row alike
+        again, flipped2 = fold_rows(np.stack([folded, -w]))
+        assert np.array_equal(again[0], folded) and not flipped2[0]
+        assert np.array_equal(again[1], folded)
 
 
 class TestEncodingJson:

@@ -353,6 +353,17 @@ class TestRunSweep:
         loaded = read_rows(str(tmp_path / "r.csv"))
         assert [r["error"] for r in loaded] == [r["error"] for r in rows]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_theta_recorded_in_every_row(self, bad, tmp_path):
+        doc = circuit_sweep_doc()
+        doc["problem"]["target"]["theta"] = [bad]
+        rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
+        assert len(rows) == 4
+        want = f"ConfigError: parameter theta[0] is not finite ({bad})"
+        assert [r["error"] for r in rows] == [want] * 4
+        assert all(math.isnan(r["true_risk"]) for r in rows)
+        assert [r["error"] for r in read_rows(str(tmp_path / "r.csv"))] == [want] * 4
+
     def test_l2_err_sq_is_exact_off_integer_lattice(self, tmp_path):
         # lattice {0, +-0.6}: the coefficient sum is not an L2 norm there, the
         # uniform-measure Gram is

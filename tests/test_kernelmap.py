@@ -9,11 +9,13 @@ from scipy import integrate
 from conftest import pauli_half_encoding
 from oracles import (
     DictPolynomial,
+    hyperplane_by_index,
     midpoint_mean_square,
     quadrature_apply_operator,
     quadrature_l2_norm_sq,
     quadrature_top_singular_value,
     rkhs_norm_by_index,
+    rkhs_norm_dense,
 )
 from rffdq.errors import NonIntegerFrequencyError
 from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
@@ -26,15 +28,13 @@ from rffdq.kernelmap import (
     feature_map_eval,
     feature_matrix,
     fhat_l2_sq,
-    from_real_form,
+    hyperplane_spectrum,
     integral_operator_norm,
     kernel_eval,
     kernel_matrix,
     l2_norm_sq,
     mean_square,
-    reweighted_hyperplane,
     rkhs_norm,
-    to_real_form,
     weights_of,
 )
 
@@ -53,41 +53,36 @@ def random_poly(fs, rng, n_terms=None):
 
 
 class TestRealForm:
+    """Real cosine/sine coordinates of a hyperplane over phi_w and the
+    canonical-half spectrum ``hyperplane_spectrum`` maps them to."""
+
     def test_cosine(self, fs_1d_3):
-        f = TrigPolynomial.from_half_coeffs(fs_1d_3, {(1.0,): 0.5})
-        form = to_real_form(f)
-        assert form.c0 == 0.0
-        assert form.a.tolist() == [1.0, 0.0]
-        assert np.allclose(form.b, 0.0)
+        # w = (0, 2, 0) has norm 2: v_cos = 1 at row 1 is cos x = 0.5 e^{ix} + c.c.
+        f = hyperplane_spectrum([0.0, 1.0, 0.0, 0.0, 0.0], fs_1d_3, WeightVector([0.0, 2.0, 0.0]))
+        assert dict(f.coeffs) == {(1.0,): 0.5}
 
     def test_sine(self, fs_1d_3):
-        f = TrigPolynomial.from_half_coeffs(fs_1d_3, {(1.0,): complex(0.0, -0.5)})
-        form = to_real_form(f)
-        assert form.c0 == 0.0 and form.b.tolist() == [1.0, 0.0]
-        assert np.allclose(form.a, 0.0)
+        f = hyperplane_spectrum([0.0, 0.0, 1.0, 0.0, 0.0], fs_1d_3, WeightVector([0.0, 2.0, 0.0]))
+        assert dict(f.coeffs) == {(1.0,): complex(0.0, -0.5)}
 
     def test_constant(self, fs_1d_3):
-        f = TrigPolynomial.from_half_coeffs(fs_1d_3, {(0.0,): 3.0})
-        form = to_real_form(f)
-        assert form.c0 == 3.0
-        assert np.allclose(form.a, 0.0) and np.allclose(form.b, 0.0)
+        f = hyperplane_spectrum([3.0, 0.0, 0.0, 0.0, 0.0], fs_1d_3, WeightVector([2.0, 0.0, 0.0]))
+        assert dict(f.coeffs) == {(0.0,): 3.0}
 
     def test_roundtrip_and_pointwise(self, fs_2d, rng):
         f = random_poly(fs_2d, rng)
-        form = to_real_form(f)
-        g = from_real_form(form)
+        w = WeightVector(rng.uniform(0.1, 3.0, fs_2d.size))
+        v = hyperplane_by_index(f, w)
+        g = hyperplane_spectrum(v, fs_2d, w)
+        assert list(g.coeffs) == [k for k in map(tuple, fs_2d.half.tolist()) if k in f.coeffs]
         for key, c in f.coeffs.items():
             assert abs(g.coeffs[key] - c) <= 1e-12
         X = rng.uniform(0, 2 * np.pi, (50, 2))
-        assert np.max(np.abs(f.evaluate(X) - form.evaluate(X))) <= 1e-10
+        assert np.max(np.abs(f.evaluate(X) - feature_matrix(X, fs_2d, w) @ v)) <= 1e-10
 
     def test_realness_enforced(self, fs_1d_3):
         with pytest.raises(ValueError):
             TrigPolynomial.from_half_coeffs(fs_1d_3, {(0.0,): complex(1.0, 0.5)})
-        with pytest.raises(ValueError):
-            TrigPolynomial.from_full_coeffs(
-                fs_1d_3, {(1.0,): complex(0.5, 0.1), (-1.0,): complex(0.5, 0.1)}
-            )
 
     def test_non_canonical_key_rejected(self, fs_1d_3):
         with pytest.raises(ValueError):
@@ -325,6 +320,61 @@ class TestRkhsNorm:
                 assert str(err.value) == message
 
 
+_LATTICES = [[4], [1, 1], [2, 3], [1] * 5]
+
+
+class TestHyperplaneSpectrum:
+    """The map from a hyperplane over phi_w to its spectrum, and rkhs_norm
+    as its inverse's norm."""
+
+    @pytest.mark.parametrize("L_per_dim", _LATTICES)
+    def test_spectrum_evaluates_as_the_hyperplane_and_has_its_norm(self, L_per_dim, rng):
+        fs = build_frequency_set(pauli_half_encoding(L_per_dim))
+        X = rng.uniform(0, 2 * np.pi, (60, fs.d))
+        for _ in range(5):
+            w = WeightVector(rng.uniform(0.05, 2.0, fs.size))
+            v = rng.uniform(-1, 1, 2 * fs.size - 1)
+            f = hyperplane_spectrum(v, fs, w)
+            assert f.freq_set is fs and f.rows.tolist() == list(range(fs.size))
+            assert np.max(np.abs(f.evaluate(X) - feature_matrix(X, fs, w) @ v)) <= 1e-10
+            want = float(np.linalg.norm(v))
+            assert abs(rkhs_norm(f, w) - want) <= 1e-12 * want
+
+    def test_function_set_does_not_depend_on_positive_weights(self, fs_2d, rng):
+        # a function realized over phi_w is realized over phi_w' for every
+        # strictly positive w', by the hyperplane whose norm rkhs_norm gives
+        f = hyperplane_spectrum(rng.uniform(-1, 1, 9), fs_2d, WeightVector(rng.uniform(0.1, 3.0, 5)))
+        X = rng.uniform(0, 2 * np.pi, (40, 2))
+        for w2 in (WeightVector.uniform(5), WeightVector(rng.uniform(0.1, 3.0, 5))):
+            v2 = hyperplane_by_index(f, w2)
+            assert np.max(np.abs(feature_matrix(X, fs_2d, w2) @ v2 - f.evaluate(X))) <= 1e-10
+            assert rkhs_norm(f, w2) == pytest.approx(float(np.linalg.norm(v2)), rel=1e-12)
+
+    def test_zero_weight_rows_carry_no_term(self, fs_1d_5):
+        w = WeightVector(np.array([0.0, 1.0, 0.0, 2.0, 0.0]))
+        f = hyperplane_spectrum(np.ones(9), fs_1d_5, w)
+        assert f.rows.tolist() == [1, 3]
+
+    def test_shape_checked(self, fs_1d_5):
+        with pytest.raises(ValueError, match=r"hyperplane has shape \(8,\), expected \(9,\)"):
+            hyperplane_spectrum(np.ones(8), fs_1d_5, WeightVector.uniform(5))
+        with pytest.raises(ValueError, match="weight vector has length 4"):
+            hyperplane_spectrum(np.ones(9), fs_1d_5, WeightVector.uniform(4))
+
+    @pytest.mark.parametrize("L_per_dim", _LATTICES + [[3, 3, 2]])
+    def test_rkhs_norm_is_the_dense_row_order_sum_bit_for_bit(self, L_per_dim, rng):
+        # summing f's own terms in row order adds the same array as the sum
+        # over every row, so the two agree exactly, whatever f's term order
+        fs = build_frequency_set(pauli_half_encoding(L_per_dim))
+        for _ in range(25):
+            f = random_poly(fs, rng)
+            perm = rng.permutation(f.c.size)
+            shuffled = TrigPolynomial.on_rows(fs, f.rows[perm], f.c[perm])
+            w = WeightVector(rng.uniform(0.05, 2.0, fs.size) ** rng.integers(1, 4))
+            want = rkhs_norm_dense(f, w)
+            assert rkhs_norm(f, w) == want and rkhs_norm(shuffled, w) == want
+
+
 class TestL2Norm:
     def test_cosine(self, fs_1d_3):
         f = TrigPolynomial.from_half_coeffs(fs_1d_3, {(1.0,): 0.5})
@@ -476,17 +526,6 @@ class TestApplyIntegralOperator:
         assert np.max(np.abs(out.evaluate(probes) - quad)) <= 1e-6
 
 
-class TestReweightingInvariance:
-    def test_function_set_invariance(self, fs_2d, rng):
-        w = WeightVector(rng.uniform(0.1, 3.0, fs_2d.size))
-        v = rng.uniform(-1, 1, 2 * fs_2d.size - 1)
-        v_plain = reweighted_hyperplane(v, fs_2d, w)
-        X = rng.uniform(0, 2 * np.pi, (100, 2))
-        lhs = feature_matrix(X, fs_2d, w) @ v
-        rhs = feature_matrix(X, fs_2d, WeightVector.uniform(fs_2d.size)) @ v_plain
-        assert np.max(np.abs(lhs - rhs)) <= 1e-10
-
-
 class TestPolynomialAlgebra:
     def test_sub_and_parseval(self, fs_1d_5, rng):
         f = random_poly(fs_1d_5, rng)
@@ -540,12 +579,8 @@ class TestSnapBeforeFold:
         g = TrigPolynomial.from_half_coeffs(fs_2d, {(0.0, 1.0): complex(0.3, 0.4)})
         assert list(f.coeffs) == [(0.0, 1.0)] and f.rows.tolist() == g.rows.tolist()
         assert fhat_l2_sq(f - g) == 0.0
-        assert to_real_form(f).b.tolist() == to_real_form(g).b.tolist()
+        assert f.c.tolist() == g.c.tolist()
         assert f.coeff((5e-10, -1.0)) == complex(0.3, -0.4)
-        full = TrigPolynomial.from_full_coeffs(
-            fs_2d, {(5e-10, -1.0): complex(0.3, -0.4), (-5e-10, 1.0): complex(0.3, 0.4)}
-        )
-        assert full.coeffs == g.coeffs
 
 
 _ALGEBRA_FS = build_frequency_set(pauli_half_encoding([2, 1]))

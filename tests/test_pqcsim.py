@@ -293,6 +293,24 @@ class TestValidation:
             evaluate_model(c, Z_OBS, [0.1, 0.2], [])
         assert evaluate_model(c, Z_OBS, [0.1, 0.0, 0.2], []) == pytest.approx(np.cos(0.3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, bad):
+        rot = lambda i: GateSpec("rot", pauli="Y", theta_index=i)
+        c = Circuit(1, [GateSpec("encode", pauli="X", scale=0.5, dim=1), rot(0), rot(1)])
+        msg = rf"parameter theta\[1\] is not finite \({bad}\)"
+        with pytest.raises(ConfigError, match=msg):
+            extract_trig_polynomial(c, Z_OBS, [0.1, bad])
+        with pytest.raises(ConfigError, match=msg):
+            evaluate_model(c, Z_OBS, [0.1, bad], [0.3])
+
+    def test_theta_count_must_match(self):
+        c = Circuit(1, [GateSpec("rot", pauli="Y", theta_index=0)])
+        for theta in ([], [0.1, 0.2]):
+            with pytest.raises(ConfigError, match=f"need 1 parameters, got {len(theta)}"):
+                evaluate_model(c, Z_OBS, theta, [])
+            with pytest.raises(ConfigError, match=f"need 1 parameters, got {len(theta)}"):
+                extract_trig_polynomial(c, Z_OBS, theta)
+
     def test_qubit_cap(self):
         with pytest.raises(ConfigError):
             Circuit(15, [])
