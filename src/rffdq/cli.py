@@ -174,12 +174,18 @@ def cmd_oracle_krr(args) -> int:
     return 0
 
 
+def _require_width(model, d: int, source: str):
+    if model.d != d:
+        raise ConfigError(f"the model's frequencies have width {model.d}, but the {source} has d = {d}")
+
+
 def cmd_risk(args) -> int:
     model = load_model(args.model)
     if args.problem:
         doc = _load_json(args.problem)
         spec = harness.ProblemSpec.from_json(doc)
         fs = build_frequency_set(spec.encoding)
+        _require_width(model, fs.d, "problem")
         gen = SeededRng(spec.seed).generator()
         target = harness.realize_target(spec, fs, gen)
         est = true_risk_estimate(model, target, spec.noise_sigma**2)
@@ -189,6 +195,7 @@ def cmd_risk(args) -> int:
         )
     elif args.data:
         data = Dataset.from_csv(args.data)
+        _require_width(model, data.d, "data")
         train, test = holdout_split(data, args.holdout_seed)
         _emit_json(
             {

@@ -15,6 +15,11 @@ hyperplane v over phi_w: column 0 is the zero frequency, columns 2i - 1 and
 2i the cosine and sine of row i of the canonical half.  ``hyperplane_spectrum``
 maps such a v to its canonical-half spectrum, and ``rkhs_norm`` maps a
 spectrum back to the 2-norm of its v; no other module reads the layout.
+
+Every cosine and sine of <omega, x> that a polynomial, a feature map, a
+kernel or a fitted model takes at sample points comes from ``PlaneWaves``,
+which picks per-dimension phase tables or one call per (point, term) by the
+shape rule in ``_tables_pay``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,102 @@ REALNESS_TOL = 1e-10
 SUPPORT_TOL = 1e-12
 # rows of the uniform-measure Gram that ``mean_square`` forms at a time
 _GRAM_BLOCK = 512
+# entries per array in one row block of ``PlaneWaves.blocks``: 64 KB, so the
+# five arrays a tabled block uses at once (320 KB) fit in a core's L2 cache;
+# larger blocks ran faster but held more than the direct form at the
+# benchmark shapes
+TRIG_BLOCK_ENTRIES = 1 << 13
+
+
+def _tables_pay(d: int, terms: int, values: int) -> bool:
+    """The shape rule of ``PlaneWaves``: whether phase tables cost less than
+    one cosine per (point, term), the cheapest direct form.
+
+    Per point, the tables take 2 * ``values`` trigonometric calls (``values``
+    = sum_j K_j), and combining one term through one dimension (two gathers,
+    four products and two sums) costs about a sixth of a cosine: one float64
+    cosine of an argument beyond 1 took 20-27 ns and a term-dimension step
+    4-5 ns on a 2-vCPU Xeon (AVX-512, numpy 2.4).  So tables pay when
+    2 * values + d * terms / 6 < terms.  At d >= 6 they never do.
+    """
+    return 12 * values < (6 - d) * terms
+
+
+class PlaneWaves:
+    """cos and sin of <omega_s, x> for the rows omega_s of ``freqs``
+    (shape ``(S, d)``) at any set of points.
+
+    e^{i <omega, x>} = prod_j e^{i omega_j x_j}, so when ``tabled`` (the
+    rule in ``_tables_pay`` on d, S and sum_j K_j) each row block takes one
+    table of cos and sin of f x_j over the K_j distinct values f in column
+    j and combines the tables by angle addition; otherwise it takes np.cos
+    and np.sin of X Omega^T.  Both agree to about d ulp of 1.
+    """
+
+    def __init__(self, freqs):
+        self.freqs = np.asarray(freqs, dtype=float)
+        self.values, self.codes = [], []
+        for column in self.freqs.T:
+            values, code = np.unique(column, return_inverse=True)
+            self.values.append(values)
+            self.codes.append(code.ravel())
+        S, d = self.freqs.shape
+        self.tabled = _tables_pay(d, S, sum(v.size for v in self.values))
+
+    def points(self, X) -> np.ndarray:
+        """``X`` as an ``(n, d)`` float array (one point may be given as
+        shape ``(d,)``); a point of another width is a ValueError naming
+        both widths."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        d = self.freqs.shape[1]
+        if X.ndim != 2 or X.shape[1] != d:
+            raise ValueError(f"points have width {X.shape[-1]}, but the frequencies have width {d}")
+        return X
+
+    def blocks(self, X):
+        """Yield ``(rows, cos, sin)`` over row blocks of the points ``X``:
+        cos[k, s] = cos <omega_s, X[rows][k]>, and sin alike, each of shape
+        ``(len(rows), S)`` and about ``TRIG_BLOCK_ENTRIES`` entries.  The
+        arrays may be reused by the next block, so read each block before
+        drawing the next."""
+        X = self.points(X)
+        n = X.shape[0]
+        S = self.freqs.shape[0]
+        step = max(1, TRIG_BLOCK_ENTRIES // max(S, 1))
+        if not self.tabled:
+            for r in range(0, n, step):
+                angle = X[r : r + step] @ self.freqs.T
+                yield slice(r, r + angle.shape[0]), np.cos(angle), np.sin(angle, out=angle)
+            return
+        # cos and sin are kept transposed, (S, rows), so every gather copies
+        # whole table rows; only these two arrays live from block to block
+        work = np.empty((2, S * min(step, n)))
+        for r in range(0, n, step):
+            xt = X[r : r + step].T
+            m = xt.shape[1]
+            cos, sin = (a[: S * m].reshape(S, m) for a in work)
+            for j, (values, code) in enumerate(zip(self.values, self.codes)):
+                angle = np.multiply.outer(values, xt[j])
+                tcos, tsin = np.cos(angle), np.sin(angle, out=angle)
+                if j == 0:
+                    # mode="clip" skips take's buffered copy; the codes are in range
+                    np.take(tcos, code, axis=0, out=cos, mode="clip")
+                    np.take(tsin, code, axis=0, out=sin, mode="clip")
+                else:
+                    _add_angles(cos, sin, tcos[code], tsin[code])
+            yield slice(r, r + m), cos.T, sin.T
+
+
+def _add_angles(cos: np.ndarray, sin: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray):
+    """Turn cos and sin of a into those of a + b, in place:
+    cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b.
+    ``sin_b`` is overwritten."""
+    tmp = cos * sin_b
+    cos *= cos_b
+    sin_b *= sin
+    cos -= sin_b
+    sin *= cos_b
+    sin += tmp
 
 
 @dataclass
@@ -207,13 +308,17 @@ class TrigPolynomial:
 
     def evaluate(self, X) -> np.ndarray:
         """Pointwise values at rows of ``X`` (shape ``(n, d)`` or ``(d,)``)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         zero = self._zero_mask()
-        vals = np.full(X.shape[0], float(self.c.real[zero].sum()))
-        if not zero.all():
-            cs = self.c[~zero]
-            ang = X @ self.freqs[~zero].T
-            vals = vals + 2.0 * (np.cos(ang) @ cs.real - np.sin(ang) @ cs.imag)
+        waves = PlaneWaves(self.freqs[~zero])
+        X = waves.points(X)
+        const = float(self.c.real[zero].sum())
+        cs = self.c[~zero]
+        vals = np.empty(X.shape[0])
+        for rows, cos, sin in waves.blocks(X):
+            part = np.matmul(cos, cs.real, out=vals[rows])
+            part -= sin @ cs.imag
+            part *= 2.0
+            part += const
         return vals
 
     def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
@@ -283,16 +388,15 @@ def feature_map_eval(x, fs: FrequencySet, w: WeightVector) -> np.ndarray:
 def feature_matrix(X, fs: FrequencySet, w: WeightVector) -> np.ndarray:
     """Feature matrix with rows phi_w(x_k); columns in canonical index order."""
     _check_lengths(fs, w)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    m = fs.size
-    out = np.empty((n, 2 * m - 1))
+    waves = PlaneWaves(fs.half[1:])
+    X = waves.points(X)
+    out = np.empty((X.shape[0], 2 * fs.size - 1))
     out[:, 0] = w.weights[0]
-    if m > 1:
-        ang = X @ fs.half[1:].T
-        out[:, 1::2] = np.cos(ang) * w.weights[1:]
-        out[:, 2::2] = np.sin(ang) * w.weights[1:]
-    return out / w.norm2
+    for rows, cos, sin in waves.blocks(X):
+        out[rows, 1::2] = cos * w.weights[1:]
+        out[rows, 2::2] = sin * w.weights[1:]
+    out /= w.norm2
+    return out
 
 
 def hyperplane_spectrum(v, fs: FrequencySet, w: WeightVector) -> TrigPolynomial:
@@ -317,21 +421,29 @@ def kernel_eval(x, xp, fs: FrequencySet, w: WeightVector):
     pair of points (shape ``(d,)``, a float), or of each pair of rows of
     two ``(n, d)`` arrays (an array)."""
     _check_lengths(fs, w)
-    delta = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
-    k = np.cos(np.atleast_2d(delta) @ fs.half.T) @ w.weights**2 / w.norm2**2
-    return float(k[0]) if delta.ndim == 1 else k
+    x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
+    waves = PlaneWaves(fs.half)
+    delta = waves.points(x) - waves.points(xp)
+    k = np.empty(delta.shape[0])
+    for rows, cos, _ in waves.blocks(delta):
+        k[rows] = cos @ w.weights**2 / w.norm2**2
+    return float(k[0]) if max(x.ndim, xp.ndim) == 1 else k
 
 
 def kernel_matrix(X, Xp, fs: FrequencySet, w: WeightVector) -> np.ndarray:
     """Gram matrix K[i, j] = K_w(X[i], Xp[j]), assembled via the angle-sum
     identity so the cost is O((n + m) |Omega| + n m |Omega|) in BLAS calls."""
     _check_lengths(fs, w)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Xp = np.atleast_2d(np.asarray(Xp, dtype=float))
+    waves = PlaneWaves(fs.half)
+    X, Xp = waves.points(X), waves.points(Xp)
     p = w.weights**2 / w.norm2**2
-    ax = X @ fs.half.T
-    ay = Xp @ fs.half.T
-    return (np.cos(ax) * p) @ np.cos(ay).T + (np.sin(ax) * p) @ np.sin(ay).T
+    cos_p, sin_p = np.empty((2, Xp.shape[0], fs.size))
+    for rows, cos, sin in waves.blocks(Xp):
+        cos_p[rows], sin_p[rows] = cos, sin
+    K = np.empty((X.shape[0], Xp.shape[0]))
+    for rows, cos, sin in waves.blocks(X):
+        K[rows] = (cos * p) @ cos_p.T + (sin * p) @ sin_p.T
+    return K
 
 
 def distribution_of(w: WeightVector) -> np.ndarray:

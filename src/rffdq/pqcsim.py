@@ -19,11 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonIntegerFrequencyError
+from .errors import CapacityError, ConfigError, NonIntegerFrequencyError
 from .freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
 from .kernelmap import TrigPolynomial
 
 MAX_QUBITS = 14
+# frequency_components refuses a propagation buffer (prod_j K_j * 2^q
+# amplitudes of 16 B) above this many bytes: a 15 x 15 box at 14 qubits
+# takes 59 MB, three dimensions of ten scale-1 gates 2.4 GB
+PROPAGATION_BYTES = 1 << 28
 # spectral mass allowed off the encoding lattice before extraction fails
 LEAK_TOL = 1e-9
 _PAULIS = frozenset("IXYZ")
@@ -173,8 +177,8 @@ def _rotate(state: np.ndarray, pauli, angle: float) -> np.ndarray:
 
 class CompiledCircuit:
     """A circuit lowered once to index and phase arrays: a gather plus phase
-    vector per distinct Pauli word, a source permutation per CNOT, a sign
-    vector per CZ, a reshaped tensor per fixed unitary.
+    vector per distinct Pauli word, one permutation-and-sign step per run of
+    consecutive CNOT and CZ gates, a reshaped tensor per fixed unitary.
 
     ``run`` simulates one input x; ``frequency_components`` propagates the
     state for all x at once, one vector per state frequency.  Both apply
@@ -193,12 +197,21 @@ class CompiledCircuit:
                     identity = all(ch == "I" for ch in g.pauli)
                     words[g.pauli] = None if identity else _pauli_gather(g.pauli, q)
                 self.steps.append((g.kind, g, words[g.pauli]))
-            elif g.kind == "cnot":
+            elif g.kind in ("cnot", "cz"):
+                # a run of CNOT and CZ gates is one step: out = sign * in[src],
+                # either part None when it is the identity
+                if not self.steps or self.steps[-1][0] != "perm":
+                    self.steps.append(("perm", None, (None, None)))
+                src, sign = self.steps[-1][2]
                 cbit = (idx >> (q - 1 - g.control)) & 1
-                self.steps.append(("cnot", g, idx ^ (cbit << (q - 1 - g.target))))
-            elif g.kind == "cz":
-                both = ((idx >> (q - 1 - g.control)) & 1) & ((idx >> (q - 1 - g.target)) & 1)
-                self.steps.append(("cz", g, 1.0 - 2.0 * both))
+                if g.kind == "cnot":
+                    perm = idx ^ (cbit << (q - 1 - g.target))
+                    src = perm if src is None else src[perm]
+                    sign = None if sign is None else sign[perm]
+                else:
+                    flip = 1.0 - 2.0 * (cbit & ((idx >> (q - 1 - g.target)) & 1))
+                    sign = flip if sign is None else sign * flip
+                self.steps[-1] = ("perm", None, (src, sign))
             elif g.kind == "fixed":
                 k = len(g.qubits)
                 Ut = np.asarray(g.matrix, dtype=complex).reshape([2] * (2 * k))
@@ -222,10 +235,12 @@ class CompiledCircuit:
             return _rotate(state, op, g.scale * x[g.dim - 1])
         if kind == "rot":
             return _rotate(state, op, theta[g.theta_index] / 2.0)
-        if kind == "cnot":
-            return np.take(state, op, axis=-1)
-        if kind == "cz":
-            state *= op
+        if kind == "perm":
+            src, sign = op
+            if src is not None:
+                state = np.take(state, src, axis=-1)
+            if sign is not None:
+                state *= sign
             return state
         lead = state.ndim - 1
         k = len(g.qubits)
@@ -257,16 +272,24 @@ class CompiledCircuit:
         keeps one half of psi_k at k and moves the other to k + m along axis
         j.  Requires every 2|s| to be an integer.  The buffer is allocated
         once at its final shape and updated in place, one slice of the
-        occupied box at a time, so no temporary is larger than a slice.
+        occupied box at a time, so no temporary is larger than a slice.  A
+        buffer above ``PROPAGATION_BYTES`` is a CapacityError, raised before
+        anything is allocated.
         """
         c = self.circuit
         theta = self._theta(theta)
         d = max(c.data_dim, 1)
-        shifts = [round(2.0 * abs(g.scale)) if g.kind == "encode" else 0 for _, g, _ in self.steps]
+        shifts = [round(2.0 * abs(g.scale)) if kind == "encode" else 0 for kind, g, _ in self.steps]
         sizes = [1] * d
         for (kind, g, _), m in zip(self.steps, shifts):
             if kind == "encode":
                 sizes[g.dim - 1] += m
+        nbytes = 16 * math.prod(sizes) * 2**c.qubits
+        if nbytes > PROPAGATION_BYTES:
+            raise CapacityError(
+                f"propagating {' x '.join(map(str, sizes))} state frequencies of {c.qubits} qubits "
+                f"needs {nbytes / 2**20:.0f} MiB, above PROPAGATION_BYTES ({PROPAGATION_BYTES / 2**20:.0f} MiB)"
+            )
         buf = np.zeros((*sizes, 2**c.qubits), dtype=complex)
         buf[(0,) * (d + 1)] = 1.0
         hi = [0] * d  # highest occupied index per axis

@@ -22,7 +22,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
-from .kernelmap import TrigPolynomial, WeightVector, feature_matrix, hyperplane_spectrum, mean_square
+from .kernelmap import (
+    PlaneWaves,
+    TrigPolynomial,
+    WeightVector,
+    feature_matrix,
+    hyperplane_spectrum,
+    mean_square,
+)
 
 RESIDUAL_RTOL = 1e-8
 _JITTER_LADDER = (1e-12, 1e-10, 1e-8, 1e-6)
@@ -199,9 +206,23 @@ def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     return w
 
 
-# the angle-sum design subtracts its sine terms in row blocks of about this
-# many entries, so no second n x M buffer is held
+# the angle-sum design gathers its cosine and sine terms in row blocks of
+# about this many entries, so no second n x M buffer is held
 _BLOCK_ENTRIES = 1 << 16
+
+
+def _angle_sum(out: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: np.ndarray, a, b):
+    """out[k, i] = a_i cos[k, inverse_i] - b_i sin[k, inverse_i], formed in
+    row blocks of about ``_BLOCK_ENTRIES`` entries; every temporary is gone
+    when it returns."""
+    step = max(1, _BLOCK_ENTRIES // out.shape[1])
+    for r in range(0, out.shape[0], step):
+        block = out[r : r + step]
+        # row-major copies, so the gathers come out in the layout of out
+        np.multiply(np.ascontiguousarray(cos[r : r + step])[:, inverse], a, out=block)
+        part = np.ascontiguousarray(sin[r : r + step])[:, inverse]
+        part *= b
+        block -= part
 
 
 @dataclass
@@ -211,10 +232,11 @@ class RffFeatureSet:
     Frequencies are drawn from a finite lattice, so one frequency is usually
     drawn many times.  The draws are grouped once, at construction:
     ``distinct`` holds the U distinct frequencies (in ``np.unique`` order),
-    ``first`` the draw at which each first appears, and ``inverse`` each
-    draw's row in ``distinct``.  When 2U <= M, features are built from cos
-    and sin of <w_u, x> per distinct frequency by angle addition, which
-    never costs more trigonometry than one cosine per feature; otherwise
+    ``first`` the draw at which each first appears, ``inverse`` each draw's
+    row in ``distinct``, and ``waves`` their ``PlaneWaves``.  Features are
+    built from cos and sin of <w_u, x> per distinct frequency by angle
+    addition when ``waves`` takes phase tables or when 2U <= M (then it
+    never costs more trigonometry than one cosine per feature); otherwise
     each feature takes its own cosine.
     """
 
@@ -223,10 +245,13 @@ class RffFeatureSet:
     distinct: np.ndarray = field(init=False, repr=False, compare=False)
     first: np.ndarray = field(init=False, repr=False, compare=False)
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    waves: PlaneWaves = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.frequencies = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
         self.phases = np.asarray(self.phases, dtype=float).ravel()
+        if self.phases.size == 0:
+            raise ValueError("a feature set needs at least one feature")
         if self.frequencies.shape[0] != self.phases.size:
             raise ValueError("frequencies and phases disagree on M")
         if np.any(self.phases < 0) or np.any(self.phases >= 2 * np.pi):
@@ -235,6 +260,7 @@ class RffFeatureSet:
             self.frequencies, axis=0, return_index=True, return_inverse=True
         )
         self.inverse = inverse.ravel()
+        self.waves = PlaneWaves(self.distinct)
 
     @property
     def M(self) -> int:
@@ -249,24 +275,18 @@ class RffFeatureSet:
 
     def _features(self, X, divisor: float) -> np.ndarray:
         """sqrt(2) cos(<w_i, x> + g_i) / divisor, shape (n, M)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if 2 * self.distinct.shape[0] > self.M:
+        X = self.waves.points(X)
+        if 2 * self.distinct.shape[0] > self.M and not self.waves.tabled:
             F = math.sqrt(2.0) * np.cos(X @ self.frequencies.T + self.phases)
             F /= divisor
             return F
         # sqrt(2) cos(t_u + g_i) = a_i cos t_u - b_i sin t_u
-        theta = X @ self.distinct.T
-        cos = np.cos(theta)
-        sin = np.sin(theta, out=theta)
         factor = math.sqrt(2.0) / divisor
-        out = cos[:, self.inverse]
-        out *= factor * np.cos(self.phases)
+        a = factor * np.cos(self.phases)
         b = factor * np.sin(self.phases)
-        step = max(1, _BLOCK_ENTRIES // self.M)
-        for r in range(0, out.shape[0], step):
-            part = sin[r : r + step, self.inverse]
-            part *= b
-            out[r : r + step] -= part
+        out = np.empty((X.shape[0], self.M))
+        for rows, cos, sin in self.waves.blocks(X):
+            _angle_sum(out[rows], cos, sin, self.inverse, a, b)
         return out
 
     def raw_features(self, X) -> np.ndarray:
@@ -281,6 +301,11 @@ class RffFeatureSet:
 class _Model:
     variant: str = ""
     lam: float = 0.0
+
+    @property
+    def d(self) -> int:
+        """Input dimension: the width of the model's frequencies."""
+        raise NotImplementedError
 
     def predict(self, X) -> np.ndarray:
         raise NotImplementedError
@@ -300,11 +325,23 @@ class ExplicitLinearModel(_Model):
     variant: str = "explicit"
     _fs: FrequencySet | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        self.v = np.asarray(self.v, dtype=float)
+        m = self.fs.size
+        if len(self.weights) != m:
+            raise ValueError(f"weights has length {len(self.weights)} but the canonical half has {m} entries")
+        if self.v.shape != (2 * m - 1,):
+            raise ValueError(f"v must hold {2 * m - 1} entries (2 |half| - 1), got shape {self.v.shape}")
+
     @property
     def fs(self) -> FrequencySet:
         if self._fs is None:
             self._fs = build_frequency_set(self.encoding)
         return self._fs
+
+    @property
+    def d(self) -> int:
+        return self.encoding.d
 
     def predict(self, X) -> np.ndarray:
         return feature_matrix(X, self.fs, self.weights) @ self.v
@@ -357,15 +394,27 @@ class RffModel(_Model):
             raise ValueError("coef must be finite")
         self.coef = coef
 
+    @property
+    def d(self) -> int:
+        return self.feature_set.frequencies.shape[1]
+
     def predict(self, X) -> np.ndarray:
         """sum_i coef_i sqrt(2) cos(<w_i, x> + g_i)/sqrt(M), summed per
         distinct frequency first: rho_u cos(<w_u, x> + phi_u) with
-        rho_u e^{i phi_u} = sqrt(2/M) sum_{i in u} coef_i e^{i g_i}."""
+        rho_u e^{i phi_u} = sqrt(2/M) sum_{i in u} coef_i e^{i g_i}: one
+        cosine per (point, frequency), or Re z_u cos - Im z_u sin from the
+        phase tables when ``PlaneWaves`` takes them."""
         fset = self.feature_set
         z = math.sqrt(2.0 / fset.M) * fset.per_frequency(self.coef * np.exp(1j * fset.phases))
-        theta = np.atleast_2d(np.asarray(X, dtype=float)) @ fset.distinct.T
-        theta += np.angle(z)
-        return np.cos(theta, out=theta) @ np.abs(z)
+        X = fset.waves.points(X)
+        if not fset.waves.tabled:
+            theta = X @ fset.distinct.T
+            theta += np.angle(z)
+            return np.cos(theta, out=theta) @ np.abs(z)
+        out = np.empty(X.shape[0])
+        for rows, cos, sin in fset.waves.blocks(X):
+            out[rows] = cos @ z.real - sin @ z.imag
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -378,9 +427,19 @@ class RffModel(_Model):
 
 
 def model_from_json(doc: dict) -> _Model:
+    """A model from its JSON document.  A document whose arrays have the
+    wrong shapes or values is a ``ConfigError``, like a malformed one."""
     variant = doc.get("variant")
-    lam = float(doc["lambda"])
-    if variant in ("explicit", "krr"):
+    if variant not in ("explicit", "krr", "rff"):
+        raise ConfigError(f"unknown model variant '{variant}'")
+    try:
+        lam = float(doc["lambda"])
+        if variant == "rff":
+            fset = RffFeatureSet(
+                np.asarray(doc["frequencies"], dtype=float),
+                np.asarray(doc["phases"], dtype=float),
+            )
+            return RffModel(fset, doc["coef"], lam)
         enc = EncodingStrategy.from_json(doc["encoding"])
         w = WeightVector(np.asarray(doc["weights"], dtype=float))
         if variant == "explicit":
@@ -390,16 +449,8 @@ def model_from_json(doc: dict) -> _Model:
         alpha = np.asarray(doc["alpha"], dtype=float)
         v = feature_matrix(X, fs, w).T @ alpha
         return KrrModel(enc, w, v, lam, _fs=fs, X_train=X, alpha=alpha)
-    if variant == "rff":
-        fset = RffFeatureSet(
-            np.asarray(doc["frequencies"], dtype=float),
-            np.asarray(doc["phases"], dtype=float),
-        )
-        try:
-            return RffModel(fset, doc["coef"], lam)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"rff model: {exc}") from None
-    raise ConfigError(f"unknown model variant '{variant}'")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{variant} model: {exc}") from None
 
 
 def load_model(path: str) -> _Model:

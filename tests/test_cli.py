@@ -318,6 +318,30 @@ class TestExitCodes:
         assert "parameter theta[0] is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_malformed_model_is_2(self, workdir, capsys):
+        rff = {"variant": "rff", "lambda": 0.1, "frequencies": [[0.0], [1.0]],
+               "phases": [0.5, 1.5], "coef": [1.0, 2.0]}
+        explicit = {"variant": "explicit", "lambda": 0.1,
+                    "encoding": json.loads((workdir / "enc.json").read_text()),
+                    "weights": [1.0, 1.0, 1.0], "v": [0.5, 0.25]}
+        bad = [
+            ({"variant": "rff", "lambda": 0.1, "frequencies": [], "phases": [], "coef": []}, "--data"),
+            ({**rff, "frequencies": [[0.0], [1.0, 2.0]]}, "--data"),
+            ({**rff, "phases": [0.5, 7.0]}, "--data"),
+            (explicit, "--problem"),
+            ({**rff, "frequencies": [[0.0, 1.0], [1.0, 0.0]]}, "--data"),
+            ({**rff, "frequencies": [[0.0, 1.0], [1.0, 0.0]]}, "--problem"),
+        ]
+        model = workdir / "m.json"
+        for doc, source in bad:
+            model.write_text(json.dumps(doc))
+            target = workdir / ("d.csv" if source == "--data" else "prob.json")
+            assert run(["risk", "--model", model, source, target]) == 2, doc
+            assert "config error" in capsys.readouterr().err
+        model.write_text(json.dumps({**rff, "frequencies": [[0.0, 1.0], [1.0, 0.0]]}))
+        run(["risk", "--model", model, "--data", workdir / "d.csv"])
+        assert "the model's frequencies have width 2, but the data has d = 1" in capsys.readouterr().err
+
     def test_numeric_error_is_3(self, workdir):
         assert run(
             ["bounds", "sufficient", "--opnorm", 0.9, "--C", 1, "--b", 1, "--eps", 0.1, "--delta", 0.05]

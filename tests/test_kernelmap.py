@@ -20,6 +20,8 @@ from oracles import (
 from rffdq.errors import NonIntegerFrequencyError
 from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
 from rffdq.kernelmap import (
+    TRIG_BLOCK_ENTRIES,
+    PlaneWaves,
     TrigPolynomial,
     WeightVector,
     apply_integral_operator,
@@ -183,6 +185,98 @@ class TestKernel:
             X = rng.uniform(0, 2 * np.pi, (m, 2))
             K = kernel_matrix(X, X, fs_2d, w)
             assert np.min(np.linalg.eigvalsh((K + K.T) / 2)) >= -1e-8
+
+
+class TestPlaneWaves:
+    """cos and sin of <omega_s, x_k> in row blocks, from phase tables or
+    from one call per entry, against np.cos / np.sin of X Omega^T."""
+
+    @staticmethod
+    def assemble(waves, X):
+        S = waves.freqs.shape[0]
+        cos, sin = np.full((2, X.shape[0], S), np.nan)
+        starts = []
+        for rows, c, s in waves.blocks(X):
+            assert c.shape == s.shape == (rows.stop - rows.start, S)
+            cos[rows], sin[rows] = c, s
+            starts.append(rows.start)
+        assert starts == list(range(0, X.shape[0], max(1, TRIG_BLOCK_ENTRIES // max(S, 1))))
+        return cos, sin
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("S", [0, 1, 300])
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_both_sides_of_the_rule_match_direct_trig(self, d, S, integer):
+        gen = np.random.default_rng([d, S, integer])
+        # K_j values per dimension, so repeated values exercise the tables
+        values = np.arange(-4.0, 5.0) if integer else gen.uniform(-4.5, 4.5, 9)
+        freqs = values[gen.integers(0, 9, (S, d))]
+        # 203 rows: several blocks of 27 rows at S = 300, and a short last one
+        X = gen.uniform(0, 2 * np.pi, (203, d))
+        want_cos, want_sin = np.cos(X @ freqs.T), np.sin(X @ freqs.T)
+        for tabled in (False, True):
+            waves = PlaneWaves(freqs)
+            waves.tabled = tabled
+            cos, sin = self.assemble(waves, X)
+            assert np.max(np.abs(cos - want_cos), initial=0.0) <= 1e-13
+            assert np.max(np.abs(sin - want_sin), initial=0.0) <= 1e-13
+
+    def test_rule_at_the_benchmark_lattices(self):
+        # sum_j K_j of the canonical half {-L..L}^d is (L + 1) + (d - 1)(2L + 1)
+        circuit = build_frequency_set(pauli_half_encoding([10, 10]))
+        assert PlaneWaves(circuit.half[1:]).tabled  # 220 terms, sum K = 32
+        assert PlaneWaves(circuit.half[1:131]).tabled
+        assert not PlaneWaves(circuit.half[1:47]).tabled
+        lowd = build_frequency_set(pauli_half_encoding([6, 6]))
+        assert PlaneWaves(lowd.half).tabled  # 85 terms, sum K = 20
+        assert not PlaneWaves(lowd.half[:46]).tabled
+        highdim = build_frequency_set(pauli_half_encoding([2] * 6))
+        assert not PlaneWaves(highdim.half[:393]).tabled
+        assert not PlaneWaves(highdim.half).tabled  # d = 6: never
+        assert not PlaneWaves(np.arange(40.0)[:, None]).tabled  # d = 1: S <= sum K
+
+    def test_routed_functions_on_a_tabled_lattice(self):
+        fs = build_frequency_set(pauli_half_encoding([6, 6]))
+        gen = np.random.default_rng(4)
+        X = gen.uniform(0, 2 * np.pi, (57, 2))
+        w = WeightVector(gen.uniform(0.2, 1.0, fs.size))
+        c = gen.normal(size=fs.size) + 1j * gen.normal(size=fs.size)
+        c[0] = c[0].real
+        f = TrigPolynomial.on_rows(fs, np.arange(fs.size), c)
+        assert PlaneWaves(fs.half[1:]).tabled
+        ang = X @ fs.half.T
+        want = c[0].real + 2.0 * (np.cos(ang[:, 1:]) @ c[1:].real - np.sin(ang[:, 1:]) @ c[1:].imag)
+        assert np.max(np.abs(f.evaluate(X) - want)) <= 1e-13 * np.max(np.abs(want))
+        F = feature_matrix(X, fs, w)
+        assert np.max(np.abs(F[:, 1::2] - np.cos(ang[:, 1:]) * w.weights[1:] / w.norm2)) <= 1e-15
+        assert np.max(np.abs(F[:, 2::2] - np.sin(ang[:, 1:]) * w.weights[1:] / w.norm2)) <= 1e-15
+        Xp = gen.uniform(0, 2 * np.pi, (31, 2))
+        p = w.weights**2 / w.norm2**2
+        K = np.cos((X @ fs.half.T)[:, None, :] - (Xp @ fs.half.T)[None]) @ p
+        assert np.max(np.abs(kernel_matrix(X, Xp, fs, w) - K)) <= 1e-13
+        pairs = np.cos((X[:31] - Xp) @ fs.half.T) @ p
+        assert np.max(np.abs(kernel_eval(X[:31], Xp, fs, w) - pairs)) <= 1e-14
+
+    def test_wrong_width_names_both_widths(self):
+        gen = np.random.default_rng(5)
+        for L in ([1, 1], [6, 6]):  # direct and tabled
+            fs = build_frequency_set(pauli_half_encoding(L))
+            w = WeightVector.uniform(fs.size)
+            f = random_poly(fs, gen, n_terms=fs.size)
+            X2, X3 = gen.uniform(0, 1, (2, 4, 2)), gen.uniform(0, 1, (4, 3))
+            calls = [
+                lambda: f.evaluate(X3),
+                lambda: f.evaluate(np.zeros(3)),
+                lambda: feature_matrix(X3, fs, w),
+                lambda: feature_map_eval(np.zeros(3), fs, w),
+                lambda: kernel_eval(X3, X3, fs, w),
+                lambda: kernel_eval(X2[0], X3, fs, w),
+                lambda: kernel_matrix(X3, X2[1], fs, w),
+                lambda: kernel_matrix(X2[0], X3, fs, w),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="points have width 3, but the frequencies have width 2"):
+                    call()
 
 
 class TestDistributionOfWeights:

@@ -10,7 +10,7 @@ from oracles import (
     random_unitary,
 )
 from rffdq import pqcsim
-from rffdq.errors import ConfigError, NonIntegerFrequencyError
+from rffdq.errors import CapacityError, ConfigError, NonIntegerFrequencyError
 from rffdq.freqcore import build_frequency_set
 from rffdq.pqcsim import (
     Circuit,
@@ -352,6 +352,82 @@ class TestValidation:
         state = run_circuit(c, [], [])
         assert np.allclose(np.abs(state) ** 2, [0.5, 0.0, 0.0, 0.5])
         assert evaluate_model(c, Observable([(1.0, "ZZ")]), [], []) == pytest.approx(1.0)
+
+
+def _layered(q, entanglers, blocked):
+    """Two layers of X encodings over two dimensions, Y rotations and a run
+    of entangling gates; ``blocked`` puts an identity rotation at theta = 0
+    between each pair of entanglers, which keeps them from being fused."""
+
+    def word(k, ch):
+        return "".join(ch if i == k else "I" for i in range(q))
+
+    gates, count = [], 2 * q
+    for layer in range(2):
+        gates += [GateSpec("encode", pauli=word(k, "X"), scale=0.5, dim=k % 2 + 1) for k in range(q)]
+        gates += [GateSpec("rot", pauli=word(k, "Y"), theta_index=layer * q + k) for k in range(q)]
+        for i, (kind, c, t) in enumerate(entanglers):
+            if blocked and i:
+                gates.append(GateSpec("rot", pauli="I" * q, theta_index=count))
+                count += 1
+            gates.append(GateSpec(kind, control=c, target=t))
+    return Circuit(q, gates), count
+
+
+class TestEntanglerFusion:
+    @pytest.mark.parametrize(
+        "entanglers",
+        [
+            [("cnot", k, k + 1) for k in range(5)],
+            [("cz", 0, 3), ("cnot", 1, 2), ("cz", 2, 1), ("cz", 0, 3), ("cnot", 4, 0), ("cnot", 0, 4)],
+        ],
+    )
+    def test_fused_runs_equal_the_gate_by_gate_circuit(self, entanglers):
+        gen = np.random.default_rng(len(entanglers))
+        fused, _ = _layered(6, entanglers, blocked=False)
+        blocked, count = _layered(6, entanglers, blocked=True)
+        theta = np.zeros(count)
+        theta[:12] = gen.uniform(-np.pi, np.pi, 12)
+        compiled = [CompiledCircuit(fused), CompiledCircuit(blocked)]
+        kinds = [[kind for kind, _, _ in c.steps] for c in compiled]
+        assert kinds[0].count("perm") == 2 and kinds[1].count("perm") == 2 * len(entanglers)
+        # exact equality: the identity rotations multiply by 1 + 0j, which
+        # may only flip the sign of a zero
+        psi = [c.frequency_components(theta[: c.circuit.theta_count]) for c in compiled]
+        assert np.array_equal(psi[0], psi[1])
+        for x in gen.uniform(0, 2 * np.pi, (3, 2)):
+            runs = [c.run(theta[: c.circuit.theta_count], x) for c in compiled]
+            assert np.array_equal(runs[0], runs[1])
+        x = gen.uniform(0, 2 * np.pi, 2)
+        want = dense_statevector(fused, theta[:12], x)
+        assert np.max(np.abs(compiled[0].run(theta[:12], x) - want)) <= 1e-12
+
+
+class TestPropagationCap:
+    def test_refused_before_allocating(self, monkeypatch):
+        # d = 3 with ten scale-1 gates per dimension: 21^3 x 2^14 amplitudes, 2.4 GB
+        word = "X" + "I" * 13
+        gates = [GateSpec("encode", pauli=word, scale=1.0, dim=j + 1) for j in range(3) for _ in range(10)]
+        compiled = CompiledCircuit(Circuit(14, gates))
+        zeros = np.zeros
+
+        def capped_zeros(shape, *args, **kwargs):
+            assert 16 * np.prod(shape) <= pqcsim.PROPAGATION_BYTES, "allocated past the cap"
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", capped_zeros)
+        with pytest.raises(CapacityError, match=r"21 x 21 x 21 state frequencies of 14 qubits needs 2315 MiB"):
+            compiled.frequency_components([])
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        circuit, _ = _layered(4, [("cnot", 0, 1)], blocked=False)
+        need = 16 * 5 * 5 * 2**4  # four half-scale gates per dimension
+        monkeypatch.setattr(pqcsim, "PROPAGATION_BYTES", need)
+        theta = np.zeros(circuit.theta_count)
+        assert CompiledCircuit(circuit).frequency_components(theta).nbytes == need
+        monkeypatch.setattr(pqcsim, "PROPAGATION_BYTES", need - 1)
+        with pytest.raises(CapacityError):
+            CompiledCircuit(circuit).frequency_components(theta)
 
 
 class TestCircuitJson:

@@ -16,7 +16,14 @@ from oracles import (
 from rffdq.errors import ConfigError
 from rffdq.freqcore import EncodingStrategy, build_frequency_set
 from rffdq.freqsample import ExplicitDistribution, SeededRng, explicit_from_weights, uniform_distribution
-from rffdq.kernelmap import TrigPolynomial, WeightVector, distribution_of, kernel_matrix, l2_norm_sq
+from rffdq.kernelmap import (
+    TrigPolynomial,
+    WeightVector,
+    distribution_of,
+    feature_matrix,
+    kernel_matrix,
+    l2_norm_sq,
+)
 from rffdq.regress import (
     Dataset,
     RffFeatureSet,
@@ -322,7 +329,7 @@ class TestRffDesign:
         assert got.shape == raw.shape == (40, M)
         assert np.max(np.abs(got - want)) <= 1e-14
         assert np.max(np.abs(raw - want * math.sqrt(M))) <= 1e-14
-        if 2 * U > M:  # one cosine per feature, as before grouping
+        if 2 * U > M and not fset.waves.tabled:  # one cosine per feature, as before grouping
             assert np.array_equal(got, want)
             assert np.array_equal(raw, math.sqrt(2.0) * np.cos(X @ fset.frequencies.T + fset.phases))
         coef = gen.normal(size=M)
@@ -360,6 +367,31 @@ class TestRffDesign:
         assert peaks[0] <= 2 * n * M * 8 + 2**20
         assert peaks[1] < n * M * 4
 
+    @pytest.mark.parametrize("M", [200, 400, 1600])
+    def test_tabled_design_and_prediction(self, M):
+        # circuit_oracle's lattice: past 2U > M the tables still take the angle sum
+        fs = build_frequency_set(pauli_half_encoding([10, 10]))
+        gen = SeededRng(M).generator()
+        fset = RffFeatureSet(fs.half[gen.integers(0, fs.size, M)], gen.uniform(0, 2 * np.pi, M))
+        assert fset.waves.tabled
+        X = gen.uniform(0, 2 * np.pi, (300, 2))
+        want = direct_design(fset.frequencies, fset.phases, X)
+        assert np.max(np.abs(fset.design_matrix(X) - want)) <= 1e-14
+        coef = gen.normal(size=M)
+        pred = RffModel(fset, coef, 0.1).predict(X)
+        assert np.max(np.abs(pred - want @ coef)) <= 1e-13 * np.max(np.abs(want @ coef))
+
+    def test_wrong_width_names_both_widths(self):
+        for L, M in (([1, 1], 3), ([1, 1], 40), ([10, 10], 200)):  # per feature, angle sum, tabled
+            fs = build_frequency_set(pauli_half_encoding(L))
+            gen = SeededRng(M).generator()
+            fset = RffFeatureSet(fs.half[gen.integers(0, fs.size, M)], gen.uniform(0, 2 * np.pi, M))
+            model = RffModel(fset, gen.normal(size=M), 0.1)
+            for call in (fset.design_matrix, fset.raw_features, model.predict):
+                for X in (np.zeros((5, 3)), np.zeros((5, 1))):
+                    with pytest.raises(ValueError, match=f"points have width {X.shape[1]}, but the frequencies have width 2"):
+                        call(X)
+
     def test_coef_is_validated(self):
         fset = RffFeatureSet(np.array([[0.0], [1.0]]), np.array([0.5, 1.5]))
         for bad in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [1.0, np.nan], [np.inf, 0.0]):
@@ -369,6 +401,70 @@ class TestRffDesign:
         doc["coef"] = [1.0]
         with pytest.raises(ConfigError, match="coef"):
             model_from_json(doc)
+
+
+def benchmark_shape_calls():
+    """(name, call) for every routed trigonometric call of a benchmark cell,
+    at that workload's lattice, n and M: the labels, the KRR feature map
+    where the oracle runs, and each M's design and prediction."""
+    gen = np.random.default_rng(0)
+    calls = []
+    for name, L, d, n, Ms in (
+        ("sweep_lowd", 6, 2, 500, (100, 400, 1600)),
+        ("circuit_oracle", 10, 2, 300, (50, 200)),
+        ("sweep_highdim", 2, 6, 800, (100, 400)),
+    ):
+        fs = build_frequency_set(pauli_half_encoding([L] * d))
+        X = gen.uniform(0, 2 * np.pi, (n, d))
+        rows = np.arange(1, fs.size) if name == "circuit_oracle" else gen.choice(fs.size, 8, replace=False)
+        f = TrigPolynomial.on_rows(fs, rows, gen.normal(size=rows.size) + 1j * gen.normal(size=rows.size))
+        calls.append((f"{name} labels", lambda f=f, X=X: f.evaluate(X)))
+        if name == "sweep_lowd":
+            w = WeightVector(gen.uniform(0.5, 1.0, fs.size))
+            calls.append((f"{name} krr features", lambda X=X, fs=fs, w=w: feature_matrix(X, fs, w)))
+        for M in Ms:
+            fset = RffFeatureSet(fs.half[gen.integers(0, fs.size, M)], gen.uniform(0, 2 * np.pi, M))
+            model = RffModel(fset, gen.normal(size=M), 0.1)
+            calls.append((f"{name} design M={M}", lambda fset=fset, X=X: fset.design_matrix(X)))
+            calls.append((f"{name} predict M={M}", lambda model=model, X=X: model.predict(X)))
+    return calls
+
+
+# tracemalloc peak (bytes) of each call above at the commit before phase
+# tables, numpy 2.4 and CPython 3.11
+DIRECT_FORM_PEAK_BYTES = {
+    "sweep_lowd labels": 77320,
+    "sweep_lowd krr features": 1750856,
+    "sweep_lowd design M=100": 866096,
+    "sweep_lowd predict M=100": 303944,
+    "sweep_lowd design M=400": 3330592,
+    "sweep_lowd predict M=400": 408712,
+    "sweep_lowd design M=1600": 8120992,
+    "sweep_lowd predict M=1600": 408712,
+    "circuit_oracle labels": 1068124,
+    "circuit_oracle design M=50": 306496,
+    "circuit_oracle predict M=50": 170984,
+    "circuit_oracle design M=200": 1025296,
+    "circuit_oracle predict M=200": 383912,
+    "sweep_highdim labels": 122920,
+    "sweep_highdim design M=100": 1346096,
+    "sweep_highdim predict M=100": 708592,
+    "sweep_highdim design M=400": 5185296,
+    "sweep_highdim predict M=400": 2575736,
+}
+
+
+class TestPeakMemoryAtBenchmarkShapes:
+    def test_no_call_peaks_above_the_direct_forms(self):
+        for name, call in benchmark_shape_calls():
+            call()  # first-call set-up is not the call's own memory
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= DIRECT_FORM_PEAK_BYTES[name], name
 
 
 class TestRffKernelEstimate:
@@ -566,6 +662,26 @@ class TestModelSerialization:
     def test_unknown_variant(self):
         with pytest.raises(Exception):
             model_from_json({"variant": "boost", "lambda": 1.0})
+
+    def test_malformed_arrays_are_config_errors(self, setup_1d5):
+        enc, fs, w = setup_1d5
+        data = cosine_dataset(25, 8)
+        rff = rff_fit(data, explicit_from_weights(fs, w), 4, 0.01, SeededRng(5)).to_json()
+        explicit = explicit_ridge_fit(data, enc, fs, w, 0.01).to_json()
+        krr = kernel_ridge_fit(data, enc, fs, w, 0.01).to_json()
+        bad = [
+            ({**rff, "frequencies": [], "phases": [], "coef": []}, "at least one feature"),
+            ({**rff, "frequencies": [[1.0], [2.0, 0.0], [1.0], [0.0]]}, "rff model"),
+            ({**rff, "phases": [7.0] + rff["phases"][1:]}, r"phases must lie in \[0, 2pi\)"),
+            ({**rff, "lambda": "tiny"}, "rff model"),
+            ({**explicit, "v": explicit["v"][:-1]}, "v must hold"),
+            ({**explicit, "weights": explicit["weights"][:-1]}, "weights has length"),
+            ({**krr, "alpha": krr["alpha"][:-1]}, "krr model"),
+            ({**krr, "X": [row + [0.0] for row in krr["X"]]}, "points have width 2"),
+        ]
+        for doc, message in bad:
+            with pytest.raises(ConfigError, match=message):
+                model_from_json(doc)
 
 
 class TestRffSpectrum:
