@@ -9,9 +9,12 @@ identical across resumed runs.
 What depends only on the sweep is computed once per sweep
 (``SweepInvariants``): the frequency set, the distribution, its p_max, the
 KRR oracle's weights, and the realized target and its alignment when the
-target consumes no rng (explicit and circuit targets).  Per cell remain a
-random target's draw and alignment, the dataset, the feature draw and fit,
-the risks and the model spectrum.
+target consumes no rng (explicit and circuit targets).  What depends on the
+problem but not on M is computed once per problem (``Problem``), by the
+first cell that needs it: a random target's draw, the dataset and the
+alignment per (n, seed), and the KRR oracle's true risk per (n, lambda,
+seed).  Per cell remain the feature draw and fit, the RFF risks and the
+model spectrum.
 
 The true risks and ``l2_err_sq`` are exact on every lattice: they come from
 the model's spectrum (``regress.true_risk_estimate``), not from sample
@@ -26,7 +29,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -365,9 +368,38 @@ class SweepInvariants:
         return alignment_of(target, self.dist)
 
 
-def run_cell(config: SweepConfig, inv: SweepInvariants, cell) -> dict:
+@dataclass
+class Problem:
+    """One (n, seed) problem of a sweep: its target and dataset, and, once a
+    cell has computed them, the target's alignment and the KRR oracle's true
+    risk per resolved lambda.  None of these depends on M, so the first cell
+    of a sweep that needs a value computes it and later cells reuse it.  A
+    computation that raises stores nothing: the next cell of the problem
+    repeats it and records the same error."""
+
+    target: TrigPolynomial
+    data: Dataset
+    alignment: float | None = None
+    krr_risks: dict[float, float] = field(default_factory=dict)
+
+
+def _draw_problem(config: SweepConfig, inv: SweepInvariants, n: int, seed: int) -> Problem:
+    base = config.problem
+    spec = ProblemSpec(base.encoding, base.target, n, seed, base.noise_kind, base.noise_sigma)
+    gen = SeededRng(spec.seed).generator()
+    target = inv.target_for(spec, gen)
+    return Problem(target, _draw_dataset(spec, inv.fs, target, gen))
+
+
+def run_cell(
+    config: SweepConfig, inv: SweepInvariants, cell, problems: dict | None = None
+) -> dict:
+    """One sweep cell's row.  ``problems`` maps (n, seed) to the sweep's
+    ``Problem`` entries and gains the one this cell draws; a call without it
+    draws its problem afresh."""
     idx, M, n, lam, seed = cell
     fs, dist = inv.fs, inv.dist
+    problems = {} if problems is None else problems
     row: dict = {
         "experiment_id": _cell_id(config, M, n, lam, seed),
         "d": fs.d,
@@ -382,33 +414,30 @@ def run_cell(config: SweepConfig, inv: SweepInvariants, cell) -> dict:
     }
     started = time.perf_counter()
     try:
-        spec = ProblemSpec(
-            config.problem.encoding,
-            config.problem.target,
-            n,
-            seed,
-            config.problem.noise_kind,
-            config.problem.noise_sigma,
-        )
-        gen = SeededRng(spec.seed).generator()
-        target = inv.target_for(spec, gen)
-        data = _draw_dataset(spec, fs, target, gen)
+        if (n, seed) not in problems:
+            problems[n, seed] = _draw_problem(config, inv, n, seed)
+        problem = problems[n, seed]
+        target, data = problem.target, problem.data
         lam_val = _resolve_lambda(lam, n)
         row["lambda"] = lam_val
         rng = SeededRng(config.master_seed).stream_for(idx)
         model = rff_fit(data, dist, M, lam_val, rng)
         row["emp_risk"] = empirical_risk(model, data)
-        noise_var = spec.noise_sigma**2
+        noise_var = config.problem.noise_sigma**2
         # one exact mean square of target - model serves both columns, on
         # every lattice
         err = true_risk_estimate(model, target, 0.0)
         row["true_risk"] = err.value + noise_var
         row["l2_err_sq"] = (2.0 * math.pi) ** fs.d * err.value
-        row["alignment"] = inv.alignment_for(target)
+        if problem.alignment is None:
+            problem.alignment = inv.alignment_for(target)
+        row["alignment"] = problem.alignment
         row["p_max"] = inv.p_max
         if inv.krr_weights is not None and n <= KRR_N_CAP and lam_val > 0:
-            krr = kernel_ridge_fit(data, config.problem.encoding, fs, inv.krr_weights, lam_val)
-            krr_risk = true_risk_estimate(krr, target, noise_var).value
+            if lam_val not in problem.krr_risks:
+                krr = kernel_ridge_fit(data, config.problem.encoding, fs, inv.krr_weights, lam_val)
+                problem.krr_risks[lam_val] = true_risk_estimate(krr, target, noise_var).value
+            krr_risk = problem.krr_risks[lam_val]
             row["krr_true_risk"] = krr_risk
             row["risk_gap"] = row["true_risk"] - krr_risk
         else:
@@ -469,8 +498,9 @@ def run_sweep(config: SweepConfig, out_path: str) -> list[dict]:
     expected_ids = [_cell_id(config, *c[1:]) for c in cells]
     kept, offset = _scan_prefix(out_path, expected_ids)
     inv = SweepInvariants.build(config, fs, dist)
+    problems: dict = {}
     if kept:
-        fresh = run_cell(config, inv, cells[0])
+        fresh = run_cell(config, inv, cells[0], problems)
         differs = [
             col
             for col in COLUMNS
@@ -491,7 +521,7 @@ def run_sweep(config: SweepConfig, out_path: str) -> list[dict]:
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for cell in cells[len(kept):]:
-            row = run_cell(config, inv, cell)
+            row = run_cell(config, inv, cell, problems)
             rows.append(row)
             writer.writerow([_fmt_cell(row.get(col)) for col in COLUMNS])
             fh.flush()

@@ -323,18 +323,39 @@ class CompiledCircuit:
 
 
 class CompiledObservable:
-    """An observable's Pauli terms in gather form, validated once."""
+    """An observable's Pauli terms in gather form, validated once.
+
+    Terms whose words flip the same qubits (one X-mask) gather from the same
+    source indices, so each such group is one gather and one summed phase
+    vector; the group of I/Z-only words, mask 0, needs no gather.
+    """
 
     def __init__(self, obs: Observable, qubits: int):
-        self.terms = []
+        groups: dict[int, tuple] = {}
         for coef, word in obs.terms:
             _check_pauli(word, qubits, allow_identity=True)
-            self.terms.append((coef, _pauli_gather(word, qubits)))
+            src, phases = _pauli_gather(word, qubits)
+            mask = int(src[0])  # src = index ^ mask
+            if mask in groups:
+                summed = groups[mask][1]
+                summed += coef * phases
+            else:
+                groups[mask] = (None if mask == 0 else src, coef * phases)
+        self.groups = list(groups.values())
+
+    def apply(self, states: np.ndarray) -> np.ndarray:
+        """O applied to the last axis of ``states``, as a new array."""
+        out = None
+        for src, phases in self.groups:
+            part = states * phases if src is None else _apply_pauli((src, phases), states)
+            if out is None:
+                out = part
+            else:
+                out += part
+        return out
 
     def expectation(self, state: np.ndarray) -> float:
-        val = 0.0 + 0.0j
-        for coef, (src, phases) in self.terms:
-            val += coef * np.vdot(state, phases * state[src])
+        val = np.vdot(state, self.apply(state))
         if abs(val.imag) > 1e-10:
             raise FloatingPointError(f"expectation has imaginary residue {val.imag}")
         return float(val.real)
@@ -345,10 +366,7 @@ class CompiledObservable:
         K = rows.shape[0]
         out = np.empty((K, K), dtype=complex)
         for r in range(0, K, block):
-            chunk = rows[r : r + block]
-            applied = np.zeros_like(chunk)
-            for coef, word in self.terms:
-                applied += _apply_pauli(word, chunk, coef)
+            applied = self.apply(rows[r : r + block])
             # rows @ conj(O chunk)^T is the conjugate of the wanted columns
             out[:, r : r + block] = np.conj(rows @ np.conj(applied).T)
         return out

@@ -191,11 +191,14 @@ def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     FtY = F.T @ Y
+    # n lambda goes onto the diagonal in place: no identity, no second sum
     if lam == 0 or D <= n:
-        A = F.T @ F + lam * n * np.eye(D)
+        A = F.T @ F
+        A.flat[:: D + 1] += lam * n
         w = _solve_spd(A, FtY, allow_jitter=lam > 0)
     else:
-        G = F @ F.T + lam * n * np.eye(n)
+        G = F @ F.T
+        G.flat[:: n + 1] += lam * n
         w = F.T @ _solve_spd(G, Y, allow_jitter=True)
     resid = F.T @ (F @ w) + lam * n * w - FtY
     bound = RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(FtY), initial=0.0)))

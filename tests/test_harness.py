@@ -6,7 +6,7 @@ import pytest
 from conftest import forbid_per_key_lookups
 from rffdq.errors import ConfigError
 from rffdq.freqcore import build_frequency_set
-from rffdq.freqsample import MpsDistribution
+from rffdq.freqsample import MpsDistribution, distribution_from_json
 from rffdq.harness import (
     ProblemSpec,
     SweepConfig,
@@ -260,12 +260,12 @@ class TestRunSweep:
         rows = run_sweep(SweepConfig.from_json(circuit_sweep_doc()), str(tmp_path / "c.csv"))
         assert len(rows) == 4 and len(calls) == 1
         assert len({row["alignment"] for row in rows}) == 1
-        # a random target is drawn per cell, so its alignment is too
+        # a random target is drawn per (n, seed), so its alignment is too
         calls.clear()
         random_target = problem_doc(target={"kind": "random", "support_size": 2}, n=40)
         doc = sweep_doc(problem=random_target)
         rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
-        assert len(rows) == 15 and len(calls) == 15
+        assert len(rows) == 15 and len(calls) == 5
 
     def test_no_per_key_lookups(self, tmp_path, monkeypatch):
         # a circuit target attached to the sweep's lattice in one lookup,
@@ -412,6 +412,111 @@ class TestRunSweep:
         monkeypatch.setenv("RFFDQ_TIMING", "1")
         rows = run_sweep(SweepConfig.from_json(sweep_doc()), str(tmp_path / "r.csv"))
         assert any(row["runtime_ms"] >= 0 for row in rows)
+
+
+def problem_sweep_doc(support_size=2):
+    """Random noisy target over two n, two lambda (one "auto") and three
+    seeds, with the KRR oracle: 2 x 2 x 2 x 3 = 24 cells, 6 problems."""
+    return sweep_doc(
+        problem=problem_doc(
+            target={"kind": "random", "support_size": support_size},
+            noise={"kind": "uniform", "sigma": 0.1},
+            n=40,
+        ),
+        axes={"M": [4, 16], "n": [20, 40], "lambda": ["auto", 1e-3], "seeds": [0, 1, 2]},
+    )
+
+
+def fresh_cell_rows(config, path):
+    """Each cell of the sweep run on its own, without a problem table."""
+    from rffdq.harness import SweepInvariants, _cells, run_cell, write_rows
+
+    fs = build_frequency_set(config.problem.encoding)
+    inv = SweepInvariants.build(config, fs, distribution_from_json(config.dist_doc, fs))
+    rows = [run_cell(config, inv, cell) for cell in _cells(config)]
+    write_rows(str(path), rows)
+    return rows
+
+
+class TestProblemStage:
+    def test_each_problem_computed_once(self, tmp_path, monkeypatch):
+        import rffdq.harness as hmod
+
+        calls = {"dataset": 0, "krr": 0, "alignment": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(hmod, "_draw_dataset", counting("dataset", hmod._draw_dataset))
+        monkeypatch.setattr(hmod, "kernel_ridge_fit", counting("krr", hmod.kernel_ridge_fit))
+        monkeypatch.setattr(hmod, "alignment_of", counting("alignment", hmod.alignment_of))
+        rows = run_sweep(SweepConfig.from_json(problem_sweep_doc()), str(tmp_path / "r.csv"))
+        assert len(rows) == 24 and all(row["error"] == "" for row in rows)
+        assert all(math.isfinite(row["krr_true_risk"]) for row in rows)
+        # per (n, seed): 6 datasets and alignments; per (n, lambda, seed): 12 fits
+        assert calls == {"dataset": 6, "krr": 12, "alignment": 6}
+
+    def test_rows_equal_cells_run_on_their_own(self, tmp_path):
+        config = SweepConfig.from_json(problem_sweep_doc())
+        rows = run_sweep(config, str(tmp_path / "sweep.csv"))
+        assert rows == fresh_cell_rows(config, tmp_path / "cells.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    def test_resume_after_the_first_m(self, tmp_path):
+        config = SweepConfig.from_json(problem_sweep_doc())
+        out = tmp_path / "r.csv"
+        run_sweep(config, str(out))
+        blob = out.read_bytes()
+        lines = blob.decode().splitlines(keepends=True)
+        # the header and the first row, then the header and all 12 M = 4 rows:
+        # the resumed cells find no problem but the first cell's
+        for cut in (2, 13):
+            out.write_text("".join(lines[:cut]))
+            run_sweep(config, str(out))
+            assert out.read_bytes() == blob
+
+    def test_failing_target_recorded_in_every_cell_of_its_problem(self, tmp_path):
+        # support sizes 1..5 on a 3-frequency lattice: some seeds draw more
+        # frequencies than there are, and their problems raise in every cell
+        doc = problem_sweep_doc(support_size={"name": "uniform", "low": 1, "high": 5})
+        doc["axes"]["seeds"] = list(range(8))
+        config = SweepConfig.from_json(doc)
+        rows = run_sweep(config, str(tmp_path / "r.csv"))
+        errors = {}
+        for row in rows:
+            errors.setdefault((row["n"], row["seed"]), set()).add(row["error"])
+        assert all(len(errs) == 1 for errs in errors.values())
+        failed = {key: errs.pop() for key, errs in errors.items() if "" not in errs}
+        assert 0 < len(failed) < len(errors)
+        assert all(err.startswith("ConfigError: support size") for err in failed.values())
+        fresh_cell_rows(config, tmp_path / "cells.csv")
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    def test_failing_oracle_fit_is_retried(self, tmp_path, monkeypatch):
+        import rffdq.harness as hmod
+
+        doc = sweep_doc(axes={"M": [4, 16], "n": [40], "lambda": [1e-3], "seeds": [0]})
+        want = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "want.csv"))
+        fits = []
+        real_fit = hmod.kernel_ridge_fit
+
+        def fail_once(*args, **kwargs):
+            fits.append(1)
+            if len(fits) == 1:
+                raise np.linalg.LinAlgError("injected")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(hmod, "kernel_ridge_fit", fail_once)
+        rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
+        assert len(fits) == 2
+        assert rows[0]["error"] == "LinAlgError: injected"
+        assert math.isnan(rows[0]["krr_true_risk"])
+        assert rows[0]["true_risk"] == want[0]["true_risk"]
+        assert rows[1] == want[1] and math.isfinite(rows[1]["krr_true_risk"])
 
 
 class TestPlots:

@@ -111,6 +111,31 @@ class TestEvaluateModel:
         assert expectation(plus, Observable([(2.0, "X")]), 1) == pytest.approx(2.0)
 
 
+class TestCompiledObservable:
+    # words grouped by the qubits they flip: mask 0 (I/Z only, with the
+    # identity), mask 100 (X and Y on qubit 0, so a complex summed phase),
+    # mask 110, and a word alone on mask 001
+    WORDS = ["ZIZ", "IZI", "III", "XZI", "YII", "YZI", "XYZ", "YXI", "IIX"]
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_gram_and_expectation_match_the_dense_observable(self, trial):
+        rng = np.random.default_rng(8300 + trial)
+        words = [self.WORDS[i] for i in rng.permutation(len(self.WORDS))]
+        obs = Observable([(float(c), w) for c, w in zip(rng.normal(size=len(words)), words)])
+        compiled = CompiledObservable(obs, 3)
+        assert len(compiled.groups) == 4
+        assert [src is None for src, _ in compiled.groups].count(True) == 1
+        dense = dense_observable(obs)
+        rows = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+        for block in (1, 2, 5):
+            want = np.conj(rows) @ dense @ rows.T
+            assert np.max(np.abs(compiled.gram(rows, block) - want)) <= 1e-12
+        for row in rows:
+            psi = row / np.linalg.norm(row)
+            want = float(np.real(np.vdot(psi, dense @ psi)))
+            assert abs(compiled.expectation(psi) - want) <= 1e-12
+
+
 class TestEncodingOf:
     def test_single_gate(self):
         enc = encoding_of(cosine_circuit())

@@ -179,6 +179,27 @@ class TestLinearRidge:
         w_direct = np.linalg.solve(A, F.T @ Y)
         assert np.max(np.abs(w_dual - w_direct)) <= 1e-8
 
+    @pytest.mark.parametrize("n, D, lam", [(50, 20, 0.03), (20, 50, 0.03), (50, 20, 0.0)])
+    def test_system_equals_the_identity_form(self, n, D, lam, monkeypatch):
+        # n lambda goes onto the diagonal in place; the solved system must be
+        # F^T F + n lambda I (primal) or F F^T + n lambda I (dual), bit for bit
+        import rffdq.regress as regress
+
+        gen = np.random.default_rng(n * D)
+        F, Y = gen.normal(size=(n, D)), gen.normal(size=n)
+        systems = []
+        real_solve = regress._solve_spd
+
+        def spy(A, B, allow_jitter):
+            systems.append(A.copy())
+            return real_solve(A, B, allow_jitter)
+
+        monkeypatch.setattr(regress, "_solve_spd", spy)
+        linear_ridge_fit(F, Y, lam)
+        G = F.T @ F if lam == 0 or D <= n else F @ F.T
+        assert len(systems) == 1
+        assert np.array_equal(systems[0], G + lam * n * np.eye(G.shape[0]))
+
     def test_lambda_monotone_norm(self, rng):
         F = rng.normal(size=(40, 6))
         Y = rng.normal(size=40)
