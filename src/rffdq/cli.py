@@ -83,13 +83,20 @@ def _parse_lambda(text: str):
     return lam
 
 
+def _check_M(M: int) -> int:
+    """``--M``: the number of random features, at least 1."""
+    if M < 1:
+        raise ConfigError(f"--M must be >= 1, got {M}")
+    return M
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def cmd_freqset(args) -> int:
     enc = load_encoding(args.encoding)
-    fs = build_frequency_set(enc, materialize=not args.lazy)
+    fs = build_frequency_set(enc)
     if args.stats or not args.dump:
         stats = {
             "d": fs.d,
@@ -101,11 +108,10 @@ def cmd_freqset(args) -> int:
         }
         _emit_json(stats, None)
     if args.dump:
-        if not fs.materialized:
-            raise CapacityError("cannot dump a lazy frequency set")
+        codes = fs.codes  # beyond the cap this raises before the allocation below
         # the product enumerates the lattice in code order
         in_half = np.zeros(fs.full_size, dtype=int)
-        in_half[fs.codes] = 1
+        in_half[codes] = 1
         with open(args.dump, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["index"] + [f"omega_{j+1}" for j in range(fs.d)] + ["in_half"])
@@ -135,10 +141,11 @@ def cmd_rkhs_norm(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    M = _check_M(args.M)
     enc = load_encoding(args.encoding)
-    fs = build_frequency_set(enc, materialize=not args.lazy)
+    fs = build_frequency_set(enc)
     dist = load_distribution(args.dist, fs)
-    freqs = dist.sample(SeededRng(args.seed), args.M)
+    freqs = dist.sample(SeededRng(args.seed), M)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"omega_{j+1}" for j in range(fs.d)])
@@ -148,11 +155,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    M = _check_M(args.M)
     enc = load_encoding(args.encoding)
-    fs = build_frequency_set(enc, materialize=not args.lazy)
+    fs = build_frequency_set(enc)
     dist = load_distribution(args.dist, fs)
     data = Dataset.from_csv(args.data)
-    model = rff_fit(data, dist, args.M, _parse_lambda(args.lam), SeededRng(args.seed))
+    model = rff_fit(data, dist, M, _parse_lambda(args.lam), SeededRng(args.seed))
     _emit_json(model.to_json(), args.out)
     return 0
 
@@ -160,6 +168,8 @@ def cmd_fit(args) -> int:
 def cmd_oracle_krr(args) -> int:
     enc = load_encoding(args.encoding)
     fs = build_frequency_set(enc)
+    # the uniform weights below have one entry per canonical frequency
+    fs.require_materialized()
     if args.weights:
         _, w = _load_weights(args)
     elif args.dist:
@@ -319,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoding", required=True)
     p.add_argument("--stats", action="store_true")
     p.add_argument("--dump", default=None, metavar="CSV")
-    p.add_argument("--lazy", action="store_true")
     p.set_defaults(func=cmd_freqset)
 
     p = sub.add_parser("kernel", help="evaluate the re-weighted kernel on point pairs")
@@ -343,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--lazy", action="store_true")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("fit", help="random-feature ridge fit")
@@ -354,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="auto")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--lazy", action="store_true")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("oracle-krr", help="kernel ridge regression oracle")

@@ -2,11 +2,9 @@
 
 
 class CapacityError(RuntimeError):
-    """A frequency set (or materialization) would exceed its configured cap.
-
-    Signals the caller to switch to lazy / sampling-based workflows instead
-    of materializing an exponentially large lattice.
-    """
+    """A frequency set, or its canonical half, would exceed its configured
+    cap; only workflows that sample the lattice without enumerating it can
+    run on it."""
 
 
 class NonIntegerFrequencyError(ValueError):

@@ -23,7 +23,7 @@ from .errors import CapacityError, ConfigError
 # arithmetic happens at double precision; anything tighter is noise.
 DEDUP_TOL = 1e-12
 
-# Caps: per-dimension difference sets and materialized lattices grow
+# Caps: per-dimension difference sets and canonical halves grow
 # exponentially and must fail loudly instead of thrashing.
 PER_DIM_CAP = 4096
 LATTICE_CAP = 10**7
@@ -179,7 +179,7 @@ def find_codes(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FrequencySet:
-    """Materialized (or lazy) frequency lattice of an encoding strategy.
+    """Frequency lattice of an encoding strategy.
 
     A lattice point is addressed by its per-dimension positions (``locate``)
     and by their mixed-radix ``code``, its index in the row-major
@@ -188,8 +188,10 @@ class FrequencySet:
     zero vector at row 0; ``codes`` holds their codes (ascending), so a
     point's row in ``half`` is one ``searchsorted``.  Rows and codes depend
     only on the encoding, so they are stable across runs and serialized
-    artifacts.  In lazy mode only the per-dimension sets are stored and
-    ``half`` and ``codes`` are ``None``.
+    artifacts.  Both are formed the first time either is read, and only on
+    a lattice of at most ``LATTICE_CAP`` points (``materialized``); beyond
+    it that read raises CapacityError, while everything that needs only the
+    per-dimension sets (locating, coding, sampling) still runs.
 
     Mirror identity: every per-dimension set is sorted and symmetric about
     zero (position k of an n-point set holds the exact negation of position
@@ -201,9 +203,9 @@ class FrequencySet:
 
     per_dimension_freqs: list[np.ndarray]
     full_size: int
-    half: np.ndarray | None
     is_integer: bool
-    codes: np.ndarray | None = field(repr=False, default=None)
+    _half: np.ndarray | None = field(default=None, init=False, repr=False)
+    _codes: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -211,7 +213,21 @@ class FrequencySet:
 
     @property
     def materialized(self) -> bool:
-        return self.half is not None
+        """Whether the canonical half can be formed: the full lattice has at
+        most ``LATTICE_CAP`` points."""
+        return self.full_size <= LATTICE_CAP
+
+    @property
+    def half(self) -> np.ndarray:
+        """Canonical representatives, shape ``(size, d)``, in code order."""
+        self.require_materialized()
+        return self._half
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Codes of the rows of ``half``, ascending."""
+        self.require_materialized()
+        return self._codes
 
     @property
     def size(self) -> int:
@@ -219,11 +235,27 @@ class FrequencySet:
         return (self.full_size - 1) // 2 + 1
 
     def require_materialized(self):
-        if self.half is None:
+        """Form ``half`` and ``codes`` if they are not formed yet; a lattice
+        of more than ``LATTICE_CAP`` points raises CapacityError."""
+        if self._half is not None:
+            return
+        if not self.materialized:
             raise CapacityError(
-                "operation requires a materialized frequency set; "
-                "rebuild with materialize=True or use sampling workflows"
+                f"full lattice has {self.full_size} points (cap {LATTICE_CAP}); "
+                "this operation needs its canonical half"
             )
+        # row-major enumeration of sorted per-dimension sets: row r of the
+        # lattice has code r, and code order is lexicographic order
+        lattice = np.stack(
+            [g.ravel() for g in np.meshgrid(*self.per_dimension_freqs, indexing="ij")], axis=-1
+        )
+        canonical = ~fold_rows(lattice)[1]
+        half = lattice[canonical]
+        if self.size != half.shape[0]:
+            raise AssertionError("mirror-pair accounting is inconsistent")
+        if not np.all(np.abs(half[0]) <= DEDUP_TOL):
+            raise AssertionError("zero frequency is not at index 0")
+        self._half, self._codes = half, np.flatnonzero(canonical)
 
     def max_abs_freq(self) -> np.ndarray:
         """Per-dimension maximum |frequency|."""
@@ -274,7 +306,6 @@ class FrequencySet:
     def half_rows(self, idx) -> np.ndarray:
         """Row in ``half`` of each located lattice point, -1 where the point
         is not canonical."""
-        self.require_materialized()
         return find_codes(self.codes, self.code(idx))
 
     def snap(self, omega) -> tuple:
@@ -291,13 +322,12 @@ class FrequencySet:
         return row
 
 
-def build_frequency_set(enc: EncodingStrategy, materialize: bool = True) -> FrequencySet:
+def build_frequency_set(enc: EncodingStrategy) -> FrequencySet:
     """Construct the frequency lattice of an encoding strategy.
 
     The canonical split puts a vector in the half iff it is zero or its first
-    nonzero component is positive; this is deterministic across runs.  A
-    materialized lattice of more than ``LATTICE_CAP`` points raises
-    CapacityError.
+    nonzero component is positive; this is deterministic across runs.  The
+    half itself is formed when an operation first reads it.
     """
     per_dim = [component_frequency_set(dim) for dim in enc.per_dimension]
     for f in per_dim:
@@ -307,23 +337,4 @@ def build_frequency_set(enc: EncodingStrategy, materialize: bool = True) -> Freq
     full_size = 1
     for f in per_dim:
         full_size *= int(f.size)
-    is_integer = all(is_integer_valued(f) for f in per_dim)
-    if not materialize:
-        return FrequencySet(per_dim, full_size, None, is_integer)
-    if full_size > LATTICE_CAP:
-        raise CapacityError(
-            f"full lattice has {full_size} points (cap {LATTICE_CAP}); "
-            "use lazy mode and sampling workflows"
-        )
-    # row-major enumeration of sorted per-dimension sets: row r of the
-    # lattice has code r, and code order is lexicographic order
-    lattice = np.stack([g.ravel() for g in np.meshgrid(*per_dim, indexing="ij")], axis=-1)
-    canonical = ~fold_rows(lattice)[1]
-    fs = FrequencySet(
-        per_dim, full_size, lattice[canonical], is_integer, np.flatnonzero(canonical)
-    )
-    if fs.size != fs.half.shape[0]:
-        raise AssertionError("mirror-pair accounting is inconsistent")
-    if not np.all(np.abs(fs.half[0]) <= DEDUP_TOL):
-        raise AssertionError("zero frequency is not at index 0")
-    return fs
+    return FrequencySet(per_dim, full_size, all(is_integer_valued(f) for f in per_dim))

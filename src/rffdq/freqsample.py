@@ -168,7 +168,8 @@ class ExplicitDistribution(FrequencyDistribution):
             raise ConfigError("duplicate support points")
         self._sorted_probs = probs[order]
         self.probs = probs
-        # the support's rows in a materialized half, which pmf_vector fills
+        # the support's rows in the half, which pmf_vector fills; looking
+        # them up forms the half on a lattice within the cap
         self._rows = fs.half_rows(idx) if fs.materialized else None
 
     def _tilde(self, idx: np.ndarray) -> np.ndarray:
@@ -370,23 +371,6 @@ def _contract(left: np.ndarray, core: np.ndarray) -> np.ndarray:
     for a in range(1, core.shape[0]):
         out += left[a] * core[a]
     return out
-
-
-def pmf(dist: FrequencyDistribution, omega) -> float:
-    """Probability of a canonical frequency under any distribution variant."""
-    return dist.pmf(omega)
-
-
-def sample_frequencies(dist: FrequencyDistribution, rng, M: int) -> np.ndarray:
-    """Draw ``M`` iid canonical frequencies; deterministic given the rng state."""
-    return dist.sample(rng, M)
-
-
-def mps_marginal(dist: MpsDistribution, j: int, prefix) -> np.ndarray:
-    """Conditional single-dimension pmf used by the tensor-train sampler."""
-    if not isinstance(dist, MpsDistribution):
-        raise TypeError("mps_marginal needs an MPS-induced distribution")
-    return dist.marginal(j, prefix)
 
 
 def uniform_distribution(fs: FrequencySet, lazy: bool = False) -> FrequencyDistribution:

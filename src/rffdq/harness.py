@@ -493,6 +493,9 @@ def run_sweep(config: SweepConfig, out_path: str) -> list[dict]:
     config) raises ConfigError and is left untouched.
     """
     fs = build_frequency_set(config.problem.encoding)
+    # every cell reads the canonical half: a lattice beyond the cap fails
+    # here, before the results file is touched
+    fs.require_materialized()
     dist = distribution_from_json(config.dist_doc, fs)
     cells = list(_cells(config))
     expected_ids = [_cell_id(config, *c[1:]) for c in cells]

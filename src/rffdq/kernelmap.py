@@ -290,6 +290,8 @@ class TrigPolynomial:
 
     @classmethod
     def zero(cls, fs: FrequencySet | None, d: int | None = None) -> "TrigPolynomial":
+        if fs is not None:
+            fs.require_materialized()
         d = fs.d if fs is not None else int(d)
         rows = None if fs is None else np.zeros(0, dtype=np.intp)
         return cls(fs, np.zeros((0, d)), np.zeros(0, dtype=complex), rows)
@@ -378,11 +380,6 @@ class TrigPolynomial:
 def load_function(path: str, fs: FrequencySet | None = None) -> TrigPolynomial:
     with open(path, "r", encoding="utf-8") as fh:
         return TrigPolynomial.from_json(json.load(fh), fs)
-
-
-def feature_map_eval(x, fs: FrequencySet, w: WeightVector) -> np.ndarray:
-    """Re-weighted feature vector (w_0, w_i cos, w_i sin, ...)/||w||_2 at one point."""
-    return feature_matrix(np.atleast_2d(np.asarray(x, dtype=float)), fs, w)[0]
 
 
 def feature_matrix(X, fs: FrequencySet, w: WeightVector) -> np.ndarray:

@@ -372,18 +372,9 @@ class CompiledObservable:
         return out
 
 
-def run_circuit(c: Circuit, theta, x) -> np.ndarray:
-    """Final statevector for parameters theta and input x."""
-    return CompiledCircuit(c).run(theta, x)
-
-
-def expectation(state: np.ndarray, obs: Observable, qubits: int) -> float:
-    return CompiledObservable(obs, qubits).expectation(state)
-
-
 def evaluate_model(c: Circuit, obs: Observable, theta, x) -> float:
     """f(x) = <0| U(x, theta)^dag O U(x, theta) |0>."""
-    return expectation(run_circuit(c, theta, x), obs, c.qubits)
+    return CompiledObservable(obs, c.qubits).expectation(CompiledCircuit(c).run(theta, x))
 
 
 def encoding_of(c: Circuit) -> EncodingStrategy:
@@ -409,8 +400,10 @@ def extract_trig_polynomial(c: Circuit, obs: Observable, theta) -> TrigPolynomia
     lattice.  Mass off the encoding lattice above ``LEAK_TOL``, or a
     pair c_w, conj(c_-w) more than 1e-10 apart, raises FloatingPointError.
     """
-    enc = encoding_of(c)
-    fs = build_frequency_set(enc)
+    fs = build_frequency_set(encoding_of(c))
+    # the Gram below grows with the square of the lattice, so a lattice
+    # beyond the cap must fail before it is allocated
+    fs.require_materialized()
     if not fs.is_integer:
         raise NonIntegerFrequencyError(
             "spectrum extraction requires integer frequencies"

@@ -292,10 +292,6 @@ class RffFeatureSet:
             _angle_sum(out[rows], cos, sin, self.inverse, a, b)
         return out
 
-    def raw_features(self, X) -> np.ndarray:
-        """Unnormalized features sqrt(2) cos(<w_i, x> + g_i), shape (n, M)."""
-        return self._features(X, 1.0)
-
     def design_matrix(self, X) -> np.ndarray:
         """Monte-Carlo-normalized design matrix psi(x, nu_i)/sqrt(M)."""
         return self._features(X, math.sqrt(self.M))
@@ -508,13 +504,6 @@ def rff_fit(data: Dataset, dist, M: int, lam, rng) -> RffModel:
     fset = RffFeatureSet(freqs, phases)
     coef = linear_ridge_fit(fset.design_matrix(data.X), data.Y, lam)
     return RffModel(fset, coef, lam)
-
-
-def rff_kernel_estimate(fset: RffFeatureSet, x, xp) -> float:
-    """Monte-Carlo kernel estimate <phi_M(x), phi_M(x')>."""
-    fx = fset.design_matrix(np.atleast_2d(np.asarray(x, dtype=float)))
-    fy = fset.design_matrix(np.atleast_2d(np.asarray(xp, dtype=float)))
-    return float((fx @ fy.T)[0, 0])
 
 
 def empirical_risk(model: _Model, data: Dataset) -> float:

@@ -47,6 +47,21 @@ def forbid_model_evaluation(monkeypatch):
     monkeypatch.setattr(kernelmap.TrigPolynomial, "evaluate", forbidden)
 
 
+def record_half_formations(monkeypatch) -> list:
+    """Spy on ``FrequencySet.require_materialized``: the returned list gets
+    the ``full_size`` of each lattice whose canonical half is formed."""
+    formed = []
+    original = FrequencySet.require_materialized
+
+    def spy(self):
+        if self._half is None and self.materialized:
+            formed.append(self.full_size)
+        return original(self)
+
+    monkeypatch.setattr(FrequencySet, "require_materialized", spy)
+    return formed
+
+
 @pytest.fixture
 def fs_1d_5():
     """d=1 lattice {-4..4}: canonical half {0,1,2,3,4}."""

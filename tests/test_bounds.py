@@ -309,7 +309,7 @@ class TestFeasibilityLazyLattice:
         # non-materializable lattice, product sampler with one trivial
         # component (not anti-concentrated): p_max is only an upper bound,
         # so the sufficiency constants must not be evaluated from it
-        fs = build_frequency_set(pauli_half_encoding([1] * 16), materialize=False)
+        fs = build_frequency_set(pauli_half_encoding([1] * 16))
         per_dim = [np.array([0.0, 0.0, 1.0])] + [np.array([0.25, 0.5, 0.25])] * 15
         dist = ProductDistribution(fs, per_dim)
         key = tuple([1.0] + [0.0] * 15)

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import rffdq
+from conftest import record_half_formations
+from rffdq import freqcore
 from rffdq.cli import main
 from rffdq.freqsample import SeededRng
+from rffdq.kernelmap import WeightVector
 
 
 @pytest.fixture
@@ -222,8 +225,8 @@ class TestCommands:
         assert plot.read_text().startswith("<svg")
 
     def test_lazy_high_dimensional_workflow(self, workdir, tmp_path):
-        # a 3^16 lattice cannot be materialized under the default cap; the
-        # lazy route with a product-induced sampler still fits end to end
+        # the half of a 3^16 lattice cannot be formed under the default cap;
+        # a product-induced sampler never reads it and fits end to end
         enc = {"dimensions": [[[-0.5, 0.5]]] * 16}
         (workdir / "enc16.json").write_text(json.dumps(enc))
         (workdir / "dist16.json").write_text(
@@ -239,14 +242,11 @@ class TestCommands:
         assert run(
             ["fit", "--data", workdir / "d16.csv", "--encoding", workdir / "enc16.json",
              "--dist", workdir / "dist16.json", "--M", 32, "--lambda", "auto",
-             "--seed", 3, "--lazy", "--out", workdir / "m16.json"]
+             "--seed", 3, "--out", workdir / "m16.json"]
         ) == 0
-        # materializing the same lattice must fail loudly
-        assert run(
-            ["fit", "--data", workdir / "d16.csv", "--encoding", workdir / "enc16.json",
-             "--dist", workdir / "dist16.json", "--M", 32, "--lambda", "auto",
-             "--seed", 3, "--out", workdir / "m16b.json"]
-        ) == 3
+        # enumerating the same lattice must fail loudly
+        assert run(["freqset", "--encoding", workdir / "enc16.json", "--dump", workdir / "f16.csv"]) == 3
+        assert not (workdir / "f16.csv").exists()
 
 
 class TestExitCodes:
@@ -291,6 +291,14 @@ class TestExitCodes:
         assert run(["fit", *common, "--dist", workdir / "dist.json", "--M", 8]) == 2
         assert run(["oracle-krr", *common]) == 2
         assert capsys.readouterr().err.count("--lambda must be") == 2
+
+    @pytest.mark.parametrize("M", [0, -3])
+    def test_M_below_one_is_2(self, workdir, M, capsys):
+        common = ["--encoding", workdir / "enc.json", "--dist", workdir / "dist.json", "--M", M]
+        assert run(["sample", *common, "--out", workdir / "s.csv"]) == 2
+        assert run(["fit", *common, "--data", workdir / "d.csv", "--out", workdir / "m.json"]) == 2
+        assert capsys.readouterr().err.count(f"--M must be >= 1, got {M}") == 2
+        assert not (workdir / "s.csv").exists() and not (workdir / "m.json").exists()
 
     def test_near_integer_support_infers_its_lattice(self, workdir, capsys):
         # 2.9999999999 is the integer 3 under the 1e-9 rule, so its lattice
@@ -355,6 +363,74 @@ class TestExitCodes:
         w = workdir / "w_ni.json"
         w.write_text(json.dumps({"weights": [1.0, 1.0]}))
         assert run(["rkhs-norm", "--function", f, "--weights", w, "--encoding", enc]) == 3
+
+
+class TestLatticeCap:
+    """Commands on lattices beyond ``LATTICE_CAP`` (2 here: the encoding's
+    lattice {-2..2} and the circuit's {-1, 0, 1} are both beyond it)."""
+
+    @pytest.fixture(autouse=True)
+    def cap(self, workdir, monkeypatch):
+        monkeypatch.setattr(freqcore, "LATTICE_CAP", 2)
+        (workdir / "prod.json").write_text(json.dumps({"kind": "uniform", "variant": "product"}))
+
+    def test_commands_that_read_the_half_exit_3(self, workdir, capsys):
+        w = workdir
+        enc = ["--encoding", w / "enc.json"]
+        (w / "f0.json").write_text(json.dumps({"d": 1, "terms": []}))
+        assert run(["fit", "--data", w / "d.csv", *enc, "--dist", w / "prod.json", "--M", 8,
+                    "--out", w / "m.json"]) == 0
+        commands = [
+            ["freqset", *enc, "--dump", w / "freqs.csv"],
+            ["kernel", *enc, "--weights", w / "w.json", "--x", w / "x.csv", "--xprime", w / "xp.csv"],
+            ["rkhs-norm", "--function", w / "f.json", "--weights", w / "w.json", *enc],
+            ["oracle-krr", "--data", w / "d.csv", *enc],
+            ["risk", "--model", w / "m.json", "--problem", w / "prob.json"],
+            ["pqc-spectrum", "--circuit", w / "c.json", "--theta", w / "t.json"],
+            ["bounds", "lower", "--function", w / "f.json", "--dist", w / "expl.json", "--epshat", 0.1],
+            ["bounds", "lower", "--function", w / "f0.json", "--dist", w / "prod.json", "--epshat", 0.1, *enc],
+            ["bounds", "feasibility", "--dist", w / "prod.json", "--function", w / "f.json", *enc],
+            ["bounds", "feasibility", "--dist", w / "dist.json", *enc],
+            ["sample", *enc, "--dist", w / "dist.json", "--M", 8, "--out", w / "s.csv"],
+            ["experiment", "run", "--config", w / "exp.json", "--out", w / "r.csv"],
+        ]
+        for args in commands:
+            assert run(args) == 3, args
+            assert "(cap 2)" in capsys.readouterr().err, args
+        assert not any((w / name).exists() for name in ("freqs.csv", "s.csv", "r.csv"))
+
+    def test_oracle_krr_refuses_before_its_weights(self, workdir, monkeypatch):
+        # the uniform weights have one entry per canonical frequency
+        def refuse(cls, size):
+            raise AssertionError(f"allocated {size} weights beyond the cap")
+
+        monkeypatch.setattr(WeightVector, "uniform", classmethod(refuse))
+        assert run(["oracle-krr", "--data", workdir / "d.csv", "--encoding", workdir / "enc.json"]) == 3
+
+    def test_commands_that_sample_run(self, workdir, capsys):
+        w = workdir
+        assert run(["freqset", "--encoding", w / "enc.json", "--stats"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["full_size"] == 5 and stats["half_size"] is None and not stats["materialized"]
+        assert run(["sample", "--encoding", w / "enc.json", "--dist", w / "prod.json", "--M", 50,
+                    "--out", w / "s.csv"]) == 0
+        assert {float(v) for v in (w / "s.csv").read_text().splitlines()[1:]} <= {0.0, 1.0, 2.0}
+        for dist, exact in (("prod.json", False), ("expl.json", True)):
+            assert run(["bounds", "feasibility", "--dist", w / dist, "--encoding", w / "enc.json",
+                        "--out", w / "rep.json"]) == 0
+            report = json.loads((w / "rep.json").read_text())
+            assert report["verdict"] == "INCONCLUSIVE" and report["p_max_exact"] is exact
+
+    def test_product_fit_and_sample_form_no_half(self, workdir, monkeypatch):
+        monkeypatch.setattr(freqcore, "LATTICE_CAP", 10**7)
+        formed = record_half_formations(monkeypatch)
+        w = workdir
+        common = ["--encoding", w / "enc.json", "--dist", w / "prod.json", "--M", 16, "--seed", 4]
+        assert run(["sample", *common, "--out", w / "s.csv"]) == 0
+        assert run(["fit", *common, "--data", w / "d.csv", "--out", w / "m.json"]) == 0
+        assert formed == []
+        assert run(["freqset", "--encoding", w / "enc.json", "--dump", w / "freqs.csv"]) == 0
+        assert formed == [5]
 
 
 class TestDeterminism:

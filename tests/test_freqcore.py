@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pauli_half_encoding
+from conftest import pauli_half_encoding, record_half_formations
 from oracles import (
     dedup_keep_first,
     oracle_component_set,
@@ -91,10 +91,10 @@ class TestComponentFrequencySet:
         ]
         rng = np.random.default_rng(5)
         encodings += [random_dyadic_encoding(rng) for _ in range(20)]
-        want = [build_frequency_set(enc, materialize=False).per_dimension_freqs for enc in encodings]
+        want = [build_frequency_set(enc).per_dimension_freqs for enc in encodings]
         monkeypatch.setattr(freqcore, "_dedup_sorted", dedup_keep_first)
         for enc, new in zip(encodings, want):
-            old = build_frequency_set(enc, materialize=False).per_dimension_freqs
+            old = build_frequency_set(enc).per_dimension_freqs
             assert all(np.array_equal(a, b) for a, b in zip(old, new))
 
 
@@ -158,8 +158,9 @@ class TestBuildFrequencySet:
         enc = EncodingStrategy(((HamiltonianSpectrum((-0.3, 0.3)),),))
         assert not build_frequency_set(enc).is_integer
 
-    def test_lazy_mode(self):
-        fs = build_frequency_set(pauli_half_encoding([1] * 8), materialize=False)
+    def test_lazy_mode(self, monkeypatch):
+        monkeypatch.setattr(freqcore, "LATTICE_CAP", 3**8 - 1)
+        fs = build_frequency_set(pauli_half_encoding([1] * 8))
         assert not fs.materialized
         assert fs.full_size == 3**8
         with pytest.raises(CapacityError):
@@ -167,8 +168,23 @@ class TestBuildFrequencySet:
 
     def test_materialization_cap(self, monkeypatch):
         monkeypatch.setattr(freqcore, "LATTICE_CAP", 1000)
-        with pytest.raises(CapacityError):
-            build_frequency_set(pauli_half_encoding([1] * 8))
+        fs = build_frequency_set(pauli_half_encoding([1] * 8))
+        with pytest.raises(CapacityError, match=r"full lattice has 6561 points \(cap 1000\)"):
+            fs.half
+
+    def test_half_is_formed_on_first_read(self, monkeypatch):
+        formed = record_half_formations(monkeypatch)
+        encodings = [pauli_half_encoding([1] * 14), pauli_half_encoding([4] * 20)]
+        encodings += [
+            SweepConfig.from_json(studies.study_config(w, 1, 0)).problem.encoding
+            for w in studies.WORKLOADS.values()
+        ]
+        lattices = [build_frequency_set(enc) for enc in encodings]
+        assert formed == []
+        fs = lattices[2]
+        assert fs.half.shape == (fs.size, fs.d) and fs.codes.size == fs.size
+        fs.half_rows(fs.locate(fs.half))
+        assert formed == [fs.full_size]  # once, whatever reads it next
 
     def test_snap_rejects_off_lattice(self, fs_2d):
         with pytest.raises(ValueError):
@@ -222,16 +238,18 @@ class TestLocate:
         with pytest.raises(ValueError, match="not in lattice dimension 2"):
             fs.position((1.0, 3.0))
 
-    def test_lazy_lattice(self):
-        fs = build_frequency_set(pauli_half_encoding([2, 1]), materialize=False)
+    def test_lazy_lattice(self, monkeypatch):
         eager = build_frequency_set(pauli_half_encoding([2, 1]))
-        idx = fs.locate(eager.half)
-        assert np.array_equal(fs.code(idx), eager.codes)
+        half, codes = eager.half, eager.codes
+        monkeypatch.setattr(freqcore, "LATTICE_CAP", 14)  # the lattice has 15 points
+        fs = build_frequency_set(pauli_half_encoding([2, 1]))
+        idx = fs.locate(half)
+        assert np.array_equal(fs.code(idx), codes)
         assert fs.snap((-2.0, 1.0 + 1e-10)) == (-2.0, 1.0)
         with pytest.raises(CapacityError):
             fs.half_rows(idx)
         # past int64 the codes are Python integers and stay exact
-        huge = build_frequency_set(pauli_half_encoding([4] * 20), materialize=False)
+        huge = build_frequency_set(pauli_half_encoding([4] * 20))
         assert huge.full_size > 2**63
         rows = np.array([np.full(20, 4.0), np.full(20, -4.0), np.eye(20)[0] * 4.0])
         want = [9**20 - 1, 0, 8 * 9**19 + sum(4 * 9**k for k in range(19))]

@@ -16,9 +16,6 @@ from rffdq.freqsample import (
     SeededRng,
     distribution_from_json,
     explicit_from_weights,
-    mps_marginal,
-    pmf,
-    sample_frequencies,
     uniform_distribution,
 )
 from rffdq.kernelmap import WeightVector
@@ -53,18 +50,18 @@ class TestSeededRng:
 class TestPmf:
     def test_product_uniform_examples(self, fs_2d):
         dist = ProductDistribution(fs_2d, [np.full(3, 1 / 3)] * 2)
-        assert pmf(dist, (0.0, 0.0)) == pytest.approx(1 / 9)
-        assert pmf(dist, (1.0, 0.0)) == pytest.approx(2 / 9)
+        assert dist.pmf((0.0, 0.0)) == pytest.approx(1 / 9)
+        assert dist.pmf((1.0, 0.0)) == pytest.approx(2 / 9)
 
     def test_explicit_point_mass(self, fs_2d):
         dist = ExplicitDistribution(fs_2d, [(0.0, 0.0)], [1.0])
-        assert pmf(dist, (0.0, 0.0)) == 1.0
-        assert pmf(dist, (1.0, 1.0)) == 0.0
+        assert dist.pmf((0.0, 0.0)) == 1.0
+        assert dist.pmf((1.0, 1.0)) == 0.0
 
     def test_off_lattice_rejected(self, fs_2d):
         dist = uniform_distribution(fs_2d)
         with pytest.raises(ValueError):
-            pmf(dist, (0.5, 0.0))
+            dist.pmf((0.5, 0.0))
 
     def test_fold_consistency(self, fs_2d, rng):
         per_dim = []
@@ -182,6 +179,7 @@ class TestPmfVector:
         # temporaries stay under four
         fs = build_frequency_set(pauli_half_encoding([4] * 6))
         dist = _random_dist("mps", fs, rng, bond=4)
+        fs.half  # forming the half is not part of the enumeration
         tracemalloc.start()
         try:
             dist.pmf_vector()
@@ -200,7 +198,7 @@ class TestPmfVector:
 
     def test_explicit_on_a_lazy_lattice(self):
         # 9^20 points: no half to fill, pmf still folds the stored values
-        fs = build_frequency_set(pauli_half_encoding([4] * 20), materialize=False)
+        fs = build_frequency_set(pauli_half_encoding([4] * 20))
         assert fs.full_size == 9**20
         support = np.array([np.zeros(20), np.eye(20)[3] * 4.0, np.full(20, 4.0)])
         dist = ExplicitDistribution(fs, support, [0.5, 0.125, 0.375])
@@ -293,25 +291,25 @@ class TestUniform:
 class TestSampling:
     def test_point_mass(self, fs_2d):
         dist = ExplicitDistribution(fs_2d, [(0.0, 0.0)], [1.0])
-        samples = sample_frequencies(dist, SeededRng(3), 5)
+        samples = dist.sample(SeededRng(3), 5)
         assert np.array_equal(samples, np.zeros((5, 2)))
 
     def test_determinism(self, fs_2d, rng):
         dist = _random_dist("mps", fs_2d, rng)
-        a = sample_frequencies(dist, SeededRng(11), 64)
-        b = sample_frequencies(dist, SeededRng(11), 64)
+        a = dist.sample(SeededRng(11), 64)
+        b = dist.sample(SeededRng(11), 64)
         assert np.array_equal(a, b)
 
     def test_samples_are_canonical(self, fs_2d, rng):
         for kind in ("explicit", "product", "mps"):
             dist = _random_dist(kind, fs_2d, rng)
-            samples = sample_frequencies(dist, SeededRng(5), 500)
+            samples = dist.sample(SeededRng(5), 500)
             for row in samples:
                 fs_2d.position(row)  # raises if not canonical / off lattice
 
     def test_product_tv_against_exact(self, fs_2d):
         dist = uniform_distribution(fs_2d, lazy=True)
-        samples = sample_frequencies(dist, SeededRng(17), 100_000)
+        samples = dist.sample(SeededRng(17), 100_000)
         assert empirical_tv(samples, dist) <= 0.02
 
     def test_mps_chi1_equals_product(self, fs_2d):
@@ -319,13 +317,13 @@ class TestSampling:
         mps = MpsDistribution(fs_2d, [p.reshape(1, 3, 1) for p in pjs])
         prod = ProductDistribution(fs_2d, pjs)
         assert np.max(np.abs(mps.pmf_vector() - prod.pmf_vector())) <= 1e-12
-        samples = sample_frequencies(mps, SeededRng(23), 100_000)
+        samples = mps.sample(SeededRng(23), 100_000)
         assert empirical_tv(samples, prod) <= 0.02
 
     @pytest.mark.parametrize("kind", ["explicit", "product", "mps"])
     def test_chi_square_goodness_of_fit(self, kind, fs_1d_5, rng):
         dist = _random_dist(kind, fs_1d_5, rng)
-        samples = sample_frequencies(dist, SeededRng(777), 100_000)
+        samples = dist.sample(SeededRng(777), 100_000)
         counts = Counter(map(tuple, samples.tolist()))
         observed = [counts.get(tuple(row), 0) for row in fs_1d_5.half]
         probs = dist.pmf_vector()
@@ -342,7 +340,7 @@ class TestMps:
         pjs = [np.array([0.2, 0.3, 0.5]), np.array([0.1, 0.6, 0.3])]
         mps = MpsDistribution(fs_2d, [p.reshape(1, 3, 1) for p in pjs])
         for prefix_val in (-1.0, 0.0, 1.0):
-            assert np.allclose(mps_marginal(mps, 1, [prefix_val]), pjs[1])
+            assert np.allclose(mps.marginal(1, [prefix_val]), pjs[1])
 
     def test_rank2_joint_table(self, fs_2d):
         u1, v1 = np.array([0.5, 0.1, 0.2]), np.array([0.3, 0.3, 0.1])
@@ -356,7 +354,7 @@ class TestMps:
         freqs = fs_2d.per_dimension_freqs[0]
         for k1 in range(3):
             want = joint[k1] / joint[k1].sum()
-            got = mps_marginal(mps, 1, [freqs[k1]])
+            got = mps.marginal(1, [freqs[k1]])
             assert np.allclose(got, want, atol=1e-12)
         # tilde pmf equals the normalized table
         total = joint.sum()
@@ -369,7 +367,7 @@ class TestMps:
     def test_uniform_cores_give_uniform_marginal(self, fs_2d):
         cores = [np.ones((1, 3, 2)), np.ones((2, 3, 1))]
         mps = MpsDistribution(fs_2d, cores)
-        assert np.allclose(mps_marginal(mps, 0, []), np.full(3, 1 / 3))
+        assert np.allclose(mps.marginal(0, []), np.full(3, 1 / 3))
 
     def test_matches_brute_force_contraction(self, rng):
         for trial in range(10):
@@ -407,7 +405,7 @@ class TestMps:
         mps = MpsDistribution(fs_2d, [g1, g2])
         freqs = fs_2d.per_dimension_freqs[0]
         with pytest.raises(DegenerateDistributionError):
-            mps_marginal(mps, 1, [freqs[1]])  # prefix k1=1 has zero mass
+            mps.marginal(1, [freqs[1]])  # prefix k1=1 has zero mass
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, fs_2d, bad):
@@ -458,7 +456,7 @@ class TestExplicit:
 
     def test_lazy_lattice_beyond_int64(self):
         # 9^20 > 2^63 points: support lookups go by exact integer codes
-        fs = build_frequency_set(pauli_half_encoding([4] * 20), materialize=False)
+        fs = build_frequency_set(pauli_half_encoding([4] * 20))
         top = np.full((1, 20), 4.0)
         point = np.zeros(20)
         point[3], point[19] = 1.0, -2.0

@@ -1,10 +1,13 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import forbid_per_key_lookups
-from rffdq.errors import ConfigError
+from rffdq import freqcore, harness
+from rffdq.errors import CapacityError, ConfigError
 from rffdq.freqcore import build_frequency_set
 from rffdq.freqsample import MpsDistribution, distribution_from_json
 from rffdq.harness import (
@@ -409,9 +412,26 @@ class TestRunSweep:
         assert all(row["runtime_ms"] == 0 for row in rows)
 
     def test_timing_opt_in(self, tmp_path, monkeypatch):
+        # a clock that advances 3 ms per reading: a timed cell spans one step
+        ticks = itertools.count()
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.003 * next(ticks)))
+        config = SweepConfig.from_json(sweep_doc())
         monkeypatch.setenv("RFFDQ_TIMING", "1")
-        rows = run_sweep(SweepConfig.from_json(sweep_doc()), str(tmp_path / "r.csv"))
-        assert any(row["runtime_ms"] >= 0 for row in rows)
+        rows = run_sweep(config, str(tmp_path / "timed.csv"))
+        assert [row["runtime_ms"] for row in rows] == [3] * len(rows)
+        monkeypatch.delenv("RFFDQ_TIMING")
+        rows = run_sweep(config, str(tmp_path / "untimed.csv"))
+        assert [row["runtime_ms"] for row in rows] == [0] * len(rows)
+
+    def test_lattice_beyond_its_cap_fails_before_the_file(self, tmp_path, monkeypatch):
+        # a product sampler and a seed-free target would let every cell run
+        # and record its error; the sweep must refuse the lattice instead
+        monkeypatch.setattr(freqcore, "LATTICE_CAP", 4)  # the lattice {-2..2} has 5 points
+        doc = sweep_doc(dist={"kind": "uniform", "variant": "product"})
+        out = tmp_path / "r.csv"
+        with pytest.raises(CapacityError, match=r"full lattice has 5 points \(cap 4\)"):
+            run_sweep(SweepConfig.from_json(doc), str(out))
+        assert not out.exists()
 
 
 def problem_sweep_doc(support_size=2):

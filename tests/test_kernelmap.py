@@ -27,7 +27,6 @@ from rffdq.kernelmap import (
     apply_integral_operator,
     coeff_sup_bound,
     distribution_of,
-    feature_map_eval,
     feature_matrix,
     fhat_l2_sq,
     hyperplane_spectrum,
@@ -111,17 +110,17 @@ class TestFeatureMap:
 
     def test_x_zero(self):
         w = WeightVector(np.array([1.0, 1.0]))
-        got = feature_map_eval([0.0], self.fs, w)
+        got = feature_matrix([0.0], self.fs, w)[0]
         assert np.allclose(got, np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
 
     def test_x_half_pi(self):
         w = WeightVector(np.array([1.0, 1.0]))
-        got = feature_map_eval([np.pi / 2], self.fs, w)
+        got = feature_matrix([np.pi / 2], self.fs, w)[0]
         assert np.allclose(got, np.array([1.0, 0.0, 1.0]) / math.sqrt(2), atol=1e-12)
 
     def test_zero_weight_on_constant(self):
         w = WeightVector(np.array([0.0, 1.0]))
-        assert np.allclose(feature_map_eval([0.0], self.fs, w), [0.0, 1.0, 0.0])
+        assert np.allclose(feature_matrix([0.0], self.fs, w)[0], [0.0, 1.0, 0.0])
 
     def test_unit_self_inner_product(self, fs_2d, rng):
         w = WeightVector(rng.uniform(0.1, 2.0, fs_2d.size))
@@ -131,7 +130,7 @@ class TestFeatureMap:
 
     def test_length_mismatch(self, fs_2d):
         with pytest.raises(ValueError):
-            feature_map_eval([0.0, 0.0], fs_2d, WeightVector(np.ones(3)))
+            feature_matrix([0.0, 0.0], fs_2d, WeightVector(np.ones(3)))
 
 
 class TestKernel:
@@ -268,7 +267,7 @@ class TestPlaneWaves:
                 lambda: f.evaluate(X3),
                 lambda: f.evaluate(np.zeros(3)),
                 lambda: feature_matrix(X3, fs, w),
-                lambda: feature_map_eval(np.zeros(3), fs, w),
+                lambda: feature_matrix(np.zeros(3), fs, w)[0],
                 lambda: kernel_eval(X3, X3, fs, w),
                 lambda: kernel_eval(X2[0], X3, fs, w),
                 lambda: kernel_matrix(X3, X2[1], fs, w),

@@ -9,7 +9,7 @@ from oracles import (
     random_circuit,
     random_unitary,
 )
-from rffdq import pqcsim
+from rffdq import freqcore, pqcsim
 from rffdq.errors import CapacityError, ConfigError, NonIntegerFrequencyError
 from rffdq.freqcore import build_frequency_set
 from rffdq.pqcsim import (
@@ -21,9 +21,7 @@ from rffdq.pqcsim import (
     circuit_from_json,
     encoding_of,
     evaluate_model,
-    expectation,
     extract_trig_polynomial,
-    run_circuit,
 )
 
 Z_OBS = Observable([(1.0, "Z")])
@@ -64,7 +62,7 @@ class TestEvaluateModel:
         for _ in range(10):
             c, obs, theta = random_circuit(rng)
             x = rng.uniform(0, 2 * np.pi, c.data_dim)
-            state = run_circuit(c, theta, x)
+            state = CompiledCircuit(c).run(theta, x)
             assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("trial", range(8))
@@ -75,7 +73,7 @@ class TestEvaluateModel:
             c, obs, theta = random_circuit(rng, fixed=True)
             x = rng.uniform(0, 2 * np.pi, c.data_dim)
             want = dense_statevector(c, theta, x)
-            assert np.max(np.abs(run_circuit(c, theta, x) - want)) <= 1e-12
+            assert np.max(np.abs(CompiledCircuit(c).run(theta, x) - want)) <= 1e-12
             exact = float(np.real(np.vdot(want, dense_observable(obs) @ want)))
             assert abs(evaluate_model(c, obs, theta, x) - exact) <= 1e-12
             kinds |= {g.kind for g in c.gates}
@@ -99,16 +97,16 @@ class TestEvaluateModel:
         for _ in range(5):
             theta, x = rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, 2 * np.pi, 1)
             want = dense_statevector(c, theta, x)
-            assert np.max(np.abs(run_circuit(c, theta, x) - want)) <= 1e-12
+            assert np.max(np.abs(CompiledCircuit(c).run(theta, x) - want)) <= 1e-12
 
     def test_pauli_expectations(self):
         # |0> expectations: Z=+1, X=0, Y=0
         state = np.array([1.0 + 0j, 0.0])
-        assert expectation(state, Observable([(1.0, "Z")]), 1) == pytest.approx(1.0)
-        assert expectation(state, Observable([(1.0, "X")]), 1) == pytest.approx(0.0)
-        assert expectation(state, Observable([(1.0, "Y")]), 1) == pytest.approx(0.0)
+        assert CompiledObservable(Observable([(1.0, "Z")]), 1).expectation(state) == pytest.approx(1.0)
+        assert CompiledObservable(Observable([(1.0, "X")]), 1).expectation(state) == pytest.approx(0.0)
+        assert CompiledObservable(Observable([(1.0, "Y")]), 1).expectation(state) == pytest.approx(0.0)
         plus = np.array([1.0, 1.0]) / np.sqrt(2) + 0j
-        assert expectation(plus, Observable([(2.0, "X")]), 1) == pytest.approx(2.0)
+        assert CompiledObservable(Observable([(2.0, "X")]), 1).expectation(plus) == pytest.approx(2.0)
 
 
 class TestCompiledObservable:
@@ -361,7 +359,7 @@ class TestValidation:
     def test_fixed_gate_applies(self):
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         c = Circuit(1, [GateSpec("fixed", qubits=(0,), matrix=hadamard)])
-        state = run_circuit(c, [], [])
+        state = CompiledCircuit(c).run([], [])
         assert np.allclose(state, [1 / np.sqrt(2), 1 / np.sqrt(2)])
         assert evaluate_model(c, Observable([(1.0, "X")]), [], []) == pytest.approx(1.0)
 
@@ -374,7 +372,7 @@ class TestValidation:
                 GateSpec("cnot", control=0, target=1),
             ],
         )
-        state = run_circuit(c, [], [])
+        state = CompiledCircuit(c).run([], [])
         assert np.allclose(np.abs(state) ** 2, [0.5, 0.0, 0.0, 0.5])
         assert evaluate_model(c, Observable([(1.0, "ZZ")]), [], []) == pytest.approx(1.0)
 
@@ -443,6 +441,15 @@ class TestPropagationCap:
         monkeypatch.setattr(np, "zeros", capped_zeros)
         with pytest.raises(CapacityError, match=r"21 x 21 x 21 state frequencies of 14 qubits needs 2315 MiB"):
             compiled.frequency_components([])
+
+    def test_lattice_beyond_its_cap_is_refused_before_propagating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagated the state of a lattice beyond its cap")
+
+        monkeypatch.setattr(CompiledCircuit, "frequency_components", refuse)
+        monkeypatch.setattr(freqcore, "LATTICE_CAP", 2)  # the cosine circuit's lattice has 3 points
+        with pytest.raises(CapacityError, match=r"full lattice has 3 points \(cap 2\)"):
+            extract_trig_polynomial(cosine_circuit(), Z_OBS, [])
 
     def test_cap_is_inclusive(self, monkeypatch):
         circuit, _ = _layered(4, [("cnot", 0, 1)], blocked=False)

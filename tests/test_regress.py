@@ -37,7 +37,6 @@ from rffdq.regress import (
     model_from_json,
     model_spectrum,
     rff_fit,
-    rff_kernel_estimate,
     rff_model_spectrum,
     true_risk_estimate,
 )
@@ -346,7 +345,7 @@ class TestRffDesign:
         X = gen.uniform(0, 2 * np.pi, (40, fs.d))
         want = direct_design(fset.frequencies, fset.phases, X)
         got = fset.design_matrix(X)
-        raw = fset.raw_features(X)
+        raw = fset._features(X, 1.0)  # unnormalized: sqrt(2) cos(<w_i, x> + g_i)
         assert got.shape == raw.shape == (40, M)
         assert np.max(np.abs(got - want)) <= 1e-14
         assert np.max(np.abs(raw - want * math.sqrt(M))) <= 1e-14
@@ -408,7 +407,7 @@ class TestRffDesign:
             gen = SeededRng(M).generator()
             fset = RffFeatureSet(fs.half[gen.integers(0, fs.size, M)], gen.uniform(0, 2 * np.pi, M))
             model = RffModel(fset, gen.normal(size=M), 0.1)
-            for call in (fset.design_matrix, fset.raw_features, model.predict):
+            for call in (fset.design_matrix, model.predict):
                 for X in (np.zeros((5, 3)), np.zeros((5, 1))):
                     with pytest.raises(ValueError, match=f"points have width {X.shape[1]}, but the frequencies have width 2"):
                         call(X)
@@ -486,6 +485,11 @@ class TestPeakMemoryAtBenchmarkShapes:
             finally:
                 tracemalloc.stop()
             assert peak <= DIRECT_FORM_PEAK_BYTES[name], name
+
+
+def rff_kernel_estimate(fset, x, xp) -> float:
+    """Monte-Carlo kernel estimate <phi_M(x), phi_M(x')> from the design."""
+    return float((fset.design_matrix(x) @ fset.design_matrix(xp).T)[0, 0])
 
 
 class TestRffKernelEstimate:
