@@ -102,22 +102,22 @@ def cmd_freqset(args) -> int:
             "d": fs.d,
             "per_dimension_sizes": [int(f.size) for f in fs.per_dimension_freqs],
             "full_size": fs.full_size,
-            "half_size": fs.size if fs.materialized else None,
+            "half_size": fs.size,
             "is_integer": fs.is_integer,
             "materialized": fs.materialized,
         }
         _emit_json(stats, None)
     if args.dump:
-        codes = fs.codes  # beyond the cap this raises before the allocation below
-        # the product enumerates the lattice in code order
-        in_half = np.zeros(fs.full_size, dtype=int)
-        in_half[codes] = 1
+        fs.require_materialized()  # beyond the cap this raises before the file is opened
         with open(args.dump, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["index"] + [f"omega_{j+1}" for j in range(fs.d)] + ["in_half"])
+            # the product enumerates the lattice in code order, and the
+            # canonical half is the codes from zero_code up
             points = itertools.product(*[f.tolist() for f in fs.per_dimension_freqs])
-            for i, (point, flag) in enumerate(zip(points, in_half.tolist())):
-                writer.writerow([i] + [repr(v) for v in point] + [flag])
+            z = fs.zero_code
+            for i, point in enumerate(points):
+                writer.writerow([i] + [repr(v) for v in point] + [int(i >= z)])
     return 0
 
 

@@ -4,10 +4,11 @@ Each input dimension j carries a list of Hamiltonian spectra (the gates that
 encode x_j).  The reachable frequencies along that dimension are all pairwise
 differences of all eigenvalue sums, and the full lattice is the Cartesian
 product over dimensions.  The lattice is mirror symmetric, so we fix a
-canonical half (first nonzero component positive).  A lattice point is
-addressed by its per-dimension positions and their mixed-radix code; every
-lookup (snapping a frequency to the lattice, finding its row in the half)
-is one vectorized pass over an array of rows, with one 1e-9 matching rule.
+canonical half (first nonzero component positive), which is the upper half
+of the range of mixed-radix codes.  A lattice point is addressed by its
+per-dimension positions and their code; every lookup (snapping a frequency
+to the lattice, finding its row in the half) is one vectorized pass over an
+array of rows, with one 1e-9 matching rule.
 """
 
 from __future__ import annotations
@@ -167,14 +168,8 @@ def fold_rows(rows):
     nonzero = rows != 0.0
     first = rows[np.arange(rows.shape[0]), np.argmax(nonzero, axis=1)]
     flipped = nonzero.any(axis=1) & (first < 0)
-    return np.where(flipped[:, None], -rows, rows), flipped
-
-
-def find_codes(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Position of each of ``codes`` in the ascending ``table``, -1 where
-    it is absent."""
-    at = np.minimum(np.searchsorted(table, codes), table.size - 1)
-    return np.where(table[at] == codes, at, -1)
+    # + 0.0 turns the -0.0 that negation leaves in zero components into 0.0
+    return np.where(flipped[:, None], -rows, rows) + 0.0, flipped
 
 
 @dataclass
@@ -183,29 +178,26 @@ class FrequencySet:
 
     A lattice point is addressed by its per-dimension positions (``locate``)
     and by their mixed-radix ``code``, its index in the row-major
-    enumeration of the full lattice.  ``half`` holds the canonical
-    representatives in lexicographic order, which is code order, with the
-    zero vector at row 0; ``codes`` holds their codes (ascending), so a
-    point's row in ``half`` is one ``searchsorted``.  Rows and codes depend
-    only on the encoding, so they are stable across runs and serialized
-    artifacts.  Both are formed the first time either is read, and only on
-    a lattice of at most ``LATTICE_CAP`` points (``materialized``); beyond
-    it that read raises CapacityError, while everything that needs only the
-    per-dimension sets (locating, coding, sampling) still runs.
+    enumeration of the full lattice, which is lexicographic order.  Every
+    per-dimension set is sorted, symmetric about zero and of odd size, so
+    the zero vector has code ``zero_code`` = (full_size - 1) / 2 and -omega
+    has code ``full_size - 1 - code(omega)`` (the mirror identity, checked
+    by ``build_frequency_set``).  A point is canonical (zero, or first
+    nonzero component positive) exactly when it is lexicographically at
+    least the zero vector, that is when its code is at least ``zero_code``,
+    and its row in the canonical half is ``code - zero_code``.
 
-    Mirror identity: every per-dimension set is sorted and symmetric about
-    zero (position k of an n-point set holds the exact negation of position
-    n - 1 - k), so -omega has code
-    ``full_size - 1 - code(omega)``.  A table over the full lattice in code
-    order, reversed, is therefore the same table at the negated points.
-    ``build_frequency_set`` checks the symmetry.
+    ``half`` holds the canonical points in row order, the zero vector at
+    row 0.  It is formed the first time it is read, and only on a lattice
+    of at most ``LATTICE_CAP`` points (``materialized``); beyond it that
+    read raises CapacityError, while everything that needs only the
+    per-dimension sets (locating, coding, row lookup, sampling) still runs.
     """
 
     per_dimension_freqs: list[np.ndarray]
     full_size: int
     is_integer: bool
     _half: np.ndarray | None = field(default=None, init=False, repr=False)
-    _codes: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -224,19 +216,18 @@ class FrequencySet:
         return self._half
 
     @property
-    def codes(self) -> np.ndarray:
-        """Codes of the rows of ``half``, ascending."""
-        self.require_materialized()
-        return self._codes
+    def zero_code(self) -> int:
+        """Code of the zero vector, the first canonical code."""
+        return (self.full_size - 1) // 2
 
     @property
     def size(self) -> int:
         """|Omega| of the canonical half."""
-        return (self.full_size - 1) // 2 + 1
+        return self.full_size - self.zero_code
 
     def require_materialized(self):
-        """Form ``half`` and ``codes`` if they are not formed yet; a lattice
-        of more than ``LATTICE_CAP`` points raises CapacityError."""
+        """Form ``half`` if it is not formed yet; a lattice of more than
+        ``LATTICE_CAP`` points raises CapacityError."""
         if self._half is not None:
             return
         if not self.materialized:
@@ -244,18 +235,14 @@ class FrequencySet:
                 f"full lattice has {self.full_size} points (cap {LATTICE_CAP}); "
                 "this operation needs its canonical half"
             )
-        # row-major enumeration of sorted per-dimension sets: row r of the
-        # lattice has code r, and code order is lexicographic order
-        lattice = np.stack(
-            [g.ravel() for g in np.meshgrid(*self.per_dimension_freqs, indexing="ij")], axis=-1
-        )
-        canonical = ~fold_rows(lattice)[1]
-        half = lattice[canonical]
-        if self.size != half.shape[0]:
-            raise AssertionError("mirror-pair accounting is inconsistent")
-        if not np.all(np.abs(half[0]) <= DEDUP_TOL):
-            raise AssertionError("zero frequency is not at index 0")
-        self._half, self._codes = half, np.flatnonzero(canonical)
+        # decode the canonical codes one dimension at a time, last first
+        half = np.empty((self.size, self.d))
+        rest = np.arange(self.zero_code, self.full_size)
+        for j in range(self.d - 1, -1, -1):
+            f = self.per_dimension_freqs[j]
+            rest, k = np.divmod(rest, f.size)
+            half[:, j] = f[k]
+        self._half = half
 
     def max_abs_freq(self) -> np.ndarray:
         """Per-dimension maximum |frequency|."""
@@ -306,7 +293,8 @@ class FrequencySet:
     def half_rows(self, idx) -> np.ndarray:
         """Row in ``half`` of each located lattice point, -1 where the point
         is not canonical."""
-        return find_codes(self.codes, self.code(idx))
+        rows = self.code(idx) - self.zero_code
+        return np.where(rows >= 0, rows, -1)
 
     def snap(self, omega) -> tuple:
         """The lattice point within ``MATCH_TOL`` of one frequency vector."""
@@ -315,10 +303,10 @@ class FrequencySet:
 
     def position(self, omega) -> int:
         """Row of a canonical frequency vector in ``half``."""
-        self.require_materialized()
         row = int(self.half_rows(self.locate(np.atleast_2d(omega)))[0])
         if row < 0:
-            raise ValueError(f"frequency {tuple(omega)} is not in the canonical half")
+            key = tuple(np.asarray(omega, dtype=float).tolist())
+            raise ValueError(f"frequency {key} is not in the canonical half")
         return row
 
 
@@ -331,9 +319,9 @@ def build_frequency_set(enc: EncodingStrategy) -> FrequencySet:
     """
     per_dim = [component_frequency_set(dim) for dim in enc.per_dimension]
     for f in per_dim:
-        # the mirror identity of FrequencySet's codes rests on this
-        if np.any(np.diff(f) <= 0) or not np.array_equal(f, -f[::-1]):
-            raise AssertionError("per-dimension frequency set is not sorted and symmetric")
+        # the mirror identity and the canonical code range rest on this
+        if f.size % 2 == 0 or np.any(np.diff(f) <= 0) or not np.array_equal(f, -f[::-1]):
+            raise AssertionError("per-dimension frequency set is not odd, sorted and symmetric")
     full_size = 1
     for f in per_dim:
         full_size *= int(f.size)

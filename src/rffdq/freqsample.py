@@ -16,9 +16,11 @@ folds ptilde at the rows it is given (``_tilde``, batched over rows of
 per-dimension lattice positions).  ``pmf_vector`` folds a dense ptilde over
 the whole materialized lattice in code order (``_tilde_grid``: outer
 products for a product distribution, one core contracted at a time for a
-tensor train), so enumerating the half gathers nothing row by row; an
-explicit distribution fills it with its stored probabilities instead.  Both
-routes round alike, so ``pmf(fs.half)`` equals ``pmf_vector()`` bitwise.
+tensor train); the half is the codes from ``zero_code`` up and their
+mirrors the codes from it down, so the fold is two slices and gathers
+nothing.  An explicit distribution fills the vector with its stored
+probabilities at its codes instead.  Both routes round alike, so
+``pmf(fs.half)`` equals ``pmf_vector()`` bitwise.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateDistributionError
-from .freqcore import FrequencySet, find_codes, fold_rows
+from .freqcore import FrequencySet, fold_rows
 
 PROB_TOL = 1e-12
 
@@ -99,11 +101,11 @@ class FrequencyDistribution:
         the lattice within 1e-9 before the canonical check."""
         omega = np.asarray(omega, dtype=float)
         rows = np.atleast_2d(omega)
-        snapped = self.fs.at(self.fs.locate(rows))
-        flipped = fold_rows(snapped)[1]
-        if flipped.any():
-            raise ValueError(f"frequency {tuple(rows[np.argmax(flipped)])} is not canonical")
-        p = self._folded(snapped)
+        idx = self.fs.locate(rows)
+        below = self.fs.half_rows(idx) < 0
+        if below.any():
+            raise ValueError(f"frequency {tuple(rows[np.argmax(below)].tolist())} is not canonical")
+        p = self._folded(self.fs.at(idx))
         return float(p[0]) if omega.ndim == 1 else p
 
     def sample(self, rng, M: int) -> np.ndarray:
@@ -113,11 +115,11 @@ class FrequencyDistribution:
         """Probabilities over the materialized canonical half, in lattice order."""
         self.fs.require_materialized()
         g = self._tilde_grid()
-        codes = self.fs.codes
-        # g reversed is ptilde at the negated points (the mirror identity)
-        p = g[codes]
-        p += g[::-1][codes]
-        p[0] = g[codes[0]]  # the zero frequency is its own mirror
+        z = self.fs.zero_code
+        # the half is the codes from z up; its mirror, the codes from z down
+        # (the mirror identity), and the zero frequency is its own mirror
+        p = g[z:]
+        p[1:] += g[:z][::-1]
         return p
 
     @property
@@ -155,34 +157,35 @@ class ExplicitDistribution(FrequencyDistribution):
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL * max(1, probs.size):
             raise ConfigError(f"probabilities sum to {total}, expected 1")
-        idx = fs.locate(support)
+        try:
+            idx = fs.locate(support)
+        except ValueError as exc:
+            raise ConfigError(f"explicit support: {exc}") from exc
         self.support = fs.at(idx)
-        flipped = fold_rows(self.support)[1]
-        if flipped.any():
-            row = tuple(support[np.argmax(flipped)])
-            raise ConfigError(f"support point {row} is not canonical")
         codes = fs.code(idx)
+        below = codes < fs.zero_code
+        if below.any():
+            row = tuple(support[np.argmax(below)].tolist())
+            raise ConfigError(f"support point {row} is not canonical")
         order = np.argsort(codes, kind="stable")
         self._codes = codes[order]
         if np.any(self._codes[1:] == self._codes[:-1]):
             raise ConfigError("duplicate support points")
         self._sorted_probs = probs[order]
         self.probs = probs
-        # the support's rows in the half, which pmf_vector fills; looking
-        # them up forms the half on a lattice within the cap
-        self._rows = fs.half_rows(idx) if fs.materialized else None
 
     def _tilde(self, idx: np.ndarray) -> np.ndarray:
         # the stored probability at a support point, 0 elsewhere (mirror
         # points included: the support is canonical)
-        at = find_codes(self._codes, self.fs.code(idx))
-        return np.where(at >= 0, self._sorted_probs[at], 0.0)
+        codes = self.fs.code(idx)
+        at = np.minimum(np.searchsorted(self._codes, codes), self._codes.size - 1)
+        return np.where(self._codes[at] == codes, self._sorted_probs[at], 0.0)
 
     def pmf_vector(self) -> np.ndarray:
         # the mirror term is 0 on a canonical support, so p is probs, in place
         self.fs.require_materialized()
         p = np.zeros(self.fs.size)
-        p[self._rows] = self.probs
+        p[self._codes - self.fs.zero_code] = self._sorted_probs
         return p
 
     def sample(self, rng, M: int) -> np.ndarray:

@@ -19,7 +19,9 @@ spectrum back to the 2-norm of its v; no other module reads the layout.
 Every cosine and sine of <omega, x> that a polynomial, a feature map, a
 kernel or a fitted model takes at sample points comes from ``PlaneWaves``,
 which picks per-dimension phase tables or one call per (point, term) by the
-shape rule in ``_tables_pay``.
+shape rule in ``_tables_pay``, except that with untabled waves
+``regress.RffFeatureSet._features`` may take one cosine of a phase-shifted
+angle per feature, and ``RffModel.predict`` one per distinct frequency.
 """
 
 from __future__ import annotations
@@ -252,7 +254,7 @@ class TrigPolynomial:
         else:
             folded, bad = fold_rows(freqs)
         if bad.any():
-            raise ValueError(f"coefficient key {tuple(freqs[np.argmax(bad)])} is not canonical")
+            raise ValueError(f"coefficient key {tuple(freqs[np.argmax(bad)].tolist())} is not canonical")
         points = fs.half[rows] if fs is not None else folded
         zero = ~points.any(axis=1)
         if np.any(np.abs(c.imag[zero]) > REALNESS_TOL):
@@ -508,7 +510,7 @@ def rkhs_norm(f: TrigPolynomial, w: WeightVector) -> float:
     wi = w.weights[supported]
     if np.any(wi == 0.0):
         i = int(supported[np.argmax(wi == 0.0)])
-        where = "the zero frequency" if i == 0 else f"frequency {tuple(fs.half[i])}"
+        where = "the zero frequency" if i == 0 else f"frequency {tuple(fs.half[i].tolist())}"
         raise ValueError(
             f"function has weight-zero support at {where}; "
             "it lies outside the kernel's function set"

@@ -439,7 +439,7 @@ def extract_trig_polynomial(c: Circuit, obs: Observable, theta) -> TrigPolynomia
     if broken.any():
         i = int(np.argmax(broken))
         raise FloatingPointError(
-            f"conjugate symmetry violated at {tuple(fs.half[i])}: "
+            f"conjugate symmetry violated at {tuple(fs.half[i].tolist())}: "
             f"{complex(cpos[i])} vs conj({complex(cneg[i])})"
         )
     cval = 0.5 * (cpos + np.conj(cneg))

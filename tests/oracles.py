@@ -220,7 +220,7 @@ def rkhs_norm_by_index(f, w):
             continue
         wi = w.weights[i]
         if wi == 0.0:
-            where = "the zero frequency" if i == 0 else f"frequency {tuple(fs.half[i])}"
+            where = "the zero frequency" if i == 0 else f"frequency {tuple(fs.half[i].tolist())}"
             raise ValueError(
                 f"function has weight-zero support at {where}; "
                 "it lies outside the kernel's function set"

@@ -285,6 +285,14 @@ class TestExitCodes:
             assert run(["bounds", "feasibility", "--encoding", enc, "--dist", dist]) == 2
             assert "must be finite" in capsys.readouterr().err
 
+    def test_off_lattice_explicit_support_is_2(self, workdir, capsys):
+        dist = workdir / "off.json"
+        dist.write_text(json.dumps({"kind": "explicit", "support": [[0.5]], "probs": [1.0]}))
+        common = ["--encoding", workdir / "enc.json", "--dist", dist, "--M", 8]
+        assert run(["sample", *common, "--out", workdir / "s.csv"]) == 2
+        assert "not in lattice dimension 1" in capsys.readouterr().err
+        assert run(["fit", *common, "--data", workdir / "d.csv", "--out", workdir / "m.json"]) == 2
+
     @pytest.mark.parametrize("lam", ["abc", "nan", "inf", "-1"])
     def test_bad_lambda_is_2(self, workdir, lam, capsys):
         common = ["--data", workdir / "d.csv", "--encoding", workdir / "enc.json", "--lambda", lam]
@@ -411,7 +419,7 @@ class TestLatticeCap:
         w = workdir
         assert run(["freqset", "--encoding", w / "enc.json", "--stats"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["full_size"] == 5 and stats["half_size"] is None and not stats["materialized"]
+        assert stats["full_size"] == 5 and stats["half_size"] == 3 and not stats["materialized"]
         assert run(["sample", "--encoding", w / "enc.json", "--dist", w / "prod.json", "--M", 50,
                     "--out", w / "s.csv"]) == 0
         assert {float(v) for v in (w / "s.csv").read_text().splitlines()[1:]} <= {0.0, 1.0, 2.0}
@@ -431,6 +439,16 @@ class TestLatticeCap:
         assert formed == []
         assert run(["freqset", "--encoding", w / "enc.json", "--dump", w / "freqs.csv"]) == 0
         assert formed == [5]
+
+
+    def test_explicit_fit_and_sample_form_no_half(self, workdir, monkeypatch):
+        monkeypatch.setattr(freqcore, "LATTICE_CAP", 10**7)
+        formed = record_half_formations(monkeypatch)
+        w = workdir
+        common = ["--encoding", w / "enc.json", "--dist", w / "expl.json", "--M", 16, "--seed", 4]
+        assert run(["sample", *common, "--out", w / "s.csv"]) == 0
+        assert run(["fit", *common, "--data", w / "d.csv", "--out", w / "m.json"]) == 0
+        assert formed == []
 
 
 class TestDeterminism:
@@ -464,6 +482,17 @@ class TestDeterminism:
         )
         for a, b in casepairs:
             assert a.read_bytes() == b.read_bytes()
+
+    def test_product_sample_writes_no_negative_zero(self, workdir):
+        # a flipped row such as (-1, 0) folds to (1, 0), not (1, -0)
+        enc = workdir / "enc2.json"
+        enc.write_text(json.dumps({"dimensions": [[[-0.5, 0.5]], [[-0.5, 0.5]]]}))
+        dist = workdir / "prod.json"
+        dist.write_text(json.dumps({"kind": "uniform", "variant": "product"}))
+        out = workdir / "s.csv"
+        assert run(["sample", "--encoding", enc, "--dist", dist, "--M", 200, "--out", out]) == 0
+        text = out.read_text()
+        assert "-0.0" not in text and "0.0,1.0" in text and "1.0,0.0" in text
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import studies  # noqa: E402
 from rffdq.harness import SweepConfig  # noqa: E402
+
+
+# lattices beyond the dyadic grid: decimal (non-integer) spectra, and an
+# unencoded dimension first, in the middle and last
+SPECIAL_ENCODINGS = [
+    EncodingStrategy(((HamiltonianSpectrum((-0.3, 0.3)),), (HamiltonianSpectrum((0.0, 0.7, 1.1)),))),
+    EncodingStrategy(((), (HamiltonianSpectrum((-0.5, 0.5)),) * 2)),
+    EncodingStrategy(
+        ((HamiltonianSpectrum((-0.3, 0.3)),), (), (HamiltonianSpectrum((0.0, 0.7, 1.1)),))
+    ),
+    EncodingStrategy(((HamiltonianSpectrum((-0.5, 0.5)), HamiltonianSpectrum((0.0, 0.7))), ())),
+    EncodingStrategy(((), ())),
+]
 
 
 class TestComponentFrequencySet:
@@ -127,7 +141,9 @@ class TestBuildFrequencySet:
     def test_zero_vector_first_and_index_bijective(self):
         fs = build_frequency_set(pauli_half_encoding([2, 1]))
         assert np.all(fs.half[0] == 0.0)
-        assert fs.codes.size == fs.size and np.all(np.diff(fs.codes) > 0)
+        codes = fs.code(fs.locate(fs.half))
+        assert codes.size == fs.size and np.all(np.diff(codes) > 0)
+        assert codes.tolist() == list(range(fs.zero_code, fs.full_size))
         assert fs.half_rows(fs.locate(fs.half)).tolist() == list(range(fs.size))
         for i, row in enumerate(fs.half):
             assert fs.position(row) == i
@@ -143,9 +159,10 @@ class TestBuildFrequencySet:
             assert fs.size == (fs.full_size - 1) // 2 + 1
 
     def test_matches_brute_force_oracle(self):
-        for seed in range(25):
-            rng = np.random.default_rng(3000 + seed)
-            enc = random_dyadic_encoding(rng)
+        encodings = [
+            random_dyadic_encoding(np.random.default_rng(3000 + seed)) for seed in range(25)
+        ]
+        for enc in encodings + SPECIAL_ENCODINGS:
             fs = build_frequency_set(enc)
             per_dim = [f.tolist() for f in fs.per_dimension_freqs]
             for j, dim in enumerate(enc.per_dimension):
@@ -182,9 +199,22 @@ class TestBuildFrequencySet:
         lattices = [build_frequency_set(enc) for enc in encodings]
         assert formed == []
         fs = lattices[2]
-        assert fs.half.shape == (fs.size, fs.d) and fs.codes.size == fs.size
+        assert fs.half.shape == (fs.size, fs.d)
+        assert fs.code(fs.locate(fs.half)).size == fs.size
         fs.half_rows(fs.locate(fs.half))
         assert formed == [fs.full_size]  # once, whatever reads it next
+
+    def test_half_is_formed_without_the_full_lattice(self):
+        # the half is decoded from its codes one column at a time; forming
+        # the full lattice and folding it peaked at 8.4 times the half on 3^12
+        fs = build_frequency_set(pauli_half_encoding([1] * 10))
+        tracemalloc.start()
+        try:
+            fs.require_materialized()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * fs.half.nbytes + 2**20
 
     def test_snap_rejects_off_lattice(self, fs_2d):
         with pytest.raises(ValueError):
@@ -195,18 +225,23 @@ class TestBuildFrequencySet:
 
 class TestLocate:
     def test_codes_are_row_major_positions(self):
-        for seed in range(10):
-            enc = random_dyadic_encoding(np.random.default_rng(3000 + seed))
+        encodings = [
+            random_dyadic_encoding(np.random.default_rng(3000 + seed)) for seed in range(10)
+        ]
+        for enc in encodings + SPECIAL_ENCODINGS:
             fs = build_frequency_set(enc)
-            full = oracle_full_lattice([f.tolist() for f in fs.per_dimension_freqs])
+            per_dim = [f.tolist() for f in fs.per_dimension_freqs]
+            full = oracle_full_lattice(per_dim)
             idx = fs.locate(np.array(full))
             assert fs.code(idx).tolist() == list(range(fs.full_size))
             assert np.array_equal(fs.at(idx), np.array(full))
             # the half's codes ascend, and each point's row is its position
-            assert [full[k] for k in fs.codes.tolist()] == oracle_half(
-                [f.tolist() for f in fs.per_dimension_freqs]
-            )
+            half = oracle_half(per_dim)
+            assert [full[k] for k in fs.code(fs.locate(fs.half)).tolist()] == half
             assert fs.half_rows(fs.locate(fs.half)).tolist() == list(range(fs.size))
+            # every lattice point: its row in the oracle's half, or -1
+            row_of = {point: i for i, point in enumerate(half)}
+            assert fs.half_rows(idx).tolist() == [row_of.get(p, -1) for p in full]
 
     def test_tolerance_edges(self):
         fs = build_frequency_set(pauli_half_encoding([2, 1]))
@@ -240,14 +275,16 @@ class TestLocate:
 
     def test_lazy_lattice(self, monkeypatch):
         eager = build_frequency_set(pauli_half_encoding([2, 1]))
-        half, codes = eager.half, eager.codes
+        half, codes = eager.half, eager.code(eager.locate(eager.half))
         monkeypatch.setattr(freqcore, "LATTICE_CAP", 14)  # the lattice has 15 points
         fs = build_frequency_set(pauli_half_encoding([2, 1]))
         idx = fs.locate(half)
         assert np.array_equal(fs.code(idx), codes)
         assert fs.snap((-2.0, 1.0 + 1e-10)) == (-2.0, 1.0)
-        with pytest.raises(CapacityError):
-            fs.half_rows(idx)
+        # rows need no half: they are codes less zero_code
+        assert fs.half_rows(idx).tolist() == list(range(8))
+        assert fs.half_rows(fs.mirror(idx)).tolist() == [0] + [-1] * 7
+        assert fs.position((1.0, -1.0)) == 2 and fs._half is None
         # past int64 the codes are Python integers and stay exact
         huge = build_frequency_set(pauli_half_encoding([4] * 20))
         assert huge.full_size > 2**63

@@ -18,7 +18,7 @@ from rffdq.freqsample import (
     explicit_from_weights,
     uniform_distribution,
 )
-from rffdq.kernelmap import WeightVector
+from rffdq.kernelmap import TrigPolynomial, WeightVector
 
 
 def empirical_tv(samples, dist):
@@ -453,6 +453,15 @@ class TestExplicit:
         assert dist.pmf_vector().tolist() == want
         with pytest.raises(ValueError, match="not canonical"):
             dist.pmf((5e-10, -1.0))
+
+    def test_messages_print_plain_floats(self, fs_1d_3):
+        with pytest.raises(ConfigError, match=r"^support point \(-1\.0,\) is not canonical$"):
+            ExplicitDistribution(fs_1d_3, [[-1.0]], [1.0])
+        dist = ExplicitDistribution(fs_1d_3, [[1.0]], [1.0])
+        with pytest.raises(ValueError, match=r"^frequency \(-1\.0,\) is not canonical$"):
+            dist.pmf([-1.0])
+        with pytest.raises(ValueError, match=r"^coefficient key \(-1\.0,\) is not canonical$"):
+            TrigPolynomial.from_half_coeffs(fs_1d_3, {(-1.0,): 1.0})
 
     def test_lazy_lattice_beyond_int64(self):
         # 9^20 > 2^63 points: support lookups go by exact integer codes

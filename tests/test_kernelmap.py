@@ -399,8 +399,8 @@ class TestRkhsNorm:
         f = TrigPolynomial.from_half_coeffs(fs_2d, {half[0]: 1.0, half[2]: 0.5, half[4]: 0.5j})
         for weights, where in (
             ([0.0, 1.0, 0.0, 1.0, 0.0], "the zero frequency"),
-            ([1.0, 1.0, 0.0, 1.0, 0.0], f"frequency {tuple(fs_2d.half[2])}"),
-            ([1.0, 1.0, 1.0, 1.0, 0.0], f"frequency {tuple(fs_2d.half[4])}"),
+            ([1.0, 1.0, 0.0, 1.0, 0.0], f"frequency {tuple(fs_2d.half[2].tolist())}"),
+            ([1.0, 1.0, 1.0, 1.0, 0.0], f"frequency {tuple(fs_2d.half[4].tolist())}"),
         ):
             w = WeightVector(np.array(weights))
             message = (
