@@ -134,9 +134,18 @@ class LowerBoundReport:
         }
 
 
-def alignment(f_hat: TrigPolynomial, dist: FrequencyDistribution) -> float:
+def alignment(
+    f_hat: TrigPolynomial, dist: FrequencyDistribution, p_vec: np.ndarray | None = None
+) -> float:
     """Overlap sum_{w in canonical half} |fhat(w)|^2 p(w) between the
-    target's spectral mass and the sampling distribution."""
+    target's spectral mass and the sampling distribution.
+
+    ``p_vec``, the distribution's ``pmf_vector()`` where the caller has
+    formed it, is read at the rows of a target attached to the
+    distribution's lattice; it equals ``pmf`` there bitwise.  Any other
+    target takes ``pmf`` at its terms."""
+    if p_vec is not None and f_hat.rows is not None and f_hat.freq_set is dist.fs:
+        return float(np.abs(f_hat.c) ** 2 @ p_vec[f_hat.rows])
     if f_hat.freq_set is not None and f_hat.freq_set is not dist.fs:
         mine = f_hat.freq_set.per_dimension_freqs
         theirs = dist.fs.per_dimension_freqs
@@ -147,6 +156,15 @@ def alignment(f_hat: TrigPolynomial, dist: FrequencyDistribution) -> float:
         if not same:
             raise ValueError("function and distribution live on different lattices")
     return float(np.abs(f_hat.c) ** 2 @ dist.pmf(f_hat.freqs))
+
+
+def pmf_and_p_max(
+    dist: FrequencyDistribution, enumerate_half: bool
+) -> tuple[np.ndarray | None, PMax | None]:
+    """``dist.pmf_vector()`` if ``enumerate_half``, with p_max read from
+    it; else no vector and ``dist.p_max()``."""
+    p_vec = dist.pmf_vector() if enumerate_half else None
+    return p_vec, dist.p_max() if p_vec is None else PMax(float(np.max(p_vec)), True)
 
 
 def _require_integer_lattice(dist: FrequencyDistribution):
@@ -160,20 +178,27 @@ def required_sample_counts(
     f_hat: TrigPolynomial, dist: FrequencyDistribution, eps_hat: float
 ) -> LowerBoundReport:
     """Both rearrangements of the lower bound, flagged as vacuous when the
-    requested expected error already exceeds the target's squared L2 norm."""
-    return _required_sample_counts(f_hat, dist, eps_hat, dist.p_max())
+    requested expected error already exceeds the target's squared L2 norm.
+    An enumerable distribution is enumerated once, for p_max and the
+    alignment."""
+    return _required_sample_counts(f_hat, dist, eps_hat, *pmf_and_p_max(dist, dist.enumerable))
 
 
 def _required_sample_counts(
-    f_hat: TrigPolynomial, dist: FrequencyDistribution, eps_hat: float, pm: PMax | None
+    f_hat: TrigPolynomial,
+    dist: FrequencyDistribution,
+    eps_hat: float,
+    p_vec: np.ndarray | None,
+    pm: PMax | None,
 ) -> LowerBoundReport:
-    """``required_sample_counts`` with the distribution's p_max supplied."""
+    """``required_sample_counts`` with the distribution's enumerated vector,
+    if any, and its p_max supplied."""
     _require_integer_lattice(dist)
     if eps_hat < 0:
         raise ValueError("eps_hat must be nonnegative")
     fh2 = fhat_l2_sq(f_hat)
     f2 = (2.0 * math.pi) ** f_hat.d * fh2
-    A = alignment(f_hat, dist)
+    A = alignment(f_hat, dist, p_vec)
     vacuous = f2 <= eps_hat
     notes = []
     if vacuous:
@@ -280,11 +305,11 @@ def feasibility_report(
     fs = dist.fs
     notes: list[str] = []
     anti = _anti_concentrated(dist)
-    # one enumeration of the half serves both p_max and the norm C, at any
-    # size of the half
-    needs_c = C is None and f_hat is not None and fs.materialized and fs.is_integer
-    p_vec = dist.pmf_vector() if needs_c else None
-    pm = dist.p_max() if p_vec is None else PMax(float(np.max(p_vec)), True)
+    # one enumeration of the half serves p_max, the alignment and the norm
+    # C; C needs it at any size of the half
+    necessity = f_hat is not None and fs.is_integer
+    needs_c = C is None and necessity and fs.materialized
+    p_vec, pm = pmf_and_p_max(dist, needs_c or (necessity and dist.enumerable))
     if dist.uniform_variant is not None:
         n_min_dim = min(f.size for f in fs.per_dimension_freqs)
         notes.append(
@@ -300,11 +325,11 @@ def feasibility_report(
     if f_hat is not None:
         eh = eps if eps_hat is None else eps_hat
         try:
-            lower = _required_sample_counts(f_hat, dist, eh, pm)
+            lower = _required_sample_counts(f_hat, dist, eh, p_vec, pm)
         except NonIntegerFrequencyError:
             notes.append("non-integer lattice: the necessity bound does not apply")
     C_used = C
-    if p_vec is not None:
+    if needs_c:
         try:
             C_used = rkhs_norm(f_hat, weights_of(p_vec))
             notes.append("C computed from the target's hyperplane norm under this sampler")

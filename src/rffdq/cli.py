@@ -108,7 +108,7 @@ def cmd_freqset(args) -> int:
         }
         _emit_json(stats, None)
     if args.dump:
-        fs.require_materialized()  # beyond the cap this raises before the file is opened
+        fs.require_within_cap()  # raises before the file is opened
         with open(args.dump, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["index"] + [f"omega_{j+1}" for j in range(fs.d)] + ["in_half"])

@@ -225,16 +225,21 @@ class FrequencySet:
         """|Omega| of the canonical half."""
         return self.full_size - self.zero_code
 
-    def require_materialized(self):
-        """Form ``half`` if it is not formed yet; a lattice of more than
-        ``LATTICE_CAP`` points raises CapacityError."""
-        if self._half is not None:
-            return
+    def require_within_cap(self):
+        """Raise CapacityError on a lattice of more than ``LATTICE_CAP``
+        points, whose canonical half cannot be formed; forms nothing."""
         if not self.materialized:
             raise CapacityError(
                 f"full lattice has {self.full_size} points (cap {LATTICE_CAP}); "
                 "this operation needs its canonical half"
             )
+
+    def require_materialized(self):
+        """Form ``half`` if it is not formed yet; a lattice of more than
+        ``LATTICE_CAP`` points raises CapacityError."""
+        if self._half is not None:
+            return
+        self.require_within_cap()
         # decode the canonical codes one dimension at a time, last first
         half = np.empty((self.size, self.d))
         rest = np.arange(self.zero_code, self.full_size)

@@ -20,7 +20,9 @@ tensor train); the half is the codes from ``zero_code`` up and their
 mirrors the codes from it down, so the fold is two slices and gathers
 nothing.  An explicit distribution fills the vector with its stored
 probabilities at its codes instead.  Both routes round alike, so
-``pmf(fs.half)`` equals ``pmf_vector()`` bitwise.
+``pmf(fs.half)`` equals ``pmf_vector()`` bitwise; that is what lets
+``bounds.alignment`` read an enumerated vector at a target's rows in place
+of ``pmf`` at its terms.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class FrequencyDistribution:
         below = self.fs.half_rows(idx) < 0
         if below.any():
             raise ValueError(f"frequency {tuple(rows[np.argmax(below)].tolist())} is not canonical")
-        p = self._folded(self.fs.at(idx))
+        p = self._folded(idx)
         return float(p[0]) if omega.ndim == 1 else p
 
     def sample(self, rng, M: int) -> np.ndarray:
@@ -113,7 +115,7 @@ class FrequencyDistribution:
 
     def pmf_vector(self) -> np.ndarray:
         """Probabilities over the materialized canonical half, in lattice order."""
-        self.fs.require_materialized()
+        self.fs.require_within_cap()
         g = self._tilde_grid()
         z = self.fs.zero_code
         # the half is the codes from z up; its mirror, the codes from z down
@@ -132,10 +134,10 @@ class FrequencyDistribution:
         """Maximum probability, exact on an enumerable lattice; else None."""
         return PMax(float(np.max(self.pmf_vector())), True) if self.enumerable else None
 
-    def _folded(self, rows: np.ndarray) -> np.ndarray:
-        """p at canonical lattice rows: ptilde(w) + ptilde(-w), and ptilde(0)
-        at the zero frequency (the one point that is its own mirror)."""
-        idx = self.fs.locate(rows)
+    def _folded(self, idx: np.ndarray) -> np.ndarray:
+        """p at the canonical points at per-dimension positions ``idx``:
+        ptilde(w) + ptilde(-w), and ptilde(0) at the zero frequency (the one
+        point that is its own mirror)."""
         mirror = self.fs.mirror(idx)
         t = self._tilde(np.concatenate([idx, mirror]))
         pos, neg = t[: idx.shape[0]], t[idx.shape[0]:]
@@ -183,7 +185,7 @@ class ExplicitDistribution(FrequencyDistribution):
 
     def pmf_vector(self) -> np.ndarray:
         # the mirror term is 0 on a canonical support, so p is probs, in place
-        self.fs.require_materialized()
+        self.fs.require_within_cap()
         p = np.zeros(self.fs.size)
         p[self._codes - self.fs.zero_code] = self._sorted_probs
         return p

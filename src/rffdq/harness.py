@@ -7,14 +7,14 @@ an rng stream derived from (master seed, cell index), so outputs are
 identical across resumed runs.
 
 What depends only on the sweep is computed once per sweep
-(``SweepInvariants``): the frequency set, the distribution, its p_max, the
-KRR oracle's weights, and the realized target and its alignment when the
-target consumes no rng (explicit and circuit targets).  What depends on the
-problem but not on M is computed once per problem (``Problem``), by the
-first cell that needs it: a random target's draw, the dataset and the
-alignment per (n, seed), and the KRR oracle's true risk per (n, lambda,
-seed).  Per cell remain the feature draw and fit, the RFF risks and the
-model spectrum.
+(``SweepInvariants``): the frequency set, the distribution, its enumerated
+pmf vector and p_max, the KRR oracle's weights, and the realized target and
+its alignment when the target consumes no rng (explicit and circuit
+targets).  What depends on the problem but not on M is computed once per
+problem (``Problem``), by the first cell that needs it: a random target's
+draw, the dataset and the alignment per (n, seed), and the KRR oracle's
+true risk per (n, lambda, seed).  Per cell remain the feature draw and fit,
+the RFF risks and the model spectrum.
 
 The true risks and ``l2_err_sq`` are exact on every lattice: they come from
 the model's spectrum (``regress.true_risk_estimate``), not from sample
@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import alignment as alignment_of
+from .bounds import alignment as alignment_of, pmf_and_p_max
 from .errors import ConfigError
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
-from .freqsample import FrequencyDistribution, PMax, SeededRng, distribution_from_json
+from .freqsample import FrequencyDistribution, SeededRng, distribution_from_json
 from .kernelmap import TrigPolynomial, WeightVector, coeff_sup_bound, weights_of
 from .regress import (
     Dataset,
@@ -319,15 +319,18 @@ def _timing_enabled() -> bool:
 class SweepInvariants:
     """Values every cell of a sweep shares, computed once per sweep.
 
-    ``p_max`` is NaN when the distribution cannot give it.  ``krr_weights``
-    is set when the KRR oracle can run on this lattice at all.  ``target``
-    and its ``alignment`` are set for the kinds in ``SEED_FREE_TARGETS``; if
-    building the target failed, ``target_error`` holds the exception and
-    every cell records it.
+    ``p_vec`` is the distribution's ``pmf_vector()`` where it is
+    enumerable, else None; ``p_max``, the KRR weights and every alignment of
+    the sweep read it.  ``p_max`` is NaN when the distribution cannot give
+    it.  ``krr_weights`` is set when the KRR oracle can run on this lattice
+    at all.  ``target`` and its ``alignment`` are set for the kinds in
+    ``SEED_FREE_TARGETS``; if building the target failed, ``target_error``
+    holds the exception and every cell records it.
     """
 
     fs: FrequencySet
     dist: FrequencyDistribution
+    p_vec: np.ndarray | None
     p_max: float
     krr_weights: WeightVector | None
     target: TrigPolynomial | None
@@ -338,9 +341,8 @@ class SweepInvariants:
     def build(
         cls, config: SweepConfig, fs: FrequencySet, dist: FrequencyDistribution
     ) -> "SweepInvariants":
-        # one enumeration serves p_max and the KRR weights
-        p_vec = dist.pmf_vector() if dist.enumerable else None
-        pm = dist.p_max() if p_vec is None else PMax(float(np.max(p_vec)), True)
+        # one enumeration serves p_max, the KRR weights and every alignment
+        p_vec, pm = pmf_and_p_max(dist, dist.enumerable)
         p_max = float("nan") if pm is None else pm.value
         krr = config.krr_oracle and p_vec is not None and fs.size <= KRR_SIZE_CAP
         krr_weights = weights_of(p_vec) if krr else None
@@ -348,10 +350,10 @@ class SweepInvariants:
         if config.problem.target.get("kind") in SEED_FREE_TARGETS:
             try:
                 target = realize_target(config.problem, fs, None)
-                alignment = alignment_of(target, dist)
+                alignment = alignment_of(target, dist, p_vec)
             except Exception as exc:  # recorded by every cell, as if built there
                 target_error = exc
-        return cls(fs, dist, p_max, krr_weights, target, alignment, target_error)
+        return cls(fs, dist, p_vec, p_max, krr_weights, target, alignment, target_error)
 
     def target_for(self, spec: ProblemSpec, gen: np.random.Generator) -> TrigPolynomial:
         """The sweep's target, or a fresh draw from ``gen`` for a random one."""
@@ -365,7 +367,7 @@ class SweepInvariants:
         """The sweep's alignment, or that of a random target's draw."""
         if self.alignment is not None:
             return self.alignment
-        return alignment_of(target, self.dist)
+        return alignment_of(target, self.dist, self.p_vec)
 
 
 @dataclass

@@ -63,6 +63,28 @@ def record_half_formations(monkeypatch) -> list:
 
 
 @pytest.fixture
+def count_enumerations(monkeypatch) -> list:
+    """Spy on the enumerations of p over the half: the returned list gets
+    the ``kind`` of each distribution whose dense ptilde grid
+    (``_tilde_grid``) is formed, or whose explicit vector is filled."""
+    done = []
+    spied = [
+        (freqsample.ProductDistribution, "_tilde_grid"),
+        (freqsample.MpsDistribution, "_tilde_grid"),
+        (freqsample.ExplicitDistribution, "pmf_vector"),
+    ]
+    for cls, name in spied:
+
+        def spy(self, _original=getattr(cls, name)):
+            out = _original(self)
+            done.append(self.kind)
+            return out
+
+        monkeypatch.setattr(cls, name, spy)
+    return done
+
+
+@pytest.fixture
 def fs_1d_5():
     """d=1 lattice {-4..4}: canonical half {0,1,2,3,4}."""
     return build_frequency_set(pauli_half_encoding([4]))

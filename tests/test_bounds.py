@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import forbid_per_key_lookups, pauli_half_encoding
+from conftest import forbid_per_key_lookups, forbid_per_row_ptilde, pauli_half_encoding
 from oracles import mp_sufficient_counts
+from rffdq import freqsample
 from rffdq.bounds import (
     alignment,
     feasibility_report,
@@ -284,6 +285,96 @@ class TestFeasibilityWithoutPerKeyLookups:
         assert [r["verdict"] for r in got] == [
             "LOWER-BOUND-BLOCKS", "LOWER-BOUND-BLOCKS", "SUFFICIENT-BOUND-POLY", "INCONCLUSIVE"
         ]
+
+    @pytest.mark.parametrize("kind, L_per_dim", [("uniform", [6, 6]), ("mps", [2] * 6),
+                                                 ("uniform", [10, 10])])
+    def test_benchmark_lattices_read_the_enumerated_vector(self, kind, L_per_dim, monkeypatch):
+        # the lattices of sweep_lowd, sweep_highdim and circuit_oracle: the
+        # alignment reads the enumeration at the target's rows, and gives
+        # the pointwise value
+        fs = build_frequency_set(pauli_half_encoding(L_per_dim))
+        rng = np.random.default_rng(11)
+        rows = np.sort(rng.choice(fs.size, size=8, replace=False))
+        c = rng.uniform(-0.5, 0.5, 8) + 1j * np.where(rows == 0, 0.0, rng.uniform(-0.5, 0.5, 8))
+        f = TrigPolynomial.on_rows(fs, rows, c)
+        if kind == "uniform":
+            dist = uniform_distribution(fs)
+        else:
+            shapes = [(1, 5, 4)] + [(4, 5, 4)] * 4 + [(4, 5, 1)]
+            dist = MpsDistribution(fs, [rng.uniform(0.1, 1.0, shape) for shape in shapes])
+        want = feasibility_report(dist, f_hat=f).to_json()
+        assert want["lower"]["alignment"] == alignment(f, dist)
+        forbid_per_row_ptilde(monkeypatch)
+        assert feasibility_report(dist, f_hat=f).to_json() == want
+
+
+class TestAlignmentReadsTheVector:
+    KEYS = {(1.0, -1.0): 0.5, (2.0, 1.0): 0.25j}
+
+    @pytest.fixture
+    def lattice(self):
+        return build_frequency_set(pauli_half_encoding([2, 1]))
+
+    @pytest.fixture
+    def product(self, lattice):
+        return ProductDistribution(lattice, [np.full(5, 0.2), np.array([0.25, 0.5, 0.25])])
+
+    def test_other_targets_take_the_pointwise_path(self, lattice, product):
+        # a vector of NaNs shows whether it was read
+        bogus = np.full(lattice.size, np.nan)
+        attached = TrigPolynomial.from_half_coeffs(lattice, self.KEYS)
+        standalone = TrigPolynomial.from_half_coeffs(None, self.KEYS)
+        assert standalone.rows is None
+        twin = build_frequency_set(pauli_half_encoding([2, 1]))
+        on_twin = TrigPolynomial.from_half_coeffs(twin, self.KEYS)
+        want = alignment(attached, product)
+        for f in (standalone, on_twin):
+            assert alignment(f, product, bogus) == want == alignment(f, product)
+        assert math.isnan(alignment(attached, product, bogus))
+
+    @pytest.mark.parametrize("kind", ["explicit", "product", "mps"])
+    def test_one_enumeration_per_report(self, kind, lattice, product, count_enumerations):
+        rng = np.random.default_rng(5)
+        dist = {
+            "explicit": ExplicitDistribution(lattice, lattice.half[[1, 4, 6]], [0.5, 0.25, 0.25]),
+            "product": product,
+            "mps": MpsDistribution(lattice, [rng.uniform(0.1, 1.0, (1, 5, 2)),
+                                             rng.uniform(0.1, 1.0, (2, 3, 1))]),
+        }[kind]
+        f = TrigPolynomial.from_half_coeffs(lattice, self.KEYS)
+        runs = [
+            lambda: required_sample_counts(f, dist, 0.01),
+            lambda: feasibility_report(dist, f_hat=f),
+            lambda: feasibility_report(dist, f_hat=f, C=2.0),
+        ]
+        for run in runs:
+            count_enumerations.clear()
+            report = run()
+            assert count_enumerations == [kind]
+            assert report.p_max == float(np.max(dist.pmf_vector())) and report.p_max_exact
+
+    def test_no_enumeration_where_the_necessity_bound_does_not_apply(self, count_enumerations):
+        # eigenvalues +-0.3: a non-integer lattice, so an explicit p_max
+        # reads its stored probabilities and nothing reads a vector
+        fs = build_frequency_set(EncodingStrategy(((HamiltonianSpectrum((-0.3, 0.3)),),)))
+        dist = ExplicitDistribution(fs, fs.half, [0.5, 0.5])
+        f = TrigPolynomial.from_half_coeffs(fs, {(0.6,): 0.5})
+        rep = feasibility_report(dist, f_hat=f)
+        assert rep.lower is None and (rep.p_max, rep.p_max_exact) == (0.5, True)
+        assert count_enumerations == []
+
+    def test_product_beyond_the_byte_cap_reports_the_upper_bound(
+        self, lattice, product, monkeypatch, count_enumerations
+    ):
+        f = TrigPolynomial.from_half_coeffs(lattice, self.KEYS)
+        want = alignment(f, product)
+        monkeypatch.setattr(freqsample, "ENUMERATE_BYTES", 8 * lattice.full_size - 1)
+        lower = required_sample_counts(f, product, 0.01)
+        rep = feasibility_report(product, f_hat=f, C=2.0)
+        assert count_enumerations == []
+        for got in (lower, rep):
+            assert (got.p_max, got.p_max_exact) == (2.0 * product.tilde_max(), False)
+        assert lower.alignment == rep.lower.alignment == want
 
 
 class TestFeasibilityLargeHalf:

@@ -438,7 +438,7 @@ class TestLatticeCap:
         assert run(["fit", *common, "--data", w / "d.csv", "--out", w / "m.json"]) == 0
         assert formed == []
         assert run(["freqset", "--encoding", w / "enc.json", "--dump", w / "freqs.csv"]) == 0
-        assert formed == [5]
+        assert formed == []
 
 
     def test_explicit_fit_and_sample_form_no_half(self, workdir, monkeypatch):

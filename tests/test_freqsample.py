@@ -4,9 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import forbid_per_row_ptilde, pauli_half_encoding
+from conftest import forbid_per_row_ptilde, pauli_half_encoding, record_half_formations
 from oracles import chi_square_pvalue, dense_ptilde, fold_by_negation
-from rffdq import freqsample
+from rffdq import freqcore, freqsample
+from rffdq.bounds import alignment
 from rffdq.errors import CapacityError, ConfigError, DegenerateDistributionError
 from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
 from rffdq.freqsample import (
@@ -194,7 +195,47 @@ class TestPmfVector:
         # the stored probabilities, scattered, are bitwise the folded pmf
         fs = build_frequency_set(pauli_half_encoding(L_per_dim))
         for dist in (uniform_distribution(fs), _random_dist("explicit", fs, rng)):
-            assert dist.pmf_vector().tobytes() == dist._folded(fs.half).tobytes()
+            assert dist.pmf_vector().tobytes() == dist._folded(fs.locate(fs.half)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["explicit", "uniform", "uniform-product", "product", "mps"])
+    @pytest.mark.parametrize("lattice", range(4))
+    def test_alignment_reads_the_vector_bitwise(self, kind, lattice, rng):
+        fs = _lattices()[lattice]
+        for _ in range(5):
+            if kind.startswith("uniform"):
+                dist = uniform_distribution(fs, lazy=kind == "uniform-product")
+            else:
+                dist = _random_dist(kind, fs, rng)
+            k = int(rng.integers(1, fs.size + 1))
+            rows = rng.choice(fs.size, size=k, replace=False)
+            c = rng.uniform(-1.0, 1.0, k) + 1j * np.where(rows == 0, 0.0, rng.uniform(-1.0, 1.0, k))
+            f = TrigPolynomial.on_rows(fs, rows, c)
+            assert alignment(f, dist, dist.pmf_vector()) == alignment(f, dist)
+
+    @pytest.mark.parametrize("kind", ["explicit", "product", "mps"])
+    def test_enumeration_forms_no_half(self, kind, monkeypatch, count_enumerations, rng):
+        formed = record_half_formations(monkeypatch)
+
+        def fresh():
+            fs = build_frequency_set(pauli_half_encoding([1] * 6))
+            if kind == "explicit":
+                return ExplicitDistribution(fs, [np.zeros(6), np.eye(6)[2]], [0.25, 0.75])
+            return _random_dist(kind, fs, rng)
+
+        dist = fresh()
+        p = dist.pmf_vector()
+        assert dist.p_max().value == np.max(p)
+        # an explicit p_max reads the stored probabilities
+        assert count_enumerations == [kind] * (1 if kind == "explicit" else 2)
+        assert formed == []
+        assert p.tolist() == dist.pmf(dist.fs.half).tolist()
+        formed.clear()
+        monkeypatch.setattr(freqcore, "LATTICE_CAP", 3**6 - 1)
+        dist = fresh()
+        with pytest.raises(CapacityError, match=r"full lattice has 729 points \(cap 728\)"):
+            dist.pmf_vector()
+        dist.p_max()
+        assert formed == []
 
     def test_explicit_on_a_lazy_lattice(self):
         # 9^20 points: no half to fill, pmf still folds the stored values
