@@ -3,11 +3,17 @@
 Ground truth for the rest of the package: circuits built from Pauli-word
 rotations, fixed 1-2 qubit unitaries, and CNOT/CZ produce models
 f(x) = <0| U(x, theta)^dag O U(x, theta) |0>, whose Fourier support lies on
-the lattice generated by the encoding spectra.  On integer lattices the
-spectrum is extracted exactly by propagating the state once as one vector
-per state frequency (every encoding gate splits a vector into the halves
-that keep and that shift its frequency), then summing the Gram matrix of
-those vectors under the observable over frequency differences.
+the lattice generated by the encoding spectra.  A circuit compiles to a
+program in which each encoding runs in the eigenbasis of its Pauli word, as
+a move: one parity class of amplitudes keeps its state frequency and the
+other shifts by 2|s|.  The x-independent one-qubit gates between two other
+steps fuse into one Kronecker block, and each run of CNOT and CZ gates is
+one permutation.  On integer lattices the spectrum is extracted exactly by
+propagating the state once as one vector per state frequency, then summing
+the Gram matrix of those vectors under the observable over frequency
+differences.  The propagation is float64 when every block, rotation and
+fixed gate is real at the given theta, as for X encodings with Y rotations
+and CNOT ladders, and complex128 otherwise.
 """
 
 from __future__ import annotations
@@ -25,11 +31,17 @@ from .kernelmap import TrigPolynomial
 
 MAX_QUBITS = 14
 # frequency_components refuses a propagation buffer (prod_j K_j * 2^q
-# amplitudes of 16 B) above this many bytes: a 15 x 15 box at 14 qubits
-# takes 59 MB, three dimensions of ten scale-1 gates 2.4 GB
+# amplitudes of 8 B when real, 16 B when complex) above this many bytes: a
+# complex 15 x 15 box at 14 qubits takes 59 MB, three dimensions of ten
+# scale-1 gates 1.2 GB real
 PROPAGATION_BYTES = 1 << 28
 # spectral mass allowed off the encoding lattice before extraction fails
 LEAK_TOL = 1e-9
+# extracted coefficients at or below this magnitude leave the support: where
+# a coefficient is exactly zero, the Gram sum of unit-norm state vectors
+# leaves a rounding residue orders of magnitude below it, and a term that a
+# model carries is far above it
+SUPPORT_TOL = 1e-14
 _PAULIS = frozenset("IXYZ")
 
 
@@ -155,67 +167,199 @@ def _pauli_gather(word: str, qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return src, phases[src]
 
 
-def _apply_pauli(word, state: np.ndarray, factor: complex = 1.0) -> np.ndarray:
-    """factor * P applied to the last axis of ``state``, as a new array."""
-    src, phases = word
-    out = np.take(state, src, axis=-1)
-    out *= phases * factor
+_IDENTITY = np.eye(2, dtype=complex)
+# -i P, so that exp(-i a P) = cos(a) I + sin(a) (-i P)
+_MINUS_I_PAULI = {
+    "X": np.array([[0, -1j], [-1j, 0]]),
+    "Y": np.array([[0, -1], [1, 0]], dtype=complex),
+    "Z": np.array([[-1j, 0], [0, 1j]]),
+}
+# P = W Z W^dag with the eigenvectors of P as the columns of W, so an encoding
+# exp(-i s x P) is W exp(-i s x Z) W^dag; a Z factor needs no basis change
+_EIGENBASIS = {
+    "X": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
+    "Y": np.array([[1.0, 1.0], [1j, -1j]]) / math.sqrt(2.0),
+}
+_EIGENBASIS_DAG = {ch: w.conj().T for ch, w in _EIGENBASIS.items()}
+
+
+def _one_qubit_matrix(factors, theta: np.ndarray) -> np.ndarray:
+    """The product of a qubit's factors in time order: 2x2 matrices, and
+    (Pauli, index) pairs for the rotations exp(-i theta[index]/2 P)."""
+    out = _IDENTITY
+    for f in factors:
+        if isinstance(f, tuple):
+            ch, i = f
+            half = theta[i] / 2.0
+            f = math.cos(half) * _IDENTITY + math.sin(half) * _MINUS_I_PAULI[ch]
+        out = f @ out
     return out
 
 
-def _rotate(state: np.ndarray, pauli, angle: float) -> np.ndarray:
-    """exp(-i angle P) on the last axis, in place: cos(angle) psi - i
-    sin(angle) P psi; a ``None`` word is the identity."""
-    if pauli is None:
-        state *= np.exp(-1j * angle)
-        return state
-    turned = _apply_pauli(pauli, state, -1j * math.sin(angle))
-    state *= math.cos(angle)
-    state += turned
-    return state
+def _kron(mats: list) -> np.ndarray:
+    """Kronecker product of 2x2 matrices, the first on the most significant
+    index bit."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(out), 2 * len(out))
+    return out
+
+
+def _gemm(X: np.ndarray, a: int, b: int, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """U on qubits a..b-1 of the last axis of X (size 2^q), as one matrix
+    product batched over the leading axes; into ``out`` when given."""
+    q = X.shape[-1].bit_length() - 1
+    if b == q:  # the trailing qubits: multiply from the right
+        shape = X.shape[:-1] + (2**a, 2 ** (q - a))
+        left, right = X.reshape(shape), U.T
+    else:
+        shape = X.shape[:-1] + (2**a, 2 ** (b - a), 2 ** (q - b))
+        left, right = U, X.reshape(shape)
+    res = np.matmul(left, right, out=None if out is None else out.reshape(shape))
+    return res.reshape(X.shape)
+
+
+def _apply(kind: str, op, X: np.ndarray) -> None:
+    """One step other than a move on the last axis of X, in place, with no
+    temporary larger than X."""
+    if kind == "block":
+        first, *second = op
+        part = _gemm(X, *first)
+        if second:
+            _gemm(part, *second[0], out=X)
+        else:
+            X[...] = part
+    elif kind == "perm":
+        src, sign = op
+        if src is not None:
+            X[...] = np.take(X, src, axis=-1)
+        if sign is not None:
+            X *= sign
+    elif kind == "rot":
+        cos, src, turn = op
+        if src is None:
+            X *= cos + turn
+        else:
+            part = np.take(X, src, axis=-1)
+            part *= turn
+            X *= cos
+            X += part
+    else:  # a two-qubit fixed gate; op = (tensor, labels in, labels out)
+        U, before, after = op
+        psi = X.reshape(X.shape[:-1] + (2,) * len(before))
+        X[...] = np.einsum(U, [0, 1, 2, 3], psi, [..., *before], [..., *after]).reshape(X.shape)
 
 
 class CompiledCircuit:
-    """A circuit lowered once to index and phase arrays: a gather plus phase
-    vector per distinct Pauli word, one permutation-and-sign step per run of
-    consecutive CNOT and CZ gates, a reshaped tensor per fixed unitary.
+    """A circuit lowered once to a program of three kinds of step.
 
-    ``run`` simulates one input x; ``frequency_components`` propagates the
-    state for all x at once, one vector per state frequency.  Both apply
-    gates through ``_apply``, which acts on the last axis of any array.
+    - **move**: an encoding exp(-i s x_j P), run in the eigenbasis of its
+      Pauli word, where it is exp(-i s x_j Z_S) on the word's support S.  It
+      keeps the amplitudes with Z_S = sign(s) and gives the others the phase
+      e^{i 2|s| x_j}, after a global e^{-i|s| x_j}.  The basis change (H for
+      an X factor, a complex 2x2 for a Y factor) goes into the blocks on
+      either side.  The moved class is one half of the index bits for a
+      one-qubit word and a parity mask for a longer one.
+    - **block**: all x-independent one-qubit gates between two other steps
+      (rotations, fixed gates, basis changes) multiply into one 2x2 matrix
+      per qubit.  A block applies their Kronecker product as two matrix
+      products over two groups of qubits.  A qubit's pending matrix folds
+      into the last block when no later step touches that qubit, so the
+      basis changes of a layer of encodings share one block.
+    - **perm**, **rot**, **fixed**: a run of consecutive CNOT and CZ gates
+      is one permutation-and-sign step; a rotation on two or more qubits is
+      a gather plus phase vector; a two-qubit fixed gate is a 4x4 tensor.
+      Every pending one-qubit matrix is applied before such a step.
+
+    A rotation on no qubit is a global phase: ``run`` applies it and
+    ``frequency_components`` drops it.  ``run`` simulates one input x, with
+    each move a phase on its moved class; ``frequency_components``
+    propagates every x at once, with each move a shift of its moved class.
     """
 
     def __init__(self, c: Circuit):
         self.circuit = c
         q = c.qubits
         idx = np.arange(2**q)
-        words: dict = {}
         self.steps = []
+        self._phase_thetas = []  # identity rotations, global phases e^{-i theta/2}
+        pending: dict[int, list] = {}  # per qubit, one-qubit factors not yet in a block
+        touched: dict[int, int] = {}  # per qubit, the last step other than a block on it
+        blocks: list[int] = []
+
+        def flush(qubits):
+            for k in sorted(qubits):
+                factors = pending.pop(k, None)
+                if not factors:
+                    continue
+                if not blocks or touched.get(k, -1) > blocks[-1]:
+                    blocks.append(len(self.steps))
+                    self.steps.append(("block", None, {}))
+                self.steps[blocks[-1]][2].setdefault(k, []).extend(factors)
+
+        def emit(step, qubits):
+            touched.update((k, len(self.steps)) for k in qubits)
+            self.steps.append(step)
+
         for g in c.gates:
-            if g.kind in ("encode", "rot"):
-                if g.pauli not in words:
-                    identity = all(ch == "I" for ch in g.pauli)
-                    words[g.pauli] = None if identity else _pauli_gather(g.pauli, q)
-                self.steps.append((g.kind, g, words[g.pauli]))
-            elif g.kind in ("cnot", "cz"):
-                # a run of CNOT and CZ gates is one step: out = sign * in[src],
-                # either part None when it is the identity
-                if not self.steps or self.steps[-1][0] != "perm":
-                    self.steps.append(("perm", None, (None, None)))
-                src, sign = self.steps[-1][2]
-                cbit = (idx >> (q - 1 - g.control)) & 1
-                if g.kind == "cnot":
-                    perm = idx ^ (cbit << (q - 1 - g.target))
-                    src = perm if src is None else src[perm]
-                    sign = None if sign is None else sign[perm]
+            support = [k for k, ch in enumerate(g.pauli) if ch != "I"]
+            if g.kind == "encode":
+                for k in support:
+                    if g.pauli[k] != "Z":
+                        pending.setdefault(k, []).append(_EIGENBASIS_DAG[g.pauli[k]])
+                flush(support)
+                # amplitudes with Z_S = -sign(s) move: parity 1 for s > 0
+                bit = 1 if g.scale > 0 else 0
+                if len(support) == 1:
+                    (k,) = support
+                    moved = ((2**k, 2, 2 ** (q - 1 - k)), (..., bit, slice(None)))
                 else:
-                    flip = 1.0 - 2.0 * (cbit & ((idx >> (q - 1 - g.target)) & 1))
-                    sign = flip if sign is None else sign * flip
-                self.steps[-1] = ("perm", None, (src, sign))
-            elif g.kind == "fixed":
-                k = len(g.qubits)
-                Ut = np.asarray(g.matrix, dtype=complex).reshape([2] * (2 * k))
-                self.steps.append(("fixed", g, Ut))
+                    parity = sum((idx >> (q - 1 - k)) & 1 for k in support) & 1
+                    moved = ((2**q,), (..., parity == bit))
+                emit(("move", g, moved), support)
+                for k in support:
+                    if g.pauli[k] != "Z":
+                        pending[k] = [_EIGENBASIS[g.pauli[k]]]
+            elif g.kind == "rot" and len(support) < 2:
+                if support:
+                    pending.setdefault(support[0], []).append((g.pauli[support[0]], g.theta_index))
+                else:
+                    self._phase_thetas.append(g.theta_index)
+            elif g.kind == "fixed" and len(g.qubits) == 1:
+                pending.setdefault(g.qubits[0], []).append(np.asarray(g.matrix, dtype=complex))
+            else:
+                flush(list(pending))
+                if g.kind == "rot":
+                    src, phases = _pauli_gather(g.pauli, q)
+                    emit(("rot", g, (None if src[0] == 0 else src, phases)), support)
+                elif g.kind == "fixed":
+                    # einsum labels: 0, 1 out and 2, 3 in for the gate's qubits
+                    before, after = list(range(4, 4 + q)), list(range(4, 4 + q))
+                    for k, (row, col) in zip(g.qubits, [(0, 2), (1, 3)]):
+                        before[k], after[k] = col, row
+                    emit(("fixed", g, (before, after)), g.qubits)
+                else:
+                    # a run of CNOT and CZ gates is one step: out = sign * in[src],
+                    # either part None when it is the identity
+                    src, sign = self.steps.pop()[2] if self.steps and self.steps[-1][0] == "perm" else (None, None)
+                    cbit = (idx >> (q - 1 - g.control)) & 1
+                    if g.kind == "cnot":
+                        perm = idx ^ (cbit << (q - 1 - g.target))
+                        src = perm if src is None else src[perm]
+                        sign = None if sign is None else sign[perm]
+                    else:
+                        flip = 1.0 - 2.0 * (cbit & ((idx >> (q - 1 - g.target)) & 1))
+                        sign = flip if sign is None else sign * flip
+                    emit(("perm", None, (src, sign)), (g.control, g.target))
+        flush(list(pending))
+        # each block's qubits from the first to the last with a factor, in
+        # one group or, past two qubits, two groups of about equal size
+        for i in blocks:
+            factors = self.steps[i][2]
+            lo, hi = min(factors), max(factors) + 1
+            cuts = [lo, hi] if hi - lo <= 2 else [lo, (lo + hi) // 2, hi]
+            groups = [(a, b, [factors.get(k, []) for k in range(a, b)]) for a, b in zip(cuts, cuts[1:])]
+            self.steps[i] = ("block", None, groups)
 
     def _theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).ravel()
@@ -227,30 +371,45 @@ class CompiledCircuit:
             raise ConfigError(f"parameter theta[{i}] is not finite ({theta[i]})")
         return theta
 
-    def _apply(self, step, state: np.ndarray, theta: np.ndarray, x) -> np.ndarray:
-        """One gate on the last axis of ``state``, in place where the gate
-        allows; returns the result."""
-        kind, g, op = step
-        if kind == "encode":
-            return _rotate(state, op, g.scale * x[g.dim - 1])
-        if kind == "rot":
-            return _rotate(state, op, theta[g.theta_index] / 2.0)
-        if kind == "perm":
-            src, sign = op
-            if src is not None:
-                state = np.take(state, src, axis=-1)
-            if sign is not None:
-                state *= sign
-            return state
-        lead = state.ndim - 1
-        k = len(g.qubits)
-        axes = [lead + a for a in g.qubits]
-        psi = state.reshape(state.shape[:lead] + (2,) * self.circuit.qubits)
-        psi = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), axes))
-        return np.moveaxis(psi, list(range(k)), axes).reshape(state.shape)
+    def _operands(self, theta: np.ndarray) -> tuple[list, bool]:
+        """Each step's numeric operand at theta, and whether every block
+        matrix, rotation phase and fixed gate is real.  When they all are,
+        the operands are returned as float arrays."""
+        ops, complex_parts = [], []
+        for kind, g, data in self.steps:
+            if kind == "block":
+                op = [
+                    (a, b, _kron([_one_qubit_matrix(f, theta) for f in factors]))
+                    for a, b, factors in data
+                ]
+                complex_parts += [U for _, _, U in op]
+            elif kind == "rot":
+                half = theta[g.theta_index] / 2.0
+                src, phases = data
+                op = (math.cos(half), src, -1j * math.sin(half) * phases)
+                complex_parts.append(op[2])
+            elif kind == "fixed":
+                op = (np.asarray(g.matrix, dtype=complex).reshape(2, 2, 2, 2), *data)
+                complex_parts.append(op[0])
+            else:
+                op = data
+            ops.append(op)
+        if any(part.imag.any() for part in complex_parts):
+            return ops, False
+        for i, (kind, _, _) in enumerate(self.steps):
+            if kind == "block":
+                ops[i] = [(a, b, U.real) for a, b, U in ops[i]]
+            elif kind == "rot":
+                cos, src, turn = ops[i]
+                ops[i] = (cos, src, turn.real)
+            elif kind == "fixed":
+                U, *labels = ops[i]
+                ops[i] = (U.real, *labels)
+        return ops, True
 
     def run(self, theta, x) -> np.ndarray:
-        """Final statevector for parameters theta and input x."""
+        """Final statevector for parameters theta and input x, global phase
+        included."""
         c = self.circuit
         theta = self._theta(theta)
         x = np.asarray(x, dtype=float).ravel()
@@ -258,8 +417,16 @@ class CompiledCircuit:
             raise ValueError(f"need {c.data_dim} input components, got {x.size}")
         state = np.zeros(2**c.qubits, dtype=complex)
         state[0] = 1.0
-        for step in self.steps:
-            state = self._apply(step, state, theta, x)
+        for (kind, g, data), op in zip(self.steps, self._operands(theta)[0]):
+            if kind == "move":
+                shape, moved = data
+                angle = abs(g.scale) * x[g.dim - 1]
+                state *= np.exp(-1j * angle)
+                state.reshape(shape)[moved] *= np.exp(2j * angle)
+            else:
+                _apply(kind, op, state)
+        if self._phase_thetas:
+            state *= np.exp(-0.5j * theta[self._phase_thetas].sum())
         return state
 
     def frequency_components(self, theta) -> np.ndarray:
@@ -267,58 +434,56 @@ class CompiledCircuit:
         integer vectors k >= 0, with a global phase phi that no expectation
         sees: an array of shape (K_1, ..., K_d, 2^q) holding psi_k.
 
-        Each encoding gate is exp(-i s x_j P) = e^{-i|s|x_j} (Pi_stay + e^{i m
-        x_j} Pi_move) with m = 2|s| and Pi_stay = (I + sign(s) P)/2, so it
-        keeps one half of psi_k at k and moves the other to k + m along axis
-        j.  Requires every 2|s| to be an integer.  The buffer is allocated
-        once at its final shape and updated in place, one slice of the
-        occupied box at a time, so no temporary is larger than a slice.  A
-        buffer above ``PROPAGATION_BYTES`` is a CapacityError, raised before
-        anything is allocated.
+        A move along axis j shifts its moved class from k to k + m, m =
+        2|s|, with no arithmetic; requires every 2|s| to be an integer.  The
+        buffer is float64 when every operand is real (``_operands``) and
+        complex128 otherwise.  It is allocated once at its final shape and
+        updated in place, one slice of the occupied box at a time, so no
+        temporary is larger than a slice.  A buffer above
+        ``PROPAGATION_BYTES`` is a CapacityError, raised before anything is
+        allocated.
         """
         c = self.circuit
-        theta = self._theta(theta)
+        ops, real = self._operands(self._theta(theta))
         d = max(c.data_dim, 1)
-        shifts = [round(2.0 * abs(g.scale)) if kind == "encode" else 0 for kind, g, _ in self.steps]
+        shifts = [round(2.0 * abs(g.scale)) if kind == "move" else 0 for kind, g, _ in self.steps]
         sizes = [1] * d
         for (kind, g, _), m in zip(self.steps, shifts):
-            if kind == "encode":
+            if kind == "move":
                 sizes[g.dim - 1] += m
-        nbytes = 16 * math.prod(sizes) * 2**c.qubits
+        dtype = np.dtype(float if real else complex)
+        nbytes = dtype.itemsize * math.prod(sizes) * 2**c.qubits
         if nbytes > PROPAGATION_BYTES:
             raise CapacityError(
                 f"propagating {' x '.join(map(str, sizes))} state frequencies of {c.qubits} qubits "
-                f"needs {nbytes / 2**20:.0f} MiB, above PROPAGATION_BYTES ({PROPAGATION_BYTES / 2**20:.0f} MiB)"
+                f"({dtype.itemsize} B amplitudes) needs {nbytes / 2**20:.0f} MiB, "
+                f"above PROPAGATION_BYTES ({PROPAGATION_BYTES / 2**20:.0f} MiB)"
             )
-        buf = np.zeros((*sizes, 2**c.qubits), dtype=complex)
+        buf = np.zeros((*sizes, 2**c.qubits), dtype=dtype)
         buf[(0,) * (d + 1)] = 1.0
         hi = [0] * d  # highest occupied index per axis
-        for step, m in zip(self.steps, shifts):
-            kind, g, op = step
+        for (kind, g, data), op, m in zip(self.steps, ops, shifts):
             box = tuple(slice(0, h + 1) for h in hi)
-            if kind == "encode":
+            if kind == "move":
                 if m == 0:
                     continue
                 j = g.dim - 1
-                sign = 1.0 if g.scale > 0 else -1.0
-                # descending, so each target row is done before it receives
+                shape, moved = data
+
+                def row(t):
+                    part = buf[box[:j] + (t,) + box[j + 1 :]]
+                    return part.reshape(part.shape[:-1] + shape)
+
+                # descending, so each row is read before it is overwritten
                 for t in range(hi[j], -1, -1):
-                    here = box[:j] + (t,) + box[j + 1 :]
-                    part = buf[here]
-                    moved = _apply_pauli(op, part, -sign)
-                    moved += part
-                    moved *= 0.5
-                    buf[box[:j] + (t + m,) + box[j + 1 :]] += moved
-                    part -= moved
+                    row(t + m)[moved] = row(t)[moved]
+                for t in range(min(m, hi[j] + 1)):
+                    row(t)[moved] = 0.0
                 hi[j] += m
             else:
                 axis = int(np.argmax(hi))
                 for t in range(hi[axis] + 1):
-                    here = box[:axis] + (t,) + box[axis + 1 :]
-                    part = buf[here]
-                    out = self._apply(step, part, theta, None)
-                    if out is not part:
-                        buf[here] = out
+                    _apply(kind, op, buf[box[:axis] + (t,) + box[axis + 1 :]])
         return buf
 
 
@@ -327,7 +492,9 @@ class CompiledObservable:
 
     Terms whose words flip the same qubits (one X-mask) gather from the same
     source indices, so each such group is one gather and one summed phase
-    vector; the group of I/Z-only words, mask 0, needs no gather.
+    vector; the group of I/Z-only words, mask 0, needs no gather.  A summed
+    phase vector with no imaginary part (words of I, Z and X, or Y in pairs)
+    is stored as float, so real states under it stay real.
     """
 
     def __init__(self, obs: Observable, qubits: int):
@@ -341,18 +508,19 @@ class CompiledObservable:
                 summed += coef * phases
             else:
                 groups[mask] = (None if mask == 0 else src, coef * phases)
-        self.groups = list(groups.values())
+        self.groups = [
+            (src, phases if phases.imag.any() else np.ascontiguousarray(phases.real))
+            for src, phases in groups.values()
+        ]
+        self.dtype = np.result_type(*(phases for _, phases in self.groups))
 
-    def apply(self, states: np.ndarray) -> np.ndarray:
-        """O applied to the last axis of ``states``, as a new array."""
-        out = None
-        for src, phases in self.groups:
-            part = states * phases if src is None else _apply_pauli((src, phases), states)
-            if out is None:
-                out = part
-            else:
-                out += part
-        return out
+    def apply(self, states: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Amplitudes ``cols`` of O applied to the last axis of ``states``, as
+        a new array."""
+        return sum(
+            (states[..., cols] if src is None else np.take(states, src[cols], axis=-1)) * phases[cols]
+            for src, phases in self.groups
+        )
 
     def expectation(self, state: np.ndarray) -> float:
         val = np.vdot(state, self.apply(state))
@@ -361,15 +529,16 @@ class CompiledObservable:
         return float(val.real)
 
     def gram(self, rows: np.ndarray, block: int) -> np.ndarray:
-        """G[a, b] = <rows_a|O|rows_b> for the rows of a 2-d array, with O
-        applied to ``block`` rows at a time."""
-        K = rows.shape[0]
-        out = np.empty((K, K), dtype=complex)
-        for r in range(0, K, block):
-            applied = self.apply(rows[r : r + block])
-            # rows @ conj(O chunk)^T is the conjugate of the wanted columns
-            out[:, r : r + block] = np.conj(rows @ np.conj(applied).T)
-        return out
+        """G[a, b] = <rows_a|O|rows_b> for the rows of a 2-d array, summed
+        over ``block`` amplitudes at a time; real when the rows and every
+        phase vector are."""
+        K, N = rows.shape
+        acc = np.zeros((K, K), dtype=np.result_type(rows, self.dtype))
+        for lo in range(0, N, block):
+            cols = slice(lo, lo + block)
+            # rows @ conj(O rows)^T is the conjugate of G
+            acc += rows[:, cols] @ np.conj(self.apply(rows, cols)).T
+        return np.conj(acc)
 
 
 def evaluate_model(c: Circuit, obs: Observable, theta, x) -> float:
@@ -396,7 +565,8 @@ def extract_trig_polynomial(c: Circuit, obs: Observable, theta) -> TrigPolynomia
     The state is propagated once as one vector psi_k per state frequency
     (``CompiledCircuit.frequency_components``), so f(x) = sum_{k, k'}
     e^{i (k - k').x} <psi_k'|O|psi_k> and c_w sums the Gram matrix of the
-    psi_k over index differences k - k' = w.  Requires an integer frequency
+    psi_k over index differences k - k' = w: one ``bincount`` when the state
+    and the observable are real, two otherwise.  Requires an integer frequency
     lattice.  Mass off the encoding lattice above ``LEAK_TOL``, or a
     pair c_w, conj(c_-w) more than 1e-10 apart, raises FloatingPointError.
     """
@@ -411,14 +581,17 @@ def extract_trig_polynomial(c: Circuit, obs: Observable, theta) -> TrigPolynomia
     psi = CompiledCircuit(c).frequency_components(theta)
     sizes = psi.shape[:-1]
     rows = psi.reshape(-1, psi.shape[-1])
-    gram = CompiledObservable(obs, c.qubits).gram(rows, rows.shape[0] // max(sizes))
+    # one slice of the buffer: K / max_j K_j rows of 2^q amplitudes, or all K rows of
+    # 2^q / max_j K_j amplitudes
+    gram = CompiledObservable(obs, c.qubits).gram(rows, max(1, rows.shape[1] // max(sizes)))
     # c_w on the box |w_j| <= K_j - 1, stored at w + K - 1; gram[k', k] adds to w = k - k'
     reach = np.asarray(sizes) - 1
     box = tuple(2 * reach + 1)
     index = np.indices(sizes).reshape(len(sizes), -1)
     pos = np.ravel_multi_index(tuple(k[None, :] - k[:, None] + r for k, r in zip(index, reach)), box)
     coeff = np.bincount(pos.ravel(), weights=gram.real.ravel(), minlength=math.prod(box))
-    coeff = coeff + 1j * np.bincount(pos.ravel(), weights=gram.imag.ravel(), minlength=coeff.size)
+    if np.iscomplexobj(gram):
+        coeff = coeff + 1j * np.bincount(pos.ravel(), weights=gram.imag.ravel(), minlength=coeff.size)
     coeff = coeff.reshape(box)
 
     members = [
@@ -443,7 +616,7 @@ def extract_trig_polynomial(c: Circuit, obs: Observable, theta) -> TrigPolynomia
             f"{complex(cpos[i])} vs conj({complex(cneg[i])})"
         )
     cval = 0.5 * (cpos + np.conj(cneg))
-    keep = np.flatnonzero(np.abs(cval) > 1e-14)
+    keep = np.flatnonzero(np.abs(cval) > SUPPORT_TOL)
     return TrigPolynomial.on_rows(fs, keep, cval[keep])
 
 

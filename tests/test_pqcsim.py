@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,11 +125,15 @@ class TestCompiledObservable:
         compiled = CompiledObservable(obs, 3)
         assert len(compiled.groups) == 4
         assert [src is None for src, _ in compiled.groups].count(True) == 1
+        # masks 000 and 001 have real phases, 100 and 110 imaginary ones
+        assert sorted(phases.dtype.kind for _, phases in compiled.groups) == ["c", "c", "f", "f"]
         dense = dense_observable(obs)
-        rows = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
-        for block in (1, 2, 5):
-            want = np.conj(rows) @ dense @ rows.T
-            assert np.max(np.abs(compiled.gram(rows, block) - want)) <= 1e-12
+        real_rows = rng.normal(size=(5, 8))
+        rows = real_rows + 1j * rng.normal(size=(5, 8))
+        for block in (1, 3, 8):
+            for r in (rows, real_rows):
+                want = np.conj(r) @ dense @ r.T
+                assert np.max(np.abs(compiled.gram(r, block) - want)) <= 1e-12
         for row in rows:
             psi = row / np.linalg.norm(row)
             want = float(np.real(np.vdot(psi, dense @ psi)))
@@ -377,24 +383,36 @@ class TestValidation:
         assert evaluate_model(c, Observable([(1.0, "ZZ")]), [], []) == pytest.approx(1.0)
 
 
-def _layered(q, entanglers, blocked):
-    """Two layers of X encodings over two dimensions, Y rotations and a run
-    of entangling gates; ``blocked`` puts an identity rotation at theta = 0
-    between each pair of entanglers, which keeps them from being fused."""
+def _layered(q, entanglers, blocked=False, layers=2):
+    """Layers of X encodings over two dimensions, Y rotations and a run of
+    entangling gates; ``blocked`` puts a two-qubit Z rotation at theta = 0,
+    a step of its own, between each pair of entanglers, which keeps them
+    from being fused."""
 
     def word(k, ch):
         return "".join(ch if i == k else "I" for i in range(q))
 
-    gates, count = [], 2 * q
-    for layer in range(2):
+    gates, count = [], layers * q
+    for layer in range(layers):
         gates += [GateSpec("encode", pauli=word(k, "X"), scale=0.5, dim=k % 2 + 1) for k in range(q)]
         gates += [GateSpec("rot", pauli=word(k, "Y"), theta_index=layer * q + k) for k in range(q)]
         for i, (kind, c, t) in enumerate(entanglers):
             if blocked and i:
-                gates.append(GateSpec("rot", pauli="I" * q, theta_index=count))
+                gates.append(GateSpec("rot", pauli="ZZ" + "I" * (q - 2), theta_index=count))
                 count += 1
             gates.append(GateSpec(kind, control=c, target=t))
     return Circuit(q, gates), count
+
+
+def benchmark_kind_circuit(q=10, layers=2):
+    """The benchmark circuit's gate kinds: layers with a CNOT ladder, and
+    the observable Z_0 + Z_{q-1}/2."""
+    circuit, _ = _layered(q, [("cnot", k, k + 1) for k in range(q - 1)], layers=layers)
+    return circuit, Observable([(1.0, "Z" + "I" * (q - 1)), (0.5, "I" * (q - 1) + "Z")])
+
+
+def kinds(compiled):
+    return [kind for kind, _, _ in compiled.steps]
 
 
 class TestEntanglerFusion:
@@ -412,11 +430,16 @@ class TestEntanglerFusion:
         theta = np.zeros(count)
         theta[:12] = gen.uniform(-np.pi, np.pi, 12)
         compiled = [CompiledCircuit(fused), CompiledCircuit(blocked)]
-        kinds = [[kind for kind, _, _ in c.steps] for c in compiled]
-        assert kinds[0].count("perm") == 2 and kinds[1].count("perm") == 2 * len(entanglers)
-        # exact equality: the identity rotations multiply by 1 + 0j, which
-        # may only flip the sign of a zero
+        steps = [kinds(c) for c in compiled]
+        assert steps[0].count("perm") == 2 and steps[1].count("perm") == 2 * len(entanglers)
+        # the blocked program is the fused one with each run split by rotations
+        assert [k for k in steps[1] if k != "rot"] == [
+            k for k in steps[0] for _ in range(len(entanglers) if k == "perm" else 1)
+        ]
+        # exact equality: the blockers multiply by 1 - 0j, which may only
+        # flip the sign of a zero
         psi = [c.frequency_components(theta[: c.circuit.theta_count]) for c in compiled]
+        assert psi[0].dtype == psi[1].dtype == np.float64
         assert np.array_equal(psi[0], psi[1])
         for x in gen.uniform(0, 2 * np.pi, (3, 2)):
             runs = [c.run(theta[: c.circuit.theta_count], x) for c in compiled]
@@ -426,20 +449,86 @@ class TestEntanglerFusion:
         assert np.max(np.abs(compiled[0].run(theta[:12], x) - want)) <= 1e-12
 
 
+class TestEigenbasisProgram:
+    def test_benchmark_kind_circuit_propagates_in_float64(self):
+        gen = np.random.default_rng(20)
+        c, obs = benchmark_kind_circuit()
+        theta = gen.uniform(-np.pi / 4, np.pi / 4, c.theta_count)
+        compiled = CompiledCircuit(c)
+        # per layer: one block of basis changes, ten moves, one block of
+        # rotations fused with the basis changes back, one permutation
+        layer = ["block"] + ["move"] * 10 + ["block", "perm"]
+        assert kinds(compiled) == 2 * layer
+        psi = compiled.frequency_components(theta)
+        assert psi.dtype == np.float64 and psi.shape == (11, 11, 2**10)
+        rows = psi.reshape(-1, 2**10)
+        assert CompiledObservable(obs, c.qubits).gram(rows, 93).dtype == np.float64
+        poly = extract_trig_polynomial(c, obs, theta)
+        pts = gen.uniform(0, 2 * np.pi, (12, 2))
+        direct = np.array([evaluate_model(c, obs, theta, p) for p in pts])
+        assert np.max(np.abs(direct - poly.evaluate(pts))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            GateSpec("rot", pauli="IZI", theta_index=0),
+            GateSpec("rot", pauli="XII", theta_index=0),
+            GateSpec("encode", pauli="IIY", scale=0.5, dim=2),
+            GateSpec("fixed", qubits=(1,), matrix=np.diag([1.0, 1j])),
+        ],
+        ids=["rz", "rx", "y-encoding", "complex-fixed"],
+    )
+    def test_complex_gates_propagate_in_complex128(self, extra):
+        gen = np.random.default_rng(21)
+        base, _ = benchmark_kind_circuit(q=3, layers=2)
+        gates = list(base.gates)
+        gates.insert(4, extra)  # inside the first layer
+        c = Circuit(3, gates)
+        obs = Observable([(1.0, "ZII"), (-0.6, "IXZ")])
+        theta = gen.uniform(0, 2 * np.pi, c.theta_count)
+        assert CompiledCircuit(c).frequency_components(theta).dtype == np.complex128
+        assert_matches_dft(c, obs, theta)
+        # the same circuit without the complex gate stays real
+        assert CompiledCircuit(base).frequency_components(theta[:6]).dtype == np.float64
+
+    def test_multi_qubit_words_move_a_parity_class(self):
+        # a three-qubit word moves a parity class; a negative scale moves
+        # the other class
+        c = Circuit(
+            3,
+            [
+                GateSpec("encode", pauli="XII", scale=0.5, dim=1),
+                GateSpec("encode", pauli="XII", scale=-1.0, dim=1),
+                GateSpec("encode", pauli="XYZ", scale=0.5, dim=2),
+                GateSpec("rot", pauli="YXI", theta_index=0),
+                GateSpec("encode", pauli="IZZ", scale=-0.5, dim=1),
+            ],
+        )
+        compiled = CompiledCircuit(c)
+        obs = Observable([(1.0, "ZZI"), (0.4, "XIY")])
+        theta = [0.7]
+        assert_matches_dft(c, obs, theta)
+        gen = np.random.default_rng(22)
+        for x in gen.uniform(0, 2 * np.pi, (3, 2)):
+            assert np.max(np.abs(compiled.run(theta, x) - dense_statevector(c, theta, x))) <= 1e-12
+
+
 class TestPropagationCap:
     def test_refused_before_allocating(self, monkeypatch):
-        # d = 3 with ten scale-1 gates per dimension: 21^3 x 2^14 amplitudes, 2.4 GB
+        # d = 3 with ten scale-1 gates per dimension: 21^3 x 2^14 real amplitudes, 1.2 GB
         word = "X" + "I" * 13
         gates = [GateSpec("encode", pauli=word, scale=1.0, dim=j + 1) for j in range(3) for _ in range(10)]
         compiled = CompiledCircuit(Circuit(14, gates))
         zeros = np.zeros
 
-        def capped_zeros(shape, *args, **kwargs):
-            assert 16 * np.prod(shape) <= pqcsim.PROPAGATION_BYTES, "allocated past the cap"
-            return zeros(shape, *args, **kwargs)
+        def capped_zeros(shape, dtype=float, *args, **kwargs):
+            assert np.dtype(dtype).itemsize * np.prod(shape) <= pqcsim.PROPAGATION_BYTES, "allocated past the cap"
+            return zeros(shape, dtype, *args, **kwargs)
 
         monkeypatch.setattr(np, "zeros", capped_zeros)
-        with pytest.raises(CapacityError, match=r"21 x 21 x 21 state frequencies of 14 qubits needs 2315 MiB"):
+        with pytest.raises(
+            CapacityError, match=r"21 x 21 x 21 state frequencies of 14 qubits \(8 B amplitudes\) needs 1158 MiB"
+        ):
             compiled.frequency_components([])
 
     def test_lattice_beyond_its_cap_is_refused_before_propagating(self, monkeypatch):
@@ -452,14 +541,47 @@ class TestPropagationCap:
             extract_trig_polynomial(cosine_circuit(), Z_OBS, [])
 
     def test_cap_is_inclusive(self, monkeypatch):
-        circuit, _ = _layered(4, [("cnot", 0, 1)], blocked=False)
-        need = 16 * 5 * 5 * 2**4  # four half-scale gates per dimension
-        monkeypatch.setattr(pqcsim, "PROPAGATION_BYTES", need)
-        theta = np.zeros(circuit.theta_count)
-        assert CompiledCircuit(circuit).frequency_components(theta).nbytes == need
-        monkeypatch.setattr(pqcsim, "PROPAGATION_BYTES", need - 1)
-        with pytest.raises(CapacityError):
-            CompiledCircuit(circuit).frequency_components(theta)
+        real, _ = _layered(4, [("cnot", 0, 1)], blocked=False)
+        # the same circuit with a Z rotation, which makes it complex
+        complex_ = Circuit(4, real.gates + [GateSpec("rot", pauli="ZIII", theta_index=0)])
+        for circuit, itemsize in ((real, 8), (complex_, 16)):
+            need = itemsize * 5 * 5 * 2**4  # four half-scale gates per dimension
+            monkeypatch.setattr(pqcsim, "PROPAGATION_BYTES", need)
+            theta = np.full(circuit.theta_count, 0.3)
+            psi = CompiledCircuit(circuit).frequency_components(theta)
+            assert psi.nbytes == need and psi.dtype.itemsize == itemsize
+            monkeypatch.setattr(pqcsim, "PROPAGATION_BYTES", need - 1)
+            with pytest.raises(CapacityError, match=f"{itemsize} B amplitudes"):
+                CompiledCircuit(circuit).frequency_components(theta)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_peak_is_the_buffer_plus_one_slice(self, kind):
+        # 12 qubits, three layers: a 19 x 19 box of 2^12 amplitudes, 11.8 MB
+        # real.  The complex variant adds Y and three-qubit encodings (a
+        # parity-mask move), a two-qubit rotation and a two-qubit fixed gate.
+        c, _ = benchmark_kind_circuit(q=12, layers=3)
+        gates = list(c.gates)
+        if kind == "complex":
+            gates[13:13] = [
+                GateSpec("encode", pauli="IY" + "I" * 10, scale=-0.5, dim=1),
+                GateSpec("encode", pauli="XIZY" + "I" * 8, scale=0.5, dim=2),
+                GateSpec("rot", pauli="I" * 10 + "XX", theta_index=0),
+                GateSpec("fixed", qubits=(5, 2), matrix=random_unitary(np.random.default_rng(9), 4)),
+                GateSpec("cz", control=3, target=7),
+            ]
+        c = Circuit(12, gates)
+        compiled = CompiledCircuit(c)
+        theta = np.random.default_rng(23).uniform(-np.pi, np.pi, c.theta_count)
+        tracemalloc.start()
+        try:
+            psi = compiled.frequency_components(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.dtype == (np.float64 if kind == "real" else np.complex128)
+        one_slice = psi.nbytes // max(psi.shape[:-1])
+        assert psi.nbytes > 8 * 2**20
+        assert peak <= psi.nbytes + one_slice + 2**20
 
 
 class TestCircuitJson:
