@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigError, NonIntegerFrequencyError
-from .freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
+from .freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set, is_integer_valued
 from .kernelmap import TrigPolynomial
 
 MAX_QUBITS = 14
@@ -435,7 +435,8 @@ class CompiledCircuit:
         sees: an array of shape (K_1, ..., K_d, 2^q) holding psi_k.
 
         A move along axis j shifts its moved class from k to k + m, m =
-        2|s|, with no arithmetic; requires every 2|s| to be an integer.  The
+        2|s|, with no arithmetic; a 2|s| farther than freqcore's integer
+        tolerance from an integer raises NonIntegerFrequencyError.  The
         buffer is float64 when every operand is real (``_operands``) and
         complex128 otherwise.  It is allocated once at its final shape and
         updated in place, one slice of the occupied box at a time, so no
@@ -444,9 +445,17 @@ class CompiledCircuit:
         allocated.
         """
         c = self.circuit
+        twice = [2.0 * abs(g.scale) if kind == "move" else 0.0 for kind, g, _ in self.steps]
+        if not is_integer_valued(twice):
+            i = next(i for i, m in enumerate(twice) if not is_integer_valued(m))
+            g = self.steps[i][1]
+            raise NonIntegerFrequencyError(
+                f"encoding gate {c.gates.index(g)} ({g.pauli} on x_{g.dim}, scale {g.scale}) "
+                f"shifts state frequencies by 2|s| = {twice[i]}, not an integer"
+            )
+        shifts = [round(m) for m in twice]
         ops, real = self._operands(self._theta(theta))
         d = max(c.data_dim, 1)
-        shifts = [round(2.0 * abs(g.scale)) if kind == "move" else 0 for kind, g, _ in self.steps]
         sizes = [1] * d
         for (kind, g, _), m in zip(self.steps, shifts):
             if kind == "move":

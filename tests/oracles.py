@@ -51,13 +51,13 @@ def oracle_half(per_dim_sets):
 
 def dense_ptilde(cores):
     """The tensor-train pmf over the full lattice as a dense tensor: the
-    cores contracted with one ``np.einsum`` each, scaled to total mass one.
-    A product distribution is the train of its per-dimension vectors as
-    (1, n, 1) cores."""
+    cores contracted from the last one with one ``np.einsum`` each, scaled
+    to total mass one.  A product distribution is the train of its
+    per-dimension vectors as (1, n, 1) cores."""
     full = np.ones(1)
-    for core in cores:
-        full = np.einsum("...a,aib->...ib", full, core)
-    full = full[..., 0]
+    for core in reversed(cores):
+        full = np.einsum("aib,b...->ai...", core, full)
+    full = full[0]
     return full / full.sum()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -189,6 +190,22 @@ class TestPmfVector:
             tracemalloc.stop()
         assert peak <= 4 * fs.full_size * 8 + 1_000_000
 
+    @pytest.mark.parametrize("bond", [1, 2, 4])
+    def test_enumeration_stays_within_the_enumerable_estimate(self, bond, rng):
+        # 5^8 points: the peak is at most the grid that ``enumerable``
+        # charges against ENUMERATE_BYTES, 8 * full_size * bond B, plus one
+        # more grid of 8 * full_size B
+        fs = build_frequency_set(pauli_half_encoding([2] * 8))
+        dist = _random_dist("mps", fs, rng, bond=bond)
+        assert dist.bond == bond and dist.enumerable
+        tracemalloc.start()
+        try:
+            dist.pmf_vector()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * fs.full_size * bond + 8 * fs.full_size
+
     @pytest.mark.parametrize("L_per_dim", [[6, 6], [10, 10], [2] * 6])
     def test_explicit_fill_is_the_fold(self, L_per_dim, rng):
         # the benchmark lattices (sweep_lowd, circuit_oracle, sweep_highdim):
@@ -203,7 +220,8 @@ class TestPmfVector:
         fs = _lattices()[lattice]
         for _ in range(5):
             if kind.startswith("uniform"):
-                dist = uniform_distribution(fs, lazy=kind == "uniform-product")
+                variant = "product" if kind == "uniform-product" else "explicit"
+                dist = uniform_distribution(fs, variant=variant)
             else:
                 dist = _random_dist(kind, fs, rng)
             k = int(rng.integers(1, fs.size + 1))
@@ -311,7 +329,7 @@ class TestUniform:
         assert all(dist.pmf(row) == pytest.approx(0.2) for row in fs_1d_5.half)
 
     def test_lazy_uniform_fold_arithmetic(self, fs_2d):
-        dist = uniform_distribution(fs_2d, lazy=True)
+        dist = uniform_distribution(fs_2d, variant="product")
         assert dist.uniform_variant == "product"
         assert dist.pmf((0.0, 0.0)) == pytest.approx(1 / 9)
         for row in fs_2d.half[1:]:
@@ -324,7 +342,7 @@ class TestUniform:
 
     def test_lazy_pmax_bound(self):
         fs = build_frequency_set(pauli_half_encoding([1] * 5))
-        dist = uniform_distribution(fs, lazy=True)
+        dist = uniform_distribution(fs, variant="product")
         n_min = min(f.size for f in fs.per_dimension_freqs)
         assert dist.p_max().value <= 2.0 / n_min**fs.d + 1e-15
 
@@ -349,7 +367,7 @@ class TestSampling:
                 fs_2d.position(row)  # raises if not canonical / off lattice
 
     def test_product_tv_against_exact(self, fs_2d):
-        dist = uniform_distribution(fs_2d, lazy=True)
+        dist = uniform_distribution(fs_2d, variant="product")
         samples = dist.sample(SeededRng(17), 100_000)
         assert empirical_tv(samples, dist) <= 0.02
 
@@ -369,6 +387,16 @@ class TestSampling:
         observed = [counts.get(tuple(row), 0) for row in fs_1d_5.half]
         probs = dist.pmf_vector()
         assert chi_square_pvalue(observed, probs) > 0.001
+
+    def test_mps_chi_square_at_bond_3(self, rng):
+        # three dimensions joined by bond 3, so each conditional depends on
+        # the prefix drawn before it
+        fs = build_frequency_set(pauli_half_encoding([2, 1, 2]))
+        dist = _random_dist("mps", fs, rng, bond=3)
+        samples = dist.sample(SeededRng(778), 100_000)
+        counts = Counter(map(tuple, samples.tolist()))
+        observed = [counts.get(tuple(row), 0) for row in fs.half]
+        assert chi_square_pvalue(observed, dist.pmf_vector()) > 0.001
 
     def test_m_validation(self, fs_2d):
         dist = uniform_distribution(fs_2d)
@@ -404,6 +432,17 @@ class TestMps:
                 point = (freqs[k1], fs_2d.per_dimension_freqs[1][k2])
                 got = mps._tilde(fs_2d.locate([point]))[0]
                 assert got == pytest.approx(joint[k1, k2] / total)
+
+    def test_marginal_matches_dense_conditionals_at_bond_3(self, rng):
+        fs = build_frequency_set(pauli_half_encoding([2, 1, 2]))
+        freqs = fs.per_dimension_freqs
+        dist = _random_dist("mps", fs, rng, bond=3)
+        tilde = dense_ptilde(dist.cores)
+        for j in range(fs.d):
+            for prefix in itertools.product(*(range(f.size) for f in freqs[:j])):
+                joint = tilde[prefix].reshape(freqs[j].size, -1).sum(axis=1)
+                got = dist.marginal(j, [freqs[i][k] for i, k in enumerate(prefix)])
+                assert np.allclose(got, joint / joint.sum(), rtol=1e-13, atol=0.0)
 
     def test_uniform_cores_give_uniform_marginal(self, fs_2d):
         cores = [np.ones((1, 3, 2)), np.ones((2, 3, 1))]

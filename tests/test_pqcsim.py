@@ -192,6 +192,22 @@ class TestExtractSpectrum:
         with pytest.raises(NonIntegerFrequencyError):
             extract_trig_polynomial(c, Z_OBS, [])
 
+    def test_components_refuse_a_non_integer_shift(self):
+        # rounding 2|s| would give scale 0.3 the components of scale 0.5
+        def components(scale):
+            c = Circuit(1, [GateSpec("encode", pauli="X", scale=scale, dim=1)])
+            return CompiledCircuit(c).frequency_components([])
+
+        with pytest.raises(NonIntegerFrequencyError, match=r"gate 0 \(X on x_1, scale 0.3\)"):
+            components(0.3)
+        with pytest.raises(NonIntegerFrequencyError, match="gate 1"):
+            gates = [GateSpec("encode", pauli="X", scale=s, dim=1) for s in (-1.0, -0.75)]
+            CompiledCircuit(Circuit(1, gates)).frequency_components([])
+        # e^{-i s x X}|0> = e^{-i|s|x} ((1 + e^{2i|s|x}) |0> + (1 - e^{2i|s|x}) |1>) / 2
+        half, zero = [[0.5, 0.5], [0.5, -0.5]], [0.0, 0.0]
+        assert np.allclose(components(0.5), half, rtol=0.0, atol=1e-15)
+        assert np.allclose(components(1.0), [half[0], zero, half[1]], rtol=0.0, atol=1e-15)
+
     @pytest.mark.parametrize("trial", range(12))
     def test_random_circuit_properties(self, trial):
         rng = np.random.default_rng(5000 + trial)
