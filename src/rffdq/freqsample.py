@@ -93,8 +93,6 @@ class FrequencyDistribution:
     kind: str = ""
     # set for the two labeled uniform variants produced by uniform_distribution
     uniform_variant: str | None = None
-    # widest bond of the dense ptilde grid: a tensor train's, else 1
-    bond: int = 1
 
     def __init__(self, fs: FrequencySet):
         self.fs = fs
@@ -107,6 +105,12 @@ class FrequencyDistribution:
         """ptilde over the whole lattice, flat in code order; each entry
         equals ``_tilde`` at that point bitwise."""
         raise NotImplementedError
+
+    def _factor_shapes(self) -> list:
+        """(left bond, values, right bond) of each dimension's factor of
+        the dense ptilde grid, first dimension first: a product's bonds
+        are 1."""
+        return [(1, f.size, 1) for f in self.fs.per_dimension_freqs]
 
     def pmf(self, omega):
         """Probability of a canonical frequency (shape ``(d,)``, a float), or
@@ -137,15 +141,14 @@ class FrequencyDistribution:
 
     @property
     def enumerable(self) -> bool:
-        """Whether ``pmf_vector`` may run: a materialized lattice whose dense
-        ptilde grid, about full_size * bond * 8 B, fits in ENUMERATE_BYTES.
+        """Whether ``pmf_vector`` may run: a materialized lattice on which
+        the dense ptilde grid's contraction peaks within ENUMERATE_BYTES.
 
-        The contraction from the last core holds the previous step's bond
-        rows of trailing points, its own output and one temporary of that
-        size, so where the first dimension has three values or more the
-        peak stays within this estimate plus one grid of full_size * 8 B
-        (tested at d = 8)."""
-        return self.fs.materialized and 8 * self.fs.full_size * self.bond <= ENUMERATE_BYTES
+        The estimate is that peak, from the factors' shapes
+        (``_contraction_peak``), on every lattice: with a single value in
+        the first dimension a tensor train's peak is bond x full_size
+        entries and one temporary of that size, about twice bond grids."""
+        return self.fs.materialized and 8 * _contraction_peak(self._factor_shapes()) <= ENUMERATE_BYTES
 
     def p_max(self) -> PMax | None:
         """Maximum probability, exact on an enumerable lattice; else None."""
@@ -308,7 +311,6 @@ class MpsDistribution(FrequencyDistribution):
             self.cores.append(core)
         if bond != 1:
             raise ConfigError("last core must close the tensor train (right bond 1)")
-        self.bond = max(core.shape[2] for core in self.cores)
         # right sums out the dimensions after j, and env[j][a, k] =
         # sum_b core_j[a, k, b] right[b] weighs value k of dimension j given
         # left bond a: the environment matrices that sample and marginal read
@@ -340,6 +342,9 @@ class MpsDistribution(FrequencyDistribution):
         out = right[0]
         out /= self.total_mass
         return out
+
+    def _factor_shapes(self) -> list:
+        return [core.shape for core in self.cores]
 
     def marginal(self, j: int, prefix) -> np.ndarray:
         """Conditional pmf of dimension ``j`` (0-based) given the values of
@@ -389,6 +394,21 @@ def _check_probabilities(probs: np.ndarray):
         raise ConfigError("probabilities must be finite")
     if np.any(probs < 0):
         raise ConfigError("probabilities must be nonnegative")
+
+
+def _contraction_peak(shapes) -> int:
+    """float64 entries that ``_tilde_grid`` holds at once when it contracts
+    factors of these (left bond, values, right bond) shapes from the last
+    one: each step holds the previous step's right-bond rows of trailing
+    points and its own output of left x values x trailing points, plus,
+    when the right bond exceeds 1, one ``_contract`` temporary of the
+    output's size.  The fold in ``pmf_vector`` adds nothing."""
+    peak, trailing = 0, 1
+    for left, values, right in reversed(shapes):
+        out = left * values * trailing
+        peak = max(peak, right * trailing + (2 if right > 1 else 1) * out)
+        trailing *= values
+    return peak
 
 
 def _contract(core: np.ndarray, right: np.ndarray) -> np.ndarray:

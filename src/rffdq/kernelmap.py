@@ -16,10 +16,11 @@ hyperplane v over phi_w: column 0 is the zero frequency, columns 2i - 1 and
 maps such a v to its canonical-half spectrum, and ``rkhs_norm`` maps a
 spectrum back to the 2-norm of its v; no other module reads the layout.
 
-Every cosine and sine of <omega, x> that a polynomial, a feature map, a
+Every plane wave e^{i <omega, x>} that a polynomial, a feature map, a
 kernel or a fitted model takes at sample points comes from ``PlaneWaves``,
-which picks per-dimension phase tables or one call per (point, term) by the
-shape rule in ``_tables_pay``, except that with untabled waves
+which forms it from a product tree over the columns or by one cosine and one
+sine per (point, term), by the cost rule in ``_tables_pay`` at every d,
+except that when the waves take the direct form
 ``regress.RffFeatureSet._features`` may take one cosine of a phase-shifted
 angle per feature, and ``RffModel.predict`` one per distinct frequency.
 """
@@ -41,47 +42,175 @@ REALNESS_TOL = 1e-10
 SUPPORT_TOL = 1e-12
 # rows of the uniform-measure Gram that ``mean_square`` forms at a time
 _GRAM_BLOCK = 512
-# entries per array in one row block of ``PlaneWaves.blocks``: 64 KB, so the
-# five arrays a tabled block uses at once (320 KB) fit in a core's L2 cache;
-# larger blocks ran faster but held more than the direct form at the
-# benchmark shapes
-TRIG_BLOCK_ENTRIES = 1 << 13
+# complex entries (16 B each) that all the tables of one row block of
+# ``PlaneWaves.blocks`` hold together at most: 512 KB.  At sweep_highdim's
+# shapes 96 KB blocks spent as long in numpy's per-call overhead as in work
+TRIG_BLOCK_ENTRIES = 1 << 15
 
 
-def _tables_pay(d: int, terms: int, values: int) -> bool:
-    """The shape rule of ``PlaneWaves``: whether phase tables cost less than
-    one cosine per (point, term), the cheapest direct form.
+def group_rows(ranks, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of the distinct rows of a table given column by
+    column as integer ranks (``ranks[j]`` in ``range(sizes[j])``), in the
+    lexicographic order of the ranks: ``first[u]`` is the first row equal
+    to distinct row u, ``inverse[s]`` the distinct row of row s.  The ranks
+    are combined in mixed radix into one integer key; a key that would
+    overflow is first replaced by its rank among the distinct keys."""
+    key, size = np.asarray(ranks[0], dtype=np.int64), int(sizes[0])
+    for rank, k in zip(ranks[1:], sizes[1:]):
+        if size * int(k) >= 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            size = int(key.max(initial=0)) + 1
+        key = key * int(k) + rank
+        size *= int(k)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
-    Per point, the tables take 2 * ``values`` trigonometric calls (``values``
-    = sum_j K_j), and combining one term through one dimension (two gathers,
-    four products and two sums) costs about a sixth of a cosine: one float64
-    cosine of an argument beyond 1 took 20-27 ns and a term-dimension step
-    4-5 ns on a 2-vCPU Xeon (AVX-512, numpy 2.4).  So tables pay when
-    2 * values + d * terms / 6 < terms.  At d >= 6 they never do.
+
+def column_ranks(freqs: np.ndarray) -> tuple[list, list]:
+    """Per column of ``freqs``, its distinct values (sorted) and each row's
+    rank among them."""
+    values, ranks = [], []
+    for column in freqs.T:
+        v, rank = np.unique(column, return_inverse=True)
+        values.append(v)
+        ranks.append(rank.ravel())
+    return values, ranks
+
+
+def _tables_pay(trig_calls: int, entries: int, terms: int) -> bool:
+    """The shape rule of ``PlaneWaves``: whether its product tree costs less
+    than one cosine per (point, term), the cheapest direct form.
+
+    Per point the tree takes ``trig_calls`` trigonometric calls at its
+    leaves and forms ``entries`` complex entries: powers, their conjugates,
+    and the rows of its inner nodes and root, each the product of two
+    gathered rows.  One entry costs about a sixth of a float64 cosine of an
+    argument beyond 1 (4-5 ns against 20-27 ns on a 2-vCPU Xeon, AVX-512,
+    numpy 2.4), so the tree pays when 6 * trig_calls + entries < 6 * terms.
     """
-    return 12 * values < (6 - d) * terms
+    return 6 * trig_calls + entries < 6 * terms
+
+
+class _Node:
+    """A node of the product tree: ``code[s]`` is row s's sub-row among the
+    node's ``size`` distinct ones, ``first[u]`` the first row with sub-row u,
+    and ``rows[u]`` the table row that holds sub-row u."""
+
+    def __init__(self, code, size, rows=None, left=None, right=None, first=None):
+        self.code, self.size, self.rows = code, size, rows
+        self.left, self.right, self.first = left, right, first
+        self.height = 0 if left is None else 1 + max(left.height, right.height)
+
+    def pairs(self):
+        """The table rows of each sub-row's two factors."""
+        return (
+            self.left.rows[self.left.code[self.first]],
+            self.right.rows[self.right.code[self.first]],
+        )
+
+
+def _build(leaves: list, lo: int, hi: int, inner: list) -> _Node:
+    """The node over columns ``lo:hi`` of a tree whose root spans all
+    ``leaves``; every inner node is appended to ``inner``, children first."""
+    if hi - lo == 1:
+        return leaves[lo]
+    mid = (lo + hi) // 2
+    left, right = _build(leaves, lo, mid, inner), _build(leaves, mid, hi, inner)
+    if hi - lo == len(leaves):
+        first = code = np.arange(left.code.size)
+    else:
+        first, code = group_rows([left.code, right.code], [left.size, right.size])
+    inner.append(_Node(code, first.size, None, left, right, first))
+    return inner[-1]
 
 
 class PlaneWaves:
-    """cos and sin of <omega_s, x> for the rows omega_s of ``freqs``
-    (shape ``(S, d)``) at any set of points.
+    """e^{i <omega_s, x>} for the rows omega_s of ``freqs`` (shape
+    ``(S, d)``) at any set of points.
 
     e^{i <omega, x>} = prod_j e^{i omega_j x_j}, so when ``tabled`` (the
-    rule in ``_tables_pay`` on d, S and sum_j K_j) each row block takes one
-    table of cos and sin of f x_j over the K_j distinct values f in column
-    j and combines the tables by angle addition; otherwise it takes np.cos
-    and np.sin of X Omega^T.  Both agree to about d ulp of 1.
+    rule in ``_tables_pay``) each row block is formed by a balanced binary
+    tree over the columns.  A leaf holds e^{i v x_j} for the distinct
+    values v of column j: on an integer column the powers of e^{i x_j},
+    formed by complex products and conjugates from one cosine and one sine
+    per point, on any other column cos + i sin of v x_j.  An inner node
+    holds the distinct sub-rows of its column range, each the product of one
+    row of each child, and the root the S rows themselves, so each (point,
+    row) costs one complex product.  Otherwise a block takes np.cos and
+    np.sin of X Omega^T.  Both agree to a few ulp of |<omega, x>|.
+
+    The tree is built once, from integer codes: a node's sub-rows are its
+    children's codes combined by ``group_rows``.  A block's leaves and
+    inner nodes live in one table of ``rows`` rows: the integer columns'
+    powers first (row e * P + i holds power e of the i-th of the P such
+    columns, and row (top + e) * P + i power -e), then the other leaves,
+    then the inner nodes by height, so that the nodes of one height are
+    formed together.
     """
 
     def __init__(self, freqs):
         self.freqs = np.asarray(freqs, dtype=float)
-        self.values, self.codes = [], []
-        for column in self.freqs.T:
-            values, code = np.unique(column, return_inverse=True)
-            self.values.append(values)
-            self.codes.append(code.ravel())
         S, d = self.freqs.shape
-        self.tabled = _tables_pay(d, S, sum(v.size for v in self.values))
+        values, ranks = column_ranks(self.freqs)
+        # an integer column takes powers when its base (12 sixths of a
+        # cosine), further powers and conjugates (2 top - 1) cost less than
+        # a cosine and a sine per value
+        integer = [v.size > 0 and np.isfinite(v).all() and np.array_equal(v, np.round(v)) for v in values]
+        tops = [int(np.abs(v).max()) if whole else 0 for v, whole in zip(values, integer)]
+        power = [
+            whole and (top == 0 or 11 + 2 * top < 12 * v.size)
+            for v, top, whole in zip(values, tops, integer)
+        ]
+        self.power_cols = np.flatnonzero(power)
+        trig_cols = np.flatnonzero(np.logical_not(power))
+        P = self.power_cols.size
+        self.top = max((tops[j] for j in self.power_cols), default=0)
+        self.trig_values = np.concatenate([values[j] for j in trig_cols] + [np.zeros(0)])
+        self.trig_source = np.repeat(trig_cols, [values[j].size for j in trig_cols])
+        leaves = [None] * d
+        for i, j in enumerate(self.power_cols):
+            e = values[j].astype(np.intp)
+            leaves[j] = np.where(e < 0, self.top - e, e) * P + i
+        rows = (2 * self.top + 1) * P
+        for j in trig_cols:
+            leaves[j] = rows + np.arange(values[j].size)
+            rows += values[j].size
+        self.leaves = [_Node(ranks[j], values[j].size, at) for j, at in enumerate(leaves)]
+        self.levels = None
+        formed = P * (2 * self.top - 1) if self.top else 0
+        trig_calls = (2 * P if self.top else 0) + 2 * self.trig_values.size
+        # inner rows only add to the cost: the tree is built when the leaves
+        # and the root alone leave room for it, or when a block needs it
+        self.tabled = _tables_pay(trig_calls, formed + S, S) and _tables_pay(
+            trig_calls, formed + self._plant(), S
+        )
+
+    def _plant(self) -> int:
+        """Build the inner nodes and the table layout; return the complex
+        entries per point that the inner nodes and the root form."""
+        S, d = self.freqs.shape
+        inner = []
+        root = _build(self.leaves, 0, d, inner)
+        self.rows = (2 * self.top + 1) * self.power_cols.size + self.trig_values.size
+        # (start, stop, left rows, right rows) of each height below the root
+        self.levels = []
+        for h in sorted({node.height for node in inner[:-1]}):
+            start = self.rows
+            pairs = []
+            for node in inner[:-1]:
+                if node.height == h:
+                    node.rows = self.rows + np.arange(node.size)
+                    self.rows += node.size
+                    pairs.append(node.pairs())
+            left, right = (np.concatenate(side) for side in zip(*pairs))
+            self.levels.append((start, self.rows, left, right))
+        self.root = (root.rows[root.code], None) if d == 1 else root.pairs()
+        widest = max((stop - start for start, stop, _, _ in self.levels), default=0)
+        # complex entries per point: the table, the root, the gathered
+        # factors of one height, and the non-integer leaves' angles
+        self.scratch = max(S if d > 1 else 0, 2 * widest)
+        self.tree_entries = self.rows + S + self.scratch + (self.trig_values.size + 1) // 2
+        return sum(stop - start for start, stop, _, _ in self.levels) + S
 
     def points(self, X) -> np.ndarray:
         """``X`` as an ``(n, d)`` float array (one point may be given as
@@ -93,50 +222,95 @@ class PlaneWaves:
             raise ValueError(f"points have width {X.shape[-1]}, but the frequencies have width {d}")
         return X
 
-    def blocks(self, X):
-        """Yield ``(rows, cos, sin)`` over row blocks of the points ``X``:
-        cos[k, s] = cos <omega_s, X[rows][k]>, and sin alike, each of shape
-        ``(len(rows), S)`` and about ``TRIG_BLOCK_ENTRIES`` entries.  The
-        arrays may be reused by the next block, so read each block before
-        drawing the next."""
-        X = self.points(X)
-        n = X.shape[0]
+    def step(self, n: int) -> int:
+        """Points per row block for ``n`` points: the block's tables (a
+        direct block's S phasors per point) hold at most
+        ``TRIG_BLOCK_ENTRIES`` complex entries, and no more bytes than the
+        n x S float64 angles of the direct form, so that few points take no
+        more memory than they would without the tree."""
         S = self.freqs.shape[0]
-        step = max(1, TRIG_BLOCK_ENTRIES // max(S, 1))
+        if self.tabled and self.levels is None:
+            self._plant()
+        if S == 0:
+            return max(n, 1)
+        per_point = self.tree_entries if self.tabled else S
+        return max(1, min(TRIG_BLOCK_ENTRIES, n * S // 2) // per_point)
+
+    def blocks(self, X):
+        """Yield ``(rows, waves)`` over row blocks of the points ``X``:
+        waves[k, s] = e^{i <omega_s, X[rows][k]>}, a complex array of shape
+        ``(len(rows), S)``.  The array may be reused by the next block, so
+        read each block before drawing the next."""
+        X = self.points(X)
+        n, S = X.shape[0], self.freqs.shape[0]
+        step = self.step(n)
         if not self.tabled:
+            out = np.empty((min(step, n), S), dtype=complex)
             for r in range(0, n, step):
-                angle = X[r : r + step] @ self.freqs.T
-                yield slice(r, r + angle.shape[0]), np.cos(angle), np.sin(angle, out=angle)
+                waves = out[: min(step, n - r)]
+                # the angles go to the imaginary parts, then cos and sin in place
+                np.matmul(X[r : r + step], self.freqs.T, out=waves.imag)
+                np.cos(waves.imag, out=waves.real)
+                np.sin(waves.imag, out=waves.imag)
+                yield slice(r, r + waves.shape[0]), waves
             return
-        # cos and sin are kept transposed, (S, rows), so every gather copies
-        # whole table rows; only these two arrays live from block to block
-        work = np.empty((2, S * min(step, n)))
+        P = self.power_cols.size
+        m0 = min(step, n)
+        # the three buffers live from block to block; a short last block
+        # takes views of their heads
+        flat = [np.empty(k * m0, dtype=complex) for k in (self.rows, S, self.scratch)]
+        views = None
         for r in range(0, n, step):
-            xt = X[r : r + step].T
-            m = xt.shape[1]
-            cos, sin = (a[: S * m].reshape(S, m) for a in work)
-            for j, (values, code) in enumerate(zip(self.values, self.codes)):
-                angle = np.multiply.outer(values, xt[j])
-                tcos, tsin = np.cos(angle), np.sin(angle, out=angle)
-                if j == 0:
-                    # mode="clip" skips take's buffered copy; the codes are in range
-                    np.take(tcos, code, axis=0, out=cos, mode="clip")
-                    np.take(tsin, code, axis=0, out=sin, mode="clip")
-                else:
-                    _add_angles(cos, sin, tcos[code], tsin[code])
-            yield slice(r, r + m), cos.T, sin.T
+            m = min(step, n - r)
+            if views is None or views[0].shape[1] != m:
+                views = self._tree_views(m, *flat)
+            table, powers, trig, levels, root, factor = views
+            xt = X[r : r + m].T
+            top = self.top
+            if top:
+                base = xt if P == xt.shape[0] else xt[self.power_cols]
+                np.cos(base, out=powers[1].real)
+                np.sin(base, out=powers[1].imag)
+                # one row per call: a broadcast operand or a reversed output
+                # would make ufunc temporaries
+                for e in range(2, top + 1):
+                    np.multiply(powers[e - 1], powers[1], out=powers[e])
+                np.conjugate(powers[1 : top + 1], out=powers[top + 1 :])
+            if trig is not None:
+                np.multiply(self.trig_values[:, None], xt[self.trig_source], out=trig.imag)
+                np.cos(trig.imag, out=trig.real)
+                np.sin(trig.imag, out=trig.imag)
+            # mode="clip" skips take's buffered copy; the rows are in range
+            for (_, _, left, right), (a, b, node) in zip(self.levels, levels):
+                table.take(left, axis=0, out=a, mode="clip")
+                table.take(right, axis=0, out=b, mode="clip")
+                np.multiply(a, b, out=node)
+            left, right = self.root
+            table.take(left, axis=0, out=root, mode="clip")
+            if right is not None:
+                table.take(right, axis=0, out=factor, mode="clip")
+                root *= factor
+            yield slice(r, r + m), root.T
 
-
-def _add_angles(cos: np.ndarray, sin: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray):
-    """Turn cos and sin of a into those of a + b, in place:
-    cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b.
-    ``sin_b`` is overwritten."""
-    tmp = cos * sin_b
-    cos *= cos_b
-    sin_b *= sin
-    cos -= sin_b
-    sin *= cos_b
-    sin += tmp
+    def _tree_views(self, m: int, table, root, scratch):
+        """Views of a tabled block of ``m`` points on the heads of the flat
+        buffers ``table``, ``root`` and ``scratch``, every table kept
+        (rows, points) so that each gather copies whole table rows: the
+        table, its powers and non-integer leaves, per height the two
+        gathered factors and the node rows, the root, and the root's second
+        factor."""
+        S, P, top = self.freqs.shape[0], self.power_cols.size, self.top
+        table = table[: self.rows * m].reshape(self.rows, m)
+        powers = table[: (2 * top + 1) * P].reshape(2 * top + 1, P, m)
+        powers[0] = 1.0
+        T = self.trig_values.size
+        trig = table[(2 * top + 1) * P : (2 * top + 1) * P + T] if T else None
+        levels = []
+        for start, stop, _, _ in self.levels:
+            k = (stop - start) * m
+            levels.append((scratch[:k].reshape(-1, m), scratch[k : 2 * k].reshape(-1, m), table[start:stop]))
+        factor = scratch[: S * m].reshape(S, m) if self.root[1] is not None else None
+        return table, powers, trig, levels, root[: S * m].reshape(S, m), factor
 
 
 @dataclass
@@ -318,11 +492,10 @@ class TrigPolynomial:
         const = float(self.c.real[zero].sum())
         cs = self.c[~zero]
         vals = np.empty(X.shape[0])
-        for rows, cos, sin in waves.blocks(X):
-            part = np.matmul(cos, cs.real, out=vals[rows])
-            part -= sin @ cs.imag
-            part *= 2.0
-            part += const
+        for rows, phasors in waves.blocks(X):
+            vals[rows] = (phasors @ cs).real
+        vals *= 2.0
+        vals += const
         return vals
 
     def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
@@ -391,9 +564,9 @@ def feature_matrix(X, fs: FrequencySet, w: WeightVector) -> np.ndarray:
     X = waves.points(X)
     out = np.empty((X.shape[0], 2 * fs.size - 1))
     out[:, 0] = w.weights[0]
-    for rows, cos, sin in waves.blocks(X):
-        out[rows, 1::2] = cos * w.weights[1:]
-        out[rows, 2::2] = sin * w.weights[1:]
+    for rows, phasors in waves.blocks(X):
+        out[rows, 1::2] = phasors.real * w.weights[1:]
+        out[rows, 2::2] = phasors.imag * w.weights[1:]
     out /= w.norm2
     return out
 
@@ -424,8 +597,8 @@ def kernel_eval(x, xp, fs: FrequencySet, w: WeightVector):
     waves = PlaneWaves(fs.half)
     delta = waves.points(x) - waves.points(xp)
     k = np.empty(delta.shape[0])
-    for rows, cos, _ in waves.blocks(delta):
-        k[rows] = cos @ w.weights**2 / w.norm2**2
+    for rows, phasors in waves.blocks(delta):
+        k[rows] = phasors.real @ w.weights**2 / w.norm2**2
     return float(k[0]) if max(x.ndim, xp.ndim) == 1 else k
 
 
@@ -437,11 +610,11 @@ def kernel_matrix(X, Xp, fs: FrequencySet, w: WeightVector) -> np.ndarray:
     X, Xp = waves.points(X), waves.points(Xp)
     p = w.weights**2 / w.norm2**2
     cos_p, sin_p = np.empty((2, Xp.shape[0], fs.size))
-    for rows, cos, sin in waves.blocks(Xp):
-        cos_p[rows], sin_p[rows] = cos, sin
+    for rows, phasors in waves.blocks(Xp):
+        cos_p[rows], sin_p[rows] = phasors.real, phasors.imag
     K = np.empty((X.shape[0], Xp.shape[0]))
-    for rows, cos, sin in waves.blocks(X):
-        K[rows] = (cos * p) @ cos_p.T + (sin * p) @ sin_p.T
+    for rows, phasors in waves.blocks(X):
+        K[rows] = (phasors.real * p) @ cos_p.T + (phasors.imag * p) @ sin_p.T
     return K
 
 

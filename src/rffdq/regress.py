@@ -26,7 +26,9 @@ from .kernelmap import (
     PlaneWaves,
     TrigPolynomial,
     WeightVector,
+    column_ranks,
     feature_matrix,
+    group_rows,
     hyperplane_spectrum,
     mean_square,
 )
@@ -214,16 +216,17 @@ def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _angle_sum(out: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: np.ndarray, a, b):
-    """out[k, i] = a_i cos[k, inverse_i] - b_i sin[k, inverse_i], formed in
-    row blocks of about ``_BLOCK_ENTRIES`` entries; every temporary is gone
-    when it returns."""
+def _angle_sum(out: np.ndarray, phasors: np.ndarray, inverse: np.ndarray, a, b):
+    """out[k, i] = a_i cos t - b_i sin t for phasors[k, inverse_i] = e^{i t},
+    read from the real and imaginary parts in row blocks of about
+    ``_BLOCK_ENTRIES`` entries; every temporary is gone when it returns."""
     step = max(1, _BLOCK_ENTRIES // out.shape[1])
     for r in range(0, out.shape[0], step):
         block = out[r : r + step]
-        # row-major copies, so the gathers come out in the layout of out
-        np.multiply(np.ascontiguousarray(cos[r : r + step])[:, inverse], a, out=block)
-        part = np.ascontiguousarray(sin[r : r + step])[:, inverse]
+        # mode="clip" skips take's buffered copy; the indices are in range
+        np.take(phasors.real[r : r + step], inverse, axis=1, out=block, mode="clip")
+        block *= a
+        part = np.take(phasors.imag[r : r + step], inverse, axis=1, mode="clip")
         part *= b
         block -= part
 
@@ -233,14 +236,15 @@ class RffFeatureSet:
     """Sampled random features: canonical frequencies plus uniform phases.
 
     Frequencies are drawn from a finite lattice, so one frequency is usually
-    drawn many times.  The draws are grouped once, at construction:
-    ``distinct`` holds the U distinct frequencies (in ``np.unique`` order),
-    ``first`` the draw at which each first appears, ``inverse`` each draw's
-    row in ``distinct``, and ``waves`` their ``PlaneWaves``.  Features are
-    built from cos and sin of <w_u, x> per distinct frequency by angle
-    addition when ``waves`` takes phase tables or when 2U <= M (then it
-    never costs more trigonometry than one cosine per feature); otherwise
-    each feature takes its own cosine.
+    drawn many times.  The draws are grouped once, at construction, by one
+    1-d ``np.unique`` over the integer codes of ``kernelmap.group_rows``:
+    ``distinct`` holds the U distinct frequencies (in the order of
+    ``np.unique(axis=0)``), ``first`` the draw at which each first appears,
+    ``inverse`` each draw's row in ``distinct``, and ``waves`` their
+    ``PlaneWaves``.  Features are built from e^{i <w_u, x>} per distinct
+    frequency by angle addition when ``waves`` takes its product tree or
+    when 2U <= M (then it never costs more trigonometry than one cosine per
+    feature); otherwise each feature takes its own cosine.
     """
 
     frequencies: np.ndarray
@@ -259,10 +263,9 @@ class RffFeatureSet:
             raise ValueError("frequencies and phases disagree on M")
         if np.any(self.phases < 0) or np.any(self.phases >= 2 * np.pi):
             raise ValueError("phases must lie in [0, 2pi)")
-        self.distinct, self.first, inverse = np.unique(
-            self.frequencies, axis=0, return_index=True, return_inverse=True
-        )
-        self.inverse = inverse.ravel()
+        values, ranks = column_ranks(self.frequencies)
+        self.first, self.inverse = group_rows(ranks, [v.size for v in values])
+        self.distinct = self.frequencies[self.first]
         self.waves = PlaneWaves(self.distinct)
 
     @property
@@ -288,8 +291,8 @@ class RffFeatureSet:
         a = factor * np.cos(self.phases)
         b = factor * np.sin(self.phases)
         out = np.empty((X.shape[0], self.M))
-        for rows, cos, sin in self.waves.blocks(X):
-            _angle_sum(out[rows], cos, sin, self.inverse, a, b)
+        for rows, phasors in self.waves.blocks(X):
+            _angle_sum(out[rows], phasors, self.inverse, a, b)
         return out
 
     def design_matrix(self, X) -> np.ndarray:
@@ -401,8 +404,9 @@ class RffModel(_Model):
         """sum_i coef_i sqrt(2) cos(<w_i, x> + g_i)/sqrt(M), summed per
         distinct frequency first: rho_u cos(<w_u, x> + phi_u) with
         rho_u e^{i phi_u} = sqrt(2/M) sum_{i in u} coef_i e^{i g_i}: one
-        cosine per (point, frequency), or Re z_u cos - Im z_u sin from the
-        phase tables when ``PlaneWaves`` takes them."""
+        cosine per (point, frequency), or Re(z_u e^{i <w_u, x>}), one
+        complex matrix-vector product per block, when ``PlaneWaves`` takes
+        its product tree."""
         fset = self.feature_set
         z = math.sqrt(2.0 / fset.M) * fset.per_frequency(self.coef * np.exp(1j * fset.phases))
         X = fset.waves.points(X)
@@ -411,8 +415,8 @@ class RffModel(_Model):
             theta += np.angle(z)
             return np.cos(theta, out=theta) @ np.abs(z)
         out = np.empty(X.shape[0])
-        for rows, cos, sin in fset.waves.blocks(X):
-            out[rows] = cos @ z.real - sin @ z.imag
+        for rows, phasors in fset.waves.blocks(X):
+            out[rows] = (phasors @ z).real
         return out
 
     def to_json(self) -> dict:

@@ -192,19 +192,38 @@ class TestPmfVector:
 
     @pytest.mark.parametrize("bond", [1, 2, 4])
     def test_enumeration_stays_within_the_enumerable_estimate(self, bond, rng):
-        # 5^8 points: the peak is at most the grid that ``enumerable``
-        # charges against ENUMERATE_BYTES, 8 * full_size * bond B, plus one
-        # more grid of 8 * full_size B
+        # 5^8 points: the peak is at most what ``enumerable`` charges
+        # against ENUMERATE_BYTES, 1.2, 2.4 and 2.8 grids of 8 * full_size B
+        # at bonds 1, 2 and 4, and 64 KB of small objects
         fs = build_frequency_set(pauli_half_encoding([2] * 8))
         dist = _random_dist("mps", fs, rng, bond=bond)
-        assert dist.bond == bond and dist.enumerable
+        assert max(core.shape[2] for core in dist.cores) == bond and dist.enumerable
         tracemalloc.start()
         try:
             dist.pmf_vector()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * fs.full_size * bond + 8 * fs.full_size
+        assert peak <= 8 * freqsample._contraction_peak(dist._factor_shapes()) + 2**16
+
+    @pytest.mark.parametrize("bond", [2, 4])
+    def test_estimate_bounds_the_peak_with_one_value_in_the_first_dimension(self, bond, rng):
+        # no gate on x_1: the step at dimension 2 holds bond x full_size
+        # entries and one temporary of that size, 4.4 grids at bond 2 and
+        # 8.8 at bond 4, beyond the bond + 1 grids that bound it where the
+        # first dimension has three values or more
+        fs = build_frequency_set(pauli_half_encoding([0] + [2] * 8))
+        dist = _random_dist("mps", fs, rng, bond=bond)
+        fs.half  # forming the half is not part of the enumeration
+        estimate = 8 * freqsample._contraction_peak(dist._factor_shapes())
+        assert dist.enumerable and estimate == round(8 * fs.full_size * 2.2 * bond)
+        tracemalloc.start()
+        try:
+            dist.pmf_vector()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * fs.full_size * (bond + 1) < peak <= estimate + 2**16
 
     @pytest.mark.parametrize("L_per_dim", [[6, 6], [10, 10], [2] * 6])
     def test_explicit_fill_is_the_fold(self, L_per_dim, rng):

@@ -187,30 +187,42 @@ class TestKernel:
 
 
 class TestPlaneWaves:
-    """cos and sin of <omega_s, x_k> in row blocks, from phase tables or
-    from one call per entry, against np.cos / np.sin of X Omega^T."""
+    """e^{i <omega_s, x_k>} in row blocks, from the product tree or from
+    one cosine and one sine per entry, against np.cos / np.sin of X Omega^T."""
 
     @staticmethod
     def assemble(waves, X):
         S = waves.freqs.shape[0]
-        cos, sin = np.full((2, X.shape[0], S), np.nan)
+        out = np.full((X.shape[0], S), np.nan, dtype=complex)
         starts = []
-        for rows, c, s in waves.blocks(X):
-            assert c.shape == s.shape == (rows.stop - rows.start, S)
-            cos[rows], sin[rows] = c, s
+        for rows, phasors in waves.blocks(X):
+            assert phasors.shape == (rows.stop - rows.start, S) and phasors.dtype == complex
+            out[rows] = phasors
             starts.append(rows.start)
-        assert starts == list(range(0, X.shape[0], max(1, TRIG_BLOCK_ENTRIES // max(S, 1))))
-        return cos, sin
+        assert starts == list(range(0, X.shape[0], waves.step(X.shape[0])))
+        return out.real, out.imag
 
-    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 9))
     @pytest.mark.parametrize("S", [0, 1, 300])
-    @pytest.mark.parametrize("integer", [True, False])
+    @pytest.mark.parametrize("integer", [True, False, "mixed"])
     def test_both_sides_of_the_rule_match_direct_trig(self, d, S, integer):
-        gen = np.random.default_rng([d, S, integer])
-        # K_j values per dimension, so repeated values exercise the tables
-        values = np.arange(-4.0, 5.0) if integer else gen.uniform(-4.5, 4.5, 9)
-        freqs = values[gen.integers(0, 9, (S, d))]
-        # 203 rows: several blocks of 27 rows at S = 300, and a short last one
+        gen = np.random.default_rng([d, S, integer is True, integer is False])
+        # K_j values per column, negative, zero and positive, so repeated
+        # values exercise the leaves; "mixed" alternates integer columns
+        # (odd j) with non-integer ones
+        whole = np.arange(-4.0, 5.0)
+        fractional = gen.uniform(-4.5, 4.5, 9)
+        fractional[4] = 0.0
+        table = np.stack(
+            [whole if (integer is True or (integer == "mixed" and j % 2)) else fractional for j in range(d)],
+            axis=1,
+        )
+        freqs = np.take_along_axis(table, gen.integers(0, 9, (S, d)), axis=0)
+        # duplicate rows: the last third repeats rows of the first two thirds
+        keep = 2 * S // 3
+        if keep:
+            freqs[keep:] = freqs[gen.integers(0, keep, S - keep)]
+        # 203 rows: several blocks, and a short last one
         X = gen.uniform(0, 2 * np.pi, (203, d))
         want_cos, want_sin = np.cos(X @ freqs.T), np.sin(X @ freqs.T)
         for tabled in (False, True):
@@ -221,18 +233,25 @@ class TestPlaneWaves:
             assert np.max(np.abs(sin - want_sin), initial=0.0) <= 1e-13
 
     def test_rule_at_the_benchmark_lattices(self):
-        # sum_j K_j of the canonical half {-L..L}^d is (L + 1) + (d - 1)(2L + 1)
+        # the tree costs 6 * (trigonometric calls) + (formed entries) sixths
+        # of a cosine per point against 6 S: on the integer benchmark
+        # lattices every column takes powers, two trig calls and about
+        # 2 top entries each, and the inner nodes and root one entry per row
         circuit = build_frequency_set(pauli_half_encoding([10, 10]))
-        assert PlaneWaves(circuit.half[1:]).tabled  # 220 terms, sum K = 32
-        assert PlaneWaves(circuit.half[1:131]).tabled
-        assert not PlaneWaves(circuit.half[1:47]).tabled
+        assert PlaneWaves(circuit.half[1:]).tabled  # 220 terms: 282 < 1320
+        assert PlaneWaves(circuit.half[1:131]).tabled  # 192 < 780
+        assert PlaneWaves(circuit.half[1:47]).tabled  # 108 < 276
         lowd = build_frequency_set(pauli_half_encoding([6, 6]))
-        assert PlaneWaves(lowd.half).tabled  # 85 terms, sum K = 20
-        assert not PlaneWaves(lowd.half[:46]).tabled
+        assert PlaneWaves(lowd.half).tabled  # 85 terms: 131 < 510
+        assert PlaneWaves(lowd.half[:46]).tabled  # 92 < 276
         highdim = build_frequency_set(pauli_half_encoding([2] * 6))
-        assert not PlaneWaves(highdim.half[:393]).tabled
-        assert not PlaneWaves(highdim.half).tabled  # d = 6: never
-        assert not PlaneWaves(np.arange(40.0)[:, None]).tabled  # d = 1: S <= sum K
+        assert PlaneWaves(highdim.half[:393]).tabled  # 641 < 2358
+        assert PlaneWaves(highdim.half).tabled  # 7813 terms: 8141 < 46878
+        # an 8-term target at d = 6: its twelve trig calls alone cost more
+        target = highdim.half[np.random.default_rng(0).choice(highdim.size, 8, replace=False)]
+        assert not PlaneWaves(target).tabled  # 128 > 48
+        assert PlaneWaves(np.arange(40.0)[:, None]).tabled  # d = 1, powers: 129 < 240
+        assert not PlaneWaves(np.arange(40.0)[:, None] + 0.5).tabled  # a cos and sin per value
 
     def test_routed_functions_on_a_tabled_lattice(self):
         fs = build_frequency_set(pauli_half_encoding([6, 6]))

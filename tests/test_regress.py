@@ -332,6 +332,39 @@ def _draws(gen, fs, M, U):
     return RffFeatureSet(fs.half[gen.permutation(rows)], gen.uniform(0, 2 * np.pi, M))
 
 
+class TestRffGrouping:
+    """The draws' grouping by integer codes is ``np.unique(axis=0)``'s."""
+
+    @staticmethod
+    def assert_unique_rows(freqs):
+        fset = RffFeatureSet(freqs, np.zeros(freqs.shape[0]))
+        distinct, first, inverse = np.unique(freqs, axis=0, return_index=True, return_inverse=True)
+        # bytes, so that a -0.0 is kept where np.unique keeps it
+        assert fset.distinct.tobytes() == distinct.tobytes()
+        assert np.array_equal(fset.first, first)
+        assert np.array_equal(fset.inverse, inverse.ravel())
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_matches_unique_rows(self, d, integer):
+        gen = np.random.default_rng([d, integer])
+        values = np.arange(-3.0, 4.0) if integer else np.append(gen.uniform(-3.5, 3.5, 6), 0.0)
+        freqs = values[gen.integers(0, 7, (300, d))]
+        # repeated draws at every d, and zeros of both signs
+        freqs[150:] = freqs[gen.integers(0, 150, 150)]
+        zeros = freqs == 0
+        freqs[zeros] = np.where(gen.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        self.assert_unique_rows(freqs)
+
+    def test_codes_too_wide_for_one_integer(self):
+        # 600 distinct values in each of 7 columns: 600^7 codes exceed
+        # 2^62, so the key is ranked before it is widened
+        gen = np.random.default_rng(7)
+        freqs = gen.uniform(-5, 5, (800, 7))
+        freqs[600:] = freqs[gen.integers(0, 600, 200)]
+        self.assert_unique_rows(freqs)
+
+
 class TestRffDesign:
     @pytest.mark.parametrize("L_per_dim", [[4], [2, 2], [1, 2, 1], [1, 1, 1, 1]])
     @pytest.mark.parametrize("M_per_U", [1, 1.5, 2, 2.5, 8])
