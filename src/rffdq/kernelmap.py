@@ -146,12 +146,15 @@ class PlaneWaves:
     columns, and row (top + e) * P + i power -e), then the other leaves,
     then the inner nodes by height, so that the nodes of one height are
     formed together.
+
+    ``columns`` is ``column_ranks(freqs)`` when the caller already has it,
+    so that the columns are ranked once.
     """
 
-    def __init__(self, freqs):
+    def __init__(self, freqs, columns=None):
         self.freqs = np.asarray(freqs, dtype=float)
         S, d = self.freqs.shape
-        values, ranks = column_ranks(self.freqs)
+        values, ranks = column_ranks(self.freqs) if columns is None else columns
         # an integer column takes powers when its base (12 sixths of a
         # cosine), further powers and conjugates (2 top - 1) cost less than
         # a cosine and a sine per value

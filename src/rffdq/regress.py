@@ -4,7 +4,11 @@ All three solve one 2-norm-regularized least-squares problem in
 ``linear_ridge_fit`` (kernel ridge with K_w is ridge on phi_w), with the
 ``lambda * n`` convention inside the regularized system, so a given lambda
 means the same thing across models and feature counts (the 1/sqrt(M)
-normalization lives in the random feature matrix).
+normalization lives in the random feature matrix).  It takes one of three
+routes: the primal D x D system when D <= n or lambda = 0, the dual n x n
+Gram system when D > n, and, for a random-feature design that lambda > 0
+regularizes and whose U distinct frequencies give 2U < min(n, M), a
+2U x 2U system in the span of those frequencies.
 
 A fitted model's true risk under uniform inputs is computed from its exact
 spectrum (``model_spectrum``), never from sample points, on integer and
@@ -179,10 +183,16 @@ def _solve_spd(A: np.ndarray, B: np.ndarray, allow_jitter: bool) -> np.ndarray:
 def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     """Closed-form ridge weights (F^T F + lambda n I)^{-1} F^T Y.
 
-    Solved in the primal for D <= n, and through the dual Gram system for
-    D > n (identical solution by the push-through identity).  The returned
-    weights are residual-checked against the normal equations.
+    Three routes give the same solution (by the push-through identity):
+    - factored, when ``F`` is an ``RffDesign`` as ``design_matrix`` returns
+      it, lambda > 0 and its U distinct frequencies give 2U < min(n, D):
+      ``RffFeatureSet.factored_ridge`` solves a 2U x 2U system;
+    - primal, for D <= n or lambda = 0: the D x D system;
+    - dual, for D > n: the n x n Gram system.
+    The returned weights are residual-checked against the normal equations
+    of ``F`` itself on every route.
     """
+    source, X = (F.feature_set, F.points) if isinstance(F, RffDesign) else (None, None)
     F = np.atleast_2d(np.asarray(F, dtype=float))
     Y = np.asarray(Y, dtype=float).ravel()
     n, D = F.shape
@@ -194,7 +204,9 @@ def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     FtY = F.T @ Y
     # n lambda goes onto the diagonal in place: no identity, no second sum
-    if lam == 0 or D <= n:
+    if source is not None and lam > 0 and 2 * source.distinct.shape[0] < min(n, D):
+        w = source.factored_ridge(X, Y, lam)
+    elif lam == 0 or D <= n:
         A = F.T @ F
         A.flat[:: D + 1] += lam * n
         w = _solve_spd(A, FtY, allow_jitter=lam > 0)
@@ -231,6 +243,22 @@ def _angle_sum(out: np.ndarray, phasors: np.ndarray, inverse: np.ndarray, a, b):
         block -= part
 
 
+class RffDesign(np.ndarray):
+    """A random-feature design matrix that records the feature set
+    (``feature_set``) and the points (``points``) it was formed from, so
+    that ``linear_ridge_fit`` can solve in the span of the distinct
+    frequencies.  Views, copies and transposes forget the record,
+    arithmetic results and reductions are plain arrays and scalars, and
+    ``np.asarray`` returns a plain array."""
+
+    def __array_finalize__(self, obj):
+        self.feature_set = self.points = None
+
+    def __array_wrap__(self, arr, context=None, return_scalar=False):
+        arr = arr.view(np.ndarray)
+        return arr[()] if return_scalar else arr
+
+
 @dataclass
 class RffFeatureSet:
     """Sampled random features: canonical frequencies plus uniform phases.
@@ -241,7 +269,7 @@ class RffFeatureSet:
     ``distinct`` holds the U distinct frequencies (in the order of
     ``np.unique(axis=0)``), ``first`` the draw at which each first appears,
     ``inverse`` each draw's row in ``distinct``, and ``waves`` their
-    ``PlaneWaves``.  Features are built from e^{i <w_u, x>} per distinct
+    ``PlaneWaves``, built from the same column ranks.  Features are built from e^{i <w_u, x>} per distinct
     frequency by angle addition when ``waves`` takes its product tree or
     when 2U <= M (then it never costs more trigonometry than one cosine per
     feature); otherwise each feature takes its own cosine.
@@ -261,12 +289,15 @@ class RffFeatureSet:
             raise ValueError("a feature set needs at least one feature")
         if self.frequencies.shape[0] != self.phases.size:
             raise ValueError("frequencies and phases disagree on M")
-        if np.any(self.phases < 0) or np.any(self.phases >= 2 * np.pi):
+        if not np.all(np.isfinite(self.frequencies)):
+            raise ValueError("frequencies must be finite")
+        # NaN fails both comparisons, so it fails the check
+        if not np.all((self.phases >= 0) & (self.phases < 2 * np.pi)):
             raise ValueError("phases must lie in [0, 2pi)")
         values, ranks = column_ranks(self.frequencies)
         self.first, self.inverse = group_rows(ranks, [v.size for v in values])
         self.distinct = self.frequencies[self.first]
-        self.waves = PlaneWaves(self.distinct)
+        self.waves = PlaneWaves(self.distinct, (values, [rank[self.first] for rank in ranks]))
 
     @property
     def M(self) -> int:
@@ -295,9 +326,55 @@ class RffFeatureSet:
             _angle_sum(out[rows], phasors, self.inverse, a, b)
         return out
 
-    def design_matrix(self, X) -> np.ndarray:
-        """Monte-Carlo-normalized design matrix psi(x, nu_i)/sqrt(M)."""
-        return self._features(X, math.sqrt(self.M))
+    def design_matrix(self, X) -> RffDesign:
+        """Monte-Carlo-normalized design matrix psi(x, nu_i)/sqrt(M), as an
+        ``RffDesign`` that records this set and ``X``: ``linear_ridge_fit``
+        takes the factored route on it when lambda > 0 and 2U < min(n, M),
+        and the primal or dual route otherwise."""
+        F = self._features(X, math.sqrt(self.M)).view(RffDesign)
+        F.feature_set, F.points = self, self.waves.points(X)
+        return F
+
+    def factored_ridge(self, X, Y: np.ndarray, lam: float) -> np.ndarray:
+        """Ridge weights on the design at ``X`` for lambda > 0, solved in
+        the span of the U distinct frequencies.
+
+        The design factors exactly as F = B C: B (n x 2U) holds cos and sin
+        of <w_u, x> (all cosines, then all sines), and C (2U x M) the phase
+        coefficients sqrt(2/M) (cos g_i, -sin g_i) of each feature's
+        frequency.  By push-through, w = C^T z with
+        (n lambda I + B^T B S) z = B^T Y, where S = C C^T has one 2 x 2 block
+        per frequency.  That system is solved symmetrized: Gram-Schmidt on
+        each frequency's two rows of C gives C = L E, with L lower
+        triangular (S = L L^T) and E orthonormal rows, so with A = B L and
+        v = L^T z the ridge is (A^T A + n lambda I) v = A^T Y and w = E^T v.
+        Nothing is divided by n lambda, and a singular block of S (a
+        frequency drawn once, or two phases that nearly coincide) gives a
+        zero or small column of A instead of a null-space part of z that
+        grows as 1/(n lambda).
+        """
+        n, U, u = X.shape[0], self.distinct.shape[0], self.inverse
+        scale = math.sqrt(2.0 / self.M)
+        a, b = scale * np.cos(self.phases), -scale * np.sin(self.phases)
+        n1 = np.sqrt(np.bincount(u, a * a, U))
+        e1, e2, t = a / n1[u], b, np.zeros(U)
+        # projecting twice keeps e2 orthogonal to e1 when b nearly lies
+        # along it; a frequency drawn once leaves e2 exactly 0
+        for _ in range(2):
+            s = np.bincount(u, e1 * e2, U)
+            e2 = e2 - s[u] * e1
+            t += s
+        n2 = np.sqrt(np.bincount(u, e2 * e2, U))
+        e2 = np.divide(e2, n2[u], out=np.zeros(self.M), where=n2[u] > 0)
+        A = np.empty((n, 2 * U))
+        for rows, phasors in self.waves.blocks(X):
+            np.multiply(phasors.real, n1, out=A[rows, :U])
+            A[rows, :U] += phasors.imag * t
+            np.multiply(phasors.imag, n2, out=A[rows, U:])
+        G = A.T @ A
+        G.flat[:: 2 * U + 1] += lam * n
+        v = _solve_spd(G, A.T @ Y, allow_jitter=True)
+        return e1 * v[:U][u] + e2 * v[U:][u]
 
 
 class _Model:
@@ -494,7 +571,8 @@ def rff_fit(data: Dataset, dist, M: int, lam, rng) -> RffModel:
 
     Samples M frequencies from ``dist`` and M phases uniformly from
     [0, 2pi), builds the 1/sqrt(M)-normalized design matrix, and solves the
-    ridge system.  ``lam="auto"`` selects 1/sqrt(n).  Deterministic given the
+    ridge system (by the factored route when lambda > 0 and the U distinct
+    frequencies give 2U < min(n, M)).  ``lam="auto"`` selects 1/sqrt(n).  Deterministic given the
     rng.
     """
     from .freqsample import as_generator

@@ -24,16 +24,17 @@ from rffdq import bounds, freqsample, harness  # noqa: E402
 @pytest.mark.parametrize("name", list(studies.WORKLOADS))
 def test_replay_matches_the_program(name, tmp_path):
     doc = studies.study_config(studies.WORKLOADS[name], 1, 0)
-    # the first value of each axis, and the last M too: on sweep_lowd the
-    # smallest M has 2U > M and the largest 2U <= M, so both design paths run
+    # the first value of each axis but M, and every M: on sweep_lowd the
+    # smallest M has 2U > M and takes the primal ridge, M = 400 the factored
+    # ridge with M <= n, and M = 1600 the factored ridge with M > n
     axes = {axis: values[:1] for axis, values in doc["axes"].items()}
-    axes["M"] = [doc["axes"]["M"][0], doc["axes"]["M"][-1]]
+    axes["M"] = doc["axes"]["M"]
     doc["axes"] = axes
     config = harness.SweepConfig.from_json(doc)
     want = harness.run_sweep(config, str(tmp_path / "program.csv"))
     tr = Tracer()
     got, _ = replay.replay_sweep(tr, config, str(tmp_path / "replay.csv"))
-    assert len(got) == len(want) == 2
+    assert len(got) == len(want) == len(axes["M"])
     for got_row, want_row in zip(got, want):
         assert row_differences(got_row, want_row) == []
         assert want_row["error"] == ""

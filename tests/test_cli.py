@@ -347,6 +347,12 @@ class TestExitCodes:
             (explicit, "--problem"),
             ({**rff, "frequencies": [[0.0, 1.0], [1.0, 0.0]]}, "--data"),
             ({**rff, "frequencies": [[0.0, 1.0], [1.0, 0.0]]}, "--problem"),
+            ({**rff, "frequencies": [[math.nan], [1.0]]}, "--problem"),
+            ({**rff, "frequencies": [[math.nan], [1.0]]}, "--data"),
+            ({**rff, "frequencies": [[math.inf], [1.0]]}, "--problem"),
+            ({**rff, "frequencies": [[0.0], [-math.inf]]}, "--data"),
+            ({**rff, "phases": [math.nan, 1.5]}, "--problem"),
+            ({**rff, "phases": [0.5, math.nan]}, "--data"),
         ]
         model = workdir / "m.json"
         for doc, source in bad:

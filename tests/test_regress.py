@@ -356,6 +356,41 @@ class TestRffGrouping:
         freqs[zeros] = np.where(gen.random(zeros.sum()) < 0.5, -0.0, 0.0)
         self.assert_unique_rows(freqs)
 
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    @pytest.mark.parametrize("integer", [True, False])
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_columns_ranked_once(self, d, integer, signed_zeros, monkeypatch):
+        # the feature set hands its column ranks to its plane waves, and the
+        # waves are bitwise those built from the distinct rows alone; with
+        # zeros of both signs, np.unique may keep the other zero from the
+        # distinct rows, and a sine of a zero angle may differ in its sign
+        import rffdq.kernelmap as kernelmap
+        import rffdq.regress as regress
+
+        calls, real = [], kernelmap.column_ranks
+
+        def spy(freqs):
+            calls.append(freqs.shape)
+            return real(freqs)
+
+        gen = np.random.default_rng([d, integer, 1])
+        values = np.arange(-3.0, 4.0) if integer else np.append(gen.uniform(-3.5, 3.5, 6), 0.0)
+        freqs = values[gen.integers(0, 7, (200, d))]
+        freqs[100:] = freqs[gen.integers(0, 100, 100)]
+        if signed_zeros:
+            zeros = freqs == 0
+            freqs[zeros] = np.where(gen.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        monkeypatch.setattr(regress, "column_ranks", spy)
+        monkeypatch.setattr(kernelmap, "column_ranks", spy)
+        fset = RffFeatureSet(freqs, gen.uniform(0, 2 * np.pi, 200))
+        assert calls == [(200, d)]
+        alone = kernelmap.PlaneWaves(fset.distinct)
+        assert fset.waves.tabled == alone.tabled
+        X = gen.uniform(0, 2 * np.pi, (30, d))
+        for (rows, got), (_, want) in zip(fset.waves.blocks(X), alone.blocks(X)):
+            assert np.array_equal(got, want), rows
+            assert signed_zeros or got.tobytes() == want.tobytes(), rows
+
     def test_codes_too_wide_for_one_integer(self):
         # 600 distinct values in each of 7 columns: 600^7 codes exceed
         # 2^62, so the key is ranked before it is widened
@@ -454,6 +489,109 @@ class TestRffDesign:
         doc["coef"] = [1.0]
         with pytest.raises(ConfigError, match="coef"):
             model_from_json(doc)
+
+
+def _factored_design(gen, n, M):
+    """A design on a d = 2 lattice whose M draws hit U = 10 distinct
+    frequencies: the zero frequency (whose sine column is zero) three
+    times, half row 1 exactly once, and rows 2..9 at random, so M >> U."""
+    fs = build_frequency_set(pauli_half_encoding([3, 3]))
+    rows = np.concatenate([[0, 0, 0, 1], np.arange(2, 10), gen.integers(2, 10, size=M - 12)])
+    fset = RffFeatureSet(fs.half[gen.permutation(rows)], gen.uniform(0, 2 * np.pi, M))
+    X = gen.uniform(0, 2 * np.pi, (n, 2))
+    Y = np.cos(X[:, 0] - X[:, 1]) + 0.5 * np.sin(X[:, 1]) + 0.1 * gen.normal(size=n)
+    return fset, fset.design_matrix(X), Y
+
+
+@pytest.fixture
+def factored_calls(monkeypatch):
+    """The feature sets whose ``factored_ridge`` ran, in call order."""
+    calls, real = [], RffFeatureSet.factored_ridge
+
+    def spy(self, X, Y, lam):
+        calls.append(self)
+        return real(self, X, Y, lam)
+
+    monkeypatch.setattr(RffFeatureSet, "factored_ridge", spy)
+    return calls
+
+
+class TestFactoredRidge:
+    """``linear_ridge_fit`` on an ``RffDesign`` solves in the span of the
+    distinct frequencies exactly when lambda > 0 and 2U < min(n, M)."""
+
+    @pytest.mark.parametrize("n, M", [(60, 200), (300, 200), (300, 2000)])
+    @pytest.mark.parametrize("lam", ["auto", 1e-3])
+    def test_matches_the_direct_solve(self, n, M, lam, factored_calls):
+        fset, F, Y = _factored_design(np.random.default_rng([n, M]), n, M)
+        counts = np.bincount(fset.inverse)
+        assert fset.distinct.shape[0] == 10 and not np.any(fset.distinct[0])
+        assert counts[0] == 3 and sorted(counts)[0] == 1
+        lam = 1.0 / math.sqrt(n) if lam == "auto" else lam
+        w = linear_ridge_fit(F, Y, lam)
+        want = linear_ridge_fit(np.asarray(F), Y, lam)
+        assert len(factored_calls) == 1 and factored_calls[0] is fset
+        assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [20, 21, 60])
+    @pytest.mark.parametrize("M", [20, 21, 200])
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    def test_runs_exactly_when_lambda_positive_and_2u_below_min_n_m(self, n, M, lam, factored_calls):
+        gen = np.random.default_rng([n, M])
+        fs = build_frequency_set(pauli_half_encoding([3, 3]))
+        fset = RffFeatureSet(fs.half[np.arange(M) % 10], gen.uniform(0, 2 * np.pi, M))
+        X = gen.uniform(0, 2 * np.pi, (n, 2))
+        try:
+            linear_ridge_fit(fset.design_matrix(X), np.cos(X[:, 0]), lam)
+        except np.linalg.LinAlgError:  # lambda = 0 on a rank-deficient design
+            assert lam == 0
+        assert len(factored_calls) == int(lam > 0 and 20 < min(n, M))
+
+    def test_derived_arrays_take_the_direct_route(self, factored_calls):
+        fset, F, Y = _factored_design(np.random.default_rng(5), 60, 200)
+        assert type(np.asarray(F)) is np.ndarray
+        derived = [(F.T, F[0]), (F[:, :150], Y), (F.copy(), Y), (2 * F, Y), (np.asarray(F), Y)]
+        for G, y in derived:
+            assert getattr(G, "feature_set", None) is None
+            got = linear_ridge_fit(G, y, 0.05)
+            assert np.array_equal(got, linear_ridge_fit(np.array(G), y, 0.05))
+        assert factored_calls == []
+
+    def test_lambda_zero_is_the_direct_result(self, factored_calls):
+        gen = np.random.default_rng(9)
+        fset, F, Y = _factored_design(gen, 60, 200)
+        for G in (F, np.asarray(F)):  # 2U = 20 < M: singular either way
+            with pytest.raises(np.linalg.LinAlgError, match="singular at lambda = 0"):
+                linear_ridge_fit(G, Y, 0.0)
+        fs = build_frequency_set(pauli_half_encoding([3, 3]))
+        fset = RffFeatureSet(fs.half[1:9], gen.uniform(0, 2 * np.pi, 8))
+        F = fset.design_matrix(gen.uniform(0, 2 * np.pi, (60, 2)))
+        Y = gen.normal(size=60)
+        assert np.array_equal(linear_ridge_fit(F, Y, 0.0), linear_ridge_fit(np.asarray(F), Y, 0.0))
+        assert factored_calls == []
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-6, np.pi])
+    @pytest.mark.parametrize("lam", [1e-8, 1e-12])
+    def test_nearly_collinear_features_at_small_lambda(self, gap, lam, factored_calls):
+        # two draws of one frequency whose phases coincide or differ by pi
+        # make S's block singular, and nearly equal ones nearly so: the fit
+        # passes its residual check, and its ridge objective is the direct
+        # route's, where the weights themselves are ill-determined
+        gen = np.random.default_rng(3)
+        freqs = np.array([[1.0], [1.0], [2.0], [2.0], [2.0], [0.0], [0.0], [3.0], [3.0]])
+        phases = np.array([1.0, (1.0 + gap) % (2 * np.pi), 0.1, 2.0, 4.0, 0.5, 1.5, 2.2, 5.0])
+        fset = RffFeatureSet(freqs, phases)
+        X = gen.uniform(0, 2 * np.pi, (2000, 1))
+        Y = np.cos(X[:, 0]) + np.sin(X[:, 0]) + np.cos(2 * X[:, 0] + 0.3)
+        F = np.asarray(fset.design_matrix(X))
+
+        def objective(w):
+            return float(np.sum((Y - F @ w) ** 2) + 2000 * lam * np.sum(w**2))
+
+        got = objective(linear_ridge_fit(fset.design_matrix(X), Y, lam))
+        assert len(factored_calls) == 1
+        want = objective(linear_ridge_fit(F, Y, lam))
+        assert abs(got - want) <= 1e-10 * want
 
 
 def benchmark_shape_calls():
@@ -731,6 +869,9 @@ class TestModelSerialization:
             ({**rff, "frequencies": [], "phases": [], "coef": []}, "at least one feature"),
             ({**rff, "frequencies": [[1.0], [2.0, 0.0], [1.0], [0.0]]}, "rff model"),
             ({**rff, "phases": [7.0] + rff["phases"][1:]}, r"phases must lie in \[0, 2pi\)"),
+            ({**rff, "phases": [math.nan] + rff["phases"][1:]}, r"phases must lie in \[0, 2pi\)"),
+            ({**rff, "frequencies": [[math.nan]] + rff["frequencies"][1:]}, "frequencies must be finite"),
+            ({**rff, "frequencies": [[-math.inf]] + rff["frequencies"][1:]}, "frequencies must be finite"),
             ({**rff, "lambda": "tiny"}, "rff model"),
             ({**explicit, "v": explicit["v"][:-1]}, "v must hold"),
             ({**explicit, "weights": explicit["weights"][:-1]}, "weights has length"),
