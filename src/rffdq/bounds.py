@@ -82,10 +82,9 @@ def sufficient_sample_counts(op_norm: float, C: float, b: float, eps: float, del
     probability delta."""
     if not (0.0 < op_norm <= 0.5):
         raise ValueError("operator norm must lie in (0, 1/2]")
-    if C <= 0 or b <= 0:
-        raise ValueError("C and b must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    for name, value in (("C", C), ("b", b), ("eps", eps)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     n0 = max(4.0 * op_norm**2, (528.0 * math.log(1112.0 * math.sqrt(2.0) / delta)) ** 2)
@@ -194,8 +193,8 @@ def _required_sample_counts(
     """``required_sample_counts`` with the distribution's enumerated vector,
     if any, and its p_max supplied."""
     _require_integer_lattice(dist)
-    if eps_hat < 0:
-        raise ValueError("eps_hat must be nonnegative")
+    if not 0.0 <= eps_hat < math.inf:
+        raise ValueError("eps_hat must be finite and nonnegative")
     fh2 = fhat_l2_sq(f_hat)
     f2 = (2.0 * math.pi) ** f_hat.d * fh2
     A = alignment(f_hat, dist, p_vec)

@@ -282,19 +282,41 @@ class SweepConfig:
                 f"config schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')}"
             )
         axes = doc.get("axes", {})
+        if not isinstance(axes, dict):
+            raise ConfigError(f"axes must be an object, got {axes!r}")
+        n_axis = _axis(axes, "n", None, least=1)
         base = dict(doc["problem"])
-        base.setdefault("n", int(axes.get("n", [100])[0]))
+        base.setdefault("n", n_axis[0] if n_axis else 100)
         return cls(
             name=str(doc.get("name", "exp")),
             problem=ProblemSpec.from_json(base),
             dist_doc=doc["dist"],
-            M_axis=[int(v) for v in axes.get("M", [100])],
-            n_axis=[int(v) for v in axes.get("n", [base["n"]])],
-            lambda_axis=list(axes.get("lambda", ["auto"])),
-            seed_axis=[int(v) for v in axes.get("seeds", [0])],
+            M_axis=_axis(axes, "M", [100], least=1),
+            n_axis=n_axis or [int(base["n"])],
+            lambda_axis=_axis(axes, "lambda", ["auto"]),
+            seed_axis=_axis(axes, "seeds", [0], least=0),
             master_seed=int(doc.get("master_seed", 0)),
             krr_oracle=bool(doc.get("krr_oracle", False)),
         )
+
+
+def _axis(axes: dict, name: str, default, least: int | None = None):
+    """Sweep axis ``name`` (``default`` when not given): a non-empty JSON
+    array, of integral numbers (not bools) >= ``least``, returned as ints,
+    when ``least`` is set; anything else is a ``ConfigError``.  Lambda
+    entries are read per cell, which records a bad one."""
+    if name not in axes:
+        return default
+    values = axes[name]
+    if not (isinstance(values, list) and values):
+        raise ConfigError(f"axis {name!r} must be a non-empty array, got {values!r}")
+    if least is None:
+        return values
+    for v in values:
+        whole = isinstance(v, (int, np.integer)) or (isinstance(v, float) and v.is_integer())
+        if isinstance(v, bool) or not whole or v < least:
+            raise ConfigError(f"axis {name!r} entries must each be an integer >= {least}, got {v!r}")
+    return [int(v) for v in values]
 
 
 def _cells(config: SweepConfig):

@@ -19,10 +19,7 @@ spectrum back to the 2-norm of its v; no other module reads the layout.
 Every plane wave e^{i <omega, x>} that a polynomial, a feature map, a
 kernel or a fitted model takes at sample points comes from ``PlaneWaves``,
 which forms it from a product tree over the columns or by one cosine and one
-sine per (point, term), by the cost rule in ``_tables_pay`` at every d,
-except that when the waves take the direct form
-``regress.RffFeatureSet._features`` may take one cosine of a phase-shifted
-angle per feature, and ``RffModel.predict`` one per distinct frequency.
+sine per (point, term), by the cost rule in ``_tables_pay`` at every d.
 """
 
 from __future__ import annotations
@@ -543,16 +540,15 @@ class TrigPolynomial:
 
     @classmethod
     def from_json(cls, doc: dict, fs: FrequencySet | None = None) -> "TrigPolynomial":
-        d = int(doc["d"])
-        mapping = {}
-        for term in doc["terms"]:
-            omega = tuple(float(v) for v in term["omega"])
-            if len(omega) != d:
-                raise ValueError("term dimension mismatch in function document")
-            mapping[omega] = complex(float(term["re"]), float(term["im"]))
-        if not mapping:
+        d, terms = int(doc["d"]), doc["terms"]
+        freqs = [[float(v) for v in term["omega"]] for term in terms]
+        if any(len(omega) != d for omega in freqs):
+            raise ValueError("term dimension mismatch in function document")
+        if not freqs:
             return cls.zero(fs, d)
-        return cls.from_half_coeffs(fs, mapping)
+        # the terms go in as arrays, so a repeated frequency is refused
+        c = [complex(float(term["re"]), float(term["im"])) for term in terms]
+        return cls.from_half_arrays(fs, np.array(freqs), c)
 
 
 def load_function(path: str, fs: FrequencySet | None = None) -> TrigPolynomial:

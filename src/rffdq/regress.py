@@ -269,10 +269,8 @@ class RffFeatureSet:
     ``distinct`` holds the U distinct frequencies (in the order of
     ``np.unique(axis=0)``), ``first`` the draw at which each first appears,
     ``inverse`` each draw's row in ``distinct``, and ``waves`` their
-    ``PlaneWaves``, built from the same column ranks.  Features are built from e^{i <w_u, x>} per distinct
-    frequency by angle addition when ``waves`` takes its product tree or
-    when 2U <= M (then it never costs more trigonometry than one cosine per
-    feature); otherwise each feature takes its own cosine.
+    ``PlaneWaves``, built from the same column ranks.  Features are built
+    from e^{i <w_u, x>} per distinct frequency by angle addition.
     """
 
     frequencies: np.ndarray
@@ -310,29 +308,21 @@ class RffFeatureSet:
         re = np.bincount(self.inverse, weights=values.real, minlength=U)
         return re + 1j * np.bincount(self.inverse, weights=values.imag, minlength=U)
 
-    def _features(self, X, divisor: float) -> np.ndarray:
-        """sqrt(2) cos(<w_i, x> + g_i) / divisor, shape (n, M)."""
-        X = self.waves.points(X)
-        if 2 * self.distinct.shape[0] > self.M and not self.waves.tabled:
-            F = math.sqrt(2.0) * np.cos(X @ self.frequencies.T + self.phases)
-            F /= divisor
-            return F
-        # sqrt(2) cos(t_u + g_i) = a_i cos t_u - b_i sin t_u
-        factor = math.sqrt(2.0) / divisor
-        a = factor * np.cos(self.phases)
-        b = factor * np.sin(self.phases)
-        out = np.empty((X.shape[0], self.M))
-        for rows, phasors in self.waves.blocks(X):
-            _angle_sum(out[rows], phasors, self.inverse, a, b)
-        return out
-
     def design_matrix(self, X) -> RffDesign:
         """Monte-Carlo-normalized design matrix psi(x, nu_i)/sqrt(M), as an
         ``RffDesign`` that records this set and ``X``: ``linear_ridge_fit``
         takes the factored route on it when lambda > 0 and 2U < min(n, M),
         and the primal or dual route otherwise."""
-        F = self._features(X, math.sqrt(self.M)).view(RffDesign)
-        F.feature_set, F.points = self, self.waves.points(X)
+        X = self.waves.points(X)
+        # sqrt(2) cos(t_u + g_i)/sqrt(M) = a_i cos t_u - b_i sin t_u
+        factor = math.sqrt(2.0) / math.sqrt(self.M)
+        a = factor * np.cos(self.phases)
+        b = factor * np.sin(self.phases)
+        F = np.empty((X.shape[0], self.M))
+        for rows, phasors in self.waves.blocks(X):
+            _angle_sum(F[rows], phasors, self.inverse, a, b)
+        F = F.view(RffDesign)
+        F.feature_set, F.points = self, X
         return F
 
     def factored_ridge(self, X, Y: np.ndarray, lam: float) -> np.ndarray:
@@ -479,18 +469,12 @@ class RffModel(_Model):
 
     def predict(self, X) -> np.ndarray:
         """sum_i coef_i sqrt(2) cos(<w_i, x> + g_i)/sqrt(M), summed per
-        distinct frequency first: rho_u cos(<w_u, x> + phi_u) with
-        rho_u e^{i phi_u} = sqrt(2/M) sum_{i in u} coef_i e^{i g_i}: one
-        cosine per (point, frequency), or Re(z_u e^{i <w_u, x>}), one
-        complex matrix-vector product per block, when ``PlaneWaves`` takes
-        its product tree."""
+        distinct frequency first: Re(z_u e^{i <w_u, x>}) with
+        z_u = sqrt(2/M) sum_{i in u} coef_i e^{i g_i}, one complex
+        matrix-vector product per block of ``PlaneWaves``."""
         fset = self.feature_set
         z = math.sqrt(2.0 / fset.M) * fset.per_frequency(self.coef * np.exp(1j * fset.phases))
         X = fset.waves.points(X)
-        if not fset.waves.tabled:
-            theta = X @ fset.distinct.T
-            theta += np.angle(z)
-            return np.cos(theta, out=theta) @ np.abs(z)
         out = np.empty(X.shape[0])
         for rows, phasors in fset.waves.blocks(X):
             out[rows] = (phasors @ z).real

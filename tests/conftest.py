@@ -43,7 +43,7 @@ def forbid_model_evaluation(monkeypatch):
 
     for model in (regress.RffModel, regress.ExplicitLinearModel):
         monkeypatch.setattr(model, "predict", forbidden)
-    monkeypatch.setattr(regress.RffFeatureSet, "_features", forbidden)
+    monkeypatch.setattr(regress.RffFeatureSet, "design_matrix", forbidden)
     monkeypatch.setattr(kernelmap.TrigPolynomial, "evaluate", forbidden)
 
 

@@ -61,6 +61,11 @@ class TestSufficientCounts:
             {"eps": 0.0},
             {"delta": 0.0},
             {"delta": 1.5},
+            {"C": math.nan},
+            {"C": math.inf},
+            {"b": math.nan},
+            {"eps": math.nan},
+            {"eps": math.inf},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
@@ -150,6 +155,12 @@ class TestRequiredCounts:
         rep = required_sample_counts(cos_target, dist, 10.0)
         assert rep.vacuous
         assert rep.M_required_pmax == 0.0 and rep.M_required_alignment == 0.0
+
+    @pytest.mark.parametrize("eps_hat", [-0.1, math.nan, math.inf])
+    def test_rejects_eps_hat_out_of_range(self, fs_1d_5, cos_target, eps_hat):
+        dist = uniform_distribution(fs_1d_5)
+        with pytest.raises(ValueError, match="eps_hat must be finite and nonnegative"):
+            required_sample_counts(cos_target, dist, eps_hat)
 
     def test_zero_alignment_infinite(self, fs_1d_5, cos_target):
         dist = ExplicitDistribution(fs_1d_5, [(3.0,)], [1.0])

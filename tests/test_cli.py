@@ -260,6 +260,15 @@ class TestExitCodes:
         run(["experiment", "run", "--config", workdir / "exp.json", "--out", res])
         assert run(["experiment", "plot", "--in", res, "--kind", "bogus", "--out", workdir / "p.svg"]) == 2
 
+    @pytest.mark.parametrize("axis", [{"n": []}, {"M": [0]}, {"M": "16"}, {"lambda": "auto"}])
+    def test_malformed_sweep_axis_is_2(self, workdir, axis, capsys):
+        exp = json.loads((workdir / "exp.json").read_text())
+        exp["axes"].update(axis)
+        (workdir / "bad_exp.json").write_text(json.dumps(exp))
+        res = workdir / "r.csv"
+        assert run(["experiment", "run", "--config", workdir / "bad_exp.json", "--out", res]) == 2
+        assert "axis" in capsys.readouterr().err and not res.exists()
+
     @pytest.mark.parametrize("cell", ["nan", "abc"])
     def test_malformed_data_file_is_2(self, workdir, cell, capsys):
         data = workdir / "bad.csv"
@@ -368,6 +377,23 @@ class TestExitCodes:
         assert run(
             ["bounds", "sufficient", "--opnorm", 0.9, "--C", 1, "--b", 1, "--eps", 0.1, "--delta", 0.05]
         ) == 3
+
+    @pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--C", "inf"), ("--b", "nan"), ("--epshat", "nan")])
+    def test_non_finite_bound_input_is_3(self, workdir, flag, value, capsys):
+        if flag == "--epshat":
+            w = workdir
+            args = ["feasibility", "--encoding", w / "enc.json", "--dist", w / "dist.json", "--function", w / "f.json"]
+        else:
+            args = ["sufficient", "--opnorm", 0.25, "--C", 1, "--b", 1, "--eps", 0.1, "--delta", 0.05]
+        assert run(["bounds", *args, flag, value]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_repeated_function_term_is_3(self, workdir, capsys):
+        f = workdir / "f_twice.json"
+        terms = [{"omega": [1.0], "re": 0.5, "im": 0.0}, {"omega": [1.0], "re": 0.3, "im": 0.0}]
+        f.write_text(json.dumps({"d": 1, "terms": terms}))
+        assert run(["rkhs-norm", "--function", f, "--weights", workdir / "w.json", "--encoding", workdir / "enc.json"]) == 3
+        assert "duplicate coefficient for frequency (1.0,)" in capsys.readouterr().err
 
     def test_non_integer_rkhs_is_3(self, workdir):
         enc = workdir / "enc_ni.json"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -406,6 +407,36 @@ class TestRunSweep:
     def test_schema_version_enforced(self):
         with pytest.raises(ConfigError):
             SweepConfig.from_json(sweep_doc(schema_version=2))
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ({"lambda": "auto"}, "axis 'lambda' must be a non-empty array"),
+            ({"M": "16"}, "axis 'M' must be a non-empty array"),
+            ({"n": []}, "axis 'n' must be a non-empty array"),
+            ({"seeds": 0}, "axis 'seeds' must be a non-empty array"),
+            ({"M": [0]}, "axis 'M' entries must each be an integer >= 1, got 0"),
+            ({"n": [40, -1]}, "axis 'n' entries must each be an integer >= 1, got -1"),
+            ({"M": [16.5]}, "axis 'M' entries must each be an integer >= 1, got 16.5"),
+            ({"M": [True]}, "axis 'M' entries must each be an integer >= 1, got True"),
+            ({"n": ["40"]}, "axis 'n' entries must each be an integer >= 1, got '40'"),
+            ({"seeds": [0.5]}, "axis 'seeds' entries must each be an integer >= 0, got 0.5"),
+            ({"seeds": [False]}, "axis 'seeds' entries must each be an integer >= 0, got False"),
+            ({"seeds": [0, -3]}, "axis 'seeds' entries must each be an integer >= 0, got -3"),
+        ],
+    )
+    def test_malformed_axes_are_config_errors(self, axis, message):
+        doc = sweep_doc(axes={**sweep_doc()["axes"], **axis})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SweepConfig.from_json(doc)
+
+    def test_axes_defaults_and_integral_floats(self):
+        config = SweepConfig.from_json(sweep_doc(axes={"M": [16.0], "seeds": [0, 2.0]}))
+        assert config.M_axis == [16] and config.seed_axis == [0, 2]
+        assert all(type(v) is int for v in config.M_axis + config.seed_axis)
+        assert config.n_axis == [40] and config.lambda_axis == ["auto"]
+        with pytest.raises(ConfigError, match="axes must be an object"):
+            SweepConfig.from_json(sweep_doc(axes=[]))
 
     def test_runtime_ms_zero_by_default(self, tmp_path):
         rows = run_sweep(SweepConfig.from_json(sweep_doc()), str(tmp_path / "r.csv"))

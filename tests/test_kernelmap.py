@@ -103,6 +103,12 @@ class TestRealForm:
         X = rng.uniform(0, 2 * np.pi, (20, 2))
         assert np.allclose(standalone.evaluate(X), f.evaluate(X))
 
+    @pytest.mark.parametrize("on_lattice", [False, True])
+    def test_json_repeated_frequency_rejected(self, fs_1d_3, on_lattice):
+        terms = [{"omega": [1.0], "re": 0.5, "im": 0.0}, {"omega": [1.0], "re": 0.3, "im": 0.0}]
+        with pytest.raises(ValueError, match=r"duplicate coefficient for frequency \(1\.0,\)"):
+            TrigPolynomial.from_json({"d": 1, "terms": terms}, fs_1d_3 if on_lattice else None)
+
 
 class TestFeatureMap:
     def setup_method(self):

@@ -325,11 +325,11 @@ class TestRffFit:
         assert model.lam == pytest.approx(1.0 / 8.0)
 
 
-def _draws(gen, fs, M, U):
-    """M features on U distinct frequencies of ``fs`` (the zero frequency
+def _draws(gen, half, M, U):
+    """M features on the first U rows of ``half`` (the zero frequency
     among them), every one drawn at least once, in random draw order."""
     rows = np.concatenate([np.arange(U), gen.integers(0, U, size=M - U)])
-    return RffFeatureSet(fs.half[gen.permutation(rows)], gen.uniform(0, 2 * np.pi, M))
+    return RffFeatureSet(half[gen.permutation(rows)], gen.uniform(0, 2 * np.pi, M))
 
 
 class TestRffGrouping:
@@ -401,25 +401,27 @@ class TestRffGrouping:
 
 
 class TestRffDesign:
-    @pytest.mark.parametrize("L_per_dim", [[4], [2, 2], [1, 2, 1], [1, 1, 1, 1]])
+    # None: ten continuous frequencies at d = 3, on a half (first entries
+    # >= 0, the zero one first), whose waves stay direct at every M
+    @pytest.mark.parametrize("L_per_dim", [[4], [2, 2], [1, 2, 1], [1, 1, 1, 1], None])
     @pytest.mark.parametrize("M_per_U", [1, 1.5, 2, 2.5, 8])
     def test_matches_the_direct_formula(self, L_per_dim, M_per_U):
-        fs = build_frequency_set(pauli_half_encoding(L_per_dim))
-        gen = SeededRng(len(L_per_dim)).generator()
-        U = min(fs.size, 10)
+        if L_per_dim is None:
+            gen = SeededRng(5).generator()
+            half = np.vstack([np.zeros(3), gen.uniform([0, -3, -3], 3, (9, 3))])
+        else:
+            gen = SeededRng(len(L_per_dim)).generator()
+            half = build_frequency_set(pauli_half_encoding(L_per_dim)).half
+        U = min(half.shape[0], 10)
         M = int(M_per_U * U)
-        fset = _draws(gen, fs, M, U)
+        fset = _draws(gen, half, M, U)
         assert fset.distinct.shape[0] == U and not np.any(fset.distinct[0])
-        X = gen.uniform(0, 2 * np.pi, (40, fs.d))
+        assert L_per_dim is not None or not fset.waves.tabled
+        X = gen.uniform(0, 2 * np.pi, (40, half.shape[1]))
         want = direct_design(fset.frequencies, fset.phases, X)
         got = fset.design_matrix(X)
-        raw = fset._features(X, 1.0)  # unnormalized: sqrt(2) cos(<w_i, x> + g_i)
-        assert got.shape == raw.shape == (40, M)
+        assert got.shape == (40, M)
         assert np.max(np.abs(got - want)) <= 1e-14
-        assert np.max(np.abs(raw - want * math.sqrt(M))) <= 1e-14
-        if 2 * U > M and not fset.waves.tabled:  # one cosine per feature, as before grouping
-            assert np.array_equal(got, want)
-            assert np.array_equal(raw, math.sqrt(2.0) * np.cos(X @ fset.frequencies.T + fset.phases))
         coef = gen.normal(size=M)
         pred = RffModel(fset, coef, 0.1).predict(X)
         assert np.max(np.abs(pred - want @ coef)) <= 1e-13 * np.max(np.abs(want @ coef))
@@ -470,7 +472,7 @@ class TestRffDesign:
         assert np.max(np.abs(pred - want @ coef)) <= 1e-13 * np.max(np.abs(want @ coef))
 
     def test_wrong_width_names_both_widths(self):
-        for L, M in (([1, 1], 3), ([1, 1], 40), ([10, 10], 200)):  # per feature, angle sum, tabled
+        for L, M in (([1, 1], 3), ([1, 1], 40), ([10, 10], 200)):  # direct, 2U > M; direct, 2U <= M; tabled
             fs = build_frequency_set(pauli_half_encoding(L))
             gen = SeededRng(M).generator()
             fset = RffFeatureSet(fs.half[gen.integers(0, fs.size, M)], gen.uniform(0, 2 * np.pi, M))
