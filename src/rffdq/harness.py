@@ -285,6 +285,13 @@ class SweepConfig:
         if not isinstance(axes, dict):
             raise ConfigError(f"axes must be an object, got {axes!r}")
         n_axis = _axis(axes, "n", None, least=1)
+        master_seed = _whole(doc.get("master_seed", 0), 0)
+        if master_seed is None:
+            raise ConfigError(f"master_seed must be an integer >= 0, got {doc['master_seed']!r}")
+        # bool("false") is True: only a JSON boolean says whether the oracle runs
+        krr_oracle = doc.get("krr_oracle", False)
+        if not isinstance(krr_oracle, bool):
+            raise ConfigError(f"krr_oracle must be true or false, got {krr_oracle!r}")
         base = dict(doc["problem"])
         base.setdefault("n", n_axis[0] if n_axis else 100)
         return cls(
@@ -295,9 +302,18 @@ class SweepConfig:
             n_axis=n_axis or [int(base["n"])],
             lambda_axis=_axis(axes, "lambda", ["auto"]),
             seed_axis=_axis(axes, "seeds", [0], least=0),
-            master_seed=int(doc.get("master_seed", 0)),
-            krr_oracle=bool(doc.get("krr_oracle", False)),
+            master_seed=master_seed,
+            krr_oracle=krr_oracle,
         )
+
+
+def _whole(value, least: int) -> int | None:
+    """``value`` as an int when it is an integral number (not a bool) of at
+    least ``least``, else None."""
+    whole = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < least:
+        return None
+    return int(value)
 
 
 def _axis(axes: dict, name: str, default, least: int | None = None):
@@ -312,11 +328,11 @@ def _axis(axes: dict, name: str, default, least: int | None = None):
         raise ConfigError(f"axis {name!r} must be a non-empty array, got {values!r}")
     if least is None:
         return values
-    for v in values:
-        whole = isinstance(v, (int, np.integer)) or (isinstance(v, float) and v.is_integer())
-        if isinstance(v, bool) or not whole or v < least:
+    whole = [_whole(v, least) for v in values]
+    for v, w in zip(values, whole):
+        if w is None:
             raise ConfigError(f"axis {name!r} entries must each be an integer >= {least}, got {v!r}")
-    return [int(v) for v in values]
+    return whole
 
 
 def _cells(config: SweepConfig):

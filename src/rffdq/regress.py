@@ -1,14 +1,17 @@
 """Closed-form ridge fits: explicit-feature, kernel, and random-feature.
 
-All three solve one 2-norm-regularized least-squares problem in
-``linear_ridge_fit`` (kernel ridge with K_w is ridge on phi_w), with the
-``lambda * n`` convention inside the regularized system, so a given lambda
-means the same thing across models and feature counts (the 1/sqrt(M)
-normalization lives in the random feature matrix).  It takes one of three
-routes: the primal D x D system when D <= n or lambda = 0, the dual n x n
-Gram system when D > n, and, for a random-feature design that lambda > 0
-regularizes and whose U distinct frequencies give 2U < min(n, M), a
-2U x 2U system in the span of those frequencies.
+All three solve one 2-norm-regularized least-squares problem (kernel ridge
+with K_w is ridge on phi_w), with the ``lambda * n`` convention inside the
+regularized system, so a given lambda means the same thing across models and
+feature counts (the 1/sqrt(M) normalization lives in the random feature
+matrix).  ``linear_ridge_fit`` solves it on a design, by the primal D x D
+system when D <= n or lambda = 0 and by the dual n x n Gram system when
+D > n.  Random-feature ridge enters at ``RffFeatureSet.ridge``: where lambda
+> 0 and the U distinct frequencies give 2U < min(n, M), it solves a 2U x 2U
+system in the span of those frequencies and forms no n x M design, and
+elsewhere it forms the design and calls ``linear_ridge_fit``.  Every
+solution is residual-checked against the normal equations of the design,
+on the factored route through the design's factors.
 
 A fitted model's true risk under uniform inputs is computed from its exact
 spectrum (``model_spectrum``), never from sample points, on integer and
@@ -180,33 +183,51 @@ def _solve_spd(A: np.ndarray, B: np.ndarray, allow_jitter: bool) -> np.ndarray:
     )
 
 
-def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
-    """Closed-form ridge weights (F^T F + lambda n I)^{-1} F^T Y.
-
-    Three routes give the same solution (by the push-through identity):
-    - factored, when ``F`` is an ``RffDesign`` as ``design_matrix`` returns
-      it, lambda > 0 and its U distinct frequencies give 2U < min(n, D):
-      ``RffFeatureSet.factored_ridge`` solves a 2U x 2U system;
-    - primal, for D <= n or lambda = 0: the D x D system;
-    - dual, for D > n: the n x n Gram system.
-    The returned weights are residual-checked against the normal equations
-    of ``F`` itself on every route.
-    """
-    source, X = (F.feature_set, F.points) if isinstance(F, RffDesign) else (None, None)
-    F = np.atleast_2d(np.asarray(F, dtype=float))
+def _ridge_inputs(rows: np.ndarray, Y, lam: float) -> np.ndarray:
+    """``Y`` as a float vector, after checking it against ``rows`` (the
+    design, or the points it is formed at): one finite target per finite
+    row, and a finite lambda >= 0.  Anything else is a ValueError."""
     Y = np.asarray(Y, dtype=float).ravel()
-    n, D = F.shape
-    if Y.size != n:
+    if Y.size != rows.shape[0]:
         raise ValueError("feature matrix and targets disagree on n")
-    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(Y))):
+    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(Y))):
         raise ValueError("non-finite inputs to ridge solve")
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+    return Y
+
+
+def _check_normal_equations(FtFw: np.ndarray, w: np.ndarray, FtY: np.ndarray, lam_n: float):
+    """Raise LinAlgError unless w solves F^T F w + n lambda w = F^T Y to
+    ``RESIDUAL_RTOL`` (1 + max |F^T Y|), given F^T F w and F^T Y."""
+    resid = FtFw + lam_n * w - FtY
+    bound = RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(FtY), initial=0.0)))
+    worst = float(np.max(np.abs(resid), initial=0.0))
+    # NaN compares false both ways: only a residual within bound passes
+    if not worst <= bound:
+        raise np.linalg.LinAlgError(f"ridge solution failed the residual check ({worst:.3e})")
+
+
+def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
+    """Closed-form ridge weights (F^T F + lambda n I)^{-1} F^T Y.
+
+    Two routes give the same solution (by the push-through identity):
+    - primal, for D <= n or lambda = 0: the D x D system;
+    - dual, for D > n: the n x n Gram system.
+    The returned weights are residual-checked against the normal equations
+    of ``F``.  An ``RffDesign`` (as ``design_matrix`` returns it) on which
+    ``RffFeatureSet.factors`` holds is solved by its feature set's
+    ``factored_ridge`` instead, the route ``RffFeatureSet.ridge`` takes.
+    """
+    source, X = (F.feature_set, F.points) if isinstance(F, RffDesign) else (None, None)
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    Y = _ridge_inputs(F, Y, lam)
+    n, D = F.shape
+    if source is not None and source.factors(n, lam):
+        return source.factored_ridge(X, Y, lam)
     FtY = F.T @ Y
     # n lambda goes onto the diagonal in place: no identity, no second sum
-    if source is not None and lam > 0 and 2 * source.distinct.shape[0] < min(n, D):
-        w = source.factored_ridge(X, Y, lam)
-    elif lam == 0 or D <= n:
+    if lam == 0 or D <= n:
         A = F.T @ F
         A.flat[:: D + 1] += lam * n
         w = _solve_spd(A, FtY, allow_jitter=lam > 0)
@@ -214,12 +235,7 @@ def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
         G = F @ F.T
         G.flat[:: n + 1] += lam * n
         w = F.T @ _solve_spd(G, Y, allow_jitter=True)
-    resid = F.T @ (F @ w) + lam * n * w - FtY
-    bound = RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(FtY), initial=0.0)))
-    worst = float(np.max(np.abs(resid), initial=0.0))
-    # NaN compares false both ways: only a residual within bound passes
-    if not worst <= bound:
-        raise np.linalg.LinAlgError(f"ridge solution failed the residual check ({worst:.3e})")
+    _check_normal_equations(F.T @ (F @ w), w, FtY, lam * n)
     return w
 
 
@@ -310,9 +326,8 @@ class RffFeatureSet:
 
     def design_matrix(self, X) -> RffDesign:
         """Monte-Carlo-normalized design matrix psi(x, nu_i)/sqrt(M), as an
-        ``RffDesign`` that records this set and ``X``: ``linear_ridge_fit``
-        takes the factored route on it when lambda > 0 and 2U < min(n, M),
-        and the primal or dual route otherwise."""
+        ``RffDesign`` that records this set and ``X``, so that
+        ``linear_ridge_fit`` on it takes the route ``ridge`` takes."""
         X = self.waves.points(X)
         # sqrt(2) cos(t_u + g_i)/sqrt(M) = a_i cos t_u - b_i sin t_u
         factor = math.sqrt(2.0) / math.sqrt(self.M)
@@ -325,9 +340,50 @@ class RffFeatureSet:
         F.feature_set, F.points = self, X
         return F
 
-    def factored_ridge(self, X, Y: np.ndarray, lam: float) -> np.ndarray:
+    def factors(self, n: int, lam: float) -> bool:
+        """Whether ridge on n points at ``lam`` takes the factored route:
+        lambda > 0 and the U distinct frequencies give 2U < min(n, M)."""
+        return lam > 0 and 2 * self.distinct.shape[0] < min(n, self.M)
+
+    def ridge(self, X, Y, lam: float) -> np.ndarray:
+        """Ridge weights (F^T F + n lambda I)^{-1} F^T Y on the design F at
+        ``X``: by ``factored_ridge`` where ``factors`` holds, so that F is
+        never formed, and otherwise by ``linear_ridge_fit`` on the design."""
+        X = self.waves.points(X)
+        if self.factors(X.shape[0], lam):
+            return self.factored_ridge(X, Y, lam)
+        return linear_ridge_fit(np.asarray(self.design_matrix(X)), Y, lam)
+
+    def _phase_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two rows of C per feature: sqrt(2/M) (cos g_i, -sin g_i)."""
+        scale = math.sqrt(2.0 / self.M)
+        return scale * np.cos(self.phases), -scale * np.sin(self.phases)
+
+    def _wave_basis(self, X: np.ndarray) -> np.ndarray:
+        """B (n x 2U): cos <w_u, x> of the distinct frequencies, then
+        sin <w_u, x>, so that the design at ``X`` is exactly B C."""
+        U = self.distinct.shape[0]
+        B = np.empty((X.shape[0], 2 * U))
+        for rows, phasors in self.waves.blocks(X):
+            B[rows, :U] = phasors.real
+            B[rows, U:] = phasors.imag
+        return B
+
+    def _normal_products(self, B: np.ndarray, w: np.ndarray, Y: np.ndarray):
+        """F^T F w and F^T Y for the design F = B C, read through C alone:
+        C w is two bincounts, and C^T p gathers each feature's two rows."""
+        U, u = self.distinct.shape[0], self.inverse
+        a, b = self._phase_rows()
+        Cw = np.concatenate([np.bincount(u, a * w, U), np.bincount(u, b * w, U)])
+
+        def Ct(p):
+            return a * p[:U][u] + b * p[U:][u]
+
+        return Ct(B.T @ (B @ Cw)), Ct(B.T @ Y)
+
+    def factored_ridge(self, X, Y, lam: float) -> np.ndarray:
         """Ridge weights on the design at ``X`` for lambda > 0, solved in
-        the span of the U distinct frequencies.
+        the span of the U distinct frequencies without forming the design.
 
         The design factors exactly as F = B C: B (n x 2U) holds cos and sin
         of <w_u, x> (all cosines, then all sines), and C (2U x M) the phase
@@ -341,11 +397,13 @@ class RffFeatureSet:
         Nothing is divided by n lambda, and a singular block of S (a
         frequency drawn once, or two phases that nearly coincide) gives a
         zero or small column of A instead of a null-space part of z that
-        grows as 1/(n lambda).
+        grows as 1/(n lambda).  The weights are residual-checked against
+        F's normal equations read through B and C (not L and E).
         """
+        X = self.waves.points(X)
+        Y = _ridge_inputs(X, Y, lam)
         n, U, u = X.shape[0], self.distinct.shape[0], self.inverse
-        scale = math.sqrt(2.0 / self.M)
-        a, b = scale * np.cos(self.phases), -scale * np.sin(self.phases)
+        a, b = self._phase_rows()
         n1 = np.sqrt(np.bincount(u, a * a, U))
         e1, e2, t = a / n1[u], b, np.zeros(U)
         # projecting twice keeps e2 orthogonal to e1 when b nearly lies
@@ -356,15 +414,20 @@ class RffFeatureSet:
             t += s
         n2 = np.sqrt(np.bincount(u, e2 * e2, U))
         e2 = np.divide(e2, n2[u], out=np.zeros(self.M), where=n2[u] > 0)
-        A = np.empty((n, 2 * U))
-        for rows, phasors in self.waves.blocks(X):
-            np.multiply(phasors.real, n1, out=A[rows, :U])
-            A[rows, :U] += phasors.imag * t
-            np.multiply(phasors.imag, n2, out=A[rows, U:])
+        B = self._wave_basis(X)
+        # A's sine half holds B's sines times t until its own columns go in
+        A = np.empty_like(B)
+        np.multiply(B[:, U:], t, out=A[:, U:])
+        np.multiply(B[:, :U], n1, out=A[:, :U])
+        A[:, :U] += A[:, U:]
+        np.multiply(B[:, U:], n2, out=A[:, U:])
         G = A.T @ A
         G.flat[:: 2 * U + 1] += lam * n
         v = _solve_spd(G, A.T @ Y, allow_jitter=True)
-        return e1 * v[:U][u] + e2 * v[U:][u]
+        w = e1 * v[:U][u] + e2 * v[U:][u]
+        FtFw, FtY = self._normal_products(B, w, Y)
+        _check_normal_equations(FtFw, w, FtY, lam * n)
+        return w
 
 
 class _Model:
@@ -554,10 +617,11 @@ def rff_fit(data: Dataset, dist, M: int, lam, rng) -> RffModel:
     """Random-feature ridge regression.
 
     Samples M frequencies from ``dist`` and M phases uniformly from
-    [0, 2pi), builds the 1/sqrt(M)-normalized design matrix, and solves the
-    ridge system (by the factored route when lambda > 0 and the U distinct
-    frequencies give 2U < min(n, M)).  ``lam="auto"`` selects 1/sqrt(n).  Deterministic given the
-    rng.
+    [0, 2pi), and solves the ridge system on the 1/sqrt(M)-normalized
+    design by ``RffFeatureSet.ridge``: in the span of the U distinct
+    frequencies, with no n x M design formed, when lambda > 0 and
+    2U < min(n, M), and on the design otherwise.  ``lam="auto"`` selects
+    1/sqrt(n).  Deterministic given the rng.
     """
     from .freqsample import as_generator
 
@@ -568,8 +632,7 @@ def rff_fit(data: Dataset, dist, M: int, lam, rng) -> RffModel:
     freqs = dist.sample(gen, M)
     phases = gen.uniform(0.0, 2.0 * np.pi, size=M)
     fset = RffFeatureSet(freqs, phases)
-    coef = linear_ridge_fit(fset.design_matrix(data.X), data.Y, lam)
-    return RffModel(fset, coef, lam)
+    return RffModel(fset, fset.ridge(data.X, data.Y, lam), lam)
 
 
 def empirical_risk(model: _Model, data: Dataset) -> float:

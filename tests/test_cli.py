@@ -269,6 +269,15 @@ class TestExitCodes:
         assert run(["experiment", "run", "--config", workdir / "bad_exp.json", "--out", res]) == 2
         assert "axis" in capsys.readouterr().err and not res.exists()
 
+    @pytest.mark.parametrize("field", [{"krr_oracle": "false"}, {"master_seed": 1.7}, {"master_seed": -1}])
+    def test_malformed_oracle_flag_or_master_seed_is_2(self, workdir, field, capsys):
+        exp = json.loads((workdir / "exp.json").read_text())
+        exp.update(field)
+        (workdir / "bad_exp.json").write_text(json.dumps(exp))
+        res = workdir / "r.csv"
+        assert run(["experiment", "run", "--config", workdir / "bad_exp.json", "--out", res]) == 2
+        assert next(iter(field)) in capsys.readouterr().err and not res.exists()
+
     @pytest.mark.parametrize("cell", ["nan", "abc"])
     def test_malformed_data_file_is_2(self, workdir, cell, capsys):
         data = workdir / "bad.csv"

@@ -430,6 +430,32 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match=re.escape(message)):
             SweepConfig.from_json(doc)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"krr_oracle": "false"}, "krr_oracle must be true or false, got 'false'"),
+            ({"krr_oracle": 1}, "krr_oracle must be true or false, got 1"),
+            ({"krr_oracle": None}, "krr_oracle must be true or false, got None"),
+            ({"master_seed": 1.7}, "master_seed must be an integer >= 0, got 1.7"),
+            ({"master_seed": -1}, "master_seed must be an integer >= 0, got -1"),
+            ({"master_seed": True}, "master_seed must be an integer >= 0, got True"),
+            ({"master_seed": "3"}, "master_seed must be an integer >= 0, got '3'"),
+            ({"master_seed": None}, "master_seed must be an integer >= 0, got None"),
+        ],
+    )
+    def test_malformed_oracle_flag_and_master_seed_are_config_errors(self, field, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SweepConfig.from_json(sweep_doc(**field))
+
+    def test_oracle_flag_and_master_seed_defaults_and_integral_floats(self):
+        config = SweepConfig.from_json(sweep_doc(master_seed=7.0, krr_oracle=False))
+        assert config.master_seed == 7 and type(config.master_seed) is int
+        assert config.krr_oracle is False
+        doc = sweep_doc()
+        del doc["master_seed"], doc["krr_oracle"]
+        config = SweepConfig.from_json(doc)
+        assert config.master_seed == 0 and config.krr_oracle is False
+
     def test_axes_defaults_and_integral_floats(self):
         config = SweepConfig.from_json(sweep_doc(axes={"M": [16.0], "seeds": [0, 2.0]}))
         assert config.M_axis == [16] and config.seed_axis == [0, 2]

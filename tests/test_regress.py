@@ -596,6 +596,96 @@ class TestFactoredRidge:
         assert abs(got - want) <= 1e-10 * want
 
 
+class _Draws:
+    """A sampler that returns fixed draws, so that ``rff_fit`` fits a
+    chosen feature set's frequencies (with phases from its own rng)."""
+
+    def __init__(self, freqs):
+        self.freqs = freqs
+
+    def sample(self, gen, M):
+        assert M == self.freqs.shape[0]
+        return self.freqs
+
+
+def _factored_problem(n, M):
+    """``_factored_design``'s frequencies as a sampler, and its points and
+    labels as a dataset."""
+    fset, F, Y = _factored_design(np.random.default_rng([n, M]), n, M)
+    return _Draws(fset.frequencies), Dataset(F.points, Y, float(np.max(np.abs(Y))))
+
+
+class TestRffFit:
+    """``rff_fit`` solves through ``RffFeatureSet.ridge``: factored with no
+    design where lambda > 0 and 2U < min(n, M), on the design elsewhere,
+    and always with the weights of ``linear_ridge_fit`` on the design."""
+
+    @pytest.mark.parametrize("n, M", [(60, 200), (300, 200), (300, 2000)])
+    def test_factored_shapes_form_no_design(self, n, M, monkeypatch, factored_calls):
+        dist, data = _factored_problem(n, M)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("design formed")
+
+        monkeypatch.setattr(RffFeatureSet, "design_matrix", forbidden)
+        model = rff_fit(data, dist, M, 1e-3, SeededRng(n))
+        assert len(factored_calls) == 1 and factored_calls[0] is model.feature_set
+
+    # primal: 2U > M and M <= n; dual: 2U = n < M; factored: 2U < min(n, M);
+    # and lambda = 0, which is primal on every shape
+    @pytest.mark.parametrize("n, M, lam, factored", [
+        (60, 12, 1e-3, False), (20, 200, 1e-3, False), (60, 200, 1e-3, True),
+        (300, 2000, "auto", True), (60, 12, 0.0, False),
+    ])
+    def test_weights_are_those_of_the_design_route(self, n, M, lam, factored, factored_calls):
+        if M == 12:  # twelve draws with at least seven distinct frequencies
+            gen = np.random.default_rng(4)
+            fs = build_frequency_set(pauli_half_encoding([3, 3]))
+            freqs = fs.half[np.concatenate([np.arange(7), gen.integers(0, 25, 5)])]
+            X = gen.uniform(0, 2 * np.pi, (n, 2))
+            Y = np.cos(X[:, 0]) + 0.1 * gen.normal(size=n)
+            dist, data = _Draws(freqs), Dataset(X, Y, float(np.max(np.abs(Y))))
+        else:
+            dist, data = _factored_problem(n, M)
+        model = rff_fit(data, dist, M, lam, SeededRng(M))
+        fset = model.feature_set
+        assert fset.factors(n, model.lam) == factored
+        assert len(factored_calls) == int(factored)
+        want = linear_ridge_fit(fset.design_matrix(data.X), data.Y, model.lam)
+        assert np.array_equal(model.coef, want)
+        assert len(factored_calls) == 2 * int(factored)
+
+    @pytest.mark.parametrize("n, M", [(60, 200), (300, 200), (300, 2000)])
+    def test_a_perturbed_solution_fails_the_residual_check(self, n, M, monkeypatch):
+        from rffdq import regress
+
+        dist, data = _factored_problem(n, M)
+        rff_fit(data, dist, M, 1e-3, SeededRng(n))  # the exact solution passes
+        solve = regress._solve_spd
+        monkeypatch.setattr(regress, "_solve_spd", lambda *args, **kw: solve(*args, **kw) * (1 + 1e-6))
+        with pytest.raises(np.linalg.LinAlgError, match="failed the residual check"):
+            rff_fit(data, dist, M, 1e-3, SeededRng(n))
+
+    @pytest.mark.parametrize("n, M", [(60, 200), (300, 200), (300, 2000)])
+    def test_the_factored_residual_is_the_designs(self, n, M):
+        # F^T F w and F^T Y through B and C are the explicit design's, and
+        # so is the residual, both at the solution (where it is rounding
+        # noise, compared on the check's scale) and away from it
+        fset, F, Y = _factored_design(np.random.default_rng([n, M]), n, M)
+        X, F, lam = F.points, np.asarray(F), 1e-3
+        B = fset._wave_basis(X)
+        w = fset.ridge(X, Y, lam)
+        for v, scale in ((w, 1.0 + np.max(np.abs(F.T @ Y))), (w * 1.01, None)):
+            FtFw, FtY = fset._normal_products(B, v, Y)
+            want_FtFw, want_FtY = F.T @ (F @ v), F.T @ Y
+            assert np.max(np.abs(FtFw - want_FtFw)) <= 1e-12 * np.max(np.abs(want_FtFw))
+            assert np.max(np.abs(FtY - want_FtY)) <= 1e-12 * np.max(np.abs(want_FtY))
+            got = FtFw + n * lam * v - FtY
+            want = want_FtFw + n * lam * v - want_FtY
+            scale = scale or np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
 def benchmark_shape_calls():
     """(name, call) for every routed trigonometric call of a benchmark cell,
     at that workload's lattice, n and M: the labels, the KRR feature map
@@ -658,6 +748,28 @@ class TestPeakMemoryAtBenchmarkShapes:
             finally:
                 tracemalloc.stop()
             assert peak <= DIRECT_FORM_PEAK_BYTES[name], name
+
+
+    # sweep_lowd's factored cells form no n x M design: at M = 1600 the fit
+    # peaks below half of one n x M float64 array, and at M = 400 below
+    # the 2921056 B it took when it formed the design (numpy 2.4, CPython 3.11)
+    @pytest.mark.parametrize("M, limit", [(400, 2921056), (1600, 500 * 1600 * 4)])
+    def test_factored_rff_fit_forms_no_design(self, M, limit):
+        n = 500
+        fs = build_frequency_set(pauli_half_encoding([6, 6]))
+        gen = np.random.default_rng(0)
+        X = gen.uniform(0, 2 * np.pi, (n, 2))
+        Y = np.cos(X[:, 0] - X[:, 1]) + 0.1 * gen.normal(size=n)
+        data, dist = Dataset(X, Y, float(np.max(np.abs(Y)))), uniform_distribution(fs)
+        model = rff_fit(data, dist, M, "auto", SeededRng(M))
+        assert model.feature_set.factors(n, model.lam)
+        tracemalloc.start()
+        try:
+            rff_fit(data, dist, M, "auto", SeededRng(M))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 def rff_kernel_estimate(fset, x, xp) -> float:
