@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonIntegerFrequencyError
+from .errors import CapacityError, NonIntegerFrequencyError
 from .freqcore import MATCH_TOL
-from .freqsample import FrequencyDistribution, PMax, ProductDistribution, SeededRng
+from .freqsample import FrequencyDistribution, ProductDistribution, SeededRng
 from .kernelmap import (
     TrigPolynomial,
     coeff_sup_bound,
@@ -133,18 +133,16 @@ class LowerBoundReport:
         }
 
 
-def alignment(
-    f_hat: TrigPolynomial, dist: FrequencyDistribution, p_vec: np.ndarray | None = None
-) -> float:
+def alignment(f_hat: TrigPolynomial, dist: FrequencyDistribution) -> float:
     """Overlap sum_{w in canonical half} |fhat(w)|^2 p(w) between the
     target's spectral mass and the sampling distribution.
 
-    ``p_vec``, the distribution's ``pmf_vector()`` where the caller has
-    formed it, is read at the rows of a target attached to the
-    distribution's lattice; it equals ``pmf`` there bitwise.  Any other
-    target takes ``pmf`` at its terms."""
-    if p_vec is not None and f_hat.rows is not None and f_hat.freq_set is dist.fs:
-        return float(np.abs(f_hat.c) ** 2 @ p_vec[f_hat.rows])
+    A target attached to the distribution's lattice reads the
+    distribution's ``pmf_vector()`` at its rows where the distribution is
+    enumerable; it equals ``pmf`` there bitwise.  Any other target takes
+    ``pmf`` at its terms."""
+    if f_hat.rows is not None and f_hat.freq_set is dist.fs and dist.enumerable:
+        return float(np.abs(f_hat.c) ** 2 @ dist.pmf_vector()[f_hat.rows])
     if f_hat.freq_set is not None and f_hat.freq_set is not dist.fs:
         mine = f_hat.freq_set.per_dimension_freqs
         theirs = dist.fs.per_dimension_freqs
@@ -155,15 +153,6 @@ def alignment(
         if not same:
             raise ValueError("function and distribution live on different lattices")
     return float(np.abs(f_hat.c) ** 2 @ dist.pmf(f_hat.freqs))
-
-
-def pmf_and_p_max(
-    dist: FrequencyDistribution, enumerate_half: bool
-) -> tuple[np.ndarray | None, PMax | None]:
-    """``dist.pmf_vector()`` if ``enumerate_half``, with p_max read from
-    it; else no vector and ``dist.p_max()``."""
-    p_vec = dist.pmf_vector() if enumerate_half else None
-    return p_vec, dist.p_max() if p_vec is None else PMax(float(np.max(p_vec)), True)
 
 
 def _require_integer_lattice(dist: FrequencyDistribution):
@@ -178,26 +167,15 @@ def required_sample_counts(
 ) -> LowerBoundReport:
     """Both rearrangements of the lower bound, flagged as vacuous when the
     requested expected error already exceeds the target's squared L2 norm.
-    An enumerable distribution is enumerated once, for p_max and the
-    alignment."""
-    return _required_sample_counts(f_hat, dist, eps_hat, *pmf_and_p_max(dist, dist.enumerable))
-
-
-def _required_sample_counts(
-    f_hat: TrigPolynomial,
-    dist: FrequencyDistribution,
-    eps_hat: float,
-    p_vec: np.ndarray | None,
-    pm: PMax | None,
-) -> LowerBoundReport:
-    """``required_sample_counts`` with the distribution's enumerated vector,
-    if any, and its p_max supplied."""
+    p_max and the alignment read the distribution's one enumeration where
+    it is enumerable."""
     _require_integer_lattice(dist)
     if not 0.0 <= eps_hat < math.inf:
         raise ValueError("eps_hat must be finite and nonnegative")
+    pm = dist.p_max()
     fh2 = fhat_l2_sq(f_hat)
     f2 = (2.0 * math.pi) ** f_hat.d * fh2
-    A = alignment(f_hat, dist, p_vec)
+    A = alignment(f_hat, dist)
     vacuous = f2 <= eps_hat
     notes = []
     if vacuous:
@@ -304,11 +282,9 @@ def feasibility_report(
     fs = dist.fs
     notes: list[str] = []
     anti = _anti_concentrated(dist)
-    # one enumeration of the half serves p_max, the alignment and the norm
-    # C; C needs it at any size of the half
-    necessity = f_hat is not None and fs.is_integer
-    needs_c = C is None and necessity and fs.materialized
-    p_vec, pm = pmf_and_p_max(dist, needs_c or (necessity and dist.enumerable))
+    # p_max, the alignment and the norm C all read the distribution's one
+    # enumeration of the half
+    pm = dist.p_max()
     if dist.uniform_variant is not None:
         n_min_dim = min(f.size for f in fs.per_dimension_freqs)
         notes.append(
@@ -324,15 +300,15 @@ def feasibility_report(
     if f_hat is not None:
         eh = eps if eps_hat is None else eps_hat
         try:
-            lower = _required_sample_counts(f_hat, dist, eh, p_vec, pm)
+            lower = required_sample_counts(f_hat, dist, eh)
         except NonIntegerFrequencyError:
             notes.append("non-integer lattice: the necessity bound does not apply")
     C_used = C
-    if needs_c:
+    if C is None and f_hat is not None and fs.is_integer:
         try:
-            C_used = rkhs_norm(f_hat, weights_of(p_vec))
+            C_used = rkhs_norm(f_hat, weights_of(dist.pmf_vector()))
             notes.append("C computed from the target's hyperplane norm under this sampler")
-        except (ValueError, NonIntegerFrequencyError) as exc:
+        except (CapacityError, ValueError) as exc:
             notes.append(f"C not computable: {exc}")
     sufficient = None
     if C_used is not None and pm is not None and fs.is_integer:

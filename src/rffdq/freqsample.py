@@ -15,25 +15,30 @@ p(omega) = ptilde(omega) + ptilde(-omega) otherwise, where -omega sits at
 the mirrored lattice positions (``FrequencySet``'s mirror identity).  ``pmf``
 folds ptilde at the rows it is given (``_tilde``, batched over rows of
 per-dimension lattice positions).  ``pmf_vector`` folds a dense ptilde over
-the whole materialized lattice in code order (``_tilde_grid``); the half is
+the whole materialized lattice in code order (``_enumerate``); the half is
 the codes from ``zero_code`` up and their mirrors the codes from it down, so
 the fold is two slices and gathers nothing.  An explicit distribution fills
 the vector with its stored probabilities at its codes instead.
 
-Both kinds multiply from the last dimension.  A tensor train is contracted
-from its last core: the points of the trailing dimensions are a contiguous
-row per bond index, and each step forms out[a, k, r] = sum_b core[a, k, b]
-* right[b, r] with the new dimension leading in code order, as one
-elementwise product and one sum per bond index in bond order.  ``_tilde``
-takes the same steps over gathered rows, so each point sees the same
-products and sums in the same order, and ``pmf(fs.half)`` equals
-``pmf_vector()`` bitwise; that is what lets ``bounds.alignment`` read an
-enumerated vector at a target's rows in place of ``pmf`` at its terms.  (A
-contraction from the first core broadcast a strided column against each
-small core, so numpy's inner loops ran over 4-5 elements: at bond 4 on 5^d
-points it took 0.4-0.7 ms at d = 6, 16-18 ms at d = 8 and 84-95 ms at d = 9,
-against 0.3, 10-15 and 48-59 ms from the last core, on a 2-vCPU VM with one
-BLAS thread.)
+Each distribution enumerates once: the first ``pmf_vector`` keeps the half,
+read-only (not the grid), for ``p_max``, ``bounds.alignment``, a sweep's KRR
+weights and a verdict's C; where ``enumerable`` is false it raises
+CapacityError and forms nothing.
+
+A product is a tensor train of bond 1, and both multiply from the last
+dimension.  A tensor train is contracted from its last core: the points of
+the trailing dimensions are a contiguous row per bond index, and each step
+forms out[a, k, r] = sum_b core[a, k, b] * right[b, r] with the new
+dimension leading in code order, as one elementwise product and one sum per
+bond index in bond order.  ``_tilde`` takes the same steps over gathered
+rows, so each point sees the same products and sums in the same order, and
+``pmf(fs.half)`` equals ``pmf_vector()`` bitwise; that is what lets
+``bounds.alignment`` read the enumerated vector at a target's rows in place
+of ``pmf`` at its terms.  (A contraction from the first core broadcast a
+strided column against each small core, so numpy's inner loops ran over 4-5
+elements: at bond 4 on 5^d points it took 0.4-0.7 ms at d = 6, 16-18 ms at
+d = 8 and 84-95 ms at d = 9, against 0.3, 10-15 and 48-59 ms from the last
+core, on a 2-vCPU VM with one BLAS thread.)
 """
 
 from __future__ import annotations
@@ -44,12 +49,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDistributionError
+from .errors import CapacityError, ConfigError, DegenerateDistributionError
 from .freqcore import FrequencySet, fold_rows
 
 PROB_TOL = 1e-12
 
-# p_max is exact where the dense ptilde grid of pmf_vector fits in this many bytes
+# bytes within which forming the half must peak for pmf_vector (and an exact p_max)
 ENUMERATE_BYTES = 1 << 28
 
 
@@ -96,21 +101,12 @@ class FrequencyDistribution:
 
     def __init__(self, fs: FrequencySet):
         self.fs = fs
+        self._p: np.ndarray | None = None
+        self._peak: int | None = None
 
     def _tilde(self, idx: np.ndarray) -> np.ndarray:
         """ptilde at each row of per-dimension lattice positions."""
         raise NotImplementedError
-
-    def _tilde_grid(self) -> np.ndarray:
-        """ptilde over the whole lattice, flat in code order; each entry
-        equals ``_tilde`` at that point bitwise."""
-        raise NotImplementedError
-
-    def _factor_shapes(self) -> list:
-        """(left bond, values, right bond) of each dimension's factor of
-        the dense ptilde grid, first dimension first: a product's bonds
-        are 1."""
-        return [(1, f.size, 1) for f in self.fs.per_dimension_freqs]
 
     def pmf(self, omega):
         """Probability of a canonical frequency (shape ``(d,)``, a float), or
@@ -129,30 +125,38 @@ class FrequencyDistribution:
         raise NotImplementedError
 
     def pmf_vector(self) -> np.ndarray:
-        """Probabilities over the materialized canonical half, in lattice order."""
+        """Probabilities over the materialized canonical half, in lattice
+        order: formed by the first call, read-only, and the same array on
+        every later call.  Raises CapacityError where not ``enumerable``."""
         self.fs.require_within_cap()
-        g = self._tilde_grid()
-        z = self.fs.zero_code
-        # the half is the codes from z up; its mirror, the codes from z down
-        # (the mirror identity), and the zero frequency is its own mirror
-        p = g[z:]
-        p[1:] += g[:z][::-1]
-        return p
+        if not self.enumerable:
+            raise CapacityError(f"enumerating the half needs ~{8 * self._peak} B (cap {ENUMERATE_BYTES})")
+        if self._p is None:
+            self._p = self._enumerate()
+            self._p.flags.writeable = False
+        return self._p
+
+    def _enumerate(self) -> np.ndarray:
+        """p over the half, in code order: formed once, by ``pmf_vector``,
+        holding at most ``_peak_entries()`` float64 entries at once."""
+        raise NotImplementedError
 
     @property
     def enumerable(self) -> bool:
         """Whether ``pmf_vector`` may run: a materialized lattice on which
-        the dense ptilde grid's contraction peaks within ENUMERATE_BYTES.
+        forming the half peaks within ENUMERATE_BYTES.
 
-        The estimate is that peak, from the factors' shapes
-        (``_contraction_peak``), on every lattice: with a single value in
-        the first dimension a tensor train's peak is bond x full_size
-        entries and one temporary of that size, about twice bond grids."""
-        return self.fs.materialized and 8 * _contraction_peak(self._factor_shapes()) <= ENUMERATE_BYTES
+        The estimate is that peak (``_peak_entries``, once per
+        distribution), on every lattice: with a single value in the first
+        dimension a tensor train's peak is bond x full_size entries and one
+        temporary of that size, about twice bond grids."""
+        if self._peak is None:
+            self._peak = self._peak_entries()
+        return self.fs.materialized and 8 * self._peak <= ENUMERATE_BYTES
 
     def p_max(self) -> PMax | None:
         """Maximum probability, exact on an enumerable lattice; else None."""
-        return PMax(float(np.max(self.pmf_vector())), True) if self.enumerable else None
+        return PMax(float(self.pmf_vector().max()), True) if self.enumerable else None
 
     def _folded(self, idx: np.ndarray) -> np.ndarray:
         """p at the canonical points at per-dimension positions ``idx``:
@@ -203,12 +207,14 @@ class ExplicitDistribution(FrequencyDistribution):
         at = np.minimum(np.searchsorted(self._codes, codes), self._codes.size - 1)
         return np.where(self._codes[at] == codes, self._sorted_probs[at], 0.0)
 
-    def pmf_vector(self) -> np.ndarray:
+    def _enumerate(self) -> np.ndarray:
         # the mirror term is 0 on a canonical support, so p is probs, in place
-        self.fs.require_within_cap()
         p = np.zeros(self.fs.size)
         p[self._codes - self.fs.zero_code] = self._sorted_probs
         return p
+
+    def _peak_entries(self) -> int:
+        return self.fs.size
 
     def sample(self, rng, M: int) -> np.ndarray:
         if M < 1:
@@ -218,14 +224,49 @@ class ExplicitDistribution(FrequencyDistribution):
         return self.support[idx]
 
     def p_max(self) -> PMax:
-        return PMax(float(np.max(self.probs)), True)
+        return PMax(float(self.probs.max()), True)
 
 
-class ProductDistribution(FrequencyDistribution):
+class _TensorTrain(FrequencyDistribution):
+    """ptilde as a tensor train: ``cores[j][a, k, b]`` weighs value k of
+    dimension j between bonds a and b, and ``total_mass`` normalizes."""
+
+    def _tilde(self, idx: np.ndarray) -> np.ndarray:
+        right = np.ones((1, idx.shape[0]))
+        for j in range(self.fs.d - 1, -1, -1):
+            right = _contract(self.cores[j][:, idx[:, j], :], right)
+        return right[0] / self.total_mass
+
+    def _enumerate(self) -> np.ndarray:
+        # right[b] holds the trailing dimensions' factor at bond index b for
+        # each of their points, in code order; each step puts its dimension
+        # in front, so every product runs over contiguous rows:
+        # O(full_size * bond^2) work and no gathers
+        right = np.ones((1, 1))
+        for core in reversed(self.cores):
+            right = _contract(core[:, :, :, None], right).reshape(core.shape[0], -1)
+        g = right[0]
+        g /= self.total_mass
+        # the half is the codes from z up; its mirror, the codes from z down
+        # (the mirror identity), and the zero frequency is its own mirror.
+        # Only the half is kept: the grid is freed on return
+        z = self.fs.zero_code
+        p = np.empty(self.fs.size)
+        p[0] = g[z]
+        np.add(g[z + 1:], g[:z][::-1], out=p[1:])
+        return p
+
+    def _peak_entries(self) -> int:
+        return _contraction_peak([core.shape for core in self.cores])
+
+
+class ProductDistribution(_TensorTrain):
     """Fold of an independent per-dimension distribution over the mirror
-    lattice."""
+    lattice: a tensor train of bond 1 whose cores are the per-dimension
+    vectors, each summing to 1."""
 
     kind = "product"
+    total_mass = 1.0
 
     def __init__(self, fs: FrequencySet, per_dim):
         super().__init__(fs)
@@ -243,20 +284,7 @@ class ProductDistribution(FrequencyDistribution):
             if abs(float(pj.sum()) - 1.0) > PROB_TOL * max(1, pj.size):
                 raise ConfigError(f"dimension {j+1} probabilities do not sum to 1")
             self.per_dim.append(pj)
-
-    def _tilde(self, idx: np.ndarray) -> np.ndarray:
-        # from the last dimension, the association of a tensor train
-        out = np.ones(idx.shape[0])
-        for j in range(self.fs.d - 1, -1, -1):
-            out *= self.per_dim[j][idx[:, j]]
-        return out
-
-    def _tilde_grid(self) -> np.ndarray:
-        # outer products from the last dimension multiply as _tilde does
-        out = np.ones(1)
-        for pj in reversed(self.per_dim):
-            out = (pj[:, None] * out).ravel()
-        return out
+        self.cores = [pj[None, :, None] for pj in self.per_dim]
 
     def sample(self, rng, M: int) -> np.ndarray:
         if M < 1:
@@ -280,7 +308,7 @@ class ProductDistribution(FrequencyDistribution):
         return PMax(2.0 * self.tilde_max(), False) if pm is None else pm
 
 
-class MpsDistribution(FrequencyDistribution):
+class MpsDistribution(_TensorTrain):
     """Tensor-train pmf over the mirror lattice (cores hold probabilities,
     not amplitudes), folded onto the canonical half."""
 
@@ -324,27 +352,6 @@ class MpsDistribution(FrequencyDistribution):
             raise DegenerateDistributionError(
                 f"tensor train has total mass {self.total_mass}"
             )
-
-    def _tilde(self, idx: np.ndarray) -> np.ndarray:
-        right = np.ones((1, idx.shape[0]))
-        for j in range(self.fs.d - 1, -1, -1):
-            right = _contract(self.cores[j][:, idx[:, j], :], right)
-        return right[0] / self.total_mass
-
-    def _tilde_grid(self) -> np.ndarray:
-        # right[b] holds the trailing dimensions' factor at bond index b for
-        # each of their points, in code order; each step puts its dimension
-        # in front, so every product runs over contiguous rows:
-        # O(full_size * bond^2) work and no gathers
-        right = np.ones((1, 1))
-        for core in reversed(self.cores):
-            right = _contract(core[:, :, :, None], right).reshape(core.shape[0], -1)
-        out = right[0]
-        out /= self.total_mass
-        return out
-
-    def _factor_shapes(self) -> list:
-        return [core.shape for core in self.cores]
 
     def marginal(self, j: int, prefix) -> np.ndarray:
         """Conditional pmf of dimension ``j`` (0-based) given the values of
@@ -397,18 +404,18 @@ def _check_probabilities(probs: np.ndarray):
 
 
 def _contraction_peak(shapes) -> int:
-    """float64 entries that ``_tilde_grid`` holds at once when it contracts
+    """float64 entries that ``_enumerate`` holds at once when it contracts
     factors of these (left bond, values, right bond) shapes from the last
     one: each step holds the previous step's right-bond rows of trailing
     points and its own output of left x values x trailing points, plus,
     when the right bond exceeds 1, one ``_contract`` temporary of the
-    output's size.  The fold in ``pmf_vector`` adds nothing."""
+    output's size.  The fold then holds the whole grid and the half."""
     peak, trailing = 0, 1
     for left, values, right in reversed(shapes):
         out = left * values * trailing
         peak = max(peak, right * trailing + (2 if right > 1 else 1) * out)
         trailing *= values
-    return peak
+    return max(peak, trailing + (trailing + 1) // 2)
 
 
 def _contract(core: np.ndarray, right: np.ndarray) -> np.ndarray:

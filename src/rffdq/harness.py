@@ -7,10 +7,10 @@ an rng stream derived from (master seed, cell index), so outputs are
 identical across resumed runs.
 
 What depends only on the sweep is computed once per sweep
-(``SweepInvariants``): the frequency set, the distribution, its enumerated
-pmf vector and p_max, the KRR oracle's weights, and the realized target and
-its alignment when the target consumes no rng (explicit and circuit
-targets).  What depends on the problem but not on M is computed once per
+(``SweepInvariants``): the frequency set, the distribution (which
+enumerates its pmf vector once), p_max, the KRR oracle's weights, and the
+realized target and its alignment when the target consumes no rng
+(explicit and circuit targets).  What depends on the problem but not on M is computed once per
 problem (``Problem``), by the first cell that needs it: a random target's
 draw, the dataset and the alignment per (n, seed), and the KRR oracle's
 true risk per (n, lambda, seed).  Per cell remain the feature draw and fit,
@@ -28,12 +28,13 @@ import io
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import alignment as alignment_of, pmf_and_p_max
+from .bounds import alignment as alignment_of
 from .errors import ConfigError
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
 from .freqsample import FrequencyDistribution, SeededRng, distribution_from_json
@@ -109,12 +110,19 @@ class ProblemSpec:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
+        n, seed, sigma = _whole(self.n, 1), _whole(self.seed, 0), self.noise_sigma
+        if n is None:
+            raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
+        if seed is None:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.noise_kind not in ("none", "uniform"):
             raise ConfigError(f"unknown noise kind '{self.noise_kind}'")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise sigma must be nonnegative")
+        # the noise spans 2 sqrt(3) sigma; compared before any conversion, so
+        # that NaN, infinities and integers beyond a float fail
+        number = isinstance(sigma, (int, float)) and not isinstance(sigma, bool)
+        if not (number and 0 <= sigma <= sys.float_info.max and math.isfinite(2 * math.sqrt(3) * sigma)):
+            raise ConfigError(f"noise sigma must be a number >= 0 with a finite noise range, got {sigma!r}")
+        self.n, self.seed, self.noise_sigma = n, seed, float(sigma)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ProblemSpec":
@@ -133,10 +141,10 @@ class ProblemSpec:
         return cls(
             encoding=encoding,
             target=target,
-            n=int(doc["n"]),
-            seed=int(doc.get("seed", 0)),
+            n=doc["n"],
+            seed=doc.get("seed", 0),
             noise_kind=noise.get("kind", "none"),
-            noise_sigma=float(noise.get("sigma", 0.0)),
+            noise_sigma=noise.get("sigma", 0.0),
         )
 
 
@@ -357,18 +365,17 @@ def _timing_enabled() -> bool:
 class SweepInvariants:
     """Values every cell of a sweep shares, computed once per sweep.
 
-    ``p_vec`` is the distribution's ``pmf_vector()`` where it is
-    enumerable, else None; ``p_max``, the KRR weights and every alignment of
-    the sweep read it.  ``p_max`` is NaN when the distribution cannot give
-    it.  ``krr_weights`` is set when the KRR oracle can run on this lattice
-    at all.  ``target`` and its ``alignment`` are set for the kinds in
-    ``SEED_FREE_TARGETS``; if building the target failed, ``target_error``
-    holds the exception and every cell records it.
+    ``p_max``, the KRR weights and every alignment of the sweep read the
+    distribution's one ``pmf_vector()`` where it is enumerable.  ``p_max``
+    is NaN when the distribution cannot give it.  ``krr_weights`` is set
+    when the KRR oracle can run on this lattice at all.  ``target`` and its
+    ``alignment`` are set for the kinds in ``SEED_FREE_TARGETS``; if
+    building the target failed, ``target_error`` holds the exception and
+    every cell records it.
     """
 
     fs: FrequencySet
     dist: FrequencyDistribution
-    p_vec: np.ndarray | None
     p_max: float
     krr_weights: WeightVector | None
     target: TrigPolynomial | None
@@ -379,19 +386,18 @@ class SweepInvariants:
     def build(
         cls, config: SweepConfig, fs: FrequencySet, dist: FrequencyDistribution
     ) -> "SweepInvariants":
-        # one enumeration serves p_max, the KRR weights and every alignment
-        p_vec, pm = pmf_and_p_max(dist, dist.enumerable)
+        pm = dist.p_max()
         p_max = float("nan") if pm is None else pm.value
-        krr = config.krr_oracle and p_vec is not None and fs.size <= KRR_SIZE_CAP
-        krr_weights = weights_of(p_vec) if krr else None
+        krr = config.krr_oracle and dist.enumerable and fs.size <= KRR_SIZE_CAP
+        krr_weights = weights_of(dist.pmf_vector()) if krr else None
         target = alignment = target_error = None
         if config.problem.target.get("kind") in SEED_FREE_TARGETS:
             try:
                 target = realize_target(config.problem, fs, None)
-                alignment = alignment_of(target, dist, p_vec)
+                alignment = alignment_of(target, dist)
             except Exception as exc:  # recorded by every cell, as if built there
                 target_error = exc
-        return cls(fs, dist, p_vec, p_max, krr_weights, target, alignment, target_error)
+        return cls(fs, dist, p_max, krr_weights, target, alignment, target_error)
 
     def target_for(self, spec: ProblemSpec, gen: np.random.Generator) -> TrigPolynomial:
         """The sweep's target, or a fresh draw from ``gen`` for a random one."""
@@ -405,7 +411,7 @@ class SweepInvariants:
         """The sweep's alignment, or that of a random target's draw."""
         if self.alignment is not None:
             return self.alignment
-        return alignment_of(target, self.dist, self.p_vec)
+        return alignment_of(target, self.dist)
 
 
 @dataclass

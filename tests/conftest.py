@@ -29,8 +29,7 @@ def forbid_per_row_ptilde(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-row ptilde")
 
-    for cls in (freqsample.ProductDistribution, freqsample.MpsDistribution):
-        monkeypatch.setattr(cls, "_tilde", forbidden)
+    monkeypatch.setattr(freqsample._TensorTrain, "_tilde", forbidden)
     monkeypatch.setattr(FrequencySet, "locate", forbidden)
 
 
@@ -65,22 +64,17 @@ def record_half_formations(monkeypatch) -> list:
 @pytest.fixture
 def count_enumerations(monkeypatch) -> list:
     """Spy on the enumerations of p over the half: the returned list gets
-    the ``kind`` of each distribution whose dense ptilde grid
-    (``_tilde_grid``) is formed, or whose explicit vector is filled."""
+    the ``kind`` of each distribution whose half is formed (``_enumerate``:
+    a tensor train's dense ptilde grid and fold, or an explicit fill)."""
     done = []
-    spied = [
-        (freqsample.ProductDistribution, "_tilde_grid"),
-        (freqsample.MpsDistribution, "_tilde_grid"),
-        (freqsample.ExplicitDistribution, "pmf_vector"),
-    ]
-    for cls, name in spied:
+    for cls in (freqsample._TensorTrain, freqsample.ExplicitDistribution):
 
-        def spy(self, _original=getattr(cls, name)):
+        def spy(self, _original=cls._enumerate):
             out = _original(self)
             done.append(self.kind)
             return out
 
-        monkeypatch.setattr(cls, name, spy)
+        monkeypatch.setattr(cls, "_enumerate", spy)
     return done
 
 

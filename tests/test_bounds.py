@@ -331,38 +331,45 @@ class TestAlignmentReadsTheVector:
         return ProductDistribution(lattice, [np.full(5, 0.2), np.array([0.25, 0.5, 0.25])])
 
     def test_other_targets_take_the_pointwise_path(self, lattice, product):
-        # a vector of NaNs shows whether it was read
-        bogus = np.full(lattice.size, np.nan)
+        # a stored vector of NaNs shows whether it was read
         attached = TrigPolynomial.from_half_coeffs(lattice, self.KEYS)
         standalone = TrigPolynomial.from_half_coeffs(None, self.KEYS)
         assert standalone.rows is None
         twin = build_frequency_set(pauli_half_encoding([2, 1]))
         on_twin = TrigPolynomial.from_half_coeffs(twin, self.KEYS)
         want = alignment(attached, product)
+        product._p = np.full(lattice.size, np.nan)
         for f in (standalone, on_twin):
-            assert alignment(f, product, bogus) == want == alignment(f, product)
-        assert math.isnan(alignment(attached, product, bogus))
+            assert alignment(f, product) == want
+        assert math.isnan(alignment(attached, product))
 
     @pytest.mark.parametrize("kind", ["explicit", "product", "mps"])
     def test_one_enumeration_per_report(self, kind, lattice, product, count_enumerations):
         rng = np.random.default_rng(5)
-        dist = {
-            "explicit": ExplicitDistribution(lattice, lattice.half[[1, 4, 6]], [0.5, 0.25, 0.25]),
-            "product": product,
-            "mps": MpsDistribution(lattice, [rng.uniform(0.1, 1.0, (1, 5, 2)),
-                                             rng.uniform(0.1, 1.0, (2, 3, 1))]),
+        cores = [rng.uniform(0.1, 1.0, (1, 5, 2)), rng.uniform(0.1, 1.0, (2, 3, 1))]
+        fresh = {
+            "explicit": lambda: ExplicitDistribution(lattice, lattice.half[[1, 4, 6]],
+                                                     [0.5, 0.25, 0.25]),
+            "product": lambda: ProductDistribution(lattice, product.per_dim),
+            "mps": lambda: MpsDistribution(lattice, cores),
         }[kind]
         f = TrigPolynomial.from_half_coeffs(lattice, self.KEYS)
         runs = [
-            lambda: required_sample_counts(f, dist, 0.01),
-            lambda: feasibility_report(dist, f_hat=f),
-            lambda: feasibility_report(dist, f_hat=f, C=2.0),
+            lambda dist: required_sample_counts(f, dist, 0.01),
+            lambda dist: feasibility_report(dist, f_hat=f),
+            lambda dist: feasibility_report(dist, f_hat=f, C=2.0),
         ]
-        for run in runs:
+        # one enumeration across the three reports on one distribution
+        dist = fresh()
+        want = [run(dist).to_json() for run in runs]
+        assert count_enumerations == [kind]
+        p_max = float(np.max(dist.pmf_vector()))
+        assert all((r["p_max"], r["p_max_exact"]) == (p_max, True) for r in want)
+        # and one for each fresh distribution
+        for run, report in zip(runs, want):
             count_enumerations.clear()
-            report = run()
+            assert run(fresh()).to_json() == report
             assert count_enumerations == [kind]
-            assert report.p_max == float(np.max(dist.pmf_vector())) and report.p_max_exact
 
     def test_no_enumeration_where_the_necessity_bound_does_not_apply(self, count_enumerations):
         # eigenvalues +-0.3: a non-integer lattice, so an explicit p_max
@@ -378,7 +385,7 @@ class TestAlignmentReadsTheVector:
         self, lattice, product, monkeypatch, count_enumerations
     ):
         f = TrigPolynomial.from_half_coeffs(lattice, self.KEYS)
-        want = alignment(f, product)
+        want = float(np.abs(f.c) ** 2 @ product.pmf(f.freqs))
         monkeypatch.setattr(freqsample, "ENUMERATE_BYTES", 8 * lattice.full_size - 1)
         lower = required_sample_counts(f, product, 0.01)
         rep = feasibility_report(product, f_hat=f, C=2.0)

@@ -249,6 +249,42 @@ class TestCommands:
         assert not (workdir / "f16.csv").exists()
 
 
+class TestNonEnumerableSampler:
+    def test_no_route_enumerates_a_tensor_train_beyond_the_byte_cap(
+        self, workdir, monkeypatch, count_enumerations, capsys
+    ):
+        # 5^4 points within LATTICE_CAP, bond 4: forming the half would peak
+        # near 14 KB, beyond a 1 KiB ENUMERATE_BYTES, so no route forms it
+        enc = workdir / "enc4.json"
+        enc.write_text(json.dumps({"dimensions": [[[-0.5, 0.5]] * 2] * 4}))
+        gen = np.random.default_rng(8)
+        shapes = [(1, 5, 4), (4, 5, 4), (4, 5, 4), (4, 5, 1)]
+        dist = workdir / "tt.json"
+        dist.write_text(json.dumps(
+            {"kind": "mps", "cores": [gen.uniform(0.1, 1.0, s).tolist() for s in shapes]}
+        ))
+        terms = [{"omega": [1.0, 0.0, -1.0, 2.0], "re": 0.5, "im": 0.25}]
+        f = workdir / "f4.json"
+        f.write_text(json.dumps({"d": 4, "terms": terms}))
+        X = gen.uniform(0.0, 2.0 * np.pi, (10, 4))
+        lines = ["x_1,x_2,x_3,x_4,y"] + [",".join(f"{v!r}" for v in row) + ",0.5" for row in X]
+        (workdir / "d4.csv").write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(rffdq.freqsample, "ENUMERATE_BYTES", 1024)
+        common = ["--function", f, "--dist", dist, "--encoding", enc]
+        assert run(["bounds", "lower", *common, "--epshat", 0.01, "--out", workdir / "l.json"]) == 0
+        assert run(["bounds", "feasibility", *common, "--out", workdir / "v.json"]) == 0
+        lower = json.loads((workdir / "l.json").read_text())
+        verdict = json.loads((workdir / "v.json").read_text())
+        assert (lower["p_max"], lower["p_max_exact"]) == (verdict["p_max"], verdict["p_max_exact"])
+        assert (verdict["p_max"], verdict["C_used"], verdict["sufficient"]) == (None, None, None)
+        assert any(n.startswith("C not computable: enumerating") for n in verdict["notes"])
+        assert lower["alignment"] == verdict["lower"]["alignment"] > 0
+        args = ["oracle-krr", "--data", workdir / "d4.csv", "--encoding", enc, "--dist", dist]
+        assert run(args) == 3
+        assert "cap 1024" in capsys.readouterr().err
+        assert count_enumerations == []
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, workdir):
         bad = workdir / "bad.json"
@@ -277,6 +313,30 @@ class TestExitCodes:
         res = workdir / "r.csv"
         assert run(["experiment", "run", "--config", workdir / "bad_exp.json", "--out", res]) == 2
         assert next(iter(field)) in capsys.readouterr().err and not res.exists()
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"seed": 1.7}, {"n": 0.5}, {"noise": {"kind": "uniform", "sigma": "x"}},
+         {"noise": {"kind": "uniform", "sigma": float("nan")}}],
+    )
+    def test_malformed_problem_is_2(self, workdir, field, capsys):
+        model = workdir / "m.json"
+        assert run(
+            ["fit", "--data", workdir / "d.csv", "--encoding", workdir / "enc.json",
+             "--dist", workdir / "dist.json", "--M", 8, "--out", model]
+        ) == 0
+        prob = json.loads((workdir / "prob.json").read_text())
+        prob.update(field)
+        (workdir / "bad_prob.json").write_text(json.dumps(prob))
+        exp = json.loads((workdir / "exp.json").read_text())
+        exp["problem"] = prob
+        (workdir / "bad_exp.json").write_text(json.dumps(exp))
+        res = workdir / "r.csv"
+        assert run(["risk", "--model", model, "--problem", workdir / "bad_prob.json"]) == 2
+        assert run(["experiment", "run", "--config", workdir / "bad_exp.json", "--out", res]) == 2
+        err = capsys.readouterr().err
+        assert err.count("sigma" if "noise" in field else f"{next(iter(field))} must be") == 2
+        assert not res.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "abc"])
     def test_malformed_data_file_is_2(self, workdir, cell, capsys):

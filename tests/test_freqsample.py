@@ -193,8 +193,9 @@ class TestPmfVector:
     @pytest.mark.parametrize("bond", [1, 2, 4])
     def test_enumeration_stays_within_the_enumerable_estimate(self, bond, rng):
         # 5^8 points: the peak is at most what ``enumerable`` charges
-        # against ENUMERATE_BYTES, 1.2, 2.4 and 2.8 grids of 8 * full_size B
-        # at bonds 1, 2 and 4, and 64 KB of small objects
+        # against ENUMERATE_BYTES, 1.5, 2.4 and 2.8 grids of 8 * full_size B
+        # at bonds 1, 2 and 4 (at bond 1 the fold's grid and half copy), and
+        # 64 KB of small objects
         fs = build_frequency_set(pauli_half_encoding([2] * 8))
         dist = _random_dist("mps", fs, rng, bond=bond)
         assert max(core.shape[2] for core in dist.cores) == bond and dist.enumerable
@@ -204,7 +205,7 @@ class TestPmfVector:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * freqsample._contraction_peak(dist._factor_shapes()) + 2**16
+        assert peak <= 8 * dist._peak_entries() + 2**16
 
     @pytest.mark.parametrize("bond", [2, 4])
     def test_estimate_bounds_the_peak_with_one_value_in_the_first_dimension(self, bond, rng):
@@ -215,7 +216,7 @@ class TestPmfVector:
         fs = build_frequency_set(pauli_half_encoding([0] + [2] * 8))
         dist = _random_dist("mps", fs, rng, bond=bond)
         fs.half  # forming the half is not part of the enumeration
-        estimate = 8 * freqsample._contraction_peak(dist._factor_shapes())
+        estimate = 8 * dist._peak_entries()
         assert dist.enumerable and estimate == round(8 * fs.full_size * 2.2 * bond)
         tracemalloc.start()
         try:
@@ -247,7 +248,7 @@ class TestPmfVector:
             rows = rng.choice(fs.size, size=k, replace=False)
             c = rng.uniform(-1.0, 1.0, k) + 1j * np.where(rows == 0, 0.0, rng.uniform(-1.0, 1.0, k))
             f = TrigPolynomial.on_rows(fs, rows, c)
-            assert alignment(f, dist, dist.pmf_vector()) == alignment(f, dist)
+            assert alignment(f, dist) == float(np.abs(f.c) ** 2 @ dist.pmf(f.freqs))
 
     @pytest.mark.parametrize("kind", ["explicit", "product", "mps"])
     def test_enumeration_forms_no_half(self, kind, monkeypatch, count_enumerations, rng):
@@ -262,8 +263,9 @@ class TestPmfVector:
         dist = fresh()
         p = dist.pmf_vector()
         assert dist.p_max().value == np.max(p)
-        # an explicit p_max reads the stored probabilities
-        assert count_enumerations == [kind] * (1 if kind == "explicit" else 2)
+        # p_max reads the enumeration, and an explicit one the stored
+        # probabilities
+        assert count_enumerations == [kind]
         assert formed == []
         assert p.tolist() == dist.pmf(dist.fs.half).tolist()
         formed.clear()
@@ -273,6 +275,39 @@ class TestPmfVector:
             dist.pmf_vector()
         dist.p_max()
         assert formed == []
+
+    @pytest.mark.parametrize("first", ["pmf_vector", "p_max", "alignment"])
+    @pytest.mark.parametrize("kind", ["explicit", "product", "mps"])
+    def test_second_reads_form_no_grid(self, kind, first, count_enumerations, rng):
+        fs = build_frequency_set(pauli_half_encoding([2, 1]))
+        dist = _random_dist(kind, fs, rng, bond=2)
+        rows = np.array([0, 3, 6])
+        f = TrigPolynomial.on_rows(fs, rows, np.array([0.5, 0.25 - 0.5j, 1j]))
+        readers = {
+            "pmf_vector": dist.pmf_vector,
+            "p_max": dist.p_max,
+            "alignment": lambda: alignment(f, dist),
+        }
+        readers[first]()
+        want = {name: read() for name, read in readers.items()}
+        assert dist.pmf_vector() is want["pmf_vector"]
+        assert (dist.p_max(), alignment(f, dist)) == (want["p_max"], want["alignment"])
+        # an explicit p_max reads its stored probabilities, so a later
+        # reader forms the one vector
+        assert count_enumerations == [kind]
+        assert want["pmf_vector"].tolist() == dist.pmf(fs.half).tolist()
+
+    @pytest.mark.parametrize("kind", ["explicit", "product", "mps"])
+    def test_the_vector_is_read_only(self, kind, rng):
+        fs = build_frequency_set(pauli_half_encoding([2, 1]))
+        dist = _random_dist(kind, fs, rng, bond=2)
+        p = dist.pmf_vector()
+        want = p.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            p[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            p *= 2.0
+        assert dist.pmf_vector().tolist() == want == dist.pmf(fs.half).tolist()
 
     def test_explicit_on_a_lazy_lattice(self):
         # 9^20 points: no half to fill, pmf still folds the stored values

@@ -147,6 +147,39 @@ class TestGenerateProblem:
             ProblemSpec.from_json(problem_doc(noise={"kind": "gaussian", "sigma": 1.0}))
 
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"n": 0}, {"n": 2.5}, {"n": True}, {"n": "10"}, {"n": None},
+            {"seed": 1.7}, {"seed": -1}, {"seed": True}, {"seed": "3"},
+            {"noise": {"kind": "uniform", "sigma": float("nan")}},
+            {"noise": {"kind": "uniform", "sigma": float("inf")}},
+            {"noise": {"kind": "uniform", "sigma": 1e308}},
+            {"noise": {"kind": "uniform", "sigma": 10**400}},
+            {"noise": {"kind": "uniform", "sigma": -0.1}},
+            {"noise": {"kind": "uniform", "sigma": "x"}},
+            {"noise": {"kind": "uniform", "sigma": True}},
+            {"noise": {"kind": "none", "sigma": float("nan")}},
+        ],
+    )
+    def test_malformed_n_seed_or_sigma_is_a_config_error(self, field):
+        key = next(iter(field))
+        with pytest.raises(ConfigError, match="^noise sigma must" if key == "noise" else f"^{key} must"):
+            ProblemSpec.from_json(problem_doc(**field))
+
+    def test_integral_floats_and_noise_range_limits_are_accepted(self):
+        spec = ProblemSpec.from_json(problem_doc(n=12.0, seed=4.0))
+        assert (spec.n, spec.seed) == (12, 4) and type(spec.n) is type(spec.seed) is int
+        # 2 sqrt(3) sigma stays a finite float up to about 5.2e307
+        for sigma in (0, 2, 1e307):
+            spec = ProblemSpec.from_json(problem_doc(noise={"kind": "uniform", "sigma": sigma}))
+            assert spec.noise_sigma == sigma and type(spec.noise_sigma) is float
+        data, _ = generate_problem(
+            ProblemSpec.from_json(problem_doc(noise={"kind": "uniform", "sigma": 1e307}))
+        )
+        assert np.all(np.isfinite(data.Y))
+
+
 class TestRunSweep:
     def test_grid_size_and_oracle_gap(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -293,29 +326,15 @@ class TestRunSweep:
             assert len(rows) == 4 and all(row["error"] == "" for row in rows)
             assert (tmp_path / f"got{i}.csv").read_bytes() == want[i]
 
-    def test_one_enumeration_serves_p_max_and_the_krr_weights(self, tmp_path, monkeypatch):
-        from rffdq.freqsample import ProductDistribution
-
+    def test_one_enumeration_serves_p_max_and_the_krr_weights(self, tmp_path, count_enumerations):
         doc = sweep_doc(
             dist={"kind": "product", "per_dim": [[0.1, 0.2, 0.4, 0.2, 0.1]]},
             axes={"M": [4, 16], "n": [40], "lambda": [1e-3], "seeds": [0, 1]},
         )
-        calls = []
-        real_pmf_vector = ProductDistribution.pmf_vector
-
-        def counting(self):
-            calls.append(1)
-            return real_pmf_vector(self)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("second enumeration")
-
-        monkeypatch.setattr(ProductDistribution, "pmf_vector", counting)
-        monkeypatch.setattr(ProductDistribution, "p_max", forbidden)
         rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
         assert len(rows) == 4 and all(row["error"] == "" for row in rows)
         assert all(math.isfinite(row["krr_true_risk"]) for row in rows)
-        assert len(calls) == 1
+        assert count_enumerations == ["product"]
         # p(0) = 0.4 and p(1) = 0.2 + 0.2
         assert {row["p_max"] for row in rows} == {0.4}
 
