@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import alignment as alignment_of
-from .errors import ConfigError
+from .errors import ConfigError, is_number, json_object, whole_number
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
 from .freqsample import FrequencyDistribution, SeededRng, distribution_from_json
 from .kernelmap import TrigPolynomial, WeightVector, coeff_sup_bound, weights_of
@@ -110,7 +110,7 @@ class ProblemSpec:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        n, seed, sigma = _whole(self.n, 1), _whole(self.seed, 0), self.noise_sigma
+        n, seed, sigma = whole_number(self.n, 1), whole_number(self.seed, 0), self.noise_sigma
         if n is None:
             raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
         if seed is None:
@@ -119,22 +119,26 @@ class ProblemSpec:
             raise ConfigError(f"unknown noise kind '{self.noise_kind}'")
         # the noise spans 2 sqrt(3) sigma; compared before any conversion, so
         # that NaN, infinities and integers beyond a float fail
-        number = isinstance(sigma, (int, float)) and not isinstance(sigma, bool)
-        if not (number and 0 <= sigma <= sys.float_info.max and math.isfinite(2 * math.sqrt(3) * sigma)):
+        if not (is_number(sigma) and 0 <= sigma <= sys.float_info.max and math.isfinite(2 * math.sqrt(3) * sigma)):
             raise ConfigError(f"noise sigma must be a number >= 0 with a finite noise range, got {sigma!r}")
         self.n, self.seed, self.noise_sigma = n, seed, float(sigma)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ProblemSpec":
-        noise = doc.get("noise", {"kind": "none"})
-        target = doc["target"]
-        if "encoding" in doc:
-            encoding = EncodingStrategy.from_json(doc["encoding"])
-        elif target.get("kind") == "circuit":
-            # circuit targets carry their own encoding strategy
+        doc = json_object(doc, "problem")
+        noise = json_object(doc.get("noise", {"kind": "none"}), "noise")
+        target = json_object(doc["target"], "target")
+        circuit = None
+        if target.get("kind") == "circuit":
+            # parsed here even beside an encoding, so that a malformed circuit
+            # fails before any cell runs
             from .pqcsim import circuit_from_json, encoding_of
 
             circuit, _ = circuit_from_json(target["circuit"])
+        if "encoding" in doc:
+            encoding = EncodingStrategy.from_json(doc["encoding"])
+        elif circuit is not None:
+            # circuit targets carry their own encoding strategy
             encoding = encoding_of(circuit)
         else:
             raise ConfigError("problem document needs an 'encoding' (or a circuit target)")
@@ -285,22 +289,21 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SweepConfig":
+        doc = json_object(doc, "config")
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(
                 f"config schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')}"
             )
-        axes = doc.get("axes", {})
-        if not isinstance(axes, dict):
-            raise ConfigError(f"axes must be an object, got {axes!r}")
+        axes = json_object(doc.get("axes", {}), "axes")
         n_axis = _axis(axes, "n", None, least=1)
-        master_seed = _whole(doc.get("master_seed", 0), 0)
+        master_seed = whole_number(doc.get("master_seed", 0), 0)
         if master_seed is None:
             raise ConfigError(f"master_seed must be an integer >= 0, got {doc['master_seed']!r}")
         # bool("false") is True: only a JSON boolean says whether the oracle runs
         krr_oracle = doc.get("krr_oracle", False)
         if not isinstance(krr_oracle, bool):
             raise ConfigError(f"krr_oracle must be true or false, got {krr_oracle!r}")
-        base = dict(doc["problem"])
+        base = dict(json_object(doc["problem"], "problem"))
         base.setdefault("n", n_axis[0] if n_axis else 100)
         return cls(
             name=str(doc.get("name", "exp")),
@@ -315,15 +318,6 @@ class SweepConfig:
         )
 
 
-def _whole(value, least: int) -> int | None:
-    """``value`` as an int when it is an integral number (not a bool) of at
-    least ``least``, else None."""
-    whole = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole or value < least:
-        return None
-    return int(value)
-
-
 def _axis(axes: dict, name: str, default, least: int | None = None):
     """Sweep axis ``name`` (``default`` when not given): a non-empty JSON
     array, of integral numbers (not bools) >= ``least``, returned as ints,
@@ -336,7 +330,7 @@ def _axis(axes: dict, name: str, default, least: int | None = None):
         raise ConfigError(f"axis {name!r} must be a non-empty array, got {values!r}")
     if least is None:
         return values
-    whole = [_whole(v, least) for v in values]
+    whole = [whole_number(v, least) for v in values]
     for v, w in zip(values, whole):
         if w is None:
             raise ConfigError(f"axis {name!r} entries must each be an integer >= {least}, got {v!r}")

@@ -4,10 +4,12 @@ Ground truth for the rest of the package: circuits built from Pauli-word
 rotations, fixed 1-2 qubit unitaries, and CNOT/CZ produce models
 f(x) = <0| U(x, theta)^dag O U(x, theta) |0>, whose Fourier support lies on
 the lattice generated by the encoding spectra.  A circuit compiles to a
-program in which each encoding runs in the eigenbasis of its Pauli word, as
-a move: one parity class of amplitudes keeps its state frequency and the
-other shifts by 2|s|.  The x-independent one-qubit gates between two other
-steps fuse into one Kronecker block, and each run of CNOT and CZ gates is
+program in which each run of encodings with no other step between them is
+one shift.  In the eigenbasis of its Pauli word, an encoding keeps one
+parity class of amplitudes at its state frequency and moves the other by
+2|s|, so a run moves each basis index by one frequency offset.  The
+x-independent one-qubit gates between two other steps fuse into one
+Kronecker block, and each run of CNOT and CZ gates is
 one permutation.  On integer lattices the spectrum is extracted exactly by
 propagating the state once as one vector per state frequency, then summing
 the Gram matrix of those vectors under the observable over frequency
@@ -24,8 +26,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CapacityError, ConfigError, NonIntegerFrequencyError
+from .errors import CapacityError, ConfigError, NonIntegerFrequencyError, is_number, json_object, whole_number
 from .freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set, is_integer_valued
 from .kernelmap import TrigPolynomial
 
@@ -45,13 +48,14 @@ SUPPORT_TOL = 1e-14
 _PAULIS = frozenset("IXYZ")
 
 
-def _check_pauli(word: str, qubits: int, allow_identity: bool):
+def _check_pauli(word: str, qubits: int, allow_identity: bool, at: str = ""):
+    """Refuse a malformed word, with ``at`` naming where it came from."""
     if not word or len(word) != qubits:
-        raise ConfigError(f"Pauli word '{word}' must have length {qubits}")
+        raise ConfigError(f"{at}Pauli word '{word}' must have length {qubits}")
     if any(ch not in _PAULIS for ch in word):
-        raise ConfigError(f"Pauli word '{word}' has characters outside IXYZ")
+        raise ConfigError(f"{at}Pauli word '{word}' has characters outside IXYZ")
     if not allow_identity and all(ch == "I" for ch in word):
-        raise ConfigError("encoding Pauli word must act on at least one qubit")
+        raise ConfigError(f"{at}encoding Pauli word must act on at least one qubit")
 
 
 @dataclass(frozen=True)
@@ -104,36 +108,37 @@ class Circuit:
     def __post_init__(self):
         if not (1 <= self.qubits <= MAX_QUBITS):
             raise ConfigError(f"qubit count must be in 1..{MAX_QUBITS}")
-        for g in self.gates:
+        for i, g in enumerate(self.gates):
+            at = f"gate {i}: "
             if g.kind in ("encode", "rot"):
-                _check_pauli(g.pauli, self.qubits, allow_identity=(g.kind == "rot"))
+                _check_pauli(g.pauli, self.qubits, allow_identity=(g.kind == "rot"), at=at)
                 if g.kind == "encode":
                     if g.dim < 1:
-                        raise ConfigError("encoding gates use 1-based data dimensions")
+                        raise ConfigError(f"{at}encoding gates use 1-based data dimensions")
                     if not math.isfinite(g.scale):
-                        raise ConfigError("encoding scale must be finite")
+                        raise ConfigError(f"{at}encoding scale must be finite")
                 else:
                     if g.theta_index < 0:
-                        raise ConfigError("rotation gates need a parameter index")
+                        raise ConfigError(f"{at}rotation gates need a parameter index")
             elif g.kind in ("cnot", "cz"):
                 if not (0 <= g.control < self.qubits and 0 <= g.target < self.qubits):
-                    raise ConfigError(f"{g.kind} gate references invalid qubits")
+                    raise ConfigError(f"{at}{g.kind} gate references invalid qubits")
                 if g.control == g.target:
-                    raise ConfigError(f"{g.kind} control and target must differ")
+                    raise ConfigError(f"{at}{g.kind} control and target must differ")
             elif g.kind == "fixed":
                 qs = tuple(g.qubits)
                 if len(qs) not in (1, 2) or len(set(qs)) != len(qs):
-                    raise ConfigError("fixed unitaries act on 1 or 2 distinct qubits")
+                    raise ConfigError(f"{at}fixed unitaries act on 1 or 2 distinct qubits")
                 if any(not (0 <= q < self.qubits) for q in qs):
-                    raise ConfigError("fixed unitary references invalid qubits")
+                    raise ConfigError(f"{at}fixed unitary references invalid qubits")
                 U = np.asarray(g.matrix, dtype=complex)
                 dim = 2 ** len(qs)
                 if U.shape != (dim, dim):
-                    raise ConfigError(f"fixed unitary must be {dim}x{dim}")
+                    raise ConfigError(f"{at}fixed unitary must be {dim}x{dim}")
                 if np.max(np.abs(U.conj().T @ U - np.eye(dim))) > 1e-10:
-                    raise ConfigError("fixed gate matrix is not unitary")
+                    raise ConfigError(f"{at}fixed gate matrix is not unitary")
             else:
-                raise ConfigError(f"unknown gate kind '{g.kind}'")
+                raise ConfigError(f"{at}unknown gate kind '{g.kind}'")
 
     @property
     def theta_count(self) -> int:
@@ -220,7 +225,7 @@ def _gemm(X: np.ndarray, a: int, b: int, U: np.ndarray, out: np.ndarray | None =
 
 
 def _apply(kind: str, op, X: np.ndarray) -> None:
-    """One step other than a move on the last axis of X, in place, with no
+    """One step other than a shift on the last axis of X, in place, with no
     temporary larger than X."""
     if kind == "block":
         first, *second = op
@@ -250,16 +255,37 @@ def _apply(kind: str, op, X: np.ndarray) -> None:
         X[...] = np.einsum(U, [0, 1, 2, 3], psi, [..., *before], [..., *after]).reshape(X.shape)
 
 
+def _shift(buf: np.ndarray, box: tuple, offsets: np.ndarray) -> None:
+    """Move basis index s of the occupied ``box`` of ``buf`` from state
+    frequency k to k + offsets[:, s], in place and with no arithmetic: one
+    leading-axis slice at a time from the top, copied out, cleared and
+    scattered, so each slice is read before anything lands in it."""
+    n = buf.shape[-1]
+    # each amplitude's target, from the start of its row, and the start of
+    # each row of the box within a slice, both counted in amplitudes
+    lift = np.arange(n) + np.ravel_multi_index(offsets, buf.shape[:-1]) * n
+    rows = np.arange(math.prod(buf.shape[1:-1])).reshape(buf.shape[1:-1])[box[1:]] * n
+    # window[a, b] is amplitude a + b of the flat buffer
+    window = sliding_window_view(buf.reshape(-1), lift.max() + 1, writeable=True)
+    part = np.empty(rows.shape + (n,), dtype=buf.dtype)  # the one temporary
+    for t in range(box[0].stop - 1, -1, -1):
+        src = buf[(t,) + box[1:]]
+        part[...] = src
+        src[...] = 0.0
+        window[t * buf[0].size + rows[..., None], lift] = part
+
+
 class CompiledCircuit:
     """A circuit lowered once to a program of three kinds of step.
 
-    - **move**: an encoding exp(-i s x_j P), run in the eigenbasis of its
-      Pauli word, where it is exp(-i s x_j Z_S) on the word's support S.  It
-      keeps the amplitudes with Z_S = sign(s) and gives the others the phase
-      e^{i 2|s| x_j}, after a global e^{-i|s| x_j}.  The basis change (H for
-      an X factor, a complex 2x2 for a Y factor) goes into the blocks on
-      either side.  The moved class is one half of the index bits for a
-      one-qubit word and a parity mask for a longer one.
+    - **shift**: a run of encodings exp(-i s x_j P) with no other step
+      between them.  In the eigenbasis of its Pauli word (H for an X
+      factor, a complex 2x2 for a Y factor, both in the blocks on either
+      side) an encoding is exp(-i s x_j Z_S) on the word's support S: it
+      keeps the amplitudes with Z_S = sign(s) and gives the others the
+      phase e^{i 2|s| x_j}, after a global e^{-i|s| x_j}.  So
+      offsets[j, s] sums 2|s_g| over the run's gates g on x_{j+1} that move
+      basis index s.  A block between two encodings ends a run.
     - **block**: all x-independent one-qubit gates between two other steps
       (rotations, fixed gates, basis changes) multiply into one 2x2 matrix
       per qubit.  A block applies their Kronecker product as two matrix
@@ -273,8 +299,8 @@ class CompiledCircuit:
 
     A rotation on no qubit is a global phase: ``run`` applies it and
     ``frequency_components`` drops it.  ``run`` simulates one input x, with
-    each move a phase on its moved class; ``frequency_components``
-    propagates every x at once, with each move a shift of its moved class.
+    each shift one phase vector; ``frequency_components`` propagates every
+    x at once, with each shift a move of every basis index by its offset.
     """
 
     def __init__(self, c: Circuit):
@@ -308,15 +334,15 @@ class CompiledCircuit:
                     if g.pauli[k] != "Z":
                         pending.setdefault(k, []).append(_EIGENBASIS_DAG[g.pauli[k]])
                 flush(support)
-                # amplitudes with Z_S = -sign(s) move: parity 1 for s > 0
-                bit = 1 if g.scale > 0 else 0
-                if len(support) == 1:
-                    (k,) = support
-                    moved = ((2**k, 2, 2 ** (q - 1 - k)), (..., bit, slice(None)))
+                # the gate joins the run that the last step holds, if any
+                if self.steps and self.steps[-1][0] == "shift":
+                    _, gates, offsets = self.steps.pop()
                 else:
-                    parity = sum((idx >> (q - 1 - k)) & 1 for k in support) & 1
-                    moved = ((2**q,), (..., parity == bit))
-                emit(("move", g, moved), support)
+                    gates, offsets = [], np.zeros((max(c.data_dim, 1), 2**q))
+                # amplitudes with Z_S = -sign(s) move: parity 1 for s > 0
+                parity = sum((idx >> (q - 1 - k)) & 1 for k in support) & 1
+                offsets[g.dim - 1] += 2.0 * abs(g.scale) * (parity == (g.scale > 0))
+                emit(("shift", gates + [g], offsets), support)
                 for k in support:
                     if g.pauli[k] != "Z":
                         pending[k] = [_EIGENBASIS[g.pauli[k]]]
@@ -418,11 +444,10 @@ class CompiledCircuit:
         state = np.zeros(2**c.qubits, dtype=complex)
         state[0] = 1.0
         for (kind, g, data), op in zip(self.steps, self._operands(theta)[0]):
-            if kind == "move":
-                shape, moved = data
-                angle = abs(g.scale) * x[g.dim - 1]
-                state *= np.exp(-1j * angle)
-                state.reshape(shape)[moved] *= np.exp(2j * angle)
+            if kind == "shift":
+                # e^{i (offsets.x - sum_g |s_g| x_{dim g})} per basis index
+                angle = x[: len(data)] @ data - sum(abs(e.scale) * x[e.dim - 1] for e in g)
+                state *= np.exp(1j * angle)
             else:
                 _apply(kind, op, state)
         if self._phase_thetas:
@@ -434,32 +459,29 @@ class CompiledCircuit:
         integer vectors k >= 0, with a global phase phi that no expectation
         sees: an array of shape (K_1, ..., K_d, 2^q) holding psi_k.
 
-        A move along axis j shifts its moved class from k to k + m, m =
-        2|s|, with no arithmetic; a 2|s| farther than freqcore's integer
-        tolerance from an integer raises NonIntegerFrequencyError.  The
-        buffer is float64 when every operand is real (``_operands``) and
-        complex128 otherwise.  It is allocated once at its final shape and
-        updated in place, one slice of the occupied box at a time, so no
-        temporary is larger than a slice.  A buffer above
+        A shift moves each basis index s from k to k + offsets[:, s] with no
+        arithmetic (``_shift``); a 2|s| farther than freqcore's integer
+        tolerance from an integer raises NonIntegerFrequencyError, naming
+        the gate.  The buffer is float64 when every operand is real
+        (``_operands``) and complex128 otherwise.  It is allocated once at
+        its final shape and updated in place, one slice of the occupied box
+        at a time, so no temporary is larger than a slice.  A buffer above
         ``PROPAGATION_BYTES`` is a CapacityError, raised before anything is
         allocated.
         """
         c = self.circuit
-        twice = [2.0 * abs(g.scale) if kind == "move" else 0.0 for kind, g, _ in self.steps]
-        if not is_integer_valued(twice):
-            i = next(i for i, m in enumerate(twice) if not is_integer_valued(m))
-            g = self.steps[i][1]
+        encodings = [(i, g, 2.0 * abs(g.scale)) for i, g in enumerate(c.gates) if g.kind == "encode"]
+        if not is_integer_valued([m for _, _, m in encodings]):
+            i, g, m = next(e for e in encodings if not is_integer_valued(e[2]))
             raise NonIntegerFrequencyError(
-                f"encoding gate {c.gates.index(g)} ({g.pauli} on x_{g.dim}, scale {g.scale}) "
-                f"shifts state frequencies by 2|s| = {twice[i]}, not an integer"
+                f"encoding gate {i} ({g.pauli} on x_{g.dim}, scale {g.scale}) "
+                f"shifts state frequencies by 2|s| = {m}, not an integer"
             )
-        shifts = [round(m) for m in twice]
         ops, real = self._operands(self._theta(theta))
         d = max(c.data_dim, 1)
         sizes = [1] * d
-        for (kind, g, _), m in zip(self.steps, shifts):
-            if kind == "move":
-                sizes[g.dim - 1] += m
+        for _, g, m in encodings:
+            sizes[g.dim - 1] += round(m)
         dtype = np.dtype(float if real else complex)
         nbytes = dtype.itemsize * math.prod(sizes) * 2**c.qubits
         if nbytes > PROPAGATION_BYTES:
@@ -471,24 +493,12 @@ class CompiledCircuit:
         buf = np.zeros((*sizes, 2**c.qubits), dtype=dtype)
         buf[(0,) * (d + 1)] = 1.0
         hi = [0] * d  # highest occupied index per axis
-        for (kind, g, data), op, m in zip(self.steps, ops, shifts):
+        for (kind, g, data), op in zip(self.steps, ops):
             box = tuple(slice(0, h + 1) for h in hi)
-            if kind == "move":
-                if m == 0:
-                    continue
-                j = g.dim - 1
-                shape, moved = data
-
-                def row(t):
-                    part = buf[box[:j] + (t,) + box[j + 1 :]]
-                    return part.reshape(part.shape[:-1] + shape)
-
-                # descending, so each row is read before it is overwritten
-                for t in range(hi[j], -1, -1):
-                    row(t + m)[moved] = row(t)[moved]
-                for t in range(min(m, hi[j] + 1)):
-                    row(t)[moved] = 0.0
-                hi[j] += m
+            if kind == "shift":
+                _shift(buf, box, np.rint(data).astype(np.intp))
+                for e in g:
+                    hi[e.dim - 1] += round(2.0 * abs(e.scale))
             else:
                 axis = int(np.argmax(hi))
                 for t in range(hi[axis] + 1):
@@ -629,42 +639,70 @@ def extract_trig_polynomial(c: Circuit, obs: Observable, theta) -> TrigPolynomia
     return TrigPolynomial.on_rows(fs, keep, cval[keep])
 
 
+def _read(doc: dict, key: str, where: str, least: int = 0, default=None):
+    """doc[key], or ``default`` when the key is absent and a default is
+    given: a string for "pauli", a number for "scale" and "coef", and an
+    integral number of at least ``least`` for any other key."""
+    if key not in doc:
+        if default is None:
+            raise ConfigError(f"{where} needs '{key}'")
+        return default
+    value = doc[key]
+    if key == "pauli":
+        read, want = (value if isinstance(value, str) else None), "a string"
+    elif key in ("scale", "coef"):
+        read, want = (float(value) if is_number(value) else None), "a number"
+    else:
+        read, want = whole_number(value, least), f"an integer >= {least}"
+    if read is None:
+        raise ConfigError(f"{where}: '{key}' must be {want}, got {value!r}")
+    return read
+
+
+def _gate_from_json(g, where: str) -> GateSpec:
+    kind = json_object(g, where).get("kind")
+    if kind == "encode":
+        scale, dim = _read(g, "scale", where, default=1.0), _read(g, "dim", where, 1, default=1)
+        return GateSpec("encode", pauli=_read(g, "pauli", where), scale=scale, dim=dim)
+    if kind == "rot":
+        return GateSpec("rot", pauli=_read(g, "pauli", where), theta_index=_read(g, "theta", where))
+    if kind in ("cnot", "cz"):
+        return GateSpec(kind, control=_read(g, "c", where), target=_read(g, "t", where))
+    if kind == "fixed":
+        qubits, rows = g.get("qubits"), g.get("matrix")
+        if not isinstance(qubits, list) or any(whole_number(k, 0) is None for k in qubits):
+            raise ConfigError(f"{where}: 'qubits' must be an array of integers >= 0, got {qubits!r}")
+        pairs = isinstance(rows, list) and all(
+            isinstance(row, list)
+            and len(row) == len(rows)
+            and all(isinstance(cell, list) and len(cell) == 2 and all(map(is_number, cell)) for cell in row)
+            for row in rows
+        )
+        if not pairs:
+            raise ConfigError(f"{where}: 'matrix' must be a square array of [re, im] pairs, got {rows!r}")
+        matrix = np.array([[complex(*cell) for cell in row] for row in rows])
+        return GateSpec("fixed", qubits=tuple(int(k) for k in qubits), matrix=matrix)
+    raise ConfigError(f"{where}: unknown gate kind '{kind}'")
+
+
 def circuit_from_json(doc: dict) -> tuple[Circuit, Observable]:
-    """Parse a circuit document (gates plus embedded observable)."""
-    try:
-        qubits = int(doc["qubits"])
-        raw_gates = doc["gates"]
-        raw_obs = doc["observable"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError("circuit document needs 'qubits', 'gates', 'observable'") from exc
-    gates = []
-    for g in raw_gates:
-        kind = g.get("kind")
-        if kind == "encode":
-            gates.append(
-                GateSpec(
-                    "encode",
-                    pauli=g["pauli"],
-                    scale=float(g.get("scale", 1.0)),
-                    dim=int(g.get("dim", 1)),
-                )
-            )
-        elif kind == "rot":
-            gates.append(GateSpec("rot", pauli=g["pauli"], theta_index=int(g["theta"])))
-        elif kind in ("cnot", "cz"):
-            gates.append(GateSpec(kind, control=int(g["c"]), target=int(g["t"])))
-        elif kind == "fixed":
-            mat = np.asarray(
-                [[complex(cell[0], cell[1]) for cell in row] for row in g["matrix"]]
-            )
-            gates.append(GateSpec("fixed", qubits=tuple(g["qubits"]), matrix=mat))
-        else:
-            raise ConfigError(f"unknown gate kind '{kind}'")
-    obs = Observable([(t["coef"], t["pauli"]) for t in raw_obs["terms"]])
-    circuit = Circuit(qubits, gates)
-    for coef, word in obs.terms:
-        _check_pauli(word, qubits, allow_identity=True)
-    return circuit, obs
+    """Parse a circuit document (gates plus embedded observable).  Anything
+    malformed is a ConfigError naming the gate or observable term at fault."""
+    if not (isinstance(doc, dict) and all(key in doc for key in ("qubits", "gates", "observable"))):
+        raise ConfigError("circuit document needs 'qubits', 'gates', 'observable'")
+    qubits = _read(doc, "qubits", "circuit document", 1)
+    gates, terms = doc["gates"], json_object(doc["observable"], "observable").get("terms")
+    for what, value in (("circuit 'gates'", gates), ("observable 'terms'", terms)):
+        if not isinstance(value, list):
+            raise ConfigError(f"{what} must be an array, got {value!r}")
+    circuit = Circuit(qubits, [_gate_from_json(g, f"gate {i}") for i, g in enumerate(gates)])
+    read = []
+    for i, t in enumerate(terms):
+        where = f"observable term {i}"
+        word, coef = _read(json_object(t, where), "pauli", where), _read(t, "coef", where)
+        _check_pauli(word, qubits, allow_identity=True, at=f"{where}: ")
+        read.append((coef, word))
+    return circuit, Observable(read)
 
 
 def load_circuit(path: str) -> tuple[Circuit, Observable]:

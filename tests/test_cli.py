@@ -338,6 +338,41 @@ class TestExitCodes:
         assert err.count("sigma" if "noise" in field else f"{next(iter(field))} must be") == 2
         assert not res.exists()
 
+    @pytest.mark.parametrize("field", ["noise", "target", "problem"])
+    def test_non_object_config_field_is_2(self, workdir, field, capsys):
+        exp = json.loads((workdir / "exp.json").read_text())
+        (exp if field == "problem" else exp["problem"])[field] = 5
+        (workdir / "bad_exp.json").write_text(json.dumps(exp))
+        res = workdir / "r.csv"
+        assert run(["experiment", "run", "--config", workdir / "bad_exp.json", "--out", res]) == 2
+        assert f"{field} must be an object, got 5" in capsys.readouterr().err and not res.exists()
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            5,
+            {"kind": "encode", "pauli": "X", "scale": "a", "dim": 1},
+            {"kind": "encode", "pauli": "X", "dim": 1.7},
+            {"kind": "rot", "pauli": "Y"},
+            {"kind": "fixed", "qubits": [0], "matrix": [[1, 0], [0, 1]]},
+        ],
+        ids=["not-an-object", "scale", "dim", "theta", "matrix"],
+    )
+    def test_malformed_circuit_is_2(self, workdir, gate, capsys):
+        circuit = json.loads((workdir / "c.json").read_text())
+        circuit["gates"].append(gate)
+        (workdir / "bad_c.json").write_text(json.dumps(circuit))
+        out = workdir / "spectrum.json"
+        assert run(["pqc-spectrum", "--circuit", workdir / "bad_c.json", "--out", out]) == 2
+        # an experiment whose problem gives an encoding beside the circuit target
+        exp = json.loads((workdir / "exp.json").read_text())
+        exp["problem"]["target"] = {"kind": "circuit", "circuit": circuit, "theta": []}
+        (workdir / "bad_exp.json").write_text(json.dumps(exp))
+        res = workdir / "r.csv"
+        assert run(["experiment", "run", "--config", workdir / "bad_exp.json", "--out", res]) == 2
+        assert capsys.readouterr().err.count("config error: gate 1") == 2
+        assert not out.exists() and not res.exists()
+
     @pytest.mark.parametrize("cell", ["nan", "abc"])
     def test_malformed_data_file_is_2(self, workdir, cell, capsys):
         data = workdir / "bad.csv"

@@ -167,6 +167,12 @@ class TestGenerateProblem:
         with pytest.raises(ConfigError, match="^noise sigma must" if key == "noise" else f"^{key} must"):
             ProblemSpec.from_json(problem_doc(**field))
 
+    @pytest.mark.parametrize("key", ["noise", "target"])
+    @pytest.mark.parametrize("value", [5, "none", [["kind", "none"]], None])
+    def test_non_object_noise_or_target_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be an object, got {value!r}")):
+            ProblemSpec.from_json(problem_doc(**{key: value}))
+
     def test_integral_floats_and_noise_range_limits_are_accepted(self):
         spec = ProblemSpec.from_json(problem_doc(n=12.0, seed=4.0))
         assert (spec.n, spec.seed) == (12, 4) and type(spec.n) is type(spec.seed) is int
@@ -465,6 +471,20 @@ class TestRunSweep:
     def test_malformed_oracle_flag_and_master_seed_are_config_errors(self, field, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             SweepConfig.from_json(sweep_doc(**field))
+
+    @pytest.mark.parametrize("value", [5, [["n", 40]], None])
+    def test_non_object_problem_or_config_is_a_config_error(self, value):
+        with pytest.raises(ConfigError, match=re.escape(f"problem must be an object, got {value!r}")):
+            SweepConfig.from_json(sweep_doc(problem=value))
+        with pytest.raises(ConfigError, match=re.escape(f"config must be an object, got {[value]!r}")):
+            SweepConfig.from_json([value])
+
+    def test_malformed_circuit_beside_an_encoding_fails_before_any_cell(self):
+        target = circuit_target()
+        target["circuit"]["gates"][0]["dim"] = 1.7
+        doc = sweep_doc(problem=problem_doc(target=target, n=40, seed=0))
+        with pytest.raises(ConfigError, match=re.escape("gate 0: 'dim' must be an integer >= 1, got 1.7")):
+            SweepConfig.from_json(doc)
 
     def test_oracle_flag_and_master_seed_defaults_and_integral_floats(self):
         config = SweepConfig.from_json(sweep_doc(master_seed=7.0, krr_oracle=False))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -471,10 +472,10 @@ class TestEigenbasisProgram:
         c, obs = benchmark_kind_circuit()
         theta = gen.uniform(-np.pi / 4, np.pi / 4, c.theta_count)
         compiled = CompiledCircuit(c)
-        # per layer: one block of basis changes, ten moves, one block of
-        # rotations fused with the basis changes back, one permutation
-        layer = ["block"] + ["move"] * 10 + ["block", "perm"]
-        assert kinds(compiled) == 2 * layer
+        # per layer: one block of basis changes, one shift for the ten
+        # encodings, one block of rotations fused with the basis changes
+        # back, one permutation
+        assert kinds(compiled) == ["block", "shift", "block", "perm"] * 2
         psi = compiled.frequency_components(theta)
         assert psi.dtype == np.float64 and psi.shape == (11, 11, 2**10)
         rows = psi.reshape(-1, 2**10)
@@ -525,6 +526,82 @@ class TestEigenbasisProgram:
         theta = [0.7]
         assert_matches_dft(c, obs, theta)
         gen = np.random.default_rng(22)
+        for x in gen.uniform(0, 2 * np.pi, (3, 2)):
+            assert np.max(np.abs(compiled.run(theta, x) - dense_statevector(c, theta, x))) <= 1e-12
+
+
+    @pytest.mark.parametrize(
+        "qubits, gates, program, runs",
+        [
+            # two X encodings on one qubit: the basis changes between them
+            # end the first run
+            (
+                2,
+                [
+                    GateSpec("rot", pauli="YI", theta_index=0),
+                    GateSpec("encode", pauli="XI", scale=0.5, dim=1),
+                    GateSpec("encode", pauli="XI", scale=1.0, dim=1),
+                    GateSpec("rot", pauli="IY", theta_index=1),
+                    GateSpec("cnot", control=1, target=0),
+                ],
+                ["block", "shift", "block", "shift", "block", "perm"],
+                [1, 1],
+            ),
+            # Z words need no basis change, so three on one qubit, over two
+            # dimensions, are one run
+            (
+                2,
+                [
+                    GateSpec("rot", pauli="YI", theta_index=0),
+                    GateSpec("rot", pauli="IX", theta_index=1),
+                    GateSpec("encode", pauli="ZI", scale=0.5, dim=1),
+                    GateSpec("encode", pauli="ZI", scale=-1.0, dim=1),
+                    GateSpec("encode", pauli="ZI", scale=1.5, dim=2),
+                    GateSpec("rot", pauli="XI", theta_index=2),
+                    GateSpec("cz", control=0, target=1),
+                ],
+                ["block", "shift", "block", "perm"],
+                [3],
+            ),
+            # a scale-0 gate joins its run and moves nothing
+            (
+                2,
+                [
+                    GateSpec("rot", pauli="YY", theta_index=0),
+                    GateSpec("encode", pauli="XI", scale=0.5, dim=1),
+                    GateSpec("encode", pauli="IY", scale=0.0, dim=1),
+                    GateSpec("encode", pauli="ZI", scale=1.0, dim=2),
+                ],
+                ["rot", "block", "shift", "block", "shift"],
+                [2, 1],
+            ),
+            # parity words of both signs, one of them in the X/Y eigenbasis
+            (
+                4,
+                [
+                    GateSpec("rot", pauli="YIYI", theta_index=0),
+                    GateSpec("rot", pauli="IXIX", theta_index=1),
+                    GateSpec("encode", pauli="IIXY", scale=0.5, dim=1),
+                    GateSpec("encode", pauli="ZZII", scale=-0.5, dim=1),
+                    GateSpec("encode", pauli="IZII", scale=1.0, dim=2),
+                    GateSpec("encode", pauli="ZZII", scale=1.0, dim=2),
+                    GateSpec("rot", pauli="XYZI", theta_index=2),
+                ],
+                ["rot", "rot", "block", "shift", "block", "rot"],
+                [4],
+            ),
+        ],
+        ids=["x-twice", "z-run", "scale-0", "parity-signs"],
+    )
+    def test_encoding_runs_match_the_dft_and_the_dense_simulation(self, qubits, gates, program, runs):
+        c = Circuit(qubits, gates)
+        compiled = CompiledCircuit(c)
+        assert kinds(compiled) == program
+        assert [len(gs) for kind, gs, _ in compiled.steps if kind == "shift"] == runs
+        gen = np.random.default_rng(24)
+        theta = gen.uniform(0, 2 * np.pi, c.theta_count)
+        obs = Observable([(1.0, "Z" * qubits), (0.6, "X" + "I" * (qubits - 2) + "Y"), (-0.3, "I" * qubits)])
+        assert_matches_dft(c, obs, theta)
         for x in gen.uniform(0, 2 * np.pi, (3, 2)):
             assert np.max(np.abs(compiled.run(theta, x) - dense_statevector(c, theta, x))) <= 1e-12
 
@@ -622,6 +699,68 @@ class TestCircuitJson:
             circuit_from_json(
                 {"qubits": 1, "gates": [{"kind": "warp"}], "observable": {"terms": []}}
             )
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("gates",), [5], "gate 0 must be an object, got 5"),
+            (("gates",), {}, "circuit 'gates' must be an array, got {}"),
+            (("gates", 0, "scale"), "a", "gate 0: 'scale' must be a number, got 'a'"),
+            (("gates", 0, "dim"), 1.7, "gate 0: 'dim' must be an integer >= 1, got 1.7"),
+            (("gates", 0, "dim"), True, "gate 0: 'dim' must be an integer >= 1, got True"),
+            (("gates", 0, "pauli"), None, "gate 0 needs 'pauli'"),
+            (("gates", 0, "pauli"), 5, "gate 0: 'pauli' must be a string, got 5"),
+            (("gates", 1, "theta"), None, "gate 1 needs 'theta'"),
+            (("gates", 1, "theta"), 0.5, "gate 1: 'theta' must be an integer >= 0, got 0.5"),
+            (("gates", 2, "t"), "1", "gate 2: 't' must be an integer >= 0, got '1'"),
+            (("gates", 2, "t"), 0, "gate 2: cnot control and target must differ"),
+            (("gates", 2, "kind"), "warp", "gate 2: unknown gate kind 'warp'"),
+            (
+                ("gates", 2),
+                {"kind": "fixed", "qubits": [0], "matrix": [[1, 0], [0, 1]]},
+                "gate 2: 'matrix' must be a square array of [re, im] pairs",
+            ),
+            (
+                ("gates", 2),
+                {"kind": "fixed", "qubits": [0], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
+                "gate 2: 'matrix' must be a square array of [re, im] pairs",
+            ),
+            (
+                ("gates", 2),
+                {"kind": "fixed", "qubits": [0.5], "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+                "gate 2: 'qubits' must be an array of integers >= 0, got [0.5]",
+            ),
+            (("qubits",), 2.5, "circuit document: 'qubits' must be an integer >= 1, got 2.5"),
+            (("observable",), [], "observable must be an object, got []"),
+            (("observable", "terms"), {}, "observable 'terms' must be an array, got {}"),
+            (("observable", "terms", 0), 5, "observable term 0 must be an object, got 5"),
+            (("observable", "terms", 0, "coef"), None, "observable term 0 needs 'coef'"),
+            (("observable", "terms", 0, "coef"), "1", "observable term 0: 'coef' must be a number, got '1'"),
+            (("observable", "terms", 0, "pauli"), "ZZZ", "observable term 0: Pauli word 'ZZZ' must have length 2"),
+        ],
+    )
+    def test_malformed_fields_name_the_gate_or_term(self, path, value, message):
+        # the document of test_parse_and_extract with the entry at ``path``
+        # set to ``value``, or removed for None
+        doc = {
+            "qubits": 2,
+            "gates": [
+                {"kind": "encode", "pauli": "XI", "scale": 0.5, "dim": 1},
+                {"kind": "rot", "pauli": "ZZ", "theta": 0},
+                {"kind": "cnot", "c": 0, "t": 1},
+            ],
+            "observable": {"terms": [{"coef": 1.0, "pauli": "ZI"}]},
+        }
+        *parents, key = path
+        holder = doc
+        for k in parents:
+            holder = holder[k]
+        if value is None:
+            del holder[key]
+        else:
+            holder[key] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            circuit_from_json(doc)
 
 
 class TestEvenGridExtraction:
