@@ -1,0 +1,215 @@
+"""Empirical Fourier transforms of a sample on integer frequencies.
+
+For points x_i with labels y_i, h_X(nu) = sum_i e^{i <nu, x_i>} and
+h_Y(nu) = sum_i y_i e^{i <nu, x_i>}.  On the wave basis
+B = [cos <omega_u, x_i> | sin <omega_u, x_i>] over integer rows omega_u,
+cos a cos b = [cos(a - b) + cos(a + b)]/2 and its sine forms give every
+entry of B^T B from h_X at omega_u -+ omega_v, and B^T Y is h_Y at omega_u.
+``FourierTable`` keeps those transforms per sample, so that every Gram of
+one problem reads one table; ``feature_gram``, ``feature_values`` and
+``feature_adjoint`` give the KRR feature map's F^T F, F^T Y, F v and F^T a
+in ``kernelmap.feature_matrix``'s layout.  All of it is formed from
+per-dimension power tables e^{i k x_j}, in row blocks of at most
+``kernelmap.TRIG_BLOCK_ENTRIES`` complex entries.
+
+The module is imported where a fit first needs it, not with the package.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import NonIntegerFrequencyError
+from .freqcore import FrequencySet
+from .kernelmap import TRIG_BLOCK_ENTRIES, WeightVector, _feature_columns, _points
+
+
+def _integer_reach(freqs: np.ndarray) -> tuple[int, ...] | None:
+    """Per dimension, max |omega_j| over the rows of ``freqs`` when every
+    entry is an integer; None otherwise."""
+    if not np.array_equal(freqs, np.round(freqs)):
+        return None
+    return tuple(int(r) for r in np.abs(freqs).max(axis=0))
+
+
+def table_reach(freqs) -> tuple[int, ...] | None:
+    """The reach r of the S rows of ``freqs`` (r_j = max |omega_j|) when a
+    ``FourierTable`` serves their Gram, else None.  It serves integer rows
+    whose box |nu_j| <= 2 r_j has at most 2 S^2 entries: the cost rule under
+    which reading the box beats forming the n x 2S wave basis and its
+    Gram."""
+    freqs = np.asarray(freqs, dtype=float)
+    reach = _integer_reach(freqs)
+    if reach is None or math.prod(4 * r + 1 for r in reach) > 2 * freqs.shape[0] ** 2:
+        return None
+    return reach
+
+
+def _power_tables(X: np.ndarray, reach) -> list:
+    """Per dimension j, the (2 r_j + 1, m) table whose row r_j + k holds
+    e^{i k x_j} at the m points ``X``: powers of one cosine and one sine per
+    point, and their conjugates."""
+    tables = []
+    for x, r in zip(X.T, reach):
+        P = np.empty((2 * r + 1, x.size), dtype=complex)
+        P[r] = 1.0
+        if r:
+            np.cos(x, out=P[r + 1].real)
+            np.sin(x, out=P[r + 1].imag)
+            for k in range(r + 2, 2 * r + 1):
+                np.multiply(P[k - 1], P[r + 1], out=P[k])
+            np.conjugate(P[: r : -1], out=P[:r])
+        tables.append(P)
+    return tables
+
+
+def wave_sums(X: np.ndarray, weights, reach) -> np.ndarray:
+    """sum_i a_i e^{i <nu, x_i>} over the box |nu_j| <= reach_j, for each
+    of the k weight vectors a in ``weights`` (each of real entries, of shape
+    ``(n,)``): shape ``(k, 2 reach_1 + 1, ..., 2 reach_d + 1)``, with nu_j
+    at index nu_j + reach_j.
+
+    The sums of real weights are Hermitian, h(-nu) = conj h(nu), so only
+    nu_1 >= 0 is summed and the rest mirrored; on the plane nu_1 = 0, which
+    is its own mirror, each entry is averaged with its mirror's conjugate,
+    so that the box is exactly Hermitian.  Per row block, the power tables
+    of all but the last dimension are multiplied out into one row per box
+    point, and the last dimension's, times each weight, is contracted
+    against them by one matrix product over the block's points."""
+    n, d = X.shape
+    k, sizes = len(weights), [2 * r + 1 for r in reach]
+    sizes[0] = reach[0] + 1
+    inner, last = math.prod(sizes[:-1]), sizes[-1]
+    out = np.zeros((inner, k * last), dtype=complex)
+    # the block's tables hold at most TRIG_BLOCK_ENTRIES complex entries
+    step = max(1, TRIG_BLOCK_ENTRIES // (2 * sum(reach) + d + inner + k * last))
+    for r in range(0, n, step):
+        tables = _power_tables(X[r : r + step], reach)
+        tables[0] = tables[0][reach[0] :]
+        m = tables[0].shape[1]
+        left = np.ones((1, m), dtype=complex)
+        for P in tables[:-1]:
+            left = (left[:, None, :] * P[None, :, :]).reshape(-1, m)
+        block = np.stack([a[r : r + step] for a in weights])
+        right = (block[:, None, :] * tables[-1]).reshape(k * last, m)
+        out += left @ right.T
+    half = np.moveaxis(out.reshape(inner, k, last), 1, 0).reshape(k, *sizes)
+    axes = tuple(range(1, d + 1))
+    mirror = np.conj(np.flip(half, axis=axes))
+    plane = 0.5 * (half[:, :1] + mirror[:, -1:])
+    return np.concatenate([mirror[:, :-1], plane, half[:, 1:]], axis=1)
+
+
+def wave_values(X: np.ndarray, Z: np.ndarray, reach) -> np.ndarray:
+    """Re sum_nu Z[nu] e^{i <nu, x>} at each row of ``X``, for ``Z`` over the
+    box |nu_j| <= reach_j laid out as ``wave_sums`` lays it out: per row
+    block, contracted one dimension's power table at a time."""
+    n = X.shape[0]
+    sizes = Z.shape
+    out = np.empty(n)
+    step = max(1, TRIG_BLOCK_ENTRIES // (sum(sizes) + Z.size // sizes[0]))
+    for r in range(0, n, step):
+        tables = _power_tables(X[r : r + step], reach)
+        m = tables[0].shape[1]
+        acc = Z.reshape(sizes[0], -1).T @ tables[0]
+        for P in tables[1:]:
+            acc = (acc.reshape(P.shape[0], -1, m) * P[:, None, :]).sum(axis=0)
+        out[r : r + m] = acc[0].real
+    return out
+
+
+class FourierTable:
+    """h_X and h_Y of one sample (points ``X``, labels ``Y``).
+
+    ``gram`` reads B^T B and B^T Y from the box |nu_j| <= 2 r_j, where r is
+    the rows' reach (r_j = max_u |omega_uj|).  A box is formed once per
+    reach, by ``wave_sums``, and kept: the Grams of one table share it, and a
+    fresh table of the same sample forms the same box bit for bit.  The box
+    is exactly Hermitian, so B^T B comes out exactly symmetric.
+    """
+
+    def __init__(self, X, Y):
+        self.X = np.atleast_2d(np.asarray(X, dtype=float))
+        self.Y = np.asarray(Y, dtype=float).ravel()
+        self.boxes: dict[tuple, np.ndarray] = {}
+
+    def box(self, reach) -> np.ndarray:
+        """(h_X, h_Y) over |nu_j| <= 2 reach_j, formed by the first call."""
+        if reach not in self.boxes:
+            weights = [np.broadcast_to(1.0, self.Y.shape), self.Y]
+            self.boxes[reach] = wave_sums(self.X, weights, tuple(2 * r for r in reach))
+        return self.boxes[reach]
+
+    def gram(self, freqs) -> tuple[np.ndarray, np.ndarray] | None:
+        """(B^T B, B^T Y) of the wave basis over the distinct rows of
+        ``freqs``, cosines first, read from the box; None where
+        ``table_reach`` refuses the rows."""
+        freqs = np.asarray(freqs, dtype=float)
+        reach = table_reach(freqs)
+        if reach is None:
+            return None
+        hX, hY = self.box(reach)
+        S, at = freqs.shape[0], _box_index(freqs, hX.shape)
+        minus = hX.ravel()[at[:, None] - at[None, :] + hX.size // 2]
+        plus = hX.ravel()[at[:, None] + at[None, :] + hX.size // 2]
+        G = np.empty((2 * S, 2 * S))
+        np.add(minus.real, plus.real, out=G[:S, :S])
+        np.subtract(minus.real, plus.real, out=G[S:, S:])
+        np.subtract(plus.imag, minus.imag, out=G[:S, S:])
+        G[S:, :S] = G[:S, S:].T
+        G *= 0.5
+        y = hY.ravel()[at + hY.size // 2]
+        return G, np.concatenate([y.real, y.imag])
+
+
+def _box_index(freqs: np.ndarray, shape) -> np.ndarray:
+    """Each row's offset from the centre of a C-ordered box of ``shape``:
+    the flat index of nu is ``_box_index(nu) + size // 2``, and the offset is
+    linear in nu."""
+    strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
+    return freqs.astype(np.int64) @ strides
+
+
+def feature_gram(table: FourierTable, fs: FrequencySet, w: WeightVector):
+    """(F^T F, F^T Y) for F = ``feature_matrix(table.X, fs, w)`` and the
+    table's labels Y, read from the table; ``table_reach(fs.half)`` must
+    not be None."""
+    rows, scale = _feature_columns(fs, w)
+    G, BtY = table.gram(fs.half)
+    return np.outer(scale, scale) * G.take(rows, 0).take(rows, 1), scale * BtY[rows]
+
+
+def feature_values(X, fs: FrequencySet, w: WeightVector, v) -> np.ndarray:
+    """F v for F = ``feature_matrix(X, fs, w)`` on an integer lattice, from
+    per-dimension power tables: F is not formed."""
+    rows, scale = _feature_columns(fs, w)
+    reach, S = _lattice_reach(fs), fs.size
+    # B u for the wave basis B over the half is Re sum_s (u_cos,s - i
+    # u_sin,s) e^{i <omega_s, x>}
+    u = np.zeros(2 * S)
+    u[rows] = scale * np.asarray(v, dtype=float)
+    Z = np.zeros(tuple(2 * r + 1 for r in reach), dtype=complex)
+    Z.ravel()[_box_index(fs.half, Z.shape) + Z.size // 2] = u[:S] - 1j * u[S:]
+    return wave_values(_points(X, fs.d), Z, reach)
+
+
+def feature_adjoint(X, fs: FrequencySet, w: WeightVector, a) -> np.ndarray:
+    """F^T a for F = ``feature_matrix(X, fs, w)`` on an integer lattice,
+    from per-dimension power tables: F is not formed."""
+    rows, scale = _feature_columns(fs, w)
+    reach, X = _lattice_reach(fs), _points(X, fs.d)
+    a = np.asarray(a, dtype=float)
+    if a.shape != (X.shape[0],):
+        raise ValueError(f"{a.shape} coefficients for {X.shape[0]} points")
+    h = wave_sums(X, [a], reach)[0]
+    h = h.ravel()[_box_index(fs.half, h.shape) + h.size // 2]
+    return scale * np.concatenate([h.real, h.imag])[rows]
+
+
+def _lattice_reach(fs: FrequencySet) -> tuple[int, ...]:
+    reach = _integer_reach(fs.half)
+    if reach is None:
+        raise NonIntegerFrequencyError("power tables serve integer frequency lattices only")
+    return reach

@@ -16,10 +16,13 @@ hyperplane v over phi_w: column 0 is the zero frequency, columns 2i - 1 and
 maps such a v to its canonical-half spectrum, and ``rkhs_norm`` maps a
 spectrum back to the 2-norm of its v; no other module reads the layout.
 
-Every plane wave e^{i <omega, x>} that a polynomial, a feature map, a
-kernel or a fitted model takes at sample points comes from ``PlaneWaves``,
-which forms it from a product tree over the columns or by one cosine and one
-sine per (point, term), by the cost rule in ``_tables_pay`` at every d.
+A plane wave e^{i <omega, x>} that a polynomial, a feature map, a kernel
+or a fitted model takes at sample points comes from ``PlaneWaves``, which
+forms it from a product tree over the columns or by one cosine and one sine
+per (point, term), by the cost rule in ``_tables_pay`` at every d.  The one
+exception is ``fourier``: on integer frequencies it reads the Grams of a
+sample's wave basis, and of phi_w's feature matrix (whose layout it takes
+from ``_feature_columns``), from the sample's empirical Fourier transform.
 """
 
 from __future__ import annotations
@@ -61,6 +64,14 @@ def group_rows(ranks, sizes) -> tuple[np.ndarray, np.ndarray]:
         size *= int(k)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return first, inverse.ravel()
+
+
+def _group(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``group_rows`` of the rows of ``freqs`` by their column ranks: the
+    ``return_index`` and ``return_inverse`` of ``np.unique(freqs, axis=0)``,
+    without sorting the rows as structured keys."""
+    values, ranks = column_ranks(freqs)
+    return group_rows(ranks, [v.size for v in values])
 
 
 def column_ranks(freqs: np.ndarray) -> tuple[list, list]:
@@ -216,11 +227,7 @@ class PlaneWaves:
         """``X`` as an ``(n, d)`` float array (one point may be given as
         shape ``(d,)``); a point of another width is a ValueError naming
         both widths."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        d = self.freqs.shape[1]
-        if X.ndim != 2 or X.shape[1] != d:
-            raise ValueError(f"points have width {X.shape[-1]}, but the frequencies have width {d}")
-        return X
+        return _points(X, self.freqs.shape[1])
 
     def step(self, n: int) -> int:
         """Points per row block for ``n`` points: the block's tables (a
@@ -313,6 +320,15 @@ class PlaneWaves:
         return table, powers, trig, levels, root[: S * m].reshape(S, m), factor
 
 
+def _points(X, d: int) -> np.ndarray:
+    """``X`` as an ``(n, d)`` float array; a point of another width is a
+    ValueError naming both widths."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"points have width {X.shape[-1]}, but the frequencies have width {d}")
+    return X
+
+
 @dataclass
 class WeightVector:
     """Nonnegative re-weighting of the canonical frequencies.
@@ -334,22 +350,23 @@ class WeightVector:
             raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        # scaled by the power of two at the largest weight, so that squaring
-        # neither underflows tiny weights nor overflows huge ones; the
-        # scaling is exact, so in-range weights get the plain norm bit for bit
-        exp = np.frexp(np.max(w))[1] if w.size else 0
-        n2 = float(np.ldexp(np.linalg.norm(np.ldexp(w, -exp)), exp))
-        if n2 <= 0:
-            raise ValueError("weight vector must have positive 2-norm")
         self.weights = w
-        self.norm2 = n2
+        self.norm2 = _scaled_norm(w)
+
+    @classmethod
+    def _of_checked(cls, w: np.ndarray) -> "WeightVector":
+        """A weight vector on ``w``, whose entries the caller has checked to
+        be nonnegative.  Only the norm is checked: it is finite exactly when
+        every entry is, since nonnegative finite weights below 2^512 cannot
+        overflow it."""
+        vec = cls.__new__(cls)
+        vec.weights, vec.norm2 = w, _scaled_norm(w)
+        if not math.isfinite(vec.norm2):
+            raise ValueError("weights must be finite")
+        return vec
 
     def __len__(self) -> int:
         return self.weights.size
-
-    @property
-    def strictly_positive(self) -> bool:
-        return bool(np.all(self.weights > 0))
 
     @classmethod
     def uniform(cls, size: int) -> "WeightVector":
@@ -361,6 +378,19 @@ class WeightVector:
 
     def to_json(self) -> dict:
         return {"weights": [float(v) for v in self.weights]}
+
+
+def _scaled_norm(w: np.ndarray) -> float:
+    """The 2-norm of ``w``, scaled by the power of two at the largest
+    weight, so that squaring neither underflows tiny weights nor overflows
+    huge ones; the scaling is exact, so in-range weights get the plain norm
+    bit for bit.  A norm <= 0 is a ValueError (NaN is not)."""
+    exp = math.frexp(float(w.max()))[1] if w.size else 0
+    scaled = np.ldexp(w, -exp)
+    n2 = float(np.ldexp(math.sqrt(float(scaled @ scaled)), exp))
+    if n2 <= 0:
+        raise ValueError("weight vector must have positive 2-norm")
+    return n2
 
 
 def _check_lengths(fs: FrequencySet, w: WeightVector):
@@ -436,7 +466,7 @@ class TrigPolynomial:
                 f"zero-frequency coefficient must be real, got imag {c.imag[zero][0]}"
             )
         c.imag[zero] = 0.0
-        _, first = np.unique(points, axis=0, return_index=True)
+        first, _ = _group(points)
         if first.size < c.size:
             repeat = np.ones(c.size, dtype=bool)
             repeat[first] = False
@@ -511,12 +541,12 @@ class TrigPolynomial:
         if self.d != other.d:
             raise ValueError("dimension mismatch")
         freqs = np.concatenate([self.freqs, other.freqs])
-        _, first, inverse = np.unique(freqs, axis=0, return_index=True, return_inverse=True)
+        first, inverse = _group(freqs)
         # each distinct frequency's slot is the order of its first appearance
         order = np.argsort(first)
         slot = np.empty_like(order)
         slot[order] = np.arange(order.size)
-        pos = slot[inverse.ravel()]
+        pos = slot[inverse]
         c = np.zeros(order.size, dtype=complex)
         c[pos[: self.c.size]] = self.c
         c[pos[self.c.size :]] += sign * other.c
@@ -568,6 +598,18 @@ def feature_matrix(X, fs: FrequencySet, w: WeightVector) -> np.ndarray:
         out[rows, 2::2] = phasors.imag * w.weights[1:]
     out /= w.norm2
     return out
+
+
+def _feature_columns(fs: FrequencySet, w: WeightVector) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, scale)``: column k of ``feature_matrix(X, fs, w)`` is
+    scale[k] times column rows[k] of the wave basis [cos | sin] over
+    ``fs.half`` (the zero frequency's sine column is never read)."""
+    _check_lengths(fs, w)
+    S = fs.size
+    half_row = np.arange(1, 2 * S) // 2
+    rows = half_row.copy()
+    rows[2::2] += S
+    return rows, w.weights[half_row] / w.norm2
 
 
 def hyperplane_spectrum(v, fs: FrequencySet, w: WeightVector) -> TrigPolynomial:
@@ -623,11 +665,15 @@ def distribution_of(w: WeightVector) -> np.ndarray:
 
 
 def weights_of(p) -> WeightVector:
-    """Unit-norm weight vector with w_i = sqrt(p_i)."""
+    """Unit-norm weight vector with w_i = sqrt(p_i).  The probabilities are
+    checked once, here, and the weights are not checked again."""
     p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("weights must be a 1-d sequence")
+    # a NaN passes this check and makes the norm NaN, which is refused
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
-    return WeightVector(np.sqrt(p))
+    return WeightVector._of_checked(np.sqrt(p))
 
 
 class OperatorNormResult(NamedTuple):
@@ -752,27 +798,3 @@ def l2_norm_sq(f: TrigPolynomial) -> float:
     """Squared L^2 norm over [0, 2pi)^d with Lebesgue measure:
     (2 pi)^d * ``mean_square(f)``."""
     return (2.0 * math.pi) ** f.d * mean_square(f)
-
-
-def apply_integral_operator(f: TrigPolynomial, p) -> TrigPolynomial:
-    """Action of the kernel integral operator (uniform inputs, integer
-    lattice): the coefficient pair at +-omega is scaled by p(omega)/2 for
-    nonzero omega, and the constant coefficient by p(omega_0).
-
-    The constant eigenfunction carries the full probability p(omega_0): the
-    zero frequency has no mirror partner, so its eigenvalue is not halved.
-    """
-    fs = f.freq_set
-    if fs is None:
-        raise ValueError("operator action needs a lattice-attached polynomial")
-    fs.require_materialized()
-    if not fs.is_integer:
-        raise NonIntegerFrequencyError(
-            "operator action is only computed for integer frequency lattices"
-        )
-    p = np.asarray(p, dtype=float)
-    if p.size != fs.size:
-        raise ValueError("probability vector length does not match the canonical half")
-    scale = p[f.rows] / 2.0
-    scale[f.rows == 0] = p[0]
-    return TrigPolynomial.on_rows(fs, f.rows, f.c * scale)

@@ -13,6 +13,13 @@ elsewhere it forms the design and calls ``linear_ridge_fit``.  Every
 solution is residual-checked against the normal equations of the design,
 on the factored route through the design's factors.
 
+On integer frequencies a ``fourier.FourierTable`` of the data, one per
+problem, gives the Grams of the factored solve and of the kernel ridge
+oracle from the points' empirical Fourier transform, where its cost rule
+says reading it beats forming the wave basis.  The factored solve then does
+no work of size n beyond the table's one box per reach, and the oracle forms
+no feature matrix.
+
 A fitted model's true risk under uniform inputs is computed from its exact
 spectrum (``model_spectrum``), never from sample points, on integer and
 non-integer lattices alike.
@@ -23,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -39,6 +46,9 @@ from .kernelmap import (
     hyperplane_spectrum,
     mean_square,
 )
+
+if TYPE_CHECKING:
+    from .fourier import FourierTable
 
 RESIDUAL_RTOL = 1e-8
 _JITTER_LADDER = (1e-12, 1e-10, 1e-8, 1e-6)
@@ -74,15 +84,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def to_csv(self, path: str):
-        header = ",".join([f"x_{j+1}" for j in range(self.d)] + ["y"])
-        lines = [header]
-        for i in range(self.n):
-            cells = [repr(float(v)) for v in self.X[i]] + [repr(float(self.Y[i]))]
-            lines.append(",".join(cells))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path: str, b_bound: float | None = None) -> "Dataset":
@@ -195,6 +196,18 @@ def _ridge_inputs(rows: np.ndarray, Y, lam: float) -> np.ndarray:
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     return Y
+
+
+def _table_of(table: FourierTable | None, X: np.ndarray, Y: np.ndarray) -> FourierTable:
+    """``table`` when it is a table of the points ``X`` and labels ``Y``, a
+    fresh one when it is None; a table of other data is a ValueError."""
+    from .fourier import FourierTable
+
+    if table is None:
+        return FourierTable(X, Y)
+    if not (np.array_equal(table.X, X) and np.array_equal(table.Y, Y)):
+        raise ValueError("the Fourier table is of other points or labels")
+    return table
 
 
 def _check_normal_equations(FtFw: np.ndarray, w: np.ndarray, FtY: np.ndarray, lam_n: float):
@@ -345,13 +358,14 @@ class RffFeatureSet:
         lambda > 0 and the U distinct frequencies give 2U < min(n, M)."""
         return lam > 0 and 2 * self.distinct.shape[0] < min(n, self.M)
 
-    def ridge(self, X, Y, lam: float) -> np.ndarray:
+    def ridge(self, X, Y, lam: float, table: FourierTable | None = None) -> np.ndarray:
         """Ridge weights (F^T F + n lambda I)^{-1} F^T Y on the design F at
-        ``X``: by ``factored_ridge`` where ``factors`` holds, so that F is
-        never formed, and otherwise by ``linear_ridge_fit`` on the design."""
+        ``X``: by ``factored_ridge`` (which reads ``table``) where
+        ``factors`` holds, so that F is never formed, and otherwise by
+        ``linear_ridge_fit`` on the design."""
         X = self.waves.points(X)
         if self.factors(X.shape[0], lam):
-            return self.factored_ridge(X, Y, lam)
+            return self.factored_ridge(X, Y, lam, table)
         return linear_ridge_fit(np.asarray(self.design_matrix(X)), Y, lam)
 
     def _phase_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -369,9 +383,10 @@ class RffFeatureSet:
             B[rows, U:] = phasors.imag
         return B
 
-    def _normal_products(self, B: np.ndarray, w: np.ndarray, Y: np.ndarray):
-        """F^T F w and F^T Y for the design F = B C, read through C alone:
-        C w is two bincounts, and C^T p gathers each feature's two rows."""
+    def _normal_products(self, G: np.ndarray, BtY: np.ndarray, w: np.ndarray):
+        """F^T F w and F^T Y for the design F = B C, given G = B^T B and
+        B^T Y, read through C alone: C w is two bincounts, and C^T p gathers
+        each feature's two rows."""
         U, u = self.distinct.shape[0], self.inverse
         a, b = self._phase_rows()
         Cw = np.concatenate([np.bincount(u, a * w, U), np.bincount(u, b * w, U)])
@@ -379,9 +394,9 @@ class RffFeatureSet:
         def Ct(p):
             return a * p[:U][u] + b * p[U:][u]
 
-        return Ct(B.T @ (B @ Cw)), Ct(B.T @ Y)
+        return Ct(G @ Cw), Ct(BtY)
 
-    def factored_ridge(self, X, Y, lam: float) -> np.ndarray:
+    def factored_ridge(self, X, Y, lam: float, table: FourierTable | None = None) -> np.ndarray:
         """Ridge weights on the design at ``X`` for lambda > 0, solved in
         the span of the U distinct frequencies without forming the design.
 
@@ -397,8 +412,14 @@ class RffFeatureSet:
         Nothing is divided by n lambda, and a singular block of S (a
         frequency drawn once, or two phases that nearly coincide) gives a
         zero or small column of A instead of a null-space part of z that
-        grows as 1/(n lambda).  The weights are residual-checked against
-        F's normal equations read through B and C (not L and E).
+        grows as 1/(n lambda).
+
+        G = B^T B and B^T Y come from ``table``, a ``FourierTable`` of ``X``
+        and ``Y`` (a fresh one when not given), where its cost rule takes
+        the distinct frequencies, and otherwise from B itself.  A^T A =
+        L^T G L is formed per 2 x 2 block of frequencies, so on the table's
+        route no step does work of size n.  The weights are residual-checked
+        against F's normal equations read through G and C (not L and E).
         """
         X = self.waves.points(X)
         Y = _ridge_inputs(X, Y, lam)
@@ -414,18 +435,23 @@ class RffFeatureSet:
             t += s
         n2 = np.sqrt(np.bincount(u, e2 * e2, U))
         e2 = np.divide(e2, n2[u], out=np.zeros(self.M), where=n2[u] > 0)
-        B = self._wave_basis(X)
-        # A's sine half holds B's sines times t until its own columns go in
-        A = np.empty_like(B)
-        np.multiply(B[:, U:], t, out=A[:, U:])
-        np.multiply(B[:, :U], n1, out=A[:, :U])
-        A[:, :U] += A[:, U:]
-        np.multiply(B[:, U:], n2, out=A[:, U:])
-        G = A.T @ A
-        G.flat[:: 2 * U + 1] += lam * n
-        v = _solve_spd(G, A.T @ Y, allow_jitter=True)
+        products = _table_of(table, X, Y).gram(self.distinct)
+        if products is None:
+            B = self._wave_basis(X)
+            products = B.T @ B, B.T @ Y
+        G, BtY = products
+        cc, cs, ss = G[:U, :U], G[:U, U:], G[U:, U:]
+        # L = [[diag n1, 0], [diag t, diag n2]]: A's cosine column u is
+        # n1_u cos_u + t_u sin_u, and its sine column n2_u sin_u
+        H = np.empty_like(G)
+        H[:U, :U] = n1[:, None] * (cc * n1 + cs * t) + t[:, None] * (cs.T * n1 + ss * t)
+        H[:U, U:] = (n1[:, None] * cs + t[:, None] * ss) * n2
+        H[U:, :U] = H[:U, U:].T
+        H[U:, U:] = n2[:, None] * ss * n2
+        H.flat[:: 2 * U + 1] += lam * n
+        v = _solve_spd(H, np.concatenate([n1 * BtY[:U] + t * BtY[U:], n2 * BtY[U:]]), allow_jitter=True)
         w = e1 * v[:U][u] + e2 * v[U:][u]
-        FtFw, FtY = self._normal_products(B, w, Y)
+        FtFw, FtY = self._normal_products(G, BtY, w)
         _check_normal_equations(FtFw, w, FtY, lam * n)
         return w
 
@@ -574,7 +600,12 @@ def model_from_json(doc: dict) -> _Model:
         fs = build_frequency_set(enc)
         X = np.asarray(doc["X"], dtype=float)
         alpha = np.asarray(doc["alpha"], dtype=float)
-        v = feature_matrix(X, fs, w).T @ alpha
+        if _krr_tabled(fs, np.atleast_2d(X).shape[0]):
+            from .fourier import feature_adjoint
+
+            v = feature_adjoint(X, fs, w, alpha)
+        else:
+            v = feature_matrix(X, fs, w).T @ alpha
         return KrrModel(enc, w, v, lam, _fs=fs, X_train=X, alpha=alpha)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{variant} model: {exc}") from None
@@ -595,33 +626,68 @@ def explicit_ridge_fit(
 
 
 def kernel_ridge_fit(
-    data: Dataset, enc: EncodingStrategy, fs: FrequencySet, w: WeightVector, lam: float
+    data: Dataset,
+    enc: EncodingStrategy,
+    fs: FrequencySet,
+    w: WeightVector,
+    lam: float,
+    table: FourierTable | None = None,
 ) -> KrrModel:
     """Kernel ridge regression with K_w, solved as ridge on phi_w.
 
     K_w(X, X) = F F^T for F = feature_matrix(X, fs, w), so the kernel ridge
-    predictor is the ridge hyperplane v over phi_w, and ``linear_ridge_fit``
-    takes the primal or the dual by shape.  The dual coefficients
+    predictor is the ridge hyperplane v over phi_w.  The dual coefficients
     alpha = (K + n lambda I)^{-1} Y follow exactly as (Y - F v)/(n lambda),
     from the normal equations n lambda v = F^T (Y - F v).  The model keeps
     F^T alpha as its hyperplane, the one its JSON document rebuilds.
+
+    Where the primal system is no larger than n (2 |half| - 1 <= n) and
+    ``table``, a ``FourierTable`` of the data (a fresh one when not given),
+    takes the half by its cost rule, F^T F and F^T Y are read from the table
+    and F v and F^T alpha formed from its power tables: F is never formed.
+    Otherwise F is formed and ``linear_ridge_fit`` takes the primal or the
+    dual by shape.
     """
     if lam <= 0:
         raise ValueError("kernel ridge regression needs lambda > 0")
-    F = feature_matrix(data.X, fs, w)
-    alpha = (data.Y - F @ linear_ridge_fit(F, data.Y, lam)) / (data.n * lam)
-    return KrrModel(enc, w, F.T @ alpha, lam, _fs=fs, X_train=data.X, alpha=alpha)
+    n, D = data.n, 2 * fs.size - 1
+    if not _krr_tabled(fs, n):
+        F = feature_matrix(data.X, fs, w)
+        alpha = (data.Y - F @ linear_ridge_fit(F, data.Y, lam)) / (n * lam)
+        return KrrModel(enc, w, F.T @ alpha, lam, _fs=fs, X_train=data.X, alpha=alpha)
+    from .fourier import feature_adjoint, feature_gram, feature_values
+
+    FtF, FtY = feature_gram(_table_of(table, data.X, data.Y), fs, w)
+    A = FtF.copy()
+    A.flat[:: D + 1] += lam * n
+    v = _solve_spd(A, FtY, allow_jitter=True)
+    _check_normal_equations(FtF @ v, v, FtY, lam * n)
+    alpha = (data.Y - feature_values(data.X, fs, w, v)) / (n * lam)
+    hyperplane = feature_adjoint(data.X, fs, w, alpha)
+    return KrrModel(enc, w, hyperplane, lam, _fs=fs, X_train=data.X, alpha=alpha)
 
 
-def rff_fit(data: Dataset, dist, M: int, lam, rng) -> RffModel:
+def _krr_tabled(fs: FrequencySet, n: int) -> bool:
+    """Whether kernel ridge on n points reads its Grams from a Fourier
+    table: the primal system is no larger than n (2 |half| - 1 <= n) and
+    ``table_reach`` takes the half.  A KRR model read from JSON forms its
+    hyperplane F^T alpha by the same route, so that it has the same bits."""
+    from .fourier import table_reach
+
+    return 2 * fs.size - 1 <= n and table_reach(fs.half) is not None
+
+
+def rff_fit(data: Dataset, dist, M: int, lam, rng, table: FourierTable | None = None) -> RffModel:
     """Random-feature ridge regression.
 
     Samples M frequencies from ``dist`` and M phases uniformly from
     [0, 2pi), and solves the ridge system on the 1/sqrt(M)-normalized
     design by ``RffFeatureSet.ridge``: in the span of the U distinct
     frequencies, with no n x M design formed, when lambda > 0 and
-    2U < min(n, M), and on the design otherwise.  ``lam="auto"`` selects
-    1/sqrt(n).  Deterministic given the rng.
+    2U < min(n, M), and on the design otherwise.  ``table`` is a
+    ``FourierTable`` of the data that the factored solve reads (a fresh one
+    when not given).  ``lam="auto"`` selects 1/sqrt(n).  Deterministic given
+    the rng.
     """
     from .freqsample import as_generator
 
@@ -632,7 +698,7 @@ def rff_fit(data: Dataset, dist, M: int, lam, rng) -> RffModel:
     freqs = dist.sample(gen, M)
     phases = gen.uniform(0.0, 2.0 * np.pi, size=M)
     fset = RffFeatureSet(freqs, phases)
-    return RffModel(fset, fset.ridge(data.X, data.Y, lam), lam)
+    return RffModel(fset, fset.ridge(data.X, data.Y, lam, table), lam)
 
 
 def empirical_risk(model: _Model, data: Dataset) -> float:

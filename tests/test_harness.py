@@ -576,6 +576,44 @@ class TestProblemStage:
         # per (n, seed): 6 datasets and alignments; per (n, lambda, seed): 12 fits
         assert calls == {"dataset": 6, "krr": 12, "alignment": 6}
 
+    def test_one_box_per_problem_and_reach_and_no_basis(self, tmp_path, monkeypatch):
+        # the sweep_lowd benchmark's shape: d = 2, reach 6, n = 500, KRR on;
+        # M = 100 takes the design, M = 400 and 1600 the factored ridge
+        from rffdq import fourier, regress
+
+        formed, factored = [], []
+        box, factored_ridge = fourier.FourierTable.box, regress.RffFeatureSet.factored_ridge
+
+        def spy_box(self, reach):
+            if reach not in self.boxes:
+                formed.append((id(self), reach))
+            return box(self, reach)
+
+        def spy_factored(self, X, Y, lam, table=None):
+            factored.append(table)
+            return factored_ridge(self, X, Y, lam, table)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("wave basis or feature matrix formed")
+
+        monkeypatch.setattr(fourier.FourierTable, "box", spy_box)
+        monkeypatch.setattr(regress.RffFeatureSet, "factored_ridge", spy_factored)
+        monkeypatch.setattr(regress.RffFeatureSet, "_wave_basis", forbidden)
+        monkeypatch.setattr(regress, "feature_matrix", forbidden)
+        doc = sweep_doc(
+            problem=problem_doc(
+                encoding={"dimensions": [[[-0.5, 0.5]] * 6] * 2},
+                target={"kind": "random", "support_size": 8},
+                noise={"kind": "uniform", "sigma": 0.1},
+            ),
+            axes={"M": [100, 400, 1600], "n": [500], "lambda": ["auto"], "seeds": [3, 4]},
+        )
+        rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
+        assert all(row["error"] == "" and math.isfinite(row["krr_true_risk"]) for row in rows)
+        assert len(factored) == 4 and len({id(table) for table in factored}) == 2
+        assert sorted(reach for _, reach in formed) == [(6, 6), (6, 6)]
+        assert {table for table, _ in formed} == {id(table) for table in factored}
+
     def test_rows_equal_cells_run_on_their_own(self, tmp_path):
         config = SweepConfig.from_json(problem_sweep_doc())
         rows = run_sweep(config, str(tmp_path / "sweep.csv"))

@@ -24,7 +24,6 @@ from rffdq.kernelmap import (
     PlaneWaves,
     TrigPolynomial,
     WeightVector,
-    apply_integral_operator,
     coeff_sup_bound,
     distribution_of,
     feature_matrix,
@@ -334,8 +333,23 @@ class TestDistributionOfWeights:
             WeightVector(np.zeros(3))
         with pytest.raises(ValueError):
             WeightVector(np.array([np.inf]))
-        assert WeightVector(np.array([1.0, 0.5])).strictly_positive
-        assert not WeightVector(np.array([1.0, 0.0])).strictly_positive
+
+    def test_weights_of_checks_once_and_keeps_the_scaled_norm(self):
+        # the norm is the frexp-scaled np.linalg.norm bit for bit, whether
+        # the vector is built from weights or from probabilities
+        gen = np.random.default_rng(4)
+        for scale in (1e-300, 1e-12, 1.0, 1e200):
+            p = gen.uniform(0.0, 1.0, gen.integers(1, 300)) * scale
+            w = np.sqrt(p)
+            exp = np.frexp(np.max(w))[1]
+            want = float(np.ldexp(np.linalg.norm(np.ldexp(w, -exp)), exp))
+            assert weights_of(p).norm2 == WeightVector(w).norm2 == want
+            assert np.array_equal(weights_of(p).weights, w)
+        for bad, message in (([0.5, -0.1], "nonnegative"), ([0.5, np.nan], "finite"), ([np.inf], "finite")):
+            with pytest.raises(ValueError, match=message):
+                weights_of(np.array(bad))
+        with pytest.raises(ValueError, match="positive 2-norm"):
+            weights_of(np.zeros(3))
 
 
 class TestOperatorNorm:
@@ -604,19 +618,7 @@ class TestMeanSquare:
         assert l2_norm_sq(f) == pytest.approx(3.5379, abs=1e-4)
 
 
-class TestApplyIntegralOperator:
-    def test_cos_eigenfunction(self, fs_1d_5):
-        p = np.array([0.1, 0.3, 0.2, 0.2, 0.2])
-        f = TrigPolynomial.from_half_coeffs(fs_1d_5, {(1.0,): 0.5})
-        out = apply_integral_operator(f, p)
-        assert out.coeffs[(1.0,)] == pytest.approx(0.5 * 0.3 / 2)
-
-    def test_sin_eigenfunction(self, fs_1d_5):
-        p = np.array([0.1, 0.3, 0.2, 0.2, 0.2])
-        f = TrigPolynomial.from_half_coeffs(fs_1d_5, {(1.0,): complex(0, -0.5)})
-        out = apply_integral_operator(f, p)
-        assert out.coeffs[(1.0,)] == pytest.approx(complex(0, -0.5) * 0.3 / 2)
-
+class TestIntegralOperator:
     def test_off_lattice_cosine_annihilated(self, fs_1d_5):
         # operator applied to cos(7x), outside the lattice: quadrature oracle
         p = np.array([0.1, 0.3, 0.2, 0.2, 0.2])
@@ -631,20 +633,24 @@ class TestApplyIntegralOperator:
         )
         assert np.max(np.abs(vals)) <= 1e-10
 
-    def test_matches_quadrature_including_constant(self, fs_2d, rng):
-        f = random_poly(fs_2d, rng, n_terms=5)
-        p = rng.uniform(0.05, 1.0, fs_2d.size)
-        p /= p.sum()
-        w = weights_of(p)
-        out = apply_integral_operator(f, p)
-        probes = rng.uniform(0, 2 * np.pi, (12, 2))
-        quad = quadrature_apply_operator(
-            lambda X, Y: kernel_matrix(X, Y, fs_2d, w), f.evaluate, probes, 2, 24
-        )
-        assert np.max(np.abs(out.evaluate(probes) - quad)) <= 1e-6
-
 
 class TestPolynomialAlgebra:
+    def test_rows_are_grouped_as_np_unique_groups_them(self):
+        # integer tables with both signs of zero: the column-rank grouping
+        # that from_half_arrays and _combine use gives np.unique's first
+        # index and inverse
+        from rffdq.kernelmap import _group
+
+        gen = np.random.default_rng(8)
+        for _ in range(300):
+            rows, d = gen.integers(0, 40), gen.integers(1, 4)
+            freqs = gen.integers(-2, 3, (rows, d)).astype(float)
+            freqs[gen.random(freqs.shape) < 0.2] = -0.0
+            _, first, inverse = np.unique(freqs, axis=0, return_index=True, return_inverse=True)
+            got_first, got_inverse = _group(freqs)
+            assert np.array_equal(got_first, first)
+            assert np.array_equal(got_inverse, inverse.ravel())
+
     def test_sub_and_parseval(self, fs_1d_5, rng):
         f = random_poly(fs_1d_5, rng)
         g = random_poly(fs_1d_5, rng)
@@ -765,3 +771,4 @@ class TestArrayPolynomialMatchesDictReference:
         _check_against_reference(f.scaled(factor), rf.scaled(factor))
         # the result keeps a lattice both operands are attached to
         assert (f - g).freq_set is (_ALGEBRA_FS if all(attach) else None)
+

@@ -16,6 +16,8 @@ from oracles import (
 from rffdq.errors import ConfigError
 from rffdq.freqcore import EncodingStrategy, build_frequency_set
 from rffdq.freqsample import ExplicitDistribution, SeededRng, explicit_from_weights, uniform_distribution
+from rffdq import regress
+from rffdq.fourier import FourierTable
 from rffdq.kernelmap import (
     TrigPolynomial,
     WeightVector,
@@ -86,7 +88,8 @@ class TestDataset:
     def test_csv_roundtrip(self, tmp_path):
         data = cosine_dataset(20, 3)
         path = tmp_path / "d.csv"
-        data.to_csv(path)
+        rows = [",".join(map(repr, [*x, y])) for x, y in zip(data.X.tolist(), data.Y.tolist())]
+        path.write_text("\n".join(["x_1,y", *rows]) + "\n")
         loaded = Dataset.from_csv(path)
         assert np.array_equal(loaded.X, data.X)
         assert np.array_equal(loaded.Y, data.Y)
@@ -510,9 +513,9 @@ def factored_calls(monkeypatch):
     """The feature sets whose ``factored_ridge`` ran, in call order."""
     calls, real = [], RffFeatureSet.factored_ridge
 
-    def spy(self, X, Y, lam):
+    def spy(self, X, Y, lam, table=None):
         calls.append(self)
-        return real(self, X, Y, lam)
+        return real(self, X, Y, lam, table)
 
     monkeypatch.setattr(RffFeatureSet, "factored_ridge", spy)
     return calls
@@ -596,6 +599,96 @@ class TestFactoredRidge:
         assert abs(got - want) <= 1e-10 * want
 
 
+class TestTableRoute:
+    """Factored fits and the KRR oracle read their Grams from a
+    ``FourierTable`` exactly where its cost rule takes their frequencies,
+    and form the wave basis or the feature matrix everywhere else."""
+
+    @pytest.fixture
+    def bases(self, monkeypatch):
+        """The calls of ``_wave_basis`` and ``feature_matrix``, in order."""
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(RffFeatureSet, "_wave_basis", spy("wave_basis", RffFeatureSet._wave_basis))
+        monkeypatch.setattr(regress, "feature_matrix", spy("feature_matrix", regress.feature_matrix))
+        return calls
+
+    @pytest.mark.parametrize(
+        "freqs, tabled",
+        [
+            (np.arange(8.0)[:, None], True),
+            (0.5 * np.arange(8.0)[:, None], False),  # not integers
+            (np.vstack([np.zeros(6), np.eye(6), 2 * np.eye(6)]), False),  # 9^6 > 2 U^2
+            (np.vstack([np.zeros(6), np.eye(6)]), False),  # 5^6 > 2 U^2
+        ],
+    )
+    def test_factored_ridge(self, freqs, tabled, bases):
+        gen = np.random.default_rng(len(freqs))
+        M, n, d = 4 * len(freqs), 3 * len(freqs) + 20, freqs.shape[1]
+        fset = RffFeatureSet(freqs[np.arange(M) % len(freqs)], gen.uniform(0, 2 * np.pi, M))
+        X = gen.uniform(0, 2 * np.pi, (n, d))
+        Y = np.cos(X[:, 0]) + 0.1 * gen.normal(size=n)
+        table = FourierTable(X, Y)
+        w = fset.factored_ridge(X, Y, 0.01, table)
+        assert bases == ([] if tabled else ["wave_basis"])
+        assert len(table.boxes) == int(tabled)
+        want = linear_ridge_fit(np.asarray(fset.design_matrix(X)), Y, 0.01)
+        assert np.max(np.abs(w - want)) <= 1e-11 * np.max(np.abs(want))
+
+    # D = 2 |half| - 1 = 15: primal and tabled at n = 40, dual at n = 10
+    @pytest.mark.parametrize("n, tabled", [(40, True), (15, True), (14, False)])
+    def test_kernel_ridge_on_an_integer_lattice(self, n, tabled, bases):
+        enc = pauli_half_encoding([2, 1])
+        fs = build_frequency_set(enc)
+        gen = np.random.default_rng(n)
+        w = WeightVector(gen.uniform(0.2, 1.0, fs.size))
+        X = gen.uniform(0, 2 * np.pi, (n, 2))
+        Y = np.cos(X[:, 0] - 2 * X[:, 1]) + gen.uniform(-0.1, 0.1, n)
+        table = FourierTable(X, Y)
+        model = kernel_ridge_fit(Dataset(X, Y, 2.0), enc, fs, w, 0.05, table)
+        assert bases == ([] if tabled else ["feature_matrix"])
+        assert len(table.boxes) == int(tabled)
+        alpha = krr_alpha_by_gram(X, Y, fs, w, 0.05)
+        assert np.max(np.abs(model.alpha - alpha)) <= 1e-10 * np.max(np.abs(alpha))
+        again = model_from_json(json.loads(json.dumps(model.to_json())))
+        assert np.array_equal(again.v, model.v)
+
+    def test_kernel_ridge_off_the_integers_forms_the_feature_matrix(self, bases):
+        enc = EncodingStrategy.from_json({"dimensions": [[[-0.3, 0.3]], [[-0.5, 0.5]]]})
+        fs = build_frequency_set(enc)
+        gen = np.random.default_rng(1)
+        X = gen.uniform(0, 2 * np.pi, (30, 2))
+        kernel_ridge_fit(Dataset(X, np.sin(X[:, 1]), 1.0), enc, fs, WeightVector.uniform(fs.size), 0.1)
+        assert bases == ["feature_matrix"]
+
+    def test_shared_and_fresh_tables_fit_the_same_bits(self):
+        dist, data = _factored_problem(300, 2000)
+        table = FourierTable(data.X, data.Y)
+        enc = pauli_half_encoding([3, 3])
+        fs = build_frequency_set(enc)
+        w = WeightVector(np.random.default_rng(0).uniform(0.2, 1.0, fs.size))
+        for _ in range(2):
+            shared = rff_fit(data, dist, 2000, 1e-3, SeededRng(4), table).coef
+            assert np.array_equal(shared, rff_fit(data, dist, 2000, 1e-3, SeededRng(4)).coef)
+            krr = kernel_ridge_fit(data, enc, fs, w, 1e-3, table)
+            fresh = kernel_ridge_fit(data, enc, fs, w, 1e-3)
+            assert np.array_equal(krr.alpha, fresh.alpha) and np.array_equal(krr.v, fresh.v)
+        # one box for the drawn frequencies (half rows 0..9) and one for the half
+        assert sorted(table.boxes) == [(1, 3), (3, 3)]
+        other = FourierTable(data.X, -data.Y)
+        with pytest.raises(ValueError, match="other points or labels"):
+            rff_fit(data, dist, 2000, 1e-3, SeededRng(4), other)
+        with pytest.raises(ValueError, match="other points or labels"):
+            kernel_ridge_fit(data, enc, fs, w, 1e-3, other)
+
+
 class _Draws:
     """A sampler that returns fixed draws, so that ``rff_fit`` fits a
     chosen feature set's frequencies (with phases from its own rng)."""
@@ -676,7 +769,7 @@ class TestRffFit:
         B = fset._wave_basis(X)
         w = fset.ridge(X, Y, lam)
         for v, scale in ((w, 1.0 + np.max(np.abs(F.T @ Y))), (w * 1.01, None)):
-            FtFw, FtY = fset._normal_products(B, v, Y)
+            FtFw, FtY = fset._normal_products(B.T @ B, B.T @ Y, v)
             want_FtFw, want_FtY = F.T @ (F @ v), F.T @ Y
             assert np.max(np.abs(FtFw - want_FtFw)) <= 1e-12 * np.max(np.abs(want_FtFw))
             assert np.max(np.abs(FtY - want_FtY)) <= 1e-12 * np.max(np.abs(want_FtY))
