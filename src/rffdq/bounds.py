@@ -38,7 +38,8 @@ from .kernelmap import (
 )
 from .regress import Dataset, model_spectrum, rff_fit
 
-# frequency samples beyond which feasibility_report calls the alignment bound blocking
+# frequency samples beyond which feasibility_report calls the alignment bound
+# blocking, and notes a sufficient (n_min, M_min) as beyond any budget
 M_BUDGET = 1e6
 
 
@@ -276,7 +277,8 @@ def feasibility_report(
     exceeds the sample budget ``M_BUDGET``.  SUFFICIENT-BOUND-POLY: a
     hyperplane-norm bound is available (given or computed) together with a
     known, structurally concentrated p_max, so the sufficient pair
-    (n_min, M_min) is evaluated.
+    (n_min, M_min) is evaluated; a note says when it exceeds ``M_BUDGET``,
+    which leaves the verdict as it is.
     Everything else is INCONCLUSIVE.
     """
     fs = dist.fs
@@ -314,6 +316,11 @@ def feasibility_report(
     if C_used is not None and pm is not None and fs.is_integer:
         if pm.is_exact:
             sufficient = sufficient_sample_counts(pm.value / 2.0, C_used, b, eps, delta)
+            if max(sufficient.n_min, sufficient.M_min) > M_BUDGET:
+                notes.append(
+                    f"sufficient pair beyond any budget: n >= {sufficient.n_min:.6g} and "
+                    f"M >= {sufficient.M_min:.6g} against {M_BUDGET:.6g} samples"
+                )
         else:
             # an upper bound on p_max would understate the operator-norm
             # constants; the sufficiency side needs the exact value

@@ -21,24 +21,31 @@ the fold is two slices and gathers nothing.  An explicit distribution fills
 the vector with its stored probabilities at its codes instead.
 
 Each distribution enumerates once: the first ``pmf_vector`` keeps the half,
-read-only (not the grid), for ``p_max``, ``bounds.alignment``, a sweep's KRR
-weights and a verdict's C; where ``enumerable`` is false it raises
-CapacityError and forms nothing.
+read-only (not the grid), for ``p_max`` (whose maximum is also taken once),
+``bounds.alignment``, a sweep's KRR weights and a verdict's C; where
+``enumerable`` is false it raises CapacityError and forms nothing.
 
 A product is a tensor train of bond 1, and both multiply from the last
 dimension.  A tensor train is contracted from its last core: the points of
 the trailing dimensions are a contiguous row per bond index, and each step
-forms out[a, k, r] = sum_b core[a, k, b] * right[b, r] with the new
-dimension leading in code order, as one elementwise product and one sum per
-bond index in bond order.  ``_tilde`` takes the same steps over gathered
-rows, so each point sees the same products and sums in the same order, and
-``pmf(fs.half)`` equals ``pmf_vector()`` bitwise; that is what lets
-``bounds.alignment`` read the enumerated vector at a target's rows in place
-of ``pmf`` at its terms.  (A contraction from the first core broadcast a
-strided column against each small core, so numpy's inner loops ran over 4-5
-elements: at bond 4 on 5^d points it took 0.4-0.7 ms at d = 6, 16-18 ms at
-d = 8 and 84-95 ms at d = 9, against 0.3, 10-15 and 48-59 ms from the last
-core, on a 2-vCPU VM with one BLAS thread.)
+forms out[a, k, t] = sum_b core[a, k, b] * right[b, t] with the new
+dimension leading in code order.  ``_enumerate`` forms a step as one
+``np.einsum("akb,bt->akt", ...)``; where t > 1 its innermost loop runs over
+t, so it adds one product per bond index in bond order, and rounds as
+``_contract``'s one elementwise product and one sum per bond index do.
+Where the trailing points are a single one (t = 1: the last core, and any
+core followed only by single-value dimensions) einsum would sum the bond in
+an order of its own, so those steps take ``_contract``.  ``_tilde`` takes
+``_contract``'s steps over gathered rows, so each point sees the same
+products and sums in the same order, and ``pmf(fs.half)`` equals
+``pmf_vector()`` bitwise; that is what lets ``bounds.alignment`` read the
+enumerated vector at a target's rows in place of ``pmf`` at its terms.  A
+BLAS product (``core.reshape(-1, b) @ right``) would be faster still but
+rounds by fused multiply-adds, and einsum in ``_tilde`` rounds otherwise.
+At bond 4 on 5^d points, ``pmf_vector`` takes 0.084, 0.50, 3.2 and 21 ms
+at d = 6, 7, 8 and 9 with einsum, against 0.18, 0.62, 5.3 and 38 ms with
+one product and sum per bond index, bitwise equal (best of several, one
+BLAS thread, a 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -103,6 +110,7 @@ class FrequencyDistribution:
         self.fs = fs
         self._p: np.ndarray | None = None
         self._peak: int | None = None
+        self._top: PMax | None = None
 
     def _tilde(self, idx: np.ndarray) -> np.ndarray:
         """ptilde at each row of per-dimension lattice positions."""
@@ -146,17 +154,22 @@ class FrequencyDistribution:
         """Whether ``pmf_vector`` may run: a materialized lattice on which
         forming the half peaks within ENUMERATE_BYTES.
 
-        The estimate is that peak (``_peak_entries``, once per
-        distribution), on every lattice: with a single value in the first
-        dimension a tensor train's peak is bond x full_size entries and one
-        temporary of that size, about twice bond grids."""
+        The estimate bounds that peak (``_peak_entries``, once per
+        distribution) on every lattice, including one with a single value
+        in the first dimension, where a tensor train's step holds bond x
+        full_size entries."""
         if self._peak is None:
             self._peak = self._peak_entries()
         return self.fs.materialized and 8 * self._peak <= ENUMERATE_BYTES
 
     def p_max(self) -> PMax | None:
-        """Maximum probability, exact on an enumerable lattice; else None."""
-        return PMax(float(self.pmf_vector().max()), True) if self.enumerable else None
+        """Maximum probability, exact on an enumerable lattice (taken once
+        per distribution); else None."""
+        if not self.enumerable:
+            return None
+        if self._top is None:
+            self._top = PMax(float(self.pmf_vector().max()), True)
+        return self._top
 
     def _folded(self, idx: np.ndarray) -> np.ndarray:
         """p at the canonical points at per-dimension positions ``idx``:
@@ -224,7 +237,9 @@ class ExplicitDistribution(FrequencyDistribution):
         return self.support[idx]
 
     def p_max(self) -> PMax:
-        return PMax(float(self.probs.max()), True)
+        if self._top is None:
+            self._top = PMax(float(self.probs.max()), True)
+        return self._top
 
 
 class _TensorTrain(FrequencyDistribution):
@@ -241,10 +256,16 @@ class _TensorTrain(FrequencyDistribution):
         # right[b] holds the trailing dimensions' factor at bond index b for
         # each of their points, in code order; each step puts its dimension
         # in front, so every product runs over contiguous rows:
-        # O(full_size * bond^2) work and no gathers
+        # O(full_size * bond^2) work and no gathers.  einsum sums the bond
+        # in bond order only over more than one trailing point (module
+        # docstring)
         right = np.ones((1, 1))
         for core in reversed(self.cores):
-            right = _contract(core[:, :, :, None], right).reshape(core.shape[0], -1)
+            if right.shape[1] == 1:
+                out = _contract(core[:, :, :, None], right)
+            else:
+                out = np.einsum("akb,bt->akt", core, right)
+            right = out.reshape(core.shape[0], -1)
         g = right[0]
         g /= self.total_mass
         # the half is the codes from z up; its mirror, the codes from z down
@@ -409,7 +430,9 @@ def _contraction_peak(shapes) -> int:
     one: each step holds the previous step's right-bond rows of trailing
     points and its own output of left x values x trailing points, plus,
     when the right bond exceeds 1, one ``_contract`` temporary of the
-    output's size.  The fold then holds the whole grid and the half."""
+    output's size.  The fold then holds the whole grid and the half.  An
+    einsum step forms no such temporary, so over more than one trailing
+    point the estimate charges one output more than is held."""
     peak, trailing = 0, 1
     for left, values, right in reversed(shapes):
         out = left * values * trailing
@@ -420,9 +443,10 @@ def _contraction_peak(shapes) -> int:
 
 def _contract(core: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_b core[:, :, b] * right[b] over the third (bond) axis of ``core``,
-    with one product and one sum per bond index in bond order, so that a
-    contraction over gathered rows and one over the whole lattice round
-    alike."""
+    with one product and one sum per bond index in bond order: the rounding
+    that ``_enumerate``'s einsum steps keep, taken by ``_tilde`` and by the
+    enumeration's steps over a single trailing point, so that a contraction
+    over gathered rows and one over the whole lattice round alike."""
     out = core[:, :, 0] * right[0]
     for b in range(1, core.shape[2]):
         out += core[:, :, b] * right[b]

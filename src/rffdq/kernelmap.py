@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import NonIntegerFrequencyError
+from .errors import ConfigError, NonIntegerFrequencyError
 from .freqcore import _INT_TOL, FrequencySet, fold_rows, is_integer_valued
 
 REALNESS_TOL = 1e-10
@@ -445,12 +445,17 @@ class TrigPolynomial:
 
         On a lattice every row snaps onto it (within 1e-9) and must then be
         canonical; a standalone row's components within 1e-12 of zero become
-        zero and the row must be canonical.  The zero-frequency coefficient
-        must be real (within 1e-10), no frequency may repeat, and zero
-        coefficients are dropped.
+        zero and the row must be canonical.  Every coefficient must be
+        finite, the zero-frequency coefficient real (within 1e-10), no
+        frequency may repeat, and zero coefficients are dropped.
         """
         freqs = np.asarray(freqs, dtype=float)
         c = np.array(c, dtype=complex)
+        if not np.isfinite(c).all():
+            i = int(np.argmin(np.isfinite(c)))
+            raise ValueError(
+                f"coefficient {c[i]} of frequency {tuple(freqs[i].tolist())} is not finite"
+            )
         if fs is not None:
             fs.require_materialized()
             rows = fs.half_rows(fs.locate(freqs))
@@ -576,8 +581,14 @@ class TrigPolynomial:
             raise ValueError("term dimension mismatch in function document")
         if not freqs:
             return cls.zero(fs, d)
+        c = []
+        for i, term in enumerate(terms):
+            re, im = float(term["re"]), float(term["im"])
+            for part, value in (("re", re), ("im", im)):
+                if not math.isfinite(value):
+                    raise ConfigError(f"terms[{i}].{part} must be finite, got {value}")
+            c.append(complex(re, im))
         # the terms go in as arrays, so a repeated frequency is refused
-        c = [complex(float(term["re"]), float(term["im"])) for term in terms]
         return cls.from_half_arrays(fs, np.array(freqs), c)
 
 
@@ -712,30 +723,35 @@ def rkhs_norm(f: TrigPolynomial, w: WeightVector) -> float:
     fs = f.freq_set
     if fs is None:
         raise ValueError("rkhs_norm needs a lattice-attached polynomial")
-    fs.require_materialized()
     if not fs.is_integer:
         raise NonIntegerFrequencyError(
             "RKHS norm is only computed for integer frequency lattices"
         )
     _check_lengths(fs, w)
     order = np.argsort(f.rows)
-    rows, c = f.rows[order], f.c[order]
-    # the zero frequency has no mirror partner, hence no factor 2 and no sine
-    cos_coef = np.where(rows == 0, 1.0, 2.0) * c.real
-    sin_coef = -2.0 * c.imag
-    support = (np.abs(cos_coef) > SUPPORT_TOL) | (np.abs(sin_coef) > SUPPORT_TOL)
-    supported = rows[support]
-    wi = w.weights[supported]
-    if np.any(wi == 0.0):
-        i = int(supported[np.argmax(wi == 0.0)])
+    rows = f.rows[order]
+    # (2 Re c, 2 Im c) per row, the cosine entry and the sine entry up to a
+    # sign that squaring drops; the zero frequency has no mirror partner,
+    # hence no factor 2 (scaling by 2 is exact, so every bit is kept)
+    coef = f.c[order].view(np.float64).reshape(-1, 2) * 2.0
+    if rows.size and rows[0] == 0:
+        coef[0, 0] *= 0.5
+    big = np.abs(coef) > SUPPORT_TOL
+    support = big[:, 0] | big[:, 1]
+    if np.count_nonzero(support) < rows.size:
+        rows, coef = rows[support], coef[support]
+    wi = w.weights[rows]
+    if np.count_nonzero(wi) < wi.size:
+        i = int(rows[np.argmax(wi == 0.0)])
         where = "the zero frequency" if i == 0 else f"frequency {tuple(fs.half[i].tolist())}"
         raise ValueError(
             f"function has weight-zero support at {where}; "
             "it lies outside the kernel's function set"
         )
-    cos_part = cos_coef[support] * w.norm2 / wi
-    sin_part = sin_coef[support] * w.norm2 / wi
-    return math.sqrt(float(np.sum(cos_part**2 + sin_part**2)))
+    parts = coef * w.norm2
+    parts /= wi[:, None]
+    parts *= parts
+    return math.sqrt(float((parts[:, 0] + parts[:, 1]).sum()))
 
 
 def fhat_l2_sq(f: TrigPolynomial) -> float:

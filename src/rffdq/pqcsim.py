@@ -422,15 +422,17 @@ class CompiledCircuit:
             ops.append(op)
         if any(part.imag.any() for part in complex_parts):
             return ops, False
+        # copies, not .real views: a view would keep its complex base alive
+        # for the whole propagation
         for i, (kind, _, _) in enumerate(self.steps):
             if kind == "block":
-                ops[i] = [(a, b, U.real) for a, b, U in ops[i]]
+                ops[i] = [(a, b, U.real.copy()) for a, b, U in ops[i]]
             elif kind == "rot":
                 cos, src, turn = ops[i]
-                ops[i] = (cos, src, turn.real)
+                ops[i] = (cos, src, turn.real.copy())
             elif kind == "fixed":
                 U, *labels = ops[i]
-                ops[i] = (U.real, *labels)
+                ops[i] = (U.real.copy(), *labels)
         return ops, True
 
     def run(self, theta, x) -> np.ndarray:

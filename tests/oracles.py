@@ -61,6 +61,24 @@ def dense_ptilde(cores):
     return full / full.sum()
 
 
+def per_bond_pmf_vector(cores, total_mass):
+    """The tensor-train pmf over the canonical half, contracted from the
+    last core: each step forms out[a, k, t] = sum_b core[a, k, b] * right[b, t]
+    as one elementwise product and one add per bond index, in bond order,
+    the rounding ``pmf_vector`` must keep.  The grid is divided by
+    ``total_mass`` and folded by the mirror identity (the half is the codes
+    from the middle up), so the result is ``pmf_vector``'s bit for bit."""
+    right = np.ones((1, 1))
+    for core in reversed(cores):
+        out = core[:, :, 0, None] * right[0]
+        for b in range(1, core.shape[2]):
+            out += core[:, :, b, None] * right[b]
+        right = out.reshape(core.shape[0], -1)
+    g = right[0] / total_mass
+    z = (g.size - 1) // 2
+    return np.concatenate([g[z:z + 1], g[z + 1:] + g[:z][::-1]])
+
+
 def fold_by_negation(per_dim_sets, half, tilde, tol=1e-9):
     """p at each canonical row: tilde at the row plus tilde at its negation,
     each component matched to its nearest lattice value; the zero row once."""

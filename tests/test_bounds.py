@@ -7,6 +7,7 @@ from conftest import forbid_per_key_lookups, forbid_per_row_ptilde, pauli_half_e
 from oracles import mp_sufficient_counts
 from rffdq import freqsample
 from rffdq.bounds import (
+    M_BUDGET,
     alignment,
     feasibility_report,
     empirical_error_mean,
@@ -266,6 +267,26 @@ class TestFeasibility:
         assert doc["verdict"] == rep.verdict
         text = rep.render_text()
         assert "verdict" in text and "p_max" in text
+
+    def test_sufficient_pair_beyond_the_budget_is_noted(self):
+        # sweep_highdim's shape: five values in each of six dimensions, a
+        # bond-4 tensor train and an 8-term target
+        fs = build_frequency_set(pauli_half_encoding([2] * 6))
+        rng = np.random.default_rng(11)
+        rows = np.sort(rng.choice(fs.size, size=8, replace=False))
+        c = rng.uniform(-0.5, 0.5, 8) + 1j * np.where(rows == 0, 0.0, rng.uniform(-0.5, 0.5, 8))
+        f = TrigPolynomial.on_rows(fs, rows, c)
+        shapes = [(1, 5, 4)] + [(4, 5, 4)] * 4 + [(4, 5, 1)]
+        dist = MpsDistribution(fs, [rng.uniform(0.1, 1.0, shape) for shape in shapes])
+        rep = feasibility_report(dist, f_hat=f)
+        s = rep.sufficient
+        assert rep.verdict == "SUFFICIENT-BOUND-POLY" and min(s.n_min, s.M_min) > 1e11
+        note = (
+            f"sufficient pair beyond any budget: n >= {s.n_min:.6g} and "
+            f"M >= {s.M_min:.6g} against {M_BUDGET:.6g} samples"
+        )
+        assert rep.notes[-1] == note and rep.to_json()["notes"] == rep.notes
+        assert rep.render_text().splitlines().count(f"note: {note}") == 1
 
 
 class TestFeasibilityWithoutPerKeyLookups:

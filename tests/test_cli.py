@@ -398,6 +398,19 @@ class TestExitCodes:
             assert run(["bounds", "feasibility", "--encoding", enc, "--dist", dist]) == 2
             assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_is_2(self, workdir, part, bad, capsys):
+        # json writes the bad value as NaN, Infinity or -Infinity
+        term = {"omega": [1.0], "re": 0.5, "im": 0.25, part: bad}
+        (workdir / "bad_f.json").write_text(
+            json.dumps({"d": 1, "terms": [{"omega": [2.0], "re": 1.0, "im": -0.5}, term]})
+        )
+        common = ["--function", workdir / "bad_f.json", "--encoding", workdir / "enc.json"]
+        assert run(["rkhs-norm", *common, "--weights", workdir / "w.json"]) == 2
+        assert run(["bounds", "lower", *common, "--dist", workdir / "dist.json", "--epshat", 0.1]) == 2
+        assert capsys.readouterr().err.count(f"terms[1].{part} must be finite") == 2
+
     def test_off_lattice_explicit_support_is_2(self, workdir, capsys):
         dist = workdir / "off.json"
         dist.write_text(json.dumps({"kind": "explicit", "support": [[0.5]], "probs": [1.0]}))

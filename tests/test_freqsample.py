@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import forbid_per_row_ptilde, pauli_half_encoding, record_half_formations
-from oracles import chi_square_pvalue, dense_ptilde, fold_by_negation
+from oracles import chi_square_pvalue, dense_ptilde, fold_by_negation, per_bond_pmf_vector
 from rffdq import freqcore, freqsample
 from rffdq.bounds import alignment
 from rffdq.errors import CapacityError, ConfigError, DegenerateDistributionError
@@ -350,6 +350,43 @@ class TestPmfVector:
             fs_2d.locate(np.array([[1.0, 0.0], [0.0, -1.5]]))
         with pytest.raises(ValueError, match="not in lattice dimension 1"):
             dist.pmf(np.array([[1.0, 0.0], [0.5, 0.0]]))
+
+
+class TestBondOrderKernel:
+    """``pmf_vector`` contracts each core with one einsum, or with the
+    per-bond loop where the trailing points are a single one: it must give
+    the per-bond reference's bits, and ``pmf`` at the half the vector's."""
+
+    def check(self, dist):
+        got = dist.pmf_vector()
+        want = per_bond_pmf_vector(dist.cores, dist.total_mass)
+        assert got.tobytes() == want.tobytes()
+        assert dist.pmf(dist.fs.half).tobytes() == got.tobytes()
+
+    def test_the_benchmark_shape(self, rng):
+        # sweep_highdim: five values in each of six dimensions, bond 4
+        fs = build_frequency_set(pauli_half_encoding([2] * 6))
+        for _ in range(3):
+            self.check(_random_dist("mps", fs, rng, bond=4))
+
+    @pytest.mark.parametrize("bond", [1, 2, 3, 8, 16, 32])
+    def test_bonds(self, bond, rng):
+        fs = build_frequency_set(pauli_half_encoding([2, 1, 2, 1]))
+        for _ in range(3):
+            self.check(_random_dist("mps", fs, rng, bond=bond))
+
+    def test_eight_dimensions(self, rng):
+        self.check(_random_dist("mps", build_frequency_set(pauli_half_encoding([2] * 8)), rng, bond=4))
+
+    @pytest.mark.parametrize("L_per_dim", [[2, 1, 0], [3, 2, 0, 0], [2, 0]])
+    def test_trailing_single_value_dimensions(self, L_per_dim, rng):
+        # a step whose trailing dimensions hold one point contracts a
+        # one-column right factor, where einsum would sum the bond in an
+        # order of its own
+        fs = build_frequency_set(pauli_half_encoding(L_per_dim))
+        for bond in range(2, 9):
+            for _ in range(3):
+                self.check(_random_dist("mps", fs, rng, bond=bond))
 
 
 def _random_dist(kind, fs, rng, bond=None):

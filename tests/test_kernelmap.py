@@ -17,7 +17,7 @@ from oracles import (
     rkhs_norm_by_index,
     rkhs_norm_dense,
 )
-from rffdq.errors import NonIntegerFrequencyError
+from rffdq.errors import ConfigError, NonIntegerFrequencyError
 from rffdq.freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set
 from rffdq.kernelmap import (
     TRIG_BLOCK_ENTRIES,
@@ -107,6 +107,19 @@ class TestRealForm:
         terms = [{"omega": [1.0], "re": 0.5, "im": 0.0}, {"omega": [1.0], "re": 0.3, "im": 0.0}]
         with pytest.raises(ValueError, match=r"duplicate coefficient for frequency \(1\.0,\)"):
             TrigPolynomial.from_json({"d": 1, "terms": terms}, fs_1d_3 if on_lattice else None)
+
+    @pytest.mark.parametrize("on_lattice", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, fs_1d_3, on_lattice, bad):
+        fs = fs_1d_3 if on_lattice else None
+        for part in ("re", "im"):
+            terms = [{"omega": [0.0], "re": 0.5, "im": 0.0}, {"omega": [1.0], "re": 0.5, "im": 0.25}]
+            terms[1][part] = bad
+            with pytest.raises(ConfigError, match=rf"terms\[1\]\.{part} must be finite"):
+                TrigPolynomial.from_json({"d": 1, "terms": terms}, fs)
+        for c in ([0.5, complex(bad, 0.25)], [0.5, complex(0.5, bad)]):
+            with pytest.raises(ValueError, match=r"of frequency \(1\.0,\) is not finite"):
+                TrigPolynomial.from_half_arrays(fs, [[0.0], [1.0]], c)
 
 
 class TestFeatureMap:

@@ -676,6 +676,17 @@ class TestPropagationCap:
         assert psi.nbytes > 8 * 2**20
         assert peak <= psi.nbytes + one_slice + 2**20
 
+    def test_real_block_operands_own_their_data(self):
+        # a .real view would hold its complex base through the propagation
+        c, _ = benchmark_kind_circuit(q=6, layers=2)
+        compiled = CompiledCircuit(c)
+        theta = np.random.default_rng(3).uniform(-np.pi, np.pi, c.theta_count)
+        ops, real = compiled._operands(compiled._theta(theta))
+        blocks = [U for (kind, _, _), op in zip(compiled.steps, ops) if kind == "block" for _, _, U in op]
+        assert real and blocks
+        for U in blocks:
+            assert U.dtype == np.float64 and U.base is None
+
 
 class TestCircuitJson:
     def test_parse_and_extract(self):
