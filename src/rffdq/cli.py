@@ -19,10 +19,12 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import harness
 from .errors import CapacityError, ConfigError, DegenerateDistributionError, NonIntegerFrequencyError
-from .freqcore import EncodingStrategy, build_frequency_set, load_encoding
-from .freqsample import SeededRng, load_distribution
-from .kernelmap import WeightVector, kernel_eval, load_function, rkhs_norm, weights_of
-from .pqcsim import extract_trig_polynomial, load_circuit
+from .errors import read, read_field, show
+from .freqcore import EncodingStrategy, FrequencySet, HamiltonianSpectrum, build_frequency_set
+from .freqcore import is_integer_valued
+from .freqsample import SeededRng, distribution_from_json
+from .kernelmap import TrigPolynomial, WeightVector, kernel_eval, rkhs_norm, weights_of
+from .pqcsim import circuit_from_json, extract_trig_polynomial
 from .regress import (
     Dataset,
     _read_number_rows,
@@ -30,7 +32,7 @@ from .regress import (
     empirical_risk,
     holdout_split,
     kernel_ridge_fit,
-    load_model,
+    model_from_json,
     rff_fit,
     true_risk_estimate,
 )
@@ -50,6 +52,11 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _lattice(doc) -> FrequencySet:
+    """The frequency lattice of an encoding document."""
+    return build_frequency_set(EncodingStrategy.from_json(doc))
+
+
 def _load_points(path: str, d: int) -> np.ndarray:
     """Finite points of a CSV file, one per line; the first line may be a
     header."""
@@ -59,15 +66,17 @@ def _load_points(path: str, d: int) -> np.ndarray:
     return points
 
 
-def _load_weights(args) -> tuple[EncodingStrategy, WeightVector]:
-    doc = _load_json(args.weights)
+def _load_weights(args) -> tuple[FrequencySet, WeightVector]:
+    """The lattice of --encoding, else of the encoding the weights document
+    embeds, and the document's one weight per canonical frequency."""
+    doc = read(_load_json(args.weights), "object", "weights document")
     if getattr(args, "encoding", None):
-        enc = load_encoding(args.encoding)
+        fs = _lattice(_load_json(args.encoding))
     elif "encoding" in doc:
-        enc = EncodingStrategy.from_json(doc["encoding"])
+        fs = _lattice(doc["encoding"])
     else:
         raise ConfigError("no encoding given: pass --encoding or embed one in the weights file")
-    return enc, WeightVector.from_json(doc)
+    return fs, WeightVector.from_json(doc, fs.size)
 
 
 def _parse_lambda(text: str):
@@ -95,8 +104,7 @@ def _check_M(M: int) -> int:
 
 
 def cmd_freqset(args) -> int:
-    enc = load_encoding(args.encoding)
-    fs = build_frequency_set(enc)
+    fs = _lattice(_load_json(args.encoding))
     if args.stats or not args.dump:
         stats = {
             "d": fs.d,
@@ -122,8 +130,7 @@ def cmd_freqset(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    enc, w = _load_weights(args)
-    fs = build_frequency_set(enc)
+    fs, w = _load_weights(args)
     X = _load_points(args.x, fs.d)
     Xp = _load_points(args.xprime, fs.d)
     if X.shape[0] != Xp.shape[0]:
@@ -133,18 +140,16 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_rkhs_norm(args) -> int:
-    enc, w = _load_weights(args)
-    fs = build_frequency_set(enc)
-    f = load_function(args.function, fs)
+    fs, w = _load_weights(args)
+    f = TrigPolynomial.from_json(_load_json(args.function), fs)
     _emit_json({"rkhs_norm": rkhs_norm(f, w)}, args.out)
     return 0
 
 
 def cmd_sample(args) -> int:
     M = _check_M(args.M)
-    enc = load_encoding(args.encoding)
-    fs = build_frequency_set(enc)
-    dist = load_distribution(args.dist, fs)
+    fs = _lattice(_load_json(args.encoding))
+    dist = distribution_from_json(_load_json(args.dist), fs)
     freqs = dist.sample(SeededRng(args.seed), M)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -156,9 +161,8 @@ def cmd_sample(args) -> int:
 
 def cmd_fit(args) -> int:
     M = _check_M(args.M)
-    enc = load_encoding(args.encoding)
-    fs = build_frequency_set(enc)
-    dist = load_distribution(args.dist, fs)
+    fs = _lattice(_load_json(args.encoding))
+    dist = distribution_from_json(_load_json(args.dist), fs)
     data = Dataset.from_csv(args.data)
     model = rff_fit(data, dist, M, _parse_lambda(args.lam), SeededRng(args.seed))
     _emit_json(model.to_json(), args.out)
@@ -166,14 +170,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_oracle_krr(args) -> int:
-    enc = load_encoding(args.encoding)
+    enc = EncodingStrategy.from_json(_load_json(args.encoding))
     fs = build_frequency_set(enc)
     # the uniform weights below have one entry per canonical frequency
     fs.require_materialized()
     if args.weights:
-        _, w = _load_weights(args)
+        w = _load_weights(args)[1]
     elif args.dist:
-        dist = load_distribution(args.dist, fs)
+        dist = distribution_from_json(_load_json(args.dist), fs)
         w = weights_of(dist.pmf_vector())
     else:
         w = WeightVector.uniform(fs.size)
@@ -190,7 +194,7 @@ def _require_width(model, d: int, source: str):
 
 
 def cmd_risk(args) -> int:
-    model = load_model(args.model)
+    model = model_from_json(_load_json(args.model))
     if args.problem:
         doc = _load_json(args.problem)
         spec = harness.ProblemSpec.from_json(doc)
@@ -222,53 +226,55 @@ def cmd_risk(args) -> int:
 
 
 def cmd_pqc_spectrum(args) -> int:
-    circuit, obs = load_circuit(args.circuit)
+    circuit, obs = circuit_from_json(_load_json(args.circuit))
+    for i, g in enumerate(circuit.gates):
+        # the spectrum is read off an integer lattice
+        if g.kind == "encode" and not is_integer_valued(2.0 * abs(g.scale)):
+            raise ConfigError.at(f"gate {i}.scale", "a multiple of 1/2", show(g.scale))
     theta = []
     if args.theta:
+        # an array, or an object holding one at "theta"; extraction names a
+        # non-finite parameter and checks the count
         doc = _load_json(args.theta)
-        theta = doc["theta"] if isinstance(doc, dict) else doc
-    poly = extract_trig_polynomial(circuit, obs, np.asarray(theta, dtype=float))
+        doc = doc if isinstance(doc, dict) else {"theta": doc}
+        theta = read_field(doc, "theta", "number", ndim=1, finite=False)
+    poly = extract_trig_polynomial(circuit, obs, theta)
     _emit_json(poly.to_json(), args.out)
     return 0
 
 
 def _function_and_dist(args):
-    fs = None
+    """--function (when given) and --dist on one lattice: --encoding's, or
+    without it the least integer lattice that covers the function's
+    frequencies and an explicit support."""
+    dist_doc = read(_load_json(args.dist), "object", "distribution")
     if args.encoding:
-        enc = load_encoding(args.encoding)
-        fs = build_frequency_set(enc)
-    dist_doc = _load_json(args.dist)
-    if fs is None:
-        if dist_doc.get("kind") != "explicit":
-            raise ConfigError(
-                "distribution kinds other than 'explicit' need --encoding to fix the lattice"
-            )
-        support = np.atleast_2d(np.asarray(dist_doc["support"], dtype=float))
-        fs = _lattice_from_points(support, args.function)
-    from .freqsample import distribution_from_json
-
-    dist = distribution_from_json(dist_doc, fs)
-    f = load_function(args.function, fs) if args.function else None
-    return f, dist
+        fs = _lattice(_load_json(args.encoding))
+        f = TrigPolynomial.from_json(_load_json(args.function), fs) if args.function else None
+    else:
+        f = TrigPolynomial.from_json(_load_json(args.function)) if args.function else None
+        fs = _lattice_from_points(dist_doc, f)
+        if f is not None:
+            f = TrigPolynomial.from_half_arrays(fs, f.freqs, f.c)
+    return f, distribution_from_json(dist_doc, fs)
 
 
-def _lattice_from_points(support: np.ndarray, function_path: str | None):
+def _lattice_from_points(dist_doc: dict, f: TrigPolynomial | None):
     """Minimal integer lattice covering an explicit support and a function's
     terms (used when no encoding document is supplied): per dimension j, the
     lattice {-k_j..k_j} realized by k_j spectra {-1/2, +1/2}."""
-    pts = [support]
-    if function_path:
-        doc = _load_json(function_path)
-        if doc["terms"]:
-            pts.append(np.asarray([t["omega"] for t in doc["terms"]], dtype=float))
-    allpts = np.vstack(pts)
+    if read_field(dist_doc, "kind", "string") != "explicit":
+        raise ConfigError("distribution kinds other than 'explicit' need --encoding to fix the lattice")
+    allpts = read_field(dist_doc, "support", "number", ndim=2)
+    if f is not None:
+        if allpts.shape[1] != f.d:
+            raise ConfigError.at("support", f"rows of {f.d}, as the function", f"rows of {allpts.shape[1]}")
+        allpts = np.vstack([allpts, f.freqs])
     if np.max(np.abs(allpts - np.round(allpts))) > 1e-9:
         raise ConfigError("cannot infer a lattice from non-integer frequencies; pass --encoding")
     kmax = np.maximum(np.rint(np.max(np.abs(allpts), axis=0)).astype(int), 1)
-    enc = EncodingStrategy.from_json(
-        {"dimensions": [[[-0.5, 0.5]] * int(k) for k in kmax]}
-    )
-    return build_frequency_set(enc)
+    half = HamiltonianSpectrum((-0.5, 0.5))
+    return build_frequency_set(EncodingStrategy(tuple((half,) * int(k) for k in kmax)))
 
 
 def cmd_bounds_sufficient(args) -> int:
@@ -306,7 +312,7 @@ def cmd_bounds_feasibility(args) -> int:
 
 
 def cmd_experiment_run(args) -> int:
-    config = harness.load_sweep_config(args.config)
+    config = harness.SweepConfig.from_json(_load_json(args.config))
     harness.run_sweep(config, args.out)
     return 0
 
@@ -441,7 +447,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (

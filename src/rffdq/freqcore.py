@@ -13,12 +13,11 @@ array of rows, with one 1e-9 matching rule.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, read, read_field
 
 # Absolute tolerance for treating two frequencies as equal.  Eigenvalue
 # arithmetic happens at double precision; anything tighter is noise.
@@ -82,18 +81,14 @@ class EncodingStrategy:
     @classmethod
     def from_json(cls, doc: dict) -> "EncodingStrategy":
         """Parse ``{"dimensions": [[[e11, e12, ...], [e21, ...]], ...]}``."""
-        try:
-            dims = doc["dimensions"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError("encoding document must have a 'dimensions' array") from exc
-        if not isinstance(dims, list) or not dims:
-            raise ConfigError("'dimensions' must be a nonempty array")
-        per_dim = []
-        for dim in dims:
-            if not isinstance(dim, list):
-                raise ConfigError("each dimension must be an array of spectra")
-            per_dim.append(tuple(HamiltonianSpectrum(tuple(spec)) for spec in dim))
-        return cls(tuple(per_dim))
+        dims = read_field(read(doc, "object", "encoding"), "dimensions", "array", nonempty=True)
+        return cls(tuple(
+            tuple(
+                HamiltonianSpectrum(tuple(read(spec, "number", f"dimensions[{j}][{k}]", ndim=1, nonempty=True)))
+                for k, spec in enumerate(read(dim, "array", f"dimensions[{j}]"))
+            )
+            for j, dim in enumerate(dims)
+        ))
 
     def to_json(self) -> dict:
         return {
@@ -101,11 +96,6 @@ class EncodingStrategy:
                 [list(s.eigenvalues) for s in dim] for dim in self.per_dimension
             ]
         }
-
-
-def load_encoding(path: str) -> EncodingStrategy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return EncodingStrategy.from_json(json.load(fh))
 
 
 def _dedup_sorted(values: np.ndarray) -> np.ndarray:

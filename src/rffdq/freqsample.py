@@ -50,13 +50,12 @@ BLAS thread, a 2-vCPU VM).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DegenerateDistributionError
+from .errors import CapacityError, ConfigError, DegenerateDistributionError, read, read_field, show
 from .freqcore import FrequencySet, fold_rows
 
 PROB_TOL = 1e-12
@@ -195,11 +194,11 @@ class ExplicitDistribution(FrequencyDistribution):
         _check_probabilities(probs)
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL * max(1, probs.size):
-            raise ConfigError(f"probabilities sum to {total}, expected 1")
+            raise ConfigError.at("probs", "probabilities summing to 1", f"a sum of {total!r}")
         try:
             idx = fs.locate(support)
         except ValueError as exc:
-            raise ConfigError(f"explicit support: {exc}") from exc
+            raise ConfigError.at("support", "lattice points", str(exc)) from None
         self.support = fs.at(idx)
         codes = fs.code(idx)
         below = codes < fs.zero_code
@@ -292,18 +291,16 @@ class ProductDistribution(_TensorTrain):
     def __init__(self, fs: FrequencySet, per_dim):
         super().__init__(fs)
         if len(per_dim) != fs.d:
-            raise ConfigError("per_dim must have one distribution per dimension")
+            raise ConfigError.at("per_dim", f"{fs.d} arrays long, one per dimension", str(len(per_dim)))
         self.per_dim = []
         for j, pj in enumerate(per_dim):
             pj = np.asarray(pj, dtype=float)
             if pj.size != fs.per_dimension_freqs[j].size:
-                raise ConfigError(
-                    f"dimension {j+1}: {pj.size} probabilities for "
-                    f"{fs.per_dimension_freqs[j].size} frequencies"
-                )
+                size = fs.per_dimension_freqs[j].size
+                raise ConfigError.at(f"per_dim[{j}]", f"{size} numbers long, as dimension {j+1}", str(pj.size))
             _check_probabilities(pj)
             if abs(float(pj.sum()) - 1.0) > PROB_TOL * max(1, pj.size):
-                raise ConfigError(f"dimension {j+1} probabilities do not sum to 1")
+                raise ConfigError.at(f"per_dim[{j}]", "summing to 1", f"a sum of {float(pj.sum())!r}")
             self.per_dim.append(pj)
         self.cores = [pj[None, :, None] for pj in self.per_dim]
 
@@ -338,7 +335,7 @@ class MpsDistribution(_TensorTrain):
     def __init__(self, fs: FrequencySet, cores):
         super().__init__(fs)
         if len(cores) != fs.d:
-            raise ConfigError("need one core per dimension")
+            raise ConfigError.at("cores", f"{fs.d} arrays long, one per lattice dimension", str(len(cores)))
         self.cores = []
         bond = 1
         for j, core in enumerate(cores):
@@ -346,12 +343,10 @@ class MpsDistribution(_TensorTrain):
             if core.ndim != 3:
                 raise ConfigError(f"core {j+1} must be a 3-d array")
             if core.shape[0] != bond:
-                raise ConfigError(f"core {j+1} left bond {core.shape[0]} != {bond}")
+                raise ConfigError.at(f"cores[{j}]", f"of left bond {bond}", f"shape {core.shape}")
             if core.shape[1] != fs.per_dimension_freqs[j].size:
-                raise ConfigError(
-                    f"core {j+1} physical dimension {core.shape[1]} does not match "
-                    f"lattice dimension {fs.per_dimension_freqs[j].size}"
-                )
+                size = fs.per_dimension_freqs[j].size
+                raise ConfigError.at(f"cores[{j}]", f"of {size} values, as dimension {j + 1}", str(core.shape))
             if not np.all(np.isfinite(core)):
                 raise ConfigError(f"core {j+1} entries must be finite")
             if np.any(core < 0):
@@ -359,7 +354,7 @@ class MpsDistribution(_TensorTrain):
             bond = core.shape[2]
             self.cores.append(core)
         if bond != 1:
-            raise ConfigError("last core must close the tensor train (right bond 1)")
+            raise ConfigError.at(f"cores[{fs.d - 1}]", "of right bond 1", f"shape {core.shape}")
         # right sums out the dimensions after j, and env[j][a, k] =
         # sum_b core_j[a, k, b] right[b] weighs value k of dimension j given
         # left bond a: the environment matrices that sample and marginal read
@@ -428,15 +423,14 @@ def _contraction_peak(shapes) -> int:
     """float64 entries that ``_enumerate`` holds at once when it contracts
     factors of these (left bond, values, right bond) shapes from the last
     one: each step holds the previous step's right-bond rows of trailing
-    points and its own output of left x values x trailing points, plus,
-    when the right bond exceeds 1, one ``_contract`` temporary of the
-    output's size.  The fold then holds the whole grid and the half.  An
-    einsum step forms no such temporary, so over more than one trailing
-    point the estimate charges one output more than is held."""
+    points and its own output of left x values x trailing points, plus, on
+    a ``_contract`` step (a single trailing point) whose right bond exceeds
+    1, one temporary of the output's size; an einsum step forms none.  The
+    fold then holds the whole grid and the half."""
     peak, trailing = 0, 1
     for left, values, right in reversed(shapes):
         out = left * values * trailing
-        peak = max(peak, right * trailing + (2 if right > 1 else 1) * out)
+        peak = max(peak, right * trailing + (2 if right > 1 and trailing == 1 else 1) * out)
         trailing *= values
     return max(peak, trailing + (trailing + 1) // 2)
 
@@ -479,32 +473,25 @@ def uniform_distribution(fs: FrequencySet, variant: str = "explicit") -> Frequen
 
 def distribution_from_json(doc: dict, fs: FrequencySet) -> FrequencyDistribution:
     """Parse a distribution config document against a frequency set."""
-    try:
-        kind = doc["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError("distribution document must have a 'kind'") from exc
+    doc = read(doc, "object", "distribution")
+    kind = read_field(doc, "kind", "string", choices=("explicit", "product", "mps", "uniform"))
     if kind == "explicit":
-        return ExplicitDistribution(fs, doc["support"], doc["probs"])
+        support = read_field(doc, "support", "number", ndim=2)
+        return ExplicitDistribution(fs, support, read_field(doc, "probs", "number", ndim=1, least=0))
     if kind == "product":
-        return ProductDistribution(fs, doc["per_dim"])
+        per_dim = read_field(doc, "per_dim", "array")
+        per_dim = [read(p, "number", f"per_dim[{j}]", ndim=1, least=0) for j, p in enumerate(per_dim)]
+        return ProductDistribution(fs, per_dim)
     if kind == "mps":
-        cores = [np.asarray(c, dtype=float) for c in doc["cores"]]
+        cores = read_field(doc, "cores", "array")
+        cores = [read(c, "number", f"cores[{j}]", ndim=3, least=0) for j, c in enumerate(cores)]
         if "dims" in doc:
-            declared = [int(v) for v in doc["dims"]]
-            actual = [c.shape[1] if c.ndim == 3 else -1 for c in cores]
-            if declared != actual:
-                raise ConfigError(
-                    f"declared physical dims {declared} do not match cores {actual}"
-                )
+            actual = [c.shape[1] for c in cores]
+            if read_field(doc, "dims", "integers", least=1) != actual:
+                raise ConfigError.at("dims", f"{actual}, the cores' physical dimensions", show(doc["dims"]))
         return MpsDistribution(fs, cores)
-    if kind == "uniform":
-        return uniform_distribution(fs, doc.get("variant", "explicit"))
-    raise ConfigError(f"unknown distribution kind '{kind}'")
-
-
-def load_distribution(path: str, fs: FrequencySet) -> FrequencyDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        return distribution_from_json(json.load(fh), fs)
+    variant = read_field(doc, "variant", "string", choices=("explicit", "product"), default="explicit")
+    return uniform_distribution(fs, variant)
 
 
 def explicit_from_weights(fs: FrequencySet, weights) -> ExplicitDistribution:

@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -36,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bounds import alignment as alignment_of
-from .errors import ConfigError, is_number, json_object, whole_number
+from .errors import ConfigError, read, read_field, show
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
 from .freqsample import FrequencyDistribution, SeededRng, distribution_from_json
 from .kernelmap import TrigPolynomial, WeightVector, coeff_sup_bound, weights_of
@@ -113,64 +111,61 @@ class ProblemSpec:
     noise_kind: str = "none"
     noise_sigma: float = 0.0
 
-    def __post_init__(self):
-        n, seed, sigma = whole_number(self.n, 1), whole_number(self.seed, 0), self.noise_sigma
-        if n is None:
-            raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
-        if seed is None:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.noise_kind not in ("none", "uniform"):
-            raise ConfigError(f"unknown noise kind '{self.noise_kind}'")
-        # the noise spans 2 sqrt(3) sigma; compared before any conversion, so
-        # that NaN, infinities and integers beyond a float fail
-        if not (is_number(sigma) and 0 <= sigma <= sys.float_info.max and math.isfinite(2 * math.sqrt(3) * sigma)):
-            raise ConfigError(f"noise sigma must be a number >= 0 with a finite noise range, got {sigma!r}")
-        self.n, self.seed, self.noise_sigma = n, seed, float(sigma)
-
     @classmethod
     def from_json(cls, doc: dict) -> "ProblemSpec":
-        doc = json_object(doc, "problem")
-        noise = json_object(doc.get("noise", {"kind": "none"}), "noise")
-        target = json_object(doc["target"], "target")
+        """A problem document, its target checked as far as it can be
+        without a lattice (a circuit target's theta against the circuit)."""
+        doc = read(doc, "object", "problem")
+        noise = read_field(doc, "noise", "object", default={})
+        noise_kind = read_field(noise, "kind", "string", "noise.", choices=("none", "uniform"), default="none")
+        sigma = read_field(noise, "sigma", "number", "noise.", least=0, default=0.0)
+        # the noise spans 2 sqrt(3) sigma, which must stay a finite float
+        if not math.isfinite(2 * math.sqrt(3) * sigma):
+            raise ConfigError.at("noise.sigma", "small enough for a finite noise range", show(noise["sigma"]))
+        target = read_field(doc, "target", "object")
+        kind = read_field(target, "kind", "string", "target.", choices=("explicit", "random", "circuit"))
         circuit = None
-        if target.get("kind") == "circuit":
-            # parsed here even beside an encoding, so that a malformed circuit
-            # fails before any cell runs
+        if kind == "explicit":
+            TrigPolynomial.from_json(read_field(target, "function", "object", "target."))
+        elif kind == "random":
+            _support_size(target, None)
+        else:
             from .pqcsim import circuit_from_json, encoding_of
 
-            circuit, _ = circuit_from_json(target["circuit"])
+            circuit, _ = circuit_from_json(read_field(target, "circuit", "object", "target."))
+            theta = read_field(target, "theta", "number", "target.", ndim=1, default=[])
+            if len(theta) != circuit.theta_count:
+                raise ConfigError.at("target.theta", f"{circuit.theta_count} numbers long", str(len(theta)))
         if "encoding" in doc:
             encoding = EncodingStrategy.from_json(doc["encoding"])
         elif circuit is not None:
             # circuit targets carry their own encoding strategy
             encoding = encoding_of(circuit)
         else:
-            raise ConfigError("problem document needs an 'encoding' (or a circuit target)")
+            raise ConfigError.at("encoding", "an object (the target is not a circuit)", "nothing")
         return cls(
             encoding=encoding,
             target=target,
-            n=doc["n"],
-            seed=doc.get("seed", 0),
-            noise_kind=noise.get("kind", "none"),
-            noise_sigma=noise.get("sigma", 0.0),
+            n=read_field(doc, "n", "integer", least=1),
+            seed=read_field(doc, "seed", "integer", default=0),
+            noise_kind=noise_kind,
+            noise_sigma=sigma,
         )
 
 
-def _draw_support_size(target: dict, gen: np.random.Generator, limit: int) -> int:
-    spec = target.get("support_size", 1)
-    if isinstance(spec, dict):
-        name = spec.get("name")
-        if name == "uniform":
-            k = int(gen.integers(int(spec["low"]), int(spec["high"]) + 1))
-        elif name == "fixed":
-            k = int(spec["value"])
-        else:
-            raise ConfigError(f"unknown support-size distribution '{name}'")
-    else:
-        k = int(spec)
-    if not (1 <= k <= limit):
-        raise ConfigError(f"support size {k} outside 1..{limit}")
-    return k
+def _support_size(target: dict, gen: np.random.Generator | None) -> int:
+    """A random target's support size: ``support_size`` k (default 1),
+    {"name": "fixed", "value": k} or {"name": "uniform", "low": a, "high":
+    b}, drawn from ``gen``; without ``gen``, only checked."""
+    spec, at = target.get("support_size", 1), "target.support_size"
+    if not isinstance(spec, dict):
+        return read(spec, "integer", at, least=1)
+    at += "."
+    if read_field(spec, "name", "string", at, choices=("uniform", "fixed")) == "fixed":
+        return read_field(spec, "value", "integer", at, least=1)
+    low = read_field(spec, "low", "integer", at, least=1)
+    high = read_field(spec, "high", "integer", at, least=low)
+    return low if gen is None else int(gen.integers(low, high + 1))
 
 
 def realize_target(
@@ -182,7 +177,9 @@ def realize_target(
     if kind == "explicit":
         return TrigPolynomial.from_json(spec.target["function"], fs)
     if kind == "random":
-        k = _draw_support_size(spec.target, gen, fs.size)
+        k = _support_size(spec.target, gen)
+        if k > fs.size:
+            raise ConfigError.at("target.support_size", f"at most |half| = {fs.size}", str(k))
         rows = np.sort(gen.choice(fs.size, size=k, replace=False))
         # in row order, one uniform draw for the zero frequency (row 0) and
         # two (a, b: a cos + b sin) for every other row
@@ -293,52 +290,29 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SweepConfig":
-        doc = json_object(doc, "config")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigError(
-                f"config schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')}"
-            )
-        axes = json_object(doc.get("axes", {}), "axes")
-        n_axis = _axis(axes, "n", None, least=1)
-        master_seed = whole_number(doc.get("master_seed", 0), 0)
-        if master_seed is None:
-            raise ConfigError(f"master_seed must be an integer >= 0, got {doc['master_seed']!r}")
-        # bool("false") is True: only a JSON boolean says whether the oracle runs
-        krr_oracle = doc.get("krr_oracle", False)
-        if not isinstance(krr_oracle, bool):
-            raise ConfigError(f"krr_oracle must be true or false, got {krr_oracle!r}")
-        base = dict(json_object(doc["problem"], "problem"))
-        base.setdefault("n", n_axis[0] if n_axis else 100)
-        return cls(
-            name=str(doc.get("name", "exp")),
-            problem=ProblemSpec.from_json(base),
-            dist_doc=doc["dist"],
-            M_axis=_axis(axes, "M", [100], least=1),
-            n_axis=n_axis or [int(base["n"])],
-            lambda_axis=_axis(axes, "lambda", ["auto"]),
-            seed_axis=_axis(axes, "seeds", [0], least=0),
-            master_seed=master_seed,
-            krr_oracle=krr_oracle,
+        doc = read(doc, "object", "config")
+        if read_field(doc, "schema_version", "integer") != SCHEMA_VERSION:
+            raise ConfigError.at("schema_version", str(SCHEMA_VERSION), show(doc["schema_version"]))
+        # lambda entries are read per cell, which records a bad one
+        axes = read_field(doc, "axes", "object", default={})
+        M_axis, n_axis, seed_axis = (
+            read_field(axes, name, "integers", "axis ", least=least, default=default)
+            for name, least, default in (("M", 1, [100]), ("n", 1, None), ("seeds", 0, [0]))
         )
-
-
-def _axis(axes: dict, name: str, default, least: int | None = None):
-    """Sweep axis ``name`` (``default`` when not given): a non-empty JSON
-    array, of integral numbers (not bools) >= ``least``, returned as ints,
-    when ``least`` is set; anything else is a ``ConfigError``.  Lambda
-    entries are read per cell, which records a bad one."""
-    if name not in axes:
-        return default
-    values = axes[name]
-    if not (isinstance(values, list) and values):
-        raise ConfigError(f"axis {name!r} must be a non-empty array, got {values!r}")
-    if least is None:
-        return values
-    whole = [whole_number(v, least) for v in values]
-    for v, w in zip(values, whole):
-        if w is None:
-            raise ConfigError(f"axis {name!r} entries must each be an integer >= {least}, got {v!r}")
-    return whole
+        base = dict(read_field(doc, "problem", "object"))
+        base.setdefault("n", n_axis[0] if n_axis else 100)
+        problem = ProblemSpec.from_json(base)
+        return cls(
+            name=read_field(doc, "name", "string", default="exp"),
+            problem=problem,
+            dist_doc=read_field(doc, "dist", "object"),
+            M_axis=M_axis,
+            n_axis=n_axis or [problem.n],
+            lambda_axis=read_field(axes, "lambda", "array", "axis ", nonempty=True, default=["auto"]),
+            seed_axis=seed_axis,
+            master_seed=read_field(doc, "master_seed", "integer", default=0),
+            krr_oracle=read_field(doc, "krr_oracle", "bool", default=False),
+        )
 
 
 def _cells(config: SweepConfig):
@@ -738,8 +712,3 @@ def _render(out_path, xlabel, ylabel, scatter, series):
     buf.write("</svg>\n")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(buf.getvalue())
-
-
-def load_sweep_config(path: str) -> SweepConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SweepConfig.from_json(json.load(fh))

@@ -27,7 +27,6 @@ from ``_feature_columns``), from the sample's empirical Fourier transform.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -35,7 +34,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NonIntegerFrequencyError
+from .errors import ConfigError, NonIntegerFrequencyError, read, read_field, show
 from .freqcore import _INT_TOL, FrequencySet, fold_rows, is_integer_valued
 
 REALNESS_TOL = 1e-10
@@ -373,8 +372,14 @@ class WeightVector:
         return cls(np.ones(size))
 
     @classmethod
-    def from_json(cls, doc: dict) -> "WeightVector":
-        return cls(np.asarray(doc["weights"], dtype=float))
+    def from_json(cls, doc: dict, size: int | None = None) -> "WeightVector":
+        """The ``weights`` of a weights document, ``size`` of them when given."""
+        w = read_field(read(doc, "object", "weights document"), "weights", "number", ndim=1, least=0)
+        if size is not None and w.size != size:
+            raise ConfigError.at("weights", f"{size} numbers long, one per canonical frequency", str(w.size))
+        if not w.any():
+            raise ConfigError.at("weights", "an array with a positive entry", show(doc["weights"]))
+        return cls(w)
 
     def to_json(self) -> dict:
         return {"weights": [float(v) for v in self.weights]}
@@ -575,26 +580,39 @@ class TrigPolynomial:
 
     @classmethod
     def from_json(cls, doc: dict, fs: FrequencySet | None = None) -> "TrigPolynomial":
-        d, terms = int(doc["d"]), doc["terms"]
-        freqs = [[float(v) for v in term["omega"]] for term in terms]
-        if any(len(omega) != d for omega in freqs):
-            raise ValueError("term dimension mismatch in function document")
-        if not freqs:
+        """Parse ``{"d": d, "terms": [{"omega": [...], "re": a, "im": b}, ...]}``
+        (on ``fs`` when given): each term at a canonical frequency, on the
+        lattice when there is one."""
+        doc = read(doc, "object", "function")
+        d = read_field(doc, "d", "integer", least=1)
+        if fs is not None and d != fs.d:
+            raise ConfigError.at("d", f"{fs.d}, the lattice's dimension", show(d))
+        terms = read_field(doc, "terms", "array")
+        if not terms:
             return cls.zero(fs, d)
-        c = []
+        freqs, c = np.empty((len(terms), d)), np.empty(len(terms), dtype=complex)
         for i, term in enumerate(terms):
-            re, im = float(term["re"]), float(term["im"])
-            for part, value in (("re", re), ("im", im)):
-                if not math.isfinite(value):
-                    raise ConfigError(f"terms[{i}].{part} must be finite, got {value}")
-            c.append(complex(re, im))
+            at = f"terms[{i}]."
+            term = read(term, "object", at[:-1])
+            freqs[i] = _term_frequency(term, d, fs, at)
+            c[i] = complex(read_field(term, "re", "number", at), read_field(term, "im", "number", at))
         # the terms go in as arrays, so a repeated frequency is refused
-        return cls.from_half_arrays(fs, np.array(freqs), c)
+        return cls.from_half_arrays(fs, freqs, c)
 
 
-def load_function(path: str, fs: FrequencySet | None = None) -> TrigPolynomial:
-    with open(path, "r", encoding="utf-8") as fh:
-        return TrigPolynomial.from_json(json.load(fh), fs)
+def _term_frequency(term: dict, d: int, fs: FrequencySet | None, at: str) -> np.ndarray:
+    """A function term's ``omega``: d numbers at a canonical frequency, on
+    the lattice ``fs`` when given."""
+    omega = read_field(term, "omega", "number", at, ndim=1)
+    if omega.size != d:
+        raise ConfigError.at(at + "omega", f"{d} numbers long (d)", show(term["omega"]))
+    try:
+        flipped = fold_rows(omega[None])[1][0] if fs is None else fs.half_rows(fs.locate(omega[None]))[0] < 0
+    except ValueError as exc:  # a component in no lattice dimension
+        raise ConfigError.at(at + "omega", "a lattice point", f"{show(term['omega'])} ({exc})") from None
+    if flipped:
+        raise ConfigError.at(at + "omega", "canonical (first nonzero component > 0)", show(term["omega"]))
+    return omega
 
 
 def feature_matrix(X, fs: FrequencySet, w: WeightVector) -> np.ndarray:

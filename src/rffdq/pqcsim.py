@@ -21,14 +21,13 @@ and CNOT ladders, and complex128 otherwise.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CapacityError, ConfigError, NonIntegerFrequencyError, is_number, json_object, whole_number
+from .errors import CapacityError, ConfigError, NonIntegerFrequencyError, read, read_field, show
 from .freqcore import EncodingStrategy, HamiltonianSpectrum, build_frequency_set, is_integer_valued
 from .kernelmap import TrigPolynomial
 
@@ -48,14 +47,12 @@ SUPPORT_TOL = 1e-14
 _PAULIS = frozenset("IXYZ")
 
 
-def _check_pauli(word: str, qubits: int, allow_identity: bool, at: str = ""):
-    """Refuse a malformed word, with ``at`` naming where it came from."""
-    if not word or len(word) != qubits:
-        raise ConfigError(f"{at}Pauli word '{word}' must have length {qubits}")
-    if any(ch not in _PAULIS for ch in word):
-        raise ConfigError(f"{at}Pauli word '{word}' has characters outside IXYZ")
+def _check_pauli(word: str, qubits: int, allow_identity: bool, path: str):
+    """Refuse a malformed word, naming ``path``, the field it came from."""
+    if len(word) != qubits or any(ch not in _PAULIS for ch in word):
+        raise ConfigError.at(path, f"a Pauli word of {qubits} letters from IXYZ", show(word))
     if not allow_identity and all(ch == "I" for ch in word):
-        raise ConfigError(f"{at}encoding Pauli word must act on at least one qubit")
+        raise ConfigError.at(path, "an encoding Pauli word, acting on at least one qubit", show(word))
 
 
 @dataclass(frozen=True)
@@ -84,15 +81,8 @@ class Observable:
     terms: list
 
     def __post_init__(self):
-        cleaned = []
-        for coef, word in self.terms:
-            coef = float(coef)
-            if not math.isfinite(coef):
-                raise ConfigError("observable coefficients must be finite")
-            cleaned.append((coef, str(word)))
-        if not cleaned:
-            raise ConfigError("observable needs at least one term")
-        self.terms = cleaned
+        # a document's terms are checked by circuit_from_json
+        self.terms = [(float(coef), str(word)) for coef, word in self.terms]
 
     @property
     def inf_norm_bound(self) -> float:
@@ -107,38 +97,29 @@ class Circuit:
 
     def __post_init__(self):
         if not (1 <= self.qubits <= MAX_QUBITS):
-            raise ConfigError(f"qubit count must be in 1..{MAX_QUBITS}")
+            raise ConfigError.at("qubits", f"in 1..{MAX_QUBITS}", show(self.qubits))
         for i, g in enumerate(self.gates):
-            at = f"gate {i}: "
+            at = f"gate {i}."
             if g.kind in ("encode", "rot"):
-                _check_pauli(g.pauli, self.qubits, allow_identity=(g.kind == "rot"), at=at)
-                if g.kind == "encode":
-                    if g.dim < 1:
-                        raise ConfigError(f"{at}encoding gates use 1-based data dimensions")
-                    if not math.isfinite(g.scale):
-                        raise ConfigError(f"{at}encoding scale must be finite")
-                else:
-                    if g.theta_index < 0:
-                        raise ConfigError(f"{at}rotation gates need a parameter index")
+                _check_pauli(g.pauli, self.qubits, allow_identity=(g.kind == "rot"), path=at + "pauli")
             elif g.kind in ("cnot", "cz"):
-                if not (0 <= g.control < self.qubits and 0 <= g.target < self.qubits):
-                    raise ConfigError(f"{at}{g.kind} gate references invalid qubits")
+                for key, q in (("c", g.control), ("t", g.target)):
+                    if not 0 <= q < self.qubits:
+                        raise ConfigError.at(at + key, f"a qubit in 0..{self.qubits - 1}", show(q))
                 if g.control == g.target:
-                    raise ConfigError(f"{at}{g.kind} control and target must differ")
+                    raise ConfigError.at(at + "t", f"a qubit other than c = {g.control}", show(g.target))
             elif g.kind == "fixed":
-                qs = tuple(g.qubits)
-                if len(qs) not in (1, 2) or len(set(qs)) != len(qs):
-                    raise ConfigError(f"{at}fixed unitaries act on 1 or 2 distinct qubits")
-                if any(not (0 <= q < self.qubits) for q in qs):
-                    raise ConfigError(f"{at}fixed unitary references invalid qubits")
+                qs = list(g.qubits)
+                if len(qs) not in (1, 2) or len(set(qs)) != len(qs) or not set(qs) <= set(range(self.qubits)):
+                    raise ConfigError.at(at + "qubits", f"1 or 2 distinct qubits < {self.qubits}", show(qs))
                 U = np.asarray(g.matrix, dtype=complex)
                 dim = 2 ** len(qs)
                 if U.shape != (dim, dim):
-                    raise ConfigError(f"{at}fixed unitary must be {dim}x{dim}")
+                    raise ConfigError.at(at + "matrix", f"{dim} x {dim}", show(U.shape))
                 if np.max(np.abs(U.conj().T @ U - np.eye(dim))) > 1e-10:
-                    raise ConfigError(f"{at}fixed gate matrix is not unitary")
+                    raise ConfigError.at(at + "matrix", "unitary", "a matrix that is not")
             else:
-                raise ConfigError(f"{at}unknown gate kind '{g.kind}'")
+                raise ConfigError.at(at + "kind", "encode, rot, cnot, cz or fixed", show(g.kind))
 
     @property
     def theta_count(self) -> int:
@@ -390,7 +371,7 @@ class CompiledCircuit:
     def _theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).ravel()
         if theta.size != self.circuit.theta_count:
-            raise ConfigError(f"need {self.circuit.theta_count} parameters, got {theta.size}")
+            raise ConfigError.at("theta", f"{self.circuit.theta_count} numbers long", str(theta.size))
         bad = ~np.isfinite(theta)
         if bad.any():
             i = int(np.argmax(bad))
@@ -520,8 +501,8 @@ class CompiledObservable:
 
     def __init__(self, obs: Observable, qubits: int):
         groups: dict[int, tuple] = {}
-        for coef, word in obs.terms:
-            _check_pauli(word, qubits, allow_identity=True)
+        for i, (coef, word) in enumerate(obs.terms):
+            _check_pauli(word, qubits, allow_identity=True, path=f"observable.terms[{i}].pauli")
             src, phases = _pauli_gather(word, qubits)
             mask = int(src[0])  # src = index ^ mask
             if mask in groups:
@@ -641,72 +622,42 @@ def extract_trig_polynomial(c: Circuit, obs: Observable, theta) -> TrigPolynomia
     return TrigPolynomial.on_rows(fs, keep, cval[keep])
 
 
-def _read(doc: dict, key: str, where: str, least: int = 0, default=None):
-    """doc[key], or ``default`` when the key is absent and a default is
-    given: a string for "pauli", a number for "scale" and "coef", and an
-    integral number of at least ``least`` for any other key."""
-    if key not in doc:
-        if default is None:
-            raise ConfigError(f"{where} needs '{key}'")
-        return default
-    value = doc[key]
-    if key == "pauli":
-        read, want = (value if isinstance(value, str) else None), "a string"
-    elif key in ("scale", "coef"):
-        read, want = (float(value) if is_number(value) else None), "a number"
-    else:
-        read, want = whole_number(value, least), f"an integer >= {least}"
-    if read is None:
-        raise ConfigError(f"{where}: '{key}' must be {want}, got {value!r}")
-    return read
-
-
-def _gate_from_json(g, where: str) -> GateSpec:
-    kind = json_object(g, where).get("kind")
+def _gate_from_json(g, at: str) -> GateSpec:
+    g = read(g, "object", at)
+    at += "."
+    kind = read_field(g, "kind", "string", at, choices=("encode", "rot", "cnot", "cz", "fixed"))
     if kind == "encode":
-        scale, dim = _read(g, "scale", where, default=1.0), _read(g, "dim", where, 1, default=1)
-        return GateSpec("encode", pauli=_read(g, "pauli", where), scale=scale, dim=dim)
+        scale = read_field(g, "scale", "number", at, default=1.0)
+        dim = read_field(g, "dim", "integer", at, least=1, default=1)
+        return GateSpec("encode", pauli=read_field(g, "pauli", "string", at), scale=scale, dim=dim)
     if kind == "rot":
-        return GateSpec("rot", pauli=_read(g, "pauli", where), theta_index=_read(g, "theta", where))
+        theta_index = read_field(g, "theta", "integer", at)
+        return GateSpec("rot", pauli=read_field(g, "pauli", "string", at), theta_index=theta_index)
     if kind in ("cnot", "cz"):
-        return GateSpec(kind, control=_read(g, "c", where), target=_read(g, "t", where))
-    if kind == "fixed":
-        qubits, rows = g.get("qubits"), g.get("matrix")
-        if not isinstance(qubits, list) or any(whole_number(k, 0) is None for k in qubits):
-            raise ConfigError(f"{where}: 'qubits' must be an array of integers >= 0, got {qubits!r}")
-        pairs = isinstance(rows, list) and all(
-            isinstance(row, list)
-            and len(row) == len(rows)
-            and all(isinstance(cell, list) and len(cell) == 2 and all(map(is_number, cell)) for cell in row)
-            for row in rows
-        )
-        if not pairs:
-            raise ConfigError(f"{where}: 'matrix' must be a square array of [re, im] pairs, got {rows!r}")
-        matrix = np.array([[complex(*cell) for cell in row] for row in rows])
-        return GateSpec("fixed", qubits=tuple(int(k) for k in qubits), matrix=matrix)
-    raise ConfigError(f"{where}: unknown gate kind '{kind}'")
+        control, target = read_field(g, "c", "integer", at), read_field(g, "t", "integer", at)
+        return GateSpec(kind, control=control, target=target)
+    qubits = read_field(g, "qubits", "integers", at)
+    pairs = read_field(g, "matrix", "number", at, ndim=3)
+    if pairs.shape[1:] != (pairs.shape[0], 2):
+        raise ConfigError.at(at + "matrix", "a square array of [re, im] pairs", show(g["matrix"]))
+    matrix = np.empty(pairs.shape[:2], dtype=complex)
+    matrix.real, matrix.imag = pairs[..., 0], pairs[..., 1]
+    return GateSpec("fixed", qubits=tuple(qubits), matrix=matrix)
 
 
 def circuit_from_json(doc: dict) -> tuple[Circuit, Observable]:
     """Parse a circuit document (gates plus embedded observable).  Anything
     malformed is a ConfigError naming the gate or observable term at fault."""
-    if not (isinstance(doc, dict) and all(key in doc for key in ("qubits", "gates", "observable"))):
-        raise ConfigError("circuit document needs 'qubits', 'gates', 'observable'")
-    qubits = _read(doc, "qubits", "circuit document", 1)
-    gates, terms = doc["gates"], json_object(doc["observable"], "observable").get("terms")
-    for what, value in (("circuit 'gates'", gates), ("observable 'terms'", terms)):
-        if not isinstance(value, list):
-            raise ConfigError(f"{what} must be an array, got {value!r}")
+    doc = read(doc, "object", "circuit")
+    qubits = read_field(doc, "qubits", "integer", least=1)
+    gates = read_field(doc, "gates", "array")
     circuit = Circuit(qubits, [_gate_from_json(g, f"gate {i}") for i, g in enumerate(gates)])
-    read = []
-    for i, t in enumerate(terms):
-        where = f"observable term {i}"
-        word, coef = _read(json_object(t, where), "pauli", where), _read(t, "coef", where)
-        _check_pauli(word, qubits, allow_identity=True, at=f"{where}: ")
-        read.append((coef, word))
-    return circuit, Observable(read)
-
-
-def load_circuit(path: str) -> tuple[Circuit, Observable]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return circuit_from_json(json.load(fh))
+    observable = read_field(doc, "observable", "object")
+    terms = []
+    for i, t in enumerate(read_field(observable, "terms", "array", "observable.", nonempty=True)):
+        at = f"observable.terms[{i}]"
+        t = read(t, "object", at)
+        word = read_field(t, "pauli", "string", at + ".")
+        _check_pauli(word, qubits, allow_identity=True, path=at + ".pauli")
+        terms.append((read_field(t, "coef", "number", at + "."), word))
+    return circuit, Observable(terms)

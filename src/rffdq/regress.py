@@ -27,14 +27,13 @@ non-integer lattices alike.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read, read_field, show
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
 from .kernelmap import (
     PlaneWaves,
@@ -312,15 +311,16 @@ class RffFeatureSet:
     def __post_init__(self):
         self.frequencies = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
         self.phases = np.asarray(self.phases, dtype=float).ravel()
+        rows = self.frequencies.shape[0]
+        if rows != self.phases.size:
+            raise ConfigError.at("phases", f"{rows} numbers, one per row of frequencies", str(self.phases.size))
         if self.phases.size == 0:
             raise ValueError("a feature set needs at least one feature")
-        if self.frequencies.shape[0] != self.phases.size:
-            raise ValueError("frequencies and phases disagree on M")
         if not np.all(np.isfinite(self.frequencies)):
             raise ValueError("frequencies must be finite")
         # NaN fails both comparisons, so it fails the check
         if not np.all((self.phases >= 0) & (self.phases < 2 * np.pi)):
-            raise ValueError("phases must lie in [0, 2pi)")
+            raise ConfigError.at("phases", "in [0, 2pi)", show(self.phases.tolist()))
         values, ranks = column_ranks(self.frequencies)
         self.first, self.inverse = group_rows(ranks, [v.size for v in values])
         self.distinct = self.frequencies[self.first]
@@ -487,9 +487,9 @@ class ExplicitLinearModel(_Model):
         self.v = np.asarray(self.v, dtype=float)
         m = self.fs.size
         if len(self.weights) != m:
-            raise ValueError(f"weights has length {len(self.weights)} but the canonical half has {m} entries")
+            raise ConfigError.at("weights", f"{m} numbers long", str(len(self.weights)))
         if self.v.shape != (2 * m - 1,):
-            raise ValueError(f"v must hold {2 * m - 1} entries (2 |half| - 1), got shape {self.v.shape}")
+            raise ConfigError.at("v", f"{2 * m - 1} numbers long (2 |half| - 1)", f"shape {self.v.shape}")
 
     @property
     def fs(self) -> FrequencySet:
@@ -547,7 +547,7 @@ class RffModel(_Model):
         coef = np.asarray(self.coef, dtype=float)
         M = self.feature_set.M
         if coef.shape != (M,):
-            raise ValueError(f"coef must hold one weight per feature ({M}), got shape {coef.shape}")
+            raise ConfigError.at("coef", f"{M} numbers long, one per feature", f"shape {coef.shape}")
         if not np.all(np.isfinite(coef)):
             raise ValueError("coef must be finite")
         self.coef = coef
@@ -580,40 +580,33 @@ class RffModel(_Model):
 
 
 def model_from_json(doc: dict) -> _Model:
-    """A model from its JSON document.  A document whose arrays have the
-    wrong shapes or values is a ``ConfigError``, like a malformed one."""
-    variant = doc.get("variant")
-    if variant not in ("explicit", "krr", "rff"):
-        raise ConfigError(f"unknown model variant '{variant}'")
-    try:
-        lam = float(doc["lambda"])
-        if variant == "rff":
-            fset = RffFeatureSet(
-                np.asarray(doc["frequencies"], dtype=float),
-                np.asarray(doc["phases"], dtype=float),
-            )
-            return RffModel(fset, doc["coef"], lam)
-        enc = EncodingStrategy.from_json(doc["encoding"])
-        w = WeightVector(np.asarray(doc["weights"], dtype=float))
-        if variant == "explicit":
-            return ExplicitLinearModel(enc, w, np.asarray(doc["v"], dtype=float), lam)
-        fs = build_frequency_set(enc)
-        X = np.asarray(doc["X"], dtype=float)
-        alpha = np.asarray(doc["alpha"], dtype=float)
-        if _krr_tabled(fs, np.atleast_2d(X).shape[0]):
-            from .fourier import feature_adjoint
+    """A model from its JSON document.  A malformed field is a
+    ``ConfigError`` naming it, and so is an array whose shape does not fit
+    the model (checked by the model) or its lattice."""
+    doc = read(doc, "object", "model")
+    variant = read_field(doc, "variant", "string", choices=("explicit", "krr", "rff"))
+    lam = read_field(doc, "lambda", "number", least=0)
+    if variant == "rff":
+        frequencies = read_field(doc, "frequencies", "number", ndim=2)
+        fset = RffFeatureSet(frequencies, read_field(doc, "phases", "number", ndim=1))
+        return RffModel(fset, read_field(doc, "coef", "number", ndim=1), lam)
+    enc = EncodingStrategy.from_json(read_field(doc, "encoding", "object"))
+    fs = build_frequency_set(enc)
+    w = WeightVector.from_json(doc, fs.size)
+    if variant == "explicit":
+        return ExplicitLinearModel(enc, w, read_field(doc, "v", "number", ndim=1), lam, _fs=fs)
+    X, alpha = read_field(doc, "X", "number", ndim=2), read_field(doc, "alpha", "number", ndim=1)
+    if X.shape[1] != enc.d:
+        raise ConfigError.at("X", f"rows of {enc.d} numbers, the encoding's d", f"rows of {X.shape[1]}")
+    if alpha.size != X.shape[0]:
+        raise ConfigError.at("alpha", f"{X.shape[0]} numbers long, one per row of X", str(alpha.size))
+    if _krr_tabled(fs, X.shape[0]):
+        from .fourier import feature_adjoint
 
-            v = feature_adjoint(X, fs, w, alpha)
-        else:
-            v = feature_matrix(X, fs, w).T @ alpha
-        return KrrModel(enc, w, v, lam, _fs=fs, X_train=X, alpha=alpha)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{variant} model: {exc}") from None
-
-
-def load_model(path: str) -> _Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+        v = feature_adjoint(X, fs, w, alpha)
+    else:
+        v = feature_matrix(X, fs, w).T @ alpha
+    return KrrModel(enc, w, v, lam, _fs=fs, X_train=X, alpha=alpha)
 
 
 def explicit_ridge_fit(

@@ -254,7 +254,7 @@ class TestNonEnumerableSampler:
         self, workdir, monkeypatch, count_enumerations, capsys
     ):
         # 5^4 points within LATTICE_CAP, bond 4: forming the half would peak
-        # near 14 KB, beyond a 1 KiB ENUMERATE_BYTES, so no route forms it
+        # near 9 KB, beyond a 1 KiB ENUMERATE_BYTES, so no route forms it
         enc = workdir / "enc4.json"
         enc.write_text(json.dumps({"dimensions": [[[-0.5, 0.5]] * 2] * 4}))
         gen = np.random.default_rng(8)
@@ -346,6 +346,54 @@ class TestExitCodes:
         res = workdir / "r.csv"
         assert run(["experiment", "run", "--config", workdir / "bad_exp.json", "--out", res]) == 2
         assert f"{field} must be an object, got 5" in capsys.readouterr().err and not res.exists()
+
+    @pytest.mark.parametrize(
+        "target, path",
+        [
+            ({"kind": "explicit", "function": {"d": "x", "terms": []}}, "d must be an integer >= 1, got 'x'"),
+            ({"kind": "x"}, "target.kind must be one of"),
+            ({"kind": "random", "support_size": "x"}, "target.support_size must be an integer >= 1, got 'x'"),
+        ],
+        ids=["function", "kind", "support_size"],
+    )
+    def test_malformed_target_is_2(self, workdir, target, path, capsys):
+        # checked with the problem, before the results file is touched
+        assert run(
+            ["fit", "--data", workdir / "d.csv", "--encoding", workdir / "enc.json",
+             "--dist", workdir / "dist.json", "--M", 8, "--out", workdir / "m.json"]
+        ) == 0
+        prob = {**json.loads((workdir / "prob.json").read_text()), "target": target}
+        (workdir / "bad_prob.json").write_text(json.dumps(prob))
+        exp = {**json.loads((workdir / "exp.json").read_text()), "problem": prob}
+        (workdir / "bad_exp.json").write_text(json.dumps(exp))
+        res = workdir / "r.csv"
+        assert run(["risk", "--model", workdir / "m.json", "--problem", workdir / "bad_prob.json"]) == 2
+        assert run(["experiment", "run", "--config", workdir / "bad_exp.json", "--out", res]) == 2
+        assert capsys.readouterr().err.count(f"config error: {path}") == 2
+        assert not res.exists()
+
+    @pytest.mark.parametrize(
+        "name, doc, path",
+        [
+            ("w.json", [1.0, 1.0, 1.0], "weights document must be an object"),
+            ("w.json", {"weights": "x"}, "weights must be an array of numbers, got 'x'"),
+            ("w.json", {"weights": [1.0]}, "weights must be 3 numbers long, one per canonical frequency, got 1"),
+            ("w.json", {"weights": [1.0, -1.0, 1.0]}, "weights[1] must be >= 0, got -1.0"),
+            ("w.json", {"weights": [0.0, 0.0, 0.0]}, "weights must be an array with a positive entry"),
+            ("f.json", [{"omega": [1.0], "re": 0.5, "im": 0.0}], "function must be an object"),
+            ("f.json", {"d": 1.7, "terms": []}, "d must be an integer >= 1, got 1.7"),
+            ("f.json", {"d": 2, "terms": []}, "d must be 1, the lattice's dimension, got 2"),
+            ("f.json", {"d": 1, "terms": [{"omega": [1.5], "re": 0.5, "im": 0.0}]}, "terms[0].omega must be a lattice point"),
+            ("f.json", {"d": 1, "terms": [{"omega": [-1.0], "re": 0.5, "im": 0.0}]}, "terms[0].omega must be canonical"),
+        ],
+        ids=["weights-root", "weights-string", "weights-short", "weights-negative", "weights-zero",
+             "function-root", "function-d", "function-lattice-d", "function-off-lattice", "function-not-canonical"],
+    )
+    def test_malformed_weights_or_function_is_2(self, workdir, name, doc, path, capsys):
+        (workdir / name).write_text(json.dumps(doc))
+        args = ["--function", workdir / "f.json", "--weights", workdir / "w.json", "--encoding", workdir / "enc.json"]
+        assert run(["rkhs-norm", *args]) == 2
+        assert f"config error: {path}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "gate",
@@ -479,6 +527,13 @@ class TestExitCodes:
             ({**rff, "frequencies": [[0.0], [-math.inf]]}, "--data"),
             ({**rff, "phases": [math.nan, 1.5]}, "--problem"),
             ({**rff, "phases": [0.5, math.nan]}, "--data"),
+            ([rff], "--data"),
+            ("rff", "--problem"),
+            ({**rff, "coef": "x"}, "--data"),
+            ({**rff, "lambda": None}, "--data"),
+            ({**explicit, "weights": [1.0]}, "--problem"),
+            ({**explicit, "weights": "x"}, "--problem"),
+            ({**explicit, "encoding": 5}, "--problem"),
         ]
         model = workdir / "m.json"
         for doc, source in bad:

@@ -164,15 +164,16 @@ class TestPmfVector:
             assert dist.p_max() == pm
 
     def test_p_max_gives_up_above_the_byte_cap(self, monkeypatch, rng):
-        # on 5^2 points the product grid takes 200 B, a bond-2 tensor
-        # train's 400 B
+        # on 5^2 points forming the half peaks at 38 entries for the product
+        # (the fold's grid and half) and 45 for a bond-4 tensor train (the
+        # first dimension's step: 4 x 5 inputs and 25 outputs)
         fs = build_frequency_set(pauli_half_encoding([2, 2]))
         product = _random_dist("product", fs, rng)
-        mps = _random_dist("mps", fs, rng, bond=2)
-        monkeypatch.setattr(freqsample, "ENUMERATE_BYTES", 399)
+        mps = _random_dist("mps", fs, rng, bond=4)
+        monkeypatch.setattr(freqsample, "ENUMERATE_BYTES", 8 * 45 - 1)
         assert product.p_max() == (float(np.max(product.pmf_vector())), True)
         assert mps.p_max() is None
-        monkeypatch.setattr(freqsample, "ENUMERATE_BYTES", 199)
+        monkeypatch.setattr(freqsample, "ENUMERATE_BYTES", 8 * 38 - 1)
         assert product.p_max() == (2.0 * product.tilde_max(), False)
 
     def test_enumeration_memory_is_linear_in_the_lattice(self, rng):
@@ -193,9 +194,9 @@ class TestPmfVector:
     @pytest.mark.parametrize("bond", [1, 2, 4])
     def test_enumeration_stays_within_the_enumerable_estimate(self, bond, rng):
         # 5^8 points: the peak is at most what ``enumerable`` charges
-        # against ENUMERATE_BYTES, 1.5, 2.4 and 2.8 grids of 8 * full_size B
-        # at bonds 1, 2 and 4 (at bond 1 the fold's grid and half copy), and
-        # 64 KB of small objects
+        # against ENUMERATE_BYTES, 1.5, 1.5 and 1.8 grids of 8 * full_size B
+        # at bonds 1, 2 and 4 (at bonds 1 and 2 the fold's grid and half
+        # copy), and 64 KB of small objects
         fs = build_frequency_set(pauli_half_encoding([2] * 8))
         dist = _random_dist("mps", fs, rng, bond=bond)
         assert max(core.shape[2] for core in dist.cores) == bond and dist.enumerable
@@ -209,22 +210,21 @@ class TestPmfVector:
 
     @pytest.mark.parametrize("bond", [2, 4])
     def test_estimate_bounds_the_peak_with_one_value_in_the_first_dimension(self, bond, rng):
-        # no gate on x_1: the step at dimension 2 holds bond x full_size
-        # entries and one temporary of that size, 4.4 grids at bond 2 and
-        # 8.8 at bond 4, beyond the bond + 1 grids that bound it where the
-        # first dimension has three values or more
+        # no gate on x_1: the einsum step at dimension 1 holds the bond x
+        # full_size entries of the step before and its own full_size
+        # output, bond + 1 grids, which the estimate charges exactly
         fs = build_frequency_set(pauli_half_encoding([0] + [2] * 8))
         dist = _random_dist("mps", fs, rng, bond=bond)
         fs.half  # forming the half is not part of the enumeration
         estimate = 8 * dist._peak_entries()
-        assert dist.enumerable and estimate == round(8 * fs.full_size * 2.2 * bond)
+        assert dist.enumerable and estimate == 8 * fs.full_size * (bond + 1)
         tracemalloc.start()
         try:
             dist.pmf_vector()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 8 * fs.full_size * (bond + 1) < peak <= estimate + 2**16
+        assert estimate <= peak <= estimate + 2**16
 
     @pytest.mark.parametrize("L_per_dim", [[6, 6], [10, 10], [2] * 6])
     def test_explicit_fill_is_the_fold(self, L_per_dim, rng):

@@ -164,7 +164,7 @@ class TestGenerateProblem:
     )
     def test_malformed_n_seed_or_sigma_is_a_config_error(self, field):
         key = next(iter(field))
-        with pytest.raises(ConfigError, match="^noise sigma must" if key == "noise" else f"^{key} must"):
+        with pytest.raises(ConfigError, match=r"^noise\.sigma must" if key == "noise" else f"^{key} must"):
             ProblemSpec.from_json(problem_doc(**field))
 
     @pytest.mark.parametrize("key", ["noise", "target"])
@@ -383,15 +383,11 @@ class TestRunSweep:
         assert [r["error"] for r in loaded] == [r["error"] for r in rows]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_theta_recorded_in_every_row(self, bad, tmp_path):
+    def test_non_finite_theta_fails_before_any_cell(self, bad):
         doc = circuit_sweep_doc()
         doc["problem"]["target"]["theta"] = [bad]
-        rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
-        assert len(rows) == 4
-        want = f"ConfigError: parameter theta[0] is not finite ({bad})"
-        assert [r["error"] for r in rows] == [want] * 4
-        assert all(math.isnan(r["true_risk"]) for r in rows)
-        assert [r["error"] for r in read_rows(str(tmp_path / "r.csv"))] == [want] * 4
+        with pytest.raises(ConfigError, match=re.escape(f"target.theta[0] must be finite, got {bad}")):
+            SweepConfig.from_json(doc)
 
     def test_l2_err_sq_is_exact_off_integer_lattice(self, tmp_path):
         # lattice {0, +-0.6}: the coefficient sum is not an L2 norm there, the
@@ -436,18 +432,18 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "axis, message",
         [
-            ({"lambda": "auto"}, "axis 'lambda' must be a non-empty array"),
-            ({"M": "16"}, "axis 'M' must be a non-empty array"),
-            ({"n": []}, "axis 'n' must be a non-empty array"),
-            ({"seeds": 0}, "axis 'seeds' must be a non-empty array"),
-            ({"M": [0]}, "axis 'M' entries must each be an integer >= 1, got 0"),
-            ({"n": [40, -1]}, "axis 'n' entries must each be an integer >= 1, got -1"),
-            ({"M": [16.5]}, "axis 'M' entries must each be an integer >= 1, got 16.5"),
-            ({"M": [True]}, "axis 'M' entries must each be an integer >= 1, got True"),
-            ({"n": ["40"]}, "axis 'n' entries must each be an integer >= 1, got '40'"),
-            ({"seeds": [0.5]}, "axis 'seeds' entries must each be an integer >= 0, got 0.5"),
-            ({"seeds": [False]}, "axis 'seeds' entries must each be an integer >= 0, got False"),
-            ({"seeds": [0, -3]}, "axis 'seeds' entries must each be an integer >= 0, got -3"),
+            ({"lambda": "auto"}, "axis lambda must be a non-empty array, got 'auto'"),
+            ({"M": "16"}, "axis M must be a non-empty array of integers >= 1, got '16'"),
+            ({"n": []}, "axis n must be a non-empty array of integers >= 1, got []"),
+            ({"seeds": 0}, "axis seeds must be a non-empty array of integers >= 0, got 0"),
+            ({"M": [0]}, "axis M[0] must be an integer >= 1, got 0"),
+            ({"n": [40, -1]}, "axis n[1] must be an integer >= 1, got -1"),
+            ({"M": [16.5]}, "axis M[0] must be an integer >= 1, got 16.5"),
+            ({"M": [True]}, "axis M[0] must be an integer >= 1, got True"),
+            ({"n": ["40"]}, "axis n[0] must be an integer >= 1, got '40'"),
+            ({"seeds": [0.5]}, "axis seeds[0] must be an integer >= 0, got 0.5"),
+            ({"seeds": [False]}, "axis seeds[0] must be an integer >= 0, got False"),
+            ({"seeds": [0, -3]}, "axis seeds[1] must be an integer >= 0, got -3"),
         ],
     )
     def test_malformed_axes_are_config_errors(self, axis, message):
@@ -483,7 +479,7 @@ class TestRunSweep:
         target = circuit_target()
         target["circuit"]["gates"][0]["dim"] = 1.7
         doc = sweep_doc(problem=problem_doc(target=target, n=40, seed=0))
-        with pytest.raises(ConfigError, match=re.escape("gate 0: 'dim' must be an integer >= 1, got 1.7")):
+        with pytest.raises(ConfigError, match=re.escape("gate 0.dim must be an integer >= 1, got 1.7")):
             SweepConfig.from_json(doc)
 
     def test_oracle_flag_and_master_seed_defaults_and_integral_floats(self):
@@ -646,7 +642,9 @@ class TestProblemStage:
         assert all(len(errs) == 1 for errs in errors.values())
         failed = {key: errs.pop() for key, errs in errors.items() if "" not in errs}
         assert 0 < len(failed) < len(errors)
-        assert all(err.startswith("ConfigError: support size") for err in failed.values())
+        assert all(
+            err.startswith("ConfigError: target.support_size must be at most |half| = 3, got ") for err in failed.values()
+        )
         fresh_cell_rows(config, tmp_path / "cells.csv")
         assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 

@@ -335,7 +335,7 @@ class TestValidation:
         assert Circuit(1, []).theta_count == 0
         c = Circuit(1, [rot(2), rot(0)])
         assert c.theta_count == 3
-        with pytest.raises(ValueError, match="need 3 parameters"):
+        with pytest.raises(ValueError, match="theta must be 3 numbers long, got 2"):
             evaluate_model(c, Z_OBS, [0.1, 0.2], [])
         assert evaluate_model(c, Z_OBS, [0.1, 0.0, 0.2], []) == pytest.approx(np.cos(0.3))
 
@@ -352,9 +352,10 @@ class TestValidation:
     def test_theta_count_must_match(self):
         c = Circuit(1, [GateSpec("rot", pauli="Y", theta_index=0)])
         for theta in ([], [0.1, 0.2]):
-            with pytest.raises(ConfigError, match=f"need 1 parameters, got {len(theta)}"):
+            message = f"theta must be 1 numbers long, got {len(theta)}"
+            with pytest.raises(ConfigError, match=message):
                 evaluate_model(c, Z_OBS, theta, [])
-            with pytest.raises(ConfigError, match=f"need 1 parameters, got {len(theta)}"):
+            with pytest.raises(ConfigError, match=message):
                 extract_trig_polynomial(c, Z_OBS, theta)
 
     def test_qubit_cap(self):
@@ -715,39 +716,44 @@ class TestCircuitJson:
         "path, value, message",
         [
             (("gates",), [5], "gate 0 must be an object, got 5"),
-            (("gates",), {}, "circuit 'gates' must be an array, got {}"),
-            (("gates", 0, "scale"), "a", "gate 0: 'scale' must be a number, got 'a'"),
-            (("gates", 0, "dim"), 1.7, "gate 0: 'dim' must be an integer >= 1, got 1.7"),
-            (("gates", 0, "dim"), True, "gate 0: 'dim' must be an integer >= 1, got True"),
-            (("gates", 0, "pauli"), None, "gate 0 needs 'pauli'"),
-            (("gates", 0, "pauli"), 5, "gate 0: 'pauli' must be a string, got 5"),
-            (("gates", 1, "theta"), None, "gate 1 needs 'theta'"),
-            (("gates", 1, "theta"), 0.5, "gate 1: 'theta' must be an integer >= 0, got 0.5"),
-            (("gates", 2, "t"), "1", "gate 2: 't' must be an integer >= 0, got '1'"),
-            (("gates", 2, "t"), 0, "gate 2: cnot control and target must differ"),
-            (("gates", 2, "kind"), "warp", "gate 2: unknown gate kind 'warp'"),
+            (("gates",), {}, "gates must be an array, got {}"),
+            (("gates", 0, "scale"), "a", "gate 0.scale must be a number, got 'a'"),
+            (("gates", 0, "dim"), 1.7, "gate 0.dim must be an integer >= 1, got 1.7"),
+            (("gates", 0, "dim"), True, "gate 0.dim must be an integer >= 1, got True"),
+            (("gates", 0, "pauli"), None, "gate 0.pauli must be a string, got nothing"),
+            (("gates", 0, "pauli"), 5, "gate 0.pauli must be a string, got 5"),
+            (("gates", 1, "theta"), None, "gate 1.theta must be an integer >= 0, got nothing"),
+            (("gates", 1, "theta"), 0.5, "gate 1.theta must be an integer >= 0, got 0.5"),
+            (("gates", 2, "t"), "1", "gate 2.t must be an integer >= 0, got '1'"),
+            (("gates", 2, "t"), 0, "gate 2.t must be a qubit other than c = 0, got 0"),
+            (("gates", 2, "kind"), "warp", "gate 2.kind must be one of 'encode', 'rot', 'cnot', 'cz', 'fixed', got 'warp'"),
             (
                 ("gates", 2),
                 {"kind": "fixed", "qubits": [0], "matrix": [[1, 0], [0, 1]]},
-                "gate 2: 'matrix' must be a square array of [re, im] pairs",
+                "gate 2.matrix must be a rectangular 3-d array of numbers, got [[1, 0], [0, 1]]",
             ),
             (
                 ("gates", 2),
                 {"kind": "fixed", "qubits": [0], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
-                "gate 2: 'matrix' must be a square array of [re, im] pairs",
+                "gate 2.matrix must be a rectangular 3-d array of numbers",
+            ),
+            (
+                ("gates", 2),
+                {"kind": "fixed", "qubits": [0], "matrix": [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]},
+                "gate 2.matrix must be a square array of [re, im] pairs",
             ),
             (
                 ("gates", 2),
                 {"kind": "fixed", "qubits": [0.5], "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
-                "gate 2: 'qubits' must be an array of integers >= 0, got [0.5]",
+                "gate 2.qubits[0] must be an integer >= 0, got 0.5",
             ),
-            (("qubits",), 2.5, "circuit document: 'qubits' must be an integer >= 1, got 2.5"),
+            (("qubits",), 2.5, "qubits must be an integer >= 1, got 2.5"),
             (("observable",), [], "observable must be an object, got []"),
-            (("observable", "terms"), {}, "observable 'terms' must be an array, got {}"),
-            (("observable", "terms", 0), 5, "observable term 0 must be an object, got 5"),
-            (("observable", "terms", 0, "coef"), None, "observable term 0 needs 'coef'"),
-            (("observable", "terms", 0, "coef"), "1", "observable term 0: 'coef' must be a number, got '1'"),
-            (("observable", "terms", 0, "pauli"), "ZZZ", "observable term 0: Pauli word 'ZZZ' must have length 2"),
+            (("observable", "terms"), {}, "observable.terms must be a non-empty array, got {}"),
+            (("observable", "terms", 0), 5, "observable.terms[0] must be an object, got 5"),
+            (("observable", "terms", 0, "coef"), None, "observable.terms[0].coef must be a number, got nothing"),
+            (("observable", "terms", 0, "coef"), "1", "observable.terms[0].coef must be a number, got '1'"),
+            (("observable", "terms", 0, "pauli"), "ZZZ", "observable.terms[0].pauli must be a Pauli word of 2 letters from IXYZ, got 'ZZZ'"),
         ],
     )
     def test_malformed_fields_name_the_gate_or_term(self, path, value, message):

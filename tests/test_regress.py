@@ -35,7 +35,6 @@ from rffdq.regress import (
     holdout_split,
     kernel_ridge_fit,
     linear_ridge_fit,
-    load_model,
     model_from_json,
     model_spectrum,
     rff_fit,
@@ -1058,7 +1057,7 @@ class TestModelSerialization:
             path = tmp_path / "m.json"
             with open(path, "w") as fh:
                 json.dump(doc, fh)
-            again = load_model(path)
+            again = model_from_json(json.loads(path.read_text()))
             assert json.dumps(again.to_json()) == json.dumps(doc)
             assert np.array_equal(again.predict(P), model.predict(P))
 
@@ -1073,17 +1072,17 @@ class TestModelSerialization:
         explicit = explicit_ridge_fit(data, enc, fs, w, 0.01).to_json()
         krr = kernel_ridge_fit(data, enc, fs, w, 0.01).to_json()
         bad = [
-            ({**rff, "frequencies": [], "phases": [], "coef": []}, "at least one feature"),
-            ({**rff, "frequencies": [[1.0], [2.0, 0.0], [1.0], [0.0]]}, "rff model"),
-            ({**rff, "phases": [7.0] + rff["phases"][1:]}, r"phases must lie in \[0, 2pi\)"),
-            ({**rff, "phases": [math.nan] + rff["phases"][1:]}, r"phases must lie in \[0, 2pi\)"),
-            ({**rff, "frequencies": [[math.nan]] + rff["frequencies"][1:]}, "frequencies must be finite"),
-            ({**rff, "frequencies": [[-math.inf]] + rff["frequencies"][1:]}, "frequencies must be finite"),
-            ({**rff, "lambda": "tiny"}, "rff model"),
-            ({**explicit, "v": explicit["v"][:-1]}, "v must hold"),
-            ({**explicit, "weights": explicit["weights"][:-1]}, "weights has length"),
-            ({**krr, "alpha": krr["alpha"][:-1]}, "krr model"),
-            ({**krr, "X": [row + [0.0] for row in krr["X"]]}, "points have width 2"),
+            ({**rff, "frequencies": [], "phases": [], "coef": []}, "frequencies must be a rectangular 2-d array"),
+            ({**rff, "frequencies": [[1.0], [2.0, 0.0], [1.0], [0.0]]}, "frequencies must be a rectangular 2-d array"),
+            ({**rff, "phases": [7.0] + rff["phases"][1:]}, r"phases must be in \[0, 2pi\), got \[7\.0"),
+            ({**rff, "phases": [math.nan] + rff["phases"][1:]}, r"phases\[0\] must be finite, got nan"),
+            ({**rff, "frequencies": [[math.nan]] + rff["frequencies"][1:]}, r"frequencies\[0\]\[0\] must be finite"),
+            ({**rff, "frequencies": [[-math.inf]] + rff["frequencies"][1:]}, r"frequencies\[0\]\[0\] must be finite"),
+            ({**rff, "lambda": "tiny"}, "lambda must be a number, got 'tiny'"),
+            ({**explicit, "v": explicit["v"][:-1]}, r"v must be 9 numbers long \(2 \|half\| - 1\), got shape \(8,\)"),
+            ({**explicit, "weights": explicit["weights"][:-1]}, "weights must be 5 numbers long, one per canonical frequency, got 4"),
+            ({**krr, "alpha": krr["alpha"][:-1]}, "alpha must be 25 numbers long, one per row of X, got 24"),
+            ({**krr, "X": [row + [0.0] for row in krr["X"]]}, "X must be rows of 1 numbers, the encoding's d, got rows of 2"),
         ]
         for doc, message in bad:
             with pytest.raises(ConfigError, match=message):
