@@ -6,11 +6,10 @@ B = [cos <omega_u, x_i> | sin <omega_u, x_i>] over integer rows omega_u,
 cos a cos b = [cos(a - b) + cos(a + b)]/2 and its sine forms give every
 entry of B^T B from h_X at omega_u -+ omega_v, and B^T Y is h_Y at omega_u.
 ``FourierTable`` keeps those transforms per sample, so that every Gram of
-one problem reads one table; ``feature_gram``, ``feature_values`` and
-``feature_adjoint`` give the KRR feature map's F^T F, F^T Y, F v and F^T a
-in ``kernelmap.feature_matrix``'s layout.  All of it is formed from
-per-dimension power tables e^{i k x_j}, in row blocks of at most
-``kernelmap.TRIG_BLOCK_ENTRIES`` complex entries.
+one problem reads one table; ``basis_sums`` gives B^T a, and
+``basis_residuals`` r = (Y - B u)/s with its B^T r, in one pass.  All of it
+is formed from per-dimension power tables e^{i k x_j}, in row blocks of at
+most ``kernelmap.TRIG_BLOCK_ENTRIES`` complex entries.
 
 The module is imported where a fit first needs it, not with the package.
 """
@@ -22,8 +21,7 @@ import math
 import numpy as np
 
 from .errors import NonIntegerFrequencyError
-from .freqcore import FrequencySet
-from .kernelmap import TRIG_BLOCK_ENTRIES, WeightVector, _feature_columns, _points
+from .kernelmap import TRIG_BLOCK_ENTRIES
 
 
 def _integer_reach(freqs: np.ndarray) -> tuple[int, ...] | None:
@@ -78,21 +76,28 @@ def wave_sums(X: np.ndarray, weights, reach) -> np.ndarray:
     of all but the last dimension are multiplied out into one row per box
     point, and the last dimension's, times each weight, is contracted
     against them by one matrix product over the block's points."""
+    return _box_sums(X, reach, len(weights), lambda rows, tables: [a[rows] for a in weights])
+
+
+def _box_sums(X: np.ndarray, reach, k: int, block_weights) -> np.ndarray:
+    """``wave_sums`` of the k weights ``block_weights(rows, tables)`` gives
+    per row block, from its rows and its power tables."""
     n, d = X.shape
-    k, sizes = len(weights), [2 * r + 1 for r in reach]
+    sizes = [2 * r + 1 for r in reach]
     sizes[0] = reach[0] + 1
     inner, last = math.prod(sizes[:-1]), sizes[-1]
     out = np.zeros((inner, k * last), dtype=complex)
     # the block's tables hold at most TRIG_BLOCK_ENTRIES complex entries
     step = max(1, TRIG_BLOCK_ENTRIES // (2 * sum(reach) + d + inner + k * last))
     for r in range(0, n, step):
-        tables = _power_tables(X[r : r + step], reach)
+        rows = slice(r, r + step)
+        tables = _power_tables(X[rows], reach)
+        block = np.stack(block_weights(rows, tables))
         tables[0] = tables[0][reach[0] :]
         m = tables[0].shape[1]
         left = np.ones((1, m), dtype=complex)
         for P in tables[:-1]:
             left = (left[:, None, :] * P[None, :, :]).reshape(-1, m)
-        block = np.stack([a[r : r + step] for a in weights])
         right = (block[:, None, :] * tables[-1]).reshape(k * last, m)
         out += left @ right.T
     half = np.moveaxis(out.reshape(inner, k, last), 1, 0).reshape(k, *sizes)
@@ -100,24 +105,6 @@ def wave_sums(X: np.ndarray, weights, reach) -> np.ndarray:
     mirror = np.conj(np.flip(half, axis=axes))
     plane = 0.5 * (half[:, :1] + mirror[:, -1:])
     return np.concatenate([mirror[:, :-1], plane, half[:, 1:]], axis=1)
-
-
-def wave_values(X: np.ndarray, Z: np.ndarray, reach) -> np.ndarray:
-    """Re sum_nu Z[nu] e^{i <nu, x>} at each row of ``X``, for ``Z`` over the
-    box |nu_j| <= reach_j laid out as ``wave_sums`` lays it out: per row
-    block, contracted one dimension's power table at a time."""
-    n = X.shape[0]
-    sizes = Z.shape
-    out = np.empty(n)
-    step = max(1, TRIG_BLOCK_ENTRIES // (sum(sizes) + Z.size // sizes[0]))
-    for r in range(0, n, step):
-        tables = _power_tables(X[r : r + step], reach)
-        m = tables[0].shape[1]
-        acc = Z.reshape(sizes[0], -1).T @ tables[0]
-        for P in tables[1:]:
-            acc = (acc.reshape(P.shape[0], -1, m) * P[:, None, :]).sum(axis=0)
-        out[r : r + m] = acc[0].real
-    return out
 
 
 class FourierTable:
@@ -160,8 +147,7 @@ class FourierTable:
         np.subtract(plus.imag, minus.imag, out=G[:S, S:])
         G[S:, :S] = G[:S, S:].T
         G *= 0.5
-        y = hY.ravel()[at + hY.size // 2]
-        return G, np.concatenate([y.real, y.imag])
+        return G, _basis_entries(freqs, hY)
 
 
 def _box_index(freqs: np.ndarray, shape) -> np.ndarray:
@@ -172,44 +158,45 @@ def _box_index(freqs: np.ndarray, shape) -> np.ndarray:
     return freqs.astype(np.int64) @ strides
 
 
-def feature_gram(table: FourierTable, fs: FrequencySet, w: WeightVector):
-    """(F^T F, F^T Y) for F = ``feature_matrix(table.X, fs, w)`` and the
-    table's labels Y, read from the table; ``table_reach(fs.half)`` must
-    not be None."""
-    rows, scale = _feature_columns(fs, w)
-    G, BtY = table.gram(fs.half)
-    return np.outer(scale, scale) * G.take(rows, 0).take(rows, 1), scale * BtY[rows]
+def basis_sums(X: np.ndarray, freqs: np.ndarray, a) -> np.ndarray:
+    """B^T a for the wave basis B = [cos <omega_s, x_i> | sin <omega_s, x_i>]
+    over the integer rows omega_s of ``freqs`` (cosines first) at the points
+    ``X``, read from ``wave_sums`` at the rows' reach: B is not formed."""
+    reach = _lattice_reach(freqs)
+    return _basis_entries(freqs, wave_sums(X, [a], reach)[0])
 
 
-def feature_values(X, fs: FrequencySet, w: WeightVector, v) -> np.ndarray:
-    """F v for F = ``feature_matrix(X, fs, w)`` on an integer lattice, from
-    per-dimension power tables: F is not formed."""
-    rows, scale = _feature_columns(fs, w)
-    reach, S = _lattice_reach(fs), fs.size
-    # B u for the wave basis B over the half is Re sum_s (u_cos,s - i
-    # u_sin,s) e^{i <omega_s, x>}
-    u = np.zeros(2 * S)
-    u[rows] = scale * np.asarray(v, dtype=float)
+def basis_residuals(X: np.ndarray, freqs: np.ndarray, u, Y, scale: float):
+    """(r, B^T r) for r = (Y - B u)/``scale`` and B as in ``basis_sums``, in
+    one pass: each row block's power tables give its B u, then its share of
+    B^T r, which is ``basis_sums(X, freqs, r)`` bit for bit."""
+    reach, S = _lattice_reach(freqs), freqs.shape[0]
+    # B u is Re sum_s (u_cos,s - i u_sin,s) e^{i <omega_s, x>}
     Z = np.zeros(tuple(2 * r + 1 for r in reach), dtype=complex)
-    Z.ravel()[_box_index(fs.half, Z.shape) + Z.size // 2] = u[:S] - 1j * u[S:]
-    return wave_values(_points(X, fs.d), Z, reach)
+    Z.ravel()[_box_index(freqs, Z.shape) + Z.size // 2] = u[:S] - 1j * u[S:]
+    r = np.empty(X.shape[0])
+
+    def residuals(rows, tables):
+        # the block's B u, contracted one dimension's table at a time
+        m = tables[0].shape[1]
+        acc = Z.reshape(Z.shape[0], -1).T @ tables[0]
+        for P in tables[1:]:
+            acc = (acc.reshape(P.shape[0], -1, m) * P[:, None, :]).sum(axis=0)
+        r[rows] = (Y[rows] - acc[0].real) / scale
+        return [r[rows]]
+
+    return r, _basis_entries(freqs, _box_sums(X, reach, 1, residuals)[0])
 
 
-def feature_adjoint(X, fs: FrequencySet, w: WeightVector, a) -> np.ndarray:
-    """F^T a for F = ``feature_matrix(X, fs, w)`` on an integer lattice,
-    from per-dimension power tables: F is not formed."""
-    rows, scale = _feature_columns(fs, w)
-    reach, X = _lattice_reach(fs), _points(X, fs.d)
-    a = np.asarray(a, dtype=float)
-    if a.shape != (X.shape[0],):
-        raise ValueError(f"{a.shape} coefficients for {X.shape[0]} points")
-    h = wave_sums(X, [a], reach)[0]
-    h = h.ravel()[_box_index(fs.half, h.shape) + h.size // 2]
-    return scale * np.concatenate([h.real, h.imag])[rows]
+def _basis_entries(freqs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """B^T a from the box h of a's sums: the real parts of h at the rows of
+    ``freqs``, then the imaginary parts."""
+    h = h.ravel()[_box_index(freqs, h.shape) + h.size // 2]
+    return np.concatenate([h.real, h.imag])
 
 
-def _lattice_reach(fs: FrequencySet) -> tuple[int, ...]:
-    reach = _integer_reach(fs.half)
+def _lattice_reach(freqs: np.ndarray) -> tuple[int, ...]:
+    reach = _integer_reach(freqs)
     if reach is None:
         raise NonIntegerFrequencyError("power tables serve integer frequency lattices only")
     return reach

@@ -13,16 +13,18 @@ RKHS norm into a plain 2-norm of rescaled Fourier coefficients.
 ``feature_matrix`` defines the column layout of phi_w, and with it of every
 hyperplane v over phi_w: column 0 is the zero frequency, columns 2i - 1 and
 2i the cosine and sine of row i of the canonical half.  ``hyperplane_spectrum``
-maps such a v to its canonical-half spectrum, and ``rkhs_norm`` maps a
-spectrum back to the 2-norm of its v; no other module reads the layout.
+maps such a v to its canonical-half spectrum, ``rkhs_norm`` maps a spectrum
+back to the 2-norm of its v, and ``feature_rows`` gives each column as one
+half row's cosine and sine with their coefficients (the C of
+``regress.gram_ridge``); no other module reads the layout.
 
 A plane wave e^{i <omega, x>} that a polynomial, a feature map, a kernel
 or a fitted model takes at sample points comes from ``PlaneWaves``, which
 forms it from a product tree over the columns or by one cosine and one sine
 per (point, term), by the cost rule in ``_tables_pay`` at every d.  The one
-exception is ``fourier``: on integer frequencies it reads the Grams of a
-sample's wave basis, and of phi_w's feature matrix (whose layout it takes
-from ``_feature_columns``), from the sample's empirical Fourier transform.
+exception is ``fourier``: on integer frequencies it reads a sample's wave
+basis Gram, and its products with vectors, from the sample's empirical
+Fourier transform and per-dimension power tables.
 """
 
 from __future__ import annotations
@@ -629,16 +631,17 @@ def feature_matrix(X, fs: FrequencySet, w: WeightVector) -> np.ndarray:
     return out
 
 
-def _feature_columns(fs: FrequencySet, w: WeightVector) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, scale)``: column k of ``feature_matrix(X, fs, w)`` is
-    scale[k] times column rows[k] of the wave basis [cos | sin] over
-    ``fs.half`` (the zero frequency's sine column is never read)."""
+def feature_rows(fs: FrequencySet, w: WeightVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, a, b)``: column k of ``feature_matrix(X, fs, w)`` is
+    a[k] cos <omega, x> + b[k] sin <omega, x> at omega = ``fs.half[row[k]]``,
+    a cosine (a = w / ||w||, b = 0) or a sine (a = 0, b = w / ||w||)."""
     _check_lengths(fs, w)
-    S = fs.size
-    half_row = np.arange(1, 2 * S) // 2
-    rows = half_row.copy()
-    rows[2::2] += S
-    return rows, w.weights[half_row] / w.norm2
+    row = np.arange(1, 2 * fs.size) // 2
+    a = w.weights[row] / w.norm2
+    b = np.zeros_like(a)
+    b[2::2] = a[2::2]
+    a[2::2] = 0.0
+    return row, a, b
 
 
 def hyperplane_spectrum(v, fs: FrequencySet, w: WeightVector) -> TrigPolynomial:

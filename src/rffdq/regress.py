@@ -6,19 +6,19 @@ regularized system, so a given lambda means the same thing across models and
 feature counts (the 1/sqrt(M) normalization lives in the random feature
 matrix).  ``linear_ridge_fit`` solves it on a design, by the primal D x D
 system when D <= n or lambda = 0 and by the dual n x n Gram system when
-D > n.  Random-feature ridge enters at ``RffFeatureSet.ridge``: where lambda
-> 0 and the U distinct frequencies give 2U < min(n, M), it solves a 2U x 2U
-system in the span of those frequencies and forms no n x M design, and
-elsewhere it forms the design and calls ``linear_ridge_fit``.  Every
-solution is residual-checked against the normal equations of the design,
-on the factored route through the design's factors.
+D > n.  ``gram_ridge`` solves it from the Gram of a wave basis B, on a
+design F = B C that is never formed: random features (``RffFeatureSet.ridge``)
+where lambda > 0 and 2U < min(n, M), with C their phase rows, and the KRR
+oracle on integer lattices, with C phi_w's feature rows.  Other fits form
+their design and call ``linear_ridge_fit``.  Every solution is
+residual-checked against its design's normal equations, read through B's
+Gram and C where the design is not formed.
 
 On integer frequencies a ``fourier.FourierTable`` of the data, one per
-problem, gives the Grams of the factored solve and of the kernel ridge
-oracle from the points' empirical Fourier transform, where its cost rule
-says reading it beats forming the wave basis.  The factored solve then does
-no work of size n beyond the table's one box per reach, and the oracle forms
-no feature matrix.
+problem, gives B^T B and B^T Y from the points' empirical Fourier transform,
+where its cost rule says reading it beats forming B.  The factored solve
+then does no work of size n beyond the table's one box per reach, and the
+oracle forms no feature matrix.
 
 A fitted model's true risk under uniform inputs is computed from its exact
 spectrum (``model_spectrum``), never from sample points, on integer and
@@ -41,6 +41,7 @@ from .kernelmap import (
     WeightVector,
     column_ranks,
     feature_matrix,
+    feature_rows,
     group_rows,
     hyperplane_spectrum,
     mean_square,
@@ -383,77 +384,85 @@ class RffFeatureSet:
             B[rows, U:] = phasors.imag
         return B
 
-    def _normal_products(self, G: np.ndarray, BtY: np.ndarray, w: np.ndarray):
-        """F^T F w and F^T Y for the design F = B C, given G = B^T B and
-        B^T Y, read through C alone: C w is two bincounts, and C^T p gathers
-        each feature's two rows."""
-        U, u = self.distinct.shape[0], self.inverse
-        a, b = self._phase_rows()
-        Cw = np.concatenate([np.bincount(u, a * w, U), np.bincount(u, b * w, U)])
-
-        def Ct(p):
-            return a * p[:U][u] + b * p[U:][u]
-
-        return Ct(G @ Cw), Ct(BtY)
-
     def factored_ridge(self, X, Y, lam: float, table: FourierTable | None = None) -> np.ndarray:
-        """Ridge weights on the design at ``X`` for lambda > 0, solved in
-        the span of the U distinct frequencies without forming the design.
-
-        The design factors exactly as F = B C: B (n x 2U) holds cos and sin
-        of <w_u, x> (all cosines, then all sines), and C (2U x M) the phase
-        coefficients sqrt(2/M) (cos g_i, -sin g_i) of each feature's
-        frequency.  By push-through, w = C^T z with
-        (n lambda I + B^T B S) z = B^T Y, where S = C C^T has one 2 x 2 block
-        per frequency.  That system is solved symmetrized: Gram-Schmidt on
-        each frequency's two rows of C gives C = L E, with L lower
-        triangular (S = L L^T) and E orthonormal rows, so with A = B L and
-        v = L^T z the ridge is (A^T A + n lambda I) v = A^T Y and w = E^T v.
-        Nothing is divided by n lambda, and a singular block of S (a
-        frequency drawn once, or two phases that nearly coincide) gives a
-        zero or small column of A instead of a null-space part of z that
-        grows as 1/(n lambda).
-
-        G = B^T B and B^T Y come from ``table``, a ``FourierTable`` of ``X``
-        and ``Y`` (a fresh one when not given), where its cost rule takes
-        the distinct frequencies, and otherwise from B itself.  A^T A =
-        L^T G L is formed per 2 x 2 block of frequencies, so on the table's
-        route no step does work of size n.  The weights are residual-checked
-        against F's normal equations read through G and C (not L and E).
-        """
+        """Ridge weights on the design at ``X`` for lambda > 0, by
+        ``gram_ridge`` on the wave basis B of the U distinct frequencies and
+        C their phase rows sqrt(2/M) (cos g_i, -sin g_i): the design is not
+        formed.  B^T B and B^T Y come from ``table``, a ``FourierTable`` of
+        ``X`` and ``Y`` (a fresh one when not given), where its cost rule
+        takes the distinct frequencies, and otherwise from B itself."""
         X = self.waves.points(X)
         Y = _ridge_inputs(X, Y, lam)
-        n, U, u = X.shape[0], self.distinct.shape[0], self.inverse
-        a, b = self._phase_rows()
-        n1 = np.sqrt(np.bincount(u, a * a, U))
-        e1, e2, t = a / n1[u], b, np.zeros(U)
-        # projecting twice keeps e2 orthogonal to e1 when b nearly lies
-        # along it; a frequency drawn once leaves e2 exactly 0
-        for _ in range(2):
-            s = np.bincount(u, e1 * e2, U)
-            e2 = e2 - s[u] * e1
-            t += s
-        n2 = np.sqrt(np.bincount(u, e2 * e2, U))
-        e2 = np.divide(e2, n2[u], out=np.zeros(self.M), where=n2[u] > 0)
         products = _table_of(table, X, Y).gram(self.distinct)
         if products is None:
             B = self._wave_basis(X)
             products = B.T @ B, B.T @ Y
-        G, BtY = products
-        cc, cs, ss = G[:U, :U], G[:U, U:], G[U:, U:]
-        # L = [[diag n1, 0], [diag t, diag n2]]: A's cosine column u is
-        # n1_u cos_u + t_u sin_u, and its sine column n2_u sin_u
-        H = np.empty_like(G)
-        H[:U, :U] = n1[:, None] * (cc * n1 + cs * t) + t[:, None] * (cs.T * n1 + ss * t)
-        H[:U, U:] = (n1[:, None] * cs + t[:, None] * ss) * n2
-        H[U:, :U] = H[:U, U:].T
-        H[U:, U:] = n2[:, None] * ss * n2
-        H.flat[:: 2 * U + 1] += lam * n
-        v = _solve_spd(H, np.concatenate([n1 * BtY[:U] + t * BtY[U:], n2 * BtY[U:]]), allow_jitter=True)
-        w = e1 * v[:U][u] + e2 * v[U:][u]
-        FtFw, FtY = self._normal_products(G, BtY, w)
-        _check_normal_equations(FtFw, w, FtY, lam * n)
-        return w
+        return gram_ridge(*products, self.inverse, *self._phase_rows(), lam * X.shape[0])
+
+
+def _wave_coefficients(row: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray, U: int) -> np.ndarray:
+    """C w for ``gram_ridge``'s C over U frequencies: two bincounts."""
+    return np.concatenate([np.bincount(row, a * w, U), np.bincount(row, b * w, U)])
+
+
+def _feature_sums(row: np.ndarray, a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """C^T p for ``gram_ridge``'s C: each feature's two rows of p, gathered."""
+    U = p.size // 2
+    return a * p[:U][row] + b * p[U:][row]
+
+
+def _normal_products(G: np.ndarray, BtY: np.ndarray, row, a, b, w: np.ndarray):
+    """F^T F w and F^T Y for ``gram_ridge``'s F = B C, read through C."""
+    Cw = _wave_coefficients(row, a, b, w, G.shape[0] // 2)
+    return _feature_sums(row, a, b, G @ Cw), _feature_sums(row, a, b, BtY)
+
+
+def gram_ridge(G: np.ndarray, BtY: np.ndarray, row, a, b, lam_n: float) -> np.ndarray:
+    """Ridge weights (F^T F + lam_n I)^{-1} F^T Y on the design F = B C,
+    from G = B^T B and B^T Y of its wave basis B = [cos | sin] over U
+    frequencies, where column k of F is a_k cos_u + b_k sin_u at
+    u = ``row[k]``; F is never formed.
+
+    By push-through, w = C^T z with (lam_n I + G S) z = B^T Y, where
+    S = C C^T has one 2 x 2 block per frequency.  That system is solved
+    symmetrized: Gram-Schmidt on each frequency's two rows of C gives
+    C = L E, with L lower triangular (S = L L^T) and E orthonormal rows, so
+    with A = B L and v = L^T z the ridge is (A^T A + lam_n I) v = A^T Y and
+    w = E^T v.  Nothing is divided by lam_n, and a singular block of S (a
+    frequency with one feature, two phases that nearly coincide, or a zero
+    weight of the KRR feature map) gives a zero or small column of A instead
+    of a null-space part of z that grows as 1/lam_n.  A^T A = L^T G L is
+    formed per 2 x 2 block of frequencies, and the weights are
+    residual-checked against F's normal equations read through G and C (not
+    L and E).
+    """
+    U, M = G.shape[0] // 2, row.size
+    n1 = np.sqrt(np.bincount(row, a * a, U))
+    # a frequency whose cosine row is zero leaves e1 exactly 0, as one
+    # drawn once leaves e2 exactly 0 below
+    e1 = np.divide(a, n1[row], out=np.zeros(M), where=n1[row] > 0)
+    e2, t = b, np.zeros(U)
+    # projecting twice keeps e2 orthogonal to e1 when b nearly lies along it
+    for _ in range(2):
+        s = np.bincount(row, e1 * e2, U)
+        e2 = e2 - s[row] * e1
+        t += s
+    n2 = np.sqrt(np.bincount(row, e2 * e2, U))
+    e2 = np.divide(e2, n2[row], out=np.zeros(M), where=n2[row] > 0)
+    cc, cs, ss = G[:U, :U], G[:U, U:], G[U:, U:]
+    # L = [[diag n1, 0], [diag t, diag n2]]: A's cosine column u is
+    # n1_u cos_u + t_u sin_u, and its sine column n2_u sin_u
+    H = np.empty_like(G)
+    H[:U, :U] = n1[:, None] * (cc * n1 + cs * t) + t[:, None] * (cs.T * n1 + ss * t)
+    H[:U, U:] = (n1[:, None] * cs + t[:, None] * ss) * n2
+    H[U:, :U] = H[:U, U:].T
+    H[U:, U:] = n2[:, None] * ss * n2
+    H.flat[:: 2 * U + 1] += lam_n
+    v = _solve_spd(H, np.concatenate([n1 * BtY[:U] + t * BtY[U:], n2 * BtY[U:]]), allow_jitter=True)
+    w = e1 * v[:U][row] + e2 * v[U:][row]
+    FtFw, FtY = _normal_products(G, BtY, row, a, b, w)
+    _check_normal_equations(FtFw, w, FtY, lam_n)
+    return w
 
 
 class _Model:
@@ -601,9 +610,10 @@ def model_from_json(doc: dict) -> _Model:
     if alpha.size != X.shape[0]:
         raise ConfigError.at("alpha", f"{X.shape[0]} numbers long, one per row of X", str(alpha.size))
     if _krr_tabled(fs, X.shape[0]):
-        from .fourier import feature_adjoint
+        from .fourier import basis_sums
 
-        v = feature_adjoint(X, fs, w, alpha)
+        row, a, b = feature_rows(fs, w)
+        v = _feature_sums(row, a, b, basis_sums(X, fs.half, alpha))
     else:
         v = feature_matrix(X, fs, w).T @ alpha
     return KrrModel(enc, w, v, lam, _fs=fs, X_train=X, alpha=alpha)
@@ -636,28 +646,27 @@ def kernel_ridge_fit(
 
     Where the primal system is no larger than n (2 |half| - 1 <= n) and
     ``table``, a ``FourierTable`` of the data (a fresh one when not given),
-    takes the half by its cost rule, F^T F and F^T Y are read from the table
-    and F v and F^T alpha formed from its power tables: F is never formed.
-    Otherwise F is formed and ``linear_ridge_fit`` takes the primal or the
-    dual by shape.
+    takes the half by its cost rule, v is ``gram_ridge`` on the table's Gram
+    with C phi_w's feature rows (``kernelmap.feature_rows``), and
+    F v = B (C v) and F^T alpha = C^T (B^T alpha) come from one pass of
+    ``fourier.basis_residuals``: F is never formed.  Otherwise F is formed
+    and ``linear_ridge_fit`` takes the primal or the dual by shape.
     """
     if lam <= 0:
         raise ValueError("kernel ridge regression needs lambda > 0")
-    n, D = data.n, 2 * fs.size - 1
+    n = data.n
     if not _krr_tabled(fs, n):
         F = feature_matrix(data.X, fs, w)
         alpha = (data.Y - F @ linear_ridge_fit(F, data.Y, lam)) / (n * lam)
         return KrrModel(enc, w, F.T @ alpha, lam, _fs=fs, X_train=data.X, alpha=alpha)
-    from .fourier import feature_adjoint, feature_gram, feature_values
+    from .fourier import basis_residuals
 
-    FtF, FtY = feature_gram(_table_of(table, data.X, data.Y), fs, w)
-    A = FtF.copy()
-    A.flat[:: D + 1] += lam * n
-    v = _solve_spd(A, FtY, allow_jitter=True)
-    _check_normal_equations(FtF @ v, v, FtY, lam * n)
-    alpha = (data.Y - feature_values(data.X, fs, w, v)) / (n * lam)
-    hyperplane = feature_adjoint(data.X, fs, w, alpha)
-    return KrrModel(enc, w, hyperplane, lam, _fs=fs, X_train=data.X, alpha=alpha)
+    G, BtY = _table_of(table, data.X, data.Y).gram(fs.half)
+    row, a, b = feature_rows(fs, w)
+    v = gram_ridge(G, BtY, row, a, b, lam * n)
+    Cv = _wave_coefficients(row, a, b, v, fs.size)
+    alpha, Bta = basis_residuals(data.X, fs.half, Cv, data.Y, n * lam)
+    return KrrModel(enc, w, _feature_sums(row, a, b, Bta), lam, _fs=fs, X_train=data.X, alpha=alpha)
 
 
 def _krr_tabled(fs: FrequencySet, n: int) -> bool:

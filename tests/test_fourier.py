@@ -1,5 +1,5 @@
-"""The empirical Fourier transform of a sample, against the wave basis and
-the KRR feature matrix formed directly."""
+"""The empirical Fourier transform of a sample, and the power-table products
+of its wave basis, against the wave basis formed directly."""
 
 import tracemalloc
 
@@ -8,9 +8,9 @@ import pytest
 
 from conftest import pauli_half_encoding
 from rffdq.errors import NonIntegerFrequencyError
-from rffdq.fourier import FourierTable, feature_adjoint, feature_gram, feature_values, table_reach
+from rffdq.fourier import FourierTable, basis_residuals, basis_sums, table_reach
 from rffdq.freqcore import EncodingStrategy, build_frequency_set
-from rffdq.kernelmap import TRIG_BLOCK_ENTRIES, WeightVector, feature_matrix
+from rffdq.kernelmap import TRIG_BLOCK_ENTRIES
 
 
 def wave_basis(X, freqs):
@@ -111,33 +111,29 @@ class TestFourierTable:
         assert peak < 16 * n
 
 
-class TestFeatureProducts:
-    """F^T F, F^T Y, F v and F^T a of the KRR feature map, read from a
-    Fourier table or formed from power tables, against the feature matrix."""
+class TestBasisProducts:
+    """B^T a, and the residual r = (Y - B u)/s with its B^T r, of the wave
+    basis over a lattice's half, formed from power tables, against B."""
 
     @pytest.mark.parametrize("L", [[4], [3, 3], [1, 2, 1]])
-    def test_match_the_feature_matrix(self, L):
+    def test_match_the_wave_basis(self, L):
         gen = np.random.default_rng(len(L))
-        fs = build_frequency_set(pauli_half_encoding(L))
-        w = WeightVector(gen.uniform(0.2, 1.0, fs.size))
+        freqs = build_frequency_set(pauli_half_encoding(L)).half
         X = gen.uniform(0, 2 * np.pi, (120, len(L)))
-        Y, v, a = gen.normal(size=120), gen.normal(size=2 * fs.size - 1), gen.normal(size=120)
-        F = feature_matrix(X, fs, w)
-        FtF, FtY = feature_gram(FourierTable(X, Y), fs, w)
-        for got, want in (
-            (FtF, F.T @ F),
-            (FtY, F.T @ Y),
-            (feature_values(X, fs, w, v), F @ v),
-            (feature_adjoint(X, fs, w, a), F.T @ a),
-        ):
+        Y, u, a = gen.normal(size=120), gen.normal(size=2 * len(freqs)), gen.normal(size=120)
+        B = wave_basis(X, freqs)
+        r, Btr = basis_residuals(X, freqs, u, Y, 0.7)
+        want_r = (Y - B @ u) / 0.7
+        for got, want in ((basis_sums(X, freqs, a), B.T @ a), (r, want_r), (Btr, B.T @ want_r)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # the one pass sums r over the same row blocks as basis_sums
+        assert np.array_equal(Btr, basis_sums(X, freqs, r))
 
     def test_refuse_non_integer_lattices(self):
-        fs = build_frequency_set(EncodingStrategy.from_json({"dimensions": [[[-0.3, 0.3]]]}))
-        w = WeightVector.uniform(fs.size)
+        freqs = build_frequency_set(EncodingStrategy.from_json({"dimensions": [[[-0.3, 0.3]]]})).half
         X = np.full((4, 1), 0.5)
         with pytest.raises(NonIntegerFrequencyError):
-            feature_values(X, fs, w, np.ones(2 * fs.size - 1))
+            basis_sums(X, freqs, np.ones(4))
         with pytest.raises(NonIntegerFrequencyError):
-            feature_adjoint(X, fs, w, np.ones(4))
+            basis_residuals(X, freqs, np.ones(2 * len(freqs)), np.ones(4), 1.0)

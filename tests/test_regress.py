@@ -25,6 +25,7 @@ from rffdq.kernelmap import (
     feature_matrix,
     kernel_matrix,
     l2_norm_sq,
+    weights_of,
 )
 from rffdq.regress import (
     Dataset,
@@ -659,6 +660,59 @@ class TestTableRoute:
         again = model_from_json(json.loads(json.dumps(model.to_json())))
         assert np.array_equal(again.v, model.v)
 
+    def test_kernel_ridge_with_zero_probability_frequencies(self, bases, monkeypatch):
+        # the sampler's support leaves out the zero frequency and two more
+        # half rows: their weights are 0, so C has a zero cosine row there
+        enc = pauli_half_encoding([2, 1])
+        fs = build_frequency_set(enc)
+        gen = np.random.default_rng(17)
+        keep = np.ones(fs.size, dtype=bool)
+        keep[[0, 2, 5]] = False
+        probs = gen.uniform(0.2, 1.0, keep.sum())
+        w = weights_of(ExplicitDistribution(fs, fs.half[keep], probs / probs.sum()).pmf_vector())
+        assert np.flatnonzero(w.weights == 0).tolist() == [0, 2, 5]
+        X = gen.uniform(0, 2 * np.pi, (40, 2))
+        Y = np.cos(X[:, 0] - 2 * X[:, 1]) + 0.5 + gen.uniform(-0.1, 0.1, 40)
+        data = Dataset(X, Y, 2.0)
+        model = kernel_ridge_fit(data, enc, fs, w, 0.05, FourierTable(X, Y))
+        assert bases == []
+        alpha = krr_alpha_by_gram(X, Y, fs, w, 0.05)
+        assert np.max(np.abs(model.alpha - alpha)) <= 1e-10 * np.max(np.abs(alpha))
+        again = model_from_json(json.loads(json.dumps(model.to_json())))
+        assert np.array_equal(again.v, model.v)
+        monkeypatch.setattr(regress, "_krr_tabled", lambda fs, n: False)
+        direct = kernel_ridge_fit(data, enc, fs, w, 0.05)
+        assert bases == ["feature_matrix"]
+        P = gen.uniform(0, 2 * np.pi, (50, 2))
+        want = direct.predict(P)
+        assert np.max(np.abs(model.predict(P) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_kernel_ridge_forms_each_blocks_power_tables_once(self, monkeypatch):
+        # sweep_lowd's lattice; 1500 points make more than one row block
+        from rffdq import fourier
+
+        enc = pauli_half_encoding([6, 6])
+        fs = build_frequency_set(enc)
+        gen = np.random.default_rng(3)
+        X = gen.uniform(0, 2 * np.pi, (1500, 2))
+        Y = np.sin(X[:, 0] + X[:, 1]) + 0.1 * gen.normal(size=1500)
+        table = FourierTable(X, Y)
+        table.gram(fs.half)  # a warm table: its box is formed already
+        calls, real = [], fourier._power_tables
+
+        def spy(X, reach):
+            calls.append(X.shape[0])
+            return real(X, reach)
+
+        monkeypatch.setattr(fourier, "_power_tables", spy)
+        w = WeightVector(gen.uniform(0.5, 1.0, fs.size))
+        model = kernel_ridge_fit(Dataset(X, Y, float(np.max(np.abs(Y)))), enc, fs, w, 1e-3, table)
+        # one call per row block: F v and F^T alpha share each block's tables
+        assert len(calls) > 1 and sum(calls) == 1500
+        blocks = calls.copy()
+        again = model_from_json(json.loads(json.dumps(model.to_json())))
+        assert calls[len(blocks) :] == blocks and np.array_equal(again.v, model.v)
+
     def test_kernel_ridge_off_the_integers_forms_the_feature_matrix(self, bases):
         enc = EncodingStrategy.from_json({"dimensions": [[[-0.3, 0.3]], [[-0.5, 0.5]]]})
         fs = build_frequency_set(enc)
@@ -768,7 +822,7 @@ class TestRffFit:
         B = fset._wave_basis(X)
         w = fset.ridge(X, Y, lam)
         for v, scale in ((w, 1.0 + np.max(np.abs(F.T @ Y))), (w * 1.01, None)):
-            FtFw, FtY = fset._normal_products(B.T @ B, B.T @ Y, v)
+            FtFw, FtY = regress._normal_products(B.T @ B, B.T @ Y, fset.inverse, *fset._phase_rows(), v)
             want_FtFw, want_FtY = F.T @ (F @ v), F.T @ Y
             assert np.max(np.abs(FtFw - want_FtFw)) <= 1e-12 * np.max(np.abs(want_FtFw))
             assert np.max(np.abs(FtY - want_FtY)) <= 1e-12 * np.max(np.abs(want_FtY))
