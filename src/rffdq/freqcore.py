@@ -182,11 +182,13 @@ class FrequencySet:
     of at most ``LATTICE_CAP`` points (``materialized``); beyond it that
     read raises CapacityError, while everything that needs only the
     per-dimension sets (locating, coding, row lookup, sampling) still runs.
+    ``encoding`` is the strategy that ``build_frequency_set`` read.
     """
 
     per_dimension_freqs: list[np.ndarray]
     full_size: int
     is_integer: bool
+    encoding: EncodingStrategy | None = field(default=None, compare=False, repr=False)
     _half: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
@@ -259,8 +261,8 @@ class FrequencySet:
             # NaN compares false both ways: only a match within MATCH_TOL is on
             off = ~(np.abs(freqs[idx] - vals) <= MATCH_TOL)
             if off.any():
-                value = vals[np.argmax(off)]
-                raise ValueError(f"frequency component {value} not in lattice dimension {j+1}")
+                i = np.argmax(off)
+                raise ValueError(f"frequency {rows[i].tolist()}: {vals[i]} not in lattice dimension {j+1}")
             out[:, j] = idx
         return out
 
@@ -320,4 +322,4 @@ def build_frequency_set(enc: EncodingStrategy) -> FrequencySet:
     full_size = 1
     for f in per_dim:
         full_size *= int(f.size)
-    return FrequencySet(per_dim, full_size, all(is_integer_valued(f) for f in per_dim))
+    return FrequencySet(per_dim, full_size, all(is_integer_valued(f) for f in per_dim), enc)

@@ -10,11 +10,13 @@ What depends only on the sweep is computed once per sweep
 (``SweepInvariants``): the frequency set, the distribution (which
 enumerates its pmf vector once), p_max, the KRR oracle's weights, and the
 realized target and its alignment when the target consumes no rng
-(explicit and circuit targets).  What depends on the problem but not on M is computed once per
-problem (``Problem``), by the first cell that needs it: a random target's
-draw, the dataset, its Fourier table and the alignment per (n, seed), and
-the KRR oracle's true risk per (n, lambda, seed).  Per cell remain the
-feature draw and fit, the RFF risks and the model spectrum.
+(explicit and circuit targets; a circuit, parsed once with the config, is
+extracted straight onto the frequency set).  What depends on the problem
+but not on M is computed once per problem (``Problem``), by the first cell
+that needs it: a random target's draw, the dataset, its Fourier table and
+the alignment per (n, seed), and the KRR oracle's true risk per (n, lambda,
+seed).  Per cell remain the feature draw and fit, the RFF risks and the
+model spectrum.
 
 The true risks and ``l2_err_sq`` are exact on every lattice: they come from
 the model's spectrum (``regress.true_risk_estimate``), not from sample
@@ -102,6 +104,7 @@ class ProblemSpec:
             {"kind": "circuit", "circuit": {...}, "theta": [...]}
     noise: bounded uniform on [-sigma sqrt(3), sigma sqrt(3)] (second moment
     sigma^2) so the almost-sure label bound holds exactly.
+    circuit: a circuit target's (Circuit, Observable), parsed by from_json or on first use.
     """
 
     encoding: EncodingStrategy
@@ -110,6 +113,7 @@ class ProblemSpec:
     seed: int
     noise_kind: str = "none"
     noise_sigma: float = 0.0
+    circuit: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ProblemSpec":
@@ -132,7 +136,7 @@ class ProblemSpec:
         else:
             from .pqcsim import circuit_from_json, encoding_of
 
-            circuit, _ = circuit_from_json(read_field(target, "circuit", "object", "target."))
+            circuit, obs = circuit_from_json(read_field(target, "circuit", "object", "target."))
             theta = read_field(target, "theta", "number", "target.", ndim=1, default=[])
             if len(theta) != circuit.theta_count:
                 raise ConfigError.at("target.theta", f"{circuit.theta_count} numbers long", str(len(theta)))
@@ -143,7 +147,7 @@ class ProblemSpec:
             encoding = encoding_of(circuit)
         else:
             raise ConfigError.at("encoding", "an object (the target is not a circuit)", "nothing")
-        return cls(
+        spec = cls(
             encoding=encoding,
             target=target,
             n=read_field(doc, "n", "integer", least=1),
@@ -151,6 +155,8 @@ class ProblemSpec:
             noise_kind=noise_kind,
             noise_sigma=sigma,
         )
+        spec.circuit = None if circuit is None else (circuit, obs)
+        return spec
 
 
 def _support_size(target: dict, gen: np.random.Generator | None) -> int:
@@ -192,10 +198,9 @@ def realize_target(
     if kind == "circuit":
         from .pqcsim import circuit_from_json, extract_trig_polynomial
 
-        circuit, obs = circuit_from_json(spec.target["circuit"])
-        theta = np.asarray(spec.target.get("theta", []), dtype=float)
-        poly = extract_trig_polynomial(circuit, obs, theta)
-        return TrigPolynomial.from_half_arrays(fs, poly.freqs, poly.c)
+        if spec.circuit is None:
+            spec.circuit = circuit_from_json(spec.target["circuit"])
+        return extract_trig_polynomial(*spec.circuit, spec.target.get("theta", []), fs)
     raise ConfigError(f"unknown target kind '{kind}'")
 
 

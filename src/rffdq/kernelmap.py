@@ -88,16 +88,19 @@ def column_ranks(freqs: np.ndarray) -> tuple[list, list]:
 
 def _tables_pay(trig_calls: int, entries: int, terms: int) -> bool:
     """The shape rule of ``PlaneWaves``: whether its product tree costs less
-    than one cosine per (point, term), the cheapest direct form.
+    than the direct form, one cosine and one sine per (point, term).
 
     Per point the tree takes ``trig_calls`` trigonometric calls at its
     leaves and forms ``entries`` complex entries: powers, their conjugates,
     and the rows of its inner nodes and root, each the product of two
     gathered rows.  One entry costs about a sixth of a float64 cosine of an
     argument beyond 1 (4-5 ns against 20-27 ns on a 2-vCPU Xeon, AVX-512,
-    numpy 2.4), so the tree pays when 6 * trig_calls + entries < 6 * terms.
+    numpy 2.4).  The tree's overhead per call is priced as 62 per point, the
+    least that keeps 8-term targets at d = 2 (34-54) direct, where the forms
+    tie at 500 points, so 10 terms take the tree: it pays when
+    6 * trig_calls + entries + 62 < 12 * terms.
     """
-    return 6 * trig_calls + entries < 6 * terms
+    return 6 * trig_calls + entries + 62 < 12 * terms
 
 
 class _Node:

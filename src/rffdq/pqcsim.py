@@ -20,7 +20,6 @@ and CNOT ladders, and complex128 otherwise.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -561,22 +560,26 @@ def encoding_of(c: Circuit) -> EncodingStrategy:
     return EncodingStrategy(tuple(tuple(dim) for dim in per_dim))
 
 
-def extract_trig_polynomial(c: Circuit, obs: Observable, theta) -> TrigPolynomial:
-    """Exact Fourier coefficients of the circuit's model.
+def extract_trig_polynomial(c: Circuit, obs: Observable, theta, fs=None) -> TrigPolynomial:
+    """Exact Fourier coefficients of the circuit's model on the lattice
+    ``fs``, by default the circuit's own.
 
     The state is propagated once as one vector psi_k per state frequency
     (``CompiledCircuit.frequency_components``), so f(x) = sum_{k, k'}
     e^{i (k - k').x} <psi_k'|O|psi_k> and c_w sums the Gram matrix of the
     psi_k over index differences k - k' = w: one ``bincount`` when the state
-    and the observable are real, two otherwise.  Requires an integer frequency
-    lattice.  Mass off the encoding lattice above ``LEAK_TOL``, or a
-    pair c_w, conj(c_-w) more than 1e-10 apart, raises FloatingPointError.
+    and the observable are real, two otherwise.  Requires an integer
+    encoding lattice.  Mass off it above ``LEAK_TOL``, or a pair c_w,
+    conj(c_-w) more than 1e-10 apart, raises FloatingPointError.  A kept
+    frequency that an ``fs`` of another encoding lacks raises ValueError.
     """
-    fs = build_frequency_set(encoding_of(c))
+    enc = encoding_of(c)
+    fs = build_frequency_set(enc) if fs is None else fs
+    own = fs if fs.encoding == enc else build_frequency_set(enc)
     # the Gram below grows with the square of the lattice, so a lattice
     # beyond the cap must fail before it is allocated
-    fs.require_materialized()
-    if not fs.is_integer:
+    own.require_materialized()
+    if not own.is_integer:
         raise NonIntegerFrequencyError(
             "spectrum extraction requires integer frequencies"
         )
@@ -596,30 +599,26 @@ def extract_trig_polynomial(c: Circuit, obs: Observable, theta) -> TrigPolynomia
         coeff = coeff + 1j * np.bincount(pos.ravel(), weights=gram.imag.ravel(), minlength=coeff.size)
     coeff = coeff.reshape(box)
 
-    members = [
-        np.isin(np.arange(-r, r + 1), np.rint(f)) for r, f in zip(reach, fs.per_dimension_freqs)
-    ]
-    on_lattice = functools.reduce(np.logical_and.outer, members)
-    leak = np.abs(coeff[~on_lattice])
-    worst_leak = float(leak.max()) if leak.size else 0.0
+    half_index = np.rint(own.half).astype(np.intp)
+    at_pos, at_neg = tuple((reach + half_index).T), tuple((reach - half_index).T)
+    cpos, cneg = coeff[at_pos], coeff[at_neg]
+    # what is left once the lattice (the half's rows and mirrors) is cleared leaks
+    coeff[at_pos] = coeff[at_neg] = 0.0
+    worst_leak = float(np.abs(coeff).max())
     if worst_leak > LEAK_TOL:
         raise FloatingPointError(
             f"spectral mass {worst_leak:.3e} outside the encoding lattice"
         )
-
-    half_index = np.rint(fs.half).astype(np.intp)
-    cpos = coeff[tuple((reach + half_index).T)]
-    cneg = coeff[tuple((reach - half_index).T)]
     broken = np.abs(np.conj(cneg) - cpos) > 1e-10
     if broken.any():
         i = int(np.argmax(broken))
         raise FloatingPointError(
-            f"conjugate symmetry violated at {tuple(fs.half[i].tolist())}: "
+            f"conjugate symmetry violated at {tuple(own.half[i].tolist())}: "
             f"{complex(cpos[i])} vs conj({complex(cneg[i])})"
         )
     cval = 0.5 * (cpos + np.conj(cneg))
     keep = np.flatnonzero(np.abs(cval) > SUPPORT_TOL)
-    return TrigPolynomial.on_rows(fs, keep, cval[keep])
+    return TrigPolynomial.on_rows(fs, fs.half_rows(fs.locate(own.half[keep])), cval[keep])
 
 
 def _gate_from_json(g, at: str) -> GateSpec:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -697,6 +698,47 @@ class TestDeterminism:
         assert run(["sample", "--encoding", enc, "--dist", dist, "--M", 200, "--out", out]) == 0
         text = out.read_text()
         assert "-0.0" not in text and "0.0,1.0" in text and "1.0,0.0" in text
+
+
+def test_circuit_paths_leave_numpy_ma_unloaded(tmp_path):
+    # numpy's set membership on 16 or more values sorts through np.unique,
+    # which imports numpy.ma (about 10 ms in a fresh process); a circuit
+    # sweep and pqc-spectrum on a 17-value lattice (eight scale-1/2
+    # encodings of x_1) must not
+    gates = []
+    for i in range(8):
+        gates += [
+            {"kind": "encode", "pauli": ("XI", "IX")[i % 2], "scale": 0.5, "dim": 1},
+            {"kind": "rot", "pauli": ("YI", "IY")[i % 2], "theta": i},
+        ]
+    circuit = {"qubits": 2, "gates": gates, "observable": {"terms": [{"coef": 1.0, "pauli": "ZI"}]}}
+    theta = np.linspace(-0.7, 0.7, 8).tolist()
+    config = {
+        "schema_version": 1,
+        "problem": {"target": {"kind": "circuit", "circuit": circuit, "theta": theta}},
+        "dist": {"kind": "uniform"},
+        "axes": {"M": [8], "n": [40], "seeds": [0]},
+        "krr_oracle": True,
+    }
+    (tmp_path / "c.json").write_text(json.dumps(circuit))
+    (tmp_path / "t.json").write_text(json.dumps(theta))
+    (tmp_path / "exp.json").write_text(json.dumps(config))
+    src = str(Path(rffdq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys; from rffdq.cli import main; "
+        "assert main(['experiment', 'run', '--config', 'exp.json', '--out', 'r.csv']) == 0; "
+        "assert main(['pqc-spectrum', '--circuit', 'c.json', '--theta', 't.json', '--out', 'f.json']) == 0; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+    rows = list(csv.DictReader((tmp_path / "r.csv").read_text().splitlines()))
+    assert len(rows) == 1 and rows[0]["error"] == "" and rows[0]["omega_half"] == "9"
+    assert len(json.loads((tmp_path / "f.json").read_text())["terms"]) > 1
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -55,6 +55,29 @@ def circuit_sweep_doc(scale=0.5, **overrides):
     )
 
 
+def layered_circuit_sweep_doc(qubits=4, layers=2):
+    """circuit_oracle's shape at 4 qubits: per layer X encodings at scale 1/2
+    alternating over two data dimensions, a Y rotation per qubit and a CNOT
+    ladder; observable Z_0 + Z_{q-1}/2, the KRR oracle and a uniform sampler."""
+
+    def word(k, ch):
+        return "".join(ch if i == k else "I" for i in range(qubits))
+
+    gates = []
+    for layer in range(layers):
+        for k in range(qubits):
+            gates.append({"kind": "encode", "pauli": word(k, "X"), "scale": 0.5, "dim": k % 2 + 1})
+        gates += [{"kind": "rot", "pauli": word(k, "Y"), "theta": layer * qubits + k} for k in range(qubits)]
+        gates += [{"kind": "cnot", "c": k, "t": k + 1} for k in range(qubits - 1)]
+    terms = [{"coef": 1.0, "pauli": word(0, "Z")}, {"coef": 0.5, "pauli": word(qubits - 1, "Z")}]
+    circuit = {"qubits": qubits, "gates": gates, "observable": {"terms": terms}}
+    theta = np.random.default_rng(2).uniform(-np.pi / 4, np.pi / 4, size=qubits * layers).tolist()
+    return sweep_doc(
+        problem={"target": {"kind": "circuit", "circuit": circuit, "theta": theta}, "n": 60},
+        axes={"M": [8, 32], "n": [60], "lambda": ["auto"], "seeds": [0, 1]},
+    )
+
+
 def problem_doc(**overrides):
     doc = {
         "encoding": ENC_DOC,
@@ -381,6 +404,59 @@ class TestRunSweep:
         # the file agrees with the returned rows
         loaded = read_rows(str(tmp_path / "r.csv"))
         assert [r["error"] for r in loaded] == [r["error"] for r in rows]
+
+    def test_circuit_sweep_reads_its_circuit_once_onto_one_lattice(self, tmp_path, monkeypatch):
+        import rffdq.kernelmap as kmod
+        import rffdq.pqcsim as pmod
+
+        config = SweepConfig.from_json(layered_circuit_sweep_doc())
+        parses, lattices, relocations, realizing = [], [], [], []
+        real_parse, real_build, real_realize = (
+            pmod.circuit_from_json, freqcore.build_frequency_set, harness.realize_target
+        )
+        real_relocate = kmod.TrigPolynomial.from_half_arrays.__func__
+
+        def parse(doc):
+            parses.append(doc)
+            return real_parse(doc)
+
+        def build(enc):
+            lattices.append(enc)
+            return real_build(enc)
+
+        def realize(*args):
+            realizing.append(True)
+            try:
+                return real_realize(*args)
+            finally:
+                realizing.pop()
+
+        def relocate(cls, *args):
+            relocations.append(bool(realizing))
+            return real_relocate(cls, *args)
+
+        monkeypatch.setattr(pmod, "circuit_from_json", parse)
+        for module in (freqcore, harness, pmod):
+            monkeypatch.setattr(module, "build_frequency_set", build)
+        monkeypatch.setattr(harness, "realize_target", realize)
+        monkeypatch.setattr(kmod.TrigPolynomial, "from_half_arrays", classmethod(relocate))
+        rows = run_sweep(config, str(tmp_path / "r.csv"))
+        assert len(rows) == 4 and all(row["error"] == "" for row in rows)
+        assert all(math.isfinite(row["krr_true_risk"]) for row in rows)
+        assert parses == []  # parsed with the config, before the sweep
+        assert lattices == [config.problem.encoding]
+        # the cells' model spectra still place theirs; the target is not moved
+        assert relocations and not any(relocations)
+
+    def test_circuit_frequency_missing_from_the_encoding_fails_every_row(self, tmp_path):
+        # the circuit's lattice is {0, +-1, +-2, +-3}; the problem's {-2..2}
+        doc = sweep_doc(problem=problem_doc(target=circuit_target(), n=40, seed=0))
+        doc["axes"] = {"M": [4, 16], "n": [40], "lambda": [1e-6], "seeds": [0, 1]}
+        rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["error"] == "ValueError: frequency [3.0]: 3.0 not in lattice dimension 1"
+            assert math.isnan(row["true_risk"]) and math.isnan(row["alignment"])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_theta_fails_before_any_cell(self, bad):

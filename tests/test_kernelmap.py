@@ -251,25 +251,34 @@ class TestPlaneWaves:
             assert np.max(np.abs(sin - want_sin), initial=0.0) <= 1e-13
 
     def test_rule_at_the_benchmark_lattices(self):
-        # the tree costs 6 * (trigonometric calls) + (formed entries) sixths
-        # of a cosine per point against 6 S: on the integer benchmark
-        # lattices every column takes powers, two trig calls and about
-        # 2 top entries each, and the inner nodes and root one entry per row
+        # the tree costs 6 * (trigonometric calls) + (formed entries) + 62
+        # sixths of a cosine per point against 12 S: on the integer
+        # benchmark lattices every column takes powers, two trig calls and
+        # about 2 top entries each, and the inner nodes and root one entry
+        # per row
         circuit = build_frequency_set(pauli_half_encoding([10, 10]))
-        assert PlaneWaves(circuit.half[1:]).tabled  # 220 terms: 282 < 1320
-        assert PlaneWaves(circuit.half[1:131]).tabled  # 192 < 780
-        assert PlaneWaves(circuit.half[1:47]).tabled  # 108 < 276
+        assert PlaneWaves(circuit.half[1:]).tabled  # 220 terms: 282 + 62 < 2640
+        assert PlaneWaves(circuit.half[1:131]).tabled  # 192 + 62 < 1560
+        assert PlaneWaves(circuit.half[1:47]).tabled  # 108 + 62 < 552
         lowd = build_frequency_set(pauli_half_encoding([6, 6]))
-        assert PlaneWaves(lowd.half).tabled  # 85 terms: 131 < 510
-        assert PlaneWaves(lowd.half[:46]).tabled  # 92 < 276
+        assert PlaneWaves(lowd.half).tabled  # 85 terms: 131 + 62 < 1020
+        assert PlaneWaves(lowd.half[:46]).tabled  # 92 + 62 < 552
+        # an 8-term target at d = 2: the fixed cost keeps it direct
+        target = lowd.half[np.random.default_rng(0).choice(lowd.size, 8, replace=False)]
+        assert not PlaneWaves(target).tabled  # 54 + 62 > 96
         highdim = build_frequency_set(pauli_half_encoding([2] * 6))
-        assert PlaneWaves(highdim.half[:393]).tabled  # 641 < 2358
-        assert PlaneWaves(highdim.half).tabled  # 7813 terms: 8141 < 46878
+        assert PlaneWaves(highdim.half[:393]).tabled  # 641 + 62 < 4716
+        assert PlaneWaves(highdim.half).tabled  # 7813 terms: 8141 + 62 < 93756
         # an 8-term target at d = 6: its twelve trig calls alone cost more
         target = highdim.half[np.random.default_rng(0).choice(highdim.size, 8, replace=False)]
-        assert not PlaneWaves(target).tabled  # 128 > 48
-        assert PlaneWaves(np.arange(40.0)[:, None]).tabled  # d = 1, powers: 129 < 240
-        assert not PlaneWaves(np.arange(40.0)[:, None] + 0.5).tabled  # a cos and sin per value
+        assert not PlaneWaves(target).tabled  # 98 + 62 > 96
+        assert PlaneWaves(np.arange(40.0)[:, None]).tabled  # d = 1, powers: 129 + 62 < 480
+        assert not PlaneWaves(np.arange(40.0)[:, None] + 0.5).tabled  # a cos and sin per value: 520 + 62 > 480
+        # d = 2, 10 non-integer values per column, 36 distinct rows: a cos
+        # and a sin per value, 276 + 62 < 432
+        values = np.arange(1, 11) * 0.29
+        grid = np.stack(np.meshgrid(values, values, indexing="ij"), -1).reshape(-1, 2)
+        assert PlaneWaves(grid[np.random.default_rng(0).choice(100, 36, replace=False)]).tabled
 
     def test_routed_functions_on_a_tabled_lattice(self):
         fs = build_frequency_set(pauli_half_encoding([6, 6]))

@@ -26,6 +26,7 @@ from rffdq.pqcsim import (
     evaluate_model,
     extract_trig_polynomial,
 )
+from rffdq.kernelmap import TrigPolynomial
 
 Z_OBS = Observable([(1.0, "Z")])
 
@@ -327,6 +328,93 @@ class TestExtractAgainstDft:
         perturb((0, 2), 1e-9)
         with pytest.raises(FloatingPointError, match="conjugate symmetry violated"):
             extract_trig_polynomial(c, Z_OBS, [])
+
+
+def two_dimension_circuit():
+    """A complex propagation on two dimensions: lattice {-2..2} x {0, +-2}."""
+    gates = [
+        GateSpec("encode", pauli="XI", scale=0.5, dim=1),
+        GateSpec("rot", pauli="YI", theta_index=0),
+        GateSpec("encode", pauli="IY", scale=1.0, dim=2),
+        GateSpec("rot", pauli="IX", theta_index=1),
+        GateSpec("cz", control=0, target=1),
+        GateSpec("encode", pauli="IX", scale=0.5, dim=1),
+        GateSpec("rot", pauli="ZI", theta_index=2),
+    ]
+    return Circuit(2, gates), Observable([(1.0, "ZI"), (0.3, "XY")]), [0.7, -1.1, 0.4]
+
+
+def pauli_encoding(*scales_per_dim):
+    """An encoding with one spectrum {-s, +s} per scale s of each dimension."""
+    return freqcore.EncodingStrategy(
+        tuple(tuple(freqcore.HamiltonianSpectrum((-s, s)) for s in dim) for dim in scales_per_dim)
+    )
+
+
+class TestPlacement:
+    """The coefficients land on the lattice the caller gives: the circuit's
+    own, or a problem's lattice of another encoding."""
+
+    # the extraction's bits on the circuit's own lattice, as float.hex of
+    # each coefficient's real and imaginary parts, rows 0, 1, 3, 5, 6, 7
+    RECORDED = [
+        ("-0x1.de846b16748d8p-5", "0x0.0p+0"),
+        ("0x1.8000000000000p-60", "0x1.3444efa8d9e44p-6"),
+        ("0x1.87996529f9d8ap-2", "-0x1.0000000000000p-59"),
+        ("0x1.1af32f183c827p-5", "-0x1.3444efa8d9e36p-7"),
+        ("0x1.de846b16748ddp-6", "0x1.6c900daa00cf5p-5"),
+        ("-0x1.1af32f183c828p-5", "0x1.3444efa8d9e35p-7"),
+    ]
+
+    def test_own_lattice_keeps_the_recorded_bits(self):
+        c, obs, theta = two_dimension_circuit()
+        own = build_frequency_set(encoding_of(c))
+        want = [complex(float.fromhex(re), float.fromhex(im)) for re, im in self.RECORDED]
+        for poly in (extract_trig_polynomial(c, obs, theta), extract_trig_polynomial(c, obs, theta, own)):
+            assert poly.rows.tolist() == [0, 1, 3, 5, 6, 7]
+            assert poly.c.tolist() == want
+        assert extract_trig_polynomial(c, obs, theta, own).freq_set is own
+
+    @pytest.mark.parametrize(
+        "scales",
+        [
+            ([0.5, 0.5, 0.5], [0.5, 0.5, 0.5]),  # integer, beyond the circuit's reach
+            ([0.5, 0.5, 0.15], [1.0]),  # holds the circuit's integers among others
+        ],
+    )
+    def test_larger_encoding_gets_the_relocated_target(self, scales):
+        c, obs, theta = two_dimension_circuit()
+        fs = build_frequency_set(pauli_encoding(*scales))
+        own = extract_trig_polynomial(c, obs, theta)
+        want = TrigPolynomial.from_half_arrays(fs, own.freqs, own.c)
+        got = extract_trig_polynomial(c, obs, theta, fs)
+        assert got.freq_set is fs
+        assert np.array_equal(got.rows, want.rows) and np.array_equal(got.freqs, want.freqs)
+        assert got.c.tolist() == want.c.tolist()
+
+    def test_missing_frequency_is_refused_by_name(self):
+        c, obs, theta = two_dimension_circuit()
+        fs = build_frequency_set(pauli_encoding([0.5, 0.5], [0.5]))  # dimension 2 is {-1, 0, 1}
+        with pytest.raises(ValueError, match=re.escape("frequency [0.0, 2.0]: 2.0 not in lattice dimension 2")):
+            extract_trig_polynomial(c, obs, theta, fs)
+
+    def test_leak_off_the_circuits_lattice_inside_a_larger_one(self, monkeypatch):
+        # the circuit's lattice is {0, +-2}; the problem's {-2..2} holds the
+        # leaked frequency 1, which is still refused
+        c = Circuit(1, [GateSpec("encode", pauli="X", scale=1.0, dim=1)])
+        fs = build_frequency_set(pauli_encoding([0.5, 0.5]))
+        real_gram = CompiledObservable.gram
+
+        def gram(self, rows, block):
+            out = real_gram(self, rows, block)
+            out[0, 1] += 1e-8
+            return out
+
+        clean = extract_trig_polynomial(c, Z_OBS, [], fs)
+        assert clean.rows.tolist() == [2] and abs(clean.c[0] - 0.5) <= 1e-15
+        monkeypatch.setattr(CompiledObservable, "gram", gram)
+        with pytest.raises(FloatingPointError, match="outside the encoding lattice"):
+            extract_trig_polynomial(c, Z_OBS, [], fs)
 
 
 class TestValidation:
