@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, NonIntegerFrequencyError
 from .freqcore import MATCH_TOL
-from .freqsample import FrequencyDistribution, ProductDistribution, SeededRng
+from .freqsample import FrequencyDistribution, SeededRng
 from .kernelmap import (
     TrigPolynomial,
     coeff_sup_bound,
@@ -252,11 +252,12 @@ class FeasibilityReport:
 
 
 def _anti_concentrated(dist: FrequencyDistribution) -> bool:
+    """Uniform, or a fold of per-dimension pmfs none of which is a point
+    mass, however the sampler is written."""
     if dist.uniform_variant is not None:
         return True
-    if isinstance(dist, ProductDistribution):
-        return all(float(np.max(pj)) < 1.0 - 1e-12 for pj in dist.per_dim)
-    return False
+    factors = dist.factors()
+    return factors is not None and all(float(np.max(pj)) < 1.0 - 1e-12 for pj in factors)
 
 
 def feasibility_report(
@@ -273,12 +274,14 @@ def feasibility_report(
 
     LOWER-BOUND-BLOCKS: the target is known, the error regime is
     non-vacuous, and either the sampler family is structurally
-    anti-concentrated (uniform / nontrivial product) or the alignment bound
-    exceeds the sample budget ``M_BUDGET``.  SUFFICIENT-BOUND-POLY: a
-    hyperplane-norm bound is available (given or computed) together with a
-    known, structurally concentrated p_max, so the sufficient pair
-    (n_min, M_min) is evaluated; a note says when it exceeds ``M_BUDGET``,
-    which leaves the verdict as it is.
+    anti-concentrated (uniform, or a fold of per-dimension pmfs with no
+    point mass: ``FrequencyDistribution.factors``, a product or a tensor
+    train of bond 1) or the alignment bound exceeds the sample budget
+    ``M_BUDGET``.  SUFFICIENT-BOUND-POLY: a hyperplane-norm bound is
+    available (given or computed) together with a known, structurally
+    concentrated p_max, so the sufficient pair (n_min, M_min) is evaluated;
+    a note says when it exceeds ``M_BUDGET``, which leaves the verdict as it
+    is.
     Everything else is INCONCLUSIVE.
     """
     fs = dist.fs
@@ -292,8 +295,8 @@ def feasibility_report(
         notes.append(
             f"uniform sampler: p_max <= 2/N_min^d = 2/{n_min_dim}^{fs.d} decays exponentially in d"
         )
-    elif isinstance(dist, ProductDistribution) and anti:
-        c = 1.0 / max(float(np.max(pj)) for pj in dist.per_dim)
+    elif anti:
+        c = 1.0 / max(float(np.max(pj)) for pj in dist.factors())
         notes.append(
             f"product-induced sampler with nontrivial components: "
             f"p_max <= 2*c^-d with c = {c:.6g}"

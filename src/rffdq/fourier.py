@@ -5,11 +5,12 @@ h_Y(nu) = sum_i y_i e^{i <nu, x_i>}.  On the wave basis
 B = [cos <omega_u, x_i> | sin <omega_u, x_i>] over integer rows omega_u,
 cos a cos b = [cos(a - b) + cos(a + b)]/2 and its sine forms give every
 entry of B^T B from h_X at omega_u -+ omega_v, and B^T Y is h_Y at omega_u.
-``FourierTable`` keeps those transforms per sample, so that every Gram of
-one problem reads one table; ``basis_sums`` gives B^T a, and
-``basis_residuals`` r = (Y - B u)/s with its B^T r, in one pass.  All of it
-is formed from per-dimension power tables e^{i k x_j}, in row blocks of at
-most ``kernelmap.TRIG_BLOCK_ENTRIES`` complex entries.
+``FourierTable`` keeps those transforms per sample, one per dataset
+(``regress.Dataset.table``), so that every Gram of one dataset reads one
+table; ``basis_sums`` gives B^T a, and ``basis_residuals``
+r = (Y - B u)/s with its B^T r, in one pass.  All of it is formed from
+per-dimension power tables e^{i k x_j}, in row blocks of at most
+``kernelmap.TRIG_BLOCK_ENTRIES`` complex entries.
 
 The module is imported where a fit first needs it, not with the package.
 """

@@ -50,6 +50,7 @@ BLAS thread, a 2-vCPU VM).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -161,11 +162,20 @@ class FrequencyDistribution:
             self._peak = self._peak_entries()
         return self.fs.materialized and 8 * self._peak <= ENUMERATE_BYTES
 
+    def factors(self) -> list[np.ndarray] | None:
+        """The per-dimension pmfs whose independent draws, folded onto the
+        half, are this sampler's draws; None where it is no such fold."""
+        return None
+
     def p_max(self) -> PMax | None:
         """Maximum probability, exact on an enumerable lattice (taken once
-        per distribution); else None."""
+        per distribution); else the upper bound 2 prod_j max factor_j where
+        the sampler has ``factors``, and None otherwise."""
         if not self.enumerable:
-            return None
+            factors = self.factors()
+            if factors is None:
+                return None
+            return PMax(2.0 * math.prod(float(np.max(f)) for f in factors), False)
         if self._top is None:
             self._top = PMax(float(self.pmf_vector().max()), True)
         return self._top
@@ -279,6 +289,14 @@ class _TensorTrain(FrequencyDistribution):
     def _peak_entries(self) -> int:
         return _contraction_peak([core.shape for core in self.cores])
 
+    def factors(self) -> list[np.ndarray] | None:
+        """A train whose every bond is 1 is a product: its cores, each
+        normalized to a pmf."""
+        # each left bond is the previous right bond, and the first is 1
+        if any(core.shape[2] != 1 for core in self.cores):
+            return None
+        return [core[0, :, 0] / core.sum() for core in self.cores]
+
 
 class ProductDistribution(_TensorTrain):
     """Fold of an independent per-dimension distribution over the mirror
@@ -314,16 +332,8 @@ class ProductDistribution(_TensorTrain):
             cols.append(self.fs.per_dimension_freqs[j][idx])
         return fold_rows(np.stack(cols, axis=1))[0]
 
-    def tilde_max(self) -> float:
-        out = 1.0
-        for pj in self.per_dim:
-            out *= float(np.max(pj))
-        return out
-
-    def p_max(self) -> PMax:
-        """Exact on an enumerable lattice, else the upper bound 2 ptilde_max."""
-        pm = super().p_max()
-        return PMax(2.0 * self.tilde_max(), False) if pm is None else pm
+    def factors(self) -> list[np.ndarray]:
+        return self.per_dim
 
 
 class MpsDistribution(_TensorTrain):

@@ -13,10 +13,10 @@ realized target and its alignment when the target consumes no rng
 (explicit and circuit targets; a circuit, parsed once with the config, is
 extracted straight onto the frequency set).  What depends on the problem
 but not on M is computed once per problem (``Problem``), by the first cell
-that needs it: a random target's draw, the dataset, its Fourier table and
-the alignment per (n, seed), and the KRR oracle's true risk per (n, lambda,
-seed).  Per cell remain the feature draw and fit, the RFF risks and the
-model spectrum.
+that needs it: a random target's draw, the dataset (whose Fourier table its
+fits share) and the alignment per (n, seed), and the KRR oracle's true risk
+per (n, lambda, seed).  Per cell remain the feature draw and fit, the RFF
+risks and the model spectrum.
 
 The true risks and ``l2_err_sq`` are exact on every lattice: they come from
 the model's spectrum (``regress.true_risk_estimate``), not from sample
@@ -31,7 +31,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,9 +47,6 @@ from .regress import (
     rff_fit,
     true_risk_estimate,
 )
-
-if TYPE_CHECKING:
-    from .fourier import FourierTable
 
 SCHEMA_VERSION = 1
 
@@ -393,10 +389,10 @@ class SweepInvariants:
 
 @dataclass
 class Problem:
-    """One (n, seed) problem of a sweep: its target and dataset, the
-    dataset's ``FourierTable`` (whose boxes its cells' factored fits and
-    the KRR oracle share), and, once a cell has computed them, the target's
-    alignment and the KRR oracle's true risk per resolved lambda.  None of
+    """One (n, seed) problem of a sweep: its target and dataset (whose
+    ``Dataset.table`` boxes its cells' factored fits and the KRR oracle
+    share), and, once a cell has computed them, the target's alignment and
+    the KRR oracle's true risk per resolved lambda.  None of
     these depends on M, so the first cell of a sweep that needs a value
     computes it and later cells reuse it.  A computation that raises stores
     nothing: the next cell of the problem repeats it and records the same
@@ -404,7 +400,6 @@ class Problem:
 
     target: TrigPolynomial
     data: Dataset
-    table: FourierTable
     alignment: float | None = None
     krr_risks: dict[float, float] = field(default_factory=dict)
 
@@ -414,10 +409,7 @@ def _draw_problem(config: SweepConfig, inv: SweepInvariants, n: int, seed: int) 
     spec = ProblemSpec(base.encoding, base.target, n, seed, base.noise_kind, base.noise_sigma)
     gen = SeededRng(spec.seed).generator()
     target = inv.target_for(spec, gen)
-    data = _draw_dataset(spec, inv.fs, target, gen)
-    from .fourier import FourierTable
-
-    return Problem(target, data, FourierTable(data.X, data.Y))
+    return Problem(target, _draw_dataset(spec, inv.fs, target, gen))
 
 
 def run_cell(
@@ -450,7 +442,7 @@ def run_cell(
         lam_val = _resolve_lambda(lam, n)
         row["lambda"] = lam_val
         rng = SeededRng(config.master_seed).stream_for(idx)
-        model = rff_fit(data, dist, M, lam_val, rng, problem.table)
+        model = rff_fit(data, dist, M, lam_val, rng)
         row["emp_risk"] = empirical_risk(model, data)
         noise_var = config.problem.noise_sigma**2
         # one exact mean square of target - model serves both columns, on
@@ -464,9 +456,7 @@ def run_cell(
         row["p_max"] = inv.p_max
         if inv.krr_weights is not None and n <= KRR_N_CAP and lam_val > 0:
             if lam_val not in problem.krr_risks:
-                krr = kernel_ridge_fit(
-                    data, config.problem.encoding, fs, inv.krr_weights, lam_val, problem.table
-                )
+                krr = kernel_ridge_fit(data, config.problem.encoding, fs, inv.krr_weights, lam_val)
                 problem.krr_risks[lam_val] = true_risk_estimate(krr, target, noise_var).value
             krr_risk = problem.krr_risks[lam_val]
             row["krr_true_risk"] = krr_risk

@@ -544,12 +544,6 @@ class TrigPolynomial:
         return vals
 
     def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        return self._combine(other, -1.0)
-
-    def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        return self._combine(other, 1.0)
-
-    def _combine(self, other: "TrigPolynomial", sign: float) -> "TrigPolynomial":
         """Terms of ``self`` in order, then the new terms of ``other``;
         terms that cancel are dropped.  The result is attached to a lattice
         when both operands are."""
@@ -564,16 +558,13 @@ class TrigPolynomial:
         pos = slot[inverse]
         c = np.zeros(order.size, dtype=complex)
         c[pos[: self.c.size]] = self.c
-        c[pos[self.c.size :]] += sign * other.c
+        c[pos[self.c.size :]] -= other.c
         keep = c != 0
         take = first[order][keep]
         if self.freq_set is None or self.freq_set is not other.freq_set:
             return TrigPolynomial(None, freqs[take], c[keep])
         rows = np.concatenate([self.rows, other.rows])[take]
         return TrigPolynomial(self.freq_set, freqs[take], c[keep], rows)
-
-    def scaled(self, factor: float) -> "TrigPolynomial":
-        return TrigPolynomial(self.freq_set, self.freqs, factor * self.c, self.rows)
 
     def to_json(self) -> dict:
         order = np.lexsort(self.freqs.T[::-1])

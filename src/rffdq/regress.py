@@ -15,10 +15,10 @@ residual-checked against its design's normal equations, read through B's
 Gram and C where the design is not formed.
 
 On integer frequencies a ``fourier.FourierTable`` of the data, one per
-problem, gives B^T B and B^T Y from the points' empirical Fourier transform,
-where its cost rule says reading it beats forming B.  The factored solve
-then does no work of size n beyond the table's one box per reach, and the
-oracle forms no feature matrix.
+dataset (``Dataset.table``), gives B^T B and B^T Y from the points'
+empirical Fourier transform, where its cost rule says reading it beats
+forming B.  The factored solve then does no work of size n beyond the
+table's one box per reach, and the oracle forms no feature matrix.
 
 A fitted model's true risk under uniform inputs is computed from its exact
 spectrum (``model_spectrum``), never from sample points, on integer and
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -84,6 +85,14 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def table(self) -> FourierTable:
+        """The ``fourier.FourierTable`` of these points and labels, formed on
+        first use: every fit on the dataset reads its boxes."""
+        from .fourier import FourierTable
+
+        return FourierTable(self.X, self.Y)
 
     @classmethod
     def from_csv(cls, path: str, b_bound: float | None = None) -> "Dataset":
@@ -198,18 +207,6 @@ def _ridge_inputs(rows: np.ndarray, Y, lam: float) -> np.ndarray:
     return Y
 
 
-def _table_of(table: FourierTable | None, X: np.ndarray, Y: np.ndarray) -> FourierTable:
-    """``table`` when it is a table of the points ``X`` and labels ``Y``, a
-    fresh one when it is None; a table of other data is a ValueError."""
-    from .fourier import FourierTable
-
-    if table is None:
-        return FourierTable(X, Y)
-    if not (np.array_equal(table.X, X) and np.array_equal(table.Y, Y)):
-        raise ValueError("the Fourier table is of other points or labels")
-    return table
-
-
 def _check_normal_equations(FtFw: np.ndarray, w: np.ndarray, FtY: np.ndarray, lam_n: float):
     """Raise LinAlgError unless w solves F^T F w + n lambda w = F^T Y to
     ``RESIDUAL_RTOL`` (1 + max |F^T Y|), given F^T F w and F^T Y."""
@@ -230,14 +227,17 @@ def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     The returned weights are residual-checked against the normal equations
     of ``F``.  An ``RffDesign`` (as ``design_matrix`` returns it) on which
     ``RffFeatureSet.factors`` holds is solved by its feature set's
-    ``factored_ridge`` instead, the route ``RffFeatureSet.ridge`` takes.
+    ``factored_ridge`` on a fresh ``FourierTable`` of its points instead,
+    the route ``RffFeatureSet.ridge`` takes.
     """
     source, X = (F.feature_set, F.points) if isinstance(F, RffDesign) else (None, None)
     F = np.atleast_2d(np.asarray(F, dtype=float))
     Y = _ridge_inputs(F, Y, lam)
     n, D = F.shape
     if source is not None and source.factors(n, lam):
-        return source.factored_ridge(X, Y, lam)
+        from .fourier import FourierTable
+
+        return source.factored_ridge(FourierTable(X, Y), lam)
     FtY = F.T @ Y
     # n lambda goes onto the diagonal in place: no identity, no second sum
     if lam == 0 or D <= n:
@@ -359,15 +359,14 @@ class RffFeatureSet:
         lambda > 0 and the U distinct frequencies give 2U < min(n, M)."""
         return lam > 0 and 2 * self.distinct.shape[0] < min(n, self.M)
 
-    def ridge(self, X, Y, lam: float, table: FourierTable | None = None) -> np.ndarray:
+    def ridge(self, data: Dataset, lam: float) -> np.ndarray:
         """Ridge weights (F^T F + n lambda I)^{-1} F^T Y on the design F at
-        ``X``: by ``factored_ridge`` (which reads ``table``) where
-        ``factors`` holds, so that F is never formed, and otherwise by
+        the points of ``data``: by ``factored_ridge`` on the dataset's table
+        where ``factors`` holds, so that F is never formed, and otherwise by
         ``linear_ridge_fit`` on the design."""
-        X = self.waves.points(X)
-        if self.factors(X.shape[0], lam):
-            return self.factored_ridge(X, Y, lam, table)
-        return linear_ridge_fit(np.asarray(self.design_matrix(X)), Y, lam)
+        if self.factors(data.n, lam):
+            return self.factored_ridge(data.table, lam)
+        return linear_ridge_fit(np.asarray(self.design_matrix(data.X)), data.Y, lam)
 
     def _phase_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The two rows of C per feature: sqrt(2/M) (cos g_i, -sin g_i)."""
@@ -384,16 +383,16 @@ class RffFeatureSet:
             B[rows, U:] = phasors.imag
         return B
 
-    def factored_ridge(self, X, Y, lam: float, table: FourierTable | None = None) -> np.ndarray:
-        """Ridge weights on the design at ``X`` for lambda > 0, by
-        ``gram_ridge`` on the wave basis B of the U distinct frequencies and
-        C their phase rows sqrt(2/M) (cos g_i, -sin g_i): the design is not
-        formed.  B^T B and B^T Y come from ``table``, a ``FourierTable`` of
-        ``X`` and ``Y`` (a fresh one when not given), where its cost rule
-        takes the distinct frequencies, and otherwise from B itself."""
-        X = self.waves.points(X)
-        Y = _ridge_inputs(X, Y, lam)
-        products = _table_of(table, X, Y).gram(self.distinct)
+    def factored_ridge(self, table: FourierTable, lam: float) -> np.ndarray:
+        """Ridge weights on the design at the points of ``table`` (a
+        ``FourierTable``) for its labels and lambda > 0, by ``gram_ridge``
+        on the wave basis B of the U distinct frequencies and C their phase
+        rows sqrt(2/M) (cos g_i, -sin g_i): the design is not formed.
+        B^T B and B^T Y are read from the table where its cost rule takes
+        the distinct frequencies, and come from B itself otherwise."""
+        X = self.waves.points(table.X)
+        Y = _ridge_inputs(X, table.Y, lam)
+        products = table.gram(self.distinct)
         if products is None:
             B = self._wave_basis(X)
             products = B.T @ B, B.T @ Y
@@ -634,7 +633,6 @@ def kernel_ridge_fit(
     fs: FrequencySet,
     w: WeightVector,
     lam: float,
-    table: FourierTable | None = None,
 ) -> KrrModel:
     """Kernel ridge regression with K_w, solved as ridge on phi_w.
 
@@ -645,10 +643,10 @@ def kernel_ridge_fit(
     F^T alpha as its hyperplane, the one its JSON document rebuilds.
 
     Where the primal system is no larger than n (2 |half| - 1 <= n) and
-    ``table``, a ``FourierTable`` of the data (a fresh one when not given),
-    takes the half by its cost rule, v is ``gram_ridge`` on the table's Gram
-    with C phi_w's feature rows (``kernelmap.feature_rows``), and
-    F v = B (C v) and F^T alpha = C^T (B^T alpha) come from one pass of
+    the dataset's ``FourierTable`` takes the half by its cost rule, v is
+    ``gram_ridge`` on the table's Gram with C phi_w's feature rows
+    (``kernelmap.feature_rows``), and F v = B (C v) and
+    F^T alpha = C^T (B^T alpha) come from one pass of
     ``fourier.basis_residuals``: F is never formed.  Otherwise F is formed
     and ``linear_ridge_fit`` takes the primal or the dual by shape.
     """
@@ -661,7 +659,7 @@ def kernel_ridge_fit(
         return KrrModel(enc, w, F.T @ alpha, lam, _fs=fs, X_train=data.X, alpha=alpha)
     from .fourier import basis_residuals
 
-    G, BtY = _table_of(table, data.X, data.Y).gram(fs.half)
+    G, BtY = data.table.gram(fs.half)
     row, a, b = feature_rows(fs, w)
     v = gram_ridge(G, BtY, row, a, b, lam * n)
     Cv = _wave_coefficients(row, a, b, v, fs.size)
@@ -679,17 +677,16 @@ def _krr_tabled(fs: FrequencySet, n: int) -> bool:
     return 2 * fs.size - 1 <= n and table_reach(fs.half) is not None
 
 
-def rff_fit(data: Dataset, dist, M: int, lam, rng, table: FourierTable | None = None) -> RffModel:
+def rff_fit(data: Dataset, dist, M: int, lam, rng) -> RffModel:
     """Random-feature ridge regression.
 
     Samples M frequencies from ``dist`` and M phases uniformly from
     [0, 2pi), and solves the ridge system on the 1/sqrt(M)-normalized
     design by ``RffFeatureSet.ridge``: in the span of the U distinct
     frequencies, with no n x M design formed, when lambda > 0 and
-    2U < min(n, M), and on the design otherwise.  ``table`` is a
-    ``FourierTable`` of the data that the factored solve reads (a fresh one
-    when not given).  ``lam="auto"`` selects 1/sqrt(n).  Deterministic given
-    the rng.
+    2U < min(n, M), where it reads the dataset's ``FourierTable``, and on
+    the design otherwise.  ``lam="auto"`` selects 1/sqrt(n).  Deterministic
+    given the rng.
     """
     from .freqsample import as_generator
 
@@ -700,7 +697,7 @@ def rff_fit(data: Dataset, dist, M: int, lam, rng, table: FourierTable | None = 
     freqs = dist.sample(gen, M)
     phases = gen.uniform(0.0, 2.0 * np.pi, size=M)
     fset = RffFeatureSet(freqs, phases)
-    return RffModel(fset, fset.ridge(data.X, data.Y, lam, table), lam)
+    return RffModel(fset, fset.ridge(data, lam), lam)
 
 
 def empirical_risk(model: _Model, data: Dataset) -> float:

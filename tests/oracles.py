@@ -509,9 +509,6 @@ class DictPolynomial:
             out[k] = out.get(k, 0.0) + sign * v
         return DictPolynomial({k: v for k, v in out.items() if v != 0}, self.d)
 
-    def scaled(self, factor):
-        return DictPolynomial({k: factor * v for k, v in self.coeffs.items()}, self.d)
-
     def fhat_l2_sq(self):
         zero = tuple(0.0 for _ in range(self.d))
         return sum(abs(c) ** 2 * (1.0 if k == zero else 2.0) for k, c in self.coeffs.items())

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from rffdq.freqsample import (
     MpsDistribution,
     ProductDistribution,
     SeededRng,
+    distribution_from_json,
     uniform_distribution,
 )
 from rffdq.kernelmap import TrigPolynomial, integral_operator_norm
@@ -260,6 +262,20 @@ class TestFeasibility:
         assert rep.verdict == "LOWER-BOUND-BLOCKS"
         assert any("product-induced" in note for note in rep.notes)
 
+    def test_bond_one_train_reads_as_its_product(self):
+        # two +-1/2 gates per dimension at d = 2 (values -2..2), one
+        # per-dimension pmf written as a product and as a bond-1 tensor
+        # train: the same verdict, JSON and text
+        fs = build_frequency_set(pauli_half_encoding([2, 2]))
+        pj = [0.05, 0.1, 0.7, 0.1, 0.05]
+        f = TrigPolynomial.from_half_coeffs(fs, {(1.0, 0.0): 0.5, (0.0, 1.0): 0.3})
+        docs = [{"kind": "product", "per_dim": [pj, pj]}, {"kind": "mps", "cores": [[[[p] for p in pj]]] * 2}]
+        product, train = (feasibility_report(distribution_from_json(doc, fs), f_hat=f) for doc in docs)
+        assert isinstance(distribution_from_json(docs[1], fs), MpsDistribution)
+        assert product.verdict == "LOWER-BOUND-BLOCKS"
+        assert json.dumps(train.to_json()) == json.dumps(product.to_json())
+        assert train.render_text() == product.render_text()
+
     def test_json_and_text_render(self, fs_1d_5, cos_target):
         dist = ExplicitDistribution(fs_1d_5, [(1.0,)], [1.0])
         rep = feasibility_report(dist, f_hat=cos_target)
@@ -412,7 +428,8 @@ class TestAlignmentReadsTheVector:
         rep = feasibility_report(product, f_hat=f, C=2.0)
         assert count_enumerations == []
         for got in (lower, rep):
-            assert (got.p_max, got.p_max_exact) == (2.0 * product.tilde_max(), False)
+            want_pmax = 2.0 * math.prod(float(np.max(pj)) for pj in product.per_dim)
+            assert (got.p_max, got.p_max_exact) == (want_pmax, False)
         assert lower.alignment == rep.lower.alignment == want
 
 

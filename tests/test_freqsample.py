@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 
@@ -174,7 +175,31 @@ class TestPmfVector:
         assert product.p_max() == (float(np.max(product.pmf_vector())), True)
         assert mps.p_max() is None
         monkeypatch.setattr(freqsample, "ENUMERATE_BYTES", 8 * 38 - 1)
-        assert product.p_max() == (2.0 * product.tilde_max(), False)
+        assert product.p_max() == (2.0 * math.prod(float(np.max(pj)) for pj in product.per_dim), False)
+
+    def test_factors_of_a_fold_of_per_dimension_draws(self, rng):
+        # a product's factors are its per_dim, a train of bond 1 its cores
+        # normalized, and a train of larger bond or a sparse map has none
+        fs = build_frequency_set(pauli_half_encoding([2, 2]))
+        product = _random_dist("product", fs, rng)
+        assert product.factors() is product.per_dim
+        cores = [rng.uniform(0.1, 1.0, (1, 5, 1)) for _ in range(2)]
+        train = MpsDistribution(fs, cores)
+        for got, core in zip(train.factors(), cores):
+            assert np.array_equal(got, core[0, :, 0] / core.sum())
+        assert _random_dist("mps", fs, rng, bond=2).factors() is None
+        assert _random_dist("explicit", fs, rng).factors() is None
+
+    def test_bond_one_train_above_the_byte_cap_bounds_p_max(self, monkeypatch, rng):
+        # past the cap a train of bond 1 has the product's upper bound
+        # 2 prod_j max p_j, and a train of bond 2 none
+        fs = build_frequency_set(pauli_half_encoding([2, 2]))
+        train = MpsDistribution(fs, [rng.uniform(0.1, 1.0, (1, 5, 1)) for _ in range(2)])
+        product = ProductDistribution(fs, train.factors())
+        monkeypatch.setattr(freqsample, "ENUMERATE_BYTES", 7)
+        bound = 2.0 * math.prod(float(np.max(pj)) for pj in train.factors())
+        assert train.p_max() == product.p_max() == (bound, False)
+        assert _random_dist("mps", fs, rng, bond=2).p_max() is None
 
     def test_enumeration_memory_is_linear_in_the_lattice(self, rng):
         # 9^6 points, bond 4: a row-by-row enumeration peaked near 30 times

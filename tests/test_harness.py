@@ -661,9 +661,9 @@ class TestProblemStage:
                 formed.append((id(self), reach))
             return box(self, reach)
 
-        def spy_factored(self, X, Y, lam, table=None):
+        def spy_factored(self, table, lam):
             factored.append(table)
-            return factored_ridge(self, X, Y, lam, table)
+            return factored_ridge(self, table, lam)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("wave basis or feature matrix formed")
@@ -685,6 +685,41 @@ class TestProblemStage:
         assert len(factored) == 4 and len({id(table) for table in factored}) == 2
         assert sorted(reach for _, reach in formed) == [(6, 6), (6, 6)]
         assert {table for table, _ in formed} == {id(table) for table in factored}
+
+    def test_design_route_sweep_forms_no_table(self, tmp_path, monkeypatch):
+        # the sweep_highdim benchmark's shape: d = 6, five values per
+        # dimension, a bond-4 MPS sampler, n = 800 and M = 100 and 400, so
+        # that 2U >= min(n, M), and a 7813-row half beyond the KRR cap
+        from rffdq import fourier, regress
+
+        tables, routes = [], []
+        factors, init = regress.RffFeatureSet.factors, fourier.FourierTable.__init__
+
+        def spy_factors(self, n, lam):
+            routes.append(factors(self, n, lam))
+            return routes[-1]
+
+        def spy_init(self, X, Y):
+            tables.append(self)
+            init(self, X, Y)
+
+        monkeypatch.setattr(regress.RffFeatureSet, "factors", spy_factors)
+        monkeypatch.setattr(fourier.FourierTable, "__init__", spy_init)
+        gen = np.random.default_rng(6)
+        bonds = [1, 4, 4, 4, 4, 4, 1]
+        cores = [gen.uniform(0.1, 1.0, (a, 5, b)).tolist() for a, b in zip(bonds, bonds[1:])]
+        doc = sweep_doc(
+            problem=problem_doc(
+                encoding={"dimensions": [[[-0.5, 0.5]] * 2] * 6},
+                target={"kind": "random", "support_size": 8},
+            ),
+            dist={"kind": "mps", "cores": cores},
+            axes={"M": [100, 400], "n": [800], "lambda": ["auto"], "seeds": [3, 4]},
+        )
+        rows = run_sweep(SweepConfig.from_json(doc), str(tmp_path / "r.csv"))
+        assert len(rows) == 4 and all(row["error"] == "" for row in rows)
+        assert all(math.isnan(row["krr_true_risk"]) for row in rows)
+        assert routes == [False] * 4 and tables == []
 
     def test_rows_equal_cells_run_on_their_own(self, tmp_path):
         config = SweepConfig.from_json(problem_sweep_doc())

@@ -659,7 +659,7 @@ class TestIntegralOperator:
 class TestPolynomialAlgebra:
     def test_rows_are_grouped_as_np_unique_groups_them(self):
         # integer tables with both signs of zero: the column-rank grouping
-        # that from_half_arrays and _combine use gives np.unique's first
+        # that from_half_arrays and __sub__ use gives np.unique's first
         # index and inverse
         from rffdq.kernelmap import _group
 
@@ -775,10 +775,9 @@ class TestArrayPolynomialMatchesDictReference:
     """The array-backed polynomial against the dict operations it replaced
     (``oracles.DictPolynomial``), attached and standalone."""
 
-    @given(pair=_map_pairs(), attach=st.sampled_from([(1, 1), (1, 0), (0, 1), (0, 0)]),
-           factor=st.sampled_from([0.0, -1.0, 0.3]))
+    @given(pair=_map_pairs(), attach=st.sampled_from([(1, 1), (1, 0), (0, 1), (0, 0)]))
     @settings(max_examples=150, deadline=None)
-    def test_operations(self, pair, attach, factor):
+    def test_operations(self, pair, attach):
         polys = []
         for mapping, attached in zip(pair, attach):
             fs = _ALGEBRA_FS if attached else None
@@ -788,9 +787,7 @@ class TestArrayPolynomialMatchesDictReference:
             _check_against_reference(got, want)
             polys.append((got, want))
         (f, rf), (g, rg) = polys
-        _check_against_reference(f + g, rf.combine(rg, 1.0))
         _check_against_reference(f - g, rf.combine(rg, -1.0))
-        _check_against_reference(f.scaled(factor), rf.scaled(factor))
         # the result keeps a lattice both operands are attached to
         assert (f - g).freq_set is (_ALGEBRA_FS if all(attach) else None)
 

@@ -513,9 +513,9 @@ def factored_calls(monkeypatch):
     """The feature sets whose ``factored_ridge`` ran, in call order."""
     calls, real = [], RffFeatureSet.factored_ridge
 
-    def spy(self, X, Y, lam, table=None):
+    def spy(self, table, lam):
         calls.append(self)
-        return real(self, X, Y, lam, table)
+        return real(self, table, lam)
 
     monkeypatch.setattr(RffFeatureSet, "factored_ridge", spy)
     return calls
@@ -636,7 +636,7 @@ class TestTableRoute:
         X = gen.uniform(0, 2 * np.pi, (n, d))
         Y = np.cos(X[:, 0]) + 0.1 * gen.normal(size=n)
         table = FourierTable(X, Y)
-        w = fset.factored_ridge(X, Y, 0.01, table)
+        w = fset.factored_ridge(table, 0.01)
         assert bases == ([] if tabled else ["wave_basis"])
         assert len(table.boxes) == int(tabled)
         want = linear_ridge_fit(np.asarray(fset.design_matrix(X)), Y, 0.01)
@@ -651,10 +651,10 @@ class TestTableRoute:
         w = WeightVector(gen.uniform(0.2, 1.0, fs.size))
         X = gen.uniform(0, 2 * np.pi, (n, 2))
         Y = np.cos(X[:, 0] - 2 * X[:, 1]) + gen.uniform(-0.1, 0.1, n)
-        table = FourierTable(X, Y)
-        model = kernel_ridge_fit(Dataset(X, Y, 2.0), enc, fs, w, 0.05, table)
+        data = Dataset(X, Y, 2.0)
+        model = kernel_ridge_fit(data, enc, fs, w, 0.05)
         assert bases == ([] if tabled else ["feature_matrix"])
-        assert len(table.boxes) == int(tabled)
+        assert len(data.table.boxes) == int(tabled)
         alpha = krr_alpha_by_gram(X, Y, fs, w, 0.05)
         assert np.max(np.abs(model.alpha - alpha)) <= 1e-10 * np.max(np.abs(alpha))
         again = model_from_json(json.loads(json.dumps(model.to_json())))
@@ -674,7 +674,7 @@ class TestTableRoute:
         X = gen.uniform(0, 2 * np.pi, (40, 2))
         Y = np.cos(X[:, 0] - 2 * X[:, 1]) + 0.5 + gen.uniform(-0.1, 0.1, 40)
         data = Dataset(X, Y, 2.0)
-        model = kernel_ridge_fit(data, enc, fs, w, 0.05, FourierTable(X, Y))
+        model = kernel_ridge_fit(data, enc, fs, w, 0.05)
         assert bases == []
         alpha = krr_alpha_by_gram(X, Y, fs, w, 0.05)
         assert np.max(np.abs(model.alpha - alpha)) <= 1e-10 * np.max(np.abs(alpha))
@@ -696,8 +696,8 @@ class TestTableRoute:
         gen = np.random.default_rng(3)
         X = gen.uniform(0, 2 * np.pi, (1500, 2))
         Y = np.sin(X[:, 0] + X[:, 1]) + 0.1 * gen.normal(size=1500)
-        table = FourierTable(X, Y)
-        table.gram(fs.half)  # a warm table: its box is formed already
+        data = Dataset(X, Y, float(np.max(np.abs(Y))))
+        data.table.gram(fs.half)  # a warm table: its box is formed already
         calls, real = [], fourier._power_tables
 
         def spy(X, reach):
@@ -706,7 +706,7 @@ class TestTableRoute:
 
         monkeypatch.setattr(fourier, "_power_tables", spy)
         w = WeightVector(gen.uniform(0.5, 1.0, fs.size))
-        model = kernel_ridge_fit(Dataset(X, Y, float(np.max(np.abs(Y)))), enc, fs, w, 1e-3, table)
+        model = kernel_ridge_fit(data, enc, fs, w, 1e-3)
         # one call per row block: F v and F^T alpha share each block's tables
         assert len(calls) > 1 and sum(calls) == 1500
         blocks = calls.copy()
@@ -722,24 +722,48 @@ class TestTableRoute:
         assert bases == ["feature_matrix"]
 
     def test_shared_and_fresh_tables_fit_the_same_bits(self):
+        # a second dataset over the same arrays fits on a fresh table
         dist, data = _factored_problem(300, 2000)
-        table = FourierTable(data.X, data.Y)
         enc = pauli_half_encoding([3, 3])
         fs = build_frequency_set(enc)
         w = WeightVector(np.random.default_rng(0).uniform(0.2, 1.0, fs.size))
         for _ in range(2):
-            shared = rff_fit(data, dist, 2000, 1e-3, SeededRng(4), table).coef
-            assert np.array_equal(shared, rff_fit(data, dist, 2000, 1e-3, SeededRng(4)).coef)
-            krr = kernel_ridge_fit(data, enc, fs, w, 1e-3, table)
-            fresh = kernel_ridge_fit(data, enc, fs, w, 1e-3)
+            shared = rff_fit(data, dist, 2000, 1e-3, SeededRng(4)).coef
+            again = Dataset(data.X, data.Y, data.b_bound)
+            assert np.array_equal(shared, rff_fit(again, dist, 2000, 1e-3, SeededRng(4)).coef)
+            krr = kernel_ridge_fit(data, enc, fs, w, 1e-3)
+            again = Dataset(data.X, data.Y, data.b_bound)
+            fresh = kernel_ridge_fit(again, enc, fs, w, 1e-3)
             assert np.array_equal(krr.alpha, fresh.alpha) and np.array_equal(krr.v, fresh.v)
         # one box for the drawn frequencies (half rows 0..9) and one for the half
-        assert sorted(table.boxes) == [(1, 3), (3, 3)]
-        other = FourierTable(data.X, -data.Y)
-        with pytest.raises(ValueError, match="other points or labels"):
-            rff_fit(data, dist, 2000, 1e-3, SeededRng(4), other)
-        with pytest.raises(ValueError, match="other points or labels"):
-            kernel_ridge_fit(data, enc, fs, w, 1e-3, other)
+        assert sorted(data.table.boxes) == [(1, 3), (3, 3)]
+
+    def test_fits_on_one_dataset_read_its_table(self, monkeypatch):
+        # a factored rff_fit and the KRR oracle read the one table that the
+        # dataset forms on first use, and form one box per reach
+        dist, data = _factored_problem(300, 2000)
+        enc = pauli_half_encoding([3, 3])
+        fs = build_frequency_set(enc)
+        w = WeightVector(np.random.default_rng(0).uniform(0.2, 1.0, fs.size))
+        read, formed, gram, box = [], [], FourierTable.gram, FourierTable.box
+
+        def spy_gram(self, freqs):
+            read.append(self)
+            return gram(self, freqs)
+
+        def spy_box(self, reach):
+            if reach not in self.boxes:
+                formed.append(reach)
+            return box(self, reach)
+
+        monkeypatch.setattr(FourierTable, "gram", spy_gram)
+        monkeypatch.setattr(FourierTable, "box", spy_box)
+        assert "table" not in vars(data)
+        for _ in range(2):
+            rff_fit(data, dist, 2000, 1e-3, SeededRng(4))
+            kernel_ridge_fit(data, enc, fs, w, 1e-3)
+        assert len(read) == 4 and all(table is data.table for table in read)
+        assert sorted(formed) == [(1, 3), (3, 3)]
 
 
 class _Draws:
@@ -820,7 +844,7 @@ class TestRffFit:
         fset, F, Y = _factored_design(np.random.default_rng([n, M]), n, M)
         X, F, lam = F.points, np.asarray(F), 1e-3
         B = fset._wave_basis(X)
-        w = fset.ridge(X, Y, lam)
+        w = fset.ridge(Dataset(X, Y, float(np.max(np.abs(Y)))), lam)
         for v, scale in ((w, 1.0 + np.max(np.abs(F.T @ Y))), (w * 1.01, None)):
             FtFw, FtY = regress._normal_products(B.T @ B, B.T @ Y, fset.inverse, *fset._phase_rows(), v)
             want_FtFw, want_FtY = F.T @ (F @ v), F.T @ Y
