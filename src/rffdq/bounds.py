@@ -34,7 +34,6 @@ from .kernelmap import (
     fhat_l2_sq,
     l2_norm_sq,
     rkhs_norm,
-    weights_of,
 )
 from .regress import Dataset, model_spectrum, rff_fit
 
@@ -311,7 +310,7 @@ def feasibility_report(
     C_used = C
     if C is None and f_hat is not None and fs.is_integer:
         try:
-            C_used = rkhs_norm(f_hat, weights_of(dist.pmf_vector()))
+            C_used = rkhs_norm(f_hat, dist.weights())
             notes.append("C computed from the target's hyperplane norm under this sampler")
         except (CapacityError, ValueError) as exc:
             notes.append(f"C not computable: {exc}")

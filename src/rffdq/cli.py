@@ -23,7 +23,7 @@ from .errors import read, read_field, show
 from .freqcore import EncodingStrategy, FrequencySet, HamiltonianSpectrum, build_frequency_set
 from .freqcore import is_integer_valued
 from .freqsample import SeededRng, distribution_from_json
-from .kernelmap import TrigPolynomial, WeightVector, kernel_eval, rkhs_norm, weights_of
+from .kernelmap import TrigPolynomial, WeightVector, kernel_eval, rkhs_norm
 from .pqcsim import circuit_from_json, extract_trig_polynomial
 from .regress import (
     Dataset,
@@ -177,8 +177,7 @@ def cmd_oracle_krr(args) -> int:
     if args.weights:
         w = _load_weights(args)[1]
     elif args.dist:
-        dist = distribution_from_json(_load_json(args.dist), fs)
-        w = weights_of(dist.pmf_vector())
+        w = distribution_from_json(_load_json(args.dist), fs).weights()
     else:
         w = WeightVector.uniform(fs.size)
     data = Dataset.from_csv(args.data)

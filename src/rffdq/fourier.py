@@ -7,10 +7,9 @@ cos a cos b = [cos(a - b) + cos(a + b)]/2 and its sine forms give every
 entry of B^T B from h_X at omega_u -+ omega_v, and B^T Y is h_Y at omega_u.
 ``FourierTable`` keeps those transforms per sample, one per dataset
 (``regress.Dataset.table``), so that every Gram of one dataset reads one
-table; ``basis_sums`` gives B^T a, and ``basis_residuals``
-r = (Y - B u)/s with its B^T r, in one pass.  All of it is formed from
-per-dimension power tables e^{i k x_j}, in row blocks of at most
-``kernelmap.TRIG_BLOCK_ENTRIES`` complex entries.
+table.  The transforms are formed from per-dimension power tables
+e^{i k x_j}, in row blocks of at most ``kernelmap.TRIG_BLOCK_ENTRIES``
+complex entries.
 
 The module is imported where a fit first needs it, not with the package.
 """
@@ -21,16 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import NonIntegerFrequencyError
 from .kernelmap import TRIG_BLOCK_ENTRIES
-
-
-def _integer_reach(freqs: np.ndarray) -> tuple[int, ...] | None:
-    """Per dimension, max |omega_j| over the rows of ``freqs`` when every
-    entry is an integer; None otherwise."""
-    if not np.array_equal(freqs, np.round(freqs)):
-        return None
-    return tuple(int(r) for r in np.abs(freqs).max(axis=0))
 
 
 def table_reach(freqs) -> tuple[int, ...] | None:
@@ -40,8 +30,10 @@ def table_reach(freqs) -> tuple[int, ...] | None:
     which reading the box beats forming the n x 2S wave basis and its
     Gram."""
     freqs = np.asarray(freqs, dtype=float)
-    reach = _integer_reach(freqs)
-    if reach is None or math.prod(4 * r + 1 for r in reach) > 2 * freqs.shape[0] ** 2:
+    if not np.array_equal(freqs, np.round(freqs)):
+        return None
+    reach = tuple(int(r) for r in np.abs(freqs).max(axis=0))
+    if math.prod(4 * r + 1 for r in reach) > 2 * freqs.shape[0] ** 2:
         return None
     return reach
 
@@ -77,13 +69,7 @@ def wave_sums(X: np.ndarray, weights, reach) -> np.ndarray:
     of all but the last dimension are multiplied out into one row per box
     point, and the last dimension's, times each weight, is contracted
     against them by one matrix product over the block's points."""
-    return _box_sums(X, reach, len(weights), lambda rows, tables: [a[rows] for a in weights])
-
-
-def _box_sums(X: np.ndarray, reach, k: int, block_weights) -> np.ndarray:
-    """``wave_sums`` of the k weights ``block_weights(rows, tables)`` gives
-    per row block, from its rows and its power tables."""
-    n, d = X.shape
+    (n, d), k = X.shape, len(weights)
     sizes = [2 * r + 1 for r in reach]
     sizes[0] = reach[0] + 1
     inner, last = math.prod(sizes[:-1]), sizes[-1]
@@ -93,7 +79,7 @@ def _box_sums(X: np.ndarray, reach, k: int, block_weights) -> np.ndarray:
     for r in range(0, n, step):
         rows = slice(r, r + step)
         tables = _power_tables(X[rows], reach)
-        block = np.stack(block_weights(rows, tables))
+        block = np.stack([a[rows] for a in weights])
         tables[0] = tables[0][reach[0] :]
         m = tables[0].shape[1]
         left = np.ones((1, m), dtype=complex)
@@ -159,45 +145,9 @@ def _box_index(freqs: np.ndarray, shape) -> np.ndarray:
     return freqs.astype(np.int64) @ strides
 
 
-def basis_sums(X: np.ndarray, freqs: np.ndarray, a) -> np.ndarray:
-    """B^T a for the wave basis B = [cos <omega_s, x_i> | sin <omega_s, x_i>]
-    over the integer rows omega_s of ``freqs`` (cosines first) at the points
-    ``X``, read from ``wave_sums`` at the rows' reach: B is not formed."""
-    reach = _lattice_reach(freqs)
-    return _basis_entries(freqs, wave_sums(X, [a], reach)[0])
-
-
-def basis_residuals(X: np.ndarray, freqs: np.ndarray, u, Y, scale: float):
-    """(r, B^T r) for r = (Y - B u)/``scale`` and B as in ``basis_sums``, in
-    one pass: each row block's power tables give its B u, then its share of
-    B^T r, which is ``basis_sums(X, freqs, r)`` bit for bit."""
-    reach, S = _lattice_reach(freqs), freqs.shape[0]
-    # B u is Re sum_s (u_cos,s - i u_sin,s) e^{i <omega_s, x>}
-    Z = np.zeros(tuple(2 * r + 1 for r in reach), dtype=complex)
-    Z.ravel()[_box_index(freqs, Z.shape) + Z.size // 2] = u[:S] - 1j * u[S:]
-    r = np.empty(X.shape[0])
-
-    def residuals(rows, tables):
-        # the block's B u, contracted one dimension's table at a time
-        m = tables[0].shape[1]
-        acc = Z.reshape(Z.shape[0], -1).T @ tables[0]
-        for P in tables[1:]:
-            acc = (acc.reshape(P.shape[0], -1, m) * P[:, None, :]).sum(axis=0)
-        r[rows] = (Y[rows] - acc[0].real) / scale
-        return [r[rows]]
-
-    return r, _basis_entries(freqs, _box_sums(X, reach, 1, residuals)[0])
-
-
 def _basis_entries(freqs: np.ndarray, h: np.ndarray) -> np.ndarray:
     """B^T a from the box h of a's sums: the real parts of h at the rows of
     ``freqs``, then the imaginary parts."""
     h = h.ravel()[_box_index(freqs, h.shape) + h.size // 2]
     return np.concatenate([h.real, h.imag])
 
-
-def _lattice_reach(freqs: np.ndarray) -> tuple[int, ...]:
-    reach = _integer_reach(freqs)
-    if reach is None:
-        raise NonIntegerFrequencyError("power tables serve integer frequency lattices only")
-    return reach

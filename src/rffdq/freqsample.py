@@ -22,7 +22,8 @@ the vector with its stored probabilities at its codes instead.
 
 Each distribution enumerates once: the first ``pmf_vector`` keeps the half,
 read-only (not the grid), for ``p_max`` (whose maximum is also taken once),
-``bounds.alignment``, a sweep's KRR weights and a verdict's C; where
+``bounds.alignment``, and ``weights()``, the one place that forms the kernel
+weights sqrt(p) a sweep's KRR oracle and a verdict's C read; where
 ``enumerable`` is false it raises CapacityError and forms nothing.
 
 A product is a tensor train of bond 1, and both multiply from the last
@@ -58,6 +59,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, DegenerateDistributionError, read, read_field, show
 from .freqcore import FrequencySet, fold_rows
+from .kernelmap import WeightVector, distribution_of, weights_of
 
 PROB_TOL = 1e-12
 
@@ -143,6 +145,10 @@ class FrequencyDistribution:
             self._p = self._enumerate()
             self._p.flags.writeable = False
         return self._p
+
+    def weights(self) -> WeightVector:
+        """The kernel weights ``kernelmap.weights_of(pmf_vector())``."""
+        return weights_of(self.pmf_vector())
 
     def _enumerate(self) -> np.ndarray:
         """p over the half, in code order: formed once, by ``pmf_vector``,
@@ -506,8 +512,6 @@ def distribution_from_json(doc: dict, fs: FrequencySet) -> FrequencyDistribution
 
 def explicit_from_weights(fs: FrequencySet, weights) -> ExplicitDistribution:
     """Exact sampling distribution of a weight vector: p_i = w_i^2/||w||^2."""
-    from .kernelmap import WeightVector, distribution_of
-
     w = weights if isinstance(weights, WeightVector) else WeightVector(weights)
     fs.require_materialized()
     if len(w) != fs.size:

@@ -38,7 +38,7 @@ from .bounds import alignment as alignment_of
 from .errors import ConfigError, read, read_field, show
 from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
 from .freqsample import FrequencyDistribution, SeededRng, distribution_from_json
-from .kernelmap import TrigPolynomial, WeightVector, coeff_sup_bound, weights_of
+from .kernelmap import TrigPolynomial, WeightVector, coeff_sup_bound
 from .regress import (
     Dataset,
     _resolve_lambda,
@@ -362,7 +362,7 @@ class SweepInvariants:
         pm = dist.p_max()
         p_max = float("nan") if pm is None else pm.value
         krr = config.krr_oracle and dist.enumerable and fs.size <= KRR_SIZE_CAP
-        krr_weights = weights_of(dist.pmf_vector()) if krr else None
+        krr_weights = dist.weights() if krr else None
         target = alignment = target_error = None
         if config.problem.target.get("kind") in SEED_FREE_TARGETS:
             try:

@@ -12,13 +12,15 @@ where lambda > 0 and 2U < min(n, M), with C their phase rows, and the KRR
 oracle on integer lattices, with C phi_w's feature rows.  Other fits form
 their design and call ``linear_ridge_fit``.  Every solution is
 residual-checked against its design's normal equations, read through B's
-Gram and C where the design is not formed.
+Gram and C where the design is not formed.  The KRR oracle's model is its
+ridge hyperplane over phi_w, of the one model class of explicit fits.
 
 On integer frequencies a ``fourier.FourierTable`` of the data, one per
 dataset (``Dataset.table``), gives B^T B and B^T Y from the points'
 empirical Fourier transform, where its cost rule says reading it beats
 forming B.  The factored solve then does no work of size n beyond the
-table's one box per reach, and the oracle forms no feature matrix.
+table's one box per reach, and the oracle forms no feature matrix: on a
+warm table it does no work of size n.
 
 A fitted model's true risk under uniform inputs is computed from its exact
 spectrum (``model_spectrum``), never from sample points, on integer and
@@ -399,11 +401,6 @@ class RffFeatureSet:
         return gram_ridge(*products, self.inverse, *self._phase_rows(), lam * X.shape[0])
 
 
-def _wave_coefficients(row: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray, U: int) -> np.ndarray:
-    """C w for ``gram_ridge``'s C over U frequencies: two bincounts."""
-    return np.concatenate([np.bincount(row, a * w, U), np.bincount(row, b * w, U)])
-
-
 def _feature_sums(row: np.ndarray, a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     """C^T p for ``gram_ridge``'s C: each feature's two rows of p, gathered."""
     U = p.size // 2
@@ -411,8 +408,10 @@ def _feature_sums(row: np.ndarray, a: np.ndarray, b: np.ndarray, p: np.ndarray) 
 
 
 def _normal_products(G: np.ndarray, BtY: np.ndarray, row, a, b, w: np.ndarray):
-    """F^T F w and F^T Y for ``gram_ridge``'s F = B C, read through C."""
-    Cw = _wave_coefficients(row, a, b, w, G.shape[0] // 2)
+    """F^T F w and F^T Y for ``gram_ridge``'s F = B C, read through C:
+    C w is two bincounts over the U frequencies."""
+    U = G.shape[0] // 2
+    Cw = np.concatenate([np.bincount(row, a * w, U), np.bincount(row, b * w, U)])
     return _feature_sums(row, a, b, G @ Cw), _feature_sums(row, a, b, BtY)
 
 
@@ -482,7 +481,9 @@ class _Model:
 
 @dataclass
 class ExplicitLinearModel(_Model):
-    """Hyperplane over the re-weighted explicit feature map."""
+    """Hyperplane over the re-weighted explicit feature map: an explicit
+    ridge fit, or (``variant="krr"``) the kernel ridge oracle for K_w, whose
+    predictor is its ridge hyperplane over phi_w."""
 
     encoding: EncodingStrategy
     weights: WeightVector
@@ -520,24 +521,6 @@ class ExplicitLinearModel(_Model):
             "weights": [float(x) for x in self.weights.weights],
             "v": [float(x) for x in self.v],
         }
-
-
-@dataclass(kw_only=True)
-class KrrModel(ExplicitLinearModel):
-    """Kernel ridge model for K_w: dual coefficients alpha on the training
-    inputs, predicting through its hyperplane v = F(X_train)^T alpha over
-    phi_w, since K_w(x, x') = <phi_w(x), phi_w(x')>."""
-
-    X_train: np.ndarray
-    alpha: np.ndarray
-    variant: str = "krr"
-
-    def to_json(self) -> dict:
-        doc = super().to_json()
-        del doc["v"]  # model_from_json rebuilds it from X and alpha
-        doc["X"] = [[float(v) for v in row] for row in self.X_train]
-        doc["alpha"] = [float(x) for x in self.alpha]
-        return doc
 
 
 @dataclass
@@ -601,21 +584,8 @@ def model_from_json(doc: dict) -> _Model:
     enc = EncodingStrategy.from_json(read_field(doc, "encoding", "object"))
     fs = build_frequency_set(enc)
     w = WeightVector.from_json(doc, fs.size)
-    if variant == "explicit":
-        return ExplicitLinearModel(enc, w, read_field(doc, "v", "number", ndim=1), lam, _fs=fs)
-    X, alpha = read_field(doc, "X", "number", ndim=2), read_field(doc, "alpha", "number", ndim=1)
-    if X.shape[1] != enc.d:
-        raise ConfigError.at("X", f"rows of {enc.d} numbers, the encoding's d", f"rows of {X.shape[1]}")
-    if alpha.size != X.shape[0]:
-        raise ConfigError.at("alpha", f"{X.shape[0]} numbers long, one per row of X", str(alpha.size))
-    if _krr_tabled(fs, X.shape[0]):
-        from .fourier import basis_sums
-
-        row, a, b = feature_rows(fs, w)
-        v = _feature_sums(row, a, b, basis_sums(X, fs.half, alpha))
-    else:
-        v = feature_matrix(X, fs, w).T @ alpha
-    return KrrModel(enc, w, v, lam, _fs=fs, X_train=X, alpha=alpha)
+    v = read_field(doc, "v", "number", ndim=1)
+    return ExplicitLinearModel(enc, w, v, lam, variant=variant, _fs=fs)
 
 
 def explicit_ridge_fit(
@@ -633,45 +603,31 @@ def kernel_ridge_fit(
     fs: FrequencySet,
     w: WeightVector,
     lam: float,
-) -> KrrModel:
+) -> ExplicitLinearModel:
     """Kernel ridge regression with K_w, solved as ridge on phi_w.
 
     K_w(X, X) = F F^T for F = feature_matrix(X, fs, w), so the kernel ridge
-    predictor is the ridge hyperplane v over phi_w.  The dual coefficients
-    alpha = (K + n lambda I)^{-1} Y follow exactly as (Y - F v)/(n lambda),
-    from the normal equations n lambda v = F^T (Y - F v).  The model keeps
-    F^T alpha as its hyperplane, the one its JSON document rebuilds.
+    predictor is the ridge hyperplane v over phi_w, and the model (variant
+    "krr") is that hyperplane: no dual coefficients are formed.
 
-    Where the primal system is no larger than n (2 |half| - 1 <= n) and
-    the dataset's ``FourierTable`` takes the half by its cost rule, v is
-    ``gram_ridge`` on the table's Gram with C phi_w's feature rows
-    (``kernelmap.feature_rows``), and F v = B (C v) and
-    F^T alpha = C^T (B^T alpha) come from one pass of
-    ``fourier.basis_residuals``: F is never formed.  Otherwise F is formed
-    and ``linear_ridge_fit`` takes the primal or the dual by shape.
+    Where ``_krr_tabled`` holds, v is ``gram_ridge`` on the dataset table's
+    Gram with C phi_w's feature rows (``kernelmap.feature_rows``): F is
+    never formed, and on a warm table the fit does no work of size n.
+    Otherwise v is ``explicit_ridge_fit``'s, on the formed F.
     """
     if lam <= 0:
         raise ValueError("kernel ridge regression needs lambda > 0")
-    n = data.n
-    if not _krr_tabled(fs, n):
-        F = feature_matrix(data.X, fs, w)
-        alpha = (data.Y - F @ linear_ridge_fit(F, data.Y, lam)) / (n * lam)
-        return KrrModel(enc, w, F.T @ alpha, lam, _fs=fs, X_train=data.X, alpha=alpha)
-    from .fourier import basis_residuals
-
-    G, BtY = data.table.gram(fs.half)
-    row, a, b = feature_rows(fs, w)
-    v = gram_ridge(G, BtY, row, a, b, lam * n)
-    Cv = _wave_coefficients(row, a, b, v, fs.size)
-    alpha, Bta = basis_residuals(data.X, fs.half, Cv, data.Y, n * lam)
-    return KrrModel(enc, w, _feature_sums(row, a, b, Bta), lam, _fs=fs, X_train=data.X, alpha=alpha)
+    if _krr_tabled(fs, data.n):
+        v = gram_ridge(*data.table.gram(fs.half), *feature_rows(fs, w), lam * data.n)
+    else:
+        v = explicit_ridge_fit(data, enc, fs, w, lam).v
+    return ExplicitLinearModel(enc, w, v, lam, variant="krr", _fs=fs)
 
 
 def _krr_tabled(fs: FrequencySet, n: int) -> bool:
     """Whether kernel ridge on n points reads its Grams from a Fourier
     table: the primal system is no larger than n (2 |half| - 1 <= n) and
-    ``table_reach`` takes the half.  A KRR model read from JSON forms its
-    hyperplane F^T alpha by the same route, so that it has the same bits."""
+    ``table_reach`` takes the half."""
     from .fourier import table_reach
 
     return 2 * fs.size - 1 <= n and table_reach(fs.half) is not None

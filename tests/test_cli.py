@@ -167,7 +167,21 @@ class TestCommands:
              "--dist", workdir / "dist.json", "--lambda", "0.01", "--out", out]
         ) == 0
         doc = json.loads(out.read_text())
-        assert doc["variant"] == "krr" and len(doc["alpha"]) == 40
+        fs = freqcore.build_frequency_set(freqcore.EncodingStrategy.from_json(
+            json.loads((workdir / "enc.json").read_text())))
+        # the document holds the ridge hyperplane, not the training points
+        assert doc["variant"] == "krr" and len(doc["v"]) == 2 * fs.size - 1
+        assert not {"X", "alpha"} & set(doc)
+        assert run(["risk", "--model", out, "--data", workdir / "d.csv"]) == 0
+
+    def test_krr_model_without_its_hyperplane_is_refused(self, workdir, capsys):
+        # the earlier document form: dual coefficients on the training points
+        model = workdir / "krr.json"
+        doc = {"variant": "krr", "lambda": 0.1, "encoding": {"dimensions": [[[-0.5, 0.5], [-0.5, 0.5]]]},
+               "weights": [1.0, 1.0, 1.0], "X": [[0.1], [0.2]], "alpha": [0.5, 0.25]}
+        model.write_text(json.dumps(doc))
+        assert run(["risk", "--model", model, "--data", workdir / "d.csv"]) == 2
+        assert "v must be an array of numbers, got nothing" in capsys.readouterr().err
 
     def test_auto_lambda_is_one_over_root_n_in_both_fits(self, workdir):
         common = ["--data", workdir / "d.csv", "--encoding", workdir / "enc.json"]

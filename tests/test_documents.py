@@ -65,7 +65,7 @@ SWEEP = {
 }
 RFF = {"variant": "rff", "lambda": 0.1, "frequencies": [[0.0], [1.0]], "phases": [0.5, 1.5], "coef": [1.0, 2.0]}
 KRR = {"variant": "krr", "lambda": 0.1, "encoding": ENC1, "weights": [1.0, 1.0, 1.0],
-       "X": [[0.1], [0.2], [0.3]], "alpha": [0.5, 0.25, 0.125]}
+       "v": [0.5, 0.25, 0.125, -0.25, 0.0625]}
 
 # the exits 0 that the README's "Input documents" rules document
 ANY_NUMBER = {"1.7", "-1"}  # a number field takes any finite number
@@ -107,7 +107,7 @@ CASES = [
     ("rff model", RFF, ["risk", "--model", "DOC", "--data", "d.csv"], (),
      {"lambda": POSITIVE, "phases.*": POSITIVE, "coef.*": ANY_NUMBER, "frequencies.*.*": ANY_NUMBER}, ()),
     ("krr model", KRR, ["risk", "--model", "DOC", "--data", "d.csv"], ("encoding",),
-     {"lambda": POSITIVE, "weights.*": POSITIVE, "X.*.*": ANY_NUMBER, "alpha.*": ANY_NUMBER}, ()),
+     {"lambda": POSITIVE, "weights.*": POSITIVE, "v.*": ANY_NUMBER}, ()),
 ]
 
 

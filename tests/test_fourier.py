@@ -1,15 +1,12 @@
-"""The empirical Fourier transform of a sample, and the power-table products
-of its wave basis, against the wave basis formed directly."""
+"""The empirical Fourier transform of a sample, and the Gram of its wave
+basis read from it, against the wave basis formed directly."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import pauli_half_encoding
-from rffdq.errors import NonIntegerFrequencyError
-from rffdq.fourier import FourierTable, basis_residuals, basis_sums, table_reach
-from rffdq.freqcore import EncodingStrategy, build_frequency_set
+from rffdq.fourier import FourierTable, table_reach
 from rffdq.kernelmap import TRIG_BLOCK_ENTRIES
 
 
@@ -110,30 +107,3 @@ class TestFourierTable:
         assert peak <= 3 * 16 * TRIG_BLOCK_ENTRIES + 4 * box.nbytes
         assert peak < 16 * n
 
-
-class TestBasisProducts:
-    """B^T a, and the residual r = (Y - B u)/s with its B^T r, of the wave
-    basis over a lattice's half, formed from power tables, against B."""
-
-    @pytest.mark.parametrize("L", [[4], [3, 3], [1, 2, 1]])
-    def test_match_the_wave_basis(self, L):
-        gen = np.random.default_rng(len(L))
-        freqs = build_frequency_set(pauli_half_encoding(L)).half
-        X = gen.uniform(0, 2 * np.pi, (120, len(L)))
-        Y, u, a = gen.normal(size=120), gen.normal(size=2 * len(freqs)), gen.normal(size=120)
-        B = wave_basis(X, freqs)
-        r, Btr = basis_residuals(X, freqs, u, Y, 0.7)
-        want_r = (Y - B @ u) / 0.7
-        for got, want in ((basis_sums(X, freqs, a), B.T @ a), (r, want_r), (Btr, B.T @ want_r)):
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        # the one pass sums r over the same row blocks as basis_sums
-        assert np.array_equal(Btr, basis_sums(X, freqs, r))
-
-    def test_refuse_non_integer_lattices(self):
-        freqs = build_frequency_set(EncodingStrategy.from_json({"dimensions": [[[-0.3, 0.3]]]})).half
-        X = np.full((4, 1), 0.5)
-        with pytest.raises(NonIntegerFrequencyError):
-            basis_sums(X, freqs, np.ones(4))
-        with pytest.raises(NonIntegerFrequencyError):
-            basis_residuals(X, freqs, np.ones(2 * len(freqs)), np.ones(4), 1.0)

@@ -21,7 +21,7 @@ from rffdq.freqsample import (
     explicit_from_weights,
     uniform_distribution,
 )
-from rffdq.kernelmap import TrigPolynomial, WeightVector
+from rffdq.kernelmap import TrigPolynomial, WeightVector, weights_of
 
 
 def empirical_tv(samples, dist):
@@ -151,6 +151,12 @@ class TestPmfVector:
             want = fold_by_negation(fs.per_dimension_freqs, fs.half, dense_ptilde(cores))
             got = dist.pmf_vector()
             assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    @pytest.mark.parametrize("kind", ["explicit", "product", "mps"])
+    def test_weights_are_those_of_the_vector(self, kind, rng):
+        dist = _random_dist(kind, _lattices()[1], rng)
+        w = dist.weights()
+        assert w.weights.tolist() == weights_of(dist.pmf_vector()).weights.tolist()
 
     def test_enumeration_evaluates_no_row(self, monkeypatch, rng):
         dists = [

@@ -50,6 +50,26 @@ def cosine_dataset(n, seed, freq=1.0):
     return Dataset(X, np.cos(freq * X[:, 0]), 1.0)
 
 
+def krr_dual(model, data):
+    """The dual coefficients alpha = (Y - F v)/(n lambda) of a KRR model's
+    hyperplane v, with F the feature matrix at the training points."""
+    F = feature_matrix(data.X, model.fs, model.weights)
+    return (data.Y - F @ model.v) / (data.n * model.lam)
+
+
+def assert_solves_the_dual(model, data):
+    """A KRR model's dual coefficients solve (K_w + n lambda I) alpha = Y
+    to 1e-10 relative, with K_w from ``kernel_matrix``, and match the dense
+    Gram solve as closely; returns the Gram solve's alpha."""
+    alpha, n, lam = krr_dual(model, data), data.n, model.lam
+    K = kernel_matrix(data.X, data.X, model.fs, model.weights)
+    resid = (K + n * lam * np.eye(n)) @ alpha - data.Y
+    assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(data.Y))
+    want = krr_alpha_by_gram(data.X, data.Y, model.fs, model.weights, lam)
+    assert np.max(np.abs(alpha - want)) <= 1e-10 * np.max(np.abs(want))
+    return want
+
+
 class TestDataset:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -225,13 +245,14 @@ class TestKernelRidge:
         enc, fs, w = setup_1d5
         data = Dataset(np.array([[0.3]]), np.array([0.8]), 1.0)
         model = kernel_ridge_fit(data, enc, fs, w, 1.0)
-        assert model.alpha == pytest.approx([0.4])
+        assert krr_dual(model, data) == pytest.approx([0.4])
 
     def test_zero_targets(self, setup_1d5, rng):
         enc, fs, w = setup_1d5
         X = rng.uniform(0, 2 * np.pi, (12, 1))
-        model = kernel_ridge_fit(Dataset(X, np.zeros(12), 1.0), enc, fs, w, 0.1)
-        assert np.allclose(model.alpha, 0.0)
+        data = Dataset(X, np.zeros(12), 1.0)
+        model = kernel_ridge_fit(data, enc, fs, w, 0.1)
+        assert np.allclose(krr_dual(model, data), 0.0)
         assert np.allclose(model.predict(X), 0.0)
 
     def test_lambda_positive_required(self, setup_1d5):
@@ -258,9 +279,9 @@ class TestKernelRidge:
         w = WeightVector(gen.uniform(0.2, 1.0, fs.size))
         X = gen.uniform(0, 2 * np.pi, (n, 2))
         Y = np.cos(X[:, 0] - 2 * X[:, 1]) + gen.uniform(-0.1, 0.1, n)
-        model = kernel_ridge_fit(Dataset(X, Y, 2.0), enc, fs, w, lam)
-        alpha = krr_alpha_by_gram(X, Y, fs, w, lam)
-        assert np.max(np.abs(model.alpha - alpha)) <= 1e-10 * np.max(np.abs(alpha))
+        data = Dataset(X, Y, 2.0)
+        model = kernel_ridge_fit(data, enc, fs, w, lam)
+        alpha = assert_solves_the_dual(model, data)
         P = gen.uniform(0, 2 * np.pi, (50, 2))
         want = kernel_matrix(P, X, fs, w) @ alpha
         assert np.max(np.abs(model.predict(P) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -270,15 +291,20 @@ class TestKernelRidge:
         fs = build_frequency_set(enc)
         w = WeightVector(rng.uniform(0.2, 1.0, fs.size))
         X = rng.uniform(0, 2 * np.pi, (12, 2))
-        model = kernel_ridge_fit(Dataset(X, np.sin(X[:, 1]), 1.0), enc, fs, w, 0.03)
-        again = model_from_json(json.loads(json.dumps(model.to_json())))
+        data = Dataset(X, np.sin(X[:, 1]), 1.0)
+        model = kernel_ridge_fit(data, enc, fs, w, 0.03)
+        doc = json.loads(json.dumps(model.to_json()))
+        # the document holds the hyperplane, not the training points
+        assert len(doc["v"]) == 2 * fs.size - 1 and not {"X", "alpha"} & set(doc)
+        again = model_from_json(doc)
+        assert again.variant == "krr" and np.array_equal(again.v, model.v)
         P = rng.uniform(0, 2 * np.pi, (30, 2))
-        assert np.max(np.abs(again.predict(P) - model.predict(P))) <= 1e-12
+        assert np.array_equal(again.predict(P), model.predict(P))
         # the kernel expansion sum_j alpha_j K_w(x, x_j) has p(w)/2
         # sum_j alpha_j e^{-i<w, x_j>} at +w and p(0) sum_j alpha_j at 0
-        p = distribution_of(w)
-        c = 0.5 * p * (again.alpha @ np.exp(-1j * (again.X_train @ fs.half.T)))
-        c[0] = p[0] * np.sum(again.alpha)
+        p, alpha = distribution_of(w), krr_dual(model, data)
+        c = 0.5 * p * (alpha @ np.exp(-1j * (X @ fs.half.T)))
+        c[0] = p[0] * np.sum(alpha)
         for m in (model, again):
             spec = model_spectrum(m)
             got = np.array([spec.coeff(tuple(row)) for row in fs.half])
@@ -655,8 +681,7 @@ class TestTableRoute:
         model = kernel_ridge_fit(data, enc, fs, w, 0.05)
         assert bases == ([] if tabled else ["feature_matrix"])
         assert len(data.table.boxes) == int(tabled)
-        alpha = krr_alpha_by_gram(X, Y, fs, w, 0.05)
-        assert np.max(np.abs(model.alpha - alpha)) <= 1e-10 * np.max(np.abs(alpha))
+        assert_solves_the_dual(model, data)
         again = model_from_json(json.loads(json.dumps(model.to_json())))
         assert np.array_equal(again.v, model.v)
 
@@ -676,8 +701,7 @@ class TestTableRoute:
         data = Dataset(X, Y, 2.0)
         model = kernel_ridge_fit(data, enc, fs, w, 0.05)
         assert bases == []
-        alpha = krr_alpha_by_gram(X, Y, fs, w, 0.05)
-        assert np.max(np.abs(model.alpha - alpha)) <= 1e-10 * np.max(np.abs(alpha))
+        assert_solves_the_dual(model, data)
         again = model_from_json(json.loads(json.dumps(model.to_json())))
         assert np.array_equal(again.v, model.v)
         monkeypatch.setattr(regress, "_krr_tabled", lambda fs, n: False)
@@ -687,9 +711,10 @@ class TestTableRoute:
         want = direct.predict(P)
         assert np.max(np.abs(model.predict(P) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
-    def test_kernel_ridge_forms_each_blocks_power_tables_once(self, monkeypatch):
-        # sweep_lowd's lattice; 1500 points make more than one row block
+    def test_kernel_ridge_on_a_warm_table_does_not_touch_the_points(self, bases, monkeypatch):
+        # sweep_lowd's lattice; the fit reads the box, so no point is read
         from rffdq import fourier
+        from rffdq.kernelmap import PlaneWaves
 
         enc = pauli_half_encoding([6, 6])
         fs = build_frequency_set(enc)
@@ -698,20 +723,16 @@ class TestTableRoute:
         Y = np.sin(X[:, 0] + X[:, 1]) + 0.1 * gen.normal(size=1500)
         data = Dataset(X, Y, float(np.max(np.abs(Y))))
         data.table.gram(fs.half)  # a warm table: its box is formed already
-        calls, real = [], fourier._power_tables
 
-        def spy(X, reach):
-            calls.append(X.shape[0])
-            return real(X, reach)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fit read the points")
 
-        monkeypatch.setattr(fourier, "_power_tables", spy)
+        monkeypatch.setattr(fourier, "_power_tables", forbidden)
+        monkeypatch.setattr(PlaneWaves, "blocks", forbidden)
         w = WeightVector(gen.uniform(0.5, 1.0, fs.size))
         model = kernel_ridge_fit(data, enc, fs, w, 1e-3)
-        # one call per row block: F v and F^T alpha share each block's tables
-        assert len(calls) > 1 and sum(calls) == 1500
-        blocks = calls.copy()
         again = model_from_json(json.loads(json.dumps(model.to_json())))
-        assert calls[len(blocks) :] == blocks and np.array_equal(again.v, model.v)
+        assert bases == [] and np.array_equal(again.v, model.v)
 
     def test_kernel_ridge_off_the_integers_forms_the_feature_matrix(self, bases):
         enc = EncodingStrategy.from_json({"dimensions": [[[-0.3, 0.3]], [[-0.5, 0.5]]]})
@@ -734,7 +755,7 @@ class TestTableRoute:
             krr = kernel_ridge_fit(data, enc, fs, w, 1e-3)
             again = Dataset(data.X, data.Y, data.b_bound)
             fresh = kernel_ridge_fit(again, enc, fs, w, 1e-3)
-            assert np.array_equal(krr.alpha, fresh.alpha) and np.array_equal(krr.v, fresh.v)
+            assert np.array_equal(krr.v, fresh.v)
         # one box for the drawn frequencies (half rows 0..9) and one for the half
         assert sorted(data.table.boxes) == [(1, 3), (3, 3)]
 
@@ -1149,6 +1170,7 @@ class TestModelSerialization:
         rff = rff_fit(data, explicit_from_weights(fs, w), 4, 0.01, SeededRng(5)).to_json()
         explicit = explicit_ridge_fit(data, enc, fs, w, 0.01).to_json()
         krr = kernel_ridge_fit(data, enc, fs, w, 0.01).to_json()
+        old_krr = {key: value for key, value in krr.items() if key != "v"}
         bad = [
             ({**rff, "frequencies": [], "phases": [], "coef": []}, "frequencies must be a rectangular 2-d array"),
             ({**rff, "frequencies": [[1.0], [2.0, 0.0], [1.0], [0.0]]}, "frequencies must be a rectangular 2-d array"),
@@ -1159,8 +1181,9 @@ class TestModelSerialization:
             ({**rff, "lambda": "tiny"}, "lambda must be a number, got 'tiny'"),
             ({**explicit, "v": explicit["v"][:-1]}, r"v must be 9 numbers long \(2 \|half\| - 1\), got shape \(8,\)"),
             ({**explicit, "weights": explicit["weights"][:-1]}, "weights must be 5 numbers long, one per canonical frequency, got 4"),
-            ({**krr, "alpha": krr["alpha"][:-1]}, "alpha must be 25 numbers long, one per row of X, got 24"),
-            ({**krr, "X": [row + [0.0] for row in krr["X"]]}, "X must be rows of 1 numbers, the encoding's d, got rows of 2"),
+            ({**krr, "v": krr["v"][:-1]}, r"v must be 9 numbers long \(2 \|half\| - 1\), got shape \(8,\)"),
+            # a document of dual coefficients on its training points has no hyperplane
+            ({**old_krr, "X": [[0.1], [0.2]], "alpha": [0.5, 0.25]}, "v must be an array of numbers, got nothing"),
         ]
         for doc, message in bad:
             with pytest.raises(ConfigError, match=message):
