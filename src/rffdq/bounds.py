@@ -21,7 +21,7 @@ whose rearrangements give the two required-sample numbers reported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,37 +43,30 @@ M_BUDGET = 1e6
 
 
 @dataclass
-class BoundsReport:
-    """Evaluated sufficiency constants for one (||T||, C, b, eps, delta)."""
+class BoundInputs:
+    """The (||T||, C, b, eps, delta) that a ``BoundsReport`` evaluates."""
 
     op_norm: float
     C: float
     b: float
     eps: float
     delta: float
+
+
+@dataclass
+class BoundsReport:
+    """Evaluated sufficiency constants for one ``BoundInputs``."""
+
+    inputs: BoundInputs
     n0: float
     c0: float
     c1: float
     n_min: float
     M_min: float
-    verdict_notes: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "inputs": {
-                "op_norm": self.op_norm,
-                "C": self.C,
-                "b": self.b,
-                "eps": self.eps,
-                "delta": self.delta,
-            },
-            "n0": self.n0,
-            "c0": self.c0,
-            "c1": self.c1,
-            "n_min": self.n_min,
-            "M_min": self.M_min,
-            "notes": list(self.verdict_notes),
-        }
+        return asdict(self)
 
 
 def sufficient_sample_counts(op_norm: float, C: float, b: float, eps: float, delta: float) -> BoundsReport:
@@ -98,7 +91,7 @@ def sufficient_sample_counts(op_norm: float, C: float, b: float, eps: float, del
         "this calculator evaluates the constants only",
         "regularization convention: lambda = 1/sqrt(n)",
     ]
-    return BoundsReport(op_norm, C, b, eps, delta, n0, c0, c1, n_min, M_min, notes)
+    return BoundsReport(BoundInputs(op_norm, C, b, eps, delta), n0, c0, c1, n_min, M_min, notes)
 
 
 @dataclass
@@ -118,19 +111,7 @@ class LowerBoundReport:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "p_max": self.p_max,
-            "p_max_exact": self.p_max_exact,
-            "alignment": self.alignment,
-            "fhat_l2_sq": self.fhat_l2_sq,
-            "f_l2_sq": self.f_l2_sq,
-            "eps_hat": self.eps_hat,
-            "M_required_pmax": self.M_required_pmax,
-            "M_required_alignment": self.M_required_alignment,
-            "vacuous": self.vacuous,
-            "integer_lattice": self.integer_lattice,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def alignment(f_hat: TrigPolynomial, dist: FrequencyDistribution) -> float:
@@ -221,15 +202,7 @@ class FeasibilityReport:
     lower: LowerBoundReport | None
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-            "p_max": self.p_max,
-            "p_max_exact": self.p_max_exact,
-            "C_used": self.C_used,
-            "sufficient": None if self.sufficient is None else self.sufficient.to_json(),
-            "lower": None if self.lower is None else self.lower.to_json(),
-        }
+        return asdict(self)
 
     def render_text(self) -> str:
         lines = [f"verdict: {self.verdict}"]

@@ -24,7 +24,6 @@ from .freqcore import EncodingStrategy, FrequencySet, HamiltonianSpectrum, build
 from .freqcore import is_integer_valued
 from .freqsample import SeededRng, distribution_from_json
 from .kernelmap import TrigPolynomial, WeightVector, kernel_eval, rkhs_norm
-from .pqcsim import circuit_from_json, extract_trig_polynomial
 from .regress import (
     Dataset,
     _read_number_rows,
@@ -225,6 +224,9 @@ def cmd_risk(args) -> int:
 
 
 def cmd_pqc_spectrum(args) -> int:
+    # the simulator is imported by the one command that runs it
+    from .pqcsim import circuit_from_json, extract_trig_polynomial
+
     circuit, obs = circuit_from_json(_load_json(args.circuit))
     for i, g in enumerate(circuit.gates):
         # the spectrum is read off an integer lattice

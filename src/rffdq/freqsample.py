@@ -373,7 +373,7 @@ class MpsDistribution(_TensorTrain):
             raise ConfigError.at(f"cores[{fs.d - 1}]", "of right bond 1", f"shape {core.shape}")
         # right sums out the dimensions after j, and env[j][a, k] =
         # sum_b core_j[a, k, b] right[b] weighs value k of dimension j given
-        # left bond a: the environment matrices that sample and marginal read
+        # left bond a: the environment matrices that sample reads
         right = np.ones(1)
         self.env = [None] * fs.d
         for j in range(fs.d - 1, -1, -1):
@@ -384,25 +384,6 @@ class MpsDistribution(_TensorTrain):
             raise DegenerateDistributionError(
                 f"tensor train has total mass {self.total_mass}"
             )
-
-    def marginal(self, j: int, prefix) -> np.ndarray:
-        """Conditional pmf of dimension ``j`` (0-based) given the values of
-        dimensions 0..j-1.  Raises if the prefix has exactly zero mass."""
-        prefix = np.asarray(prefix, dtype=float)
-        if prefix.shape != (j,):
-            raise ValueError(f"prefix must assign dimensions 1..{j}")
-        # zero frequencies pad the row past the prefix
-        row = np.concatenate([prefix, np.zeros(self.fs.d - j)])
-        left = np.ones(1)
-        for i, k in enumerate(self.fs.locate(row[None, :])[0][:j]):
-            left = left @ self.cores[i][:, k, :]
-        weights = left @ self.env[j]
-        total = float(weights.sum())
-        if total <= 0:
-            raise DegenerateDistributionError(
-                f"conditional mass at dimension {j+1} is zero for prefix {tuple(prefix)}"
-            )
-        return weights / total
 
     def sample(self, rng, M: int) -> np.ndarray:
         if M < 1:

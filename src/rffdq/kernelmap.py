@@ -10,13 +10,13 @@ lattices the trigonometric features are mutually orthogonal in
 L^2(uniform), which makes hyperplane representations unique and turns the
 RKHS norm into a plain 2-norm of rescaled Fourier coefficients.
 
-``feature_matrix`` defines the column layout of phi_w, and with it of every
+``feature_map`` defines the column layout of phi_w, and with it of every
 hyperplane v over phi_w: column 0 is the zero frequency, columns 2i - 1 and
-2i the cosine and sine of row i of the canonical half.  ``hyperplane_spectrum``
-maps such a v to its canonical-half spectrum, ``rkhs_norm`` maps a spectrum
-back to the 2-norm of its v, and ``feature_rows`` gives each column as one
-half row's cosine and sine with their coefficients (the C of
-``regress.gram_ridge``); no other module reads the layout.
+2i the cosine and sine of row i of the canonical half.  It gives phi_w as
+``WaveFeatures``, the form random features take too, whose design, values
+and spectrum serve both kinds, and whose (inverse, a, b) is the C of
+``regress.gram_ridge``.  ``rkhs_norm`` maps a spectrum back to the 2-norm
+of its v; no other module reads the layout.
 
 A plane wave e^{i <omega, x>} that a polynomial, a feature map, a kernel
 or a fitted model takes at sample points comes from ``PlaneWaves``, which
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -611,48 +612,105 @@ def _term_frequency(term: dict, d: int, fs: FrequencySet | None, at: str) -> np.
     return omega
 
 
-def feature_matrix(X, fs: FrequencySet, w: WeightVector) -> np.ndarray:
-    """Feature matrix with rows phi_w(x_k); columns in canonical index order."""
-    _check_lengths(fs, w)
-    waves = PlaneWaves(fs.half[1:])
-    X = waves.points(X)
-    out = np.empty((X.shape[0], 2 * fs.size - 1))
-    out[:, 0] = w.weights[0]
-    for rows, phasors in waves.blocks(X):
-        out[rows, 1::2] = phasors.real * w.weights[1:]
-        out[rows, 2::2] = phasors.imag * w.weights[1:]
-    out /= w.norm2
-    return out
+def _angle_sum(out: np.ndarray, phasors: np.ndarray, inverse: np.ndarray, a, b):
+    """out[s, k] = a_k cos t + b_k sin t for phasors[s, inverse_k] = e^{i t},
+    in row blocks of 2 ``TRIG_BLOCK_ENTRIES`` float64 entries (512 KB), so no
+    second n x K buffer is held; every temporary is gone when it returns."""
+    step = max(1, 2 * TRIG_BLOCK_ENTRIES // out.shape[1])
+    for r in range(0, out.shape[0], step):
+        block = out[r : r + step]
+        # mode="clip" skips take's buffered copy; the indices are in range
+        np.take(phasors.real[r : r + step], inverse, axis=1, out=block, mode="clip")
+        block *= a
+        part = np.take(phasors.imag[r : r + step], inverse, axis=1, mode="clip")
+        part *= b
+        block += part
 
 
-def feature_rows(fs: FrequencySet, w: WeightVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(row, a, b)``: column k of ``feature_matrix(X, fs, w)`` is
-    a[k] cos <omega, x> + b[k] sin <omega, x> at omega = ``fs.half[row[k]]``,
-    a cosine (a = w / ||w||, b = 0) or a sine (a = 0, b = w / ||w||)."""
+class WaveFeatures:
+    """Features a_k cos <omega_u, x> + b_k sin <omega_u, x>, omega_u =
+    ``distinct[u]`` at u = ``inverse[k]``; ``first[u]`` is row u's first
+    feature, and ``waves`` the rows' ``PlaneWaves``, built on first use.
+    Random features and phi_w both take this form.  A hyperplane ``coef``
+    over them is summed per row, z_u = sum_{k at u} coef_k (a_k - i b_k),
+    so that <coef, features(x)> = Re sum_u z_u e^{i <omega_u, x>}."""
+
+    def __init__(self, distinct, inverse, a, b, first):
+        self.distinct, self.inverse, self.a, self.b, self.first = distinct, inverse, a, b, first
+
+    @cached_property
+    def waves(self) -> PlaneWaves:
+        return PlaneWaves(self.distinct)
+
+    def design(self, X) -> np.ndarray:
+        """The n x K design at the points ``X``, each feature formed from its
+        row's wave by angle addition."""
+        X = self.waves.points(X)
+        F = np.empty((X.shape[0], self.inverse.size))
+        for rows, phasors in self.waves.blocks(X):
+            _angle_sum(F[rows], phasors, self.inverse, self.a, self.b)
+        return F
+
+    def _sums(self, coef) -> np.ndarray:
+        """z_u, the per-row sums of a hyperplane ``coef``."""
+        coef = np.asarray(coef, dtype=float)
+        if coef.shape != self.inverse.shape:
+            raise ValueError(f"hyperplane has shape {coef.shape}, expected {self.inverse.shape}")
+        U = self.distinct.shape[0]
+        z = np.empty(U, dtype=complex)
+        z.real = np.bincount(self.inverse, coef * self.a, U)
+        z.imag = -np.bincount(self.inverse, coef * self.b, U)
+        return z
+
+    def values(self, coef, X) -> np.ndarray:
+        """<coef, features(x)> at the points ``X``: one complex
+        matrix-vector product per block of waves, and no n x K design."""
+        z = self._sums(coef)
+        X = self.waves.points(X)
+        out = np.empty(X.shape[0])
+        for rows, phasors in self.waves.blocks(X):
+            out[rows] = (phasors @ z).real
+        return out
+
+    def spectrum(self, coef, fs: FrequencySet | None = None) -> TrigPolynomial:
+        """Exact spectrum of <coef, features(.)>: z_u / 2 at omega_u, and
+        Re z_u at the zero frequency (its own mirror), in order of each
+        row's first feature, on the lattice ``fs`` when given."""
+        z = self._sums(coef)
+        c = np.where(self.distinct.any(axis=1), 0.5 * z, z.real)
+        order = np.argsort(self.first)
+        # rows that are the lattice's own half are keyed without a lookup,
+        # which costs ten times the rest of this method on a small half
+        if fs is not None and self.distinct is fs.half:
+            return TrigPolynomial.on_rows(fs, order, c[order])
+        return TrigPolynomial.from_half_arrays(fs, self.distinct[order], c[order])
+
+
+def feature_map(fs: FrequencySet, w: WeightVector) -> WaveFeatures:
+    """phi_w as wave features over ``fs.half``, in the column layout of every
+    hyperplane over it: feature 0 is the zero frequency's (a = w_0 / ||w||),
+    features 2i - 1 and 2i the cosine (a = w_i / ||w||, b = 0) and the sine
+    (a = 0, b = w_i / ||w||) of row i."""
     _check_lengths(fs, w)
-    row = np.arange(1, 2 * fs.size) // 2
-    a = w.weights[row] / w.norm2
+    inverse = np.arange(1, 2 * fs.size) // 2
+    a = w.weights[inverse] / w.norm2
     b = np.zeros_like(a)
     b[2::2] = a[2::2]
     a[2::2] = 0.0
-    return row, a, b
+    first = np.maximum(2 * np.arange(fs.size) - 1, 0)
+    return WaveFeatures(fs.half, inverse, a, b, first)
+
+
+def feature_matrix(X, fs: FrequencySet, w: WeightVector) -> np.ndarray:
+    """Feature matrix with rows phi_w(x_k); columns in canonical index order."""
+    return feature_map(fs, w).design(X)
 
 
 def hyperplane_spectrum(v, fs: FrequencySet, w: WeightVector) -> TrigPolynomial:
     """Spectrum of <v, phi_w(.)> for a hyperplane ``v`` in the column
-    layout of ``feature_matrix``: c_0 = w_0 v_0 / ||w|| and
+    layout of ``feature_map``: c_0 = w_0 v_0 / ||w|| and
     c_i = w_i (v_cos,i - i v_sin,i) / (2 ||w||), in row order."""
-    _check_lengths(fs, w)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (2 * fs.size - 1,):
-        raise ValueError(f"hyperplane has shape {v.shape}, expected ({2 * fs.size - 1},)")
-    scale = w.weights / w.norm2
-    scale[1:] /= 2.0
-    c = np.zeros(fs.size, dtype=complex)
-    c.real[0] = scale[0] * v[0]
-    c.real[1:] = scale[1:] * v[1::2]
-    c.imag[1:] = -scale[1:] * v[2::2]
-    return TrigPolynomial.on_rows(fs, np.arange(fs.size), c)
+    return feature_map(fs, w).spectrum(v, fs)
 
 
 def kernel_eval(x, xp, fs: FrequencySet, w: WeightVector):

@@ -8,12 +8,14 @@ matrix).  ``linear_ridge_fit`` solves it on a design, by the primal D x D
 system when D <= n or lambda = 0 and by the dual n x n Gram system when
 D > n.  ``gram_ridge`` solves it from the Gram of a wave basis B, on a
 design F = B C that is never formed: random features (``RffFeatureSet.ridge``)
-where lambda > 0 and 2U < min(n, M), with C their phase rows, and the KRR
-oracle on integer lattices, with C phi_w's feature rows.  Other fits form
-their design and call ``linear_ridge_fit``.  Every solution is
-residual-checked against its design's normal equations, read through B's
-Gram and C where the design is not formed.  The KRR oracle's model is its
-ridge hyperplane over phi_w, of the one model class of explicit fits.
+where lambda > 0 and 2U < min(n, M), and the KRR oracle on integer
+lattices.  Other fits form their design and call ``linear_ridge_fit``.
+Every solution is residual-checked against its design's normal equations,
+read through B's Gram and C where the design is not formed.  Random
+features and phi_w are both ``kernelmap.WaveFeatures``, which give their
+designs, the C of their factored solves, and every model's predictions and
+spectrum.  The KRR oracle's model is its ridge hyperplane over phi_w, of
+the one model class of explicit fits.
 
 On integer frequencies a ``fourier.FourierTable`` of the data, one per
 dataset (``Dataset.table``), gives B^T B and B^T Y from the points'
@@ -41,12 +43,12 @@ from .freqcore import EncodingStrategy, FrequencySet, build_frequency_set
 from .kernelmap import (
     PlaneWaves,
     TrigPolynomial,
+    WaveFeatures,
     WeightVector,
     column_ranks,
+    feature_map,
     feature_matrix,
-    feature_rows,
     group_rows,
-    hyperplane_spectrum,
     mean_square,
 )
 
@@ -254,26 +256,6 @@ def linear_ridge_fit(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     return w
 
 
-# the angle-sum design gathers its cosine and sine terms in row blocks of
-# about this many entries, so no second n x M buffer is held
-_BLOCK_ENTRIES = 1 << 16
-
-
-def _angle_sum(out: np.ndarray, phasors: np.ndarray, inverse: np.ndarray, a, b):
-    """out[k, i] = a_i cos t - b_i sin t for phasors[k, inverse_i] = e^{i t},
-    read from the real and imaginary parts in row blocks of about
-    ``_BLOCK_ENTRIES`` entries; every temporary is gone when it returns."""
-    step = max(1, _BLOCK_ENTRIES // out.shape[1])
-    for r in range(0, out.shape[0], step):
-        block = out[r : r + step]
-        # mode="clip" skips take's buffered copy; the indices are in range
-        np.take(phasors.real[r : r + step], inverse, axis=1, out=block, mode="clip")
-        block *= a
-        part = np.take(phasors.imag[r : r + step], inverse, axis=1, mode="clip")
-        part *= b
-        block -= part
-
-
 class RffDesign(np.ndarray):
     """A random-feature design matrix that records the feature set
     (``feature_set``) and the points (``points``) it was formed from, so
@@ -291,8 +273,11 @@ class RffDesign(np.ndarray):
 
 
 @dataclass
-class RffFeatureSet:
-    """Sampled random features: canonical frequencies plus uniform phases.
+class RffFeatureSet(WaveFeatures):
+    """Sampled random features: canonical frequencies plus uniform phases,
+    as ``kernelmap.WaveFeatures``: feature i is
+    sqrt(2/M) cos(<w_i, x> + g_i) = a_i cos <w_i, x> + b_i sin <w_i, x>
+    with (a_i, b_i) = sqrt(2/M) (cos g_i, -sin g_i).
 
     Frequencies are drawn from a finite lattice, so one frequency is usually
     drawn many times.  The draws are grouped once, at construction, by one
@@ -300,16 +285,11 @@ class RffFeatureSet:
     ``distinct`` holds the U distinct frequencies (in the order of
     ``np.unique(axis=0)``), ``first`` the draw at which each first appears,
     ``inverse`` each draw's row in ``distinct``, and ``waves`` their
-    ``PlaneWaves``, built from the same column ranks.  Features are built
-    from e^{i <w_u, x>} per distinct frequency by angle addition.
+    ``PlaneWaves``, built from the same column ranks.
     """
 
     frequencies: np.ndarray
     phases: np.ndarray
-    distinct: np.ndarray = field(init=False, repr=False, compare=False)
-    first: np.ndarray = field(init=False, repr=False, compare=False)
-    inverse: np.ndarray = field(init=False, repr=False, compare=False)
-    waves: PlaneWaves = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.frequencies = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
@@ -325,34 +305,22 @@ class RffFeatureSet:
         if not np.all((self.phases >= 0) & (self.phases < 2 * np.pi)):
             raise ConfigError.at("phases", "in [0, 2pi)", show(self.phases.tolist()))
         values, ranks = column_ranks(self.frequencies)
-        self.first, self.inverse = group_rows(ranks, [v.size for v in values])
-        self.distinct = self.frequencies[self.first]
-        self.waves = PlaneWaves(self.distinct, (values, [rank[self.first] for rank in ranks]))
+        first, inverse = group_rows(ranks, [v.size for v in values])
+        scale = math.sqrt(2.0 / self.M)
+        a, b = scale * np.cos(self.phases), -scale * np.sin(self.phases)
+        super().__init__(self.frequencies[first], inverse, a, b, first)
+        self.waves = PlaneWaves(self.distinct, (values, [rank[first] for rank in ranks]))
 
     @property
     def M(self) -> int:
         return self.phases.size
-
-    def per_frequency(self, values: np.ndarray) -> np.ndarray:
-        """Sum of a complex per-feature quantity over the features of each
-        distinct frequency, in draw order, shape (U,)."""
-        U = self.distinct.shape[0]
-        re = np.bincount(self.inverse, weights=values.real, minlength=U)
-        return re + 1j * np.bincount(self.inverse, weights=values.imag, minlength=U)
 
     def design_matrix(self, X) -> RffDesign:
         """Monte-Carlo-normalized design matrix psi(x, nu_i)/sqrt(M), as an
         ``RffDesign`` that records this set and ``X``, so that
         ``linear_ridge_fit`` on it takes the route ``ridge`` takes."""
         X = self.waves.points(X)
-        # sqrt(2) cos(t_u + g_i)/sqrt(M) = a_i cos t_u - b_i sin t_u
-        factor = math.sqrt(2.0) / math.sqrt(self.M)
-        a = factor * np.cos(self.phases)
-        b = factor * np.sin(self.phases)
-        F = np.empty((X.shape[0], self.M))
-        for rows, phasors in self.waves.blocks(X):
-            _angle_sum(F[rows], phasors, self.inverse, a, b)
-        F = F.view(RffDesign)
+        F = self.design(X).view(RffDesign)
         F.feature_set, F.points = self, X
         return F
 
@@ -370,11 +338,6 @@ class RffFeatureSet:
             return self.factored_ridge(data.table, lam)
         return linear_ridge_fit(np.asarray(self.design_matrix(data.X)), data.Y, lam)
 
-    def _phase_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two rows of C per feature: sqrt(2/M) (cos g_i, -sin g_i)."""
-        scale = math.sqrt(2.0 / self.M)
-        return scale * np.cos(self.phases), -scale * np.sin(self.phases)
-
     def _wave_basis(self, X: np.ndarray) -> np.ndarray:
         """B (n x 2U): cos <w_u, x> of the distinct frequencies, then
         sin <w_u, x>, so that the design at ``X`` is exactly B C."""
@@ -388,17 +351,17 @@ class RffFeatureSet:
     def factored_ridge(self, table: FourierTable, lam: float) -> np.ndarray:
         """Ridge weights on the design at the points of ``table`` (a
         ``FourierTable``) for its labels and lambda > 0, by ``gram_ridge``
-        on the wave basis B of the U distinct frequencies and C their phase
-        rows sqrt(2/M) (cos g_i, -sin g_i): the design is not formed.
-        B^T B and B^T Y are read from the table where its cost rule takes
-        the distinct frequencies, and come from B itself otherwise."""
+        on the wave basis B of the U distinct frequencies and C the features'
+        (inverse, a, b): the design is not formed.  B^T B and B^T Y are read
+        from the table where its cost rule takes the distinct frequencies,
+        and come from B itself otherwise."""
         X = self.waves.points(table.X)
         Y = _ridge_inputs(X, table.Y, lam)
         products = table.gram(self.distinct)
         if products is None:
             B = self._wave_basis(X)
             products = B.T @ B, B.T @ Y
-        return gram_ridge(*products, self.inverse, *self._phase_rows(), lam * X.shape[0])
+        return gram_ridge(*products, self.inverse, self.a, self.b, lam * X.shape[0])
 
 
 def _feature_sums(row: np.ndarray, a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -464,8 +427,12 @@ def gram_ridge(G: np.ndarray, BtY: np.ndarray, row, a, b, lam_n: float) -> np.nd
 
 
 class _Model:
+    """A hyperplane ``coef`` over ``features`` (a ``WaveFeatures``), whose
+    spectrum is keyed on the lattice ``fs``, none for random features."""
+
     variant: str = ""
     lam: float = 0.0
+    fs: FrequencySet | None = None
 
     @property
     def d(self) -> int:
@@ -473,7 +440,7 @@ class _Model:
         raise NotImplementedError
 
     def predict(self, X) -> np.ndarray:
-        raise NotImplementedError
+        return self.features.values(self.coef, X)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -510,8 +477,13 @@ class ExplicitLinearModel(_Model):
     def d(self) -> int:
         return self.encoding.d
 
-    def predict(self, X) -> np.ndarray:
-        return feature_matrix(X, self.fs, self.weights) @ self.v
+    @cached_property
+    def features(self) -> WaveFeatures:
+        return feature_map(self.fs, self.weights)
+
+    @property
+    def coef(self) -> np.ndarray:
+        return self.v
 
     def to_json(self) -> dict:
         return {
@@ -526,8 +498,7 @@ class ExplicitLinearModel(_Model):
 @dataclass
 class RffModel(_Model):
     """Linear model over a sampled random-feature set: one finite weight
-    per feature in ``coef`` (checked at construction).  Predictions and the
-    spectrum sum the weights per distinct frequency first."""
+    per feature in ``coef`` (checked at construction)."""
 
     feature_set: RffFeatureSet
     coef: np.ndarray
@@ -547,18 +518,9 @@ class RffModel(_Model):
     def d(self) -> int:
         return self.feature_set.frequencies.shape[1]
 
-    def predict(self, X) -> np.ndarray:
-        """sum_i coef_i sqrt(2) cos(<w_i, x> + g_i)/sqrt(M), summed per
-        distinct frequency first: Re(z_u e^{i <w_u, x>}) with
-        z_u = sqrt(2/M) sum_{i in u} coef_i e^{i g_i}, one complex
-        matrix-vector product per block of ``PlaneWaves``."""
-        fset = self.feature_set
-        z = math.sqrt(2.0 / fset.M) * fset.per_frequency(self.coef * np.exp(1j * fset.phases))
-        X = fset.waves.points(X)
-        out = np.empty(X.shape[0])
-        for rows, phasors in fset.waves.blocks(X):
-            out[rows] = (phasors @ z).real
-        return out
+    @property
+    def features(self) -> RffFeatureSet:
+        return self.feature_set
 
     def to_json(self) -> dict:
         return {
@@ -589,12 +551,17 @@ def model_from_json(doc: dict) -> _Model:
 
 
 def explicit_ridge_fit(
-    data: Dataset, enc: EncodingStrategy, fs: FrequencySet, w: WeightVector, lam: float
+    data: Dataset,
+    enc: EncodingStrategy,
+    fs: FrequencySet,
+    w: WeightVector,
+    lam: float,
+    variant: str = "explicit",
 ) -> ExplicitLinearModel:
-    """Ridge regression over the materialized re-weighted feature map."""
-    F = feature_matrix(data.X, fs, w)
-    v = linear_ridge_fit(F, data.Y, lam)
-    return ExplicitLinearModel(enc, w, v, lam, _fs=fs)
+    """Ridge regression over the materialized re-weighted feature map; the
+    model is of ``variant`` (``krr`` where it is the KRR oracle's)."""
+    v = linear_ridge_fit(feature_matrix(data.X, fs, w), data.Y, lam)
+    return ExplicitLinearModel(enc, w, v, lam, variant=variant, _fs=fs)
 
 
 def kernel_ridge_fit(
@@ -611,16 +578,16 @@ def kernel_ridge_fit(
     "krr") is that hyperplane: no dual coefficients are formed.
 
     Where ``_krr_tabled`` holds, v is ``gram_ridge`` on the dataset table's
-    Gram with C phi_w's feature rows (``kernelmap.feature_rows``): F is
+    Gram with C the (inverse, a, b) of ``kernelmap.feature_map``: F is
     never formed, and on a warm table the fit does no work of size n.
-    Otherwise v is ``explicit_ridge_fit``'s, on the formed F.
+    Otherwise the model is ``explicit_ridge_fit``'s on the formed F.
     """
     if lam <= 0:
         raise ValueError("kernel ridge regression needs lambda > 0")
-    if _krr_tabled(fs, data.n):
-        v = gram_ridge(*data.table.gram(fs.half), *feature_rows(fs, w), lam * data.n)
-    else:
-        v = explicit_ridge_fit(data, enc, fs, w, lam).v
+    if not _krr_tabled(fs, data.n):
+        return explicit_ridge_fit(data, enc, fs, w, lam, variant="krr")
+    phi = feature_map(fs, w)
+    v = gram_ridge(*data.table.gram(fs.half), phi.inverse, phi.a, phi.b, lam * data.n)
     return ExplicitLinearModel(enc, w, v, lam, variant="krr", _fs=fs)
 
 
@@ -672,9 +639,7 @@ def model_spectrum(model: _Model) -> TrigPolynomial:
     """Exact Fourier coefficients of a fitted model, on the model's own
     frequencies: the lattice of a hyperplane over phi_w (explicit and KRR
     models), the drawn frequencies of a random-feature model."""
-    if isinstance(model, RffModel):
-        return rff_model_spectrum(model)
-    return hyperplane_spectrum(model.v, model.fs, model.weights)
+    return model.features.spectrum(model.coef, model.fs)
 
 
 def true_risk_estimate(
@@ -700,18 +665,8 @@ def true_risk_estimate(
 
 
 def rff_model_spectrum(model: RffModel, fs: FrequencySet | None = None) -> TrigPolynomial:
-    """Exact Fourier coefficients of a fitted random-feature model.
-
-    Each feature beta_i sqrt(2) cos(<w_i,x> + g_i)/sqrt(M) contributes
-    beta_i e^{i g_i} / (sqrt(2) sqrt(M)) at +w_i and its conjugate at -w_i.
-    Coefficients are summed per distinct frequency with the feature set's
-    grouping and keyed in order of each frequency's first draw.
-    """
-    fset = model.feature_set
-    scale = 1.0 / (math.sqrt(2.0) * math.sqrt(fset.M))
-    coeffs = fset.per_frequency(model.coef * scale * np.exp(1j * fset.phases))
-    # the zero frequency is its own mirror: both halves land on one real term
-    zero = ~np.any(fset.distinct, axis=1)
-    coeffs[zero] = 2.0 * coeffs[zero].real
-    order = np.argsort(fset.first)
-    return TrigPolynomial.from_half_arrays(fs, fset.distinct[order], coeffs[order])
+    """Exact Fourier coefficients of a fitted random-feature model, keyed in
+    order of each frequency's first draw, on the lattice ``fs`` when given:
+    each feature beta_i sqrt(2) cos(<w_i,x> + g_i)/sqrt(M) contributes
+    beta_i e^{i g_i} / (sqrt(2) sqrt(M)) at +w_i and its conjugate at -w_i."""
+    return model.feature_set.spectrum(model.coef, fs)

@@ -180,6 +180,20 @@ def rff_spectrum_by_feature(frequencies, phases, coef):
     return out
 
 
+def hyperplane_coefficients(v, w):
+    """The spectrum of <v, phi_w(.)> by its closed form, one coefficient per
+    row of the canonical half: c_0 = w_0 v_0 / ||w|| and
+    c_i = w_i (v_cos,i - i v_sin,i) / (2 ||w||), with v in the column layout
+    (v_0, v_cos,1, v_sin,1, ...) and ||w|| the weight vector's ``norm2``."""
+    scale = w.weights / w.norm2
+    scale[1:] /= 2.0
+    c = np.zeros(scale.size, dtype=complex)
+    c.real[0] = scale[0] * v[0]
+    c.real[1:] = scale[1:] * v[1::2]
+    c.imag[1:] = -scale[1:] * v[2::2]
+    return c
+
+
 def direct_design(frequencies, phases, X):
     """Random-feature design sqrt(2) cos(<w_i, x> + g_i)/sqrt(M), one cosine
     per feature and no grouping of repeated frequencies."""

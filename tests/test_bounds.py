@@ -96,7 +96,7 @@ class TestSufficientCounts:
         res = integral_operator_norm(p, fs_1d_5)
         assert res.op_norm == res.p_max / 2.0
         report = sufficient_sample_counts(res.op_norm, 1.0, 1.0, 0.1, 0.05)
-        assert report.op_norm == res.op_norm
+        assert report.inputs.op_norm == res.op_norm
 
 
 @pytest.fixture

@@ -757,13 +757,13 @@ def test_circuit_paths_leave_numpy_ma_unloaded(tmp_path):
 
 def test_cli_import_leaves_scipy_unloaded():
     # importing scipy.linalg costs a fresh process about 0.3 s and 27 MB;
-    # the runtime needs numpy alone
+    # the runtime needs numpy alone, and only pqc-spectrum the simulator
     src = str(Path(rffdq.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import sys, rffdq.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m in ('scipy', 'rffdq.pqcsim') or m.startswith('scipy.')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

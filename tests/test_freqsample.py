@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -527,12 +526,6 @@ class TestSampling:
 
 
 class TestMps:
-    def test_marginal_chi1_prefix_independent(self, fs_2d):
-        pjs = [np.array([0.2, 0.3, 0.5]), np.array([0.1, 0.6, 0.3])]
-        mps = MpsDistribution(fs_2d, [p.reshape(1, 3, 1) for p in pjs])
-        for prefix_val in (-1.0, 0.0, 1.0):
-            assert np.allclose(mps.marginal(1, [prefix_val]), pjs[1])
-
     def test_rank2_joint_table(self, fs_2d):
         u1, v1 = np.array([0.5, 0.1, 0.2]), np.array([0.3, 0.3, 0.1])
         u2, v2 = np.array([0.1, 0.4, 0.05]), np.array([0.2, 0.1, 0.6])
@@ -543,10 +536,6 @@ class TestMps:
         ]
         mps = MpsDistribution(fs_2d, cores)
         freqs = fs_2d.per_dimension_freqs[0]
-        for k1 in range(3):
-            want = joint[k1] / joint[k1].sum()
-            got = mps.marginal(1, [freqs[k1]])
-            assert np.allclose(got, want, atol=1e-12)
         # tilde pmf equals the normalized table
         total = joint.sum()
         for k1 in range(3):
@@ -554,22 +543,6 @@ class TestMps:
                 point = (freqs[k1], fs_2d.per_dimension_freqs[1][k2])
                 got = mps._tilde(fs_2d.locate([point]))[0]
                 assert got == pytest.approx(joint[k1, k2] / total)
-
-    def test_marginal_matches_dense_conditionals_at_bond_3(self, rng):
-        fs = build_frequency_set(pauli_half_encoding([2, 1, 2]))
-        freqs = fs.per_dimension_freqs
-        dist = _random_dist("mps", fs, rng, bond=3)
-        tilde = dense_ptilde(dist.cores)
-        for j in range(fs.d):
-            for prefix in itertools.product(*(range(f.size) for f in freqs[:j])):
-                joint = tilde[prefix].reshape(freqs[j].size, -1).sum(axis=1)
-                got = dist.marginal(j, [freqs[i][k] for i, k in enumerate(prefix)])
-                assert np.allclose(got, joint / joint.sum(), rtol=1e-13, atol=0.0)
-
-    def test_uniform_cores_give_uniform_marginal(self, fs_2d):
-        cores = [np.ones((1, 3, 2)), np.ones((2, 3, 1))]
-        mps = MpsDistribution(fs_2d, cores)
-        assert np.allclose(mps.marginal(0, []), np.full(3, 1 / 3))
 
     def test_matches_brute_force_contraction(self, rng):
         for trial in range(10):
@@ -597,17 +570,6 @@ class TestMps:
     def test_zero_mass_rejected(self, fs_2d):
         with pytest.raises(DegenerateDistributionError):
             MpsDistribution(fs_2d, [np.zeros((1, 3, 1)), np.ones((1, 3, 1))])
-
-    def test_zero_conditional_mass_surfaces(self, fs_2d):
-        g1 = np.zeros((1, 3, 2))
-        g1[0, 0, 0] = 1.0  # only k1=0 reachable, and only through bond 0
-        g2 = np.zeros((2, 3, 1))
-        g2[1, :, 0] = 1.0  # but dimension 2 only has mass through bond 1
-        g2[0, 1, 0] = 1.0  # ... except k2=1
-        mps = MpsDistribution(fs_2d, [g1, g2])
-        freqs = fs_2d.per_dimension_freqs[0]
-        with pytest.raises(DegenerateDistributionError):
-            mps.marginal(1, [freqs[1]])  # prefix k1=1 has zero mass
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, fs_2d, bad):

@@ -10,6 +10,7 @@ from conftest import pauli_half_encoding
 from oracles import (
     DictPolynomial,
     hyperplane_by_index,
+    hyperplane_coefficients,
     midpoint_mean_square,
     quadrature_apply_operator,
     quadrature_l2_norm_sq,
@@ -514,6 +515,24 @@ class TestHyperplaneSpectrum:
             hyperplane_spectrum(np.ones(8), fs_1d_5, WeightVector.uniform(5))
         with pytest.raises(ValueError, match="weight vector has length 4"):
             hyperplane_spectrum(np.ones(9), fs_1d_5, WeightVector.uniform(4))
+
+    @pytest.mark.parametrize("L_per_dim", _LATTICES + [[6, 6], None])
+    def test_is_the_closed_form_bit_for_bit(self, L_per_dim, rng):
+        # None: a non-integer lattice; the zero weights drop their terms
+        if L_per_dim is None:
+            fs = build_frequency_set(EncodingStrategy.from_json({"dimensions": [[[-0.3, 0.3]], [[-0.5, 0.5]]]}))
+        else:
+            fs = build_frequency_set(pauli_half_encoding(L_per_dim))
+        for _ in range(5):
+            weights = rng.uniform(0.05, 2.0, fs.size) ** rng.integers(1, 4)
+            weights[rng.random(fs.size) < 0.2] = 0.0
+            w = WeightVector(weights)
+            v = rng.uniform(-1, 1, 2 * fs.size - 1)
+            want = hyperplane_coefficients(v, w)
+            f = hyperplane_spectrum(v, fs, w)
+            assert f.freq_set is fs and f.rows.tolist() == np.flatnonzero(want).tolist()
+            assert f.c.tobytes() == want[f.rows].tobytes()
+            assert f.freqs.tobytes() == fs.half[f.rows].tobytes()
 
     @pytest.mark.parametrize("L_per_dim", _LATTICES + [[3, 3, 2]])
     def test_rkhs_norm_is_the_dense_row_order_sum_bit_for_bit(self, L_per_dim, rng):

@@ -22,6 +22,7 @@ from rffdq.kernelmap import (
     TrigPolynomial,
     WeightVector,
     distribution_of,
+    feature_map,
     feature_matrix,
     kernel_matrix,
     l2_norm_sq,
@@ -29,6 +30,7 @@ from rffdq.kernelmap import (
 )
 from rffdq.regress import (
     Dataset,
+    ExplicitLinearModel,
     RffFeatureSet,
     RffModel,
     empirical_risk,
@@ -706,7 +708,7 @@ class TestTableRoute:
         assert np.array_equal(again.v, model.v)
         monkeypatch.setattr(regress, "_krr_tabled", lambda fs, n: False)
         direct = kernel_ridge_fit(data, enc, fs, w, 0.05)
-        assert bases == ["feature_matrix"]
+        assert bases == ["feature_matrix"] and direct.variant == "krr"
         P = gen.uniform(0, 2 * np.pi, (50, 2))
         want = direct.predict(P)
         assert np.max(np.abs(model.predict(P) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -867,7 +869,7 @@ class TestRffFit:
         B = fset._wave_basis(X)
         w = fset.ridge(Dataset(X, Y, float(np.max(np.abs(Y)))), lam)
         for v, scale in ((w, 1.0 + np.max(np.abs(F.T @ Y))), (w * 1.01, None)):
-            FtFw, FtY = regress._normal_products(B.T @ B, B.T @ Y, fset.inverse, *fset._phase_rows(), v)
+            FtFw, FtY = regress._normal_products(B.T @ B, B.T @ Y, fset.inverse, fset.a, fset.b, v)
             want_FtFw, want_FtY = F.T @ (F @ v), F.T @ Y
             assert np.max(np.abs(FtFw - want_FtFw)) <= 1e-12 * np.max(np.abs(want_FtFw))
             assert np.max(np.abs(FtY - want_FtY)) <= 1e-12 * np.max(np.abs(want_FtY))
@@ -961,6 +963,67 @@ class TestPeakMemoryAtBenchmarkShapes:
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+class TestWaveFeatures:
+    """Random features and phi_w are one ``WaveFeatures``: a hyperplane's
+    values are its design times it, and its spectrum evaluated."""
+
+    @staticmethod
+    def kinds(gen, fs):
+        """phi_w over ``fs`` (a zero weight among its rows) and random
+        features drawn on its half, the zero frequency among them."""
+        weights = gen.uniform(0.2, 1.0, fs.size)
+        weights[fs.size // 2] = 0.0
+        rows = np.concatenate([[0], gen.integers(0, fs.size, 59)])
+        return [
+            feature_map(fs, WeightVector(weights)),
+            RffFeatureSet(fs.half[rows], gen.uniform(0, 2 * np.pi, rows.size)),
+        ]
+
+    @pytest.mark.parametrize("dimensions", [
+        pauli_half_encoding([4]), pauli_half_encoding([2, 3]), pauli_half_encoding([1] * 4),
+        EncodingStrategy.from_json({"dimensions": [[[-0.3, 0.3]], [[-0.5, 0.5], [-0.35, 0.35]]]}),
+    ])
+    def test_values_are_the_design_and_the_spectrum(self, dimensions):
+        fs = build_frequency_set(dimensions)
+        gen = np.random.default_rng(fs.size)
+        X = gen.uniform(0, 2 * np.pi, (40, fs.d))
+        for features in self.kinds(gen, fs):
+            coef = gen.normal(size=features.inverse.size)
+            got = features.values(coef, X)
+            scale = np.max(np.abs(got))
+            assert np.max(np.abs(got - features.design(X) @ coef)) <= 1e-12 * scale
+            for lattice in (None, fs):
+                spectrum = features.spectrum(coef, lattice)
+                assert np.max(np.abs(got - spectrum.evaluate(X))) <= 1e-12 * scale
+
+    def test_shape_of_the_hyperplane_is_checked(self):
+        fs = build_frequency_set(pauli_half_encoding([2]))
+        for features in self.kinds(np.random.default_rng(1), fs):
+            K = features.inverse.size
+            for call in (lambda c: features.values(c, np.zeros((3, 1))), features.spectrum):
+                with pytest.raises(ValueError, match=rf"hyperplane has shape \({K + 1},\), expected \({K},\)"):
+                    call(np.ones(K + 1))
+
+    def test_explicit_prediction_forms_no_feature_matrix(self):
+        # sweep_highdim's lattice: the n x (2 |half| - 1) feature matrix
+        # at n = 2000 would take 250 MB
+        enc = pauli_half_encoding([2] * 6)
+        fs = build_frequency_set(enc)
+        assert fs.size == 7813
+        gen = np.random.default_rng(6)
+        w = WeightVector(gen.uniform(0.5, 1.0, fs.size))
+        model = ExplicitLinearModel(enc, w, gen.normal(size=2 * fs.size - 1), 0.1, _fs=fs)
+        X = gen.uniform(0, 2 * np.pi, (2000, 6))
+        model.predict(X[:1])  # first-call set-up is not the call's own memory
+        tracemalloc.start()
+        try:
+            model.predict(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def rff_kernel_estimate(fset, x, xp) -> float:
